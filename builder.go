@@ -115,7 +115,9 @@ func Fn1(param string, body Expr) Expr { return lang.Fn1(param, body) }
 // Fn2 returns a two-parameter lambda.
 func Fn2(p1, p2 string, body Expr) Expr { return lang.Fn2(p1, p2, body) }
 
-// Native returns a native Go UDF usable wherever a lambda is.
+// Native returns a native Go UDF usable wherever a lambda is. The engine
+// reuses the args slice between calls: fn may keep the Values in it but not
+// the slice itself (a tuple built over args... would alias it; copy first).
 func Native(label string, arity int, fn func(args []Value) Value) Expr {
 	return lang.Native(label, arity, fn)
 }

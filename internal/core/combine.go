@@ -150,144 +150,40 @@ func (p *Plan) InsertCombiners() int {
 	return inserted
 }
 
-// countCombineIn accounts elements entering a combiner.
-func (h *host) countCombineIn(n int64) {
-	if n == 0 {
-		return
-	}
-	h.rt.combineIn.Add(n)
-	h.combineIn.Add(n)
-}
-
-// countCombineOut accounts the elements a combiner forwarded for one bag.
-func (h *host) countCombineOut(n int64) {
-	if n == 0 {
-		return
-	}
-	h.rt.combineOut.Add(n)
-	h.combineOut.Add(n)
-}
-
-// pumpPartial dispatches the synthetic operator kinds; pump calls it for
-// every host whose op is synthetic.
-func (h *host) pumpPartial(run *outputRun) (bool, error) {
+// consumePartial is consume for the synthetic kinds (slot 0 is their only
+// input). run.count is the number of elements folded so far: partial sum and
+// count need it themselves, and it is combine_in for all of them.
+func (h *host) consumePartial(run *outputRun, x val.Value) error {
+	run.count++
 	switch h.op.Synth {
 	case SynthCombineByKey:
-		return h.pumpPartialReduceByKey(run)
+		// One combined pair per key. The consumer reduceByKey then merges
+		// combined pairs with the same UDF — which therefore must be
+		// associative and commutative, exactly the contract reduceByKey
+		// already imposes on a distributed runtime.
+		return h.foldInto(run.hash, x)
 	case SynthLocalDistinct:
-		return h.pumpPartialDistinct(run)
-	case SynthPartialSum, SynthPartialCount, SynthPartialReduce:
-		return h.pumpPartialFold(run)
-	default:
-		return false, fmt.Errorf("core: %s: no runtime logic for synthetic %s", h.op.Instr.Var, h.op.Synth)
+		// Later duplicates die here instead of crossing the shuffle.
+		h.emitIfNew(run, x)
+	case SynthPartialSum:
+		return h.addSum(run, x)
+	case SynthPartialReduce:
+		return h.foldAcc(run, x)
 	}
+	return nil
 }
 
-// pumpPartialReduceByKey folds this instance's slice of the input bag by
-// key and emits one combined pair per key once the bag is complete. The
-// consumer reduceByKey then merges combined pairs with the same UDF — which
-// therefore must be associative and commutative, exactly the contract
-// reduceByKey already imposes on a distributed runtime.
-func (h *host) pumpPartialReduceByKey(run *outputRun) (bool, error) {
-	elems := h.drainSlot(run, 0)
-	h.countCombineIn(int64(len(elems)))
-	var udfErr error
-	for _, x := range elems {
-		k, v, err := pairParts(x, h.op.Instr.Var)
-		if err != nil {
-			return false, err
-		}
-		run.hash.Update(k, func(old val.Value, present bool) val.Value {
-			if !present {
-				return v
-			}
-			y, err := h.op.Instr.F.Call(old, v)
-			if err != nil && udfErr == nil {
-				udfErr = err
-			}
-			return y
-		})
-		if udfErr != nil {
-			return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
-		}
-	}
-	if !h.slotExhausted(run, 0) {
-		return false, nil
-	}
-	run.hash.Range(func(k, v val.Value) bool {
-		h.emit(run, val.Pair(k, v))
-		return true
-	})
-	run.slotDone[0] = true
-	h.countCombineOut(run.nEmitted)
-	return true, nil
-}
-
-// pumpPartialDistinct streams first occurrences immediately (preserving the
-// pipelining distinct itself has); later duplicates die here instead of
-// crossing the shuffle.
-func (h *host) pumpPartialDistinct(run *outputRun) (bool, error) {
-	elems := h.drainSlot(run, 0)
-	h.countCombineIn(int64(len(elems)))
-	for _, x := range elems {
-		if _, seen := run.distinct.Get(x); !seen {
-			run.distinct.Put(x, struct{}{})
-			h.emit(run, x)
-		}
-	}
-	if !h.slotExhausted(run, 0) {
-		return false, nil
-	}
-	run.slotDone[0] = true
-	h.countCombineOut(run.nEmitted)
-	return true, nil
-}
-
-// pumpPartialFold folds this instance's slice of the input bag into at most
-// one partial for the gathered aggregates. An instance that saw no elements
-// emits nothing, so the finalizer's result for an all-empty bag (0, 0, or
-// no element) is identical to the uncombined run's.
-func (h *host) pumpPartialFold(run *outputRun) (bool, error) {
-	elems := h.drainSlot(run, 0)
-	h.countCombineIn(int64(len(elems)))
-	for _, x := range elems {
-		switch h.op.Synth {
-		case SynthPartialSum:
-			run.count++
-			switch x.Kind() {
-			case val.KindInt:
-				run.sumInt += x.AsInt()
-			case val.KindFloat:
-				run.sumIsF = true
-				run.sumFloat += x.AsFloat()
-			default:
-				return false, fmt.Errorf("core: %s: sum of %s element", h.op.Instr.Var, x.Kind())
-			}
-		case SynthPartialCount:
-			run.count++
-		case SynthPartialReduce:
-			if !run.accSet {
-				run.acc, run.accSet = x, true
-			} else {
-				y, err := h.op.Instr.F.Call(run.acc, x)
-				if err != nil {
-					return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
-				}
-				run.acc = y
-			}
-		}
-	}
-	if !h.slotExhausted(run, 0) {
-		return false, nil
-	}
+// finishPartial emits what the combiner folded for one bag and accounts its
+// traffic. The gathered aggregates emit at most one partial, and none for
+// an instance that saw no elements, so the finalizer's result for an
+// all-empty bag (0, 0, or no element) is identical to the uncombined run's.
+func (h *host) finishPartial(run *outputRun) {
 	switch h.op.Synth {
+	case SynthCombineByKey:
+		h.emitGroups(run)
 	case SynthPartialSum:
 		if run.count > 0 {
-			if run.sumIsF {
-				h.emit(run, val.Float(run.sumFloat+float64(run.sumInt)))
-			} else {
-				h.emit(run, val.Int(run.sumInt))
-			}
+			h.emitSum(run)
 		}
 	case SynthPartialCount:
 		if run.count > 0 {
@@ -298,7 +194,8 @@ func (h *host) pumpPartialFold(run *outputRun) (bool, error) {
 			h.emit(run, run.acc)
 		}
 	}
-	run.slotDone[0] = true
-	h.countCombineOut(run.nEmitted)
-	return true, nil
+	h.rt.combineIn.Add(run.count)
+	h.combineIn.Add(run.count)
+	h.rt.combineOut.Add(run.nEmitted)
+	h.combineOut.Add(run.nEmitted)
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -122,14 +121,14 @@ func (s *solutionStore) addReader() int {
 
 // apply merges one step into the state: the (already key-folded) seed is
 // ingested on the first step, then each folded delta candidate is merged
-// against the indexed value with f. It returns the (key, merged) pairs that
-// changed — the caller emits them AFTER this returns, outside the lock,
-// because emitting can block on backpressure while a solution reader holds
-// (or waits for) the lock. incremental=false is the -delta=off ablation: the
+// against the indexed value with merge (the deltaMerge host's UDF call). It
+// returns the (key, merged) pairs that changed — the caller emits them AFTER
+// this returns, outside the lock, because emitting can block on backpressure
+// while a solution reader holds (or waits for) the lock. incremental=false is the -delta=off ablation: the
 // whole index is rebuilt from scratch every step, modeling full
 // re-derivation, before the same merge runs — outputs are identical, only
 // the per-step cost changes from O(|delta|) to O(|solution|).
-func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], f *lang.UDF, incremental bool, in int64) ([]val.Value, DeltaStep, error) {
+func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge func(old, v val.Value) (val.Value, error), incremental bool, in int64) ([]val.Value, DeltaStep, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ents []undoEntry
@@ -171,7 +170,7 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], f *lang.U
 			}
 			return true
 		}
-		merged, err := f.Call(old, v)
+		merged, err := merge(old, v)
 		if err != nil {
 			udfErr = err
 			return false
@@ -350,63 +349,14 @@ func (h *host) beginDeltaMerge(run *outputRun) {
 	}
 }
 
-// foldInto folds streaming (key, value) pairs into a per-run table with the
-// operator's merge function — the same pre-aggregation shape as
-// reduceByKey, so a step's delta is merged in one index pass.
-func (h *host) foldInto(m *val.Map[val.Value], x val.Value) error {
-	k, v, err := pairParts(x, h.op.Instr.Var)
+// finishDeltaMerge closes one step: the seed (first step only) and the delta
+// were folded as they streamed in; now that both bags are complete the
+// candidates are merged into the state store in one atomic step and the
+// changed pairs emitted as the next workset.
+func (h *host) finishDeltaMerge(run *outputRun) error {
+	changed, step, err := h.state.apply(run.pos, run.seedHash, run.hash, h.call2, h.rt.opts.Delta, run.count)
 	if err != nil {
-		return err
-	}
-	var udfErr error
-	m.Update(k, func(old val.Value, present bool) val.Value {
-		if !present {
-			return v
-		}
-		y, err := h.op.Instr.F.Call(old, v)
-		if err != nil && udfErr == nil {
-			udfErr = err
-		}
-		return y
-	})
-	if udfErr != nil {
-		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
-	}
-	return nil
-}
-
-// pumpDeltaMerge runs one step: fold the seed (first step only) and the
-// delta as they stream in, then — once both bags are complete — merge the
-// candidates into the state store in one atomic step and emit the changed
-// pairs as the next workset.
-func (h *host) pumpDeltaMerge(run *outputRun) (bool, error) {
-	if !run.slotDone[0] {
-		for _, x := range h.drainSlot(run, 0) {
-			if err := h.foldInto(run.seedHash, x); err != nil {
-				return false, err
-			}
-		}
-		if h.slotExhausted(run, 0) {
-			run.slotDone[0] = true
-		}
-	}
-	if !run.slotDone[1] {
-		for _, x := range h.drainSlot(run, 1) {
-			run.count++
-			if err := h.foldInto(run.hash, x); err != nil {
-				return false, err
-			}
-		}
-		if h.slotExhausted(run, 1) {
-			run.slotDone[1] = true
-		}
-	}
-	if !allDone(run) {
-		return false, nil
-	}
-	changed, step, err := h.state.apply(run.pos, run.seedHash, run.hash, h.op.Instr.F, h.rt.opts.Delta, run.count)
-	if err != nil {
-		return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}
 	h.deltaIn.Add(step.In)
 	h.deltaChanged.Add(step.Changed)
@@ -416,34 +366,26 @@ func (h *host) pumpDeltaMerge(run *outputRun) (bool, error) {
 	for _, y := range changed {
 		h.emit(run, y)
 	}
-	return true, nil
+	return nil
 }
 
-// pumpSolution dumps the full solution set of its deltaMerge. The rewired
+// finishSolution dumps the full solution set of its deltaMerge. The rewired
 // input edge carries the deltaMerge's per-step delta; those elements are
-// not the output — the edge exists so bag selection names WHICH step the
-// dump must reflect, and end-of-bag proves the store has merged it. A
-// target of 0 (input slot unused) means the deltaMerge has not run on the
-// path yet: the solution set at that point is empty (or, mid-pipeline,
-// whatever the journal rolls back to).
-func (h *host) pumpSolution(run *outputRun) (bool, error) {
-	target := 0
-	if run.inPos[0] > 0 {
-		h.drainSlot(run, 0)
-		if !h.slotExhausted(run, 0) {
-			return false, nil
-		}
-		run.slotDone[0] = true
-		target = run.inPos[0]
-	}
+// not the output (consume discards them) — the edge exists so bag selection
+// names WHICH step the dump must reflect, and end-of-bag proves the store
+// has merged it. A target of 0 (input slot unused) means the deltaMerge has
+// not run on the path yet: the solution set at that point is empty (or,
+// mid-pipeline, whatever the journal rolls back to).
+func (h *host) finishSolution(run *outputRun) error {
+	target := max(run.inPos[0], 0)
 	ents, err := h.state.snapshot(target, h.readerSlot)
 	if err != nil {
-		return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}
 	for _, e := range ents {
 		h.emit(run, e)
 	}
-	return true, nil
+	return nil
 }
 
 // startSolution selects the deltaMerge step a solution output at pos

@@ -51,6 +51,9 @@ type host struct {
 	freeRun     *outputRun // recycled run; a loop allocates one run, not one per step
 
 	inbufs []inputBuf
+	// args is the UDF argument scratch (see call). UDFs are shared across
+	// instances, so it lives on the host.
+	args [2]val.Value
 
 	// Loop-invariant hoisting: position of the input bag the cached join
 	// build state was built from (-1 when none), and the cached hash table.
@@ -98,6 +101,11 @@ type host struct {
 type inputBuf struct {
 	bags     map[int]*inBag
 	lowWater int // bags below this position are garbage
+	// singleUse marks a slot whose bags are each read by one output bag only
+	// (Plan.singleUse): their elements stream through and are never kept
+	// once consumed. The zero value, re-readable, buffers every bag until
+	// the low-water GC.
+	singleUse bool
 }
 
 type inBag struct {
@@ -111,9 +119,8 @@ type inBag struct {
 type outputRun struct {
 	pos      int
 	inPos    []int // selected input bag per slot; -1 = unused (phi)
-	cursor   []int // per slot: elements consumed so far
+	cursor   []int // per slot: elements of a re-readable bag consumed so far
 	slotDone []bool
-	phase    int // kind-specific sequencing (join build/probe, cross sides)
 
 	hash     *val.Map[val.Value]   // reduceByKey groups / deltaMerge candidate fold
 	seedHash *val.Map[val.Value]   // deltaMerge seed fold (first step only)
@@ -145,6 +152,7 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 	}
 	for i := range h.inbufs {
 		h.inbufs[i].bags = make(map[int]*inBag)
+		h.inbufs[i].singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
 	}
 	return h
 }
@@ -247,11 +255,29 @@ func (h *host) OnControl(ev any) error {
 	return h.progress()
 }
 
-// OnBatch buffers elements into their bags and pumps the current output.
+// batchHook, when a test sets it, sees how many elements of each batch on
+// an input slot were streamed and how many were buffered.
+var batchHook func(op *PlanOp, input, streamed, buffered int)
+
+// OnBatch hands elements of the single-use bag the current output is
+// consuming on this slot straight to the operator logic; everything else —
+// a bag that arrives before its output started, the probe side during a
+// join build, a re-readable bag — is buffered into its bag and pumped.
 func (h *host) OnBatch(input, from int, batch []Element) error {
 	buf := &h.inbufs[input]
+	live, run := -1, h.cur
+	if run != nil && buf.singleUse && !run.slotDone[input] && h.slotUse(run, input) == slotStreams {
+		live = run.inPos[input]
+	}
+	buffered := 0
 	for _, e := range batch {
 		pos := int(e.Tag)
+		if pos == live {
+			if err := h.consume(run, input, e.Val); err != nil {
+				return err
+			}
+			continue
+		}
 		if pos < buf.lowWater {
 			if h.seedStale && input == 0 {
 				continue
@@ -264,6 +290,13 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 			buf.bags[pos] = b
 		}
 		b.elems = append(b.elems, e.Val)
+		buffered++
+	}
+	if batchHook != nil {
+		batchHook(h.op, input, len(batch)-buffered, buffered)
+	}
+	if buffered == 0 {
+		return nil // streamed elements change nothing progress looks at
 	}
 	return h.progress()
 }
@@ -448,10 +481,20 @@ func (h *host) bagFor(run *outputRun, i int) *inBag {
 	return b
 }
 
-// bagKeepCap bounds the element capacity an input-bag buffer may retain on
-// the free list; larger backing arrays (transient wide bags) go back to
-// the collector.
+// bagKeepCap bounds the element capacity an input-bag buffer may retain;
+// larger backing arrays (transient wide bags) go back to the collector.
 const bagKeepCap = 1024
+
+// dropElems empties the bag's buffer. Values are cleared so the retained
+// capacity does not pin them.
+func (b *inBag) dropElems() {
+	if cap(b.elems) > bagKeepCap {
+		b.elems = nil
+		return
+	}
+	clear(b.elems)
+	b.elems = b.elems[:0]
+}
 
 // takeBag returns a recycled input-bag buffer (see recycleBag) or a fresh
 // one.
@@ -466,16 +509,10 @@ func (h *host) takeBag() *inBag {
 
 // recycleBag resets a low-water-retired bag buffer and keeps it for reuse.
 // Safe because a retired position can never be selected again (input
-// positions are monotone across outputs) and element slices never escape a
-// pump. Values are cleared so the buffer does not pin them.
+// positions are monotone across outputs) and an element slice only leaves
+// a pump by being detached from its bag (writeFile).
 func (h *host) recycleBag(b *inBag) {
-	if cap(b.elems) > bagKeepCap {
-		return
-	}
-	for i := range b.elems {
-		b.elems[i] = val.Value{}
-	}
-	b.elems = b.elems[:0]
+	b.dropElems()
 	b.eobs = 0
 	b.complete = false
 	h.freeBags = append(h.freeBags, b)
@@ -585,6 +622,20 @@ func sizedVals(s []val.Value, n int) []val.Value {
 		s[i] = val.Value{}
 	}
 	return s
+}
+
+// call applies the operator's UDF through the host's argument scratch: the
+// variadic slice of a literal F.Call(x) escapes through the compiled
+// closure, which would heap-allocate it for every element.
+func (h *host) call(x val.Value) (val.Value, error) {
+	h.args[0] = x
+	return h.op.Instr.F.Call(h.args[:1]...)
+}
+
+// call2 is call for the two-argument (fold) UDFs.
+func (h *host) call2(a, b val.Value) (val.Value, error) {
+	h.args[0], h.args[1] = a, b
+	return h.op.Instr.F.Call(h.args[:2]...)
 }
 
 // emit sends one element of the current output bag downstream.

@@ -28,7 +28,6 @@ func (h *host) beginKind(run *outputRun) error {
 		if h.rt.opts.Hoisting && h.cachedBuild != nil && h.cachedBuildPos == run.inPos[0] {
 			run.build = h.cachedBuild
 			run.slotDone[0] = true
-			run.phase = 1
 			h.joinReuses.Inc()
 			if h.trc != nil {
 				h.trc.Instant("hoist", "build_reuse", h.machine, h.lane,
@@ -49,103 +48,102 @@ func (h *host) beginKind(run *outputRun) error {
 	return nil
 }
 
-// pump advances the current output bag as far as the buffered input allows
-// and reports whether the bag is finished. It is called after every event
-// and must be resumable: progress is tracked in the run's cursors, phase,
-// and slotDone flags.
-func (h *host) pump() (bool, error) {
-	run := h.cur
-	if h.op.Synth != SynthNone {
-		return h.pumpPartial(run)
-	}
-	k := h.op.Instr.Kind
-	switch k {
-	case ir.OpSingleton:
-		h.emit(run, h.op.Instr.Lit)
-		return true, nil
-	case ir.OpEmpty:
-		return true, nil
-	case ir.OpCopy, ir.OpPhi, ir.OpMap, ir.OpFlatMap, ir.OpFilter, ir.OpUnion:
-		return h.pumpStreaming(run)
+// slotUse is how the current output bag takes one input slot right now.
+type slotUse uint8
+
+const (
+	slotWaits   slotUse = iota // not yet: the kind is consuming another slot first
+	slotStreams                // element by element, through consume
+	slotWhole                  // as a whole once complete, so it stays buffered
+)
+
+func (h *host) slotUse(run *outputRun, i int) slotUse {
+	switch h.op.Instr.Kind {
 	case ir.OpJoin:
-		return h.pumpJoin(run)
+		// With hoisting the build slot may have been done from the start.
+		if i == 1 && !run.slotDone[0] {
+			return slotWaits
+		}
 	case ir.OpCross:
-		return h.pumpCross(run)
-	case ir.OpReduceByKey:
-		return h.pumpReduceByKey(run)
-	case ir.OpDeltaMerge:
-		return h.pumpDeltaMerge(run)
-	case ir.OpSolution:
-		return h.pumpSolution(run)
-	case ir.OpReduce, ir.OpSum, ir.OpCount, ir.OpDistinct:
-		return h.pumpAggregate(run)
-	case ir.OpCombine:
-		return h.pumpCombine(run)
-	case ir.OpReadFile:
-		return h.pumpReadFile(run)
+		// The broadcast right side is re-read for every left element, so
+		// reuse across iteration steps needs no rebuilding.
+		if i == 1 {
+			return slotWhole
+		}
+		if !h.bagFor(run, 1).complete {
+			return slotWaits
+		}
 	case ir.OpWriteFile:
-		return h.pumpWriteFile(run)
-	default:
-		return false, fmt.Errorf("core: no runtime logic for %s", k)
-	}
-}
-
-// drainSlot returns the not-yet-consumed elements of the selected bag on
-// slot i and advances the cursor past them.
-func (h *host) drainSlot(run *outputRun, i int) []val.Value {
-	b := h.bagFor(run, i)
-	elems := b.elems[run.cursor[i]:]
-	run.cursor[i] = len(b.elems)
-	return elems
-}
-
-// slotExhausted reports whether slot i's bag is complete and fully consumed.
-func (h *host) slotExhausted(run *outputRun, i int) bool {
-	b := h.bagFor(run, i)
-	return b.complete && run.cursor[i] == len(b.elems)
-}
-
-func allDone(run *outputRun) bool {
-	for _, d := range run.slotDone {
-		if !d {
-			return false
+		if i == 0 {
+			return slotWhole // the data; slot 1 is the file name
 		}
 	}
-	return true
+	return slotStreams
 }
 
-// pumpStreaming handles element-wise operators: every available element of
-// every active slot is transformed and emitted immediately — this is what
-// makes the dataflow pipelined end to end.
-func (h *host) pumpStreaming(run *outputRun) (bool, error) {
+// pump advances the current output bag as far as the buffered input allows
+// and reports whether the bag is finished. It is called after every event
+// that buffered something and must be resumable: progress is tracked in the
+// run's cursors and slotDone flags. Elements that OnBatch streams take the
+// same consume step without passing through here.
+func (h *host) pump() (bool, error) {
+	run := h.cur
 	for i := range h.op.Inputs {
 		if run.slotDone[i] {
 			continue
 		}
-		for _, x := range h.drainSlot(run, i) {
-			if err := h.emitTransformed(run, x); err != nil {
-				return false, err
+		use := h.slotUse(run, i)
+		if use == slotWaits {
+			continue
+		}
+		b := h.bagFor(run, i)
+		if use == slotStreams {
+			for _, x := range b.elems[run.cursor[i]:] {
+				if err := h.consume(run, i, x); err != nil {
+					return false, err
+				}
+			}
+			if h.inbufs[i].singleUse {
+				b.dropElems()
+			} else {
+				run.cursor[i] = len(b.elems)
 			}
 		}
-		if h.slotExhausted(run, i) {
-			run.slotDone[i] = true
+		if !b.complete {
+			continue
+		}
+		run.slotDone[i] = true
+		if err := h.endSlot(run, i, use); err != nil {
+			return false, err
 		}
 	}
-	return allDone(run), nil
+	for _, d := range run.slotDone {
+		if !d {
+			return false, nil
+		}
+	}
+	return true, h.finishKind(run)
 }
 
-func (h *host) emitTransformed(run *outputRun, x val.Value) error {
+// consume is the per-element step of every kind: x is one element of the
+// bag the run reads on slot i. Element-wise kinds emit immediately — this
+// is what makes the dataflow pipelined end to end; the others fold x into
+// the run's state for finishKind.
+func (h *host) consume(run *outputRun, i int, x val.Value) error {
+	if h.op.Synth != SynthNone {
+		return h.consumePartial(run, x)
+	}
 	switch h.op.Instr.Kind {
 	case ir.OpCopy, ir.OpPhi, ir.OpUnion:
 		h.emit(run, x)
 	case ir.OpMap:
-		y, err := h.op.Instr.F.Call(x)
+		y, err := h.call(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
 		h.emit(run, y)
 	case ir.OpFlatMap:
-		y, err := h.op.Instr.F.Call(x)
+		y, err := h.call(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
@@ -156,7 +154,7 @@ func (h *host) emitTransformed(run *outputRun, x val.Value) error {
 			h.emit(run, f)
 		}
 	case ir.OpFilter:
-		keep, err := h.op.Instr.F.Call(x)
+		keep, err := h.call(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
@@ -166,266 +164,240 @@ func (h *host) emitTransformed(run *outputRun, x val.Value) error {
 		if keep.AsBool() {
 			h.emit(run, x)
 		}
-	}
-	return nil
-}
-
-// pumpJoin builds the hash table from slot 0, then streams probes from
-// slot 1. With hoisting the build phase may have been skipped entirely.
-func (h *host) pumpJoin(run *outputRun) (bool, error) {
-	if run.phase == 0 {
-		for _, x := range h.drainSlot(run, 0) {
-			k, v, err := pairParts(x, h.op.Instr.Var)
-			if err != nil {
-				return false, err
-			}
-			run.build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
-		}
-		if !h.slotExhausted(run, 0) {
-			return false, nil
-		}
-		run.slotDone[0] = true
-		run.phase = 1
-		h.rt.joinBuilds.Add(1)
-		h.joinBuilds.Inc()
-		if h.rt.opts.Hoisting {
-			h.cachedBuild = run.build
-			h.cachedBuildPos = run.inPos[0]
-		}
-	}
-	for _, x := range h.drainSlot(run, 1) {
+	case ir.OpJoin:
+		// Slot 0 builds the hash table, slot 1 streams probes against it.
 		k, v, err := pairParts(x, h.op.Instr.Var)
 		if err != nil {
-			return false, err
+			return err
 		}
-		if matches, ok := run.build.Get(k); ok {
+		if i == 0 {
+			run.build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+		} else if matches, ok := run.build.Get(k); ok {
 			for _, lv := range matches {
 				h.emit(run, val.Tuple(k, lv, v))
 			}
 		}
+	case ir.OpCross:
+		for _, r := range h.bagFor(run, 1).elems {
+			h.emit(run, val.Tuple(x, r))
+		}
+	case ir.OpReduceByKey:
+		return h.foldInto(run.hash, x)
+	case ir.OpDeltaMerge:
+		if i == 0 {
+			return h.foldInto(run.seedHash, x)
+		}
+		run.count++
+		return h.foldInto(run.hash, x)
+	case ir.OpSolution:
+		// Discarded: the edge only names the step to dump (finishSolution).
+	case ir.OpReduce:
+		return h.foldAcc(run, x)
+	case ir.OpSum:
+		return h.addSum(run, x)
+	case ir.OpCount:
+		if h.op.Inputs[0].Combined {
+			// The input holds per-instance partial counts, not raw
+			// elements: merge by summing.
+			run.count += x.AsInt()
+		} else {
+			run.count++
+		}
+	case ir.OpDistinct:
+		h.emitIfNew(run, x)
+	case ir.OpCombine, ir.OpReadFile, ir.OpWriteFile:
+		// A singleton input, captured into run.args[i].
+		if run.args[i].IsValid() {
+			return fmt.Errorf("core: %s: input %d holds more than one element (scalar variable bound to a non-singleton bag)", h.op.Instr.Var, i)
+		}
+		run.args[i] = x
+	default:
+		return fmt.Errorf("core: no runtime logic for %s", h.op.Instr.Kind)
 	}
-	if h.slotExhausted(run, 1) {
-		run.slotDone[1] = true
-	}
-	return allDone(run), nil
+	return nil
 }
 
-// pumpCross waits for the broadcast right side, then streams the left side
-// against it. The right side's raw bag is reused directly, so reuse across
-// iteration steps needs no rebuilding.
-func (h *host) pumpCross(run *outputRun) (bool, error) {
-	if run.phase == 0 {
-		right := h.bagFor(run, 1)
-		if !right.complete {
-			return false, nil
-		}
-		run.cursor[1] = len(right.elems)
-		run.slotDone[1] = true
-		run.phase = 1
+// foldInto folds one (key, value) pair into a per-run table with the
+// operator's UDF — the pre-aggregation shape reduceByKey, its combiner and
+// deltaMerge share.
+func (h *host) foldInto(m *val.Map[val.Value], x val.Value) error {
+	k, v, err := pairParts(x, h.op.Instr.Var)
+	if err != nil {
+		return err
 	}
-	right := h.bagFor(run, 1).elems
-	for _, l := range h.drainSlot(run, 0) {
-		for _, r := range right {
-			h.emit(run, val.Tuple(l, r))
-		}
-	}
-	if h.slotExhausted(run, 0) {
-		run.slotDone[0] = true
-	}
-	return allDone(run), nil
-}
-
-func (h *host) pumpReduceByKey(run *outputRun) (bool, error) {
 	var udfErr error
-	for _, x := range h.drainSlot(run, 0) {
-		k, v, err := pairParts(x, h.op.Instr.Var)
+	m.Update(k, func(old val.Value, present bool) val.Value {
+		if !present {
+			return v
+		}
+		y, err := h.call2(old, v)
 		if err != nil {
-			return false, err
+			udfErr = err
 		}
-		run.hash.Update(k, func(old val.Value, present bool) val.Value {
-			if !present {
-				return v
-			}
-			y, err := h.op.Instr.F.Call(old, v)
-			if err != nil && udfErr == nil {
-				udfErr = err
-			}
-			return y
-		})
-		if udfErr != nil {
-			return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
-		}
+		return y
+	})
+	if udfErr != nil {
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
 	}
-	if !h.slotExhausted(run, 0) {
-		return false, nil
+	return nil
+}
+
+// foldAcc folds x into the reduce accumulator.
+func (h *host) foldAcc(run *outputRun, x val.Value) error {
+	if !run.accSet {
+		run.acc, run.accSet = x, true
+		return nil
 	}
+	y, err := h.call2(run.acc, x)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+	}
+	run.acc = y
+	return nil
+}
+
+func (h *host) addSum(run *outputRun, x val.Value) error {
+	switch x.Kind() {
+	case val.KindInt:
+		run.sumInt += x.AsInt()
+	case val.KindFloat:
+		run.sumIsF = true
+		run.sumFloat += x.AsFloat()
+	default:
+		return fmt.Errorf("core: %s: sum of %s element", h.op.Instr.Var, x.Kind())
+	}
+	return nil
+}
+
+func (h *host) emitSum(run *outputRun) {
+	if run.sumIsF {
+		h.emit(run, val.Float(run.sumFloat+float64(run.sumInt)))
+	} else {
+		h.emit(run, val.Int(run.sumInt))
+	}
+}
+
+// emitIfNew streams first occurrences, so distinct stays pipelined.
+func (h *host) emitIfNew(run *outputRun, x val.Value) {
+	if _, seen := run.distinct.Get(x); !seen {
+		run.distinct.Put(x, struct{}{})
+		h.emit(run, x)
+	}
+}
+
+// emitGroups emits a fold table as (key, value) pairs.
+func (h *host) emitGroups(run *outputRun) {
 	run.hash.Range(func(k, v val.Value) bool {
 		h.emit(run, val.Pair(k, v))
 		return true
 	})
-	run.slotDone[0] = true
-	return true, nil
 }
 
-// pumpAggregate handles reduce, sum, count, and distinct. Distinct emits
-// streaming (first occurrence wins); the others emit on completion.
-func (h *host) pumpAggregate(run *outputRun) (bool, error) {
-	for _, x := range h.drainSlot(run, 0) {
-		switch h.op.Instr.Kind {
-		case ir.OpReduce:
-			if !run.accSet {
-				run.acc, run.accSet = x, true
-			} else {
-				y, err := h.op.Instr.F.Call(run.acc, x)
-				if err != nil {
-					return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
-				}
-				run.acc = y
-			}
-		case ir.OpSum:
-			switch x.Kind() {
-			case val.KindInt:
-				run.sumInt += x.AsInt()
-			case val.KindFloat:
-				run.sumIsF = true
-				run.sumFloat += x.AsFloat()
-			default:
-				return false, fmt.Errorf("core: %s: sum of %s element", h.op.Instr.Var, x.Kind())
-			}
-		case ir.OpCount:
-			if h.op.Inputs[0].Combined {
-				// The input holds per-instance partial counts, not raw
-				// elements: merge by summing.
-				run.count += x.AsInt()
-			} else {
-				run.count++
-			}
-		case ir.OpDistinct:
-			if _, seen := run.distinct.Get(x); !seen {
-				run.distinct.Put(x, struct{}{})
-				h.emit(run, x)
+// endSlot runs once when slot i's bag is complete and fully consumed.
+func (h *host) endSlot(run *outputRun, i int, use slotUse) error {
+	switch h.op.Instr.Kind {
+	case ir.OpJoin:
+		if i == 0 {
+			h.rt.joinBuilds.Add(1)
+			h.joinBuilds.Inc()
+			if h.rt.opts.Hoisting {
+				h.cachedBuild = run.build
+				h.cachedBuildPos = run.inPos[0]
 			}
 		}
+	case ir.OpCombine, ir.OpReadFile, ir.OpWriteFile:
+		if use == slotStreams && !run.args[i].IsValid() {
+			return fmt.Errorf("core: %s: input %d is empty, want exactly one element", h.op.Instr.Var, i)
+		}
 	}
-	if !h.slotExhausted(run, 0) {
-		return false, nil
+	return nil
+}
+
+// finishKind is the tail of every kind, run once every slot is exhausted:
+// kinds that emit on completion do so here.
+func (h *host) finishKind(run *outputRun) error {
+	if h.op.Synth != SynthNone {
+		h.finishPartial(run)
+		return nil
 	}
 	switch h.op.Instr.Kind {
+	case ir.OpSingleton:
+		h.emit(run, h.op.Instr.Lit)
+	case ir.OpReduceByKey:
+		h.emitGroups(run)
+	case ir.OpDeltaMerge:
+		return h.finishDeltaMerge(run)
+	case ir.OpSolution:
+		return h.finishSolution(run)
 	case ir.OpReduce:
 		if run.accSet {
 			h.emit(run, run.acc)
 		}
 	case ir.OpSum:
-		if run.sumIsF {
-			h.emit(run, val.Float(run.sumFloat+float64(run.sumInt)))
-		} else {
-			h.emit(run, val.Int(run.sumInt))
-		}
+		h.emitSum(run)
 	case ir.OpCount:
 		h.emit(run, val.Int(run.count))
+	case ir.OpCombine:
+		y, err := h.op.Instr.F.Call(run.args...)
+		if err != nil {
+			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+		}
+		h.emit(run, y)
+	case ir.OpReadFile:
+		return h.finishReadFile(run)
+	case ir.OpWriteFile:
+		return h.finishWriteFile(run)
 	}
-	run.slotDone[0] = true
-	return true, nil
+	return nil
 }
 
-// captureSingleton consumes slot i of a singleton input into run.args[i].
-func (h *host) captureSingleton(run *outputRun, i int) (bool, error) {
-	for _, x := range h.drainSlot(run, i) {
-		if run.argSet(i) {
-			return false, fmt.Errorf("core: %s: input %d holds more than one element (scalar variable bound to a non-singleton bag)", h.op.Instr.Var, i)
-		}
-		run.args[i] = x
-	}
-	if !h.slotExhausted(run, i) {
-		return false, nil
-	}
-	if !run.argSet(i) {
-		return false, fmt.Errorf("core: %s: input %d is empty, want exactly one element", h.op.Instr.Var, i)
-	}
-	run.slotDone[i] = true
-	return true, nil
-}
-
-func (run *outputRun) argSet(i int) bool { return run.args[i].IsValid() }
-
-func (h *host) pumpCombine(run *outputRun) (bool, error) {
-	for i := range h.op.Inputs {
-		if run.slotDone[i] {
-			continue
-		}
-		if _, err := h.captureSingleton(run, i); err != nil {
-			return false, err
-		}
-	}
-	if !allDone(run) {
-		return false, nil
-	}
-	y, err := h.op.Instr.F.Call(run.args...)
-	if err != nil {
-		return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
-	}
-	h.emit(run, y)
-	return true, nil
-}
-
-func (h *host) pumpReadFile(run *outputRun) (bool, error) {
-	if run.slotDone[0] {
-		return true, nil
-	}
-	ok, err := h.captureSingleton(run, 0)
-	if err != nil || !ok {
-		return false, err
-	}
+func (h *host) finishReadFile(run *outputRun) error {
 	name := run.args[0]
 	if name.Kind() != val.KindString {
-		return false, fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
+		return fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
 	}
 	// Prefer a true partitioned read (internal/dfs); fall back to striding
 	// over the full dataset.
 	if pr, ok := h.rt.store.(store.PartitionedReader); ok {
 		elems, err := pr.ReadDatasetPartition(name.AsStr(), h.inst, h.op.Par)
 		if err != nil {
-			return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
 		for _, e := range elems {
 			h.emit(run, e)
 		}
-		return true, nil
+		return nil
 	}
 	elems, err := h.rt.store.ReadDataset(name.AsStr())
 	if err != nil {
-		return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}
 	// This instance reads its stride partition of the dataset.
 	for i := h.inst; i < len(elems); i += h.op.Par {
 		h.emit(run, elems[i])
 	}
-	return true, nil
+	return nil
 }
 
-func (h *host) pumpWriteFile(run *outputRun) (bool, error) {
-	// Slot 0: data (left buffered in its bag). Slot 1: file name.
-	if !run.slotDone[1] {
-		if _, err := h.captureSingleton(run, 1); err != nil {
-			return false, err
-		}
-	}
-	data := h.bagFor(run, 0)
-	run.cursor[0] = len(data.elems)
-	if !data.complete || !run.slotDone[1] {
-		return false, nil
-	}
-	run.slotDone[0] = true
+func (h *host) finishWriteFile(run *outputRun) error {
 	name := run.args[1]
 	if name.Kind() != val.KindString {
-		return false, fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
+		return fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
 	}
-	out := make([]val.Value, len(data.elems))
-	copy(out, data.elems)
+	// The store keeps the slice it is given. A single-use bag has no other
+	// reader, so its slice is handed over and detached — recycling the bag
+	// must not clear a stored dataset; a re-readable bag is copied.
+	data := h.bagFor(run, 0)
+	out := data.elems
+	if h.inbufs[0].singleUse {
+		data.elems = nil
+	} else {
+		out = append([]val.Value(nil), out...)
+	}
 	if err := h.rt.store.WriteDataset(name.AsStr(), out); err != nil {
-		return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}
-	return true, nil
+	return nil
 }
 
 func pairParts(x val.Value, op string) (k, v val.Value, err error) {

@@ -165,6 +165,40 @@ func (p *Plan) resolveDeltaSources() error {
 	return nil
 }
 
+// singleUse reports whether every bag arriving on input slot of op is read
+// by at most one of op's output bags. The longest-prefix rule lets two
+// outputs select the same input bag exactly when the execution path can
+// visit op's block twice (for a phi slot: arrive twice over the slot's
+// predecessor edge) without visiting the producer's block in between — so
+// the slot is single-use iff no control-flow cycle through the consumer
+// avoids the producer. A producer in the consumer's own block is the
+// trivial case; a loop-invariant input (a hoisted join build side, a
+// deltaMerge seed) is the re-readable one. Hosts stream single-use bags
+// through and never keep what they consumed; false is always safe.
+func (p *Plan) singleUse(op *PlanOp, slot int) bool {
+	in := op.Inputs[slot]
+	prod, target := in.Producer.Block, op.Block
+	if prod == target {
+		return true
+	}
+	if op.Instr.Kind == ir.OpPhi {
+		target = in.PredBlock
+	}
+	// Walk forward from the consumer without entering the producer's block.
+	seen := make([]bool, len(p.IR.Blocks))
+	stack := append([]ir.BlockID(nil), p.IR.Blocks[op.Block].Term.Succs...)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b == prod || seen[b] {
+			continue
+		}
+		seen[b] = true
+		stack = append(stack, p.IR.Blocks[b].Term.Succs...)
+	}
+	return !seen[target]
+}
+
 // InstancesPerBlockOn is the per-block completion target restricted to the
 // instances machine self hosts under i%machines placement. Workers use it
 // to aggregate local completions of one path position into a single

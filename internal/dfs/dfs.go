@@ -8,6 +8,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,11 +146,9 @@ func (s *Store) ReadDataset(name string) ([]val.Value, error) {
 		return nil, err
 	}
 	s.account(blocks)
-	var out []val.Value
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out, nil
+	// Concat sizes the result up front; growing it by appends re-copied a
+	// day's log several times over.
+	return slices.Concat(blocks...), nil
 }
 
 // ReadDatasetPartition returns partition part of parts: the blocks whose
@@ -168,11 +167,7 @@ func (s *Store) ReadDatasetPartition(name string, part, parts int) ([]val.Value,
 		mine = append(mine, blocks[i])
 	}
 	s.account(mine)
-	var out []val.Value
-	for _, b := range mine {
-		out = append(out, b...)
-	}
-	return out, nil
+	return slices.Concat(mine...), nil
 }
 
 // Names returns the dataset names present, sorted.

@@ -175,7 +175,8 @@ type Field struct {
 
 // GoFunc is a native Go UDF, available only through the builder API (it has
 // no script syntax). Label is used for printing and debugging. Fn receives
-// the lambda arguments and returns the result.
+// the lambda arguments and returns the result; callers may reuse the args
+// slice between calls, so Fn must not retain it (the Values in it are fine).
 type GoFunc struct {
 	Pos   Pos
 	Label string
