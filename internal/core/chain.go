@@ -47,7 +47,6 @@ import (
 // BuildPlan and InsertCombiners; calling it again recomputes the same
 // result.
 func (p *Plan) BuildChains() int {
-	chained := 0
 	for _, op := range p.Ops {
 		for i := range op.Inputs {
 			in := &op.Inputs[i]
@@ -55,13 +54,23 @@ func (p *Plan) BuildChains() int {
 				in.Producer.Par == op.Par &&
 				in.Producer.ID < op.ID &&
 				!in.Producer.IsCondition && !op.IsCondition
-			if in.Chained {
-				chained++
-			}
 		}
 	}
 	p.buildChainGroups()
-	return chained
+	return p.ChainedEdges()
+}
+
+// ChainedEdges counts the plan edges BuildChains fused.
+func (p *Plan) ChainedEdges() int {
+	n := 0
+	for _, op := range p.Ops {
+		for _, in := range op.Inputs {
+			if in.Chained {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // buildChainGroups recomputes Plan.Chains and PlanOp.Chain from the

@@ -37,7 +37,7 @@ const (
 
 // CoordEvent is one event on the hosts -> coordinator control channel. On
 // the TCP backend these cross the worker's coordinator connection as wire
-// messages; on the simulated cluster they stay on an in-process channel.
+// messages; on the simulated cluster they are direct calls into OnEvent.
 // Count lets a worker aggregate several local completions of the same
 // position into one event (0 and 1 both mean a single completion).
 type CoordEvent struct {
@@ -47,18 +47,15 @@ type CoordEvent struct {
 	Count  int
 }
 
-// ControlPlane is how the control-flow manager reaches the running job: it
-// abstracts over the simulated single-process backend (direct
-// Job.Broadcast plus modeled control latency) and the TCP cluster backend
-// (wire messages to every worker).
+// ControlPlane is how the control-flow manager reaches the running job —
+// the one seam between the coordinator and whatever carries its frames.
+// The simulated cluster's implementation (simControlPlane) charges modeled
+// control latency and calls Job.Broadcast directly; the TCP backend's
+// writes wire messages to every worker; tests substitute a recorder.
 type ControlPlane interface {
-	// Broadcast delivers a path extension to every operator instance, in
+	// Broadcast delivers one path extension to every operator instance, in
 	// mailbox order relative to data.
-	Broadcast(up PathUpdate)
-	// BroadcastSegment delivers a batched run of path extensions — an
-	// instantiated execution template — as one control frame per worker.
-	// Only called in templated (pipelined) mode.
-	BroadcastSegment(seg PathSegment)
+	Broadcast(seg PathSegment)
 	// Barrier blocks until all in-flight work has drained — the superstep
 	// barrier paid between steps when pipelining is off.
 	Barrier()
@@ -66,44 +63,41 @@ type ControlPlane interface {
 	Stop(err error)
 }
 
-// CoordStats summarizes one coordinator run.
-type CoordStats struct {
-	// Steps is the final execution path length.
-	Steps int
-	// TemplateInstalls counts jump-chain segments resolved and cached.
-	TemplateInstalls int
-	// TemplateInstantiations counts cache hits: segments re-broadcast by
-	// patching only the path position.
-	TemplateInstantiations int
-}
-
-type coordinator struct {
+// Coordinator is the control-flow manager of one execution. Both backends
+// drive it the same way: Seed once the job can accept broadcasts, then
+// OnEvent for every decision and completion — by direct call from the
+// deciding host's goroutine on the simulated cluster (which keeps the path
+// extension and the next broadcast off a goroutine wake-up on the per-step
+// critical path), from the goroutine draining the workers' event frames on
+// the TCP backend. The mutex makes either safe; on the simulated cluster
+// nothing called under it blocks (Barrier only charges modeled latency and
+// Job.Stop is an idempotent mailbox close).
+type Coordinator struct {
+	mu         sync.Mutex
 	plan       *Plan
 	pipelining bool
-	events     <-chan CoordEvent
 	cp         ControlPlane
+	// stopped is set once Stop has been called — clean completion or a
+	// protocol error. From then on the coordinator is inert.
+	stopped bool
 
-	path       []ir.BlockID // determined path
-	pathFinal  bool         // exit block appended
-	nBroadcast int          // positions broadcast so far
+	path      []ir.BlockID // determined path; append-only, so released frames alias it
+	pathFinal bool         // exit block appended
+	released  int          // positions broadcast so far
 
-	completed []int // completion counts per position (1-based index pos-1)
-	expected  []int // instances per position (parallel to path)
-	doneUpTo  int   // all positions <= doneUpTo are complete
+	pending  []int // completions still outstanding per position (parallel to path)
+	doneUpTo int   // all positions <= doneUpTo are complete
 
 	// Template cache (nil when templates are off): jump-chain segments
 	// keyed by their starting block, resolved on first visit and
 	// re-instantiated by position patching afterwards.
-	tmpl           map[ir.BlockID]*segTemplate
+	tmpl           map[ir.BlockID]PathSegment
 	installs       int
 	instantiations int
 
-	// Steps counts the path length for stats.
-	steps int
-
 	// Observability handles; nil (no-op) unless the run has an observer.
 	// bcast has one counter per machine: the per-machine control-flow
-	// managers each receive every path extension, so an N-position run
+	// managers each receive every path extension, so an N-frame run
 	// records exactly N broadcasts on every machine.
 	trc       *obs.Tracer
 	driverPID int
@@ -120,13 +114,13 @@ type coordinator struct {
 	decidedBy  []lineage.BagID // parallel to path
 }
 
-func newCoordinator(plan *Plan, opts Options, machines int, events <-chan CoordEvent, cp ControlPlane) *coordinator {
-	c := &coordinator{plan: plan, pipelining: opts.Pipelining, events: events, cp: cp}
-	if opts.Templates && opts.Pipelining {
-		// Non-pipelined execution gates each position on the previous one
-		// completing, so extensions are inherently per-position; templates
-		// only batch pipelined broadcasts.
-		c.tmpl = make(map[ir.BlockID]*segTemplate)
+// NewCoordinator builds the control-flow manager for one execution of plan
+// over the given number of machines. Call Seed once the job can accept
+// broadcasts; deliver events with OnEvent.
+func NewCoordinator(plan *Plan, opts Options, machines int, cp ControlPlane) *Coordinator {
+	c := &Coordinator{plan: plan, pipelining: opts.Pipelining, cp: cp}
+	if opts.Templated() {
+		c.tmpl = make(map[ir.BlockID]PathSegment)
 	}
 	if opts.Obs != nil {
 		reg := opts.Obs.Reg()
@@ -149,209 +143,87 @@ func newCoordinator(plan *Plan, opts Options, machines int, events <-chan CoordE
 	return c
 }
 
-// RunCoordinator drives the control-flow manager for one execution: it
-// seeds the path with the entry block, consumes decision and completion
-// events, broadcasts path extensions through cp, and calls cp.Stop when
-// the path is final and fully completed (or on a protocol error). It keeps
-// draining events until stop closes, so operator hosts can never block on
-// the event channel after a failure, and returns run statistics.
-func RunCoordinator(plan *Plan, opts Options, machines int, events <-chan CoordEvent, cp ControlPlane, stop <-chan struct{}) CoordStats {
-	c := newCoordinator(plan, opts, machines, events, cp)
-	c.run(stop)
-	return CoordStats{Steps: c.steps, TemplateInstalls: c.installs, TemplateInstantiations: c.instantiations}
-}
-
-// Coordinator is the synchronously-driven control-flow manager used by the
-// single-process backend: operator hosts deliver events by direct call
-// instead of through a channel to a dedicated goroutine. That keeps the
-// coordinator's work — extending the path and broadcasting the next
-// segment — on the goroutine that produced the decision, removing one
-// goroutine wake-up from every step of the per-step critical path. Safe
-// because nothing the coordinator calls blocks: the simulated Barrier only
-// charges modeled latency and Job.Stop is an idempotent mailbox close.
-// (The TCP backend keeps the channel-driven RunCoordinator — there the
-// events arrive from socket readers and network latency dominates.)
-type Coordinator struct {
-	mu     sync.Mutex
-	c      *coordinator
-	failed bool
-}
-
-// NewCoordinator builds a synchronous coordinator. Call Seed once the job
-// can accept broadcasts; deliver events with OnEvent.
-func NewCoordinator(plan *Plan, opts Options, machines int, cp ControlPlane) *Coordinator {
-	return &Coordinator{c: newCoordinator(plan, opts, machines, nil, cp)}
-}
-
 // Seed extends the path with the entry jump chain and stops the job
 // outright if the program has no conditional work at all.
-func (co *Coordinator) Seed() {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.c.extendFrom(co.c.plan.IR.Entry())
-	if co.c.pathFinal && co.c.doneUpTo == len(co.c.path) {
-		co.c.cp.Stop(nil)
-	}
+func (c *Coordinator) Seed() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.extend(c.plan.IR.Entry())
+	c.stopIfDone(nil)
 }
 
-// OnEvent applies one decision or completion event inline. After a
-// protocol error the coordinator goes inert; Stop has already been called.
-func (co *Coordinator) OnEvent(ev CoordEvent) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.failed {
+// OnEvent applies one decision or completion event. It calls cp.Stop when
+// the path is final and fully completed, or on a protocol error; either
+// way the coordinator then goes inert, so events that trail a failure are
+// absorbed and their senders never block.
+func (c *Coordinator) OnEvent(ev CoordEvent) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopped {
 		return
 	}
 	var err error
 	switch ev.Kind {
 	case EvDecision:
-		err = co.c.onDecision(ev.Pos, ev.Branch)
+		err = c.onDecision(ev.Pos, ev.Branch)
 	case EvCompletion:
-		err = co.c.onCompletion(ev.Pos, ev.Count)
+		err = c.onCompletion(ev.Pos, ev.Count)
 	}
-	if err != nil {
-		co.failed = true
-		co.c.cp.Stop(err)
-		return
-	}
-	if co.c.pathFinal && co.c.doneUpTo == len(co.c.path) {
-		co.c.cp.Stop(nil)
+	c.stopIfDone(err)
+}
+
+func (c *Coordinator) stopIfDone(err error) {
+	if err != nil || (c.pathFinal && c.doneUpTo == len(c.path)) {
+		c.stopped = true
+		c.cp.Stop(err)
 	}
 }
 
-// Stats reports the run's statistics; call after the job has finished (no
-// host can emit further events).
-func (co *Coordinator) Stats() CoordStats {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return CoordStats{Steps: co.c.steps, TemplateInstalls: co.c.installs, TemplateInstantiations: co.c.instantiations}
-}
-
-// run drives the job (see RunCoordinator).
-func (c *coordinator) run(stop <-chan struct{}) {
-	c.extendFrom(c.plan.IR.Entry())
-	failed := false
-	if c.pathFinal && c.doneUpTo == len(c.path) {
-		c.cp.Stop(nil) // program with no work at all
-	}
-	for {
-		select {
-		case ev := <-c.events:
-			if failed {
-				continue
-			}
-			var err error
-			switch ev.Kind {
-			case EvDecision:
-				err = c.onDecision(ev.Pos, ev.Branch)
-			case EvCompletion:
-				err = c.onCompletion(ev.Pos, ev.Count)
-			}
-			if err != nil {
-				failed = true
-				c.cp.Stop(err)
-				continue
-			}
-			if c.pathFinal && c.doneUpTo == len(c.path) {
-				c.cp.Stop(nil)
-			}
-		case <-stop:
-			return
-		}
+// Result reports the control plane's share of the execution's Result: the
+// path length, the template cache counters, and the chained-edge count of
+// the plan it drove. Call after the job has finished (no host can emit
+// further events); Merge the hosts' share into it.
+func (c *Coordinator) Result() *Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return &Result{
+		Steps:                  len(c.path),
+		ChainedEdges:           c.plan.ChainedEdges(),
+		TemplateInstalls:       c.installs,
+		TemplateInstantiations: c.instantiations,
 	}
 }
 
-// append adds a block to the determined path.
-func (c *coordinator) append(b ir.BlockID) {
-	c.path = append(c.path, b)
-	c.completed = append(c.completed, 0)
-	c.expected = append(c.expected, c.plan.InstancesPerBlock[b])
-	c.steps++
-	c.pathLen.Set(int64(len(c.path)))
-	if c.lin != nil {
-		c.decidedBy = append(c.decidedBy, c.curDecider)
-	}
-	c.advanceDone()
-}
-
-// extendFrom grows the path starting with block b, through any jump chain
-// that follows, and broadcasts what the mode permits. In templated mode
-// the whole jump-chain segment resolves from the cache and ships as one
-// batched frame; otherwise it extends and broadcasts position by position.
-func (c *coordinator) extendFrom(b ir.BlockID) {
-	if c.tmpl != nil {
-		c.appendSegment(c.segmentFor(b))
-		return
-	}
-	c.append(b)
-	c.extendThroughJumps()
-	c.broadcastAllowed()
-}
-
-// segmentFor returns the cached jump-chain segment starting at b,
-// resolving and installing it on first use.
-func (c *coordinator) segmentFor(b ir.BlockID) *segTemplate {
-	if t, ok := c.tmpl[b]; ok {
+// extend grows the path by the jump-chain segment starting at block b —
+// b and every position after it that needs no further runtime decision —
+// and releases what the mode permits. With templates on, the segment (the
+// control-plane decision) resolves from the cache on every visit of b but
+// the first.
+func (c *Coordinator) extend(b ir.BlockID) {
+	t, hit := c.tmpl[b]
+	if hit {
 		c.instantiations++
-		return t
-	}
-	blocks, final := SegmentFrom(c.plan.IR, b)
-	t := &segTemplate{blocks: blocks, final: final}
-	c.tmpl[b] = t
-	c.installs++
-	return t
-}
-
-// appendSegment instantiates a template at the current path frontier and
-// broadcasts it as one batched control frame per worker. The segment
-// shares the template's immutable block slice, so instantiation patches
-// only the starting position.
-func (c *coordinator) appendSegment(t *segTemplate) {
-	start := len(c.path) + 1
-	for _, b := range t.blocks {
-		c.append(b)
-	}
-	if t.final {
-		c.pathFinal = true
-	}
-	seg := PathSegment{Pos: start, Blocks: t.blocks, Final: t.final}
-	c.cp.BroadcastSegment(seg)
-	if c.bcast != nil {
-		for m := range c.bcast {
-			c.bcast[m].Inc()
+	} else {
+		t.Blocks, t.Final = SegmentFrom(c.plan.IR, b)
+		if c.tmpl != nil {
+			c.tmpl[b] = t
+			c.installs++
 		}
 	}
-	if c.trc != nil {
-		c.trc.Instant("cfm", "broadcast_segment", c.driverPID, 0,
-			map[string]any{"pos": start, "blocks": len(t.blocks), "final": t.final})
-	}
-	if c.lin != nil {
-		for i, b := range t.blocks {
-			pos := start + i
-			final := t.final && i == len(t.blocks)-1
-			c.lin.Broadcast(pos, int(b), final, c.decidedBy[pos-1], 0)
+	for _, blk := range t.Blocks {
+		c.path = append(c.path, blk)
+		c.pending = append(c.pending, c.plan.InstancesPerBlock[blk])
+		if c.lin != nil {
+			c.decidedBy = append(c.decidedBy, c.curDecider)
 		}
 	}
-	c.nBroadcast = len(c.path)
+	c.pathFinal = t.Final
+	c.pathLen.Set(int64(len(c.path)))
+	c.advanceDone()
+	c.release()
 }
 
-// extendThroughJumps determines further positions while the last block's
-// terminator needs no runtime decision.
-func (c *coordinator) extendThroughJumps() {
-	for !c.pathFinal {
-		last := c.plan.IR.Blocks[c.path[len(c.path)-1]]
-		switch last.Term.Kind {
-		case ir.TermJump:
-			c.append(last.Term.Succs[0])
-		case ir.TermExit:
-			c.pathFinal = true
-		default:
-			return // branch: wait for the condition operator's decision
-		}
-	}
-}
-
-func (c *coordinator) onDecision(pos int, branch bool) error {
+func (c *Coordinator) onDecision(pos int, branch bool) error {
 	if pos != len(c.path) {
 		return fmt.Errorf("core: decision for position %d, path has %d determined positions", pos, len(c.path))
 	}
@@ -363,75 +235,79 @@ func (c *coordinator) onDecision(pos int, branch bool) error {
 		c.curDecider = lineage.BagID{Op: c.condVar[blk.ID], Pos: pos}
 	}
 	if branch {
-		c.extendFrom(blk.Term.Succs[0])
+		c.extend(blk.Term.Succs[0])
 	} else {
-		c.extendFrom(blk.Term.Succs[1])
+		c.extend(blk.Term.Succs[1])
 	}
 	return nil
 }
 
-func (c *coordinator) onCompletion(pos, count int) error {
+func (c *Coordinator) onCompletion(pos, count int) error {
 	if pos < 1 || pos > len(c.path) {
 		return fmt.Errorf("core: completion for unknown position %d", pos)
 	}
 	if count < 1 {
 		count = 1
 	}
-	c.completed[pos-1] += count
-	if c.completed[pos-1] > c.expected[pos-1] {
-		return fmt.Errorf("core: position %d completed %d times, expected %d", pos, c.completed[pos-1], c.expected[pos-1])
+	c.pending[pos-1] -= count
+	if c.pending[pos-1] < 0 {
+		want := c.plan.InstancesPerBlock[c.path[pos-1]]
+		return fmt.Errorf("core: position %d completed %d times, expected %d", pos, want-c.pending[pos-1], want)
 	}
 	c.advanceDone()
-	c.broadcastAllowed()
+	c.release()
 	return nil
 }
 
 // advanceDone moves the fully-completed prefix marker.
-func (c *coordinator) advanceDone() {
-	for c.doneUpTo < len(c.path) {
-		pos := c.doneUpTo + 1
-		if c.completed[pos-1] < c.expected[pos-1] {
-			return
-		}
-		c.doneUpTo = pos
+func (c *Coordinator) advanceDone() {
+	for c.doneUpTo < len(c.path) && c.pending[c.doneUpTo] == 0 {
+		c.doneUpTo++
 	}
 }
 
-// broadcastAllowed sends every determined position the mode permits.
-// Pipelined: everything determined. Non-pipelined: position p+1 only once
-// positions <= p are complete, paying a superstep barrier per step.
-func (c *coordinator) broadcastAllowed() {
-	for c.nBroadcast < len(c.path) {
-		next := c.nBroadcast + 1
+// release broadcasts the determined-but-unreleased positions the mode
+// permits, one frame at a time; the modes are policies over this one loop.
+// A frame is everything determined when segments are templates (pipelined
+// by construction, so that is exactly the segment just instantiated), and
+// a single block otherwise — the per-position update is the one-block
+// segment. With pipelining off, position p+1 is held back until positions
+// <= p are complete, and pays a superstep barrier. Frames alias the path:
+// it is append-only, so a released sub-slice never changes.
+func (c *Coordinator) release() {
+	for c.released < len(c.path) {
+		end := len(c.path)
+		if c.tmpl == nil {
+			end = c.released + 1
+		}
 		var barrier time.Duration
-		if !c.pipelining && next > 1 {
-			if c.doneUpTo < next-1 {
+		if !c.pipelining && c.released > 0 {
+			if c.doneUpTo < c.released {
 				return
 			}
-			if c.lin != nil {
-				t0 := time.Now()
-				c.cp.Barrier()
-				barrier = time.Since(t0)
-			} else {
-				c.cp.Barrier()
-			}
+			t0 := time.Now()
+			c.cp.Barrier()
+			barrier = time.Since(t0)
 		}
-		pos := next
-		final := c.pathFinal && pos == len(c.path) &&
-			c.plan.IR.Blocks[c.path[pos-1]].Term.Kind == ir.TermExit
-		c.cp.Broadcast(PathUpdate{Pos: pos, Block: c.path[pos-1], Final: final})
-		if c.bcast != nil {
-			for m := range c.bcast {
-				c.bcast[m].Inc()
-			}
+		seg := PathSegment{
+			Pos:    c.released + 1,
+			Blocks: c.path[c.released:end:end],
+			Final:  c.pathFinal && end == len(c.path),
+		}
+		c.cp.Broadcast(seg)
+		for _, n := range c.bcast {
+			n.Inc()
 		}
 		if c.trc != nil {
 			c.trc.Instant("cfm", "broadcast", c.driverPID, 0,
-				map[string]any{"pos": pos, "block": int(c.path[pos-1]), "final": final})
+				map[string]any{"pos": seg.Pos, "blocks": len(seg.Blocks), "final": seg.Final})
 		}
 		if c.lin != nil {
-			c.lin.Broadcast(pos, int(c.path[pos-1]), final, c.decidedBy[pos-1], barrier)
+			for i, b := range seg.Blocks {
+				pos := seg.Pos + i
+				c.lin.Broadcast(pos, int(b), seg.Final && pos == end, c.decidedBy[pos-1], barrier)
+			}
 		}
-		c.nBroadcast = next
+		c.released = end
 	}
 }

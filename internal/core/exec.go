@@ -36,7 +36,7 @@ type Options struct {
 	// Templates caches control-plane decisions as execution templates:
 	// jump-chain path segments are resolved once per starting block and
 	// re-instantiated by position patching, shipping one batched control
-	// frame per worker per extension instead of one PathUpdate per
+	// frame per worker per extension instead of one one-block frame per
 	// position. Effective only with Pipelining (non-pipelined execution
 	// gates positions one at a time by construction).
 	Templates bool
@@ -58,6 +58,12 @@ type Options struct {
 	// depth sampling those endpoints report. Nil disables registration.
 	HTTP *httpserve.Server
 }
+
+// Templated reports whether the control plane caches and batches path
+// segments as execution templates. Non-pipelined execution gates each
+// position on the previous one completing, so extensions are inherently
+// per-position; templates only batch pipelined broadcasts.
+func (o Options) Templated() bool { return o.Templates && o.Pipelining }
 
 // DefaultOptions enables every optimization: pipelining and hoisting as
 // Mitos runs in the paper, plus map-side combiners, operator chaining, and
@@ -109,12 +115,42 @@ type Result struct {
 	Job dataflow.JobStats
 }
 
+// Merge folds another share of the same execution into r: the
+// coordinator's share into the hosts', or one worker's into the cluster's.
+// Counters sum; MaxBufferedBags, a per-instance high-water mark, takes the
+// maximum. Duration and DeltaSteps stay r's own — the caller measures the
+// one, and the per-step series is only meaningful from a single runtime (a
+// cluster of workers ships totals).
+func (r *Result) Merge(o *Result) {
+	r.Steps += o.Steps
+	r.JoinBuilds += o.JoinBuilds
+	r.MaxBufferedBags = max(r.MaxBufferedBags, o.MaxBufferedBags)
+	r.CombineIn += o.CombineIn
+	r.CombineOut += o.CombineOut
+	r.ChainedEdges += o.ChainedEdges
+	r.TemplateInstalls += o.TemplateInstalls
+	r.TemplateInstantiations += o.TemplateInstantiations
+	r.DeltaIn += o.DeltaIn
+	r.DeltaChanged += o.DeltaChanged
+	r.DeltaTouched += o.DeltaTouched
+	r.DeltaElements += o.DeltaElements
+	r.DeltaBytes += o.DeltaBytes
+	r.Job.ElementsSent += o.Job.ElementsSent
+	r.Job.ElementsChained += o.Job.ElementsChained
+	r.Job.BatchesSent += o.Job.BatchesSent
+	r.Job.RemoteBatches += o.Job.RemoteBatches
+	r.Job.BytesSent += o.Job.BytesSent
+	r.Job.BytesReceived += o.Job.BytesReceived
+	r.Job.MailboxDropped += o.Job.MailboxDropped
+	r.Job.CtrlMessages += o.Job.CtrlMessages
+	r.Job.CtrlBytes += o.Job.CtrlBytes
+}
+
 // runtime is the state shared by all operator hosts and the coordinator of
 // one execution.
 type runtime struct {
 	plan  *Plan
 	store store.Store
-	cl    *cluster.Cluster
 	opts  Options
 	obs   *obs.Observer
 	// emit delivers one control-plane event from an operator host. The
@@ -122,8 +158,7 @@ type runtime struct {
 	// the path extension and broadcast run inline on the deciding host's
 	// goroutine, cutting a goroutine wake-up from every step. Worker
 	// processes point it at the events channel their forwarder drains.
-	emit   func(CoordEvent)
-	events chan CoordEvent
+	emit func(CoordEvent)
 
 	joinBuilds  atomic.Int64
 	maxBuffered atomic.Int64
@@ -146,13 +181,34 @@ func (rt *runtime) noteBuffered(n int64) {
 	}
 }
 
-// Execute compiles the SSA graph into a single cyclic dataflow job, runs it
-// on the cluster against the dataset store, and coordinates the distributed
-// control flow.
-func Execute(g *ir.Graph, st store.Store, cl *cluster.Cluster, opts Options) (*Result, error) {
+// result snapshots the share of the execution's Result this runtime's
+// operator hosts produced: join builds, the buffered-bag high-water mark,
+// combiner traffic and the delta-iteration state, plus job's transfer
+// counters. It is the one place host counters become Result fields — the
+// simulated run, a TCP worker's report and the coordinator's merge all
+// start here.
+func (rt *runtime) result(job *dataflow.Job) *Result {
+	r := &Result{
+		JoinBuilds:      rt.joinBuilds.Load(),
+		MaxBufferedBags: rt.maxBuffered.Load(),
+		CombineIn:       rt.combineIn.Load(),
+		CombineOut:      rt.combineOut.Load(),
+		Job:             job.Stats(),
+	}
+	r.DeltaIn, r.DeltaChanged, r.DeltaTouched, r.DeltaElements, r.DeltaBytes, r.DeltaSteps = rt.deltaSummary()
+	return r
+}
+
+// Compile plans the dataflow job for an SSA graph under opts: BuildPlan at
+// opts.Parallelism (0 selects one instance per machine), then the plan
+// rewrites opts enables, in their required order. Every backend compiles
+// through here — the simulated run, the TCP coordinator and each TCP worker
+// — which is what keeps the plans they derive from one shipped source
+// identical, operator IDs and placement included.
+func Compile(g *ir.Graph, machines int, opts Options) (*Plan, error) {
 	par := opts.Parallelism
 	if par == 0 {
-		par = cl.Machines()
+		par = machines
 	}
 	plan, err := BuildPlan(g, par)
 	if err != nil {
@@ -164,18 +220,28 @@ func Execute(g *ir.Graph, st store.Store, cl *cluster.Cluster, opts Options) (*R
 	if opts.Chaining {
 		plan.BuildChains()
 	}
+	return plan, nil
+}
+
+// Execute compiles the SSA graph into a single cyclic dataflow job, runs it
+// on the cluster against the dataset store, and coordinates the distributed
+// control flow.
+func Execute(g *ir.Graph, st store.Store, cl *cluster.Cluster, opts Options) (*Result, error) {
+	plan, err := Compile(g, cl.Machines(), opts)
+	if err != nil {
+		return nil, err
+	}
 	return ExecutePlan(plan, st, cl, opts)
 }
 
 // ExecutePlan runs an already-built plan (Execute builds one from an SSA
 // graph). The plan's parallelism must match opts; plan rewrites
-// (InsertCombiners, BuildChains) are the caller's responsibility — Execute
-// applies them per opts before calling here.
+// (InsertCombiners, BuildChains) are the caller's responsibility — Compile
+// applies them per opts.
 func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) (*Result, error) {
 	rt := &runtime{
 		plan:  plan,
 		store: st,
-		cl:    cl,
 		opts:  opts,
 		obs:   opts.Obs,
 	}
@@ -187,8 +253,7 @@ func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) 
 		}
 	}
 
-	g, chainedEdges := buildDataflowGraph(rt, plan)
-	job, err := dataflow.NewJob(g, cl, opts.BatchSize)
+	job, err := dataflow.NewJob(buildDataflowGraph(rt, plan), cl, opts.BatchSize)
 	if err != nil {
 		return nil, err
 	}
@@ -207,44 +272,26 @@ func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) 
 		opts.HTTP.Register(jv)
 	}
 
-	cp := &simControlPlane{cl: cl, job: job}
-	co := NewCoordinator(plan, opts, cl.Machines(), cp)
+	co := NewCoordinator(plan, opts, cl.Machines(), &simControlPlane{cl: cl, job: job})
 	rt.emit = co.OnEvent
 	co.Seed()
 
 	err = job.Wait()
-	cstats := co.Stats()
 	if jv != nil {
 		jv.finish(err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: execution failed: %w", err)
 	}
-	din, dch, dto, del, dby, dsteps := rt.deltaSummary()
-	return &Result{
-		Steps:                  cstats.Steps,
-		Duration:               time.Since(start),
-		JoinBuilds:             rt.joinBuilds.Load(),
-		MaxBufferedBags:        rt.maxBuffered.Load(),
-		CombineIn:              rt.combineIn.Load(),
-		CombineOut:             rt.combineOut.Load(),
-		ChainedEdges:           chainedEdges,
-		TemplateInstalls:       cstats.TemplateInstalls,
-		TemplateInstantiations: cstats.TemplateInstantiations,
-		DeltaIn:                din,
-		DeltaChanged:           dch,
-		DeltaTouched:           dto,
-		DeltaElements:          del,
-		DeltaBytes:             dby,
-		DeltaSteps:             dsteps,
-		Job:                    job.Stats(),
-	}, nil
+	res := rt.result(job)
+	res.Merge(co.Result())
+	res.Duration = time.Since(start)
+	return res, nil
 }
 
 // buildDataflowGraph translates the plan into a dataflow graph: one vertex
 // per SSA instruction, one edge per variable reference (paper Sec. 4.3).
-// It returns the graph and the number of chained edges.
-func buildDataflowGraph(rt *runtime, plan *Plan) (*dataflow.Graph, int) {
+func buildDataflowGraph(rt *runtime, plan *Plan) *dataflow.Graph {
 	var g dataflow.Graph
 	dfOps := make([]*dataflow.Op, len(plan.Ops))
 	for _, pop := range plan.Ops {
@@ -253,42 +300,30 @@ func buildDataflowGraph(rt *runtime, plan *Plan) (*dataflow.Graph, int) {
 			return newHost(rt, pop, inst)
 		})
 	}
-	chainedEdges := 0
 	for _, pop := range plan.Ops {
 		for slot, in := range pop.Inputs {
 			if in.Chained {
 				g.ConnectChained(dfOps[in.Producer.ID], dfOps[pop.ID], slot)
-				chainedEdges++
 			} else {
 				g.Connect(dfOps[in.Producer.ID], dfOps[pop.ID], slot, in.Part)
 			}
 		}
 	}
-	return &g, chainedEdges
+	return &g
 }
 
 // simControlPlane runs the control-flow manager against the simulated
-// cluster: broadcasts pay the modeled control-message latency once per
-// machine and land directly in the job's mailboxes.
+// cluster: a broadcast pays the modeled control-message latency once per
+// machine — one control message each, as the per-machine control-flow
+// managers relay the decision (paper: TCP connections independent of the
+// dataflow edges) — and lands directly in the job's mailboxes, where
+// Job.Broadcast fans it out to the instances.
 type simControlPlane struct {
 	cl  *cluster.Cluster
 	job *dataflow.Job
 }
 
-func (s *simControlPlane) Broadcast(up PathUpdate) {
-	// One control message per machine, as the per-machine control-flow
-	// managers relay the decision (paper: TCP connections independent
-	// of the dataflow edges).
-	n := up.CtrlSize()
-	for m := 0; m < s.cl.Machines(); m++ {
-		s.cl.CtrlSleepBytes(n)
-	}
-	s.job.Broadcast(up)
-}
-
-func (s *simControlPlane) BroadcastSegment(seg PathSegment) {
-	// The whole instantiated template is one control message per machine;
-	// the fan-out to instances happens locally in Job.Broadcast.
+func (s *simControlPlane) Broadcast(seg PathSegment) {
 	n := seg.CtrlSize()
 	for m := 0; m < s.cl.Machines(); m++ {
 		s.cl.CtrlSleepBytes(n)
@@ -304,7 +339,7 @@ func (s *simControlPlane) Stop(err error) { s.job.Stop(err) }
 // the TCP cluster backend: the partitioned dataflow job plus the stream of
 // control-plane events (decisions, completions) the local operator hosts
 // produce. The worker forwards Events to the coordinator and injects the
-// coordinator's PathUpdates via Job.Broadcast.
+// coordinator's PathSegments via Job.Broadcast.
 type WorkerJob struct {
 	Job    *dataflow.Job
 	Events <-chan CoordEvent
@@ -316,36 +351,29 @@ type WorkerJob struct {
 // job. Only instances placed on self (instance index mod machines) are
 // hosted; cross-machine edges route through remote. The plan must be built
 // identically on every worker (same source, same options) so operator IDs
-// and placement agree — BuildPlan is deterministic, which is what makes
+// and placement agree — Compile is deterministic, which is what makes
 // shipping program source instead of serialized plans sound.
 func NewWorkerJob(plan *Plan, st store.Store, machines, self int, opts Options, remote dataflow.Remote) (*WorkerJob, error) {
 	rt := &runtime{
-		plan:   plan,
-		store:  st,
-		opts:   opts,
-		obs:    opts.Obs,
-		events: make(chan CoordEvent, 4096),
+		plan:  plan,
+		store: st,
+		opts:  opts,
+		obs:   opts.Obs,
 	}
-	rt.emit = func(ev CoordEvent) { rt.events <- ev }
-	g, _ := buildDataflowGraph(rt, plan)
-	job, err := dataflow.NewPartitionedJob(g, machines, self, opts.BatchSize, remote)
+	// The forwarder draining this channel writes every event to a socket;
+	// the buffer lets the hosts run on through a burst of completions (one
+	// per hosted instance per position) instead of pacing them to it.
+	events := make(chan CoordEvent, 4096)
+	rt.emit = func(ev CoordEvent) { events <- ev }
+	job, err := dataflow.NewPartitionedJob(buildDataflowGraph(rt, plan), machines, self, opts.BatchSize, remote)
 	if err != nil {
 		return nil, err
 	}
 	job.Observe(opts.Obs)
-	return &WorkerJob{Job: job, Events: rt.events, rt: rt}, nil
+	return &WorkerJob{Job: job, Events: events, rt: rt}, nil
 }
 
-// Counters reports the runtime counters accumulated by this worker's hosts
-// (join builds, buffered-bag high-water mark, combiner traffic).
-func (w *WorkerJob) Counters() (joinBuilds, maxBuffered, combineIn, combineOut int64) {
-	return w.rt.joinBuilds.Load(), w.rt.maxBuffered.Load(), w.rt.combineIn.Load(), w.rt.combineOut.Load()
-}
-
-// DeltaCounters reports the delta-iteration totals of this worker's local
-// state partitions (see Result's Delta fields). Per-step series stay local
-// to the worker; the coordinator aggregates only the totals over the wire.
-func (w *WorkerJob) DeltaCounters() (in, changed, touched, elements, bytes int64) {
-	in, changed, touched, elements, bytes, _ = w.rt.deltaSummary()
-	return in, changed, touched, elements, bytes
-}
+// Result reports this worker's share of the execution's Result; call after
+// the job has finished. Per-step delta series stay local to the worker —
+// the coordinator merges only the totals it receives over the wire.
+func (w *WorkerJob) Result() *Result { return w.rt.result(w.Job) }

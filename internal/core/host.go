@@ -12,16 +12,6 @@ import (
 	"github.com/mitos-project/mitos/internal/val"
 )
 
-// PathUpdate is the control event the control-flow manager broadcasts to
-// every operator instance when the execution path grows: path position Pos
-// (1-based) is Block. Final marks the exit block. The TCP cluster backend
-// relays these over the coordinator connection as wire messages.
-type PathUpdate struct {
-	Pos   int
-	Block ir.BlockID
-	Final bool
-}
-
 // host is the bag operator host (paper Sec. 5): it wraps one physical
 // instance of one logical operator and implements the coordination logic —
 // choosing output bags from the execution path, choosing input bags by the
@@ -34,8 +24,7 @@ type host struct {
 	ctx  *dataflow.Context
 
 	// Execution path as known to this instance.
-	path  []ir.BlockID
-	final bool
+	path []ir.BlockID
 	// occ[b] lists the (1-based) positions at which block b occurs,
 	// indexed by the dense BlockID (hot on every control ingest and every
 	// input-bag selection, so a slice, not a map).
@@ -211,46 +200,30 @@ func (h *host) Close() error { return nil }
 // lazily at the next wake; bag selection is unaffected because it only
 // ever consults path positions at or before the bag being produced.
 func (h *host) WantsControlWake(ev any) bool {
-	switch up := ev.(type) {
-	case PathUpdate:
-		return up.Block == h.op.Block
-	case PathSegment:
-		for _, b := range up.Blocks {
-			if b == h.op.Block {
-				return true
-			}
-		}
-		return false
+	seg, ok := ev.(PathSegment)
+	if !ok {
+		return true
 	}
-	return true
+	for _, b := range seg.Blocks {
+		if b == h.op.Block {
+			return true
+		}
+	}
+	return false
 }
 
-// OnControl ingests execution-path extensions: single-position PathUpdates
-// or batched PathSegments (instantiated execution templates).
+// OnControl ingests execution-path extensions.
 func (h *host) OnControl(ev any) error {
-	switch up := ev.(type) {
-	case PathUpdate:
-		if up.Pos != len(h.path)+1 {
-			return fmt.Errorf("core: path update %d out of order (have %d)", up.Pos, len(h.path))
-		}
-		h.path = append(h.path, up.Block)
-		h.noteOcc(up.Block, up.Pos)
-		if up.Final {
-			h.final = true
-		}
-	case PathSegment:
-		if up.Pos != len(h.path)+1 {
-			return fmt.Errorf("core: path segment at %d out of order (have %d)", up.Pos, len(h.path))
-		}
-		for i, b := range up.Blocks {
-			h.path = append(h.path, b)
-			h.noteOcc(b, up.Pos+i)
-		}
-		if up.Final {
-			h.final = true
-		}
-	default:
+	seg, ok := ev.(PathSegment)
+	if !ok {
 		return nil
+	}
+	if seg.Pos != len(h.path)+1 {
+		return fmt.Errorf("core: path segment at %d out of order (have %d)", seg.Pos, len(h.path))
+	}
+	for i, b := range seg.Blocks {
+		h.path = append(h.path, b)
+		h.noteOcc(b, seg.Pos+i)
 	}
 	return h.progress()
 }

@@ -29,7 +29,7 @@ func newSelectionHost(opBlock ir.BlockID, kind ir.OpKind, producers []ir.BlockID
 		}
 		op.Inputs = append(op.Inputs, in)
 	}
-	rt := &runtime{store: store.NewMemStore(), events: make(chan CoordEvent, 16)}
+	rt := &runtime{store: store.NewMemStore()}
 	return newHost(rt, op, 0)
 }
 

@@ -265,7 +265,7 @@ func handFedHost(tb testing.TB, kind ir.OpKind, f *lang.UDF, st store.Store, pro
 // visit extends the host's path by one block.
 func visit(tb testing.TB, h *host, b ir.BlockID) {
 	tb.Helper()
-	if err := h.OnControl(PathUpdate{Pos: len(h.path) + 1, Block: b}); err != nil {
+	if err := h.OnControl(PathSegment{Pos: len(h.path) + 1, Blocks: []ir.BlockID{b}}); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -13,31 +13,31 @@ import (
 // records that resolved schedule as an immutable template keyed by the
 // block; every later visit instantiates the template by patching only the
 // path position, and the whole segment ships as one batched control frame
-// per worker instead of one PathUpdate per position per instance.
+// per worker instead of one frame per position. Untemplated execution is
+// the degenerate case of the same mechanism: every released frame is a
+// one-block segment and nothing is cached (Coordinator.release).
 //
 // Template validity rests on two facts: BuildPlan is deterministic over
 // the shipped program source (so coordinator and workers resolve identical
 // templates from identical plans), and a template never outlives the
 // execution attempt that installed it — the coordinator's cache lives in
-// one RunCoordinator call, the TCP control plane's install table lives in
-// one session attempt, and each worker's table lives in one job run, so
-// retries and re-admitted workers always start clean.
+// one Coordinator, built per attempt, the TCP control plane's install table
+// lives in one session attempt, and each worker's table lives in one job
+// run, so retries and re-admitted workers always start clean.
 
-// PathSegment is the batched form of PathUpdate: the execution path grew
-// by Blocks, occupying positions Pos..Pos+len(Blocks)-1. Final marks a
-// segment ending in the exit block. The Blocks slice is shared with the
-// coordinator's immutable template — receivers must not modify it.
+// PathSegment is the control event the control-flow manager broadcasts to
+// every operator instance when the execution path grows: the path grew by
+// Blocks, occupying (1-based) positions Pos..Pos+len(Blocks)-1. Final marks
+// a segment ending in the exit block. The Blocks slice aliases the
+// coordinator's append-only path — receivers must not modify it.
+//
+// A template — one cached control-plane decision — is a PathSegment with no
+// position yet: the jump-chain segment starting at a block, resolved once
+// and instantiated by patching Pos.
 type PathSegment struct {
 	Pos    int
 	Blocks []ir.BlockID
 	Final  bool
-}
-
-// segTemplate is one cached control-plane decision: the jump-chain segment
-// starting at a block, resolved once and instantiated by position patching.
-type segTemplate struct {
-	blocks []ir.BlockID
-	final  bool
 }
 
 // SegmentFrom derives the unconditional block sequence starting at b: b
@@ -66,13 +66,8 @@ func SegmentFrom(g *ir.Graph, b ir.BlockID) (blocks []ir.BlockID, final bool) {
 // backends.
 const ctrlFrameOverhead = 5
 
-// CtrlSize reports the encoded control-frame size of one PathUpdate, for
+// CtrlSize reports the encoded control-frame size of one PathSegment, for
 // ctrl_bytes accounting (dataflow.ControlSizer).
-func (u PathUpdate) CtrlSize() int {
-	return ctrlFrameOverhead + varintLen(u.Pos) + varintLen(int(u.Block)) + 1
-}
-
-// CtrlSize reports the encoded control-frame size of one PathSegment.
 func (s PathSegment) CtrlSize() int {
 	n := ctrlFrameOverhead + varintLen(s.Pos) + varintLen(len(s.Blocks)) + 1
 	for _, b := range s.Blocks {

@@ -116,7 +116,7 @@ func (j *Job) Introspect() *Introspection {
 				if eg == nil {
 					continue
 				}
-				if b := eg.depth(); b > 0 {
+				if b := eg.Depth(); b > 0 {
 					out.Egress = append(out.Egress, EgressIntro{From: s, To: r, Backlog: b})
 				}
 			}

@@ -16,11 +16,13 @@ import (
 // large enough to amortize per-batch costs.
 const DefaultBatchSize = 128
 
-// Remote ships frames of a partitioned job between worker processes. The
-// TCP cluster backend implements it on top of its peer mesh; the simulated
-// backend never uses it (its transport stays in-process). Implementations
-// take ownership of payload, which comes from the val scratch pool —
-// return it with val.PutScratch after the bytes are on the wire.
+// Remote ships a job's frames to instances placed on other machines — the
+// one seam every cross-machine edge goes through. The TCP cluster backend
+// implements it on top of its peer mesh; the simulated cluster's is the
+// in-process loopback (transport.go). Either way the far side injects the
+// frame with Job.DeliverData / DeliverEOB. Implementations take ownership
+// of payload, which comes from the val scratch pool — return it with
+// val.PutScratch once the bytes are on the wire (or decoded).
 type Remote interface {
 	// SendData ships one serialized batch to machine dest.
 	SendData(dest int, h RemoteHeader, payload []byte, count int)
@@ -41,20 +43,21 @@ type RemoteHeader struct {
 // Graph, then NewJob, Start, optionally Broadcast control events, and Wait.
 //
 // A job is either whole (NewJob: every instance hosted in this process,
-// cross-machine edges through the simulated transport) or partitioned
+// cross-machine edges through the loopback Remote) or partitioned
 // (NewPartitionedJob: only one machine's instances hosted, cross-machine
-// edges through a Remote implementation).
+// edges through the caller's Remote).
 type Job struct {
 	graph     *Graph
-	cl        *cluster.Cluster // nil on partitioned jobs
 	machines  int
 	self      int    // hosted machine of a partitioned job; -1 when whole
-	remote    Remote // nil on whole jobs
+	remote    Remote // may be nil when machines == 1: nothing is ever remote
 	batchSize int
 	obs       *obs.Observer
 
 	insts [][]*instance // [op][instance]
-	tr    *transport    // nil on single-machine clusters and partitioned jobs
+	// tr is the remote of a whole job, which the job also owns: Start
+	// launches it, a clean Stop quiesces it, Wait closes it.
+	tr *loopback
 
 	// The batch free list recycles batch buffers: remote batches are
 	// serialized at flush, so their element slices return immediately and
@@ -66,10 +69,12 @@ type Job struct {
 	batchMu     sync.Mutex
 	freeBatches [][]Element
 
-	wg         sync.WaitGroup
-	stopped    atomic.Bool
-	errOnce    sync.Once
-	err        error
+	wg      sync.WaitGroup
+	stopped atomic.Bool
+	// err holds the first failure. Atomic because a partition that hosts no
+	// instance has no event loop for Wait to synchronize with: its Wait can
+	// return while another goroutine is still in Stop(err).
+	err        atomic.Pointer[error]
 	finishOnce sync.Once
 
 	// bcast caches the chain-driver instances Broadcast fans out to, so
@@ -133,7 +138,12 @@ type JobStats struct {
 // NewJob plans the physical execution of g on cl. batchSize <= 0 selects
 // DefaultBatchSize.
 func NewJob(g *Graph, cl *cluster.Cluster, batchSize int) (*Job, error) {
-	return newJob(g, cl, cl.Machines(), -1, batchSize, nil)
+	tr := newLoopback(cl)
+	j, err := newJob(g, cl.Machines(), -1, batchSize, tr)
+	if err == nil {
+		j.tr = tr
+	}
+	return j, err
 }
 
 // NewPartitionedJob plans machine self's share of g for a multi-process
@@ -150,17 +160,17 @@ func NewPartitionedJob(g *Graph, machines, self int, batchSize int, remote Remot
 	if remote == nil && machines > 1 {
 		return nil, fmt.Errorf("dataflow: partitioned job over %d machines needs a Remote", machines)
 	}
-	return newJob(g, nil, machines, self, batchSize, remote)
+	return newJob(g, machines, self, batchSize, remote)
 }
 
-func newJob(g *Graph, cl *cluster.Cluster, machines, self int, batchSize int, remote Remote) (*Job, error) {
+func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	j := &Job{graph: g, cl: cl, machines: machines, self: self, remote: remote, batchSize: batchSize}
+	j := &Job{graph: g, machines: machines, self: self, remote: remote, batchSize: batchSize}
 	// Create instances. Each gets a job-unique lane, the trace thread ID.
 	j.insts = make([][]*instance, len(g.ops))
 	lane := 0
@@ -333,8 +343,8 @@ func (j *Job) Start() error {
 		}
 		in.wakers = wakers
 	}
-	if j.cl != nil && j.machines > 1 {
-		j.tr = newTransport(j, j.machines)
+	if j.tr != nil {
+		j.tr.start(j)
 	}
 	for _, insts := range j.insts {
 		for _, in := range insts {
@@ -367,11 +377,7 @@ func (j *Job) Broadcast(ev any) {
 				break
 			}
 		}
-		if wake {
-			in.mbox.put(envelope{kind: envControl, ctrl: ev})
-		} else {
-			in.mbox.putQuiet(envelope{kind: envControl, ctrl: ev})
-		}
+		in.mbox.enqueue(envelope{kind: envControl, ctrl: ev}, wake)
 	}
 }
 
@@ -396,7 +402,7 @@ func (j *Job) Send(op OpID, inst int, ev any) {
 	tgt.driver.mbox.put(envelope{kind: envControl, ctrl: ev, dest: tgt})
 }
 
-// DeliverData injects one remote data frame into a partitioned job: the
+// DeliverData injects one remote data frame into the job: the
 // payload (an encodeBatch encoding of count elements) is decoded into a
 // pooled batch and enqueued on the target's mailbox. ack, if non-nil, runs
 // after the batch has been fully processed by the receiving vertex (or
@@ -406,22 +412,13 @@ func (j *Job) Send(op OpID, inst int, ev any) {
 func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, ack func()) error {
 	tgt, err := j.remoteTarget(h)
 	if err != nil {
-		if ack != nil {
-			ack()
-		}
-		j.fail(err)
-		return err
+		return j.reject(err, ack)
 	}
 	buf := j.getBatch()
 	batch, err := decodeBatch(buf, payload, count)
 	if err != nil {
 		j.recycleBatch(buf)
-		if ack != nil {
-			ack()
-		}
-		err = fmt.Errorf("dataflow: remote frame for %s[%d]: %w", tgt.op.Name, tgt.idx, err)
-		j.fail(err)
-		return err
+		return j.reject(fmt.Errorf("dataflow: remote frame for %s[%d]: %w", tgt.op.Name, tgt.idx, err), ack)
 	}
 	n := int64(len(payload))
 	j.bytesReceived.Add(n)
@@ -430,19 +427,25 @@ func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, ack func())
 	return nil
 }
 
-// DeliverEOB injects one remote end-of-bag marker into a partitioned job.
+// DeliverEOB injects one remote end-of-bag marker into the job.
 // ack follows the same contract as in DeliverData.
 func (j *Job) DeliverEOB(h RemoteHeader, tag Tag, ack func()) error {
 	tgt, err := j.remoteTarget(h)
 	if err != nil {
-		if ack != nil {
-			ack()
-		}
-		j.fail(err)
-		return err
+		return j.reject(err, ack)
 	}
 	tgt.driver.mbox.put(envelope{kind: envEOB, input: h.Input, from: h.From, tag: tag, dest: tgt, ack: ack})
 	return nil
+}
+
+// reject fails the job over an undeliverable remote frame, releasing the
+// frame's ack first so the sender's flow-control credit is not stranded.
+func (j *Job) reject(err error, ack func()) error {
+	if ack != nil {
+		ack()
+	}
+	j.fail(err)
+	return err
 }
 
 // remoteTarget resolves and validates the addressee of an inbound frame.
@@ -471,7 +474,7 @@ func (j *Job) stop(err error, quiesce bool) {
 		return
 	}
 	if err != nil {
-		j.errOnce.Do(func() { j.err = err })
+		j.err.CompareAndSwap(nil, &err)
 	}
 	// On a clean stop, let in-flight remote envelopes land before the
 	// mailboxes close: they carry data/EOBs consumers may still buffer
@@ -493,7 +496,7 @@ func (j *Job) stop(err error, quiesce bool) {
 // fail records the first error and stops the job without draining the
 // transport.
 func (j *Job) fail(err error) {
-	j.errOnce.Do(func() { j.err = err })
+	j.err.CompareAndSwap(nil, &err)
 	j.stop(nil, false)
 }
 
@@ -505,7 +508,6 @@ func (j *Job) Wait() error {
 	j.finishOnce.Do(func() {
 		if j.tr != nil {
 			j.tr.close()
-			j.tr.wait()
 		}
 		for _, insts := range j.insts {
 			for _, in := range insts {
@@ -519,7 +521,10 @@ func (j *Job) Wait() error {
 			}
 		}
 	})
-	return j.err
+	if err := j.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // batchKeepMax bounds the batch free list; anything past it goes back to
@@ -803,10 +808,10 @@ func (c *Context) flush(oe *outEdge, target int) {
 		oe.depth.Add(-int64(len(buf)))
 	}
 	if tgt.machine != in.machine {
-		// Remote: serialize through the val codec and hand the frame to
-		// the transport — the network cost is paid asynchronously by the
-		// machine pair's sender goroutine, so the emit path returns as
-		// soon as the batch is encoded.
+		// Remote: serialize through the val codec and hand the frame (and
+		// the payload's ownership) to the Remote — the network cost is paid
+		// asynchronously by the link's sender goroutine, so the emit path
+		// returns as soon as the batch is encoded.
 		payload := encodeBatch(val.GetScratch(), buf)
 		nbytes := int64(len(payload))
 		in.job.remoteBatches.Add(1)
@@ -823,20 +828,9 @@ func (c *Context) flush(oe *outEdge, target int) {
 			in.trc.Instant("net", "shuffle_batch", in.machine, in.lane,
 				map[string]any{"to": tgt.machine, "op": tgt.op.Name, "elements": len(buf), "bytes": nbytes})
 		}
-		if in.job.remote != nil {
-			// Partitioned job: the Remote takes payload ownership; it may
-			// block on flow control, which is the backpressure that bounds
-			// sender memory on the TCP backend.
-			in.job.remote.SendData(tgt.machine,
-				RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: in.idx},
-				payload, len(buf))
-		} else {
-			in.job.tr.send(frame{
-				sender: in, target: tgt, kind: envData,
-				input: oe.input, from: in.idx,
-				payload: payload, count: len(buf),
-			})
-		}
+		in.job.remote.SendData(tgt.machine,
+			RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: in.idx},
+			payload, len(buf))
 		in.job.recycleBatch(buf)
 		return
 	}
@@ -887,18 +881,11 @@ func (c *Context) EmitEOB(tag Tag) {
 func (c *Context) sendEOB(oe *outEdge, target int, tag Tag) {
 	tgt := oe.targets[target]
 	if tgt.machine != c.inst.machine {
-		// EOB envelopes ride the same egress queue (or peer connection) as
-		// the data they terminate, preserving the per-(producer, consumer,
-		// input) order the bag protocol depends on.
-		if c.inst.job.remote != nil {
-			c.inst.job.remote.SendEOB(tgt.machine,
-				RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: c.inst.idx}, tag)
-			return
-		}
-		c.inst.job.tr.send(frame{
-			sender: c.inst, target: tgt, kind: envEOB,
-			input: oe.input, from: c.inst.idx, tag: tag,
-		})
+		// EOB frames ride the same link as the data they terminate,
+		// preserving the per-(producer, consumer, input) order the bag
+		// protocol depends on.
+		c.inst.job.remote.SendEOB(tgt.machine,
+			RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: c.inst.idx}, tag)
 		return
 	}
 	tgt.driver.mbox.put(envelope{kind: envEOB, input: oe.input, from: c.inst.idx, tag: tag, dest: tgt})

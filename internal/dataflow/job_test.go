@@ -450,3 +450,33 @@ func TestJobStopIdempotent(t *testing.T) {
 		t.Errorf("MailboxDropped = %d after clean stop, want 0", d)
 	}
 }
+
+// TestEmptyPartitionWaitStopRace covers a partition that hosts no instance
+// (every operator of a scalar program lives on machine 0): with no event
+// loop to wait for, Wait returns at once, possibly while a teardown on
+// another goroutine is still in Stop(err). Run under -race, this is the
+// regression test for Job.err being a plain field.
+func TestEmptyPartitionWaitStopRace(t *testing.T) {
+	var g Graph
+	g.AddOp("solo", 1, func(int) Vertex { return &baseVertex{} })
+	job, err := NewPartitionedJob(&g, 2, 1, 0, nopRemote{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error)
+	go func() { waited <- job.Wait() }()
+	job.Stop(errors.New("session closed"))
+	<-waited
+	if err := job.Wait(); err == nil {
+		t.Error("Wait after Stop(err) = nil, want the stop reason")
+	}
+}
+
+// nopRemote is the Remote of a partition that never sends.
+type nopRemote struct{}
+
+func (nopRemote) SendData(int, RemoteHeader, []byte, int) {}
+func (nopRemote) SendEOB(int, RemoteHeader, Tag)          {}

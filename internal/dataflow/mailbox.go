@@ -56,37 +56,24 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put enqueues an envelope. It never blocks. Puts after close are dropped
-// and counted.
-func (m *mailbox) put(e envelope) {
+// put enqueues an envelope and wakes the consumer.
+func (m *mailbox) put(e envelope) { m.enqueue(e, true) }
+
+// enqueue appends an envelope. It never blocks; puts after close are
+// dropped and counted. With wake false a blocked consumer is left asleep:
+// the envelope is processed, in order, at its next wake (a signaling put or
+// close). Job.Broadcast does that for control events the vertex declared it
+// cannot act on immediately (ControlWaker), so a broadcast does not
+// context-switch through uninvolved instances.
+func (m *mailbox) enqueue(e envelope, wake bool) {
 	m.mu.Lock()
 	if !m.closed {
 		m.queue = append(m.queue, e)
 		if d := len(m.queue) - m.head; d > m.hwm {
 			m.hwm = d
 		}
-		m.cond.Signal()
-		m.mu.Unlock()
-		return
-	}
-	m.dropped++
-	m.mu.Unlock()
-	if e.ack != nil {
-		e.ack()
-	}
-}
-
-// putQuiet enqueues an envelope without waking a blocked consumer: the
-// envelope is processed, in order, at the consumer's next wake (a
-// signaling put or close). Used for control events the vertex declared it
-// cannot act on immediately (ControlWaker), so a broadcast does not
-// context-switch through uninvolved instances.
-func (m *mailbox) putQuiet(e envelope) {
-	m.mu.Lock()
-	if !m.closed {
-		m.queue = append(m.queue, e)
-		if d := len(m.queue) - m.head; d > m.hwm {
-			m.hwm = d
+		if wake {
+			m.cond.Signal()
 		}
 		m.mu.Unlock()
 		return

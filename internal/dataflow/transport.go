@@ -5,16 +5,19 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
-// The transport moves batches between instances placed on different
-// simulated machines. Each (sender machine, receiver machine) pair owns an
-// unbounded egress queue drained by a dedicated sender goroutine, so the
-// producer's emit path only serializes the batch and enqueues a frame —
-// the network cost (NetDelay + encodedBytes/Bandwidth) is paid by the
-// sender goroutine, overlapping with the producer's computation, which is
-// the overlap the paper claims for Mitos data transfers.
+// loopback is the simulated cluster's Remote: it moves frames between
+// instances placed on different simulated machines of one whole job, in
+// process. Each (sender machine, receiver machine) pair owns an unbounded
+// egress queue drained by a dedicated sender goroutine, so the producer's
+// emit path only serializes the batch and enqueues a frame — the network
+// cost (NetDelay + encodedBytes/Bandwidth) is paid by the sender goroutine,
+// overlapping with the producer's computation, which is the overlap the
+// paper claims for Mitos data transfers. Frames enter the job through the
+// same DeliverData/DeliverEOB a TCP peer link uses.
 //
 // Ordering: the bag coordination protocol in internal/core requires that
 // data and EOB envelopes from one producer instance arrive at one consumer
@@ -24,89 +27,13 @@ import (
 // goroutine — so per-(producer, consumer, input) order is preserved.
 //
 // Remote batches are really serialized: flush encodes elements through the
-// val codec into pooled scratch, and the sender goroutine decodes them on
-// the far side. The encoded length is what the cost model charges and what
-// the bytes_sent/bytes_received counters report — measured, not estimated.
-
-// frame is one serialized remote envelope in flight.
-type frame struct {
-	sender  *instance
-	target  *instance
-	kind    envKind
-	input   int
-	from    int
-	tag     Tag
-	payload []byte // encoded batch (pooled); nil for EOB frames
-	count   int    // number of elements in payload
-}
-
-// egress is the unbounded FIFO frame queue of one machine pair. Same
-// discipline as mailbox, but carrying frames.
-type egress struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []frame
-	closed bool
-}
-
-func newEgress() *egress {
-	e := &egress{}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
-
-// put enqueues a frame; it reports false once the egress is closed.
-func (e *egress) put(f frame) bool {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return false
-	}
-	e.queue = append(e.queue, f)
-	e.cond.Signal()
-	e.mu.Unlock()
-	return true
-}
-
-// take dequeues the next frame, blocking until one is available or the
-// egress is closed and drained.
-func (e *egress) take() (frame, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.queue) == 0 {
-		return frame{}, false
-	}
-	f := e.queue[0]
-	e.queue[0] = frame{}
-	e.queue = e.queue[1:]
-	if len(e.queue) == 0 {
-		e.queue = nil
-	}
-	return f, true
-}
-
-// depth returns the current frame backlog. Safe to call from any
-// goroutine; the introspection sampler uses it on live jobs.
-func (e *egress) depth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
-
-func (e *egress) close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// transport is the cross-machine egress layer of one job.
-type transport struct {
+// val codec into pooled scratch, and DeliverData decodes them on the far
+// side. The encoded length is what the cost model charges and what the
+// bytes_sent/bytes_received counters report — measured, not estimated.
+type loopback struct {
 	job   *Job
-	pairs [][]*egress // [senderMachine][receiverMachine]; nil on the diagonal
+	cl    *cluster.Cluster
+	pairs [][]*Queue[loopFrame] // [senderMachine][receiverMachine]; nil on the diagonal
 	wg    sync.WaitGroup
 
 	// pending counts frames enqueued but not yet delivered (or dropped).
@@ -118,34 +45,64 @@ type transport struct {
 	pending int
 }
 
-// newTransport creates the egress queues and starts one sender goroutine
-// per off-diagonal machine pair.
-func newTransport(j *Job, machines int) *transport {
-	t := &transport{job: j, pairs: make([][]*egress, machines)}
+// loopFrame is one remote frame in flight: a serialized batch, or the
+// end-of-bag marker tag when eob is set.
+type loopFrame struct {
+	h       RemoteHeader
+	payload []byte // encoded batch (pooled); nil for EOB frames
+	count   int    // number of elements in payload
+	tag     Tag
+	eob     bool
+}
+
+func newLoopback(cl *cluster.Cluster) *loopback {
+	t := &loopback{cl: cl, pairs: make([][]*Queue[loopFrame], cl.Machines())}
 	t.idle = sync.NewCond(&t.mu)
 	for s := range t.pairs {
-		t.pairs[s] = make([]*egress, machines)
+		t.pairs[s] = make([]*Queue[loopFrame], len(t.pairs))
 		for r := range t.pairs[s] {
-			if r == s {
-				continue
+			if r != s {
+				t.pairs[s][r] = NewQueue[loopFrame]()
 			}
-			eg := newEgress()
-			t.pairs[s][r] = eg
-			t.wg.Add(1)
-			go t.run(eg)
 		}
 	}
 	return t
 }
 
-// send enqueues a frame on the sender's egress queue to the target's
-// machine and returns immediately. Frames enqueued after close are
-// accounted as delivered drops (their payload returns to the pool).
-func (t *transport) send(f frame) {
+// start launches one sender goroutine per off-diagonal machine pair,
+// delivering into job.
+func (t *loopback) start(job *Job) {
+	t.job = job
+	for _, row := range t.pairs {
+		for _, eg := range row {
+			if eg != nil {
+				t.wg.Add(1)
+				go t.run(eg)
+			}
+		}
+	}
+}
+
+// SendData implements Remote.
+func (t *loopback) SendData(dest int, h RemoteHeader, payload []byte, count int) {
+	t.send(dest, loopFrame{h: h, payload: payload, count: count})
+}
+
+// SendEOB implements Remote. EOB frames ride the same egress queue as the
+// data they terminate.
+func (t *loopback) SendEOB(dest int, h RemoteHeader, tag Tag) {
+	t.send(dest, loopFrame{h: h, tag: tag, eob: true})
+}
+
+// send enqueues a frame on the egress queue from the producer's machine
+// (instance index mod machines, the job's placement) to dest and returns
+// immediately. Frames enqueued after close are accounted as delivered
+// drops (their payload returns to the pool).
+func (t *loopback) send(dest int, f loopFrame) {
 	t.mu.Lock()
 	t.pending++
 	t.mu.Unlock()
-	if !t.pairs[f.sender.machine][f.target.machine].put(f) {
+	if !t.pairs[f.h.From%len(t.pairs)][dest].Put(f) {
 		if f.payload != nil {
 			val.PutScratch(f.payload)
 		}
@@ -154,7 +111,7 @@ func (t *transport) send(f frame) {
 }
 
 // done retires one pending frame and wakes quiesce at zero.
-func (t *transport) done() {
+func (t *loopback) done() {
 	t.mu.Lock()
 	t.pending--
 	if t.pending == 0 {
@@ -164,7 +121,7 @@ func (t *transport) done() {
 }
 
 // quiesce blocks until every enqueued frame has been delivered.
-func (t *transport) quiesce() {
+func (t *loopback) quiesce() {
 	t.mu.Lock()
 	for t.pending > 0 {
 		t.idle.Wait()
@@ -173,57 +130,39 @@ func (t *transport) quiesce() {
 }
 
 // run is one sender goroutine: it drains its egress queue, paying the
-// network cost and delivering into the target mailbox, until the queue is
-// closed and empty.
-func (t *transport) run(eg *egress) {
+// modeled network cost for each frame (EOBs included) and delivering it
+// into the job, until the queue is closed and empty. A frame the job
+// rejects has already failed the job, so the error is not handled again.
+func (t *loopback) run(eg *Queue[loopFrame]) {
 	defer t.wg.Done()
 	for {
-		f, ok := eg.take()
+		f, ok := eg.Take()
 		if !ok {
 			return
 		}
-		t.deliver(f)
+		t.cl.NetSleepBytes(len(f.payload))
+		if f.eob {
+			_ = t.job.DeliverEOB(f.h, f.tag, nil)
+		} else {
+			_ = t.job.DeliverData(f.h, f.payload, f.count, nil)
+			val.PutScratch(f.payload)
+		}
 		t.done()
 	}
 }
 
-// deliver pays the modeled network cost for one frame, decodes its
-// payload, and puts the envelope into the target's mailbox.
-func (t *transport) deliver(f frame) {
-	j := t.job
-	j.cl.NetSleepBytes(len(f.payload))
-	env := envelope{kind: f.kind, input: f.input, from: f.from, tag: f.tag, dest: f.target}
-	if f.kind == envData {
-		// Decode into a pooled buffer so the consumer's loop can recycle
-		// the batch after OnBatch returns, same as local batches.
-		batch, err := decodeBatch(j.getBatch(), f.payload, f.count)
-		if err != nil {
-			j.fail(fmt.Errorf("dataflow: transport %s[%d] -> %s[%d]: %w",
-				f.sender.op.Name, f.sender.idx, f.target.op.Name, f.target.idx, err))
-			return
-		}
-		n := int64(len(f.payload))
-		val.PutScratch(f.payload)
-		env.batch = batch
-		j.bytesReceived.Add(n)
-		f.target.bytesIn.Add(n)
-	}
-	f.target.driver.mbox.put(env)
-}
-
-// close stops all egress queues; already-enqueued frames are still
-// delivered. wait blocks until every sender goroutine has exited.
-func (t *transport) close() {
+// close stops all egress queues (already-enqueued frames are still
+// delivered) and blocks until every sender goroutine has exited.
+func (t *loopback) close() {
 	for _, row := range t.pairs {
 		for _, eg := range row {
 			if eg != nil {
-				eg.close()
+				eg.Close()
 			}
 		}
 	}
+	t.wg.Wait()
 }
-
-func (t *transport) wait() { t.wg.Wait() }
 
 // encodeBatch appends the wire encoding of batch to dst: per element a
 // varint bag tag followed by the val binary encoding.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/mitos-project/mitos/internal/core"
-	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
@@ -21,7 +20,7 @@ import (
 
 // The coordinator side of the backend: accept worker registrations, assign
 // machine IDs, establish a session, then run jobs — ship the program and
-// inputs, drive the control-flow manager (core.RunCoordinator) over a TCP
+// inputs, drive the control-flow manager (core.Coordinator) over a TCP
 // ControlPlane, detect worker failure by heartbeat timeout or connection
 // loss, and merge the workers' results.
 //
@@ -108,57 +107,41 @@ type NamedStore interface {
 	Names() []string
 }
 
-// Result reports one job run on the TCP backend.
+// Result reports one job run on the TCP backend: the engine's own Result —
+// the coordinator's share (Steps, ChainedEdges, template counters) merged
+// with every worker's (Job and the host counters summed, MaxBufferedBags
+// the maximum; successful attempt only — torn-down attempts report nothing,
+// and delta state is rebuilt from scratch by a retry) — plus what only a
+// real cluster has. Duration is measured at the coordinator from first job
+// shipment to the last worker result, retries and their backoff included.
 type Result struct {
-	// Steps is the execution path length.
-	Steps int
-	// Duration is the wall-clock job time, measured at the coordinator
-	// from first job shipment to the last worker result — retries and
-	// their backoff included.
-	Duration time.Duration
+	core.Result
 	// Attempts is how many executions the job took: 1 for a clean run,
 	// more when worker loss forced re-execution.
 	Attempts int
 	// AttemptErrors holds the error of every failed attempt that preceded
 	// the successful one, in order; empty for a clean run.
 	AttemptErrors []string
-	// Job sums the workers' engine transfer counters (successful attempt
-	// only; torn-down attempts report nothing).
-	Job dataflow.JobStats
-	// JoinBuilds, CombineIn, CombineOut sum the workers' host counters;
-	// MaxBufferedBags is the maximum across workers.
-	JoinBuilds      int64
-	MaxBufferedBags int64
-	CombineIn       int64
-	CombineOut      int64
-	// Delta-iteration counters summed across workers: delta elements in,
-	// changed pairs emitted, index entries touched, and final solution-set
-	// elements/bytes held. State lives per attempt — a retried job rebuilds
-	// it from scratch, and only the successful attempt reports.
-	DeltaIn       int64
-	DeltaChanged  int64
-	DeltaTouched  int64
-	DeltaElements int64
-	DeltaBytes    int64
-	// SocketBytes is the total data-plane traffic (sum of every peer
-	// link's bytes written) — the real-wire analogue of Job.BytesSent,
-	// which counts only encoded batch payloads.
+	// SocketBytes is the data-plane traffic (sum of every peer link's bytes
+	// written) — the real-wire analogue of Job.BytesSent, which counts only
+	// encoded batch payloads. Like the four counters below it reads a
+	// counter that lives as long as the worker *session*, not the job: over
+	// sequential jobs on one session it accumulates, and one job's share is
+	// the difference between consecutive results. A retry starts a fresh
+	// session, and with it fresh counters.
 	SocketBytes int64
 	// CreditStalls counts emits that blocked on an exhausted flow-control
 	// window; CreditStallTime is the total time senders spent blocked.
+	// Per session, as SocketBytes.
 	CreditStalls    int64
 	CreditStallTime time.Duration
-	// CtrlMessages and CtrlBytes count the coordinator-link control
-	// frames of the successful attempt (path updates, template installs
-	// and instantiations, barriers, finish, and the workers' event and
-	// barrier-ack frames) and their wire sizes. Job setup (MsgJob,
-	// MsgAssign) is excluded: these measure per-step control traffic.
+	// CtrlMessages and CtrlBytes count the coordinator-link control frames
+	// (path updates, template installs and instantiations, barriers,
+	// finish, and the workers' event and barrier-ack frames) and their wire
+	// sizes. Job setup (MsgJob, MsgAssign) is excluded: these measure
+	// per-step control traffic. Per session, as SocketBytes.
 	CtrlMessages int64
 	CtrlBytes    int64
-	// TemplateInstalls and TemplateInstantiations report the control-flow
-	// manager's execution-template cache misses and hits.
-	TemplateInstalls       int
-	TemplateInstantiations int
 	// PeerLinks reports each worker's per-peer link counters.
 	PeerLinks [][]PeerStat
 	// WorkerStats holds each worker's final metrics snapshot (indexed by
@@ -249,9 +232,9 @@ type session struct {
 	monStop    chan struct{}
 	monOnce    sync.Once
 
-	// Control-plane traffic counters for the attempt: coordinator-link
-	// frames in both directions, excluding setup (Assign/Job) and
-	// liveness (Heartbeat/Ready) messages.
+	// Control-plane traffic counters of the session (they accumulate over
+	// its sequential jobs): coordinator-link frames in both directions,
+	// excluding setup (Assign/Job) and liveness (Heartbeat/Ready) messages.
 	ctrlMsgs  atomic.Int64
 	ctrlBytes atomic.Int64
 }
@@ -739,41 +722,39 @@ func (s *session) handlePong(w *workerConn, m PongMsg) {
 	s.tel.observeRTT(w.id, rtt, offset)
 }
 
-// tcpControlPlane drives the workers from core.RunCoordinator. All methods
-// run on the single coordinator goroutine, and session.broadcast writes
+// tcpControlPlane carries core.Coordinator's frames to the workers. All
+// methods run under the coordinator's mutex, and session.broadcast writes
 // synchronously, so one encode buffer is reused across every control
 // frame — the per-step broadcast path allocates nothing.
 //
 // tmplIDs is the attempt's template install table (segment starting block
-// -> wire template ID). It lives and dies with the control plane, which
-// lives and dies with one execution attempt: a retry or a re-admitted
-// worker pool starts from a fresh tcpControlPlane, so stale templates
-// cannot survive session teardown.
+// -> wire template ID; nil when the job runs untemplated). It lives and
+// dies with the control plane, which lives and dies with one execution
+// attempt: a retry or a re-admitted worker pool starts from a fresh
+// tcpControlPlane, so stale templates cannot survive session teardown.
 type tcpControlPlane struct {
-	s          *session
-	finishOnce sync.Once
-	buf        []byte
-	tmplIDs    map[ir.BlockID]int
+	s       *session
+	buf     []byte
+	tmplIDs map[ir.BlockID]int
 }
 
-// bcastCtrl broadcasts one control frame and charges it to the attempt's
+// bcastCtrl broadcasts one control frame and charges it to the session's
 // control-traffic counters (one frame per worker).
 func (cp *tcpControlPlane) bcastCtrl(typ byte, body []byte) {
 	cp.s.broadcast(typ, body)
 	cp.s.countCtrl(len(cp.s.workers), len(body))
 }
 
-func (cp *tcpControlPlane) Broadcast(up core.PathUpdate) {
-	cp.buf = AppendPathUpdate(cp.buf[:0], PathUpdateMsg{Pos: up.Pos, Block: int(up.Block), Final: up.Final})
-	cp.bcastCtrl(MsgPathUpdate, cp.buf)
-}
-
-// BroadcastSegment ships one instantiated execution template: a one-time
-// MsgPathTmpl install on first use of the segment's starting block, then a
-// position-patched MsgPathSeg — the steady-state per-extension frame.
-func (cp *tcpControlPlane) BroadcastSegment(seg core.PathSegment) {
+// Broadcast ships one path extension. Untemplated, every segment is one
+// block and travels as a MsgPathUpdate. Templated, it is an instantiated
+// execution template: a one-time MsgPathTmpl install on first use of the
+// segment's starting block, then a position-patched MsgPathSeg — the
+// steady-state per-extension frame.
+func (cp *tcpControlPlane) Broadcast(seg core.PathSegment) {
 	if cp.tmplIDs == nil {
-		cp.tmplIDs = make(map[ir.BlockID]int)
+		cp.buf = AppendPathUpdate(cp.buf[:0], PathUpdateMsg{Pos: seg.Pos, Block: int(seg.Blocks[0]), Final: seg.Final})
+		cp.bcastCtrl(MsgPathUpdate, cp.buf)
+		return
 	}
 	key := seg.Blocks[0]
 	id, ok := cp.tmplIDs[key]
@@ -812,14 +793,13 @@ func (cp *tcpControlPlane) Barrier() {
 	}
 }
 
+// Stop is called once per attempt (the Coordinator goes inert after it).
 func (cp *tcpControlPlane) Stop(err error) {
 	if err != nil {
 		cp.s.fail(err)
 		return
 	}
-	cp.finishOnce.Do(func() {
-		cp.bcastCtrl(MsgFinish, []byte{0})
-	})
+	cp.bcastCtrl(MsgFinish, []byte{0})
 }
 
 // preparedJob is the resolved job setup, computed once per Run and reused
@@ -834,15 +814,11 @@ type preparedJob struct {
 	spec []byte // encoded JobSpec, broadcast per attempt
 }
 
-// prepare compiles and plans the job locally and encodes the shipment.
-// The coordinator needs the plan for the control-flow manager (block
-// structure, instances per block); the workers rebuild the identical plan
-// from the same source.
-func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (*preparedJob, error) {
-	par := opts.Parallelism
-	if par == 0 {
-		par = c.cfg.Workers
-	}
+// compileSource turns shipped program source into the job's plan. The
+// coordinator and every worker run exactly this on the same source with
+// the same options, which is what makes their plans — operator IDs,
+// placement, template segments — identical without serializing any of it.
+func compileSource(source string, machines int, opts core.Options) (*core.Plan, error) {
 	prog, err := lang.Parse(source)
 	if err != nil {
 		return nil, err
@@ -854,15 +830,20 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 	if err != nil {
 		return nil, err
 	}
-	plan, err := core.BuildPlan(ssa, par)
+	return core.Compile(ssa, machines, opts)
+}
+
+// prepare compiles and plans the job locally and encodes the shipment.
+// The coordinator needs the plan for the control-flow manager (block
+// structure, instances per block); the workers rebuild the identical plan
+// from the same source.
+func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (*preparedJob, error) {
+	if opts.Parallelism == 0 {
+		opts.Parallelism = c.cfg.Workers // the spec ships the resolved value
+	}
+	plan, err := compileSource(source, c.cfg.Workers, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Combiners {
-		plan.InsertCombiners()
-	}
-	if opts.Chaining {
-		plan.BuildChains()
 	}
 	names := st.Names()
 	sort.Strings(names)
@@ -874,24 +855,7 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 		}
 		datasets = append(datasets, Dataset{Name: name, Elems: elems})
 	}
-	spec := JobSpec{
-		Source:      source,
-		Parallelism: par,
-		BatchSize:   opts.BatchSize,
-		Pipelining:  opts.Pipelining,
-		Hoisting:    opts.Hoisting,
-		Combiners:   opts.Combiners,
-		Chaining:    opts.Chaining,
-		Templates:   opts.Templates,
-		Delta:       opts.Delta,
-		// Workers collect what the coordinator can consume: trace spans
-		// when it has a tracer, lineage when it has a tracker, live queue
-		// sampling when an introspection server is attached.
-		Trace:    opts.Obs.Trc() != nil,
-		Lineage:  opts.Obs.Lin() != nil,
-		LiveView: opts.HTTP != nil,
-		Datasets: datasets,
-	}
+	spec := specFromOptions(source, opts, datasets)
 	return &preparedJob{plan: plan, opts: opts, spec: AppendJobSpec(nil, spec)}, nil
 }
 
@@ -1012,18 +976,22 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 	job.opts.Obs.Lin().Begin()
 	s.broadcast(MsgJob, job.spec)
 
+	// The control-flow manager is the one the simulated backend drives
+	// inline from its hosts; here this loop feeds it the events the worker
+	// readers queue. Leaving the loop on failure strands nobody: a reader's
+	// send on s.events also selects on s.failed, and a protocol error fails
+	// the session (tcpControlPlane.Stop) as it makes the coordinator inert.
 	cp := &tcpControlPlane{s: s}
-	stop := make(chan struct{})
-	coordDone := make(chan struct{})
-	var cstats core.CoordStats
-	go func() {
-		defer close(coordDone)
-		cstats = core.RunCoordinator(job.plan, job.opts, c.cfg.Workers, s.events, cp, stop)
-	}()
-
+	if job.opts.Templated() {
+		cp.tmplIDs = make(map[ir.BlockID]int)
+	}
+	co := core.NewCoordinator(job.plan, job.opts, c.cfg.Workers, cp)
+	co.Seed()
 	results := make([]*ResultMsg, c.cfg.Workers)
 	for got := 0; got < c.cfg.Workers; {
 		select {
+		case ev := <-s.events:
+			co.OnEvent(ev)
 		case r := <-s.resultc:
 			if results[r.id] == nil {
 				msg := r.msg
@@ -1031,47 +999,22 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 				got++
 			}
 		case <-s.failed:
-			close(stop)
-			<-coordDone
 			return nil, s.err
 		}
 	}
-	close(stop)
-	<-coordDone
 	out := &Result{
-		Steps:                  cstats.Steps,
-		TemplateInstalls:       cstats.TemplateInstalls,
-		TemplateInstantiations: cstats.TemplateInstantiations,
-		CtrlMessages:           s.ctrlMsgs.Load(),
-		CtrlBytes:              s.ctrlBytes.Load(),
-		PeerLinks:              make([][]PeerStat, len(results)),
-		WorkerStats:            make([]*obs.Snapshot, len(results)),
-	}
-	// The final telemetry flush precedes MsgResult on each (ordered)
-	// control connection, so every worker's end-of-job snapshot is already
-	// federated by the time its result was collected above.
-	for id := range results {
-		out.WorkerStats[id] = c.tel.fed.Worker(id)
+		Result:       *co.Result(),
+		CtrlMessages: s.ctrlMsgs.Load(),
+		CtrlBytes:    s.ctrlBytes.Load(),
+		PeerLinks:    make([][]PeerStat, len(results)),
+		WorkerStats:  make([]*obs.Snapshot, len(results)),
 	}
 	for id, r := range results {
-		out.Job.ElementsSent += r.Stats.ElementsSent
-		out.Job.ElementsChained += r.Stats.ElementsChained
-		out.Job.BatchesSent += r.Stats.BatchesSent
-		out.Job.RemoteBatches += r.Stats.RemoteBatches
-		out.Job.BytesSent += r.Stats.BytesSent
-		out.Job.BytesReceived += r.Stats.BytesReceived
-		out.Job.MailboxDropped += r.Stats.MailboxDropped
-		out.Job.CtrlMessages += r.Stats.CtrlMessages
-		out.Job.CtrlBytes += r.Stats.CtrlBytes
-		out.JoinBuilds += r.JoinBuilds
-		out.MaxBufferedBags = max(out.MaxBufferedBags, r.MaxBuffered)
-		out.CombineIn += r.CombineIn
-		out.CombineOut += r.CombineOut
-		out.DeltaIn += r.DeltaIn
-		out.DeltaChanged += r.DeltaChanged
-		out.DeltaTouched += r.DeltaTouched
-		out.DeltaElements += r.DeltaElements
-		out.DeltaBytes += r.DeltaBytes
+		// The final telemetry flush precedes MsgResult on each (ordered)
+		// control connection, so every worker's end-of-job snapshot is
+		// already federated by the time its result was collected above.
+		out.WorkerStats[id] = c.tel.fed.Worker(id)
+		out.Merge(r.result())
 		out.PeerLinks[id] = r.Peers
 		for _, p := range r.Peers {
 			out.SocketBytes += p.BytesOut

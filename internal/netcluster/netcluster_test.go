@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -306,5 +307,64 @@ func TestTCPResultStats(t *testing.T) {
 		if len(links) != 2 {
 			t.Errorf("worker %d: %d peer links, want 2", id, len(links))
 		}
+	}
+}
+
+// TestTCPProtocolErrorReleasesReaders fails a job with a control-protocol
+// error at the one moment a worker reader could be left behind: blocked in
+// its send on a full session.events, with the coordinator gone inert and
+// nothing draining the channel any more. The session failure alone must
+// get every reader out, so shutdown — which waits for them — returns.
+// The attempt is assembled by hand (what runAttempt does, minus its event
+// loop) so that nothing drains the channel and the block is certain.
+func TestTCPProtocolErrorReleasesReaders(t *testing.T) {
+	c, cleanup, err := StartLocal(2, CoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	c.mu.Lock()
+	s := c.sess
+	c.mu.Unlock()
+	// Untemplated, every instance reports every completion in a frame of
+	// its own, so the first step already produces worker events.
+	opts := core.DefaultOptions()
+	opts.Templates = false
+	job, err := c.prepare(workload.StepLoopScript(50), store.NewMemStore(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the channel with events of a kind the coordinator ignores.
+	for i := 0; i < cap(s.events); i++ {
+		s.events <- core.CoordEvent{Kind: 99}
+	}
+	s.broadcast(MsgJob, job.spec)
+	co := core.NewCoordinator(job.plan, job.opts, 2, &tcpControlPlane{s: s})
+	seeded := s.ctrlMsgs.Load()
+	co.Seed()
+	// A reader charges an event frame to the control counters just before
+	// it sends the event on; one frame beyond the seed broadcast's (one per
+	// released position per worker) means a reader is at that send, and
+	// the channel has no room for it.
+	seeded += 2 * int64(co.Result().Steps)
+	for deadline := time.Now().Add(10 * time.Second); s.ctrlMsgs.Load() == seeded; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker event within 10s of seeding the job")
+		}
+	}
+	// A decision for a position the path cannot have reached.
+	co.OnEvent(core.CoordEvent{Kind: core.EvDecision, Pos: 1 << 30})
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "decision for position") {
+		t.Fatalf("session error = %v, want the injected protocol error", err)
+	}
+	down := make(chan struct{})
+	go func() {
+		s.shutdown()
+		close(down)
+	}()
+	select {
+	case <-down:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session shutdown still waiting 10s after a protocol error: a reader never left session.events")
 	}
 }

@@ -78,8 +78,11 @@ type peer struct {
 	id      int
 	conn    net.Conn
 	credits *credits
-	frames  *sendQueue // gated egress: data, EOB, flush
-	grants  *sendQueue // priority lane: outbound credit returns
+	// Both lanes are unbounded (dataflow.Queue): the credit window bounds
+	// the receiver's unprocessed frames per channel — the guarantee that
+	// matters for a slow consumer — not the sender's backlog.
+	frames *dataflow.Queue[outFrame] // gated egress: data, EOB, flush
+	grants *dataflow.Queue[outFrame] // priority lane: outbound credit returns
 
 	wmu  sync.Mutex
 	bw   *bufio.Writer
@@ -97,74 +100,6 @@ type outFrame struct {
 	typ     byte
 	hdr     FrameHeader
 	payload []byte
-}
-
-// sendQueue is an unbounded FIFO of outbound frames with a blocking take.
-// Unbounded is deliberate: the sender-side memory bound comes from the
-// dataflow layer's emit granularity (a host flushes at most a bag before
-// its next input), while the credit window keeps bounding the receiver's
-// unprocessed frames per channel — the guarantee that matters for a slow
-// consumer.
-type sendQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []outFrame
-	head   int
-	closed bool
-}
-
-func newSendQueue() *sendQueue {
-	q := &sendQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// put enqueues f; it reports false (and takes no ownership) once the
-// queue is closed.
-func (q *sendQueue) put(f outFrame) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.q = append(q.q, f)
-	q.cond.Signal()
-	return true
-}
-
-// take dequeues the next frame, blocking while the queue is open and
-// empty. After close it drains the backlog, then reports false.
-func (q *sendQueue) take() (outFrame, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.q) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.q) {
-		return outFrame{}, false
-	}
-	f := q.q[q.head]
-	q.q[q.head] = outFrame{} // release the payload reference
-	q.head++
-	if q.head == len(q.q) || q.head > 1024 {
-		q.q = append(q.q[:0], q.q[q.head:]...)
-		q.head = 0
-	}
-	return f, true
-}
-
-// depth returns the number of queued, not-yet-written frames.
-func (q *sendQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.q) - q.head
-}
-
-func (q *sendQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }
 
 // newMesh establishes the full mesh: dial lower-numbered peers, accept
@@ -234,8 +169,8 @@ func newPeer(id int, conn net.Conn, window int) *peer {
 		id:      id,
 		conn:    conn,
 		credits: newCredits(window),
-		frames:  newSendQueue(),
-		grants:  newSendQueue(),
+		frames:  dataflow.NewQueue[outFrame](),
+		grants:  dataflow.NewQueue[outFrame](),
 		bw:      bufio.NewWriter(conn),
 	}
 }
@@ -249,7 +184,7 @@ func newPeer(id int, conn net.Conn, window int) *peer {
 func (m *mesh) sendFrames(p *peer) {
 	defer m.wg.Done()
 	for {
-		f, ok := p.frames.take()
+		f, ok := p.frames.Take()
 		if !ok {
 			return
 		}
@@ -275,7 +210,7 @@ func (m *mesh) sendFrames(p *peer) {
 func (m *mesh) sendGrants(p *peer) {
 	defer m.wg.Done()
 	for {
-		f, ok := p.grants.take()
+		f, ok := p.grants.Take()
 		if !ok {
 			return
 		}
@@ -359,7 +294,7 @@ func (m *mesh) waitJob() *dataflow.Job {
 func (m *mesh) SendData(dest int, h dataflow.RemoteHeader, payload []byte, count int) {
 	p := m.peers[dest]
 	hdr := FrameHeader{Op: int(h.Op), Inst: h.Inst, Input: h.Input, From: h.From, Arg: count}
-	if !p.frames.put(outFrame{typ: MsgData, hdr: hdr, payload: payload}) {
+	if !p.frames.Put(outFrame{typ: MsgData, hdr: hdr, payload: payload}) {
 		val.PutScratch(payload) // session tearing down; the job is failing anyway
 	}
 }
@@ -369,7 +304,7 @@ func (m *mesh) SendData(dest int, h dataflow.RemoteHeader, payload []byte, count
 // bags fan EOBs to every instance) cannot overrun a slow consumer either.
 func (m *mesh) SendEOB(dest int, h dataflow.RemoteHeader, tag dataflow.Tag) {
 	p := m.peers[dest]
-	p.frames.put(outFrame{typ: MsgEOB, hdr: FrameHeader{Op: int(h.Op), Inst: h.Inst, Input: h.Input, From: h.From, Arg: int(tag)}})
+	p.frames.Put(outFrame{typ: MsgEOB, hdr: FrameHeader{Op: int(h.Op), Inst: h.Inst, Input: h.Input, From: h.From, Arg: int(tag)}})
 }
 
 // sendFlush sends the quiesce token to every peer. Queued after the last
@@ -382,7 +317,7 @@ func (m *mesh) sendFlush() {
 		if p == nil {
 			continue
 		}
-		p.frames.put(outFrame{typ: MsgFlush})
+		p.frames.Put(outFrame{typ: MsgFlush})
 	}
 }
 
@@ -493,7 +428,7 @@ func (m *mesh) readLoop(p *peer) {
 // event loop (envelope ack) or, for post-close drops, from whichever
 // goroutine dropped the envelope — either way it never blocks.
 func (m *mesh) sendCredit(p *peer, k chanKey) {
-	p.grants.put(outFrame{typ: MsgCredit, hdr: FrameHeader{Op: k.op, Inst: k.inst, Input: k.input, From: k.from, Arg: 1}})
+	p.grants.Put(outFrame{typ: MsgCredit, hdr: FrameHeader{Op: k.op, Inst: k.inst, Input: k.input, From: k.from, Arg: 1}})
 }
 
 // egressBacklog returns the total frames queued on every peer's egress
@@ -503,7 +438,7 @@ func (m *mesh) egressBacklog() int {
 	total := 0
 	for _, p := range m.peers {
 		if p != nil {
-			total += p.frames.depth()
+			total += p.frames.Depth()
 		}
 	}
 	return total
@@ -541,8 +476,8 @@ func (m *mesh) close() {
 			continue
 		}
 		p.credits.close()
-		p.frames.close()
-		p.grants.close()
+		p.frames.Close()
+		p.grants.Close()
 		p.conn.Close()
 	}
 	m.wg.Wait()

@@ -24,6 +24,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/val"
@@ -458,6 +459,43 @@ type JobSpec struct {
 	Datasets []Dataset
 }
 
+// specFromOptions is the JobSpec that ships a job run under opts. Workers
+// collect what the coordinator can consume: trace spans when it has a
+// tracer, lineage when it has a tracker, live queue sampling when an
+// introspection server is attached.
+func specFromOptions(source string, opts core.Options, datasets []Dataset) JobSpec {
+	return JobSpec{
+		Source:      source,
+		Parallelism: opts.Parallelism,
+		BatchSize:   opts.BatchSize,
+		Pipelining:  opts.Pipelining,
+		Hoisting:    opts.Hoisting,
+		Combiners:   opts.Combiners,
+		Chaining:    opts.Chaining,
+		Templates:   opts.Templates,
+		Delta:       opts.Delta,
+		Trace:       opts.Obs.Trc() != nil,
+		Lineage:     opts.Obs.Lin() != nil,
+		LiveView:    opts.HTTP != nil,
+		Datasets:    datasets,
+	}
+}
+
+// options is the inverse of specFromOptions on the worker: the execution
+// options the spec carries. Obs is the worker's to attach.
+func (s JobSpec) options() core.Options {
+	return core.Options{
+		Parallelism: s.Parallelism,
+		BatchSize:   s.BatchSize,
+		Pipelining:  s.Pipelining,
+		Hoisting:    s.Hoisting,
+		Combiners:   s.Combiners,
+		Chaining:    s.Chaining,
+		Templates:   s.Templates,
+		Delta:       s.Delta,
+	}
+}
+
 // AppendJobSpec appends the encoding of s to dst.
 func AppendJobSpec(dst []byte, s JobSpec) []byte {
 	e := enc{b: dst}
@@ -498,7 +536,8 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 	return s, d.fin()
 }
 
-// PathUpdateMsg relays one execution-path extension (core.PathUpdate).
+// PathUpdateMsg relays a one-block execution-path extension — the form an
+// untemplated core.PathSegment takes on the wire.
 type PathUpdateMsg struct {
 	Pos   int
 	Block int
@@ -669,27 +708,72 @@ type ResultMsg struct {
 	Peers         []PeerStat
 }
 
+// newResultMsg puts a worker's share of the result into its wire form.
+func newResultMsg(r *core.Result, datasets []Dataset, peers []PeerStat) ResultMsg {
+	return ResultMsg{
+		Stats:         r.Job,
+		JoinBuilds:    r.JoinBuilds,
+		MaxBuffered:   r.MaxBufferedBags,
+		CombineIn:     r.CombineIn,
+		CombineOut:    r.CombineOut,
+		DeltaIn:       r.DeltaIn,
+		DeltaChanged:  r.DeltaChanged,
+		DeltaTouched:  r.DeltaTouched,
+		DeltaElements: r.DeltaElements,
+		DeltaBytes:    r.DeltaBytes,
+		Datasets:      datasets,
+		Peers:         peers,
+	}
+}
+
+// result is the inverse of newResultMsg on the coordinator: the worker's
+// share of the result, ready to Merge.
+func (r *ResultMsg) result() *core.Result {
+	return &core.Result{
+		Job:             r.Stats,
+		JoinBuilds:      r.JoinBuilds,
+		MaxBufferedBags: r.MaxBuffered,
+		CombineIn:       r.CombineIn,
+		CombineOut:      r.CombineOut,
+		DeltaIn:         r.DeltaIn,
+		DeltaChanged:    r.DeltaChanged,
+		DeltaTouched:    r.DeltaTouched,
+		DeltaElements:   r.DeltaElements,
+		DeltaBytes:      r.DeltaBytes,
+	}
+}
+
+// counters lists the message's numbers in wire order — one list for the
+// encoder and the decoder, so the two cannot disagree.
+func (r *ResultMsg) counters() [18]*int64 {
+	return [...]*int64{
+		&r.Stats.ElementsSent,
+		&r.Stats.ElementsChained,
+		&r.Stats.BatchesSent,
+		&r.Stats.RemoteBatches,
+		&r.Stats.BytesSent,
+		&r.Stats.BytesReceived,
+		&r.Stats.MailboxDropped,
+		&r.Stats.CtrlMessages,
+		&r.Stats.CtrlBytes,
+		&r.JoinBuilds,
+		&r.MaxBuffered,
+		&r.CombineIn,
+		&r.CombineOut,
+		&r.DeltaIn,
+		&r.DeltaChanged,
+		&r.DeltaTouched,
+		&r.DeltaElements,
+		&r.DeltaBytes,
+	}
+}
+
 // AppendResult appends the encoding of r to dst.
 func AppendResult(dst []byte, r ResultMsg) []byte {
 	e := enc{b: dst}
-	e.i64(r.Stats.ElementsSent)
-	e.i64(r.Stats.ElementsChained)
-	e.i64(r.Stats.BatchesSent)
-	e.i64(r.Stats.RemoteBatches)
-	e.i64(r.Stats.BytesSent)
-	e.i64(r.Stats.BytesReceived)
-	e.i64(r.Stats.MailboxDropped)
-	e.i64(r.Stats.CtrlMessages)
-	e.i64(r.Stats.CtrlBytes)
-	e.i64(r.JoinBuilds)
-	e.i64(r.MaxBuffered)
-	e.i64(r.CombineIn)
-	e.i64(r.CombineOut)
-	e.i64(r.DeltaIn)
-	e.i64(r.DeltaChanged)
-	e.i64(r.DeltaTouched)
-	e.i64(r.DeltaElements)
-	e.i64(r.DeltaBytes)
+	for _, n := range r.counters() {
+		e.i64(*n)
+	}
 	appendDatasets(&e, r.Datasets)
 	e.u64(uint64(len(r.Peers)))
 	for _, p := range r.Peers {
@@ -708,24 +792,9 @@ func AppendResult(dst []byte, r ResultMsg) []byte {
 func DecodeResult(b []byte) (ResultMsg, error) {
 	d := dec{b: b}
 	var r ResultMsg
-	r.Stats.ElementsSent = d.i64()
-	r.Stats.ElementsChained = d.i64()
-	r.Stats.BatchesSent = d.i64()
-	r.Stats.RemoteBatches = d.i64()
-	r.Stats.BytesSent = d.i64()
-	r.Stats.BytesReceived = d.i64()
-	r.Stats.MailboxDropped = d.i64()
-	r.Stats.CtrlMessages = d.i64()
-	r.Stats.CtrlBytes = d.i64()
-	r.JoinBuilds = d.i64()
-	r.MaxBuffered = d.i64()
-	r.CombineIn = d.i64()
-	r.CombineOut = d.i64()
-	r.DeltaIn = d.i64()
-	r.DeltaChanged = d.i64()
-	r.DeltaTouched = d.i64()
-	r.DeltaElements = d.i64()
-	r.DeltaBytes = d.i64()
+	for _, n := range r.counters() {
+		*n = d.i64()
+	}
 	r.Datasets = decodeDatasets(&d)
 	n := d.u64()
 	if n > uint64(len(d.b)) { // each peer stat takes at least one byte

@@ -13,7 +13,6 @@ import (
 
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
@@ -22,7 +21,7 @@ import (
 // The worker side of the backend: dial the coordinator, register a
 // data-plane listener, receive a machine ID and the peer table, mesh up,
 // then serve jobs — for each one, recompile the shipped program source
-// into the identical plan the coordinator built (BuildPlan is
+// into the identical plan the coordinator built (compileSource is
 // deterministic), host this machine's partition, forward host events to
 // the coordinator, and report stats plus written datasets at the end.
 
@@ -147,20 +146,19 @@ type workerJobRun struct {
 	telDropped *obs.Counter
 	telFrames  *obs.Counter
 
-	// Templated execution (spec.Templates && spec.Pipelining): the worker
-	// mirrors the coordinator's path so it can fan templates out locally,
-	// speculate past its own condition decisions, and fold per-instance
-	// completions into one aggregated event per position. All of it lives
-	// on the run — a retry or re-admission builds a fresh workerJobRun, so
-	// no template can leak across job attempts.
-	plan      *core.Plan
-	templated bool
+	// Templated execution (core.Options.Templated; tmpls is non-nil exactly
+	// then): the worker mirrors the coordinator's path so it can fan
+	// templates out locally, speculate past its own condition decisions,
+	// and fold per-instance completions into one aggregated event per
+	// position. All of it lives on the run — a retry or re-admission builds
+	// a fresh workerJobRun, so no template can leak across job attempts.
+	plan *core.Plan
 
 	// mu serializes path mutation between the control loop (coordinator
 	// frames) and the event forwarder (local speculation).
 	mu     sync.Mutex
 	blocks []ir.BlockID
-	tmpls  map[int]tmplEntry
+	tmpls  map[int]core.PathSegment // installed templates: segments awaiting a position
 	// localExp is the per-block count of operator instances this machine
 	// hosts; positions reaching it fold into a single Count-carrying
 	// completion event instead of one frame per instance.
@@ -168,29 +166,22 @@ type workerJobRun struct {
 	pendingDone map[int]int
 }
 
-// tmplEntry is one installed path template: the jump-chain block sequence a
-// MsgPathSeg instantiates at a position.
-type tmplEntry struct {
-	blocks []ir.BlockID
-	final  bool
-}
-
-// applyLocked extends the worker's path view at pos and fans the segment
-// out to the local partition. Caller holds rj.mu. A segment at or before
-// the frontier is a duplicate (local speculation beat the coordinator's
-// echo, which always trails it) and only needs a consistency check.
-func (rj *workerJobRun) applyLocked(pos int, blocks []ir.BlockID, final bool) error {
-	if pos <= len(rj.blocks) {
-		if rj.blocks[pos-1] != blocks[0] {
-			return fmt.Errorf("netcluster: path diverged at %d: speculated b%d, coordinator says b%d", pos, rj.blocks[pos-1], blocks[0])
+// applyLocked extends the worker's path view by seg and fans it out to the
+// local partition. Caller holds rj.mu. A segment at or before the frontier
+// is a duplicate (local speculation beat the coordinator's echo, which
+// always trails it) and only needs a consistency check.
+func (rj *workerJobRun) applyLocked(seg core.PathSegment) error {
+	if seg.Pos <= len(rj.blocks) {
+		if rj.blocks[seg.Pos-1] != seg.Blocks[0] {
+			return fmt.Errorf("netcluster: path diverged at %d: speculated b%d, coordinator says b%d", seg.Pos, rj.blocks[seg.Pos-1], seg.Blocks[0])
 		}
 		return nil
 	}
-	if pos != len(rj.blocks)+1 {
-		return fmt.Errorf("netcluster: path segment at %d out of order (have %d)", pos, len(rj.blocks))
+	if seg.Pos != len(rj.blocks)+1 {
+		return fmt.Errorf("netcluster: path segment at %d out of order (have %d)", seg.Pos, len(rj.blocks))
 	}
-	rj.blocks = append(rj.blocks, blocks...)
-	rj.wj.Job.Broadcast(core.PathSegment{Pos: pos, Blocks: blocks, Final: final})
+	rj.blocks = append(rj.blocks, seg.Blocks...)
+	rj.wj.Job.Broadcast(seg)
 	return nil
 }
 
@@ -216,7 +207,7 @@ func (rj *workerJobRun) speculate(ev core.CoordEvent) {
 	}
 	blocks, final := core.SegmentFrom(rj.plan.IR, next)
 	// Appending at the frontier cannot conflict or be out of order.
-	_ = rj.applyLocked(ev.Pos+1, blocks, final)
+	_ = rj.applyLocked(core.PathSegment{Pos: ev.Pos + 1, Blocks: blocks, Final: final})
 }
 
 // noteCompletion folds one local instance completion at pos into the
@@ -321,20 +312,20 @@ func (s *workerSession) controlLoop() error {
 				return s.exitErr(err)
 			}
 			if rj := s.running(); rj != nil {
-				rj.wj.Job.Broadcast(core.PathUpdate{Pos: u.Pos, Block: ir.BlockID(u.Block), Final: u.Final})
+				rj.wj.Job.Broadcast(core.PathSegment{Pos: u.Pos, Blocks: []ir.BlockID{ir.BlockID(u.Block)}, Final: u.Final})
 			}
 		case MsgPathTmpl:
 			m, err := DecodePathTmpl(body)
 			if err != nil {
 				return s.exitErr(err)
 			}
-			if rj := s.running(); rj != nil && rj.templated {
+			if rj := s.running(); rj != nil && rj.tmpls != nil {
 				blocks := make([]ir.BlockID, len(m.Blocks))
 				for i, b := range m.Blocks {
 					blocks[i] = ir.BlockID(b)
 				}
 				rj.mu.Lock()
-				rj.tmpls[m.ID] = tmplEntry{blocks: blocks, final: m.Final}
+				rj.tmpls[m.ID] = core.PathSegment{Blocks: blocks, Final: m.Final}
 				rj.mu.Unlock()
 			}
 		case MsgPathSeg:
@@ -342,14 +333,15 @@ func (s *workerSession) controlLoop() error {
 			if err != nil {
 				return s.exitErr(err)
 			}
-			if rj := s.running(); rj != nil && rj.templated {
+			if rj := s.running(); rj != nil && rj.tmpls != nil {
 				rj.mu.Lock()
-				t, ok := rj.tmpls[m.ID]
+				seg, ok := rj.tmpls[m.ID]
+				seg.Pos = m.Pos
 				var aerr error
 				if !ok {
 					aerr = fmt.Errorf("netcluster: worker %d: segment for unknown template %d", s.id, m.ID)
 				} else {
-					aerr = rj.applyLocked(m.Pos, t.blocks, t.final)
+					aerr = rj.applyLocked(seg)
 				}
 				rj.mu.Unlock()
 				if aerr != nil {
@@ -466,26 +458,10 @@ func (s *workerSession) startJob(spec JobSpec) error {
 	if s.running() != nil {
 		return fmt.Errorf("netcluster: worker %d: job while one is already running", s.id)
 	}
-	prog, err := lang.Parse(spec.Source)
+	opts := spec.options()
+	plan, err := compileSource(spec.Source, s.n, opts)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
-	}
-	if _, err := lang.Check(prog); err != nil {
-		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
-	}
-	ssa, err := ir.CompileToSSA(prog)
-	if err != nil {
-		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
-	}
-	plan, err := core.BuildPlan(ssa, spec.Parallelism)
-	if err != nil {
-		return fmt.Errorf("netcluster: worker %d: planning: %w", s.id, err)
-	}
-	if spec.Combiners {
-		plan.InsertCombiners()
-	}
-	if spec.Chaining {
-		plan.BuildChains()
 	}
 	st := newTrackingStore()
 	for _, ds := range spec.Datasets {
@@ -509,17 +485,7 @@ func (s *workerSession) startJob(spec JobSpec) error {
 		o.EnableLineage()
 		o.Lin().Begin()
 	}
-	opts := core.Options{
-		Parallelism: spec.Parallelism,
-		Pipelining:  spec.Pipelining,
-		Hoisting:    spec.Hoisting,
-		Combiners:   spec.Combiners,
-		Chaining:    spec.Chaining,
-		Templates:   spec.Templates,
-		Delta:       spec.Delta,
-		BatchSize:   spec.BatchSize,
-		Obs:         o,
-	}
+	opts.Obs = o
 	wj, err := core.NewWorkerJob(plan, st, s.n, s.id, opts, s.mesh)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: building partition: %w", s.id, err)
@@ -529,14 +495,13 @@ func (s *workerSession) startJob(spec JobSpec) error {
 	}
 	rj := &workerJobRun{
 		wj: wj, st: st, done: make(chan struct{}), plan: plan,
-		templated:  spec.Templates && spec.Pipelining,
 		obs:        o,
 		telC:       make(chan struct{}, 1),
 		telDropped: o.Reg().Counter(s.id, "netcluster", "telemetry_dropped"),
 		telFrames:  o.Reg().Counter(s.id, "netcluster", "telemetry_frames"),
 	}
-	if rj.templated {
-		rj.tmpls = make(map[int]tmplEntry)
+	if opts.Templated() {
+		rj.tmpls = make(map[int]core.PathSegment)
 		rj.localExp = plan.InstancesPerBlockOn(s.n, s.id)
 		rj.pendingDone = make(map[int]int)
 	}
@@ -700,7 +665,7 @@ func (s *workerSession) refreshLiveGauges(rj *workerJobRun) {
 // the send so the coordinator's echo always trails it), and completions
 // are folded into one aggregated frame per position per worker.
 func (s *workerSession) forwardEvent(rj *workerJobRun, ev core.CoordEvent) {
-	if !rj.templated {
+	if rj.tmpls == nil {
 		s.sendEvent(ev)
 		return
 	}
@@ -751,22 +716,7 @@ func (s *workerSession) finishJob() error {
 	// ordered, so the coordinator has the complete registry and lineage
 	// before the MsgResult below lets Run return.
 	s.shipTelemetry(rj, true)
-	jb, mb, ci, co := rj.wj.Counters()
-	din, dch, dto, del, dby := rj.wj.DeltaCounters()
-	res := ResultMsg{
-		Stats:         rj.wj.Job.Stats(),
-		JoinBuilds:    jb,
-		MaxBuffered:   mb,
-		CombineIn:     ci,
-		CombineOut:    co,
-		DeltaIn:       din,
-		DeltaChanged:  dch,
-		DeltaTouched:  dto,
-		DeltaElements: del,
-		DeltaBytes:    dby,
-		Datasets:      rj.st.written(),
-		Peers:         s.mesh.stats(),
-	}
+	res := newResultMsg(rj.wj.Result(), rj.st.written(), s.mesh.stats())
 	return s.send(MsgResult, AppendResult(nil, res))
 }
 

@@ -157,7 +157,10 @@ type Result struct {
 	// CtrlMessages and CtrlBytes count control-plane traffic: for Run,
 	// control envelopes through the in-process dataflow (broadcast fan-out
 	// plus targeted sends) and their encoded sizes; for RunTCP, real control
-	// frames on the coordinator links of the successful attempt.
+	// frames on the coordinator links — counted per worker session, not per
+	// job, so over sequential RunTCP calls on one TCPCoordinator they
+	// accumulate and one job's share is the difference between consecutive
+	// results (a retry starts a fresh session and fresh counters).
 	CtrlMessages int64
 	CtrlBytes    int64
 	// TemplateInstalls and TemplateInstantiations report the execution
@@ -182,9 +185,10 @@ type Result struct {
 	// bag position. Set only by Run; the TCP backend ships totals, not the
 	// per-step series.
 	DeltaSteps []DeltaStep
-	// SocketBytes and CreditStalls are set only by RunTCP: total data-plane
-	// socket traffic across all peer links, and the number of emits that
-	// blocked on an exhausted flow-control window.
+	// SocketBytes and CreditStalls are set only by RunTCP: data-plane socket
+	// traffic across all peer links, and the number of emits that blocked on
+	// an exhausted flow-control window. Per worker session, accumulating
+	// over sequential jobs, as the RunTCP CtrlMessages above.
 	SocketBytes  int64
 	CreditStalls int64
 	// Attempts and AttemptErrors are set only by RunTCP: how many times the
@@ -248,30 +252,18 @@ func (p *Program) Dot(parallelism int) (string, error) {
 	if parallelism <= 0 {
 		parallelism = 4
 	}
-	plan, err := core.BuildPlan(p.ssa, parallelism)
+	plan, err := core.Compile(p.ssa, parallelism, core.DefaultOptions())
 	if err != nil {
 		return "", err
 	}
-	plan.InsertCombiners()
-	plan.BuildChains()
 	return plan.Dot(), nil
 }
 
-// Run executes the program as a single distributed dataflow job against st.
-func (p *Program) Run(st Store, cfg Config) (*Result, error) {
-	clCfg := cluster.FastConfig(max(cfg.Machines, 1))
-	if cfg.Machines == 0 && cfg.Cluster == nil {
-		clCfg = cluster.FastConfig(4)
-	}
-	if cfg.Cluster != nil {
-		clCfg = *cfg.Cluster
-	}
-	cl, err := cluster.New(clCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	o, srv := cfg.Observer, cfg.HTTP
+// options resolves the execution options cfg selects. When HTTPAddr asks
+// for a per-run introspection server it is started here; the returned
+// function closes it (and is a no-op otherwise).
+func (cfg Config) options() (opts core.Options, done func(), err error) {
+	o, srv, done := cfg.Observer, cfg.HTTP, func() {}
 	if srv != nil && o == nil {
 		o = srv.Observer()
 	}
@@ -279,13 +271,12 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 		if o == nil {
 			o = NewLineageObserver()
 		}
-		srv, err = ServeIntrospection(cfg.HTTPAddr, o)
-		if err != nil {
-			return nil, err
+		if srv, err = ServeIntrospection(cfg.HTTPAddr, o); err != nil {
+			return opts, nil, err
 		}
-		defer srv.Close()
+		done = func() { srv.Close() }
 	}
-	res, err := core.Execute(p.ssa, st, cl, core.Options{
+	return core.Options{
 		Parallelism: cfg.Parallelism,
 		Pipelining:  !cfg.DisablePipelining,
 		Hoisting:    !cfg.DisableHoisting,
@@ -296,10 +287,12 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 		BatchSize:   cfg.BatchSize,
 		Obs:         o,
 		HTTP:        srv,
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, done, nil
+}
+
+// result flattens the engine's result into the public one and attaches
+// what the run's observer o collected.
+func (cfg Config) result(res *core.Result, o *Observer) *Result {
 	out := &Result{
 		Steps:                  res.Steps,
 		Duration:               res.Duration,
@@ -328,7 +321,33 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 	if lin := o.Lin(); lin != nil {
 		out.CriticalPath = lineage.Analyze(lin.Snapshot())
 	}
-	return out, nil
+	return out
+}
+
+// Run executes the program as a single distributed dataflow job against st.
+func (p *Program) Run(st Store, cfg Config) (*Result, error) {
+	clCfg := cluster.FastConfig(max(cfg.Machines, 1))
+	if cfg.Machines == 0 && cfg.Cluster == nil {
+		clCfg = cluster.FastConfig(4)
+	}
+	if cfg.Cluster != nil {
+		clCfg = *cfg.Cluster
+	}
+	cl, err := cluster.New(clCfg)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	opts, done, err := cfg.options()
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	res, err := core.Execute(p.ssa, st, cl, opts)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.result(res, opts.Obs), nil
 }
 
 // RunSequential executes the program with the sequential reference
@@ -397,67 +416,20 @@ func StartLocalTCP(n int, cfg TCPCoordConfig) (*TCPCoordinator, func(), error) {
 // observer traces or tracks lineage — /trace and /criticalpath span all
 // worker processes, re-based onto the coordinator's clock.
 func (p *Program) RunTCP(c *TCPCoordinator, st NamedStore, cfg Config) (*Result, error) {
-	o, srv := cfg.Observer, cfg.HTTP
-	if srv != nil && o == nil {
-		o = srv.Observer()
-	}
-	if srv == nil && cfg.HTTPAddr != "" {
-		if o == nil {
-			o = NewLineageObserver()
-		}
-		var err error
-		srv, err = ServeIntrospection(cfg.HTTPAddr, o)
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-	}
-	res, err := c.Run(p.Source(), st, core.Options{
-		Parallelism: cfg.Parallelism,
-		Pipelining:  !cfg.DisablePipelining,
-		Hoisting:    !cfg.DisableHoisting,
-		Combiners:   !cfg.DisableCombiners,
-		Chaining:    !cfg.DisableChaining,
-		Templates:   !cfg.DisableTemplates,
-		Delta:       !cfg.DisableDelta,
-		BatchSize:   cfg.BatchSize,
-		Obs:         o,
-		HTTP:        srv,
-	})
+	opts, done, err := cfg.options()
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Steps:                  res.Steps,
-		Duration:               res.Duration,
-		ElementsSent:           res.Job.ElementsSent,
-		RemoteBatches:          res.Job.RemoteBatches,
-		BytesSent:              res.Job.BytesSent,
-		BytesReceived:          res.Job.BytesReceived,
-		CombineIn:              res.CombineIn,
-		CombineOut:             res.CombineOut,
-		DeltaIn:                res.DeltaIn,
-		DeltaChanged:           res.DeltaChanged,
-		DeltaTouched:           res.DeltaTouched,
-		DeltaElements:          res.DeltaElements,
-		DeltaBytes:             res.DeltaBytes,
-		ElementsChained:        res.Job.ElementsChained,
-		CtrlMessages:           res.CtrlMessages,
-		CtrlBytes:              res.CtrlBytes,
-		TemplateInstalls:       res.TemplateInstalls,
-		TemplateInstantiations: res.TemplateInstantiations,
-		SocketBytes:            res.SocketBytes,
-		CreditStalls:           res.CreditStalls,
-		Attempts:               res.Attempts,
-		AttemptErrors:          res.AttemptErrors,
-		WorkerReports:          res.WorkerStats,
+	defer done()
+	res, err := c.Run(p.Source(), st, opts)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Observer != nil {
-		out.Report = cfg.Observer.Snapshot()
-	}
-	if lin := o.Lin(); lin != nil {
-		out.CriticalPath = lineage.Analyze(lin.Snapshot())
-	}
+	out := cfg.result(&res.Result, opts.Obs)
+	out.CtrlMessages, out.CtrlBytes = res.CtrlMessages, res.CtrlBytes
+	out.SocketBytes, out.CreditStalls = res.SocketBytes, res.CreditStalls
+	out.Attempts, out.AttemptErrors = res.Attempts, res.AttemptErrors
+	out.WorkerReports = res.WorkerStats
 	return out, nil
 }
 

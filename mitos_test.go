@@ -69,18 +69,33 @@ func TestRunSequentialMatchesDistributed(t *testing.T) {
 	}
 }
 
-// TestDisableChaining checks the public chaining toggle: by default forward
-// edges fuse (ChainedEdges and ElementsChained nonzero), with
-// DisableChaining both stay zero, and the outputs agree either way.
+// TestDisableChaining checks the public chaining toggle on both backends:
+// by default forward edges fuse (ChainedEdges and ElementsChained nonzero),
+// with DisableChaining both stay zero, and the outputs agree either way.
+// Run on two machines and RunTCP on two workers plan at the same
+// parallelism, so their counters must agree exactly — RunTCP used to
+// report ChainedEdges 0 because the TCP result never carried the field.
 func TestDisableChaining(t *testing.T) {
 	p, err := Compile(testScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(disable bool) (*Result, []Value) {
+	coord, cleanup, err := StartLocalTCP(2, TCPCoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	run := func(tcp, disable bool) (*Result, []Value) {
 		st := NewMemStore()
 		st.WriteDataset("in", []Value{Int(1), Int(2), Int(3)})
-		res, err := p.Run(st, Config{Machines: 2, DisableChaining: disable})
+		cfg := Config{Machines: 2, DisableChaining: disable}
+		var res *Result
+		var err error
+		if tcp {
+			res, err = p.RunTCP(coord, st, cfg)
+		} else {
+			res, err = p.Run(st, cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,18 +105,25 @@ func TestDisableChaining(t *testing.T) {
 		}
 		return res, out
 	}
-	chained, outOn := run(false)
-	unchained, outOff := run(true)
-	if chained.ChainedEdges == 0 || chained.ElementsChained == 0 {
-		t.Errorf("default run fused nothing: %d edges, %d elements",
-			chained.ChainedEdges, chained.ElementsChained)
-	}
-	if unchained.ChainedEdges != 0 || unchained.ElementsChained != 0 {
-		t.Errorf("DisableChaining run fused: %d edges, %d elements",
-			unchained.ChainedEdges, unchained.ElementsChained)
-	}
-	if len(outOn) != 1 || len(outOff) != 1 || !outOn[0].Equal(outOff[0]) {
-		t.Errorf("chained %v vs unchained %v", outOn, outOff)
+	chained, outOn := run(false, false)
+	for _, tcp := range []bool{false, true} {
+		on, _ := run(tcp, false)
+		off, outOff := run(tcp, true)
+		if on.ChainedEdges == 0 || on.ElementsChained == 0 {
+			t.Errorf("tcp=%v: default run fused nothing: %d edges, %d elements",
+				tcp, on.ChainedEdges, on.ElementsChained)
+		}
+		if on.ChainedEdges != chained.ChainedEdges || on.ElementsChained != chained.ElementsChained {
+			t.Errorf("tcp=%v: %d edges, %d elements chained; Run reports %d, %d",
+				tcp, on.ChainedEdges, on.ElementsChained, chained.ChainedEdges, chained.ElementsChained)
+		}
+		if off.ChainedEdges != 0 || off.ElementsChained != 0 {
+			t.Errorf("tcp=%v: DisableChaining run fused: %d edges, %d elements",
+				tcp, off.ChainedEdges, off.ElementsChained)
+		}
+		if len(outOn) != 1 || len(outOff) != 1 || !outOn[0].Equal(outOff[0]) {
+			t.Errorf("tcp=%v: chained %v vs unchained %v", tcp, outOn, outOff)
+		}
 	}
 }
 
