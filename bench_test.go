@@ -15,7 +15,6 @@ import (
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/dfs"
 	"github.com/mitos-project/mitos/internal/experiments"
-	"github.com/mitos-project/mitos/internal/flinklike"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/workload"
@@ -82,70 +81,46 @@ func benchStore(b *testing.B) store.Store {
 	return st
 }
 
-// BenchmarkVisitCountMitos measures one full Visit Count run on Mitos.
-func BenchmarkVisitCountMitos(b *testing.B) {
+// benchVisitCount measures one full Visit Count run on sys per iteration.
+func benchVisitCount(b *testing.B, sys experiments.System, opts core.Options) {
+	b.Helper()
 	cl := benchCluster(b, 4)
 	st := benchStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.RunMitos(benchSpec, st, cl, core.DefaultOptions()); err != nil {
+		if _, err := experiments.RunVisitCount(sys, benchSpec, st, cl, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkVisitCountMitos measures one full Visit Count run on Mitos.
+func BenchmarkVisitCountMitos(b *testing.B) {
+	benchVisitCount(b, experiments.Mitos, core.DefaultOptions())
 }
 
 // BenchmarkVisitCountMitosNoPipelining is Mitos without step overlap.
 func BenchmarkVisitCountMitosNoPipelining(b *testing.B) {
-	cl := benchCluster(b, 4)
-	st := benchStore(b)
 	opts := core.DefaultOptions()
 	opts.Pipelining = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.RunMitos(benchSpec, st, cl, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchVisitCount(b, experiments.Mitos, opts)
 }
 
 // BenchmarkVisitCountMitosNoHoisting is Mitos rebuilding static join sides.
 func BenchmarkVisitCountMitosNoHoisting(b *testing.B) {
-	cl := benchCluster(b, 4)
-	st := benchStore(b)
 	opts := core.DefaultOptions()
 	opts.Hoisting = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.RunMitos(benchSpec, st, cl, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchVisitCount(b, experiments.Mitos, opts)
 }
 
 // BenchmarkVisitCountSpark measures the Spark baseline.
 func BenchmarkVisitCountSpark(b *testing.B) {
-	cl := benchCluster(b, 4)
-	st := benchStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := workload.RunSpark(benchSpec, st, cl); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchVisitCount(b, experiments.Spark, core.Options{})
 }
 
 // BenchmarkVisitCountFlink measures the Flink native-iteration baseline.
 func BenchmarkVisitCountFlink(b *testing.B) {
-	cl := benchCluster(b, 4)
-	st := benchStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env := flinklike.NewEnv(cl, st)
-		env.PenaltyPerOp = experiments.FlinkPenaltyPerOp
-		if err := workload.RunFlinkNative(benchSpec, st, cl, env); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchVisitCount(b, experiments.Flink, core.Options{})
 }
 
 // BenchmarkCompile measures front end + SSA + planning for the Visit Count
@@ -178,16 +153,9 @@ func BenchmarkStepOverheadMitos(b *testing.B) {
 func BenchmarkBatchSize(b *testing.B) {
 	for _, bs := range []int{1, 16, 128, 1024} {
 		b.Run(fmt.Sprintf("batch%d", bs), func(b *testing.B) {
-			cl := benchCluster(b, 4)
-			st := benchStore(b)
 			opts := core.DefaultOptions()
 			opts.BatchSize = bs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := workload.RunMitos(benchSpec, st, cl, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchVisitCount(b, experiments.Mitos, opts)
 		})
 	}
 }

@@ -3,9 +3,8 @@
 // order carries no meaning.
 //
 // These functions are the executable specification of the operations: the
-// reference interpreters (internal/ir) and the driver-style baselines
-// (internal/sparklike) call them directly, and the streaming distributed
-// operators (internal/core) are differentially tested against them.
+// reference interpreters (internal/ir) call them directly, and the streaming
+// distributed operators (internal/core) are differentially tested against them.
 package bag
 
 import (

@@ -13,7 +13,8 @@ import (
 
 // TestFuzzDifferential generates random well-typed control-flow programs
 // and checks that the distributed runtime agrees with the sequential AST
-// interpreter on every one of them, alternating runtime configurations.
+// interpreter on every one of them, under a different joint setting of the
+// six optimization switches for every seed.
 // This is the broad-coverage safety net behind the hand-written corpus.
 func TestFuzzDifferential(t *testing.T) {
 	trials := 60
@@ -45,12 +46,20 @@ func TestFuzzDifferential(t *testing.T) {
 				t.Fatalf("compile: %v\n%s", err, src)
 			}
 
+			// Each switch is off iff its own seed bit is set, so the seeds
+			// sample the six jointly and seed 0 is the all-on default.
 			machines := 1 + int(seed%4)
+			on := func(k uint) bool { return seed>>k&1 == 0 }
 			opts := Options{
-				Pipelining: seed%2 == 0,
-				Hoisting:   seed%3 != 0,
-				Combiners:  seed%4 >= 2,
+				Pipelining: on(0),
+				Hoisting:   on(1),
+				Combiners:  on(2),
+				Chaining:   on(3),
+				Templates:  on(4),
+				Delta:      on(5),
 			}
+			repro := fmt.Sprintf("seed=%d machines=%d pipelining=%t hoisting=%t combiners=%t chaining=%t templates=%t delta=%t",
+				seed, machines, opts.Pipelining, opts.Hoisting, opts.Combiners, opts.Chaining, opts.Templates, opts.Delta)
 			cl, err := cluster.New(cluster.FastConfig(machines))
 			if err != nil {
 				t.Fatal(err)
@@ -61,11 +70,11 @@ func TestFuzzDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := Execute(g, distStore, cl, opts); err != nil {
-				t.Fatalf("Execute (m=%d, %+v): %v\n%s", machines, opts, err, src)
+				t.Fatalf("Execute (%s): %v\n%s", repro, err, src)
 			}
 			diffStores(t, refStore, distStore)
 			if t.Failed() {
-				t.Logf("program:\n%s", src)
+				t.Logf("repro: %s\nprogram:\n%s", repro, src)
 			}
 		})
 	}

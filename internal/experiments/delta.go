@@ -38,14 +38,11 @@ func Delta(o Options) (*Table, error) {
 	for _, delta := range []bool{false, true} {
 		opts := o.mitosOpts()
 		opts.Delta = delta && !o.NoDelta
-		var last *core.Result
-		cell, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
+		cell, last, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
 			if err := spec.Generate(st); err != nil {
-				return err
+				return nil, err
 			}
-			res, err := workload.RunConnected(spec, st, cl, opts)
-			last = res
-			return err
+			return workload.RunConnected(spec, st, cl, opts)
 		})
 		if err != nil {
 			return nil, err

@@ -21,7 +21,6 @@ import (
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/dfs"
-	"github.com/mitos-project/mitos/internal/flinklike"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/obs/httpserve"
 	"github.com/mitos-project/mitos/internal/obs/lineage"
@@ -252,25 +251,31 @@ func (t *Table) JSON(o Options) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// runFunc is one measured run of one system. The result is the engine's
+// own account of a Mitos run and nil for every other system.
+type runFunc func(cl *cluster.Cluster, st store.Store) (*core.Result, error)
+
 // measure runs f reps times, each on a fresh cluster and store, and
 // returns a cell with the mean, the median, every individual measurement,
-// and the engine coordination counters of the last rep.
-func measure(o Options, machines int, f func(cl *cluster.Cluster, st store.Store) error) (Cell, error) {
+// and the engine coordination counters of the last rep, whose result it
+// returns as well.
+func measure(o Options, machines int, f runFunc) (Cell, *core.Result, error) {
 	var cell Cell
+	var last *core.Result
 	for i := 0; i < o.reps(); i++ {
 		cl, err := cluster.New(o.clusterConfig(machines))
 		if err != nil {
-			return Cell{}, err
+			return Cell{}, nil, err
 		}
 		st := dfs.New(dfs.Config{BlockSize: 2048, OpenDelay: 200 * time.Microsecond})
 		start := time.Now()
-		err = f(cl, st)
+		last, err = f(cl, st)
 		elapsed := time.Since(start)
 		clStats := cl.Stats()
 		dfsStats := st.Stats()
 		cl.Close()
 		if err != nil {
-			return Cell{}, err
+			return Cell{}, nil, err
 		}
 		cell.Reps = append(cell.Reps, elapsed.Seconds())
 		cell.Counters = map[string]int64{
@@ -292,7 +297,7 @@ func measure(o Options, machines int, f func(cl *cluster.Cluster, st store.Store
 	}
 	cell.Seconds = total / float64(len(cell.Reps))
 	cell.Median = median(cell.Reps)
-	return cell, nil
+	return cell, last, nil
 }
 
 // median returns the median of xs (mean of the middle two for even sizes).
@@ -322,6 +327,57 @@ func (o Options) mitosOpts() core.Options {
 	return opts
 }
 
+// System is one of the three implementations of Visit Count.
+type System int
+
+const (
+	Spark System = iota // driver loop, a job per action
+	Flink               // native iteration, one job
+	Mitos
+)
+
+// RunVisitCount runs spec on sys over a store that already holds the
+// spec's inputs: Spark, Flink native iterations with the modelled
+// FLINK-3322 penalty, or Mitos with opts (which the baselines ignore; their
+// result is nil).
+func RunVisitCount(sys System, spec workload.VisitCountSpec, st store.Store, cl *cluster.Cluster, opts core.Options) (*core.Result, error) {
+	switch sys {
+	case Spark:
+		return nil, workload.RunSpark(spec, st, cl)
+	case Flink:
+		return nil, workload.RunFlinkNative(spec, st, cl, FlinkPenaltyPerOp)
+	default:
+		return workload.RunMitos(spec, st, cl, opts)
+	}
+}
+
+// visitCountRunner returns one measured Visit Count run: generate the
+// spec's inputs into the fresh store, then RunVisitCount. Generation is
+// therefore part of every cell's time (≈18 ms of the 155 ms Mitos cell of
+// Fig. 5); taking it out shifts every figure and belongs to the one-commit
+// regeneration of ROADMAP item 2(c).
+func visitCountRunner(sys System, spec workload.VisitCountSpec, opts core.Options) runFunc {
+	return func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+		if err := spec.Generate(st); err != nil {
+			return nil, err
+		}
+		return RunVisitCount(sys, spec, st, cl, opts)
+	}
+}
+
+// measureRow measures one table row: a cell per run, in order.
+func measureRow(o Options, machines int, runs ...runFunc) ([]Cell, error) {
+	var row []Cell
+	for _, run := range runs {
+		cell, _, err := measure(o, machines, run)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, cell)
+	}
+	return row, nil
+}
+
 // Fig1 reproduces the motivation experiment: Visit Count (with day diffs)
 // on Spark vs Flink native iterations at 24 machines. The paper measures
 // Spark ≈ 11x slower than Flink.
@@ -331,35 +387,20 @@ func Fig1(o Options) (*Table, error) {
 		spec.Days, spec.VisitsPerDay = 8, 400
 	}
 	const machines = 24
-	t := &Table{
+	row, err := measureRow(o, machines,
+		visitCountRunner(Spark, spec, core.Options{}),
+		visitCountRunner(Flink, spec, core.Options{}))
+	if err != nil {
+		return nil, err
+	}
+	return &Table{
 		Key:     "fig1",
 		Title:   "Fig 1: Visit Count, imperative (Spark) vs functional (Flink) control flow, 24 machines",
 		XAxis:   "task",
 		Columns: []string{"Spark", "Flink"},
 		XLabels: []string{fmt.Sprintf("%d days", spec.Days)},
-	}
-	spark, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-		if err := spec.Generate(st); err != nil {
-			return err
-		}
-		return workload.RunSpark(spec, st, cl)
-	})
-	if err != nil {
-		return nil, err
-	}
-	flink, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-		if err := spec.Generate(st); err != nil {
-			return err
-		}
-		env := flinklike.NewEnv(cl, st)
-		env.PenaltyPerOp = FlinkPenaltyPerOp
-		return workload.RunFlinkNative(spec, st, cl, env)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Cells = [][]Cell{{spark, flink}}
-	return t, nil
+		Cells:   [][]Cell{row},
+	}, nil
 }
 
 func machineSweep(o Options) []int {
@@ -386,7 +427,7 @@ func Fig5(o Options) (*Table, error) {
 		Columns: []string{"Spark", "Flink", "Mitos"},
 	}
 	for _, m := range machineSweep(o) {
-		row, err := visitCountRow(o, spec, m, true, false)
+		row, err := visitCountRow(o, spec, m, false)
 		if err != nil {
 			return nil, err
 		}
@@ -396,51 +437,21 @@ func Fig5(o Options) (*Table, error) {
 	return t, nil
 }
 
-// visitCountRow measures one (spec, machines) cell for Spark, Flink
-// native, and Mitos. skipSpark marks the Spark cell skipped (Fig. 6 kills
+// visitCountRow measures one (spec, machines) row for Spark, Flink native,
+// and Mitos. skipSpark marks the Spark cell skipped instead (Fig. 6 kills
 // Spark at the largest input).
-func visitCountRow(o Options, spec workload.VisitCountSpec, machines int, withSpark, sparkSkipped bool) ([]Cell, error) {
-	var row []Cell
-	if withSpark {
-		if sparkSkipped {
-			row = append(row, Cell{Skipped: true})
-		} else {
-			s, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-				if err := spec.Generate(st); err != nil {
-					return err
-				}
-				return workload.RunSpark(spec, st, cl)
-			})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
+func visitCountRow(o Options, spec workload.VisitCountSpec, machines int, skipSpark bool) ([]Cell, error) {
+	row := []Cell{{Skipped: true}}
+	if !skipSpark {
+		var err error
+		if row, err = measureRow(o, machines, visitCountRunner(Spark, spec, core.Options{})); err != nil {
+			return nil, err
 		}
 	}
-	f, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-		if err := spec.Generate(st); err != nil {
-			return err
-		}
-		env := flinklike.NewEnv(cl, st)
-		env.PenaltyPerOp = FlinkPenaltyPerOp
-		return workload.RunFlinkNative(spec, st, cl, env)
-	})
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, f)
-	m, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-		if err := spec.Generate(st); err != nil {
-			return err
-		}
-		_, err := workload.RunMitos(spec, st, cl, o.mitosOpts())
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, m)
-	return row, nil
+	rest, err := measureRow(o, machines,
+		visitCountRunner(Flink, spec, core.Options{}),
+		visitCountRunner(Mitos, spec, o.mitosOpts()))
+	return append(row, rest...), err
 }
 
 // Fig6 reproduces the input-size sweep of Visit Count with the pageTypes
@@ -469,7 +480,7 @@ func Fig6(o Options) (*Table, error) {
 		// The paper kills Spark after 16000s at the largest size; skip it
 		// there to keep the harness fast, mirroring the missing bar.
 		skipSpark := !o.Quick && i == len(sizes)-1
-		row, err := visitCountRow(o, spec, machines, true, skipSpark)
+		row, err := visitCountRow(o, spec, machines, skipSpark)
 		if err != nil {
 			return nil, err
 		}
@@ -498,29 +509,33 @@ func Fig7(o Options) (*Table, error) {
 		XAxis:   "machines",
 		Columns: []string{"Spark", "FlinkSepJobs", "FlinkNative", "TensorFlow", "Naiad", "Mitos"},
 	}
+	runs := []runFunc{
+		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return nil, workload.StepSpark(cl, st, steps)
+		},
+		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return nil, workload.StepFlinkSeparateJobs(cl, st, steps)
+		},
+		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return nil, workload.StepFlinkNative(cl, st, steps, FlinkPenaltyPerOp)
+		},
+		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return nil, workload.StepTF(cl, steps)
+		},
+		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return nil, workload.StepNaiad(cl, steps)
+		},
+		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return workload.StepMitos(cl, st, steps, o.mitosOpts())
+		},
+	}
 	for _, m := range machines {
-		runs := []func(cl *cluster.Cluster, st store.Store) error{
-			func(cl *cluster.Cluster, st store.Store) error { return workload.StepSpark(cl, st, steps) },
-			func(cl *cluster.Cluster, st store.Store) error { return workload.StepFlinkSeparateJobs(cl, st, steps) },
-			func(cl *cluster.Cluster, st store.Store) error {
-				env := flinklike.NewEnv(cl, st)
-				env.PenaltyPerOp = FlinkPenaltyPerOp
-				return workload.StepFlinkNative(cl, st, steps, env)
-			},
-			func(cl *cluster.Cluster, st store.Store) error { return workload.StepTF(cl, steps) },
-			func(cl *cluster.Cluster, st store.Store) error { return workload.StepNaiad(cl, steps) },
-			func(cl *cluster.Cluster, st store.Store) error {
-				_, err := workload.StepMitos(cl, st, steps, o.mitosOpts())
-				return err
-			},
+		row, err := measureRow(o, m, runs...)
+		if err != nil {
+			return nil, err
 		}
-		var row []Cell
-		for _, run := range runs {
-			s, err := measure(o, m, run)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s.Scaled(1/float64(steps)))
+		for i := range row {
+			row[i] = row[i].Scaled(1 / float64(steps))
 		}
 		t.XLabels = append(t.XLabels, fmt.Sprint(m))
 		t.Cells = append(t.Cells, row)
@@ -548,58 +563,21 @@ func Fig8(o Options) (*Table, error) {
 		XAxis:   "pageTypes",
 		Columns: []string{"Spark", "Flink", "Mitos w/o hoist", "Mitos"},
 	}
+	noHoist := o.mitosOpts()
+	noHoist.Hoisting = false
 	for _, sz := range sizes {
 		spec := workload.VisitCountSpec{
 			Days: days, VisitsPerDay: visits, Pages: 500,
 			WithDiff: true, WithPageTypes: true, PageTypesSize: sz, Seed: 8,
 		}
-		var row []Cell
-		s, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
-			return workload.RunSpark(spec, st, cl)
-		})
+		row, err := measureRow(o, machines,
+			visitCountRunner(Spark, spec, core.Options{}),
+			visitCountRunner(Flink, spec, core.Options{}),
+			visitCountRunner(Mitos, spec, noHoist),
+			visitCountRunner(Mitos, spec, o.mitosOpts()))
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, s)
-		f, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
-			env := flinklike.NewEnv(cl, st)
-			env.PenaltyPerOp = FlinkPenaltyPerOp
-			return workload.RunFlinkNative(spec, st, cl, env)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, f)
-		noHoist, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
-			opts := o.mitosOpts()
-			opts.Hoisting = false
-			_, err := workload.RunMitos(spec, st, cl, opts)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, noHoist)
-		m, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
-			_, err := workload.RunMitos(spec, st, cl, o.mitosOpts())
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, m)
 		t.XLabels = append(t.XLabels, fmt.Sprint(sz))
 		t.Cells = append(t.Cells, row)
 	}
@@ -621,22 +599,14 @@ func Fig9(o Options) (*Table, error) {
 		XAxis:   "machines",
 		Columns: []string{"Mitos (not pipelined)", "Mitos"},
 	}
+	noPipe := o.mitosOpts()
+	noPipe.Pipelining = false
 	for _, m := range machineSweep(o) {
-		var row []Cell
-		for _, pipelined := range []bool{false, true} {
-			opts := o.mitosOpts()
-			opts.Pipelining = pipelined
-			s, err := measure(o, m, func(cl *cluster.Cluster, st store.Store) error {
-				if err := spec.Generate(st); err != nil {
-					return err
-				}
-				_, err := workload.RunMitos(spec, st, cl, opts)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
+		row, err := measureRow(o, m,
+			visitCountRunner(Mitos, spec, noPipe),
+			visitCountRunner(Mitos, spec, o.mitosOpts()))
+		if err != nil {
+			return nil, err
 		}
 		t.XLabels = append(t.XLabels, fmt.Sprint(m))
 		t.Cells = append(t.Cells, row)
@@ -671,20 +641,14 @@ func AblationGrid(o Options) (*Table, error) {
 		{"pipeline only", true, false},
 		{"both", true, true},
 	} {
-		s, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
-			opts := o.mitosOpts()
-			opts.Pipelining, opts.Hoisting = cfg.pipe, cfg.hoist
-			_, err := workload.RunMitos(spec, st, cl, opts)
-			return err
-		})
+		opts := o.mitosOpts()
+		opts.Pipelining, opts.Hoisting = cfg.pipe, cfg.hoist
+		row, err := measureRow(o, machines, visitCountRunner(Mitos, spec, opts))
 		if err != nil {
 			return nil, err
 		}
 		t.XLabels = append(t.XLabels, cfg.label)
-		t.Cells = append(t.Cells, []Cell{s})
+		t.Cells = append(t.Cells, row)
 	}
 	return t, nil
 }
@@ -722,15 +686,7 @@ func Combine(o Options) (*Table, error) {
 	} {
 		opts := o.mitosOpts()
 		opts.Combiners = cfg.on
-		var last *core.Result
-		s, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
-			res, err := workload.RunMitos(spec, st, cl, opts)
-			last = res
-			return err
-		})
+		s, last, err := measure(o, machines, visitCountRunner(Mitos, spec, opts))
 		if err != nil {
 			return nil, err
 		}
@@ -770,30 +726,23 @@ func Chain(o Options) (*Table, error) {
 		XAxis:   "workload",
 		Columns: []string{"Mitos (no chain)", "Mitos"},
 	}
-	stepLoop := func(cl *cluster.Cluster, st store.Store, opts core.Options) (*core.Result, error) {
-		return workload.StepMitos(cl, st, steps, opts)
+	stepLoop := func(opts core.Options) runFunc {
+		return func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return workload.StepMitos(cl, st, steps, opts)
+		}
 	}
 	workloads := []struct {
 		label string
 		scale float64
 		fast  bool
-		run   func(cl *cluster.Cluster, st store.Store, opts core.Options) (*core.Result, error)
+		run   func(opts core.Options) runFunc
 	}{
 		// Engine CPU only: zero-delay cluster, so the per-hop mailbox /
 		// batch / wakeup cost chaining removes is the signal, not noise
 		// under the simulated coordination delays.
 		{label: "step loop, engine only (s/step)", scale: 1 / float64(steps), fast: true, run: stepLoop},
 		{label: "step loop, calibrated (s/step)", scale: 1 / float64(steps), run: stepLoop},
-		{
-			label: "visit count (s)",
-			scale: 1,
-			run: func(cl *cluster.Cluster, st store.Store, opts core.Options) (*core.Result, error) {
-				if err := spec.Generate(st); err != nil {
-					return nil, err
-				}
-				return workload.RunMitos(spec, st, cl, opts)
-			},
-		},
+		{label: "visit count (s)", scale: 1, run: func(opts core.Options) runFunc { return visitCountRunner(Mitos, spec, opts) }},
 	}
 	for _, w := range workloads {
 		var row []Cell
@@ -802,12 +751,7 @@ func Chain(o Options) (*Table, error) {
 			opts.Chaining = chain
 			mo := o
 			mo.fastCluster = w.fast
-			var last *core.Result
-			s, err := measure(mo, machines, func(cl *cluster.Cluster, st store.Store) error {
-				res, err := w.run(cl, st, opts)
-				last = res
-				return err
-			})
+			s, last, err := measure(mo, machines, w.run(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -851,19 +795,16 @@ func CritPath(o Options) (*Table, error) {
 		opts := o.mitosOpts()
 		opts.Pipelining = pipelined
 		var cp *lineage.CriticalPath
-		cell, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) error {
-			if err := spec.Generate(st); err != nil {
-				return err
-			}
+		cell, _, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
 			// A fresh lineage tracker per rep: the analysis must see one
 			// run's bags, not an accumulation over reps.
 			obsv := obs.New().EnableLineage()
 			opts.Obs = obsv
-			_, err := workload.RunMitos(spec, st, cl, opts)
+			res, err := visitCountRunner(Mitos, spec, opts)(cl, st)
 			if err == nil {
 				cp = lineage.Analyze(obsv.Lin().Snapshot())
 			}
-			return err
+			return res, err
 		})
 		if err != nil {
 			return nil, err

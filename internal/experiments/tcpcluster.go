@@ -34,9 +34,8 @@ func TCPCluster(o Options) (*Table, error) {
 	}
 	source := workload.StepLoopScript(steps)
 	for _, w := range workers {
-		sim, err := measure(o, w, func(cl *cluster.Cluster, st store.Store) error {
-			_, err := workload.StepMitos(cl, st, steps, o.mitosOpts())
-			return err
+		sim, _, err := measure(o, w, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+			return workload.StepMitos(cl, st, steps, o.mitosOpts())
 		})
 		if err != nil {
 			return nil, err

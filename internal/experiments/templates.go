@@ -57,11 +57,8 @@ func Templates(o Options) (*Table, error) {
 			cell: func(opts core.Options) (Cell, error) {
 				mo := o
 				mo.fastCluster = true
-				var last *core.Result
-				s, err := measure(mo, machines, func(cl *cluster.Cluster, st store.Store) error {
-					res, err := workload.StepMitos(cl, st, engineSteps, opts)
-					last = res
-					return err
+				s, last, err := measure(mo, machines, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+					return workload.StepMitos(cl, st, engineSteps, opts)
 				})
 				if err != nil {
 					return Cell{}, err

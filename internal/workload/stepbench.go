@@ -2,14 +2,14 @@ package workload
 
 import (
 	"fmt"
+	"time"
 
+	"github.com/mitos-project/mitos/internal/baseline"
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
-	"github.com/mitos-project/mitos/internal/flinklike"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/naiadlike"
-	"github.com/mitos-project/mitos/internal/sparklike"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/tflike"
 	"github.com/mitos-project/mitos/internal/val"
@@ -47,48 +47,43 @@ func StepMitos(cl *cluster.Cluster, st store.Store, steps int, opts core.Options
 	return core.Execute(g, st, cl, opts)
 }
 
-// StepSpark launches one tiny job per iteration step.
+func increment(x val.Value) (val.Value, error) { return val.Int(x.AsInt() + 1), nil }
+
+// stepJobs launches one tiny job per iteration step, each on a session of
+// its own.
+func stepJobs(cl *cluster.Cluster, st store.Store, steps int, open func(*cluster.Cluster, store.Store) *baseline.Session) error {
+	for i := 0; i < steps; i++ {
+		n, err := open(cl, st).FromSlice([]val.Value{val.Int(int64(i))}).Map(increment).Count()
+		if err != nil {
+			return err
+		}
+		if n != 1 {
+			return fmt.Errorf("workload: step %d count = %d", i, n)
+		}
+	}
+	return nil
+}
+
+// StepSpark launches one job per step from a driver loop. A Spark session
+// keeps nothing between actions, so one session per step is the same
+// program as one for the whole loop.
 func StepSpark(cl *cluster.Cluster, st store.Store, steps int) error {
-	sess := sparklike.NewSession(cl, st)
-	for i := 0; i < steps; i++ {
-		n, err := sess.Parallelize([]val.Value{val.Int(int64(i))}).
-			Map(func(x val.Value) (val.Value, error) { return val.Int(x.AsInt() + 1), nil }).
-			Count()
-		if err != nil {
-			return err
-		}
-		if n != 1 {
-			return fmt.Errorf("workload: step %d count = %d", i, n)
-		}
-	}
-	return nil
+	return stepJobs(cl, st, steps, baseline.Spark)
 }
 
-// StepFlinkSeparateJobs launches one flinklike environment (job) per step.
+// StepFlinkSeparateJobs launches one Flink session (= one job) per step.
 func StepFlinkSeparateJobs(cl *cluster.Cluster, st store.Store, steps int) error {
-	for i := 0; i < steps; i++ {
-		env := flinklike.NewEnv(cl, st)
-		n, err := env.FromSlice([]val.Value{val.Int(int64(i))}).
-			Map(func(x val.Value) (val.Value, error) { return val.Int(x.AsInt() + 1), nil }).
-			Count()
-		if err != nil {
-			return err
-		}
-		if n != 1 {
-			return fmt.Errorf("workload: step %d count = %d", i, n)
-		}
-	}
-	return nil
+	return stepJobs(cl, st, steps, baseline.Flink)
 }
 
-// StepFlinkNative runs the loop as one native iteration.
-func StepFlinkNative(cl *cluster.Cluster, st store.Store, steps int, env *flinklike.Env) error {
-	if env == nil {
-		env = flinklike.NewEnv(cl, st)
-	}
-	initial := env.FromSlice([]val.Value{val.Int(0)})
-	out, err := env.Iterate(initial, steps, func(step int, in *flinklike.DataSet) (*flinklike.DataSet, error) {
-		return in.Map(func(x val.Value) (val.Value, error) { return val.Int(x.AsInt() + 1), nil }), nil
+// StepFlinkNative runs the loop as one native iteration, each superstep
+// charged penaltyPerOp per operator of the body.
+func StepFlinkNative(cl *cluster.Cluster, st store.Store, steps int, penaltyPerOp time.Duration) error {
+	sess := baseline.Flink(cl, st)
+	sess.PenaltyPerOp = penaltyPerOp
+	initial := sess.FromSlice([]val.Value{val.Int(0)})
+	out, err := sess.Iterate(initial, steps, func(step int, in *baseline.Dataset) (*baseline.Dataset, error) {
+		return in.Map(increment), nil
 	})
 	if err != nil {
 		return err

@@ -8,13 +8,13 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
+	"github.com/mitos-project/mitos/internal/baseline"
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
-	"github.com/mitos-project/mitos/internal/flinklike"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/lang"
-	"github.com/mitos-project/mitos/internal/sparklike"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -130,14 +130,66 @@ func RunMitos(s VisitCountSpec, st store.Store, cl *cluster.Cluster, opts core.O
 	return core.Execute(g, st, cl, opts)
 }
 
+// The baselines run one day body under three orchestrations. It is written
+// once, in two halves, because the orchestrations differ in what happens
+// between them (Spark caches the counts) and in where yesterday's counts
+// come from.
+
+// dayCounts is the first half of the day body, up to the per-page counts:
+//
+//	visits → [static join → filter article → project] → (x, 1) → ReduceByKey
+//
+// pageTypes is the loop-invariant build side (nil unless WithPageTypes).
+func (s VisitCountSpec) dayCounts(sess *baseline.Session, pageTypes *baseline.Dataset, day int) *baseline.Dataset {
+	one := func(x val.Value) (val.Value, error) { return val.Pair(x, val.Int(1)), nil }
+	visits := sess.ReadFile(fmt.Sprintf("pageVisitLog%d", day))
+	if s.WithPageTypes {
+		// (page, type, 1) triples. Whether the build side's hash table is
+		// built once or every day is the session's policy (Fig. 8).
+		visits = visits.Map(one).JoinStatic(pageTypes).
+			Filter(func(t val.Value) (bool, error) {
+				return t.Field(1).Equal(val.Str("article")), nil
+			}).
+			Map(func(t val.Value) (val.Value, error) { return t.Field(0), nil })
+	}
+	return visits.Map(one).ReduceByKey(func(a, b val.Value) (val.Value, error) {
+		return val.Int(a.AsInt() + b.AsInt()), nil
+	})
+}
+
+// emitDay is the second half: the day's output, each variant one action.
+//
+//	[join yesterday → |diff| → Sum → diff<day>] | counts<day>
+//
+// The diff variant has nothing to emit on day 1, whatever yesterday is.
+func (s VisitCountSpec) emitDay(st store.Store, counts, yesterday *baseline.Dataset, day int) error {
+	if !s.WithDiff {
+		return counts.WriteFile(fmt.Sprintf("counts%d", day))
+	}
+	if day == 1 {
+		return nil
+	}
+	sum, err := counts.Join(yesterday).Map(func(t val.Value) (val.Value, error) {
+		d := t.Field(1).AsInt() - t.Field(2).AsInt()
+		if d < 0 {
+			d = -d
+		}
+		return val.Int(d), nil
+	}).Sum()
+	if err != nil {
+		return err
+	}
+	return st.WriteDataset(fmt.Sprintf("diff%d", day), []val.Value{sum})
+}
+
 // RunSpark executes the Visit Count task Spark-style: imperative control
 // flow in the driver, one job launch per action, no cross-job operator
-// state. The loop-invariant pageTypes RDD is repartitioned and cached once
-// before the loop, as the paper's Spark implementation does — but the join
-// hash table is still rebuilt every step.
+// state. The loop-invariant pageTypes dataset is cached once before the
+// loop, as the paper's Spark implementation does — but the join hash table
+// is still rebuilt every step.
 func RunSpark(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
-	sess := sparklike.NewSession(cl, st)
-	var pageTypes *sparklike.RDD
+	sess := baseline.Spark(cl, st)
+	var pageTypes *baseline.Dataset
 	if s.WithPageTypes {
 		pageTypes = sess.ReadFile("pageTypes").Cache()
 		// Materialize the cached partitioning once, before the loop.
@@ -145,46 +197,15 @@ func RunSpark(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
 			return err
 		}
 	}
-	var yesterday *sparklike.RDD
+	var yesterday *baseline.Dataset
 	for day := 1; day <= s.Days; day++ {
-		visits := sess.ReadFile(fmt.Sprintf("pageVisitLog%d", day))
-		if s.WithPageTypes {
-			tagged := pageTypes.Join(visits.Map(func(x val.Value) (val.Value, error) {
-				return val.Pair(x, val.Int(1)), nil
-			}))
-			visits = tagged.
-				Filter(func(t val.Value) (bool, error) {
-					return t.Field(1).Equal(val.Str("article")), nil
-				}).
-				Map(func(t val.Value) (val.Value, error) { return t.Field(0), nil })
+		counts := s.dayCounts(sess, pageTypes, day).Cache()
+		if err := s.emitDay(st, counts, yesterday, day); err != nil {
+			return err
 		}
-		counts := visits.
-			Map(func(x val.Value) (val.Value, error) { return val.Pair(x, val.Int(1)), nil }).
-			ReduceByKey(func(a, b val.Value) (val.Value, error) {
-				return val.Int(a.AsInt() + b.AsInt()), nil
-			}).
-			Cache()
-		if s.WithDiff {
-			if day != 1 {
-				diffs := counts.Join(yesterday).Map(func(t val.Value) (val.Value, error) {
-					d := t.Field(1).AsInt() - t.Field(2).AsInt()
-					if d < 0 {
-						d = -d
-					}
-					return val.Int(d), nil
-				})
-				sum, err := diffs.Sum() // action: launches a job
-				if err != nil {
-					return err
-				}
-				if err := st.WriteDataset(fmt.Sprintf("diff%d", day), []val.Value{sum}); err != nil {
-					return err
-				}
-			} else if _, err := counts.Count(); err != nil { // materialize day 1
-				return err
-			}
-		} else {
-			if err := counts.SaveAsFile(fmt.Sprintf("counts%d", day)); err != nil {
+		if s.WithDiff && day == 1 {
+			// No action has touched day 1 yet: materialize it.
+			if _, err := counts.Count(); err != nil {
 				return err
 			}
 		}
@@ -193,112 +214,44 @@ func RunSpark(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
 	return nil
 }
 
-// RunFlinkNative executes Visit Count with flinklike's native iteration:
-// one job, superstep barriers, loop-invariant hoisting via JoinStatic. The
-// per-step file reads use the lenient step-indexed source (Flink's real
-// API cannot express them — paper Sec. 2).
-func RunFlinkNative(s VisitCountSpec, st store.Store, cl *cluster.Cluster, env *flinklike.Env) error {
-	if env == nil {
-		env = flinklike.NewEnv(cl, st)
-	}
-	var pageTypes *flinklike.DataSet
+// RunFlinkNative executes Visit Count as one native iteration under the
+// Flink policy: one job, superstep barriers (each charged penaltyPerOp per
+// operator of the body), the pageTypes table hoisted. The per-step file
+// reads use the lenient step-indexed source (Flink's real API cannot
+// express them — paper Sec. 2).
+func RunFlinkNative(s VisitCountSpec, st store.Store, cl *cluster.Cluster, penaltyPerOp time.Duration) error {
+	sess := baseline.Flink(cl, st)
+	sess.PenaltyPerOp = penaltyPerOp
+	var pageTypes *baseline.Dataset
 	if s.WithPageTypes {
-		pageTypes = env.ReadFile("pageTypes")
+		pageTypes = sess.ReadFile("pageTypes")
 	}
-	initial := env.FromSlice(nil)
-	_, err := env.Iterate(initial, s.Days, func(day int, yesterday *flinklike.DataSet) (*flinklike.DataSet, error) {
-		visits := env.ReadFile(fmt.Sprintf("pageVisitLog%d", day))
-		if s.WithPageTypes {
-			tagged := visits.Map(func(x val.Value) (val.Value, error) {
-				return val.Pair(x, val.Int(1)), nil
-			}).JoinStatic(pageTypes) // (key, staticType, 1); table built once
-			visits = tagged.
-				Filter(func(t val.Value) (bool, error) {
-					return t.Field(1).Equal(val.Str("article")), nil
-				}).
-				Map(func(t val.Value) (val.Value, error) { return t.Field(0), nil })
-		}
-		counts := visits.
-			Map(func(x val.Value) (val.Value, error) { return val.Pair(x, val.Int(1)), nil }).
-			ReduceByKey(func(a, b val.Value) (val.Value, error) {
-				return val.Int(a.AsInt() + b.AsInt()), nil
-			})
-		if s.WithDiff {
-			if day != 1 {
-				diffs := counts.Join(yesterday).Map(func(t val.Value) (val.Value, error) {
-					d := t.Field(1).AsInt() - t.Field(2).AsInt()
-					if d < 0 {
-						d = -d
-					}
-					return val.Int(d), nil
-				})
-				sum, err := diffs.Sum()
-				if err != nil {
-					return nil, err
-				}
-				if err := st.WriteDataset(fmt.Sprintf("diff%d", day), []val.Value{sum}); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			if err := counts.WriteFile(fmt.Sprintf("counts%d", day)); err != nil {
-				return nil, err
-			}
-		}
-		return counts, nil
+	_, err := sess.Iterate(sess.FromSlice(nil), s.Days, func(day int, yesterday *baseline.Dataset) (*baseline.Dataset, error) {
+		counts := s.dayCounts(sess, pageTypes, day)
+		return counts, s.emitDay(st, counts, yesterday, day)
 	})
 	return err
 }
 
 // RunFlinkSeparateJobs executes Visit Count without native iterations: a
-// fresh environment (= a fresh job launch) per day, like Spark but on the
-// Flink-style API. No operator state survives between days.
+// fresh Flink session (= a fresh job launch) per day, like Spark but on the
+// Flink-style API. No operator state survives between days, and
+// yesterday's counts travel through the driver.
 func RunFlinkSeparateJobs(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
 	var yesterdayCounts []val.Value
 	for day := 1; day <= s.Days; day++ {
-		env := flinklike.NewEnv(cl, st)
-		visits := env.ReadFile(fmt.Sprintf("pageVisitLog%d", day))
+		sess := baseline.Flink(cl, st)
+		var pageTypes *baseline.Dataset
 		if s.WithPageTypes {
-			pageTypes := env.ReadFile("pageTypes")
-			tagged := pageTypes.Join(visits.Map(func(x val.Value) (val.Value, error) {
-				return val.Pair(x, val.Int(1)), nil
-			}))
-			visits = tagged.
-				Filter(func(t val.Value) (bool, error) {
-					return t.Field(1).Equal(val.Str("article")), nil
-				}).
-				Map(func(t val.Value) (val.Value, error) { return t.Field(0), nil })
+			pageTypes = sess.ReadFile("pageTypes")
 		}
-		counts := visits.
-			Map(func(x val.Value) (val.Value, error) { return val.Pair(x, val.Int(1)), nil }).
-			ReduceByKey(func(a, b val.Value) (val.Value, error) {
-				return val.Int(a.AsInt() + b.AsInt()), nil
-			})
+		counts := s.dayCounts(sess, pageTypes, day)
+		if err := s.emitDay(st, counts, sess.FromSlice(yesterdayCounts), day); err != nil {
+			return err
+		}
 		if s.WithDiff {
-			if day != 1 {
-				yesterday := env.FromSlice(yesterdayCounts)
-				diffs := counts.Join(yesterday).Map(func(t val.Value) (val.Value, error) {
-					d := t.Field(1).AsInt() - t.Field(2).AsInt()
-					if d < 0 {
-						d = -d
-					}
-					return val.Int(d), nil
-				})
-				sum, err := diffs.Sum()
-				if err != nil {
-					return err
-				}
-				if err := st.WriteDataset(fmt.Sprintf("diff%d", day), []val.Value{sum}); err != nil {
-					return err
-				}
-			}
-			collected, err := counts.Collect()
-			if err != nil {
-				return err
-			}
-			yesterdayCounts = collected
-		} else {
-			if err := counts.WriteFile(fmt.Sprintf("counts%d", day)); err != nil {
+			var err error
+			if yesterdayCounts, err = counts.Collect(); err != nil {
 				return err
 			}
 		}

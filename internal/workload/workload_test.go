@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/bag"
@@ -11,6 +14,7 @@ import (
 	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/val"
 )
 
 // groundTruth runs the Mitos script through the AST interpreter.
@@ -82,7 +86,7 @@ func TestAllSystemsAgree(t *testing.T) {
 			}},
 			{"spark", RunSparkAdapter(spec)},
 			{"flink-native", func(st *store.MemStore, cl *cluster.Cluster) error {
-				return RunFlinkNative(spec, st, cl, nil)
+				return RunFlinkNative(spec, st, cl, 0)
 			}},
 			{"flink-separate", func(st *store.MemStore, cl *cluster.Cluster) error {
 				return RunFlinkSeparateJobs(spec, st, cl)
@@ -113,40 +117,57 @@ func RunSparkAdapter(spec VisitCountSpec) func(st *store.MemStore, cl *cluster.C
 	}
 }
 
+// coordinationRows are the machine counts the count-based shape tests
+// sweep: enough points to tell linear growth from flat.
+var coordinationRows = []int{2, 4, 8}
+
+// TestSparkLaunchesJobPerStep: a job per day, and task dispatches that grow
+// linearly with the machine count (Figs. 5, 7).
 func TestSparkLaunchesJobPerStep(t *testing.T) {
 	spec := specs[1] // with diff: one action per day from day 2, plus day-1 materialization
-	cl, err := cluster.New(cluster.FastConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	st := freshStore(t, spec)
-	if err := RunSpark(spec, st, cl); err != nil {
-		t.Fatal(err)
-	}
-	jobs := cl.Stats().JobsLaunched
-	if jobs < int64(spec.Days) {
-		t.Errorf("Spark launched %d jobs for %d days, want >= one per day", jobs, spec.Days)
+	for _, machines := range coordinationRows {
+		cl, err := cluster.New(cluster.FastConfig(machines))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = RunSpark(spec, freshStore(t, spec), cl)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := cl.Stats()
+		if stats.JobsLaunched != int64(spec.Days) {
+			t.Errorf("%d machines: Spark launched %d jobs for %d days, want one per day", machines, stats.JobsLaunched, spec.Days)
+		}
+		// Day 1 counts: 2 stages; every later day adds the join's: 3.
+		waves := int64(2 + 3*(spec.Days-1))
+		if stats.TasksDispatched != waves*int64(machines) {
+			t.Errorf("%d machines: Spark dispatched %d tasks, want %d stage waves x %d machines", machines, stats.TasksDispatched, waves, machines)
+		}
 	}
 }
 
+// TestFlinkNativeLaunchesOneJob: one launch whatever the day count, and one
+// barrier per superstep.
 func TestFlinkNativeLaunchesOneJob(t *testing.T) {
 	spec := specs[1]
-	cl, err := cluster.New(cluster.FastConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	st := freshStore(t, spec)
-	if err := RunFlinkNative(spec, st, cl, nil); err != nil {
-		t.Fatal(err)
-	}
-	stats := cl.Stats()
-	if stats.JobsLaunched != 1 {
-		t.Errorf("Flink native launched %d jobs, want 1", stats.JobsLaunched)
-	}
-	if stats.Barriers < int64(spec.Days) {
-		t.Errorf("Flink native ran %d barriers for %d supersteps", stats.Barriers, spec.Days)
+	for _, machines := range coordinationRows {
+		cl, err := cluster.New(cluster.FastConfig(machines))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = RunFlinkNative(spec, freshStore(t, spec), cl, 0)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := cl.Stats()
+		if stats.JobsLaunched != 1 || stats.TasksDispatched != int64(machines) {
+			t.Errorf("%d machines: Flink native launched %d jobs dispatching %d tasks, want 1 and %d", machines, stats.JobsLaunched, stats.TasksDispatched, machines)
+		}
+		if stats.Barriers != int64(spec.Days) {
+			t.Errorf("%d machines: Flink native ran %d barriers for %d supersteps", machines, stats.Barriers, spec.Days)
+		}
 	}
 }
 
@@ -190,33 +211,58 @@ func TestMitosNonPipelinedUsesBarriers(t *testing.T) {
 	}
 }
 
+// TestStepBenchesAllSystems runs the Fig. 7 loop on all six systems and pins
+// the figure's shape as counts: the job-per-step systems launch a job per
+// step and dispatch tasks linearly in the machine count, Flink native
+// launches once and pays a barrier per step, Mitos launches nothing.
 func TestStepBenchesAllSystems(t *testing.T) {
 	const steps = 5
-	cl, err := cluster.New(cluster.FastConfig(3))
-	if err != nil {
-		t.Fatal(err)
+	jobPerStep := func(m int64) cluster.Stats {
+		return cluster.Stats{JobsLaunched: steps, TasksDispatched: steps * m}
 	}
-	defer cl.Close()
 	cases := []struct {
 		name string
-		run  func() error
+		run  func(cl *cluster.Cluster) error
+		// want gives the launches, dispatches and barriers expected on m
+		// machines; nil leaves the comparator's coordination unpinned.
+		want func(m int64) cluster.Stats
 	}{
-		{"mitos", func() error {
+		{"mitos", func(cl *cluster.Cluster) error {
 			_, err := StepMitos(cl, store.NewMemStore(), steps, core.DefaultOptions())
 			return err
-		}},
-		{"spark", func() error { return StepSpark(cl, store.NewMemStore(), steps) }},
-		{"flink-separate", func() error { return StepFlinkSeparateJobs(cl, store.NewMemStore(), steps) }},
-		{"flink-native", func() error { return StepFlinkNative(cl, store.NewMemStore(), steps, nil) }},
-		{"naiad", func() error { return StepNaiad(cl, steps) }},
-		{"tf", func() error { return StepTF(cl, steps) }},
+		}, func(int64) cluster.Stats { return cluster.Stats{} }},
+		{"spark", func(cl *cluster.Cluster) error { return StepSpark(cl, store.NewMemStore(), steps) }, jobPerStep},
+		{"flink-separate", func(cl *cluster.Cluster) error { return StepFlinkSeparateJobs(cl, store.NewMemStore(), steps) }, jobPerStep},
+		{"flink-native", func(cl *cluster.Cluster) error { return StepFlinkNative(cl, store.NewMemStore(), steps, 0) },
+			func(m int64) cluster.Stats {
+				return cluster.Stats{JobsLaunched: 1, TasksDispatched: m, Barriers: steps}
+			}},
+		{"naiad", func(cl *cluster.Cluster) error { return StepNaiad(cl, steps) }, nil},
+		{"tf", func(cl *cluster.Cluster) error { return StepTF(cl, steps) }, nil},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if err := c.run(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, machines := range coordinationRows {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/%d", c.name, machines), func(t *testing.T) {
+				cl, err := cluster.New(cluster.FastConfig(machines))
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = c.run(cl)
+				cl.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.want == nil {
+					return
+				}
+				got, want := cl.Stats(), c.want(int64(machines))
+				if got.JobsLaunched != want.JobsLaunched || got.TasksDispatched != want.TasksDispatched || got.Barriers != want.Barriers {
+					t.Errorf("jobs/tasks/barriers = %d/%d/%d, want %d/%d/%d",
+						got.JobsLaunched, got.TasksDispatched, got.Barriers,
+						want.JobsLaunched, want.TasksDispatched, want.Barriers)
+				}
+			})
+		}
 	}
 }
 
@@ -351,5 +397,31 @@ func TestCombinersShrinkReduceByKeyShuffles(t *testing.T) {
 	}
 	if ptOnJob > ptOffJob {
 		t.Errorf("pageTypes whole-job remote bytes regressed with combiners: off=%d on=%d", ptOffJob, ptOnJob)
+	}
+}
+
+// TestBenchmarkInputsPinned pins, as digests taken at df61bd0, everything the
+// frozen benchmark/ module takes from this package: the three scripts and
+// the generated datasets. A change here moves every BENCHMARK.json number.
+func TestBenchmarkInputsPinned(t *testing.T) {
+	h := sha256.New()
+	io.WriteString(h, StepLoopScript(50000))
+	io.WriteString(h, ConnectedScript)
+	var buf []byte
+	for _, spec := range specs {
+		io.WriteString(h, spec.Script())
+		st := freshStore(t, spec)
+		for _, name := range st.Names() {
+			elems, _ := st.ReadDataset(name)
+			buf = append(buf[:0], name...)
+			for _, e := range elems {
+				buf = val.AppendBinary(buf, e)
+			}
+			h.Write(buf)
+		}
+	}
+	const want = "1a63d64e0bed9e056cbd05a36963d012d2257fd564f46549290004980ff2adbe"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("scripts + generated datasets digest = %s, want %s", got, want)
 	}
 }
