@@ -122,13 +122,14 @@ func (s *solutionStore) addReader() int {
 // apply merges one step into the state: the (already key-folded) seed is
 // ingested on the first step, then each folded delta candidate is merged
 // against the indexed value with merge (the deltaMerge host's UDF call). It
-// returns the (key, merged) pairs that changed — the caller emits them AFTER
-// this returns, outside the lock, because emitting can block on backpressure
-// while a solution reader holds (or waits for) the lock. incremental=false is the -delta=off ablation: the
+// returns the (key, merged) pairs that changed, carved from slab (the calling
+// host's) — the caller emits them AFTER this returns, outside the lock,
+// because emitting can block on backpressure while a solution reader holds
+// (or waits for) the lock. incremental=false is the -delta=off ablation: the
 // whole index is rebuilt from scratch every step, modeling full
 // re-derivation, before the same merge runs — outputs are identical, only
 // the per-step cost changes from O(|delta|) to O(|solution|).
-func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge func(old, v val.Value) (val.Value, error), incremental bool, in int64) ([]val.Value, DeltaStep, error) {
+func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge func(old, v val.Value) (val.Value, error), incremental bool, in int64, slab *val.Slab) ([]val.Value, DeltaStep, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ents []undoEntry
@@ -164,7 +165,7 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge fun
 		if !ok {
 			s.idx.Put(k, v)
 			s.bytes += int64(val.EncodedSize(k) + val.EncodedSize(v))
-			changed = append(changed, val.Pair(k, v))
+			changed = append(changed, slab.Tuple(k, v))
 			if s.journal {
 				ents = append(ents, undoEntry{key: k})
 			}
@@ -178,7 +179,7 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge fun
 		if !merged.Equal(old) {
 			s.idx.Put(k, merged)
 			s.bytes += int64(val.EncodedSize(merged) - val.EncodedSize(old))
-			changed = append(changed, val.Pair(k, merged))
+			changed = append(changed, slab.Tuple(k, merged))
 			if s.journal {
 				ents = append(ents, undoEntry{key: k, old: old, present: true})
 			}
@@ -214,8 +215,8 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge fun
 // snapshot returns the full solution set as it stood after step target (0 =
 // before any step). When the merge has pipelined past target, the undo
 // journal rolls the overlayed keys back. The caller emits the returned
-// pairs outside the lock (see apply).
-func (s *solutionStore) snapshot(target, reader int) ([]val.Value, error) {
+// pairs, carved from its slab, outside the lock (see apply).
+func (s *solutionStore) snapshot(target, reader int, slab *val.Slab) ([]val.Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if reader >= 0 && reader < len(s.readers) && target > s.readers[reader] {
@@ -224,7 +225,7 @@ func (s *solutionStore) snapshot(target, reader int) ([]val.Value, error) {
 	out := make([]val.Value, 0, s.idx.Len())
 	if s.applied <= target {
 		s.idx.Range(func(k, v val.Value) bool {
-			out = append(out, val.Pair(k, v))
+			out = append(out, slab.Tuple(k, v))
 			return true
 		})
 		s.gcUndo()
@@ -253,11 +254,11 @@ func (s *solutionStore) snapshot(target, reader int) ([]val.Value, error) {
 	s.idx.Range(func(k, v val.Value) bool {
 		if r, ok := ov.Get(k); ok {
 			if r.present {
-				out = append(out, val.Pair(k, r.old))
+				out = append(out, slab.Tuple(k, r.old))
 			}
 			return true
 		}
-		out = append(out, val.Pair(k, v))
+		out = append(out, slab.Tuple(k, v))
 		return true
 	})
 	s.gcUndo()
@@ -354,7 +355,7 @@ func (h *host) beginDeltaMerge(run *outputRun) {
 // candidates are merged into the state store in one atomic step and the
 // changed pairs emitted as the next workset.
 func (h *host) finishDeltaMerge(run *outputRun) error {
-	changed, step, err := h.state.apply(run.pos, run.seedHash, run.hash, h.call2, h.rt.opts.Delta, run.count)
+	changed, step, err := h.state.apply(run.pos, run.seedHash, run.hash, h.call2, h.rt.opts.Delta, run.count, &h.slab)
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}
@@ -378,7 +379,7 @@ func (h *host) finishDeltaMerge(run *outputRun) error {
 // mid-pipeline, whatever the journal rolls back to).
 func (h *host) finishSolution(run *outputRun) error {
 	target := max(run.inPos[0], 0)
-	ents, err := h.state.snapshot(target, h.readerSlot)
+	ents, err := h.state.snapshot(target, h.readerSlot, &h.slab)
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
+	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/obs/lineage"
 	"github.com/mitos-project/mitos/internal/val"
@@ -40,9 +41,14 @@ type host struct {
 	freeRun     *outputRun // recycled run; a loop allocates one run, not one per step
 
 	inbufs []inputBuf
-	// args is the UDF argument scratch (see call). UDFs are shared across
-	// instances, so it lives on the host.
-	args [2]val.Value
+	// frame is the activation record of every UDF call this host makes and
+	// args its argument scratch (see call); slab is where the UDFs' tuples and
+	// the host's own output tuples are carved. UDFs are shared across
+	// instances, so all three live on the host, whose chain driver's goroutine
+	// is their only user.
+	frame lang.Frame
+	args  [2]val.Value
+	slab  val.Slab
 
 	// Loop-invariant hoisting: position of the input bag the cached join
 	// build state was built from (-1 when none), and the cached hash table.
@@ -136,6 +142,7 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 		inbufs:         make([]inputBuf, len(op.Inputs)),
 		cachedBuildPos: -1,
 	}
+	h.frame.Slab = &h.slab
 	if rt.plan != nil {
 		h.occ = make([][]int, len(rt.plan.IR.Blocks))
 	}
@@ -597,18 +604,23 @@ func sizedVals(s []val.Value, n int) []val.Value {
 	return s
 }
 
-// call applies the operator's UDF through the host's argument scratch: the
-// variadic slice of a literal F.Call(x) escapes through the compiled
-// closure, which would heap-allocate it for every element.
+// call applies the operator's UDF in the host's frame: a literal F.Call(x)
+// heap-allocates its variadic slice and a frame for every element, and gives
+// a tuple-building body nowhere to carve from.
 func (h *host) call(x val.Value) (val.Value, error) {
 	h.args[0] = x
-	return h.op.Instr.F.Call(h.args[:1]...)
+	return h.apply(h.args[:1])
 }
 
 // call2 is call for the two-argument (fold) UDFs.
 func (h *host) call2(a, b val.Value) (val.Value, error) {
 	h.args[0], h.args[1] = a, b
-	return h.op.Instr.F.Call(h.args[:2]...)
+	return h.apply(h.args[:2])
+}
+
+func (h *host) apply(args []val.Value) (val.Value, error) {
+	h.frame.Args = args
+	return h.op.Instr.F.Apply(&h.frame)
 }
 
 // emit sends one element of the current output bag downstream.

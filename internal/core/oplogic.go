@@ -174,12 +174,12 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			run.build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
 		} else if matches, ok := run.build.Get(k); ok {
 			for _, lv := range matches {
-				h.emit(run, val.Tuple(k, lv, v))
+				h.emit(run, h.slab.Tuple(k, lv, v))
 			}
 		}
 	case ir.OpCross:
 		for _, r := range h.bagFor(run, 1).elems {
-			h.emit(run, val.Tuple(x, r))
+			h.emit(run, h.slab.Tuple(x, r))
 		}
 	case ir.OpReduceByKey:
 		return h.foldInto(run.hash, x)
@@ -288,7 +288,7 @@ func (h *host) emitIfNew(run *outputRun, x val.Value) {
 // emitGroups emits a fold table as (key, value) pairs.
 func (h *host) emitGroups(run *outputRun) {
 	run.hash.Range(func(k, v val.Value) bool {
-		h.emit(run, val.Pair(k, v))
+		h.emit(run, h.slab.Tuple(k, v))
 		return true
 	})
 }
@@ -338,7 +338,7 @@ func (h *host) finishKind(run *outputRun) error {
 	case ir.OpCount:
 		h.emit(run, val.Int(run.count))
 	case ir.OpCombine:
-		y, err := h.op.Instr.F.Call(run.args...)
+		y, err := h.apply(run.args)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
@@ -359,12 +359,14 @@ func (h *host) finishReadFile(run *outputRun) error {
 	// Prefer a true partitioned read (internal/dfs); fall back to striding
 	// over the full dataset.
 	if pr, ok := h.rt.store.(store.PartitionedReader); ok {
-		elems, err := pr.ReadDatasetPartition(name.AsStr(), h.inst, h.op.Par)
+		blocks, err := pr.ReadPartitionBlocks(name.AsStr(), h.inst, h.op.Par)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
-		for _, e := range elems {
-			h.emit(run, e)
+		for _, b := range blocks {
+			for _, e := range b {
+				h.emit(run, e)
+			}
 		}
 		return nil
 	}

@@ -296,7 +296,9 @@ func (j *Job) Observe(o *obs.Observer) {
 // Observer returns the job's observer (nil when observability is off).
 func (j *Job) Observer() *obs.Observer { return j.obs }
 
-// Stats returns a snapshot of the job's transfer counters.
+// Stats returns a snapshot of the job's transfer counters. The element
+// counts are folded in per bag (instance.foldCounts): exact once the job is
+// done, behind by at most each instance's current bag while it runs.
 // MailboxDropped is finalized by Wait.
 func (j *Job) Stats() JobStats {
 	return JobStats{
@@ -404,20 +406,22 @@ func (j *Job) Send(op OpID, inst int, ev any) {
 
 // DeliverData injects one remote data frame into the job: the
 // payload (an encodeBatch encoding of count elements) is decoded into a
-// pooled batch and enqueued on the target's mailbox. ack, if non-nil, runs
+// pooled batch and enqueued on the target's mailbox. The elements' tuples and
+// strings are carved from slab, which belongs to the calling goroutine — a
+// link delivers from one goroutine and keeps one slab for its lifetime; nil
+// allocates each on its own. ack, if non-nil, runs
 // after the batch has been fully processed by the receiving vertex (or
 // immediately if the mailbox is already closed) — the TCP backend returns
 // a flow-control credit from it. A decode or addressing error fails the
 // job and is returned.
-func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, ack func()) error {
+func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, slab *val.Slab, ack func()) error {
 	tgt, err := j.remoteTarget(h)
 	if err != nil {
 		return j.reject(err, ack)
 	}
-	buf := j.getBatch()
-	batch, err := decodeBatch(buf, payload, count)
+	batch, err := decodeBatch(j.getBatch(), payload, count, slab)
 	if err != nil {
-		j.recycleBatch(buf)
+		j.recycleBatch(batch)
 		return j.reject(fmt.Errorf("dataflow: remote frame for %s[%d]: %w", tgt.op.Name, tgt.idx, err), ack)
 	}
 	n := int64(len(payload))
@@ -549,14 +553,18 @@ func (j *Job) getBatch() []Element {
 // recycleBatch clears a delivered batch and returns its buffer to the free
 // list. Undersized buffers (from historic or foreign allocations) are left
 // to the garbage collector so every pooled entry keeps full batch capacity.
+//
+// Invariant: a pooled buffer is zero beyond its length — it is fresh from
+// make, written only by append, and cleared here over the length it is
+// returned with. So clearing b[:len(b)] releases every value reference, and a
+// one-element batch (every batch of a control-only loop) does not pay for
+// clearing 128. A caller must therefore pass the slice at the length it
+// appended to, never a shorter re-slice.
 func (j *Job) recycleBatch(b []Element) {
 	if cap(b) < j.batchSize {
 		return
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = Element{} // release value references while pooled
-	}
+	clear(b)
 	b = b[:0]
 	j.batchMu.Lock()
 	if len(j.freeBatches) < batchKeepMax {
@@ -589,6 +597,12 @@ type instance struct {
 	outs      []*outEdge
 	producers []int // per input slot: number of producer instances feeding this instance
 
+	// sent and chained count this instance's emitted elements since the last
+	// foldCounts. Plain fields: only the chain driver's goroutine runs the
+	// instance, and one shared atomic add per element was a cache line every
+	// machine's goroutines fought over.
+	sent, chained int64
+
 	// Observability handles; nil (and therefore no-ops) unless Job.Observe
 	// was called.
 	trc          *obs.Tracer
@@ -604,6 +618,17 @@ type instance struct {
 	ctrlIn       *obs.Counter
 	mboxHWM      *obs.Gauge
 	mboxDropped  *obs.Counter
+}
+
+// foldCounts moves the per-instance element counts into the job's totals.
+// It runs at every end-of-bag and when the event loop exits, so Stats is
+// exact once the job is done and a live reading lags by at most one bag.
+func (in *instance) foldCounts() {
+	if in.sent != 0 {
+		in.job.elementsSent.Add(in.sent)
+		in.job.elementsChained.Add(in.chained)
+		in.sent, in.chained = 0, 0
+	}
 }
 
 func (in *instance) ensureInputs(n int) {
@@ -689,6 +714,7 @@ func (in *instance) loop() {
 		if err := m.vertex.Close(); err != nil {
 			in.job.fail(fmt.Errorf("dataflow: close %s[%d]: %w", m.op.Name, m.idx, err))
 		}
+		m.foldCounts()
 	}
 }
 
@@ -731,7 +757,7 @@ func (c *Context) NumInputs() int { return len(c.inst.producers) }
 // Flush) pushes buffered batches out.
 func (c *Context) Emit(e Element) {
 	in := c.inst
-	in.job.elementsSent.Add(1)
+	in.sent++
 	in.elemsOut.Inc()
 	for _, oe := range in.outs {
 		switch oe.part {
@@ -766,7 +792,7 @@ func (c *Context) Emit(e Element) {
 func (c *Context) deliver(oe *outEdge, e Element) {
 	in := c.inst
 	tgt := oe.targets[in.idx]
-	in.job.elementsChained.Add(1)
+	in.chained++
 	in.elemsChained.Inc()
 	tgt.elemsIn.Inc()
 	oe.scratch[0] = e
@@ -854,6 +880,7 @@ func (c *Context) Flush() {
 // order exactly as data does.
 func (c *Context) EmitEOB(tag Tag) {
 	in := c.inst
+	in.foldCounts()
 	for _, oe := range in.outs {
 		switch oe.part {
 		case PartForward:

@@ -135,6 +135,7 @@ func (t *loopback) quiesce() {
 // rejects has already failed the job, so the error is not handled again.
 func (t *loopback) run(eg *Queue[loopFrame]) {
 	defer t.wg.Done()
+	var slab val.Slab // this link's decode slab
 	for {
 		f, ok := eg.Take()
 		if !ok {
@@ -144,7 +145,7 @@ func (t *loopback) run(eg *Queue[loopFrame]) {
 		if f.eob {
 			_ = t.job.DeliverEOB(f.h, f.tag, nil)
 		} else {
-			_ = t.job.DeliverData(f.h, f.payload, f.count, nil)
+			_ = t.job.DeliverData(f.h, f.payload, f.count, &slab, nil)
 			val.PutScratch(f.payload)
 		}
 		t.done()
@@ -175,24 +176,25 @@ func encodeBatch(dst []byte, batch []Element) []byte {
 }
 
 // decodeBatch appends exactly count elements decoded from buf to dst,
-// rejecting trailing garbage.
-func decodeBatch(dst []Element, buf []byte, count int) ([]Element, error) {
-	batch := dst
+// rejecting trailing garbage. The elements' tuples and strings are carved
+// from slab and keep no reference to buf. On error it returns what it had
+// appended, for the caller to recycle.
+func decodeBatch(dst []Element, buf []byte, count int, slab *val.Slab) ([]Element, error) {
 	for i := 0; i < count; i++ {
 		tag, n := binary.Varint(buf)
 		if n <= 0 {
-			return nil, fmt.Errorf("bad tag varint for element %d", i)
+			return dst, fmt.Errorf("bad tag varint for element %d", i)
 		}
 		buf = buf[n:]
-		v, used, err := val.DecodeBinary(buf)
+		v, used, err := val.Decode(buf, slab)
 		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
+			return dst, fmt.Errorf("element %d: %w", i, err)
 		}
 		buf = buf[used:]
-		batch = append(batch, Element{Tag: Tag(tag), Val: v})
+		dst = append(dst, Element{Tag: Tag(tag), Val: v})
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after %d elements", len(buf), count)
+		return dst, fmt.Errorf("%d trailing bytes after %d elements", len(buf), count)
 	}
-	return batch, nil
+	return dst, nil
 }

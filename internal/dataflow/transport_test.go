@@ -378,7 +378,8 @@ func TestEncodeDecodeBatch(t *testing.T) {
 		{Tag: 1 << 20, Val: val.Pair(val.Int(-9), val.Str(""))},
 	}
 	buf := encodeBatch(nil, batch)
-	got, err := decodeBatch(nil, buf, len(batch))
+	var slab val.Slab
+	got, err := decodeBatch(nil, buf, len(batch), &slab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,10 +392,10 @@ func TestEncodeDecodeBatch(t *testing.T) {
 				i, got[i].Tag, got[i].Val, batch[i].Tag, batch[i].Val)
 		}
 	}
-	if _, err := decodeBatch(nil, append(buf, 0), len(batch)); err == nil {
+	if _, err := decodeBatch(nil, append(buf, 0), len(batch), &slab); err == nil {
 		t.Error("trailing garbage accepted")
 	}
-	if _, err := decodeBatch(nil, buf[:len(buf)-1], len(batch)); err == nil {
+	if _, err := decodeBatch(nil, buf[:len(buf)-1], len(batch), &slab); err == nil {
 		t.Error("truncated buffer accepted")
 	}
 }

@@ -151,10 +151,22 @@ func (s *Store) ReadDataset(name string) ([]val.Value, error) {
 	return slices.Concat(blocks...), nil
 }
 
-// ReadDatasetPartition returns partition part of parts: the blocks whose
-// index is congruent to part, concatenated. Every element belongs to
-// exactly one partition; only the requested blocks are copied or counted.
+// ReadDatasetPartition returns partition part of parts as one slice of the
+// caller's own: ReadPartitionBlocks, concatenated. The engine reads the blocks;
+// the repository benchmark's dfs.read_ms is this call's only user.
 func (s *Store) ReadDatasetPartition(name string, part, parts int) ([]val.Value, error) {
+	mine, err := s.ReadPartitionBlocks(name, part, parts)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(mine...), nil
+}
+
+// ReadPartitionBlocks implements store.PartitionedReader: partition part of
+// parts is the blocks whose index is congruent to part. Every element belongs
+// to exactly one partition; only the requested blocks are counted, and none
+// is copied.
+func (s *Store) ReadPartitionBlocks(name string, part, parts int) ([][]val.Value, error) {
 	if parts < 1 || part < 0 || part >= parts {
 		return nil, fmt.Errorf("dfs: partition %d of %d", part, parts)
 	}
@@ -167,7 +179,7 @@ func (s *Store) ReadDatasetPartition(name string, part, parts int) ([]val.Value,
 		mine = append(mine, blocks[i])
 	}
 	s.account(mine)
-	return slices.Concat(mine...), nil
+	return mine, nil
 }
 
 // Names returns the dataset names present, sorted.

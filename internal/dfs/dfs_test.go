@@ -108,6 +108,19 @@ func TestStatsAccounting(t *testing.T) {
 	if st2.BlocksRead != 4 {
 		t.Errorf("BlocksRead = %d, want 4", st2.BlocksRead)
 	}
+	// The uncopied read of the same partition is the same blocks at the
+	// same price: one open, one block, the same bytes.
+	blocks, err := s.ReadPartitionBlocks("d", 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 1 || !bag.Equal(blocks[0], intSlice(10)) {
+		t.Errorf("ReadPartitionBlocks = %v, want the first block", blocks)
+	}
+	st3 := s.Stats()
+	if st3.Opens-st2.Opens != 1 || st3.BlocksRead-st2.BlocksRead != 1 || st3.BytesRead-st2.BytesRead != st2.BytesRead-st.BytesRead {
+		t.Errorf("ReadPartitionBlocks moved the counters %+v -> %+v, ReadDatasetPartition %+v -> %+v", st2, st3, st, st2)
+	}
 }
 
 func TestOverwriteAndNames(t *testing.T) {

@@ -58,6 +58,16 @@ var builtins = map[string]builtinSig{
 	"cond":     {[]Type{TypeScalar, TypeScalar, TypeScalar}, TypeScalar},
 }
 
+// callArity rejects a builtin call with the wrong number of arguments. The
+// checker reports it; so do compileCall and evalCall, because MakeUDF and
+// EvalScalar also take ASTs no checker saw.
+func callArity(e *Call) error {
+	if sig, ok := builtins[e.Fn]; ok && len(e.Args) != len(sig.args) {
+		return errf(e.Pos, "%s expects %d argument(s), got %d", e.Fn, len(sig.args), len(e.Args))
+	}
+	return nil
+}
+
 // Bag method signatures: number of lambda args (with given arities, -1
 // meaning a bag argument, -2 meaning a scalar argument) — encoded simply.
 type methodSig struct {
@@ -346,8 +356,8 @@ func (c *checker) exprType(e Expr, assigned map[string]bool) (Type, error) {
 		if !ok {
 			return TypeScalar, errf(e.Pos, "unknown function %s", e.Fn)
 		}
-		if len(e.Args) != len(sig.args) {
-			return TypeScalar, errf(e.Pos, "%s expects %d argument(s), got %d", e.Fn, len(sig.args), len(e.Args))
+		if err := callArity(e); err != nil {
+			return TypeScalar, err
 		}
 		for i, a := range e.Args {
 			if _, err := c.checkExprOfType(a, sig.args[i], assigned); err != nil {

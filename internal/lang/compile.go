@@ -7,8 +7,18 @@ import (
 	"github.com/mitos-project/mitos/internal/val"
 )
 
-// compiledFn evaluates a compiled expression against the lambda arguments.
-type compiledFn func(args []val.Value) (val.Value, error)
+// Frame is the activation record of a UDF call: the arguments, and the slab
+// the body's tuple constructors carve from (nil: each tuple is its own
+// allocation). A caller on a hot path owns one Frame and one Slab and reuses
+// them call after call (core's operator host), so a call allocates nothing and
+// a tuple-building body one chunk per ~128 calls.
+type Frame struct {
+	Args []val.Value
+	Slab *val.Slab
+}
+
+// compiledFn evaluates a compiled expression in a call's frame.
+type compiledFn func(fr *Frame) (val.Value, error)
 
 // compileExpr compiles a scalar expression into a closure tree: all
 // dispatch on node and operator kinds happens once, at compile time, so
@@ -22,7 +32,7 @@ func compileExpr(e Expr, params []string) (compiledFn, error) {
 	switch e := e.(type) {
 	case *Lit:
 		v := e.V
-		return func([]val.Value) (val.Value, error) { return v, nil }, nil
+		return func(*Frame) (val.Value, error) { return v, nil }, nil
 	case *Ident:
 		idx := -1
 		for i, p := range params {
@@ -34,15 +44,15 @@ func compileExpr(e Expr, params []string) (compiledFn, error) {
 		if idx < 0 {
 			return nil, errf(e.Pos, "undefined variable %s", e.Name)
 		}
-		return func(args []val.Value) (val.Value, error) { return args[idx], nil }, nil
+		return func(fr *Frame) (val.Value, error) { return fr.Args[idx], nil }, nil
 	case *Unary:
 		x, err := compileExpr(e.X, params)
 		if err != nil {
 			return nil, err
 		}
 		pos, op := e.Pos, e.Op
-		return func(args []val.Value) (val.Value, error) {
-			v, err := x(args)
+		return func(fr *Frame) (val.Value, error) {
+			v, err := x(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -61,10 +71,10 @@ func compileExpr(e Expr, params []string) (compiledFn, error) {
 			}
 			fields[i] = f
 		}
-		return func(args []val.Value) (val.Value, error) {
-			out := make([]val.Value, len(fields))
+		return func(fr *Frame) (val.Value, error) {
+			out := fr.Slab.Make(len(fields))
 			for i, f := range fields {
-				v, err := f(args)
+				v, err := f(fr)
 				if err != nil {
 					return val.Value{}, err
 				}
@@ -78,8 +88,8 @@ func compileExpr(e Expr, params []string) (compiledFn, error) {
 			return nil, err
 		}
 		pos, idx := e.Pos, e.Index
-		return func(args []val.Value) (val.Value, error) {
-			v, err := x(args)
+		return func(fr *Frame) (val.Value, error) {
+			v, err := x(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -110,8 +120,8 @@ func compileBinary(e *Binary, params []string) (compiledFn, error) {
 	switch e.Op {
 	case TokAnd, TokOr:
 		isAnd := e.Op == TokAnd
-		return func(args []val.Value) (val.Value, error) {
-			a, err := x(args)
+		return func(fr *Frame) (val.Value, error) {
+			a, err := x(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -124,7 +134,7 @@ func compileBinary(e *Binary, params []string) (compiledFn, error) {
 			if !isAnd && a.AsBool() {
 				return val.Bool(true), nil
 			}
-			b, err := y(args)
+			b, err := y(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -218,12 +228,12 @@ func compileBinary(e *Binary, params []string) (compiledFn, error) {
 	default:
 		return nil, errf(pos, "unknown binary operator %s", e.Op)
 	}
-	return func(args []val.Value) (val.Value, error) {
-		a, err := x(args)
+	return func(fr *Frame) (val.Value, error) {
+		a, err := x(fr)
 		if err != nil {
 			return val.Value{}, err
 		}
-		b, err := y(args)
+		b, err := y(fr)
 		if err != nil {
 			return val.Value{}, err
 		}
@@ -232,6 +242,9 @@ func compileBinary(e *Binary, params []string) (compiledFn, error) {
 }
 
 func compileCall(e *Call, params []string) (compiledFn, error) {
+	if err := callArity(e); err != nil {
+		return nil, err
+	}
 	fns := make([]compiledFn, len(e.Args))
 	for i, a := range e.Args {
 		f, err := compileExpr(a, params)
@@ -241,22 +254,11 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 		fns[i] = f
 	}
 	pos := e.Pos
-	evalArgs := func(args []val.Value) ([]val.Value, error) {
-		out := make([]val.Value, len(fns))
-		for i, f := range fns {
-			v, err := f(args)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	switch e.Fn {
 	case "cond":
 		c, a, b := fns[0], fns[1], fns[2]
-		return func(args []val.Value) (val.Value, error) {
-			cv, err := c(args)
+		return func(fr *Frame) (val.Value, error) {
+			cv, err := c(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -264,14 +266,14 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 				return val.Value{}, errf(pos, "cond condition is %s, want bool", cv.Kind())
 			}
 			if cv.AsBool() {
-				return a(args)
+				return a(fr)
 			}
-			return b(args)
+			return b(fr)
 		}, nil
 	case "abs":
 		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
+		return func(fr *Frame) (val.Value, error) {
+			v, err := f(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -289,8 +291,8 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 		}, nil
 	case "str":
 		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
+		return func(fr *Frame) (val.Value, error) {
+			v, err := f(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -298,8 +300,8 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 		}, nil
 	case "num":
 		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
+		return func(fr *Frame) (val.Value, error) {
+			v, err := f(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -307,8 +309,8 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 		}, nil
 	case "len":
 		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
+		return func(fr *Frame) (val.Value, error) {
+			v, err := f(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
@@ -317,20 +319,27 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 			}
 			return val.Int(int64(len(v.AsStr()))), nil
 		}, nil
-	case "min", "max", "fst", "snd":
-		// Rare in hot paths: delegate to the interpreter's builtin logic by
-		// rebuilding a Call with literal arguments.
-		fn := e.Fn
-		return func(args []val.Value) (val.Value, error) {
-			vs, err := evalArgs(args)
+	case "min", "max":
+		x, y, fn := fns[0], fns[1], e.Fn
+		return func(fr *Frame) (val.Value, error) {
+			a, err := x(fr)
 			if err != nil {
 				return val.Value{}, err
 			}
-			lits := make([]Expr, len(vs))
-			for i, v := range vs {
-				lits[i] = &Lit{Pos: pos, V: v}
+			b, err := y(fr)
+			if err != nil {
+				return val.Value{}, err
 			}
-			return evalCall(&Call{Pos: pos, Fn: fn, Args: lits}, nil)
+			return minMax(pos, fn, a, b)
+		}, nil
+	case "fst", "snd":
+		f, fn := fns[0], e.Fn
+		return func(fr *Frame) (val.Value, error) {
+			v, err := f(fr)
+			if err != nil {
+				return val.Value{}, err
+			}
+			return fstSnd(pos, fn, v)
 		}, nil
 	default:
 		return nil, errf(pos, "%s cannot be compiled (bag operations are planned, not evaluated)", e.Fn)

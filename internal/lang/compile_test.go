@@ -24,7 +24,7 @@ func randomScalarExpr(r *rand.Rand, depth int) Expr {
 			return &Ident{Name: "p1"}
 		}
 	}
-	switch r.Intn(8) {
+	switch r.Intn(10) {
 	case 0:
 		return &Unary{Op: TokMinus, X: randomScalarExpr(r, depth-1)}
 	case 1:
@@ -42,6 +42,18 @@ func randomScalarExpr(r *rand.Rand, depth int) Expr {
 		return &Call{Fn: "max", Args: []Expr{randomScalarExpr(r, depth-1), randomScalarExpr(r, depth-1)}}
 	case 6:
 		return &Field{X: &TupleExpr{Elems: []Expr{randomScalarExpr(r, depth-1), randomScalarExpr(r, depth-1)}}, Index: r.Intn(2)}
+	case 7, 8:
+		// fst/snd of a 0-, 1- or 2-tuple, or of a non-tuple: snd of a 1-tuple
+		// and either of a scalar are errors both forms must report.
+		fn := []string{"fst", "snd"}[r.Intn(2)]
+		if r.Intn(4) == 0 {
+			return &Call{Fn: fn, Args: []Expr{randomScalarExpr(r, depth-1)}}
+		}
+		elems := make([]Expr, r.Intn(3))
+		for i := range elems {
+			elems[i] = randomScalarExpr(r, depth-1)
+		}
+		return &Call{Fn: fn, Args: []Expr{&TupleExpr{Elems: elems}}}
 	default:
 		return &Call{Fn: "str", Args: []Expr{randomScalarExpr(r, depth-1)}}
 	}
@@ -54,6 +66,7 @@ func randomScalarExpr(r *rand.Rand, depth int) Expr {
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	params := []string{"p0", "p1"}
+	failed := map[string]bool{} // builtins whose own error case the trials reached
 	for trial := 0; trial < 2000; trial++ {
 		e := randomScalarExpr(r, 1+r.Intn(4))
 		compiled, err := compileExpr(e, params)
@@ -71,14 +84,45 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			return val.Value{}, false
 		}
 		want, wantErr := EvalScalar(e, env)
-		got, gotErr := compiled(args)
+		got, gotErr := compiled(&Frame{Args: args})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error mismatch: interp=%v compiled=%v", trial, wantErr, gotErr)
 		}
-		if wantErr == nil && !got.Equal(want) {
+		if wantErr != nil {
+			for _, fn := range []string{"min", "max", "fst", "snd"} {
+				if strings.Contains(wantErr.Error(), fn+" on ") {
+					failed[fn] = true
+				}
+			}
+		} else if !got.Equal(want) {
 			var b strings.Builder
 			formatExpr(&b, e, 0)
 			t.Fatalf("trial %d: %s with %v: interp=%v compiled=%v", trial, b.String(), args, want, got)
+		}
+	}
+	if len(failed) != 4 {
+		t.Errorf("trials reached the error cases of %v only, want min, max, fst and snd", failed)
+	}
+}
+
+// TestBuiltinArity: a builtin call with an argument too few or too many is an
+// error in both forms — when compiled, and when the interpreter reaches it —
+// not an index out of range.
+func TestBuiltinArity(t *testing.T) {
+	for fn, sig := range builtins {
+		if sig.result != TypeScalar {
+			continue
+		}
+		for _, n := range []int{len(sig.args) - 1, len(sig.args) + 1} {
+			e := &Call{Fn: fn, Args: make([]Expr, n)}
+			for i := range e.Args {
+				e.Args[i] = &Lit{V: val.Int(int64(i))}
+			}
+			_, compileErr := compileExpr(e, nil)
+			_, evalErr := EvalScalar(e, nil)
+			if compileErr == nil || evalErr == nil || compileErr.Error() != evalErr.Error() {
+				t.Errorf("%s with %d args: compile error %v, eval error %v", fn, n, compileErr, evalErr)
+			}
 		}
 	}
 }
@@ -94,15 +138,15 @@ func TestCompiledShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f([]val.Value{val.Int(0)})
+	got, err := f(&Frame{Args: []val.Value{val.Int(0)}})
 	if err != nil || !got.AsBool() {
 		t.Errorf("short-circuit broken: %v, %v", got, err)
 	}
-	got, err = f([]val.Value{val.Int(2)})
+	got, err = f(&Frame{Args: []val.Value{val.Int(2)}})
 	if err != nil || !got.AsBool() {
 		t.Errorf("10/2 > 1 = %v, %v", got, err)
 	}
-	if _, err := f([]val.Value{val.Int(100)}); err != nil {
+	if _, err := f(&Frame{Args: []val.Value{val.Int(100)}}); err != nil {
 		t.Errorf("10/100 > 1 errored: %v", err)
 	}
 }

@@ -234,6 +234,9 @@ func scalarCompare(pos Pos, x, y val.Value) (int, error) {
 }
 
 func evalCall(e *Call, env Env) (val.Value, error) {
+	if err := callArity(e); err != nil {
+		return val.Value{}, err
+	}
 	// cond is lazy: only the selected branch is evaluated.
 	if e.Fn == "cond" {
 		c, err := EvalScalar(e.Args[0], env)
@@ -280,41 +283,50 @@ func evalCall(e *Call, env Env) (val.Value, error) {
 		}
 		return val.Int(int64(len(args[0].AsStr()))), nil
 	case "min", "max":
-		x, y := args[0], args[1]
-		c := 0
-		switch {
-		case x.Kind() == val.KindString && y.Kind() == val.KindString:
-			c = strings.Compare(x.AsStr(), y.AsStr())
-		case isNumeric(x) && isNumeric(y):
-			switch {
-			case x.AsNumber() < y.AsNumber():
-				c = -1
-			case x.AsNumber() > y.AsNumber():
-				c = 1
-			}
-		default:
-			return val.Value{}, errf(e.Pos, "%s on %s and %s values", e.Fn, x.Kind(), y.Kind())
-		}
-		if (e.Fn == "min") == (c <= 0) {
-			return x, nil
-		}
-		return y, nil
+		return minMax(e.Pos, e.Fn, args[0], args[1])
 	case "fst", "snd":
-		x := args[0]
-		if x.Kind() != val.KindTuple {
-			return val.Value{}, errf(e.Pos, "%s on %s value", e.Fn, x.Kind())
-		}
-		idx := 0
-		if e.Fn == "snd" {
-			idx = 1
-		}
-		if x.Len() <= idx {
-			return val.Value{}, errf(e.Pos, "%s on %d-tuple", e.Fn, x.Len())
-		}
-		return x.Field(idx), nil
+		return fstSnd(e.Pos, e.Fn, args[0])
 	default:
 		return val.Value{}, errf(e.Pos, "%s cannot be evaluated as a scalar (bag operations are compiled, not evaluated)", e.Fn)
 	}
+}
+
+// minMax is the min and max builtins: strings by bytes, numbers by value
+// (an int and a float compare numerically); ties keep x.
+func minMax(pos Pos, fn string, x, y val.Value) (val.Value, error) {
+	c := 0
+	switch {
+	case x.Kind() == val.KindString && y.Kind() == val.KindString:
+		c = strings.Compare(x.AsStr(), y.AsStr())
+	case isNumeric(x) && isNumeric(y):
+		switch {
+		case x.AsNumber() < y.AsNumber():
+			c = -1
+		case x.AsNumber() > y.AsNumber():
+			c = 1
+		}
+	default:
+		return val.Value{}, errf(pos, "%s on %s and %s values", fn, x.Kind(), y.Kind())
+	}
+	if (fn == "min") == (c <= 0) {
+		return x, nil
+	}
+	return y, nil
+}
+
+// fstSnd is the fst and snd builtins: field 0 or 1 of a tuple.
+func fstSnd(pos Pos, fn string, x val.Value) (val.Value, error) {
+	if x.Kind() != val.KindTuple {
+		return val.Value{}, errf(pos, "%s on %s value", fn, x.Kind())
+	}
+	idx := 0
+	if fn == "snd" {
+		idx = 1
+	}
+	if x.Len() <= idx {
+		return val.Value{}, errf(pos, "%s on %d-tuple", fn, x.Len())
+	}
+	return x.Field(idx), nil
 }
 
 func parseNum(pos Pos, x val.Value) (val.Value, error) {
@@ -380,15 +392,23 @@ func MakeUDF(e Expr) (*UDF, error) {
 // Arity returns the number of parameters the UDF takes.
 func (u *UDF) Arity() int { return u.arity }
 
-// Call applies the UDF to args. The number of args must equal Arity.
+// Call applies the UDF to args. The number of args must equal Arity. It
+// builds a frame per call; a caller with many calls to make keeps one Frame
+// and uses Apply.
 func (u *UDF) Call(args ...val.Value) (val.Value, error) {
-	if len(args) != u.arity {
-		return val.Value{}, fmt.Errorf("lang: UDF %s called with %d args, takes %d", u.label, len(args), u.arity)
+	return u.Apply(&Frame{Args: args})
+}
+
+// Apply applies the UDF to fr.Args, whose number must equal Arity. Tuples the
+// body constructs are carved from fr.Slab.
+func (u *UDF) Apply(fr *Frame) (val.Value, error) {
+	if len(fr.Args) != u.arity {
+		return val.Value{}, fmt.Errorf("lang: UDF %s called with %d args, takes %d", u.label, len(fr.Args), u.arity)
 	}
 	if u.native != nil {
-		return u.native(args), nil
+		return u.native(fr.Args), nil
 	}
-	return u.compiled(args)
+	return u.compiled(fr)
 }
 
 // String describes the UDF for debugging.

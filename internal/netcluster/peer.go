@@ -362,6 +362,7 @@ func (m *mesh) readLoop(p *peer) {
 	defer m.wg.Done()
 	br := bufio.NewReader(p.conn)
 	var buf []byte
+	var slab val.Slab // this link's decode slab
 	for {
 		typ, body, nbuf, err := ReadMsg(br, buf)
 		buf = nbuf
@@ -392,7 +393,7 @@ func (m *mesh) readLoop(p *peer) {
 			k := chanKey{op: hdr.Op, inst: hdr.Inst, input: hdr.Input, from: hdr.From}
 			ack := func() { m.sendCredit(p, k) }
 			if typ == MsgData {
-				err = j.DeliverData(rh, payload, hdr.Arg, ack)
+				err = j.DeliverData(rh, payload, hdr.Arg, &slab, ack)
 			} else {
 				err = j.DeliverEOB(rh, dataflow.Tag(hdr.Arg), ack)
 			}

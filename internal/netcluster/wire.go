@@ -407,6 +407,7 @@ func decodeDatasets(d *dec) []Dataset {
 		return nil
 	}
 	ds := make([]Dataset, 0, min(int(n), 256))
+	var slab val.Slab
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		set := Dataset{Name: d.str()}
 		cnt := d.u64()
@@ -416,7 +417,7 @@ func decodeDatasets(d *dec) []Dataset {
 		}
 		set.Elems = make([]val.Value, 0, min(int(cnt), 4096))
 		for k := uint64(0); k < cnt && d.err == nil; k++ {
-			v, used, err := val.DecodeBinary(d.b)
+			v, used, err := val.Decode(d.b, &slab)
 			if err != nil {
 				if d.err == nil {
 					d.err = fmt.Errorf("netcluster: dataset %q element %d: %w", set.Name, k, err)

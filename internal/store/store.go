@@ -24,11 +24,14 @@ type Store interface {
 
 // PartitionedReader is the optional fast path for partitioned reads: a
 // reader instance fetches only its own partition instead of the whole
-// dataset. Partitions must be disjoint and cover the dataset. The
-// distributed runtime uses it when the store provides it (internal/dfs
-// does); otherwise it falls back to striding over ReadDataset.
+// dataset, as the blocks the store keeps it in. Partitions must be disjoint
+// and cover the dataset. The blocks stay the store's — a reader emits their
+// elements and must not modify the slices — so a partition is not copied just
+// to be ranged over. The distributed runtime uses it when the store provides
+// it (internal/dfs does); otherwise it falls back to striding over
+// ReadDataset.
 type PartitionedReader interface {
-	ReadDatasetPartition(name string, part, parts int) ([]val.Value, error)
+	ReadPartitionBlocks(name string, part, parts int) ([][]val.Value, error)
 }
 
 // NotFoundError reports a read of a missing dataset.

@@ -9,6 +9,9 @@ import (
 // FuzzBinaryRoundTrip feeds arbitrary bytes to DecodeBinary and checks the
 // codec's invariants on every successfully decoded value:
 //
+//   - decoding into a Slab accepts and rejects exactly the same inputs, yields
+//     an Equal value from the same number of bytes, and that value survives
+//     the input buffer being overwritten (it keeps no reference to it),
 //   - re-encoding the value and decoding again yields an Equal value that
 //     consumes the whole re-encoding (value-level round trip; byte-level
 //     equality with the input is NOT required, since varints and bools
@@ -33,14 +36,32 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff})
 	f.Add([]byte{byte(KindString), 0x80}) // truncated length varint
 	f.Add([]byte{byte(KindTuple), 0x02, byte(KindInt)})
+	// Hostile lengths: far more fields or bytes than the input holds, alone
+	// and nested, and a length varint that overflows 64 bits.
+	f.Add([]byte{byte(KindTuple), 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{byte(KindString), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'})
+	f.Add([]byte{byte(KindTuple), 0x05, byte(KindTuple), 0x04, byte(KindTuple), 0x03, byte(KindString), 0x02, 'a'})
+	f.Add([]byte{byte(KindTuple), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
+	var slab Slab // shared by every input, as a link's is by every frame
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v1, n1, err := DecodeBinary(data)
+		frame := bytes.Clone(data) // the engine's buffer is not ours to overwrite
+		vs, ns, errs := Decode(frame, &slab)
+		if (err == nil) != (errs == nil) || ns != n1 {
+			t.Fatalf("DecodeBinary: %d bytes, err %v; Decode into a slab: %d bytes, err %v", n1, err, ns, errs)
+		}
 		if err != nil {
 			return // malformed input is allowed to fail; it must not panic
 		}
 		if n1 <= 0 || n1 > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n1, len(data))
+		}
+		for i := range frame {
+			frame[i] ^= 0xff
+		}
+		if !vs.Equal(v1) || vs.Hash() != v1.Hash() || vs.String() != v1.String() {
+			t.Fatalf("slab-decoded %v differs from %v once the input is overwritten", vs, v1)
 		}
 
 		enc := AppendBinary(nil, v1)

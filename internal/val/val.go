@@ -13,6 +13,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -50,13 +51,19 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed immutable value.
 //
-// The zero Value is invalid; use the constructors. Values are small
-// (a word-sized header plus payload) and are passed by value.
+// The zero Value is invalid; use the constructors. A Value is three words
+// (24 bytes) and is passed by value: the kind, one number and one pointer.
+// Scalars live in num and leave p nil; a string or tuple keeps its length in
+// num and its first byte or field behind p. Every element buffer, batch and
+// hash bucket in the engine is a multiple of this size, which is why the
+// string and slice headers are not stored whole. All pointer arithmetic is
+// in Str, Tuple, str and tup below; nothing else in the repository imports
+// unsafe (DESIGN.md, "Element representation and lifetimes").
 type Value struct {
+	_    [0]func() // not comparable: == would compare strings and tuples by address; use Equal
 	kind Kind
-	num  uint64 // int64 bits, float64 bits, or 0/1 for bool
-	str  string
-	tup  []Value
+	num  uint64         // int64 bits, float64 bits, 0/1 for bool, or the length of a string or tuple
+	p    unsafe.Pointer // first string byte or first tuple field; nil for scalars and for length 0
 }
 
 // Int returns an integer Value.
@@ -65,8 +72,13 @@ func Int(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
 // Float returns a floating-point Value.
 func Float(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
 
-// Str returns a string Value.
-func Str(s string) Value { return Value{kind: KindString, str: s} }
+// Str returns a string Value. It shares s's bytes.
+func Str(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, num: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // Bool returns a boolean Value.
 func Bool(b bool) Value {
@@ -79,7 +91,20 @@ func Bool(b bool) Value {
 
 // Tuple returns a tuple Value holding the given fields. The slice is not
 // copied; the caller must not mutate it afterwards.
-func Tuple(fields ...Value) Value { return Value{kind: KindTuple, tup: fields} }
+func Tuple(fields ...Value) Value {
+	if len(fields) == 0 {
+		return Value{kind: KindTuple}
+	}
+	return Value{kind: KindTuple, num: uint64(len(fields)), p: unsafe.Pointer(unsafe.SliceData(fields))}
+}
+
+// str is the payload of a string Value. The caller has checked the kind: num
+// is a length only for strings and tuples. A nil p carries length 0, for
+// which unsafe.String and unsafe.Slice are defined.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.num)) }
+
+// tup is the payload of a tuple Value, capacity clipped to its length.
+func (v Value) tup() []Value { return unsafe.Slice((*Value)(v.p), int(v.num)) }
 
 // Pair returns a two-field tuple. It is the shape produced by map-to-pair
 // operations and consumed by reduceByKey and join.
@@ -119,7 +144,7 @@ func (v Value) AsNumber() float64 {
 // AsStr returns the string payload. It panics if v is not a string.
 func (v Value) AsStr() string {
 	v.mustBe(KindString)
-	return v.str
+	return v.str()
 }
 
 // AsBool returns the boolean payload. It panics if v is not a bool.
@@ -132,20 +157,20 @@ func (v Value) AsBool() bool {
 // The returned slice must not be mutated.
 func (v Value) Fields() []Value {
 	v.mustBe(KindTuple)
-	return v.tup
+	return v.tup()
 }
 
 // Len returns the number of fields of a tuple. It panics if v is not a tuple.
 func (v Value) Len() int {
 	v.mustBe(KindTuple)
-	return len(v.tup)
+	return int(v.num)
 }
 
 // Field returns field i of a tuple. It panics if v is not a tuple or i is
 // out of range.
 func (v Value) Field(i int) Value {
 	v.mustBe(KindTuple)
-	return v.tup[i]
+	return v.tup()[i]
 }
 
 func (v Value) mustBe(k Kind) {
@@ -165,13 +190,14 @@ func (v Value) Equal(w Value) bool {
 	case KindInt, KindBool, KindFloat:
 		return v.num == w.num
 	case KindString:
-		return v.str == w.str
+		return v.str() == w.str()
 	case KindTuple:
-		if len(v.tup) != len(w.tup) {
+		if v.num != w.num {
 			return false
 		}
-		for i := range v.tup {
-			if !v.tup[i].Equal(w.tup[i]) {
+		wf := w.tup()
+		for i, f := range v.tup() {
+			if !f.Equal(wf[i]) {
 				return false
 			}
 		}
@@ -199,15 +225,15 @@ func (v Value) Compare(w Value) int {
 	case KindFloat:
 		return cmpFloat(math.Float64frombits(v.num), math.Float64frombits(w.num))
 	case KindString:
-		return strings.Compare(v.str, w.str)
+		return strings.Compare(v.str(), w.str())
 	case KindTuple:
-		n := min(len(v.tup), len(w.tup))
-		for i := 0; i < n; i++ {
-			if c := v.tup[i].Compare(w.tup[i]); c != 0 {
+		vf, wf := v.tup(), w.tup()
+		for i := 0; i < min(len(vf), len(wf)); i++ {
+			if c := vf[i].Compare(wf[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt64(int64(len(v.tup)), int64(len(w.tup)))
+		return cmpInt64(int64(len(vf)), int64(len(wf)))
 	default:
 		return 0
 	}
@@ -273,11 +299,12 @@ func (v Value) hash(h uint64) uint64 {
 			h = (h ^ (v.num >> shift & 0xff)) * fnvPrime
 		}
 	case KindString:
-		for i := 0; i < len(v.str); i++ {
-			h = (h ^ uint64(v.str[i])) * fnvPrime
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime
 		}
 	case KindTuple:
-		for _, f := range v.tup {
+		for _, f := range v.tup() {
 			h = f.hash(h)
 		}
 	}
@@ -288,17 +315,18 @@ func (v Value) hash(h uint64) uint64 {
 // per-field kind checks — the fast path for join and reduceByKey inner
 // loops. ok is false when v is not a 2-tuple.
 func (v Value) AsPair() (k, val Value, ok bool) {
-	if v.kind != KindTuple || len(v.tup) != 2 {
+	if v.kind != KindTuple || v.num != 2 {
 		return Value{}, Value{}, false
 	}
-	return v.tup[0], v.tup[1], true
+	f := v.tup()
+	return f[0], f[1], true
 }
 
 // Key returns the field used for key-based operations: the first field for
 // tuples, and the value itself otherwise.
 func (v Value) Key() Value {
-	if v.kind == KindTuple && len(v.tup) > 0 {
-		return v.tup[0]
+	if v.kind == KindTuple && v.num > 0 {
+		return v.tup()[0]
 	}
 	return v
 }
@@ -319,7 +347,7 @@ func (v Value) format(b *strings.Builder) {
 	case KindFloat:
 		b.WriteString(strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64))
 	case KindString:
-		b.WriteString(strconv.Quote(v.str))
+		b.WriteString(strconv.Quote(v.str()))
 	case KindBool:
 		if v.num != 0 {
 			b.WriteString("true")
@@ -328,7 +356,7 @@ func (v Value) format(b *strings.Builder) {
 		}
 	case KindTuple:
 		b.WriteByte('(')
-		for i, f := range v.tup {
+		for i, f := range v.tup() {
 			if i > 0 {
 				b.WriteString(", ")
 			}
