@@ -103,30 +103,39 @@ func Join(left, right []val.Value) ([]val.Value, error) {
 // f must be associative and commutative for distributed execution to agree
 // with this specification.
 func ReduceByKey(in []val.Value, f *lang.UDF) ([]val.Value, error) {
-	groups := val.NewMap[val.Value](len(in) / 2)
-	var order []val.Value // keys in first-seen order, for determinism
+	groups := val.NewMap[val.Value](0)
+	if err := foldByKey(groups, in, f, "reduceByKey"); err != nil {
+		return nil, err
+	}
+	return pairs(groups), nil
+}
+
+// foldByKey folds each (key, value) pair of in into groups: a key's first
+// value is stored, every later one folded into the stored value with f.
+func foldByKey(groups *val.Map[val.Value], in []val.Value, f *lang.UDF, op string) error {
 	for _, x := range in {
-		k, v, err := pairParts(x, "reduceByKey")
+		k, v, err := pairParts(x, op)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if old, ok := groups.Get(k); ok {
-			folded, err := f.Call(old, v)
-			if err != nil {
-				return nil, err
+			if v, err = f.Call(old, v); err != nil {
+				return err
 			}
-			groups.Put(k, folded)
-		} else {
-			groups.Put(k, v)
-			order = append(order, k)
 		}
+		groups.Put(k, v)
 	}
-	out := make([]val.Value, 0, len(order))
-	for _, k := range order {
-		v, _ := groups.Get(k)
+	return nil
+}
+
+// pairs returns a table as (key, value) pairs, in first-insert key order.
+func pairs(m *val.Map[val.Value]) []val.Value {
+	out := make([]val.Value, 0, m.Len())
+	m.Range(func(k, v val.Value) bool {
 		out = append(out, val.Pair(k, v))
-	}
-	return out, nil
+		return true
+	})
+	return out
 }
 
 // Reduce folds all elements with f into a singleton bag. The empty bag

@@ -12,13 +12,12 @@ import (
 // state across instances (internal/core).
 type DeltaState struct {
 	idx    *val.Map[val.Value]
-	order  []val.Value // keys in first-insert order, for determinism
 	seeded bool
 }
 
 // NewDeltaState returns an empty, unseeded state.
 func NewDeltaState() *DeltaState {
-	return &DeltaState{idx: val.NewMap[val.Value](16)}
+	return &DeltaState{idx: val.NewMap[val.Value](0)}
 }
 
 // Seeded reports whether Seed has run.
@@ -28,21 +27,8 @@ func (s *DeltaState) Seeded() bool { return s.seeded }
 // first time the deltaMerge instruction executes; seed elements are never
 // emitted.
 func (s *DeltaState) Seed(seed []val.Value, f *lang.UDF) error {
-	for _, x := range seed {
-		k, v, err := pairParts(x, "deltaMerge")
-		if err != nil {
-			return err
-		}
-		if old, ok := s.idx.Get(k); ok {
-			folded, err := f.Call(old, v)
-			if err != nil {
-				return err
-			}
-			s.idx.Put(k, folded)
-		} else {
-			s.idx.Put(k, v)
-			s.order = append(s.order, k)
-		}
+	if err := foldByKey(s.idx, seed, f, "deltaMerge"); err != nil {
+		return err
 	}
 	s.seeded = true
 	return nil
@@ -54,53 +40,35 @@ func (s *DeltaState) Seed(seed []val.Value, f *lang.UDF) error {
 // new or changed. With a commutative and associative f the emitted multiset
 // is independent of element order and of how the delta is partitioned.
 func (s *DeltaState) Apply(delta []val.Value, f *lang.UDF) ([]val.Value, error) {
-	cand := val.NewMap[val.Value](len(delta))
-	var candOrder []val.Value
-	for _, x := range delta {
-		k, v, err := pairParts(x, "deltaMerge")
-		if err != nil {
-			return nil, err
-		}
-		if old, ok := cand.Get(k); ok {
-			folded, err := f.Call(old, v)
-			if err != nil {
-				return nil, err
-			}
-			cand.Put(k, folded)
-		} else {
-			cand.Put(k, v)
-			candOrder = append(candOrder, k)
-		}
+	cand := val.NewMap[val.Value](0)
+	if err := foldByKey(cand, delta, f, "deltaMerge"); err != nil {
+		return nil, err
 	}
-	changed := make([]val.Value, 0, len(candOrder))
-	for _, k := range candOrder {
-		v, _ := cand.Get(k)
+	changed := make([]val.Value, 0, cand.Len())
+	var err error
+	cand.Range(func(k, v val.Value) bool {
 		old, ok := s.idx.Get(k)
 		if !ok {
 			s.idx.Put(k, v)
-			s.order = append(s.order, k)
 			changed = append(changed, val.Pair(k, v))
-			continue
+			return true
 		}
-		merged, err := f.Call(old, v)
-		if err != nil {
-			return nil, err
+		var merged val.Value
+		if merged, err = f.Call(old, v); err != nil {
+			return false
 		}
 		if !merged.Equal(old) {
 			s.idx.Put(k, merged)
 			changed = append(changed, val.Pair(k, merged))
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return changed, nil
 }
 
 // Solution returns the full solution set as (key, value) pairs, one per
 // key, in first-insert order.
-func (s *DeltaState) Solution() []val.Value {
-	out := make([]val.Value, 0, len(s.order))
-	for _, k := range s.order {
-		v, _ := s.idx.Get(k)
-		out = append(out, val.Pair(k, v))
-	}
-	return out
-}
+func (s *DeltaState) Solution() []val.Value { return pairs(s.idx) }

@@ -332,29 +332,27 @@ func (d *Dataset) shuffleByKey() *Dataset {
 // ReduceByKey groups (key, value) pairs and folds each group with f.
 func (d *Dataset) ReduceByKey(f func(a, b val.Value) (val.Value, error)) *Dataset {
 	return d.shuffleByKey().perPartition(func(part []val.Value) ([]val.Value, error) {
-		groups := val.NewMap[val.Value](len(part) / 2)
-		var order []val.Value
+		groups := val.NewMap[val.Value](0)
 		for _, x := range part {
 			k, v, err := pairParts(x)
 			if err != nil {
 				return nil, err
 			}
-			if old, ok := groups.Get(k); ok {
-				y, err := f(old, v)
-				if err != nil {
-					return nil, err
+			groups.Update(k, func(old val.Value, present bool) val.Value {
+				if present {
+					v, err = f(old, v)
 				}
-				groups.Put(k, y)
-			} else {
-				groups.Put(k, v)
-				order = append(order, k)
+				return v
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
-		out := make([]val.Value, 0, len(order))
-		for _, k := range order {
-			v, _ := groups.Get(k)
+		out := make([]val.Value, 0, groups.Len())
+		groups.Range(func(k, v val.Value) bool {
 			out = append(out, val.Pair(k, v))
-		}
+			return true
+		})
 		return out, nil
 	})
 }
@@ -468,11 +466,10 @@ func (d *Dataset) Union(other *Dataset) *Dataset {
 func (d *Dataset) Distinct() *Dataset {
 	shuffled := d.shuffle(func(x val.Value) uint64 { return x.Hash() })
 	return shuffled.perPartition(func(part []val.Value) ([]val.Value, error) {
-		seen := val.NewMap[struct{}](len(part))
+		seen := val.NewMap[struct{}](0)
 		var out []val.Value
 		for _, x := range part {
-			if _, ok := seen.Get(x); !ok {
-				seen.Put(x, struct{}{})
+			if !seen.Update(x, func(struct{}, bool) struct{} { return struct{}{} }) {
 				out = append(out, x)
 			}
 		}

@@ -72,8 +72,9 @@ type solutionStore struct {
 	applied int   // path position of the last merged step
 	bytes   int64 // approximate encoded size of the index contents
 	journal bool
-	undo    []undoStep // applied steps' undo records, ascending position
-	readers []int      // per attached solution reader: last targeted position
+	undo    []undoStep  // applied steps' undo records, ascending position
+	changed []val.Value // apply's result, reused from step to step
+	readers []int       // per attached solution reader: last targeted position
 	steps   []DeltaStep
 	created time.Time
 	lastOp  time.Time
@@ -94,7 +95,7 @@ func (rt *runtime) stateStore(op *PlanOp, inst int) *solutionStore {
 	s := rt.stateStores[k]
 	if s == nil {
 		s = &solutionStore{
-			idx:     val.NewMap[val.Value](16),
+			idx:     val.NewMap[val.Value](0),
 			journal: op.StateJournal,
 			created: time.Now(),
 		}
@@ -123,12 +124,12 @@ func (s *solutionStore) addReader() int {
 // ingested on the first step, then each folded delta candidate is merged
 // against the indexed value with merge (the deltaMerge host's UDF call). It
 // returns the (key, merged) pairs that changed, carved from slab (the calling
-// host's) — the caller emits them AFTER this returns, outside the lock,
-// because emitting can block on backpressure while a solution reader holds
-// (or waits for) the lock. incremental=false is the -delta=off ablation: the
-// whole index is rebuilt from scratch every step, modeling full
-// re-derivation, before the same merge runs — outputs are identical, only
-// the per-step cost changes from O(|delta|) to O(|solution|).
+// host's) and valid until the next apply — the caller emits them AFTER this
+// returns, outside the lock, because emitting can block on backpressure while
+// a solution reader holds (or waits for) the lock. incremental=false is the
+// -delta=off ablation: the whole index is rebuilt from scratch every step,
+// modeling full re-derivation, before the same merge runs — outputs are
+// identical, only the per-step cost changes from O(|delta|) to O(|solution|).
 func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge func(old, v val.Value) (val.Value, error), incremental bool, in int64, slab *val.Slab) ([]val.Value, DeltaStep, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +150,9 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge fun
 		s.seeded = true
 	}
 	if !incremental {
-		fresh := val.NewMap[val.Value](16)
+		// The ablation re-inserts every entry, O(|solution|) a step, whatever
+		// the table costs per insert: BENCH_delta.json's on/off shape stands.
+		fresh := val.NewMap[val.Value](s.idx.Len())
 		s.idx.Range(func(k, v val.Value) bool {
 			fresh.Put(k, v)
 			touched++
@@ -157,35 +160,37 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge fun
 		})
 		s.idx = fresh
 	}
-	var changed []val.Value
+	changed := s.changed[:0]
 	var udfErr error
 	cand.Range(func(k, v val.Value) bool {
 		touched++
-		old, ok := s.idx.Get(k)
-		if !ok {
-			s.idx.Put(k, v)
-			s.bytes += int64(val.EncodedSize(k) + val.EncodedSize(v))
-			changed = append(changed, slab.Tuple(k, v))
-			if s.journal {
-				ents = append(ents, undoEntry{key: k})
+		s.idx.Update(k, func(old val.Value, present bool) val.Value {
+			if !present {
+				s.bytes += int64(val.EncodedSize(k) + val.EncodedSize(v))
+				changed = append(changed, slab.Tuple(k, v))
+				if s.journal {
+					ents = append(ents, undoEntry{key: k})
+				}
+				return v
 			}
-			return true
-		}
-		merged, err := merge(old, v)
-		if err != nil {
-			udfErr = err
-			return false
-		}
-		if !merged.Equal(old) {
-			s.idx.Put(k, merged)
+			merged, err := merge(old, v)
+			if err != nil {
+				udfErr = err
+				return old
+			}
+			if merged.Equal(old) {
+				return old
+			}
 			s.bytes += int64(val.EncodedSize(merged) - val.EncodedSize(old))
 			changed = append(changed, slab.Tuple(k, merged))
 			if s.journal {
 				ents = append(ents, undoEntry{key: k, old: old, present: true})
 			}
-		}
-		return true
+			return merged
+		})
+		return udfErr == nil
 	})
+	s.changed = changed
 	if udfErr != nil {
 		return nil, DeltaStep{}, udfErr
 	}
@@ -240,15 +245,23 @@ func (s *solutionStore) snapshot(target, reader int, slab *val.Slab) ([]val.Valu
 		old     val.Value
 		present bool
 	}
-	ov := val.NewMap[rollback](16)
-	for _, st := range s.undo {
-		if st.pos <= target {
-			continue
-		}
+	late := s.undo
+	for len(late) > 0 && late[0].pos <= target {
+		late = late[1:]
+	}
+	n := 0
+	for _, st := range late {
+		n += len(st.ents)
+	}
+	ov := val.NewMap[rollback](n)
+	for _, st := range late {
 		for _, e := range st.ents {
-			if _, ok := ov.Get(e.key); !ok {
-				ov.Put(e.key, rollback{old: e.old, present: e.present})
-			}
+			ov.Update(e.key, func(first rollback, present bool) rollback {
+				if present {
+					return first
+				}
+				return rollback{old: e.old, present: e.present}
+			})
 		}
 	}
 	s.idx.Range(func(k, v val.Value) bool {
@@ -341,12 +354,12 @@ func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, 
 // the seed slot entirely (its selected bag stays buffered; the low-water GC
 // retires it as the input position advances).
 func (h *host) beginDeltaMerge(run *outputRun) {
-	run.hash = val.NewMap[val.Value](16)
+	run.hash = val.NewMap[val.Value](0)
 	if h.state.isSeeded() {
 		run.slotDone[0] = true
 		h.seedStale = true
 	} else {
-		run.seedHash = val.NewMap[val.Value](16)
+		run.seedHash = val.NewMap[val.Value](0)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 func (h *host) beginKind(run *outputRun) error {
 	switch h.op.Synth {
 	case SynthCombineByKey:
-		run.hash = val.NewMap[val.Value](16)
+		run.hash = val.NewMap[val.Value](0)
 		return nil
 	case SynthLocalDistinct:
-		run.distinct = val.NewMap[struct{}](16)
+		run.distinct = val.NewMap[struct{}](0)
 		return nil
 	case SynthPartialSum, SynthPartialCount, SynthPartialReduce:
 		return nil
@@ -34,14 +34,14 @@ func (h *host) beginKind(run *outputRun) error {
 					map[string]any{"pos": run.pos, "build_pos": run.inPos[0]})
 			}
 		} else {
-			run.build = val.NewMap[[]val.Value](16)
+			run.build = val.NewMap[[]val.Value](0)
 		}
 	case ir.OpReduceByKey:
-		run.hash = val.NewMap[val.Value](16)
+		run.hash = val.NewMap[val.Value](0)
 	case ir.OpDeltaMerge:
 		h.beginDeltaMerge(run)
 	case ir.OpDistinct:
-		run.distinct = val.NewMap[struct{}](16)
+		run.distinct = val.NewMap[struct{}](0)
 	case ir.OpCombine, ir.OpReadFile, ir.OpWriteFile:
 		run.args = sizedVals(run.args, len(h.op.Inputs))
 	}
@@ -171,7 +171,18 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			return err
 		}
 		if i == 0 {
-			run.build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+			// A key's first value is a one-element slice carved from the
+			// slab, so a key that occurs once on the build side (a dimension
+			// table, a degree-1 node) allocates nothing of its own; a second
+			// value outgrows that slice and moves the group to the heap.
+			run.build.Update(k, func(old []val.Value, present bool) []val.Value {
+				if !present {
+					one := h.slab.Make(1)
+					one[0] = v
+					return one
+				}
+				return append(old, v)
+			})
 		} else if matches, ok := run.build.Get(k); ok {
 			for _, lv := range matches {
 				h.emit(run, h.slab.Tuple(k, lv, v))
@@ -279,8 +290,7 @@ func (h *host) emitSum(run *outputRun) {
 
 // emitIfNew streams first occurrences, so distinct stays pipelined.
 func (h *host) emitIfNew(run *outputRun, x val.Value) {
-	if _, seen := run.distinct.Get(x); !seen {
-		run.distinct.Put(x, struct{}{})
+	if !run.distinct.Update(x, func(struct{}, bool) struct{} { return struct{}{} }) {
 		h.emit(run, x)
 	}
 }

@@ -54,6 +54,24 @@ func BenchmarkMapUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkMapBuild is the growth path: one op inserts 8192 distinct keys
+// into a fresh table, as every step of a delta iteration and every join
+// build does, where BenchmarkMapUpdate never leaves 64 warm entries.
+func BenchmarkMapBuild(b *testing.B) {
+	keys := make([]Value, 8192)
+	for i := range keys {
+		keys[i] = Int(int64(i) * 7919)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMap[Value](0)
+		for _, k := range keys {
+			m.Put(k, k)
+		}
+	}
+}
+
 func BenchmarkCodecEncode(b *testing.B) {
 	cases := []struct {
 		name string
