@@ -81,7 +81,15 @@ type Coordinator struct {
 	// protocol error. From then on the coordinator is inert.
 	stopped bool
 
-	path      []ir.BlockID // determined path; append-only, so released frames alias it
+	// path, pending and decidedBy are windows over the determined path:
+	// index i holds position base+i+1, and base, released and doneUpTo are
+	// absolute. A position is pinned until it is both released (its frame
+	// slices path) and complete (pending counts its outstanding completions);
+	// the last position is pinned by the decision that will extend it
+	// (onDecision reads its block). Everything before that is retired, so the
+	// coordinator's memory does not grow with the number of steps.
+	base      int
+	path      []ir.BlockID // determined positions after base; released frames alias its array
 	pathFinal bool         // exit block appended
 	released  int          // positions broadcast so far
 
@@ -173,7 +181,7 @@ func (c *Coordinator) OnEvent(ev CoordEvent) {
 }
 
 func (c *Coordinator) stopIfDone(err error) {
-	if err != nil || (c.pathFinal && c.doneUpTo == len(c.path)) {
+	if err != nil || (c.pathFinal && c.doneUpTo == c.determined()) {
 		c.stopped = true
 		c.cp.Stop(err)
 	}
@@ -187,7 +195,7 @@ func (c *Coordinator) Result() *Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return &Result{
-		Steps:                  len(c.path),
+		Steps:                  c.determined(),
 		ChainedEdges:           c.plan.ChainedEdges(),
 		TemplateInstalls:       c.installs,
 		TemplateInstantiations: c.instantiations,
@@ -218,16 +226,19 @@ func (c *Coordinator) extend(b ir.BlockID) {
 		}
 	}
 	c.pathFinal = t.Final
-	c.pathLen.Set(int64(len(c.path)))
+	c.pathLen.Set(int64(c.determined()))
 	c.advanceDone()
 	c.release()
 }
 
+// determined is the number of path positions determined so far.
+func (c *Coordinator) determined() int { return c.base + len(c.path) }
+
 func (c *Coordinator) onDecision(pos int, branch bool) error {
-	if pos != len(c.path) {
-		return fmt.Errorf("core: decision for position %d, path has %d determined positions", pos, len(c.path))
+	if pos != c.determined() {
+		return fmt.Errorf("core: decision for position %d, path has %d determined positions", pos, c.determined())
 	}
-	blk := c.plan.IR.Blocks[c.path[pos-1]]
+	blk := c.plan.IR.Blocks[c.path[pos-1-c.base]]
 	if blk.Term.Kind != ir.TermBranch {
 		return fmt.Errorf("core: decision for non-branch block b%d", blk.ID)
 	}
@@ -243,27 +254,56 @@ func (c *Coordinator) onDecision(pos int, branch bool) error {
 }
 
 func (c *Coordinator) onCompletion(pos, count int) error {
-	if pos < 1 || pos > len(c.path) {
+	if pos < 1 || pos > c.determined() {
 		return fmt.Errorf("core: completion for unknown position %d", pos)
+	}
+	if pos <= c.base {
+		return fmt.Errorf("core: completion for position %d, which every instance had already completed", pos)
 	}
 	if count < 1 {
 		count = 1
 	}
-	c.pending[pos-1] -= count
-	if c.pending[pos-1] < 0 {
-		want := c.plan.InstancesPerBlock[c.path[pos-1]]
-		return fmt.Errorf("core: position %d completed %d times, expected %d", pos, want-c.pending[pos-1], want)
+	i := pos - 1 - c.base
+	c.pending[i] -= count
+	if c.pending[i] < 0 {
+		want := c.plan.InstancesPerBlock[c.path[i]]
+		return fmt.Errorf("core: position %d completed %d times, expected %d", pos, want-c.pending[i], want)
 	}
 	c.advanceDone()
 	c.release()
+	c.retire()
 	return nil
 }
 
 // advanceDone moves the fully-completed prefix marker.
 func (c *Coordinator) advanceDone() {
-	for c.doneUpTo < len(c.path) && c.pending[c.doneUpTo] == 0 {
+	for c.doneUpTo < c.determined() && c.pending[c.doneUpTo-c.base] == 0 {
 		c.doneUpTo++
 	}
+}
+
+// windowSlack is how many retirable positions the coordinator lets
+// accumulate before it moves its windows: the move costs a copy of what is
+// kept plus one array, so it is taken once per windowSlack positions.
+const windowSlack = 1024
+
+// retire drops the positions nothing pins any more (see Coordinator.base).
+// Released frames alias path's array and a receiver may hold one for as long
+// as its mailbox takes to drain, so the kept suffix moves to a fresh array,
+// never down in place; pending and decidedBy are the coordinator's own and
+// do move in place.
+func (c *Coordinator) retire() {
+	n := min(c.doneUpTo, c.released, c.determined()-1) - c.base
+	kept := len(c.path) - n
+	if n < windowSlack || n < kept {
+		return
+	}
+	c.path = append(make([]ir.BlockID, 0, 2*kept+windowSlack+16), c.path[n:]...)
+	c.pending = c.pending[:copy(c.pending, c.pending[n:])]
+	if c.lin != nil {
+		c.decidedBy = c.decidedBy[:copy(c.decidedBy, c.decidedBy[n:])]
+	}
+	c.base += n
 }
 
 // release broadcasts the determined-but-unreleased positions the mode
@@ -272,11 +312,12 @@ func (c *Coordinator) advanceDone() {
 // by construction, so that is exactly the segment just instantiated), and
 // a single block otherwise — the per-position update is the one-block
 // segment. With pipelining off, position p+1 is held back until positions
-// <= p are complete, and pays a superstep barrier. Frames alias the path:
-// it is append-only, so a released sub-slice never changes.
+// <= p are complete, and pays a superstep barrier. Frames alias the path's
+// array: positions are written once, by append, and retire never moves them
+// within it, so a released sub-slice never changes.
 func (c *Coordinator) release() {
-	for c.released < len(c.path) {
-		end := len(c.path)
+	for c.released < c.determined() {
+		end := c.determined()
 		if c.tmpl == nil {
 			end = c.released + 1
 		}
@@ -291,8 +332,8 @@ func (c *Coordinator) release() {
 		}
 		seg := PathSegment{
 			Pos:    c.released + 1,
-			Blocks: c.path[c.released:end:end],
-			Final:  c.pathFinal && end == len(c.path),
+			Blocks: c.path[c.released-c.base : end-c.base : end-c.base],
+			Final:  c.pathFinal && end == c.determined(),
 		}
 		c.cp.Broadcast(seg)
 		for _, n := range c.bcast {
@@ -305,7 +346,7 @@ func (c *Coordinator) release() {
 		if c.lin != nil {
 			for i, b := range seg.Blocks {
 				pos := seg.Pos + i
-				c.lin.Broadcast(pos, int(b), seg.Final && pos == end, c.decidedBy[pos-1], barrier)
+				c.lin.Broadcast(pos, int(b), seg.Final && pos == end, c.decidedBy[pos-1-c.base], barrier)
 			}
 		}
 		c.released = end

@@ -351,8 +351,8 @@ func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, 
 
 // beginDeltaMerge prepares one step's run: candidate fold table, and — on
 // this instance's first step only — the seed fold table. Later steps skip
-// the seed slot entirely (its selected bag stays buffered; the low-water GC
-// retires it as the input position advances).
+// the seed slot entirely (its selected bag stays buffered; retire recycles it
+// as the input position advances).
 func (h *host) beginDeltaMerge(run *outputRun) {
 	run.hash = val.NewMap[val.Value](0)
 	if h.state.isSeeded() {
@@ -414,7 +414,7 @@ func (h *host) startSolution(run *outputRun, pos int) {
 	if src.Block == h.op.Block && src.ID > h.op.ID {
 		limit = pos - 1
 	}
-	if p := h.latestOcc(src.Block, limit); p > 0 {
+	if p := h.latestOcc(0, limit); p > 0 {
 		run.inPos[0] = p
 	} else {
 		run.inPos[0] = -1

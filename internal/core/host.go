@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,19 +25,25 @@ type host struct {
 	inst int
 	ctx  *dataflow.Context
 
-	// Execution path as known to this instance.
-	path []ir.BlockID
-	// occ[b] lists the (1-based) positions at which block b occurs,
-	// indexed by the dense BlockID (hot on every control ingest and every
-	// input-bag selection, so a slice, not a map).
-	occ [][]int
-	// freeBags recycles input-bag buffers retired by the low-water GC, so
-	// a long loop's steady-state bag churn allocates nothing.
+	// The execution path as known to this instance is its length and its last
+	// block, nothing more: everything an output bag can still select lives in
+	// pendingOut, occ and the input buffers, and all three forget behind the
+	// same frontier (DESIGN.md Sec. 19), so a host's memory does not grow with
+	// the number of steps.
+	pathLen   int
+	lastBlock ir.BlockID
+	// occ holds, per distinct block of an input's producer, the (1-based)
+	// positions at which that block occurs and that an output bag may still
+	// select. No other block is ever looked up.
+	occ []occQueue
+	// freeBags recycles retired input-bag buffers, so a long loop's
+	// steady-state bag churn allocates nothing; held counts the bags buffered
+	// right now over all slots (Result.MaxBufferedBags is its high-water mark).
 	freeBags []*inBag
+	held     int
 
-	nextScan    int   // path index not yet scanned for own-block occurrences
-	pendingOut  []int // positions of output bags still to produce, in order
-	pendingHead int   // consumed prefix of pendingOut (head index, not re-slice, so append reuses capacity)
+	pendingOut  []scheduled // output bags still to produce, in path order
+	pendingHead int         // consumed prefix of pendingOut (head index, not re-slice, so append reuses capacity)
 	cur         *outputRun
 	freeRun     *outputRun // recycled run; a loop allocates one run, not one per step
 
@@ -93,9 +100,29 @@ type host struct {
 	bagsDone atomic.Int64
 }
 
+// scheduled is an output bag the path has determined and the host has not
+// started: its position and the block the path arrived from, which is all a
+// phi ever reads of the path before it.
+type scheduled struct {
+	pos  int
+	from ir.BlockID
+}
+
+// occQueue is the selectable occurrences of one block, ascending. Its head
+// is the earliest position any output not yet started can select. The
+// invariant both ends rely on: selection limits only grow from one output bag
+// to the next (positions are monotone per host, and a host's limit is always
+// pos or always pos-1). So latestOcc drops what precedes the occurrence it
+// returns, and noteOcc what the first scheduled output can no longer reach.
+type occQueue struct {
+	block ir.BlockID
+	pos   []int
+}
+
 type inputBuf struct {
-	bags     map[int]*inBag
-	lowWater int // bags below this position are garbage
+	bags     []*inBag // buffered bags in position order; short, so a slice and no map
+	lowWater int      // bags below this position are garbage
+	occ      int      // index in host.occ of the producer block's queue
 	// singleUse marks a slot whose bags are each read by one output bag only
 	// (Plan.singleUse): their elements stream through and are never kept
 	// once consumed. The zero value, re-readable, buffers every bag until
@@ -104,6 +131,7 @@ type inputBuf struct {
 }
 
 type inBag struct {
+	pos      int
 	elems    []val.Value
 	eobs     int
 	complete bool
@@ -143,12 +171,14 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 		cachedBuildPos: -1,
 	}
 	h.frame.Slab = &h.slab
-	if rt.plan != nil {
-		h.occ = make([][]int, len(rt.plan.IR.Blocks))
-	}
-	for i := range h.inbufs {
-		h.inbufs[i].bags = make(map[int]*inBag)
-		h.inbufs[i].singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
+	for i, in := range op.Inputs {
+		buf := &h.inbufs[i]
+		buf.singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
+		buf.occ = slices.IndexFunc(h.occ, func(q occQueue) bool { return q.block == in.Producer.Block })
+		if buf.occ < 0 {
+			buf.occ = len(h.occ)
+			h.occ = append(h.occ, occQueue{block: in.Producer.Block})
+		}
 	}
 	return h
 }
@@ -225,14 +255,25 @@ func (h *host) OnControl(ev any) error {
 	if !ok {
 		return nil
 	}
-	if seg.Pos != len(h.path)+1 {
-		return fmt.Errorf("core: path segment at %d out of order (have %d)", seg.Pos, len(h.path))
+	if seg.Pos != h.pathLen+1 {
+		return fmt.Errorf("core: path segment at %d out of order (have %d)", seg.Pos, h.pathLen)
 	}
-	for i, b := range seg.Blocks {
-		h.path = append(h.path, b)
-		h.noteOcc(b, seg.Pos+i)
+	for _, b := range seg.Blocks {
+		h.step(b)
 	}
 	return h.progress()
+}
+
+// step extends the path by block b. An own-block position is scheduled
+// before its occurrence is noted, so that a phi fed from its own block (a
+// one-block do-while, limit pos-1) still finds the previous visit queued.
+func (h *host) step(b ir.BlockID) {
+	h.pathLen++
+	if b == h.op.Block {
+		h.pendingOut = append(h.pendingOut, scheduled{pos: h.pathLen, from: h.lastBlock})
+	}
+	h.noteOcc(b, h.pathLen)
+	h.lastBlock = b
 }
 
 // batchHook, when a test sets it, sees how many elements of each batch on
@@ -250,6 +291,7 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 		live = run.inPos[input]
 	}
 	buffered := 0
+	var b *inBag // the bag of the last buffered element; a batch rarely spans two
 	for _, e := range batch {
 		pos := int(e.Tag)
 		if pos == live {
@@ -264,10 +306,8 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 			}
 			return fmt.Errorf("core: %s input %d: element for GCed bag at %d (lowWater %d)", h.op.Instr.Var, input, pos, buf.lowWater)
 		}
-		b := buf.bags[pos]
-		if b == nil {
-			b = h.takeBag()
-			buf.bags[pos] = b
+		if b == nil || b.pos != pos {
+			b = h.bagAt(input, pos)
 		}
 		b.elems = append(b.elems, e.Val)
 		buffered++
@@ -294,18 +334,16 @@ func (h *host) OnEOB(input, from int, tag dataflow.Tag) error {
 		}
 		return fmt.Errorf("core: %s input %d: EOB for GCed bag at %d", h.op.Instr.Var, input, pos)
 	}
-	b := buf.bags[pos]
-	if b == nil {
-		b = h.takeBag()
-		buf.bags[pos] = b
-	}
+	b := h.bagAt(input, pos)
 	b.eobs++
 	if b.eobs > h.ctx.NumProducers(input) {
 		return fmt.Errorf("core: %s input %d: too many EOBs for bag %d", h.op.Instr.Var, input, pos)
 	}
-	b.complete = b.eobs == h.ctx.NumProducers(input)
-	if b.complete && h.lin != nil {
-		h.lin.Delivered(h.op.Inputs[input].Producer.Instr.Var, pos, h.op.Instr.Var)
+	if b.complete = b.eobs == h.ctx.NumProducers(input); b.complete {
+		if h.lin != nil {
+			h.lin.Delivered(h.op.Inputs[input].Producer.Instr.Var, pos, h.op.Instr.Var)
+		}
+		h.retire(input)
 	}
 	return h.progress()
 }
@@ -316,15 +354,9 @@ func (h *host) BagProgress() (cur, done int64) {
 	return h.curPos.Load(), h.bagsDone.Load()
 }
 
-// progress advances the host state machine: schedule newly visible output
-// bags, then pump the current one.
+// progress advances the host state machine: start the next scheduled output
+// bag, then pump the current one.
 func (h *host) progress() error {
-	for h.nextScan < len(h.path) {
-		if h.path[h.nextScan] == h.op.Block {
-			h.pendingOut = append(h.pendingOut, h.nextScan+1)
-		}
-		h.nextScan++
-	}
 	for {
 		if h.cur == nil {
 			if h.pendingHead == len(h.pendingOut) {
@@ -332,9 +364,9 @@ func (h *host) progress() error {
 				h.pendingHead = 0
 				return nil
 			}
-			pos := h.pendingOut[h.pendingHead]
+			out := h.pendingOut[h.pendingHead]
 			h.pendingHead++
-			if err := h.startOutput(pos); err != nil {
+			if err := h.startOutput(out.pos, out.from); err != nil {
 				return err
 			}
 		}
@@ -351,31 +383,54 @@ func (h *host) progress() error {
 	}
 }
 
-// noteOcc records that block b occurs at (1-based) path position pos. The
-// occurrence table is presized from the plan; the grow loop only runs for
-// hand-fed hosts in tests.
+// noteOcc records that block b occurs at (1-based) path position pos, if b
+// is an input producer's block, and forgets every queued occurrence that has
+// a successor at or below the smallest limit an output not yet started can
+// have: the first scheduled output's pos-1, or, when every scheduled output
+// has already selected its inputs, pos itself — any later output lies after
+// it, so the new occurrence supersedes all the queued ones. The bags they
+// named can go as soon as they are complete.
 func (h *host) noteOcc(b ir.BlockID, pos int) {
-	for int(b) >= len(h.occ) {
-		h.occ = append(h.occ, nil)
+	for qi := range h.occ {
+		q := &h.occ[qi]
+		if q.block != b {
+			continue
+		}
+		q.pos = append(q.pos, pos)
+		limit := pos
+		if h.pendingHead < len(h.pendingOut) {
+			limit = h.pendingOut[h.pendingHead].pos - 1
+		}
+		n := 0
+		for n+1 < len(q.pos) && q.pos[n+1] <= limit {
+			n++
+		}
+		if n > 0 {
+			q.pos = q.pos[:copy(q.pos, q.pos[n:])]
+			for i := range h.inbufs {
+				if h.inbufs[i].occ == qi {
+					h.retire(i)
+				}
+			}
+		}
+		return
 	}
-	h.occ[b] = append(h.occ[b], pos)
 }
 
-// latestOcc returns the largest occurrence position of block b that is
-// <= limit, or 0 if none.
-func (h *host) latestOcc(b ir.BlockID, limit int) int {
-	if int(b) >= len(h.occ) {
+// latestOcc returns the largest queued occurrence of slot i's producer
+// block that is <= limit, or 0 if none, and drops the occurrences before it:
+// limits only grow (see occQueue), so they can never be returned again.
+func (h *host) latestOcc(i, limit int) int {
+	q := &h.occ[h.inbufs[i].occ]
+	n := len(q.pos)
+	for n > 0 && q.pos[n-1] > limit {
+		n--
+	}
+	if n == 0 {
 		return 0
 	}
-	occ := h.occ[b]
-	best := 0
-	for i := len(occ) - 1; i >= 0; i-- {
-		if occ[i] <= limit {
-			best = occ[i]
-			break
-		}
-	}
-	return best
+	q.pos = q.pos[:copy(q.pos, q.pos[n-1:])]
+	return q.pos[0]
 }
 
 // startOutput chooses the input bag identifiers for the output bag at pos:
@@ -384,7 +439,7 @@ func (h *host) latestOcc(b ir.BlockID, limit int) int {
 // inputs, the slot whose predecessor block the path arrived from, with the
 // prefix bounded by pos-1 so a value produced later in the same block visit
 // is never selected.
-func (h *host) startOutput(pos int) error {
+func (h *host) startOutput(pos int, from ir.BlockID) error {
 	n := len(h.op.Inputs)
 	run := h.freeRun
 	if run == nil {
@@ -399,12 +454,11 @@ func (h *host) startOutput(pos int) error {
 		if pos < 2 {
 			return fmt.Errorf("core: phi %s scheduled at path position %d", h.op.Instr.Var, pos)
 		}
-		pred := h.path[pos-2]
 		selected := -1
 		for i, in := range h.op.Inputs {
-			if in.PredBlock == pred && selected == -1 {
+			if in.PredBlock == from && selected == -1 {
 				selected = i
-				p := h.latestOcc(in.Producer.Block, pos-1)
+				p := h.latestOcc(i, pos-1)
 				if p == 0 {
 					return fmt.Errorf("core: phi %s: no bag from %s on path before %d", h.op.Instr.Var, in.Producer.Instr.Var, pos)
 				}
@@ -415,13 +469,13 @@ func (h *host) startOutput(pos int) error {
 			}
 		}
 		if selected == -1 {
-			return fmt.Errorf("core: phi %s: no input for predecessor b%d", h.op.Instr.Var, pred)
+			return fmt.Errorf("core: phi %s: no input for predecessor b%d", h.op.Instr.Var, from)
 		}
 	} else if h.op.Instr.Kind == ir.OpSolution {
 		h.startSolution(run, pos)
 	} else {
 		for i, in := range h.op.Inputs {
-			p := h.latestOcc(in.Producer.Block, pos)
+			p := h.latestOcc(i, pos)
 			if p == 0 {
 				return fmt.Errorf("core: %s input %d: producer block b%d never occurred before %d",
 					h.op.Instr.Var, i, in.Producer.Block, pos)
@@ -452,13 +506,62 @@ func (h *host) startOutput(pos int) error {
 // bagFor returns the input bag the current run reads on slot i, creating
 // the (possibly still empty) buffer entry.
 func (h *host) bagFor(run *outputRun, i int) *inBag {
+	return h.bagAt(i, run.inPos[i])
+}
+
+// bagAt returns slot i's buffered bag at pos, inserting an empty one in
+// position order. Bags arrive nearly in order and retire from the front, so
+// the scan from the back is a step or two.
+func (h *host) bagAt(i, pos int) *inBag {
 	buf := &h.inbufs[i]
-	b := buf.bags[run.inPos[i]]
-	if b == nil {
-		b = h.takeBag()
-		buf.bags[run.inPos[i]] = b
+	n := len(buf.bags)
+	for n > 0 && buf.bags[n-1].pos > pos {
+		n--
 	}
+	if n > 0 && buf.bags[n-1].pos == pos {
+		return buf.bags[n-1]
+	}
+	b := h.takeBag()
+	b.pos = pos
+	buf.bags = append(buf.bags, nil)
+	copy(buf.bags[n+1:], buf.bags[n:])
+	buf.bags[n] = b
+	h.held++
+	h.rt.noteBuffered(int64(h.held))
 	return b
+}
+
+// retire recycles the leading bags of slot i that no output bag can select
+// any more (paper Sec. 5.2.4): those below the low-water mark, and those that
+// are complete and below the slot's frontier — the smaller of the running
+// output's selected bag and the head of the producer block's occurrence
+// queue. A bag behind the frontier whose end-of-bags are still out is kept
+// until they are in, and lowWater follows only retired bags; every producer
+// sends its bags in position order, so once a bag is complete nothing at or
+// below its position can arrive, and an element for a position below
+// lowWater is still the protocol error it always was.
+func (h *host) retire(i int) {
+	buf := &h.inbufs[i]
+	frontier := 0
+	if q := h.occ[buf.occ].pos; len(q) > 0 {
+		frontier = q[0]
+		if h.cur != nil && h.cur.inPos[i] > 0 {
+			frontier = min(frontier, h.cur.inPos[i])
+		}
+	}
+	n := 0
+	for ; n < len(buf.bags); n++ {
+		b := buf.bags[n]
+		if b.pos >= buf.lowWater {
+			if b.pos >= frontier || !b.complete {
+				break
+			}
+			buf.lowWater = b.pos + 1
+		}
+		h.recycleBag(b)
+	}
+	buf.bags = buf.bags[:copy(buf.bags, buf.bags[n:])]
+	h.held -= n
 }
 
 // bagKeepCap bounds the element capacity an input-bag buffer may retain;
@@ -487,7 +590,7 @@ func (h *host) takeBag() *inBag {
 	return &inBag{}
 }
 
-// recycleBag resets a low-water-retired bag buffer and keeps it for reuse.
+// recycleBag resets a retired bag buffer and keeps it for reuse.
 // Safe because a retired position can never be selected again (input
 // positions are monotone across outputs) and an element slice only leaves
 // a pump by being detached from its bag (writeFile).
@@ -500,7 +603,7 @@ func (h *host) recycleBag(b *inBag) {
 
 // finishOutput emits the end-of-bag, reports completion to the
 // control-flow manager, sends the branch decision if this operator is a
-// condition node, and garbage-collects input bags that can no longer be
+// condition node, and retires the input bags behind the ones this output
 // selected (input positions are monotone across outputs).
 func (h *host) finishOutput() error {
 	run := h.cur
@@ -532,21 +635,11 @@ func (h *host) finishOutput() error {
 		h.rt.emit(CoordEvent{Kind: EvDecision, Pos: run.pos, Branch: run.emitted.AsBool()})
 	}
 	h.rt.emit(CoordEvent{Kind: EvCompletion, Pos: run.pos})
-	total := 0
 	for i := range h.op.Inputs {
 		buf := &h.inbufs[i]
-		if run.inPos[i] > buf.lowWater {
-			buf.lowWater = run.inPos[i]
-			for p, b := range buf.bags {
-				if p < buf.lowWater {
-					h.recycleBag(b)
-					delete(buf.bags, p)
-				}
-			}
-		}
-		total += len(buf.bags)
+		buf.lowWater = max(buf.lowWater, run.inPos[i])
+		h.retire(i)
 	}
-	h.rt.noteBuffered(int64(total))
 	h.releaseRun(run)
 	return nil
 }

@@ -33,43 +33,59 @@ func newSelectionHost(opBlock ir.BlockID, kind ir.OpKind, producers []ir.BlockID
 	return newHost(rt, op, 0)
 }
 
+// feedPath extends the host's path by the step OnControl takes per block,
+// without starting any output.
 func feedPath(h *host, blocks ...ir.BlockID) {
 	for _, b := range blocks {
-		h.path = append(h.path, b)
-		h.noteOcc(b, len(h.path))
+		h.step(b)
 	}
+}
+
+// startAt starts the scheduled output at path position pos the way progress
+// does, skipping the scheduled outputs before it. Positions are monotone per
+// host, so a test starts its outputs in path order.
+func startAt(h *host, pos int) error {
+	h.cur = nil
+	for h.pendingHead < len(h.pendingOut) {
+		out := h.pendingOut[h.pendingHead]
+		h.pendingHead++
+		if out.pos == pos {
+			return h.startOutput(out.pos, out.from)
+		}
+	}
+	return fmt.Errorf("no output scheduled at position %d", pos)
 }
 
 // TestInputSelectionLongestPrefix reproduces the paper's Fig. 4a example:
 // with path ABBABBB, an operator in B reading from a producer in A must
 // select A's bag from position 4 (the prefix ABBA) for its output at
-// position 7.
+// position 7. Outputs start in path order: positions are monotone per host,
+// which is what lets it forget the occurrences behind the one it selected.
 func TestInputSelectionLongestPrefix(t *testing.T) {
 	const A, B = 1, 2
 	h := newSelectionHost(B, ir.OpMap, []ir.BlockID{A}, nil)
 	h.op.Instr.Kind = ir.OpCopy // no UDF needed
 	feedPath(h, A, B, B, A, B, B, B)
-	if err := h.startOutput(7); err != nil {
+	// Output at position 2 (before the second A) selects position 1.
+	if err := startAt(h, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.cur.inPos[0]; got != 4 {
-		t.Errorf("input position = %d, want 4 (prefix ABBA)", got)
+	if got := h.cur.inPos[0]; got != 1 {
+		t.Errorf("input position = %d, want 1", got)
 	}
-	// Output at position 5 selects the same occurrence of A.
-	h.cur = nil
-	if err := h.startOutput(5); err != nil {
+	// Output at position 5 selects the second occurrence of A.
+	if err := startAt(h, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.cur.inPos[0]; got != 4 {
 		t.Errorf("input position = %d, want 4", got)
 	}
-	// Output at position 2 (before the second A) selects position 1.
-	h.cur = nil
-	if err := h.startOutput(2); err != nil {
+	// Output at position 7 selects the same occurrence.
+	if err := startAt(h, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.cur.inPos[0]; got != 1 {
-		t.Errorf("input position = %d, want 1", got)
+	if got := h.cur.inPos[0]; got != 4 {
+		t.Errorf("input position = %d, want 4 (prefix ABBA)", got)
 	}
 }
 
@@ -79,7 +95,7 @@ func TestInputSelectionSameBlock(t *testing.T) {
 	const B = 2
 	h := newSelectionHost(B, ir.OpCopy, []ir.BlockID{B}, nil)
 	feedPath(h, 1, B, B)
-	if err := h.startOutput(3); err != nil {
+	if err := startAt(h, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.cur.inPos[0]; got != 3 {
@@ -98,14 +114,13 @@ func TestPhiSelectionByPredecessor(t *testing.T) {
 		[]ir.BlockID{B, C}) // slot 0 taken when arriving from B, slot 1 from C
 	feedPath(h, A, B, D, A, C, D)
 
-	if err := h.startOutput(3); err != nil {
+	if err := startAt(h, 3); err != nil {
 		t.Fatal(err)
 	}
 	if h.cur.inPos[0] != 2 || h.cur.inPos[1] != -1 {
 		t.Errorf("pos 3: inPos = %v, want [2 -1] (B-slot)", h.cur.inPos)
 	}
-	h.cur = nil
-	if err := h.startOutput(6); err != nil {
+	if err := startAt(h, 6); err != nil {
 		t.Fatal(err)
 	}
 	if h.cur.inPos[0] != -1 || h.cur.inPos[1] != 5 {
@@ -124,7 +139,7 @@ func TestPhiSelectsPreviousVisit(t *testing.T) {
 	feedPath(h, Entry, Body, Body, Body)
 
 	// First visit (position 2): arrived from Entry.
-	if err := h.startOutput(2); err != nil {
+	if err := startAt(h, 2); err != nil {
 		t.Fatal(err)
 	}
 	if h.cur.inPos[0] != 1 || h.cur.inPos[1] != -1 {
@@ -132,8 +147,7 @@ func TestPhiSelectsPreviousVisit(t *testing.T) {
 	}
 	// Third visit (position 4): arrived from Body; must read position 3,
 	// not 4 (its own, not-yet-produced bag).
-	h.cur = nil
-	if err := h.startOutput(4); err != nil {
+	if err := startAt(h, 4); err != nil {
 		t.Fatal(err)
 	}
 	if h.cur.inPos[0] != -1 || h.cur.inPos[1] != 3 {
@@ -146,13 +160,13 @@ func TestPhiSelectsPreviousVisit(t *testing.T) {
 func TestSelectionErrors(t *testing.T) {
 	h := newSelectionHost(2, ir.OpCopy, []ir.BlockID{5}, nil)
 	feedPath(h, 1, 2)
-	if err := h.startOutput(2); err == nil {
+	if err := startAt(h, 2); err == nil {
 		t.Error("missing producer occurrence not detected")
 	}
 	// Phi with no slot for the incoming predecessor.
 	h2 := newSelectionHost(2, ir.OpPhi, []ir.BlockID{3}, []ir.BlockID{3})
 	feedPath(h2, 1, 2)
-	if err := h2.startOutput(2); err == nil {
+	if err := startAt(h2, 2); err == nil {
 		t.Error("phi without a matching predecessor slot not detected")
 	}
 }

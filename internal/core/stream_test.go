@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,23 +115,41 @@ s.writeFile("out")
 func TestSingleUseNeverSelectedTwice(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
-		n := 2 + r.Intn(5)
-		g := &ir.Graph{InSSA: true}
-		for b := 0; b < n; b++ {
-			succs := []ir.BlockID{ir.BlockID(r.Intn(n))}
-			if r.Intn(2) == 0 {
-				succs = append(succs, ir.BlockID(r.Intn(n)))
-			}
-			g.Blocks = append(g.Blocks, &ir.Block{ID: ir.BlockID(b), Term: ir.Terminator{Succs: succs}})
-		}
-		g.ComputePreds()
-		p := &Plan{IR: g}
+		p := randomCFG(r)
+		n := len(p.IR.Blocks)
 		for prod := 0; prod < n; prod++ {
 			for cons := 0; cons < n; cons++ {
 				checkSelections(t, r, p, ir.BlockID(prod), ir.BlockID(cons))
 			}
 		}
 	}
+}
+
+// randomCFG is a plan over 2–6 blocks with one or two random successors each.
+func randomCFG(r *rand.Rand) *Plan {
+	n := 2 + r.Intn(5)
+	g := &ir.Graph{InSSA: true}
+	for b := 0; b < n; b++ {
+		succs := []ir.BlockID{ir.BlockID(r.Intn(n))}
+		if r.Intn(2) == 0 {
+			succs = append(succs, ir.BlockID(r.Intn(n)))
+		}
+		g.Blocks = append(g.Blocks, &ir.Block{ID: ir.BlockID(b), Term: ir.Terminator{Succs: succs}})
+	}
+	g.ComputePreds()
+	return &Plan{IR: g}
+}
+
+// randomWalk is a path of the given length through p's graph from block 0.
+func randomWalk(r *rand.Rand, p *Plan, steps int) []ir.BlockID {
+	path := make([]ir.BlockID, 0, steps)
+	b := ir.BlockID(0)
+	for len(path) < steps {
+		path = append(path, b)
+		succs := p.IR.Blocks[b].Term.Succs
+		b = succs[r.Intn(len(succs))]
+	}
+	return path
 }
 
 func checkSelections(t *testing.T, r *rand.Rand, p *Plan, prod, cons ir.BlockID) {
@@ -151,32 +170,130 @@ func checkSelections(t *testing.T, r *rand.Rand, p *Plan, prod, cons ir.BlockID)
 		}
 		for walk := 0; walk < 20; walk++ {
 			h := newHost(&runtime{plan: p}, op, 0)
-			b := ir.BlockID(0)
-			for step := 0; step < 30; step++ {
-				feedPath(h, b)
-				succs := p.IR.Blocks[b].Term.Succs
-				b = succs[r.Intn(len(succs))]
-			}
+			path := randomWalk(r, p, 30)
+			feedPath(h, path...)
 			last := -1
-			for pos, blk := range h.path {
+			for pos, blk := range path {
 				if blk != cons {
 					continue
 				}
-				h.cur = nil
 				// Outputs whose producer never ran, or a phi arriving over
 				// another edge, select nothing.
-				if err := h.startOutput(pos + 1); err != nil {
+				if err := startAt(h, pos+1); err != nil {
 					continue
 				}
 				sel := h.cur.inPos[0]
 				if sel == last {
 					t.Fatalf("%s b%d <- b%d classified single-use, but path %v selects bag %d twice\n%s",
-						op.Instr.Kind, cons, prod, h.path, sel, p.IR)
+						op.Instr.Kind, cons, prod, path, sel, p.IR)
 				}
 				last = sel
 			}
 		}
 	}
+}
+
+// TestWindowedSelectionMatchesLongestPrefix is the differential test of the
+// host's frontier (DESIGN.md Sec. 19): on the random graphs and walks above,
+// a host that keeps no path and only the occurrences an output can still
+// select must choose, for every slot of every output, the bag a brute-force
+// longest-prefix search over the whole path chooses. Outputs start in path
+// order, some as soon as they are scheduled (so occurrences supersede) and
+// some after the path has run ahead (so they queue).
+func TestWindowedSelectionMatchesLongestPrefix(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	blockOf := func(n int) ir.BlockID { return ir.BlockID(r.Intn(n)) }
+	for trial := 0; trial < 2000; trial++ {
+		p := randomCFG(r)
+		n := len(p.IR.Blocks)
+		cons := blockOf(n)
+		// An ordinary two-input operator (a producer in its own block now
+		// and then) and a phi with one slot per predecessor edge.
+		ordinary := &PlanOp{Instr: &ir.Instr{Var: "x", Kind: ir.OpUnion}, Block: cons}
+		for i := 0; i < 2; i++ {
+			src := &PlanOp{Instr: &ir.Instr{Var: fmt.Sprint("in", i)}, Block: blockOf(n)}
+			if r.Intn(3) == 0 {
+				src.Block = cons
+			}
+			ordinary.Inputs = append(ordinary.Inputs, PlanInput{Producer: src})
+		}
+		phi := &PlanOp{Instr: &ir.Instr{Var: "phi", Kind: ir.OpPhi}, Block: cons}
+		for i, pred := range p.IR.Blocks[cons].Preds {
+			src := &PlanOp{Instr: &ir.Instr{Var: fmt.Sprint("in", i)}, Block: blockOf(n)}
+			phi.Inputs = append(phi.Inputs, PlanInput{Producer: src, PredBlock: pred})
+		}
+		path := randomWalk(r, p, 60)
+		for _, op := range []*PlanOp{ordinary, phi} {
+			h := newHost(&runtime{plan: p}, op, 0)
+			eager := r.Intn(2) == 0
+			for fed, b := range path {
+				feedPath(h, b)
+				// As of its last occurrence, a queue holds one position the first
+				// scheduled output can reach and those after it — one position
+				// in all once every output has started.
+				behind := 0
+				if h.pendingHead < len(h.pendingOut) {
+					behind = h.pathLen - h.pendingOut[h.pendingHead].pos + 1
+				}
+				for _, q := range h.occ {
+					if q.block == b && len(q.pos) > 1+behind {
+						t.Fatalf("occurrence queue of b%d holds %v with the first scheduled output %d positions behind", q.block, q.pos, behind)
+					}
+				}
+				if !eager && r.Intn(4) != 0 && fed != len(path)-1 {
+					continue
+				}
+				for h.pendingHead < len(h.pendingOut) {
+					pos := h.pendingOut[h.pendingHead].pos
+					err := startAt(h, pos)
+					want, ok := bruteForceSelection(op, path, pos)
+					if (err == nil) != ok {
+						t.Fatalf("%s in b%d at %d of %v: err = %v, brute force selects %v (ok=%v)", op.Instr.Kind, cons, pos, path, err, want, ok)
+					}
+					if ok && !slices.Equal(h.cur.inPos, want) {
+						t.Fatalf("%s in b%d at %d of %v: inPos = %v, brute force selects %v", op.Instr.Kind, cons, pos, path, h.cur.inPos, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bruteForceSelection is the selection rule of paper Sec. 5.2.3 read off the
+// whole path: per slot, the last occurrence of the producer's block at or
+// before the limit. ok is false where startOutput must refuse.
+func bruteForceSelection(op *PlanOp, path []ir.BlockID, pos int) (sel []int, ok bool) {
+	lastOcc := func(b ir.BlockID, limit int) int {
+		for q := limit; q >= 1; q-- {
+			if path[q-1] == b {
+				return q
+			}
+		}
+		return 0
+	}
+	sel = make([]int, len(op.Inputs))
+	if op.Instr.Kind != ir.OpPhi {
+		for i, in := range op.Inputs {
+			if sel[i] = lastOcc(in.Producer.Block, pos); sel[i] == 0 {
+				return nil, false
+			}
+		}
+		return sel, true
+	}
+	if pos < 2 {
+		return nil, false
+	}
+	taken := false
+	for i, in := range op.Inputs {
+		sel[i] = -1
+		if in.PredBlock == path[pos-2] && !taken {
+			taken = true
+			if sel[i] = lastOcc(in.Producer.Block, pos-1); sel[i] == 0 {
+				return nil, false
+			}
+		}
+	}
+	return sel, taken
 }
 
 // collector is the chained sink of a hand-fed host: it records what the
@@ -212,18 +329,25 @@ func loopPlan() *Plan {
 }
 
 // handFedHost builds a host for an operator of the given kind in block b1
-// of loopPlan, with one producer per entry of producers (its block), inside
-// a started dataflow job so the host has a real Context: idle stand-in
-// producers on forward edges, and — when sink is non-nil — sink as a
-// chained consumer, so emissions land in it synchronously. The test then
+// of loopPlan (handFedHostIn: in any of its blocks), with one producer per
+// entry of producers (its block; a phi takes slot i when the path arrives
+// from there), inside a started dataflow job so the host has a real Context:
+// idle stand-in producers on forward edges, and — when sink is non-nil — sink
+// as a chained consumer, so emissions land in it synchronously. The test then
 // calls the host's Vertex methods itself.
 func handFedHost(tb testing.TB, kind ir.OpKind, f *lang.UDF, st store.Store, producers []ir.BlockID, sink *collector) *host {
 	tb.Helper()
-	op := &PlanOp{Instr: &ir.Instr{Var: "x", Kind: kind, F: f}, Block: 1, Par: 1}
+	return handFedHostIn(tb, 1, kind, f, st, producers, sink)
+}
+
+func handFedHostIn(tb testing.TB, block ir.BlockID, kind ir.OpKind, f *lang.UDF, st store.Store, producers []ir.BlockID, sink *collector) *host {
+	tb.Helper()
+	op := &PlanOp{Instr: &ir.Instr{Var: "x", Kind: kind, F: f}, Block: block, Par: 1}
 	for i, pb := range producers {
 		op.Inputs = append(op.Inputs, PlanInput{
-			Producer: &PlanOp{Instr: &ir.Instr{Var: fmt.Sprintf("in%d", i)}, Block: pb},
-			Part:     dataflow.PartForward,
+			Producer:  &PlanOp{Instr: &ir.Instr{Var: fmt.Sprintf("in%d", i)}, Block: pb},
+			PredBlock: pb,
+			Part:      dataflow.PartForward,
 		})
 	}
 	rt := &runtime{plan: loopPlan(), store: st, opts: DefaultOptions(), emit: func(CoordEvent) {}}
@@ -265,7 +389,7 @@ func handFedHost(tb testing.TB, kind ir.OpKind, f *lang.UDF, st store.Store, pro
 // visit extends the host's path by one block.
 func visit(tb testing.TB, h *host, b ir.BlockID) {
 	tb.Helper()
-	if err := h.OnControl(PathSegment{Pos: len(h.path) + 1, Blocks: []ir.BlockID{b}}); err != nil {
+	if err := h.OnControl(PathSegment{Pos: h.pathLen + 1, Blocks: []ir.BlockID{b}}); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -287,6 +411,17 @@ func eob(tb testing.TB, h *host, slot, pos int) {
 	if err := h.OnEOB(slot, 0, dataflow.Tag(pos)); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// bufferedAt is how many elements slot holds for bag pos (0 when it holds no
+// such bag).
+func bufferedAt(h *host, slot, pos int) int {
+	for _, b := range h.inbufs[slot].bags {
+		if b.pos == pos {
+			return len(b.elems)
+		}
+	}
+	return 0
 }
 
 func ints(xs ...int) []val.Value {
@@ -323,24 +458,24 @@ func TestHostRereadAndStream(t *testing.T) {
 		if h.cur == nil || h.cur.pos != pos {
 			t.Fatalf("step %d is not the live output", pos)
 		}
-		if n := len(h.inbufs[1].bags[pos].elems); n != 0 {
+		if n := bufferedAt(h, 1, pos); n != 0 {
 			t.Errorf("step %d: %d elements of the live single-use bag were buffered", pos, n)
 		}
 		if pos+1 < 2+steps {
 			feed(t, h, 1, pos+1, ints((pos+1)*10+3)...)
-			if n := len(h.inbufs[1].bags[pos+1].elems); n != 1 {
+			if n := bufferedAt(h, 1, pos+1); n != 1 {
 				t.Errorf("step %d: early element of the next bag: %d buffered, want 1", pos, n)
 			}
 		}
 		feed(t, h, 1, pos, ints(pos*10+2)...)
 		eob(t, h, 1, pos)
 		// The next output is live now and has drained what arrived early.
-		for p, b := range h.inbufs[1].bags {
+		for _, b := range h.inbufs[1].bags {
 			if len(b.elems) != 0 {
-				t.Errorf("after step %d: single-use bag %d still holds %d elements", pos, p, len(b.elems))
+				t.Errorf("after step %d: single-use bag %d still holds %d elements", pos, b.pos, len(b.elems))
 			}
 		}
-		if got := h.inbufs[0].bags[1].elems; !bag.Equal(got, invariant) {
+		if got := h.inbufs[0].bags[0].elems; !bag.Equal(got, invariant) {
 			t.Errorf("after step %d: re-readable bag = %v, want %v", pos, got, invariant)
 		}
 	}
@@ -504,7 +639,7 @@ func newBagFeeder(tb testing.TB, kind ir.OpKind, f lang.Expr, elem func(i int) v
 // bag feeds one whole bag of the given number of batches.
 func (fd *bagFeeder) bag(tb testing.TB, batches int) {
 	visit(tb, fd.h, 1)
-	pos := len(fd.h.path)
+	pos := fd.h.pathLen
 	for i := range fd.batch {
 		fd.batch[i].Tag = dataflow.Tag(pos)
 	}

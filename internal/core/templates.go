@@ -28,8 +28,11 @@ import (
 // PathSegment is the control event the control-flow manager broadcasts to
 // every operator instance when the execution path grows: the path grew by
 // Blocks, occupying (1-based) positions Pos..Pos+len(Blocks)-1. Final marks
-// a segment ending in the exit block. The Blocks slice aliases the
-// coordinator's append-only path — receivers must not modify it.
+// a segment ending in the exit block. The Blocks slice aliases the array
+// behind the coordinator's path window, where a position is written once and
+// never moved (Coordinator.retire copies what it keeps to a fresh array), so
+// a frame reads the same blocks for as long as a receiver holds it —
+// receivers must not modify it.
 //
 // A template — one cached control-plane decision — is a PathSegment with no
 // position yet: the jump-chain segment starting at a block, resolved once

@@ -24,7 +24,7 @@ func (v *spammer) OnControl(ev any) error {
 		return nil
 	}
 	for i := 0; !v.halt.Load(); i++ {
-		v.ctx.Emit(Element{Tag: 1, Val: val.Pair(val.Int(int64(i % 101)), val.Str("payload-payload-payload"))})
+		v.ctx.Emit(Element{Tag: 1, Val: val.Pair(val.Int(int64(i%101)), val.Str("payload-payload-payload"))})
 		if i%3 == 0 {
 			v.ctx.Flush()
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMapBasic(t *testing.T) {
@@ -98,33 +97,6 @@ func TestMapTupleKeysAndCollisions(t *testing.T) {
 		if !ok || v != i {
 			t.Fatalf("Get(%d) = %d,%t", i, v, ok)
 		}
-	}
-}
-
-func TestQuickMapMatchesGoMap(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	f := func() bool {
-		var m Map[int64]
-		ref := make(map[int64]int64)
-		for i := 0; i < 100; i++ {
-			k := r.Int63n(30)
-			v := r.Int63()
-			m.Put(Int(k), v)
-			ref[k] = v
-		}
-		if m.Len() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			got, ok := m.Get(Int(k))
-			if !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
