@@ -38,12 +38,15 @@ const (
 // CoordEvent is one event on the hosts -> coordinator control channel. On
 // the TCP backend these cross the worker's coordinator connection as wire
 // messages; on the simulated cluster they are direct calls into OnEvent.
-// Count lets a worker aggregate several local completions of the same
-// position into one event (0 and 1 both mean a single completion).
+// Block is the emitting host's block, by which a TCP worker folds
+// completions and speculates; the wire does not carry it. Count lets a worker
+// aggregate several local completions of the same position into one event
+// (0 and 1 both mean a single completion).
 type CoordEvent struct {
 	Kind   CoordEventKind
-	Pos    int
 	Branch bool
+	Pos    int
+	Block  ir.BlockID
 	Count  int
 }
 
@@ -96,10 +99,7 @@ type Coordinator struct {
 	pending  []int // completions still outstanding per position (parallel to path)
 	doneUpTo int   // all positions <= doneUpTo are complete
 
-	// Template cache (nil when templates are off): jump-chain segments
-	// keyed by their starting block, resolved on first visit and
-	// re-instantiated by position patching afterwards.
-	tmpl           map[ir.BlockID]PathSegment
+	tmpl           SegmentCache // nil when templates are off
 	installs       int
 	instantiations int
 
@@ -128,7 +128,7 @@ type Coordinator struct {
 func NewCoordinator(plan *Plan, opts Options, machines int, cp ControlPlane) *Coordinator {
 	c := &Coordinator{plan: plan, pipelining: opts.Pipelining, cp: cp}
 	if opts.Templated() {
-		c.tmpl = make(map[ir.BlockID]PathSegment)
+		c.tmpl = make(SegmentCache)
 	}
 	if opts.Obs != nil {
 		reg := opts.Obs.Reg()
@@ -208,24 +208,21 @@ func (c *Coordinator) Result() *Result {
 // control-plane decision) resolves from the cache on every visit of b but
 // the first.
 func (c *Coordinator) extend(b ir.BlockID) {
-	t, hit := c.tmpl[b]
-	if hit {
+	blocks, hit := c.tmpl.Segment(c.plan.IR, b)
+	switch {
+	case hit:
 		c.instantiations++
-	} else {
-		t.Blocks, t.Final = SegmentFrom(c.plan.IR, b)
-		if c.tmpl != nil {
-			c.tmpl[b] = t
-			c.installs++
-		}
+	case c.tmpl != nil:
+		c.installs++
 	}
-	for _, blk := range t.Blocks {
+	for _, blk := range blocks {
 		c.path = append(c.path, blk)
 		c.pending = append(c.pending, c.plan.InstancesPerBlock[blk])
 		if c.lin != nil {
 			c.decidedBy = append(c.decidedBy, c.curDecider)
 		}
 	}
-	c.pathFinal = t.Final
+	c.pathFinal = c.plan.IR.Blocks[blocks[len(blocks)-1]].Term.Kind == ir.TermExit
 	c.pathLen.Set(int64(c.determined()))
 	c.advanceDone()
 	c.release()
@@ -333,7 +330,6 @@ func (c *Coordinator) release() {
 		seg := PathSegment{
 			Pos:    c.released + 1,
 			Blocks: c.path[c.released-c.base : end-c.base : end-c.base],
-			Final:  c.pathFinal && end == c.determined(),
 		}
 		c.cp.Broadcast(seg)
 		for _, n := range c.bcast {
@@ -341,12 +337,12 @@ func (c *Coordinator) release() {
 		}
 		if c.trc != nil {
 			c.trc.Instant("cfm", "broadcast", c.driverPID, 0,
-				map[string]any{"pos": seg.Pos, "blocks": len(seg.Blocks), "final": seg.Final})
+				map[string]any{"pos": seg.Pos, "blocks": len(seg.Blocks), "final": c.pathFinal && end == c.determined()})
 		}
 		if c.lin != nil {
 			for i, b := range seg.Blocks {
 				pos := seg.Pos + i
-				c.lin.Broadcast(pos, int(b), seg.Final && pos == end, c.decidedBy[pos-1-c.base], barrier)
+				c.lin.Broadcast(pos, int(b), c.pathFinal && pos == c.determined(), c.decidedBy[pos-1-c.base], barrier)
 			}
 		}
 		c.released = end

@@ -32,16 +32,13 @@ func (r *recordingPlane) Barrier() {
 }
 
 // released flattens the recorded frames into the released path, checking
-// that frames are contiguous and that only the last one may be final.
+// that frames are contiguous.
 func (r *recordingPlane) released(t *testing.T) []ir.BlockID {
 	t.Helper()
 	var path []ir.BlockID
 	for i, f := range r.frames {
 		if f.Pos != len(path)+1 {
 			t.Fatalf("frame %d starts at position %d, want %d", i, f.Pos, len(path)+1)
-		}
-		if f.Final && i != len(r.frames)-1 {
-			t.Errorf("frame %d of %d is marked final", i, len(r.frames))
 		}
 		path = append(path, f.Blocks...)
 	}
@@ -133,8 +130,8 @@ func TestCoordinatorModeMatrix(t *testing.T) {
 			if got := rec.released(t); !slices.Equal(got, oracle) {
 				t.Fatalf("released path %v\nwant (ir.Interp) %v", got, oracle)
 			}
-			if last := rec.frames[len(rec.frames)-1]; !last.Final {
-				t.Error("last frame is not marked final")
+			if last := rec.frames[len(rec.frames)-1]; g.Blocks[last.Blocks[len(last.Blocks)-1]].Term.Kind != ir.TermExit {
+				t.Error("last frame does not end in the exit block")
 			}
 			templated := mode.pipelining && mode.templates
 			multi := 0

@@ -274,7 +274,7 @@ func (w *windowPlane) Broadcast(seg PathSegment) {
 	}
 	if w.frames++; w.frames%997 == 1 {
 		w.kept = append(w.kept, seg)
-		w.keptCopy = append(w.keptCopy, PathSegment{Pos: seg.Pos, Blocks: slices.Clone(seg.Blocks), Final: seg.Final})
+		w.keptCopy = append(w.keptCopy, PathSegment{Pos: seg.Pos, Blocks: slices.Clone(seg.Blocks)})
 	}
 	w.todo = append(w.todo, seg.Blocks...)
 }

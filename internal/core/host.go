@@ -632,9 +632,9 @@ func (h *host) finishOutput() error {
 			h.trc.Instant("cfm", "decision", h.machine, h.lane,
 				map[string]any{"pos": run.pos, "branch": run.emitted.AsBool()})
 		}
-		h.rt.emit(CoordEvent{Kind: EvDecision, Pos: run.pos, Branch: run.emitted.AsBool()})
+		h.rt.emit(CoordEvent{Kind: EvDecision, Pos: run.pos, Block: h.op.Block, Branch: run.emitted.AsBool()})
 	}
-	h.rt.emit(CoordEvent{Kind: EvCompletion, Pos: run.pos})
+	h.rt.emit(CoordEvent{Kind: EvCompletion, Pos: run.pos, Block: h.op.Block})
 	for i := range h.op.Inputs {
 		buf := &h.inbufs[i]
 		buf.lowWater = max(buf.lowWater, run.inPos[i])

@@ -17,50 +17,56 @@ import (
 // the degenerate case of the same mechanism: every released frame is a
 // one-block segment and nothing is cached (Coordinator.release).
 //
-// Template validity rests on two facts: BuildPlan is deterministic over
-// the shipped program source (so coordinator and workers resolve identical
-// templates from identical plans), and a template never outlives the
-// execution attempt that installed it — the coordinator's cache lives in
-// one Coordinator, built per attempt, the TCP control plane's install table
-// lives in one session attempt, and each worker's table lives in one job
-// run, so retries and re-admitted workers always start clean.
+// A template is a pure function of its head block and the immutable IR
+// (SegmentFrom), so nothing about it is ever shipped: the head block names
+// it, and every holder of the plan resolves the same segment from it.
 
 // PathSegment is the control event the control-flow manager broadcasts to
 // every operator instance when the execution path grows: the path grew by
-// Blocks, occupying (1-based) positions Pos..Pos+len(Blocks)-1. Final marks
-// a segment ending in the exit block. The Blocks slice aliases the array
-// behind the coordinator's path window, where a position is written once and
-// never moved (Coordinator.retire copies what it keeps to a fresh array), so
-// a frame reads the same blocks for as long as a receiver holds it —
+// Blocks, occupying (1-based) positions Pos..Pos+len(Blocks)-1. Blocks
+// aliases either the array behind the coordinator's path window, where a
+// position is written once and never moved (Coordinator.retire copies what it
+// keeps to a fresh array), or a SegmentCache entry, which is never modified —
+// so a frame reads the same blocks for as long as a receiver holds it, and
 // receivers must not modify it.
-//
-// A template — one cached control-plane decision — is a PathSegment with no
-// position yet: the jump-chain segment starting at a block, resolved once
-// and instantiated by patching Pos.
 type PathSegment struct {
 	Pos    int
 	Blocks []ir.BlockID
-	Final  bool
 }
 
 // SegmentFrom derives the unconditional block sequence starting at b: b
 // itself, then every successor reached through TermJump terminators, up to
-// and including the first block that ends in a branch (final=false, the
-// next extension needs a runtime decision) or the exit block (final=true).
-// The walk is a pure function of the IR, which is what lets the
-// coordinator and every worker resolve identical templates independently.
-func SegmentFrom(g *ir.Graph, b ir.BlockID) (blocks []ir.BlockID, final bool) {
+// and including the first block that ends in a branch (the next extension
+// needs a runtime decision) or the exit block. The walk is a pure function
+// of the IR, which is what lets the coordinator and every worker resolve
+// identical templates independently.
+func SegmentFrom(g *ir.Graph, b ir.BlockID) []ir.BlockID {
+	var blocks []ir.BlockID
 	for {
 		blocks = append(blocks, b)
-		switch t := g.Blocks[b].Term; t.Kind {
-		case ir.TermJump:
-			b = t.Succs[0]
-		case ir.TermExit:
-			return blocks, true
-		default:
-			return blocks, false
+		t := g.Blocks[b].Term
+		if t.Kind != ir.TermJump {
+			return blocks
+		}
+		b = t.Succs[0]
+	}
+}
+
+// SegmentCache holds one template per head block: the segment SegmentFrom
+// resolves from it, computed on first use and shared, read-only, by every
+// later one. The coordinator keeps one per execution (nil, caching nothing,
+// when templates are off), a TCP worker one per job run.
+type SegmentCache map[ir.BlockID][]ir.BlockID
+
+// Segment returns the segment headed by b and whether it was already cached.
+func (c SegmentCache) Segment(g *ir.Graph, b ir.BlockID) (blocks []ir.BlockID, hit bool) {
+	if blocks, hit = c[b]; !hit {
+		blocks = SegmentFrom(g, b)
+		if c != nil {
+			c[b] = blocks
 		}
 	}
+	return blocks, hit
 }
 
 // ctrlFrameOverhead is the framing cost of one control message, matching
@@ -70,13 +76,10 @@ func SegmentFrom(g *ir.Graph, b ir.BlockID) (blocks []ir.BlockID, final bool) {
 const ctrlFrameOverhead = 5
 
 // CtrlSize reports the encoded control-frame size of one PathSegment, for
-// ctrl_bytes accounting (dataflow.ControlSizer).
+// ctrl_bytes accounting (dataflow.ControlSizer): the frame carries the
+// position and the head block, from which every receiver resolves the rest.
 func (s PathSegment) CtrlSize() int {
-	n := ctrlFrameOverhead + varintLen(s.Pos) + varintLen(len(s.Blocks)) + 1
-	for _, b := range s.Blocks {
-		n += varintLen(int(b))
-	}
-	return n
+	return ctrlFrameOverhead + varintLen(s.Pos) + varintLen(int(s.Blocks[0]))
 }
 
 // varintLen is the zigzag varint size of v, matching binary.AppendVarint.

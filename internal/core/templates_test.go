@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,13 +15,15 @@ import (
 
 // TestSegmentFrom checks the jump-chain resolution templates are built
 // from: every segment starts at the requested block, crosses only
-// unconditional jumps, and stops at the first branch (not final) or exit
-// (final). The walk must be deterministic — coordinator and workers
-// resolve segments independently from the same shipped IR.
+// unconditional jumps, and stops at the first branch or the exit. The walk
+// must be deterministic — coordinator and workers resolve segments
+// independently from the same shipped IR — and a SegmentCache hands out the
+// one resolution it made.
 func TestSegmentFrom(t *testing.T) {
 	g := compile(t, stepLoopSrc(5))
+	cache := make(SegmentCache)
 	for _, b := range g.Blocks {
-		blocks, final := SegmentFrom(g, b.ID)
+		blocks := SegmentFrom(g, b.ID)
 		if len(blocks) == 0 || blocks[0] != b.ID {
 			t.Fatalf("segment from b%d starts %v", b.ID, blocks)
 		}
@@ -29,16 +32,18 @@ func TestSegmentFrom(t *testing.T) {
 				t.Errorf("segment from b%d crosses b%d with terminator %v at %d", b.ID, sb, k, i)
 			}
 		}
-		last := g.Blocks[blocks[len(blocks)-1]].Term.Kind
-		switch {
-		case final && last != ir.TermExit:
-			t.Errorf("segment from b%d final but ends on %v", b.ID, last)
-		case !final && last != ir.TermBranch:
-			t.Errorf("segment from b%d not final but ends on %v", b.ID, last)
+		if last := g.Blocks[blocks[len(blocks)-1]].Term.Kind; last == ir.TermJump {
+			t.Errorf("segment from b%d ends on a jump", b.ID)
 		}
-		again, f2 := SegmentFrom(g, b.ID)
-		if f2 != final || len(again) != len(blocks) {
+		if again := SegmentFrom(g, b.ID); !slices.Equal(again, blocks) {
 			t.Errorf("segment from b%d not deterministic", b.ID)
+		}
+		first, hit := cache.Segment(g, b.ID)
+		if hit || !slices.Equal(first, blocks) {
+			t.Errorf("first cache lookup of b%d: %v, hit %v", b.ID, first, hit)
+		}
+		if again, hit := cache.Segment(g, b.ID); !hit || &again[0] != &first[0] {
+			t.Errorf("second cache lookup of b%d did not return the cached segment", b.ID)
 		}
 	}
 }

@@ -136,10 +136,10 @@ type Result struct {
 	CreditStalls    int64
 	CreditStallTime time.Duration
 	// CtrlMessages and CtrlBytes count the coordinator-link control frames
-	// (path updates, template installs and instantiations, barriers,
-	// finish, and the workers' event and barrier-ack frames) and their wire
-	// sizes. Job setup (MsgJob, MsgAssign) is excluded: these measure
-	// per-step control traffic. Per session, as SocketBytes.
+	// (path segments, barriers, finish, and the workers' event and
+	// barrier-ack frames) and their wire sizes. Job setup (MsgJob,
+	// MsgAssign) is excluded: these measure per-step control traffic. Per
+	// session, as SocketBytes.
 	CtrlMessages int64
 	CtrlBytes    int64
 	// PeerLinks reports each worker's per-peer link counters.
@@ -726,16 +726,9 @@ func (s *session) handlePong(w *workerConn, m PongMsg) {
 // methods run under the coordinator's mutex, and session.broadcast writes
 // synchronously, so one encode buffer is reused across every control
 // frame — the per-step broadcast path allocates nothing.
-//
-// tmplIDs is the attempt's template install table (segment starting block
-// -> wire template ID; nil when the job runs untemplated). It lives and
-// dies with the control plane, which lives and dies with one execution
-// attempt: a retry or a re-admitted worker pool starts from a fresh
-// tcpControlPlane, so stale templates cannot survive session teardown.
 type tcpControlPlane struct {
-	s       *session
-	buf     []byte
-	tmplIDs map[ir.BlockID]int
+	s   *session
+	buf []byte
 }
 
 // bcastCtrl broadcasts one control frame and charges it to the session's
@@ -745,30 +738,11 @@ func (cp *tcpControlPlane) bcastCtrl(typ byte, body []byte) {
 	cp.s.countCtrl(len(cp.s.workers), len(body))
 }
 
-// Broadcast ships one path extension. Untemplated, every segment is one
-// block and travels as a MsgPathUpdate. Templated, it is an instantiated
-// execution template: a one-time MsgPathTmpl install on first use of the
-// segment's starting block, then a position-patched MsgPathSeg — the
-// steady-state per-extension frame.
+// Broadcast ships one path extension as its position and head block, in
+// either mode: every worker resolves the rest of the segment from its own
+// plan (workerJobRun.applyLocked).
 func (cp *tcpControlPlane) Broadcast(seg core.PathSegment) {
-	if cp.tmplIDs == nil {
-		cp.buf = AppendPathUpdate(cp.buf[:0], PathUpdateMsg{Pos: seg.Pos, Block: int(seg.Blocks[0]), Final: seg.Final})
-		cp.bcastCtrl(MsgPathUpdate, cp.buf)
-		return
-	}
-	key := seg.Blocks[0]
-	id, ok := cp.tmplIDs[key]
-	if !ok {
-		id = len(cp.tmplIDs) + 1
-		cp.tmplIDs[key] = id
-		m := PathTmplMsg{ID: id, Blocks: make([]int, len(seg.Blocks)), Final: seg.Final}
-		for i, b := range seg.Blocks {
-			m.Blocks[i] = int(b)
-		}
-		cp.buf = AppendPathTmpl(cp.buf[:0], m)
-		cp.bcastCtrl(MsgPathTmpl, cp.buf)
-	}
-	cp.buf = AppendPathSeg(cp.buf[:0], PathSegMsg{ID: id, Pos: seg.Pos})
+	cp.buf = AppendPathSeg(cp.buf[:0], PathSegMsg{Pos: seg.Pos, Head: int(seg.Blocks[0])})
 	cp.bcastCtrl(MsgPathSeg, cp.buf)
 }
 
@@ -981,11 +955,7 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 	// readers queue. Leaving the loop on failure strands nobody: a reader's
 	// send on s.events also selects on s.failed, and a protocol error fails
 	// the session (tcpControlPlane.Stop) as it makes the coordinator inert.
-	cp := &tcpControlPlane{s: s}
-	if job.opts.Templated() {
-		cp.tmplIDs = make(map[ir.BlockID]int)
-	}
-	co := core.NewCoordinator(job.plan, job.opts, c.cfg.Workers, cp)
+	co := core.NewCoordinator(job.plan, job.opts, c.cfg.Workers, &tcpControlPlane{s: s})
 	co.Seed()
 	results := make([]*ResultMsg, c.cfg.Workers)
 	for got := 0; got < c.cfg.Workers; {
@@ -1014,7 +984,7 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 		// control connection, so every worker's end-of-job snapshot is
 		// already federated by the time its result was collected above.
 		out.WorkerStats[id] = c.tel.fed.Worker(id)
-		out.Merge(r.result())
+		out.Merge(&r.Result)
 		out.PeerLinks[id] = r.Peers
 		for _, p := range r.Peers {
 			out.SocketBytes += p.BytesOut

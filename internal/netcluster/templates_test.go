@@ -1,53 +1,68 @@
 package netcluster
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/workload"
 )
 
-// TestTCPTemplatesCounters pins the template cache arithmetic over the real
-// wire and the control-frame saving it buys. A 50-step loop visits 103
-// positions in 52 segments from 3 distinct heads; with templates off the
-// coordinator instead broadcasts every position and receives one event
-// frame per instance, so the control traffic of the templated run must be
-// strictly smaller.
+// TestTCPTemplatesCounters pins the template cache arithmetic and the exact
+// control-frame count over the real wire. A 50-step loop visits P = 103
+// positions (entry, 51 loop tests, 50 bodies, exit) in S = 52 segments from 3
+// distinct heads, with D = 51 decisions. Every operator has one instance, on
+// worker 0; per position they report I = 155 completions (entry 1, loop test
+// 2, body 1, exit 2). Over W workers the coordinator links carry:
+//
+//	templates on:  W·S path frames + W finish + D + P (one folded completion
+//	               per position)                         = 53W + 154
+//	templates off: W·P path frames + W finish + D + I   = 104W + 206
+//
+// A path frame is (position, head block) in both modes: nothing is installed.
 func TestTCPTemplatesCounters(t *testing.T) {
-	c, cleanup, err := StartLocal(2, CoordConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	run := func(templates bool) *Result {
-		opts := core.DefaultOptions()
-		opts.Templates = templates
-		res, err := c.Run(workload.StepLoopScript(50), store.NewMemStore(), opts)
+	for _, w := range []int{2, 3} {
+		c, cleanup, err := StartLocal(w, CoordConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	on := run(true)
-	off := run(false)
-	if on.Steps != 103 || off.Steps != on.Steps {
-		t.Fatalf("steps = %d/%d, want 103", on.Steps, off.Steps)
-	}
-	if on.TemplateInstalls != 3 || on.TemplateInstantiations != 49 {
-		t.Errorf("installs/instantiations = %d/%d, want 3/49", on.TemplateInstalls, on.TemplateInstantiations)
-	}
-	if off.TemplateInstalls != 0 || off.TemplateInstantiations != 0 {
-		t.Errorf("templates off: installs/instantiations = %d/%d, want 0/0", off.TemplateInstalls, off.TemplateInstantiations)
-	}
-	if on.CtrlMessages == 0 || on.CtrlBytes == 0 {
-		t.Fatalf("templated run reported no control traffic: %d msgs, %d bytes", on.CtrlMessages, on.CtrlBytes)
-	}
-	if on.CtrlMessages >= off.CtrlMessages {
-		t.Errorf("ctrl_messages = %d templated vs %d untemplated, want a reduction", on.CtrlMessages, off.CtrlMessages)
-	}
-	if on.CtrlBytes >= off.CtrlBytes {
-		t.Errorf("ctrl_bytes = %d templated vs %d untemplated, want a reduction", on.CtrlBytes, off.CtrlBytes)
+		run := func(templates bool) *Result {
+			opts := core.DefaultOptions()
+			opts.Templates = templates
+			// The session's counters accumulate over its jobs.
+			msgs, bytes := c.sess.ctrlMsgs.Load(), c.sess.ctrlBytes.Load()
+			res, err := c.Run(workload.StepLoopScript(50), store.NewMemStore(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.CtrlMessages -= msgs
+			res.CtrlBytes -= bytes
+			return res
+		}
+		on := run(true)
+		off := run(false)
+		cleanup()
+		if on.Steps != 103 || off.Steps != on.Steps {
+			t.Fatalf("%d workers: steps = %d/%d, want 103", w, on.Steps, off.Steps)
+		}
+		if on.TemplateInstalls != 3 || on.TemplateInstantiations != 49 {
+			t.Errorf("%d workers: installs/instantiations = %d/%d, want 3/49", w, on.TemplateInstalls, on.TemplateInstantiations)
+		}
+		if off.TemplateInstalls != 0 || off.TemplateInstantiations != 0 {
+			t.Errorf("%d workers: templates off: installs/instantiations = %d/%d, want 0/0", w, off.TemplateInstalls, off.TemplateInstantiations)
+		}
+		if want := int64(53*w + 154); on.CtrlMessages != want {
+			t.Errorf("%d workers: templates on: ctrl_messages = %d, want %d", w, on.CtrlMessages, want)
+		}
+		if want := int64(104*w + 206); off.CtrlMessages != want {
+			t.Errorf("%d workers: templates off: ctrl_messages = %d, want %d", w, off.CtrlMessages, want)
+		}
+		if on.CtrlBytes >= off.CtrlBytes {
+			t.Errorf("%d workers: ctrl_bytes = %d templated vs %d untemplated, want a reduction", w, on.CtrlBytes, off.CtrlBytes)
+		}
 	}
 }
 
@@ -109,11 +124,11 @@ newBag(total).writeFile("out")
 	diffTCPvsSim(t, src, nil, 3, core.DefaultOptions(), 0)
 }
 
-// TestTCPTemplatesSequentialJobs proves installed templates die with their
-// job: one session runs three structurally different programs back to
-// back with templates on, and each must resolve its own schedule — stale
-// template IDs or cached segments leaking across jobs would misroute the
-// later paths (different block graphs reuse the same small IDs).
+// TestTCPTemplatesSequentialJobs proves templates die with their job: one
+// session runs three structurally different programs back to back with
+// templates on, and each must resolve its own schedule — cached segments
+// leaking across jobs would misroute the later paths (different block
+// graphs reuse the same small IDs).
 func TestTCPTemplatesSequentialJobs(t *testing.T) {
 	c, cleanup, err := StartLocal(2, CoordConfig{})
 	if err != nil {
@@ -160,18 +175,34 @@ newBag(total).writeFile("out")
 	}
 }
 
-// BenchmarkCtrlFrameEncode measures the per-segment control-frame encode
-// the templated coordinator pays on every loop step, into a reused buffer
-// as tcpControlPlane does. It must not allocate.
+// BenchmarkCtrlFrameEncode measures the path frame of one loop step at both
+// ends: the coordinator's encode into a reused buffer, as tcpControlPlane
+// does, then the worker's decode and its expansion of the head block into the
+// segment through its cache — a hit on every step but a block's first. None
+// of it may allocate.
 func BenchmarkCtrlFrameEncode(b *testing.B) {
+	plan, err := compileSource(workload.StepLoopScript(10), 2, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := plan.IR
+	segs := make(core.SegmentCache)
+	for _, blk := range g.Blocks {
+		segs.Segment(g, blk.ID)
+	}
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendPathSeg(buf[:0], PathSegMsg{ID: 1, Pos: i})
-		buf = AppendPathUpdate(buf[:0], PathUpdateMsg{Pos: i, Block: 2})
+		buf = AppendPathSeg(buf[:0], PathSegMsg{Pos: i, Head: i % len(g.Blocks)})
+		m, err := DecodePathSeg(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if blocks, hit := segs.Segment(g, ir.BlockID(m.Head)); !hit || blocks[0] != ir.BlockID(m.Head) {
+			b.Fatalf("head b%d expanded to %v (cache hit %v)", m.Head, blocks, hit)
+		}
 	}
-	_ = buf
 }
 
 // TestCtrlFrameEncodeAllocFree enforces BenchmarkCtrlFrameEncode's
@@ -182,6 +213,83 @@ func TestCtrlFrameEncodeAllocFree(t *testing.T) {
 	}
 	res := testing.Benchmark(BenchmarkCtrlFrameEncode)
 	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("control-frame encode allocates %d allocs/op, want 0", a)
+		t.Fatalf("path frame encode/decode/expand allocates %d allocs/op, want 0", a)
+	}
+}
+
+// TestWorkerPathProtocolErrors plays the coordinator by hand against one
+// worker, after shipping it the step loop (an entry chain ending in the loop
+// test, the body on its true arm, the exit on its false one), and sends it a
+// path frame it must refuse: the job fails with the worker's named error
+// instead of running a path that is not the coordinator's.
+func TestWorkerPathProtocolErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// frames returns the path frames to send once the job is shipped; it
+		// may send some itself and read the session's events.
+		frames func(t *testing.T, s *session, plan *core.Plan) []PathSegMsg
+		want   string
+	}{
+		{
+			// A gap past the frontier: nothing has been broadcast yet.
+			name: "gap",
+			frames: func(t *testing.T, s *session, plan *core.Plan) []PathSegMsg {
+				return []PathSegMsg{{Pos: 3, Head: int(plan.IR.Entry())}}
+			},
+			want: "netcluster: path segment at 3 out of order (have 0)",
+		},
+		{
+			// The entry chain, then — once the worker has decided the loop
+			// test at position 2 and speculated the body at 3 — a frame that
+			// puts the exit block at 3 instead.
+			name: "diverged",
+			frames: func(t *testing.T, s *session, plan *core.Plan) []PathSegMsg {
+				entry := plan.IR.Entry()
+				chain := core.SegmentFrom(plan.IR, entry)
+				cond := plan.IR.Blocks[chain[len(chain)-1]]
+				s.broadcast(MsgPathSeg, AppendPathSeg(nil, PathSegMsg{Pos: 1, Head: int(entry)}))
+				for {
+					select {
+					case ev := <-s.events:
+						if ev.Kind == core.EvDecision {
+							if ev.Pos != len(chain) || !ev.Branch {
+								t.Fatalf("first decision %+v, want the loop test at %d taken", ev, len(chain))
+							}
+							return []PathSegMsg{{Pos: ev.Pos + 1, Head: int(cond.Term.Succs[1])}}
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("no decision within 10s of the entry frame")
+					}
+				}
+			},
+			want: "netcluster: path diverged at 3",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cleanup, err := StartLocal(1, CoordConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
+			c.mu.Lock()
+			s := c.sess
+			c.mu.Unlock()
+			job, err := c.prepare(workload.StepLoopScript(5), store.NewMemStore(), core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.broadcast(MsgJob, job.spec)
+			for _, m := range tc.frames(t, s, job.plan) {
+				s.broadcast(MsgPathSeg, AppendPathSeg(nil, m))
+			}
+			select {
+			case <-s.failed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the worker accepted the bad frame: no session failure within 10s")
+			}
+			if err := s.Err(); !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("session error = %v, want the worker's %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"github.com/mitos-project/mitos/internal/core"
-	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -43,7 +42,10 @@ const (
 	// v5 added delta iterations: JobSpec.Delta (incremental solution-set
 	// maintenance vs. full per-step re-derivation) and the delta/solution
 	// counters in ResultMsg.
-	Version = 5
+	// v6 made every path frame a PathSeg (position, head block): workers
+	// resolve templates from their own plan, so PathUpdate and PathTmpl are
+	// gone and PathSeg no longer names an installed template.
+	Version = 6
 	// MaxMsg bounds one framed message. Data frames carry one encoded
 	// batch (typically a few KiB); job shipment carries whole input
 	// datasets, which dominates this bound.
@@ -64,7 +66,6 @@ const (
 	MsgAssign     byte = 0x03 // coord -> worker: your machine ID, the full peer table
 	MsgReady      byte = 0x04 // worker -> coord: mesh established
 	MsgJob        byte = 0x05 // coord -> worker: program source, options, input datasets
-	MsgPathUpdate byte = 0x06 // coord -> worker: execution-path extension
 	MsgEvent      byte = 0x07 // worker -> coord: decision/completion from a local host
 	MsgHeartbeat  byte = 0x08 // worker -> coord: liveness
 	MsgBarrier    byte = 0x09 // coord -> worker: superstep barrier request
@@ -72,8 +73,7 @@ const (
 	MsgFinish     byte = 0x0b // coord -> worker: job complete, quiesce and report
 	MsgResult     byte = 0x0c // worker -> coord: stats, written datasets, peer counters
 	MsgError      byte = 0x0d // worker -> coord: local job failure
-	MsgPathTmpl   byte = 0x0e // coord -> worker: install one execution template (jump-chain segment)
-	MsgPathSeg    byte = 0x0f // coord -> worker: instantiate an installed template at a path position
+	MsgPathSeg    byte = 0x0f // coord -> worker: execution-path extension (position, head block)
 	MsgData       byte = 0x10 // worker -> worker: one serialized batch
 	MsgEOB        byte = 0x11 // worker -> worker: one end-of-bag marker
 	MsgCredit     byte = 0x12 // worker -> worker: flow-control credits returned
@@ -537,88 +537,28 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 	return s, d.fin()
 }
 
-// PathUpdateMsg relays a one-block execution-path extension — the form an
-// untemplated core.PathSegment takes on the wire.
-type PathUpdateMsg struct {
-	Pos   int
-	Block int
-	Final bool
-}
-
-// AppendPathUpdate appends the encoding of u to dst.
-func AppendPathUpdate(dst []byte, u PathUpdateMsg) []byte {
-	e := enc{b: dst}
-	e.num(u.Pos)
-	e.num(u.Block)
-	e.boolean(u.Final)
-	return e.b
-}
-
-// DecodePathUpdate decodes a PathUpdateMsg.
-func DecodePathUpdate(b []byte) (PathUpdateMsg, error) {
-	d := dec{b: b}
-	u := PathUpdateMsg{Pos: d.num(), Block: d.num(), Final: d.boolean()}
-	return u, d.fin()
-}
-
-// PathTmplMsg installs one execution template on a worker: template ID
-// (coordinator-assigned, dense from 1 within one session attempt) and the
-// jump-chain block segment it caches. Installed once; every later visit of
-// the segment's starting block ships only a PathSegMsg.
-type PathTmplMsg struct {
-	ID     int
-	Blocks []int
-	Final  bool
-}
-
-// AppendPathTmpl appends the encoding of m to dst.
-func AppendPathTmpl(dst []byte, m PathTmplMsg) []byte {
-	e := enc{b: dst}
-	e.num(m.ID)
-	e.u64(uint64(len(m.Blocks)))
-	for _, b := range m.Blocks {
-		e.num(b)
-	}
-	e.boolean(m.Final)
-	return e.b
-}
-
-// DecodePathTmpl decodes a PathTmplMsg.
-func DecodePathTmpl(b []byte) (PathTmplMsg, error) {
-	d := dec{b: b}
-	m := PathTmplMsg{ID: d.num()}
-	n := d.u64()
-	if n > uint64(len(d.b)) { // each block takes at least one byte
-		d.fail("block count")
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Blocks = append(m.Blocks, d.num())
-	}
-	m.Final = d.boolean()
-	return m, d.fin()
-}
-
-// PathSegMsg instantiates an installed template: the execution path grows
-// by template ID's block segment starting at path position Pos. This is
-// the per-step steady-state control frame — position patching is the only
+// PathSegMsg extends a worker's execution path at position Pos by the
+// segment headed by block Head: the whole jump-chain template under templated
+// execution, which the worker resolves from its own plan (core.SegmentCache),
+// and the one block Head otherwise. Position patching is the only
 // per-instantiation parameter, exactly the execution-templates model.
 type PathSegMsg struct {
-	ID  int
-	Pos int
+	Pos  int
+	Head int
 }
 
 // AppendPathSeg appends the encoding of m to dst.
 func AppendPathSeg(dst []byte, m PathSegMsg) []byte {
 	e := enc{b: dst}
-	e.num(m.ID)
 	e.num(m.Pos)
+	e.num(m.Head)
 	return e.b
 }
 
 // DecodePathSeg decodes a PathSegMsg.
 func DecodePathSeg(b []byte) (PathSegMsg, error) {
 	d := dec{b: b}
-	m := PathSegMsg{ID: d.num(), Pos: d.num()}
+	m := PathSegMsg{Pos: d.num(), Head: d.num()}
 	return m, d.fin()
 }
 
@@ -689,76 +629,30 @@ type PeerStat struct {
 	StallNanos   int64 // total time spent blocked
 }
 
-// ResultMsg is a worker's end-of-job report: engine stats, host counters,
-// the datasets it wrote, and per-peer link counters.
+// ResultMsg is a worker's end-of-job report: its share of the execution's
+// Result (engine stats and host counters; the wire carries the ones counters
+// lists), the datasets it wrote, and per-peer link counters.
 type ResultMsg struct {
-	Stats       dataflow.JobStats
-	JoinBuilds  int64
-	MaxBuffered int64
-	CombineIn   int64
-	CombineOut  int64
-	// Delta-iteration counters from this worker's solution stores: delta
-	// elements in, changed pairs emitted, index entries touched, and the
-	// final held elements/bytes.
-	DeltaIn       int64
-	DeltaChanged  int64
-	DeltaTouched  int64
-	DeltaElements int64
-	DeltaBytes    int64
-	Datasets      []Dataset
-	Peers         []PeerStat
-}
-
-// newResultMsg puts a worker's share of the result into its wire form.
-func newResultMsg(r *core.Result, datasets []Dataset, peers []PeerStat) ResultMsg {
-	return ResultMsg{
-		Stats:         r.Job,
-		JoinBuilds:    r.JoinBuilds,
-		MaxBuffered:   r.MaxBufferedBags,
-		CombineIn:     r.CombineIn,
-		CombineOut:    r.CombineOut,
-		DeltaIn:       r.DeltaIn,
-		DeltaChanged:  r.DeltaChanged,
-		DeltaTouched:  r.DeltaTouched,
-		DeltaElements: r.DeltaElements,
-		DeltaBytes:    r.DeltaBytes,
-		Datasets:      datasets,
-		Peers:         peers,
-	}
-}
-
-// result is the inverse of newResultMsg on the coordinator: the worker's
-// share of the result, ready to Merge.
-func (r *ResultMsg) result() *core.Result {
-	return &core.Result{
-		Job:             r.Stats,
-		JoinBuilds:      r.JoinBuilds,
-		MaxBufferedBags: r.MaxBuffered,
-		CombineIn:       r.CombineIn,
-		CombineOut:      r.CombineOut,
-		DeltaIn:         r.DeltaIn,
-		DeltaChanged:    r.DeltaChanged,
-		DeltaTouched:    r.DeltaTouched,
-		DeltaElements:   r.DeltaElements,
-		DeltaBytes:      r.DeltaBytes,
-	}
+	core.Result
+	Datasets []Dataset
+	Peers    []PeerStat
 }
 
 // counters lists the message's numbers in wire order — one list for the
 // encoder and the decoder, so the two cannot disagree.
 func (r *ResultMsg) counters() [18]*int64 {
 	return [...]*int64{
-		&r.Stats.ElementsSent,
-		&r.Stats.ElementsChained,
-		&r.Stats.BatchesSent,
-		&r.Stats.RemoteBatches,
-		&r.Stats.BytesSent,
-		&r.Stats.BytesReceived,
-		&r.Stats.MailboxDropped,
-		&r.Stats.CtrlMessages,
-		&r.Stats.CtrlBytes,
+		&r.Job.ElementsSent,
+		&r.Job.ElementsChained,
+		&r.Job.BatchesSent,
+		&r.Job.RemoteBatches,
+		&r.Job.BytesSent,
+		&r.Job.BytesReceived,
+		&r.Job.MailboxDropped,
+		&r.Job.CtrlMessages,
+		&r.Job.CtrlBytes,
 		&r.JoinBuilds,
-		&r.MaxBuffered,
+		&r.MaxBufferedBags,
 		&r.CombineIn,
 		&r.CombineOut,
 		&r.DeltaIn,

@@ -45,26 +45,22 @@ func TestWireRoundTrips(t *testing.T) {
 		gotSpec.Datasets[0].Elems[2].Field(1).AsFloat() != 4.5 {
 		t.Errorf("JobSpec: got %+v", gotSpec)
 	}
-	r := ResultMsg{JoinBuilds: 7, Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9)}}},
-		Peers:   []PeerStat{{Peer: 1, BytesOut: 100, CreditStalls: 3, StallNanos: 12345}},
-		DeltaIn: 1000, DeltaChanged: 600, DeltaTouched: 1700, DeltaElements: 88, DeltaBytes: 4096}
-	r.Stats.ElementsSent = 42
-	r.Stats.CtrlMessages = 17
-	r.Stats.CtrlBytes = 321
+	r := ResultMsg{Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9)}}},
+		Peers: []PeerStat{{Peer: 1, BytesOut: 100, CreditStalls: 3, StallNanos: 12345}}}
+	r.JoinBuilds = 7
+	r.DeltaIn, r.DeltaChanged, r.DeltaTouched, r.DeltaElements, r.DeltaBytes = 1000, 600, 1700, 88, 4096
+	r.Job.ElementsSent = 42
+	r.Job.CtrlMessages = 17
+	r.Job.CtrlBytes = 321
 	gotR, err := DecodeResult(AppendResult(nil, r))
-	if err != nil || gotR.Stats.ElementsSent != 42 || gotR.JoinBuilds != 7 ||
-		gotR.Stats.CtrlMessages != 17 || gotR.Stats.CtrlBytes != 321 ||
+	if err != nil || gotR.Job.ElementsSent != 42 || gotR.JoinBuilds != 7 ||
+		gotR.Job.CtrlMessages != 17 || gotR.Job.CtrlBytes != 321 ||
 		gotR.DeltaIn != 1000 || gotR.DeltaChanged != 600 || gotR.DeltaTouched != 1700 ||
 		gotR.DeltaElements != 88 || gotR.DeltaBytes != 4096 ||
 		len(gotR.Peers) != 1 || gotR.Peers[0].StallNanos != 12345 || len(gotR.Datasets) != 1 {
 		t.Errorf("Result: got %+v, err %v", gotR, err)
 	}
-	tm := PathTmplMsg{ID: 2, Blocks: []int{1, 3, 1}, Final: false}
-	gotTm, err := DecodePathTmpl(AppendPathTmpl(nil, tm))
-	if err != nil || gotTm.ID != 2 || len(gotTm.Blocks) != 3 || gotTm.Blocks[1] != 3 || gotTm.Final {
-		t.Errorf("PathTmpl: got %+v, err %v", gotTm, err)
-	}
-	sg := PathSegMsg{ID: 2, Pos: 104}
+	sg := PathSegMsg{Pos: 104, Head: 2}
 	if gotSg, err := DecodePathSeg(AppendPathSeg(nil, sg)); err != nil || gotSg != sg {
 		t.Errorf("PathSeg: got %+v, err %v", gotSg, err)
 	}
@@ -157,15 +153,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Parallelism: 2, Datasets: []Dataset{{Name: "d", Elems: []val.Value{val.Int(5)}}}}), byte(2))
 	f.Add(AppendResult(nil, ResultMsg{Peers: []PeerStat{{Peer: 1}}}), byte(3))
 	f.Add(AppendFrameHeader(nil, FrameHeader{Op: 1, Inst: 2, Input: 0, From: 1, Arg: 9}), byte(4))
-	f.Add(AppendPathUpdate(nil, PathUpdateMsg{Pos: 3, Block: 2, Final: true}), byte(5))
+	f.Add(AppendPathSeg(nil, PathSegMsg{Pos: 7, Head: 1}), byte(5))
 	f.Add(AppendEvent(nil, EventMsg{Kind: 1, Pos: 4, Branch: true, Count: 3}), byte(6))
 	f.Add([]byte{0, 0, 0, 5, MsgData, 1, 2, 3, 4}, byte(7))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0}, byte(7))
-	f.Add(AppendPathTmpl(nil, PathTmplMsg{ID: 1, Blocks: []int{2, 1}, Final: true}), byte(8))
-	f.Add(AppendPathSeg(nil, PathSegMsg{ID: 1, Pos: 7}), byte(9))
 
 	f.Fuzz(func(t *testing.T, data []byte, which byte) {
-		switch which % 10 {
+		switch which % 8 {
 		case 0:
 			if h, err := DecodeHello(data); err == nil {
 				h2, err := DecodeHello(AppendHello(nil, h))
@@ -190,7 +184,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		case 3:
 			if r, err := DecodeResult(data); err == nil {
 				r2, err := DecodeResult(AppendResult(nil, r))
-				if err != nil || r2.Stats != r.Stats || len(r2.Peers) != len(r.Peers) {
+				if err != nil || r2.Job != r.Job || len(r2.Peers) != len(r.Peers) {
 					t.Fatalf("Result not stable (%v)", err)
 				}
 			}
@@ -202,9 +196,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				}
 			}
 		case 5:
-			if u, err := DecodePathUpdate(data); err == nil {
-				if u2, err := DecodePathUpdate(AppendPathUpdate(nil, u)); err != nil || u2 != u {
-					t.Fatalf("PathUpdate not stable (%v)", err)
+			if m, err := DecodePathSeg(data); err == nil {
+				if m2, err := DecodePathSeg(AppendPathSeg(nil, m)); err != nil || m2 != m {
+					t.Fatalf("PathSeg not stable (%v)", err)
 				}
 			}
 		case 6:
@@ -226,19 +220,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			if cap(buf) > len(data)+2*readChunk {
 				t.Fatalf("ReadMsg allocated %d for %d input bytes", cap(buf), len(data))
-			}
-		case 8:
-			if m, err := DecodePathTmpl(data); err == nil {
-				m2, err := DecodePathTmpl(AppendPathTmpl(nil, m))
-				if err != nil || m2.ID != m.ID || m2.Final != m.Final || len(m2.Blocks) != len(m.Blocks) {
-					t.Fatalf("PathTmpl not stable (%v)", err)
-				}
-			}
-		case 9:
-			if m, err := DecodePathSeg(data); err == nil {
-				if m2, err := DecodePathSeg(AppendPathSeg(nil, m)); err != nil || m2 != m {
-					t.Fatalf("PathSeg not stable (%v)", err)
-				}
 			}
 		}
 	})

@@ -146,89 +146,98 @@ type workerJobRun struct {
 	telDropped *obs.Counter
 	telFrames  *obs.Counter
 
-	// Templated execution (core.Options.Templated; tmpls is non-nil exactly
-	// then): the worker mirrors the coordinator's path so it can fan
-	// templates out locally, speculate past its own condition decisions,
-	// and fold per-instance completions into one aggregated event per
-	// position. All of it lives on the run — a retry or re-admission builds
-	// a fresh workerJobRun, so no template can leak across job attempts.
-	plan *core.Plan
+	// The worker's view of the execution path is its frontier: the number of
+	// positions it has broadcast to the local partition. Every path frame
+	// names only its head block, which the worker expands from its own plan
+	// through segs — the whole template when templated, the one block
+	// otherwise. All of it lives on the run: a retry or re-admission builds a
+	// fresh workerJobRun.
+	plan      *core.Plan
+	templated bool
 
 	// mu serializes path mutation between the control loop (coordinator
 	// frames) and the event forwarder (local speculation).
-	mu     sync.Mutex
-	blocks []ir.BlockID
-	tmpls  map[int]core.PathSegment // installed templates: segments awaiting a position
-	// localExp is the per-block count of operator instances this machine
-	// hosts; positions reaching it fold into a single Count-carrying
-	// completion event instead of one frame per instance.
+	mu       sync.Mutex
+	frontier int
+	segs     core.SegmentCache
+	// Templated execution only. echoes lists the segments this worker
+	// speculated past its own decisions, oldest first, until the
+	// coordinator's frame for each arrives. localExp is the per-block count of
+	// operator instances this machine hosts; positions reaching it fold into
+	// a single Count-carrying completion event instead of one frame per
+	// instance.
+	echoes      []PathSegMsg
 	localExp    map[ir.BlockID]int
 	pendingDone map[int]int
 }
 
-// applyLocked extends the worker's path view by seg and fans it out to the
-// local partition. Caller holds rj.mu. A segment at or before the frontier
-// is a duplicate (local speculation beat the coordinator's echo, which
-// always trails it) and only needs a consistency check.
-func (rj *workerJobRun) applyLocked(seg core.PathSegment) error {
-	if seg.Pos <= len(rj.blocks) {
-		if rj.blocks[seg.Pos-1] != seg.Blocks[0] {
-			return fmt.Errorf("netcluster: path diverged at %d: speculated b%d, coordinator says b%d", seg.Pos, rj.blocks[seg.Pos-1], seg.Blocks[0])
+// applyLocked extends the worker's path by the segment headed by head at
+// position pos and fans it out to the local partition. Caller holds rj.mu.
+// Coordinator frames arrive in order, so a frame at or before the frontier
+// is the echo of the oldest segment this worker speculated, and only needs
+// checking against it.
+func (rj *workerJobRun) applyLocked(pos int, head ir.BlockID) error {
+	if pos <= rj.frontier {
+		if len(rj.echoes) == 0 || rj.echoes[0] != (PathSegMsg{Pos: pos, Head: int(head)}) {
+			return fmt.Errorf("netcluster: path diverged at %d: coordinator says b%d, unechoed speculations (pos, head) %v", pos, head, rj.echoes)
 		}
+		rj.echoes = rj.echoes[:copy(rj.echoes, rj.echoes[1:])]
 		return nil
 	}
-	if seg.Pos != len(rj.blocks)+1 {
-		return fmt.Errorf("netcluster: path segment at %d out of order (have %d)", seg.Pos, len(rj.blocks))
+	if pos != rj.frontier+1 {
+		return fmt.Errorf("netcluster: path segment at %d out of order (have %d)", pos, rj.frontier)
 	}
-	rj.blocks = append(rj.blocks, seg.Blocks...)
-	rj.wj.Job.Broadcast(seg)
+	if head < 0 || int(head) >= len(rj.plan.IR.Blocks) {
+		return fmt.Errorf("netcluster: path segment at %d names unknown block b%d", pos, head)
+	}
+	blocks, _ := rj.segs.Segment(rj.plan.IR, head)
+	if !rj.templated {
+		blocks = blocks[:1:1]
+	}
+	rj.frontier += len(blocks)
+	rj.wj.Job.Broadcast(core.PathSegment{Pos: pos, Blocks: blocks})
 	return nil
 }
 
 // speculate advances the path past a locally decided branch without waiting
 // for the coordinator's round trip. It runs before the decision event is
-// sent, so the coordinator's echoed segment can only arrive afterwards and
+// sent, so the coordinator's echoed frame can only arrive afterwards and
 // dedups in applyLocked. Only the branch at the frontier qualifies: the
 // path cannot extend past an unresolved branch, so ev.Pos below the
 // frontier means this decision belongs to an already-extended position.
 func (rj *workerJobRun) speculate(ev core.CoordEvent) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	if ev.Pos != len(rj.blocks) {
+	term := rj.plan.IR.Blocks[ev.Block].Term
+	if ev.Pos != rj.frontier || term.Kind != ir.TermBranch {
 		return
 	}
-	blk := rj.plan.IR.Blocks[rj.blocks[ev.Pos-1]]
-	if blk.Term.Kind != ir.TermBranch {
-		return
-	}
-	next := blk.Term.Succs[1]
+	next := term.Succs[1]
 	if ev.Branch {
-		next = blk.Term.Succs[0]
+		next = term.Succs[0]
 	}
-	blocks, final := core.SegmentFrom(rj.plan.IR, next)
 	// Appending at the frontier cannot conflict or be out of order.
-	_ = rj.applyLocked(core.PathSegment{Pos: ev.Pos + 1, Blocks: blocks, Final: final})
+	_ = rj.applyLocked(ev.Pos+1, next)
+	rj.echoes = append(rj.echoes, PathSegMsg{Pos: ev.Pos + 1, Head: int(next)})
 }
 
-// noteCompletion folds one local instance completion at pos into the
-// aggregated per-worker event. ready reports whether every local instance
-// of the position's block has completed, i.e. an event should be sent now.
-func (rj *workerJobRun) noteCompletion(pos int) (count int, ready bool) {
+// noteCompletion folds one local instance completion into the aggregated
+// per-worker event of its position. ready reports whether every local
+// instance of the position's block has completed, i.e. an event should be
+// sent now.
+func (rj *workerJobRun) noteCompletion(ev core.CoordEvent) (count int, ready bool) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	exp := 1
-	if pos >= 1 && pos <= len(rj.blocks) {
-		exp = rj.localExp[rj.blocks[pos-1]]
-	}
+	exp := rj.localExp[ev.Block]
 	if exp <= 1 {
 		return 1, true
 	}
-	n := rj.pendingDone[pos] + 1
+	n := rj.pendingDone[ev.Pos] + 1
 	if n == exp {
-		delete(rj.pendingDone, pos)
+		delete(rj.pendingDone, ev.Pos)
 		return n, true
 	}
-	rj.pendingDone[pos] = n
+	rj.pendingDone[ev.Pos] = n
 	return 0, false
 }
 
@@ -306,43 +315,14 @@ func (s *workerSession) controlLoop() error {
 				s.fail(err)
 				return s.exitErr(err)
 			}
-		case MsgPathUpdate:
-			u, err := DecodePathUpdate(body)
-			if err != nil {
-				return s.exitErr(err)
-			}
-			if rj := s.running(); rj != nil {
-				rj.wj.Job.Broadcast(core.PathSegment{Pos: u.Pos, Blocks: []ir.BlockID{ir.BlockID(u.Block)}, Final: u.Final})
-			}
-		case MsgPathTmpl:
-			m, err := DecodePathTmpl(body)
-			if err != nil {
-				return s.exitErr(err)
-			}
-			if rj := s.running(); rj != nil && rj.tmpls != nil {
-				blocks := make([]ir.BlockID, len(m.Blocks))
-				for i, b := range m.Blocks {
-					blocks[i] = ir.BlockID(b)
-				}
-				rj.mu.Lock()
-				rj.tmpls[m.ID] = core.PathSegment{Blocks: blocks, Final: m.Final}
-				rj.mu.Unlock()
-			}
 		case MsgPathSeg:
 			m, err := DecodePathSeg(body)
 			if err != nil {
 				return s.exitErr(err)
 			}
-			if rj := s.running(); rj != nil && rj.tmpls != nil {
+			if rj := s.running(); rj != nil {
 				rj.mu.Lock()
-				seg, ok := rj.tmpls[m.ID]
-				seg.Pos = m.Pos
-				var aerr error
-				if !ok {
-					aerr = fmt.Errorf("netcluster: worker %d: segment for unknown template %d", s.id, m.ID)
-				} else {
-					aerr = rj.applyLocked(seg)
-				}
+				aerr := rj.applyLocked(m.Pos, ir.BlockID(m.Head))
 				rj.mu.Unlock()
 				if aerr != nil {
 					s.send(MsgError, AppendError(nil, ErrorMsg{Msg: aerr.Error()}))
@@ -494,14 +474,16 @@ func (s *workerSession) startJob(spec JobSpec) error {
 		wj.Job.EnableIntrospection()
 	}
 	rj := &workerJobRun{
-		wj: wj, st: st, done: make(chan struct{}), plan: plan,
+		wj: wj, st: st, done: make(chan struct{}),
 		obs:        o,
 		telC:       make(chan struct{}, 1),
 		telDropped: o.Reg().Counter(s.id, "netcluster", "telemetry_dropped"),
 		telFrames:  o.Reg().Counter(s.id, "netcluster", "telemetry_frames"),
+		plan:       plan,
+		templated:  opts.Templated(),
+		segs:       make(core.SegmentCache),
 	}
-	if opts.Templated() {
-		rj.tmpls = make(map[int]core.PathSegment)
+	if rj.templated {
 		rj.localExp = plan.InstancesPerBlockOn(s.n, s.id)
 		rj.pendingDone = make(map[int]int)
 	}
@@ -665,7 +647,7 @@ func (s *workerSession) refreshLiveGauges(rj *workerJobRun) {
 // the send so the coordinator's echo always trails it), and completions
 // are folded into one aggregated frame per position per worker.
 func (s *workerSession) forwardEvent(rj *workerJobRun, ev core.CoordEvent) {
-	if rj.tmpls == nil {
+	if !rj.templated {
 		s.sendEvent(ev)
 		return
 	}
@@ -674,7 +656,7 @@ func (s *workerSession) forwardEvent(rj *workerJobRun, ev core.CoordEvent) {
 		rj.speculate(ev)
 		s.sendEvent(ev)
 	case core.EvCompletion:
-		if count, ready := rj.noteCompletion(ev.Pos); ready {
+		if count, ready := rj.noteCompletion(ev); ready {
 			s.sendEvent(core.CoordEvent{Kind: core.EvCompletion, Pos: ev.Pos, Count: count})
 		}
 	default:
@@ -716,7 +698,7 @@ func (s *workerSession) finishJob() error {
 	// ordered, so the coordinator has the complete registry and lineage
 	// before the MsgResult below lets Run return.
 	s.shipTelemetry(rj, true)
-	res := newResultMsg(rj.wj.Result(), rj.st.written(), s.mesh.stats())
+	res := ResultMsg{Result: *rj.wj.Result(), Datasets: rj.st.written(), Peers: s.mesh.stats()}
 	return s.send(MsgResult, AppendResult(nil, res))
 }
 

@@ -14,17 +14,46 @@ import (
 // host kept the path and every block's occurrences, this loop added about
 // 170 KB per 1 000 steps — 34 MB by its end.
 func TestLongLoopHeapFlat(t *testing.T) {
-	const steps, slack = 200000, 2 << 20
+	const steps = 200000
+	heapStaysFlat(t, steps, func(p *Program, st NamedStore) error {
+		_, err := p.Run(st, Config{Machines: 4})
+		return err
+	})
+}
+
+// TestLongLoopHeapFlatTCP is the same rule on the TCP backend, where a
+// worker expands each path frame from its own plan and keeps only its
+// frontier. When every worker mirrored the path, this loop added 16 B per
+// step on each of the two workers — over 6 MB by its end.
+func TestLongLoopHeapFlatTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 200 000-step loop over loopback TCP")
+	}
+	const steps = 200000
+	c, cleanup, err := StartLocalTCP(2, TCPCoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	heapStaysFlat(t, steps, func(p *Program, st NamedStore) error {
+		_, err := p.RunTCP(c, st, Config{})
+		return err
+	})
+}
+
+// heapStaysFlat runs the step loop of the given length and samples the live
+// heap every 100 ms while it runs: no sample may exceed the first by more
+// than 2 MB.
+func heapStaysFlat(t *testing.T, steps int, run func(*Program, NamedStore) error) {
+	t.Helper()
+	const slack = 2 << 20
 	p, err := Compile(workload.StepLoopScript(steps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := NewMemStore()
 	done := make(chan error, 1)
-	go func() {
-		_, err := p.Run(st, Config{Machines: 4})
-		done <- err
-	}()
+	go func() { done <- run(p, st) }()
 	live := func() uint64 {
 		var m runtime.MemStats
 		runtime.GC()
@@ -55,7 +84,7 @@ func TestLongLoopHeapFlat(t *testing.T) {
 	if samples < 2 {
 		t.Skipf("loop finished within %d samples; nothing to compare", samples)
 	}
-	if out, err := st.ReadDataset("out"); err != nil || len(out) != 1 || out[0].AsInt() != steps {
+	if out, err := st.ReadDataset("out"); err != nil || len(out) != 1 || out[0].AsInt() != int64(steps) {
 		t.Errorf("out = %v, %v, want [%d]", out, err, steps)
 	}
 }
