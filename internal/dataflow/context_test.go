@@ -77,7 +77,7 @@ func TestContextFlushDeliversPartialBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.Broadcast("emit") // data only reaches the sink because of Flush
-	job.Send(src.ID, 0, "finish")
+	job.Broadcast("finish")
 	<-notify
 	job.Stop(nil)
 	if err := job.Wait(); err != nil {

@@ -383,27 +383,6 @@ func (j *Job) Broadcast(ev any) {
 	}
 }
 
-// Send delivers a control event to one specific instance. An out-of-range
-// target fails the job with a descriptive error instead of panicking.
-func (j *Job) Send(op OpID, inst int, ev any) {
-	if int(op) < 0 || int(op) >= len(j.insts) || inst < 0 || inst >= len(j.insts[op]) {
-		j.fail(fmt.Errorf("dataflow: Send to unknown instance: op %d instance %d (job has %d ops)",
-			op, inst, len(j.insts)))
-		return
-	}
-	tgt := j.insts[op][inst]
-	if !j.local(tgt) {
-		j.fail(fmt.Errorf("dataflow: Send to %s[%d] on machine %d, which this partition (machine %d) does not host",
-			tgt.op.Name, inst, tgt.machine, j.self))
-		return
-	}
-	j.ctrlMessages.Add(1)
-	if sz, ok := ev.(ControlSizer); ok {
-		j.ctrlBytes.Add(int64(sz.CtrlSize()))
-	}
-	tgt.driver.mbox.put(envelope{kind: envControl, ctrl: ev, dest: tgt})
-}
-
 // DeliverData injects one remote data frame into the job: the
 // payload (an encodeBatch encoding of count elements) is decoded into a
 // pooled batch and enqueued on the target's mailbox. The elements' tuples and
@@ -682,11 +661,6 @@ func (in *instance) loop() {
 		case envEOB:
 			err = dst.vertex.OnEOB(env.input, env.from, env.tag)
 		case envControl:
-			if env.dest != nil {
-				dst.ctrlIn.Inc()
-				err = dst.vertex.OnControl(env.ctrl)
-				break
-			}
 			// Broadcast control: one envelope per chain, fanned out to the
 			// members in chain order.
 			for _, m := range in.members {

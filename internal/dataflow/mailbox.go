@@ -39,10 +39,10 @@ type envelope struct {
 	batch []Element
 	tag   Tag
 	ctrl  any
-	// dest is the member instance the envelope is addressed to: chained
-	// instances share the chain driver's mailbox, so the driver dispatches
-	// on dest. A nil dest on a control envelope means "every member of the
-	// chain" (Job.Broadcast).
+	// dest is the member instance a data or EOB envelope is addressed to:
+	// chained instances share the chain driver's mailbox, so the driver
+	// dispatches on dest. Control envelopes carry none; they go to every
+	// member of the chain (Job.Broadcast).
 	dest *instance
 	// ack, when non-nil, runs once the envelope has been processed by the
 	// receiving vertex — or immediately on a post-close drop, so a remote

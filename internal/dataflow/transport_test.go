@@ -3,7 +3,6 @@ package dataflow
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -397,42 +396,6 @@ func TestEncodeDecodeBatch(t *testing.T) {
 	}
 	if _, err := decodeBatch(nil, buf[:len(buf)-1], len(batch), &slab); err == nil {
 		t.Error("truncated buffer accepted")
-	}
-}
-
-// TestJobSendOutOfRange checks that Send to a bad target fails the job with
-// a descriptive error instead of panicking (it used to index out of range).
-func TestJobSendOutOfRange(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		send func(j *Job, op OpID)
-	}{
-		{"bad op", func(j *Job, op OpID) { j.Send(op+7, 0, "x") }},
-		{"negative op", func(j *Job, op OpID) { j.Send(-1, 0, "x") }},
-		{"bad instance", func(j *Job, op OpID) { j.Send(op, 99, "x") }},
-		{"negative instance", func(j *Job, op OpID) { j.Send(op, -1, "x") }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cl, err := cluster.New(cluster.FastConfig(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			var g Graph
-			op := g.AddOp("noop", 1, func(int) Vertex { return &baseVertex{} })
-			job, err := NewJob(&g, cl, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := job.Start(); err != nil {
-				t.Fatal(err)
-			}
-			tc.send(job, op.ID)
-			err = job.Wait()
-			if err == nil || !strings.Contains(err.Error(), "Send") {
-				t.Errorf("Wait = %v, want Send-target error", err)
-			}
-		})
 	}
 }
 

@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/val"
 )
 
 // The coordinator side of the backend: accept worker registrations, assign
@@ -31,7 +33,7 @@ import (
 // also what tells the surviving workers to abandon the attempt and
 // redial), the listener stays open, redialing and replacement workers are
 // re-admitted until the pool is whole, the data plane re-meshes, and the
-// job re-executes from its cached spec — jobs ship as program source and
+// job re-executes from its cached specs — jobs ship as program source and
 // recompile deterministically, so a retry is a fresh deterministic run
 // with no checkpoint or partial state to reconcile. Rejoining workers are
 // recognized by their registration name and get their old machine ID
@@ -100,7 +102,8 @@ func (cfg *CoordConfig) defaults() {
 }
 
 // NamedStore is a dataset store that can enumerate its datasets. The
-// coordinator ships every named dataset to the workers as job input.
+// coordinator ships every named dataset to the workers as job input, each
+// worker the stride partitions its readFile instances read.
 // store.MemStore and dfs.Store both satisfy it.
 type NamedStore interface {
 	store.Store
@@ -546,17 +549,32 @@ func (s *session) sendTo(w *workerConn, typ byte, body []byte) error {
 	return err
 }
 
-// broadcast sends one control message to every worker; a write failure
-// fails the session naming the worker.
+// broadcast sends one control message to every worker.
 func (s *session) broadcast(typ byte, body []byte) {
 	for _, w := range s.workers {
-		if err := s.sendTo(w, typ, body); err != nil {
-			if !s.closing.Load() {
-				s.fail(fmt.Errorf("netcluster: worker %d (%s) lost: control send failed: %w", w.id, w.addr, err))
-			}
+		if !s.sendOrFail(w, typ, body) {
 			return
 		}
 	}
+}
+
+// ship sends every worker its own job spec, indexed by machine ID.
+func (s *session) ship(specs [][]byte) {
+	for _, w := range s.workers {
+		if !s.sendOrFail(w, MsgJob, specs[w.id]) {
+			return
+		}
+	}
+}
+
+// sendOrFail sends one control message to w; a write failure fails the
+// session naming the worker.
+func (s *session) sendOrFail(w *workerConn, typ byte, body []byte) bool {
+	err := s.sendTo(w, typ, body)
+	if err != nil && !s.closing.Load() {
+		s.fail(fmt.Errorf("netcluster: worker %d (%s) lost: control send failed: %w", w.id, w.addr, err))
+	}
+	return err == nil
 }
 
 // readWorker drains one worker's control connection for the session.
@@ -781,12 +799,18 @@ func (cp *tcpControlPlane) Stop(err error) {
 // manager drives and the encoded job shipment. Only worker identity
 // changes between attempts, never job structure, so the control-plane
 // work of compiling, planning, and serializing is paid once (the
-// Execution Templates observation applied to re-execution).
+// Execution Templates observation applied to re-execution). A re-admitted
+// worker keeps its machine ID, so it is sent the same spec again.
 type preparedJob struct {
-	plan *core.Plan
-	opts core.Options
-	spec []byte // encoded JobSpec, broadcast per attempt
+	plan  *core.Plan
+	opts  core.Options
+	specs [][]byte // encoded JobSpec per machine ID, sent per attempt
 }
+
+// ErrReadPartitioning reports a plan whose readFile operator does not run one
+// instance per input partition: its instances would not read the stride
+// partitions the coordinator ships.
+var ErrReadPartitioning = errors.New("netcluster: readFile parallelism differs from the job's")
 
 // compileSource turns shipped program source into the job's plan. The
 // coordinator and every worker run exactly this on the same source with
@@ -819,6 +843,11 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 	if err != nil {
 		return nil, err
 	}
+	for _, op := range plan.Ops {
+		if op.Instr.Kind == ir.OpReadFile && op.Par != opts.Parallelism {
+			return nil, fmt.Errorf("%w: %s runs %d instances, the job %d", ErrReadPartitioning, op.Instr.Var, op.Par, opts.Parallelism)
+		}
+	}
 	names := st.Names()
 	sort.Strings(names)
 	datasets := make([]Dataset, 0, len(names))
@@ -829,8 +858,47 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 		}
 		datasets = append(datasets, Dataset{Name: name, Elems: elems})
 	}
-	spec := specFromOptions(source, opts, datasets)
-	return &preparedJob{plan: plan, opts: opts, spec: AppendJobSpec(nil, spec)}, nil
+	specs := encodeSpecs(specFromOptions(source, opts, nil), datasets, c.cfg.Workers, opts.Parallelism)
+	return &preparedJob{plan: plan, opts: opts, specs: specs}, nil
+}
+
+// encodeSpecs encodes spec once per worker, each carrying the worker's share
+// of inputs: stride partition i of every dataset goes to the worker hosting
+// readFile instance i, machine i%workers (the dataflow placement rule), so
+// the specs together hold one copy of the input. Each buffer is sized from
+// the elements' encoded sizes before it is written.
+func encodeSpecs(spec JobSpec, inputs []Dataset, workers, parts int) [][]byte {
+	var hdr enc
+	appendJobHeader(&hdr, spec)
+	size := make([]int, workers)
+	for _, ds := range inputs {
+		for i, v := range ds.Elems {
+			size[i%parts%workers] += val.EncodedSize(v)
+		}
+		for p := range parts {
+			size[p%workers] += len(ds.Name) + 4*binary.MaxVarintLen64
+		}
+	}
+	specs := make([][]byte, workers)
+	for w := range specs {
+		e := enc{b: make([]byte, 0, len(hdr.b)+binary.MaxVarintLen64+size[w])}
+		e.b = append(e.b, hdr.b...)
+		hosted := 0
+		for p := w; p < parts; p += workers {
+			hosted++
+		}
+		e.u64(uint64(len(inputs) * hosted))
+		for _, ds := range inputs {
+			for p := w; p < parts; p += workers {
+				appendDatasetHead(&e, ds.Name, p, parts, (len(ds.Elems)-p+parts-1)/parts)
+				for i := p; i < len(ds.Elems); i += parts {
+					e.b = val.AppendBinary(e.b, ds.Elems[i])
+				}
+			}
+		}
+		specs[w] = e.b
+	}
+	return specs
 }
 
 // ensureSession returns a live session, re-admitting workers into a fresh
@@ -948,7 +1016,7 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 	// so worker lineage absorbs onto the right timeline.
 	c.tel.beginJob(job.opts.Obs)
 	job.opts.Obs.Lin().Begin()
-	s.broadcast(MsgJob, job.spec)
+	s.ship(job.specs)
 
 	// The control-flow manager is the one the simulated backend drives
 	// inline from its hosts; here this loop feeds it the events the worker

@@ -338,7 +338,7 @@ func TestTCPProtocolErrorReleasesReaders(t *testing.T) {
 	for i := 0; i < cap(s.events); i++ {
 		s.events <- core.CoordEvent{Kind: 99}
 	}
-	s.broadcast(MsgJob, job.spec)
+	s.ship(job.specs)
 	co := core.NewCoordinator(job.plan, job.opts, 2, &tcpControlPlane{s: s})
 	seeded := s.ctrlMsgs.Load()
 	co.Seed()

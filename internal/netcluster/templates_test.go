@@ -278,7 +278,7 @@ func TestWorkerPathProtocolErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.broadcast(MsgJob, job.spec)
+			s.ship(job.specs)
 			for _, m := range tc.frames(t, s, job.plan) {
 				s.broadcast(MsgPathSeg, AppendPathSeg(nil, m))
 			}

@@ -14,7 +14,8 @@
 // clear error instead of undefined framing. Bodies are self-contained:
 // decoding validates every length against the remaining bytes, so a
 // truncated, oversized, or corrupt-length frame errors without panicking
-// and without allocating more than the bytes actually received.
+// and without allocating more than a constant factor of the bytes actually
+// received (a decoded element takes at least one byte on the wire).
 package netcluster
 
 import (
@@ -45,10 +46,13 @@ const (
 	// v6 made every path frame a PathSeg (position, head block): workers
 	// resolve templates from their own plan, so PathUpdate and PathTmpl are
 	// gone and PathSeg no longer names an installed template.
-	Version = 6
+	// v7 tagged every shipped dataset with its stride partition (part,
+	// parts): a worker receives only the input partitions its readFile
+	// instances read.
+	Version = 7
 	// MaxMsg bounds one framed message. Data frames carry one encoded
-	// batch (typically a few KiB); job shipment carries whole input
-	// datasets, which dominates this bound.
+	// batch (typically a few KiB); job shipment carries a worker's input
+	// partitions, which dominates this bound.
 	MaxMsg = 64 << 20
 	// readChunk is the read-side growth step: a corrupt length prefix can
 	// make a reader allocate at most one chunk beyond the bytes actually
@@ -65,7 +69,7 @@ const (
 	MsgRegister   byte = 0x02 // worker -> coord: my data-plane listen address
 	MsgAssign     byte = 0x03 // coord -> worker: your machine ID, the full peer table
 	MsgReady      byte = 0x04 // worker -> coord: mesh established
-	MsgJob        byte = 0x05 // coord -> worker: program source, options, input datasets
+	MsgJob        byte = 0x05 // coord -> worker: program source, options, the worker's input partitions
 	MsgEvent      byte = 0x07 // worker -> coord: decision/completion from a local host
 	MsgHeartbeat  byte = 0x08 // worker -> coord: liveness
 	MsgBarrier    byte = 0x09 // coord -> worker: superstep barrier request
@@ -383,23 +387,41 @@ func DecodeAssign(b []byte) (Assign, error) {
 	return a, d.fin()
 }
 
-// Dataset is one named dataset shipped inside a JobSpec or Result.
+// Dataset is one named dataset, or one stride partition of it, shipped
+// inside a JobSpec or Result. Elems holds elements Part, Part+Parts,
+// Part+2*Parts, ... of the dataset, in that order — what readFile instance
+// Part of Parts reads. A zero Parts means the whole dataset and is encoded as
+// part 0 of 1; a decoded Dataset always has 0 <= Part < Parts.
 type Dataset struct {
 	Name  string
+	Part  int
+	Parts int
 	Elems []val.Value
+}
+
+// maxParts bounds a decoded partition count, so every part fits an int.
+const maxParts = 1 << 30
+
+// appendDatasetHead appends one dataset entry's header; n elements follow.
+func appendDatasetHead(e *enc, name string, part, parts, n int) {
+	e.str(name)
+	e.u64(uint64(part))
+	e.u64(uint64(max(parts, 1)))
+	e.u64(uint64(n))
 }
 
 func appendDatasets(e *enc, ds []Dataset) {
 	e.u64(uint64(len(ds)))
 	for _, d := range ds {
-		e.str(d.Name)
-		e.u64(uint64(len(d.Elems)))
+		appendDatasetHead(e, d.Name, d.Part, d.Parts, len(d.Elems))
 		for _, v := range d.Elems {
 			e.b = val.AppendBinary(e.b, v)
 		}
 	}
 }
 
+// decodeDatasets decodes the datasets of one message. Their tuples and
+// strings are carved from one slab, which the message's datasets share.
 func decodeDatasets(d *dec) []Dataset {
 	n := d.u64()
 	if n > uint64(len(d.b)) {
@@ -410,32 +432,37 @@ func decodeDatasets(d *dec) []Dataset {
 	var slab val.Slab
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		set := Dataset{Name: d.str()}
+		part, parts := d.u64(), d.u64()
+		if d.err == nil && (parts == 0 || parts > maxParts || part >= parts) {
+			d.err = fmt.Errorf("netcluster: dataset %q: part %d of %d out of range", set.Name, part, parts)
+		}
+		set.Part, set.Parts = int(part), int(parts)
 		cnt := d.u64()
 		if cnt > uint64(len(d.b)) { // each element takes at least one byte
 			d.fail("element count")
+		}
+		if d.err != nil {
 			break
 		}
-		set.Elems = make([]val.Value, 0, min(int(cnt), 4096))
-		for k := uint64(0); k < cnt && d.err == nil; k++ {
+		set.Elems = make([]val.Value, cnt)
+		for k := range set.Elems {
 			v, used, err := val.Decode(d.b, &slab)
 			if err != nil {
-				if d.err == nil {
-					d.err = fmt.Errorf("netcluster: dataset %q element %d: %w", set.Name, k, err)
-				}
+				d.err = fmt.Errorf("netcluster: dataset %q element %d: %w", set.Name, k, err)
 				break
 			}
 			d.b = d.b[used:]
-			set.Elems = append(set.Elems, v)
+			set.Elems[k] = v
 		}
 		ds = append(ds, set)
 	}
 	return ds
 }
 
-// JobSpec ships one job to the workers: the program source (every worker
+// JobSpec ships one job to one worker: the program source (every worker
 // rebuilds the identical plan deterministically — cheaper and
 // version-safer than serializing the plan itself), the options that shape
-// the plan, the flow-control window, and the input datasets.
+// the plan, and the input partitions the worker's readFile instances read.
 type JobSpec struct {
 	Source      string
 	Parallelism int
@@ -500,6 +527,13 @@ func (s JobSpec) options() core.Options {
 // AppendJobSpec appends the encoding of s to dst.
 func AppendJobSpec(dst []byte, s JobSpec) []byte {
 	e := enc{b: dst}
+	appendJobHeader(&e, s)
+	appendDatasets(&e, s.Datasets)
+	return e.b
+}
+
+// appendJobHeader appends everything of s but its datasets.
+func appendJobHeader(e *enc, s JobSpec) {
 	e.str(s.Source)
 	e.num(s.Parallelism)
 	e.num(s.BatchSize)
@@ -512,8 +546,6 @@ func AppendJobSpec(dst []byte, s JobSpec) []byte {
 	e.boolean(s.Trace)
 	e.boolean(s.Lineage)
 	e.boolean(s.LiveView)
-	appendDatasets(&e, s.Datasets)
-	return e.b
 }
 
 // DecodeJobSpec decodes a JobSpec.

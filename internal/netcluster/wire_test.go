@@ -45,6 +45,26 @@ func TestWireRoundTrips(t *testing.T) {
 		gotSpec.Datasets[0].Elems[2].Field(1).AsFloat() != 4.5 {
 		t.Errorf("JobSpec: got %+v", gotSpec)
 	}
+	multi := JobSpec{Source: "s", Parallelism: 5, Datasets: []Dataset{
+		{Name: "a", Part: 1, Parts: 5, Elems: []val.Value{val.Int(1), val.Int(6)}},
+		{Name: "a", Part: 4, Parts: 5},
+		{Name: "b", Part: 1, Parts: 5, Elems: []val.Value{val.Str("x")}},
+	}}
+	gotMulti, err := DecodeJobSpec(AppendJobSpec(nil, multi))
+	if err != nil || len(gotMulti.Datasets) != 3 {
+		t.Fatalf("multi-part JobSpec: %+v, %v", gotMulti, err)
+	}
+	for i, want := range multi.Datasets {
+		got := gotMulti.Datasets[i]
+		if got.Name != want.Name || got.Part != want.Part || got.Parts != want.Parts || len(got.Elems) != len(want.Elems) {
+			t.Errorf("multi-part JobSpec dataset %d: got %+v, want %+v", i, got, want)
+		}
+		for k := range want.Elems {
+			if !got.Elems[k].Equal(want.Elems[k]) {
+				t.Errorf("multi-part JobSpec dataset %d element %d: got %v, want %v", i, k, got.Elems[k], want.Elems[k])
+			}
+		}
+	}
 	r := ResultMsg{Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9)}}},
 		Peers: []PeerStat{{Peer: 1, BytesOut: 100, CreditStalls: 3, StallNanos: 12345}}}
 	r.JoinBuilds = 7
@@ -57,7 +77,8 @@ func TestWireRoundTrips(t *testing.T) {
 		gotR.Job.CtrlMessages != 17 || gotR.Job.CtrlBytes != 321 ||
 		gotR.DeltaIn != 1000 || gotR.DeltaChanged != 600 || gotR.DeltaTouched != 1700 ||
 		gotR.DeltaElements != 88 || gotR.DeltaBytes != 4096 ||
-		len(gotR.Peers) != 1 || gotR.Peers[0].StallNanos != 12345 || len(gotR.Datasets) != 1 {
+		len(gotR.Peers) != 1 || gotR.Peers[0].StallNanos != 12345 || len(gotR.Datasets) != 1 ||
+		gotR.Datasets[0].Part != 0 || gotR.Datasets[0].Parts != 1 {
 		t.Errorf("Result: got %+v, err %v", gotR, err)
 	}
 	sg := PathSegMsg{Pos: 104, Head: 2}
@@ -88,6 +109,31 @@ func TestWireHelloRejectsMismatch(t *testing.T) {
 	e.num(0)
 	if _, err := DecodeHello(e.b); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version accepted: %v", err)
+	}
+}
+
+// specWithPart encodes a JobSpec whose one dataset claims part of parts,
+// bypassing the encoder's normalization of a zero Parts.
+func specWithPart(part, parts uint64) []byte {
+	e := enc{}
+	appendJobHeader(&e, JobSpec{Source: "s", Parallelism: 2})
+	e.u64(1)
+	e.str("d")
+	e.u64(part)
+	e.u64(parts)
+	e.u64(1)
+	e.b = val.AppendBinary(e.b, val.Int(7))
+	return e.b
+}
+
+func TestWireRejectsPartOutOfRange(t *testing.T) {
+	if _, err := DecodeJobSpec(specWithPart(1, 2)); err != nil {
+		t.Fatalf("part 1 of 2 rejected: %v", err)
+	}
+	for _, tc := range []struct{ part, parts uint64 }{{2, 2}, {5, 2}, {0, 0}, {0, maxParts + 1}} {
+		if _, err := DecodeJobSpec(specWithPart(tc.part, tc.parts)); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("part %d of %d: %v, want an out-of-range error", tc.part, tc.parts, err)
+		}
 	}
 }
 
@@ -151,6 +197,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Role: RolePeer, ID: 1}), byte(0))
 	f.Add(AppendAssign(nil, Assign{ID: 1, Workers: 3, Peers: []string{"x:1", "y:2", "z:3"}, HeartbeatMillis: 100}), byte(1))
 	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Parallelism: 2, Datasets: []Dataset{{Name: "d", Elems: []val.Value{val.Int(5)}}}}), byte(2))
+	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Parallelism: 3, Datasets: []Dataset{{Name: "d", Part: 2, Parts: 3, Elems: []val.Value{val.Int(5)}}}}), byte(2))
+	f.Add(specWithPart(2, 2), byte(2))
+	f.Add(specWithPart(0, 0), byte(2))
 	f.Add(AppendResult(nil, ResultMsg{Peers: []PeerStat{{Peer: 1}}}), byte(3))
 	f.Add(AppendFrameHeader(nil, FrameHeader{Op: 1, Inst: 2, Input: 0, From: 1, Arg: 9}), byte(4))
 	f.Add(AppendPathSeg(nil, PathSegMsg{Pos: 7, Head: 1}), byte(5))
@@ -179,6 +228,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				s2, err := DecodeJobSpec(AppendJobSpec(nil, s))
 				if err != nil || s2.Source != s.Source || len(s2.Datasets) != len(s.Datasets) {
 					t.Fatalf("JobSpec not stable (%v)", err)
+				}
+				for i, ds := range s.Datasets {
+					if ds.Part < 0 || ds.Part >= ds.Parts || s2.Datasets[i].Part != ds.Part || s2.Datasets[i].Parts != ds.Parts {
+						t.Fatalf("JobSpec dataset %d: part %d of %d decoded, %d of %d re-decoded",
+							i, ds.Part, ds.Parts, s2.Datasets[i].Part, s2.Datasets[i].Parts)
+					}
 				}
 			}
 		case 3:

@@ -443,11 +443,9 @@ func (s *workerSession) startJob(spec JobSpec) error {
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
 	}
-	st := newTrackingStore()
-	for _, ds := range spec.Datasets {
-		if err := st.inner.WriteDataset(ds.Name, ds.Elems); err != nil {
-			return fmt.Errorf("netcluster: worker %d: seeding dataset %q: %w", s.id, ds.Name, err)
-		}
+	st, err := newTrackingStore(spec.Parallelism, spec.Datasets)
+	if err != nil {
+		return fmt.Errorf("netcluster: worker %d: %w", s.id, err)
 	}
 	// Every job gets a worker-local observer: metrics always (counters are
 	// too cheap to gate), trace/lineage only when the coordinator asked.
@@ -702,51 +700,101 @@ func (s *workerSession) finishJob() error {
 	return s.send(MsgResult, AppendResult(nil, res))
 }
 
-// trackingStore seeds a MemStore with the shipped input datasets and
-// records every dataset the job writes, so the worker can report exactly
+// ErrPartitionedInput is returned by a worker store's ReadDataset of a
+// shipped input: the worker holds only the partitions its readFile instances
+// read, never the whole dataset.
+var ErrPartitionedInput = errors.New("netcluster: a worker holds only its read partitions of a shipped input")
+
+// trackingStore is a worker's dataset store. It keeps the input partitions as
+// shipped and serves them to readFile in place (store.PartitionedReader), and
+// it records every dataset the job writes, so the worker can report exactly
 // the outputs (and not echo the inputs back).
 type trackingStore struct {
-	inner *store.MemStore
-
-	mu    sync.Mutex
-	names []string
+	parts  int
+	inputs map[string]map[int][]val.Value // shipped partitions by name, part
+	// outputs holds the datasets the job wrote, names in order of first write.
+	mu      sync.Mutex
+	outputs map[string][]val.Value
+	names   []string
 }
 
-func newTrackingStore() *trackingStore {
-	return &trackingStore{inner: store.NewMemStore()}
-}
-
-func (t *trackingStore) ReadDataset(name string) ([]val.Value, error) {
-	return t.inner.ReadDataset(name)
-}
-
-func (t *trackingStore) WriteDataset(name string, elems []val.Value) error {
-	if err := t.inner.WriteDataset(name, elems); err != nil {
-		return err
+// newTrackingStore keeps the shipped partitions of a job run with
+// parallelism parts.
+func newTrackingStore(parts int, shipped []Dataset) (*trackingStore, error) {
+	t := &trackingStore{parts: parts, inputs: make(map[string]map[int][]val.Value), outputs: make(map[string][]val.Value)}
+	for _, ds := range shipped {
+		if ds.Parts != parts {
+			return nil, fmt.Errorf("dataset %q shipped as part %d of %d, the job reads %d parts", ds.Name, ds.Part, ds.Parts, parts)
+		}
+		if t.inputs[ds.Name] == nil {
+			t.inputs[ds.Name] = make(map[int][]val.Value)
+		}
+		t.inputs[ds.Name][ds.Part] = ds.Elems
 	}
+	return t, nil
+}
+
+// ReadPartitionBlocks implements store.PartitionedReader. A shipped input's
+// partition is returned as shipped, not copied; a dataset this job wrote is
+// strided over, as a reader without a PartitionedReader would.
+func (t *trackingStore) ReadPartitionBlocks(name string, part, parts int) ([][]val.Value, error) {
 	t.mu.Lock()
-	t.names = append(t.names, name)
+	elems, written := t.outputs[name]
 	t.mu.Unlock()
+	if written {
+		mine := make([]val.Value, 0, (len(elems)-part+parts-1)/parts)
+		for i := part; i < len(elems); i += parts {
+			mine = append(mine, elems[i])
+		}
+		return [][]val.Value{mine}, nil
+	}
+	in, ok := t.inputs[name]
+	if !ok {
+		return nil, &store.NotFoundError{Name: name}
+	}
+	if parts != t.parts {
+		return nil, fmt.Errorf("netcluster: dataset %q read as %d parts, shipped as %d", name, parts, t.parts)
+	}
+	p, ok := in[part]
+	if !ok {
+		return nil, fmt.Errorf("netcluster: part %d of dataset %q was not shipped to this worker", part, name)
+	}
+	return [][]val.Value{p}, nil
+}
+
+// ReadDataset implements store.Store for the datasets the job wrote.
+func (t *trackingStore) ReadDataset(name string) ([]val.Value, error) {
+	t.mu.Lock()
+	elems, written := t.outputs[name]
+	t.mu.Unlock()
+	if written {
+		return append([]val.Value(nil), elems...), nil
+	}
+	if _, ok := t.inputs[name]; ok {
+		return nil, fmt.Errorf("%w: %q", ErrPartitionedInput, name)
+	}
+	return nil, &store.NotFoundError{Name: name}
+}
+
+// WriteDataset implements store.Store. The store keeps elems, as the engine
+// hands a written bag's slice over.
+func (t *trackingStore) WriteDataset(name string, elems []val.Value) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.outputs[name]; !ok {
+		t.names = append(t.names, name)
+	}
+	t.outputs[name] = elems
 	return nil
 }
 
 // written returns the datasets the job wrote, last write per name winning.
 func (t *trackingStore) written() []Dataset {
 	t.mu.Lock()
-	names := append([]string(nil), t.names...)
-	t.mu.Unlock()
-	seen := make(map[string]bool, len(names))
-	var out []Dataset
-	for i := len(names) - 1; i >= 0; i-- {
-		if seen[names[i]] {
-			continue
-		}
-		seen[names[i]] = true
-		elems, err := t.inner.ReadDataset(names[i])
-		if err != nil {
-			continue
-		}
-		out = append(out, Dataset{Name: names[i], Elems: elems})
+	defer t.mu.Unlock()
+	out := make([]Dataset, len(t.names))
+	for i, name := range t.names {
+		out[i] = Dataset{Name: name, Elems: t.outputs[name]}
 	}
 	return out
 }

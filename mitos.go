@@ -407,8 +407,8 @@ func StartLocalTCP(n int, cfg TCPCoordConfig) (*TCPCoordinator, func(), error) {
 }
 
 // RunTCP executes the program on an established TCP cluster session:
-// inputs from st are shipped to the workers, outputs are merged back into
-// st. Config fields that concern the simulated cluster (Machines, Cluster)
+// each worker is shipped the partitions of st's datasets that its readFile
+// instances read, and outputs are merged back into st. Config fields that concern the simulated cluster (Machines, Cluster)
 // are ignored; parallelism defaults to one operator instance per worker.
 // HTTPAddr/HTTP serve the cluster-wide federated view: /metrics merges
 // every worker's shipped registry (machine-labeled series), /jobs/{id}
