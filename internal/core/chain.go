@@ -38,9 +38,10 @@ import (
 // Chaining is transparent to the bag protocol: hosts still see per-edge
 // FIFO event order (synchronous calls deliver in emission order), still
 // report their own completions and decisions, and still receive every
-// pathUpdate broadcast (fanned out to chain members in chain order), so
-// bag identifiers, loop pipelining, hoisting, and combiner flush semantics
-// are unchanged.
+// path segment broadcast (fanned out to chain members consumer first, so a
+// member that emits from its control callback finds its chained consumers
+// already running the output bag it feeds), so bag identifiers, loop
+// pipelining, hoisting, and combiner flush semantics are unchanged.
 
 // BuildChains marks fusable forward edges as chained, groups the operators
 // into chains, and returns the number of chained edges. It must run after

@@ -242,6 +242,39 @@ func TestDeltaSlotsUnderTheFrontier(t *testing.T) {
 	}
 }
 
+// TestSolutionSlotDropsElements: the edge from a deltaMerge to solution()
+// only names the step to dump, so the slot drops every element on arrival —
+// its bags are made and completed by their end-of-bags alone — and an element
+// behind the slot's low-water mark is still the protocol error.
+func TestSolutionSlotDropsElements(t *testing.T) {
+	sink := &collector{}
+	h := handFedHostIn(t, 2, ir.OpSolution, nil, store.NewMemStore(), []ir.BlockID{1}, sink)
+	if !h.inbufs[0].discard {
+		t.Fatal("solution slot not marked discard")
+	}
+	pair := func(k, v int) val.Value { return val.Pair(val.Int(int64(k)), val.Int(int64(v))) }
+	visit(t, h, 0)
+	for pos := 2; pos <= 3; pos++ {
+		visit(t, h, 1)
+		feed(t, h, 0, pos, pair(pos, 1), pair(pos, 2))
+		if n := bufferedAt(h, 0, pos); n != 0 {
+			t.Fatalf("step %d: slot holds %d elements, want 0", pos, n)
+		}
+		eob(t, h, 0, pos)
+	}
+	visit(t, h, 2)
+	if !slices.Equal(sink.eobs, []int{4}) {
+		t.Fatalf("solution output bags closed at %v, want [4]", sink.eobs)
+	}
+	if low := h.inbufs[0].lowWater; low != 3 {
+		t.Fatalf("lowWater = %d, want 3, the step the dump read", low)
+	}
+	err := h.OnBatch(0, 0, []Element{{Tag: 2, Val: pair(2, 3)}})
+	if err == nil || !strings.Contains(err.Error(), "element for GCed bag at 2") {
+		t.Errorf("element behind the low-water mark: err = %v, want the GCed-bag error", err)
+	}
+}
+
 // windowPlane is a ControlPlane that plays the operator hosts of a counted
 // loop against the coordinator without keeping its frames: drain answers
 // every released position with its branch decision (stay in the loop for

@@ -128,6 +128,11 @@ type inputBuf struct {
 	// once consumed. The zero value, re-readable, buffers every bag until
 	// the low-water GC.
 	singleUse bool
+	// discard marks a slot whose kind reads no element values — a
+	// solution's edge from its deltaMerge only names the step to dump — so
+	// its bags are created and completed by their end-of-bags and never
+	// hold an element.
+	discard bool
 }
 
 type inBag struct {
@@ -174,6 +179,7 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 	for i, in := range op.Inputs {
 		buf := &h.inbufs[i]
 		buf.singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
+		buf.discard = op.Instr.Kind == ir.OpSolution && op.Synth == SynthNone
 		buf.occ = slices.IndexFunc(h.occ, func(q occQueue) bool { return q.block == in.Producer.Block })
 		if buf.occ < 0 {
 			buf.occ = len(h.occ)
@@ -281,9 +287,10 @@ func (h *host) step(b ir.BlockID) {
 var batchHook func(op *PlanOp, input, streamed, buffered int)
 
 // OnBatch hands elements of the single-use bag the current output is
-// consuming on this slot straight to the operator logic; everything else —
-// a bag that arrives before its output started, the probe side during a
-// join build, a re-readable bag — is buffered into its bag and pumped.
+// consuming on this slot straight to the operator logic and drops those of a
+// discard slot; everything else — a bag that arrives before its output
+// started, the probe side during a join build, a re-readable bag — is
+// buffered into its bag and pumped.
 func (h *host) OnBatch(input, from int, batch []Element) error {
 	buf := &h.inbufs[input]
 	live, run := -1, h.cur
@@ -305,6 +312,9 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 				continue
 			}
 			return fmt.Errorf("core: %s input %d: element for GCed bag at %d (lowWater %d)", h.op.Instr.Var, input, pos, buf.lowWater)
+		}
+		if buf.discard {
+			continue
 		}
 		if b == nil || b.pos != pos {
 			b = h.bagAt(input, pos)

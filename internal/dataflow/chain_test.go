@@ -136,7 +136,9 @@ func (v *chainRecorder) OnControl(ev any) error {
 
 // TestChainedInStackDelivery pins the synchronous semantics: a chained
 // consumer's OnBatch/OnEOB run inside the producer's Emit/EmitEOB call, and
-// broadcast control fans out to chain members in chain order.
+// broadcast control fans out to chain members consumer first, so a producer
+// that emits from OnControl reaches consumers that have already taken the
+// same control event.
 func TestChainedInStackDelivery(t *testing.T) {
 	cl, err := cluster.New(cluster.FastConfig(1))
 	if err != nil {
@@ -172,12 +174,12 @@ func TestChainedInStackDelivery(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	want := []string{
-		// One control envelope per chain, fanned out in chain order; "a"
-		// emits during its callback, so b's and c's deliveries nest inside.
-		"a:ctrl",
+		// One control envelope per chain, fanned out in reverse chain order;
+		// "a" emits during its callback, so b's and c's deliveries nest
+		// inside it, after both saw the control event.
+		"c:ctrl", "b:ctrl", "a:ctrl",
 		"a:before-emit", "b:batch", "c:batch", "a:after-emit",
 		"a:before-eob", "b:eob", "c:eob", "a:after-eob",
-		"b:ctrl", "c:ctrl",
 	}
 	if len(trace) != len(want) {
 		t.Fatalf("trace = %q, want %q", trace, want)

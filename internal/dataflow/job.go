@@ -363,8 +363,9 @@ func (j *Job) Start() error {
 // Broadcast delivers a control event to every vertex (in mailbox order
 // relative to data). The Mitos control-flow managers use it for
 // execution-path updates. Chained instances receive it through their chain
-// driver — one envelope per chain, fanned out to the members in chain
-// order — so a chain costs one enqueue instead of one per member.
+// driver — one envelope per chain, fanned out to the members in reverse
+// chain order, consumers before their producers — so a chain costs one
+// enqueue instead of one per member.
 func (j *Job) Broadcast(ev any) {
 	n := int64(len(j.bcast))
 	j.ctrlMessages.Add(n)
@@ -662,8 +663,12 @@ func (in *instance) loop() {
 			err = dst.vertex.OnEOB(env.input, env.from, env.tag)
 		case envControl:
 			// Broadcast control: one envelope per chain, fanned out to the
-			// members in chain order.
-			for _, m := range in.members {
+			// members consumer first. Member order is topological, so when a
+			// producer emits from its callback every chained consumer has
+			// already taken the event and can take the elements as they come
+			// instead of buffering them.
+			for k := len(in.members) - 1; k >= 0; k-- {
+				m := in.members[k]
 				dst = m
 				m.ctrlIn.Inc()
 				if err = m.vertex.OnControl(env.ctrl); err != nil {

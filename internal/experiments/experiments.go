@@ -156,14 +156,24 @@ func (t *Table) Format() string {
 			case cell.Skipped:
 				fmt.Fprintf(&b, " %22s", "-")
 			case c != ref && refVal > 0:
-				fmt.Fprintf(&b, " %14.3fs (%4.1fx)", cell.Seconds, cell.Seconds/refVal)
+				fmt.Fprintf(&b, " %15s (%4.1fx)", seconds(cell.Seconds), cell.Seconds/refVal)
 			default:
-				fmt.Fprintf(&b, " %22s", fmt.Sprintf("%.3fs", cell.Seconds))
+				fmt.Fprintf(&b, " %22s", seconds(cell.Seconds))
 			}
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// seconds renders a cell's time: in seconds to the millisecond, or in
+// microseconds below one millisecond, where a per-step overhead would
+// otherwise read 0.000s.
+func seconds(s float64) string {
+	if s < 1e-3 {
+		return fmt.Sprintf("%.1fµs", s*1e6)
+	}
+	return fmt.Sprintf("%.3fs", s)
 }
 
 // CSV renders the table as comma-separated values (seconds; empty cell =

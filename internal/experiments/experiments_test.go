@@ -24,6 +24,27 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
+// TestTableFormatSubMillisecond: per-step overheads (Fig. 7) are a few
+// microseconds; they print in µs, not as 0.000s, and keep their factors.
+func TestTableFormatSubMillisecond(t *testing.T) {
+	tbl := &Table{
+		Title:   "per step",
+		XAxis:   "steps",
+		Columns: []string{"Spark", "Flink", "Mitos"},
+		XLabels: []string{"100"},
+		Cells:   [][]Cell{{{Seconds: 0.0123}, {Seconds: 600e-6}, {Seconds: 6e-6}}},
+	}
+	out := tbl.Format()
+	for _, want := range []string{"0.012s (2050.0x)", "600.0µs (100.0x)", "6.0µs"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Format missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "0.000s") {
+		t.Errorf("a sub-millisecond cell printed as 0.000s:\n%s", out)
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tbl := &Table{
 		XAxis:   "m",
