@@ -15,7 +15,6 @@ import (
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/dfs"
 	"github.com/mitos-project/mitos/internal/experiments"
-	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/workload"
 )
@@ -156,36 +155,6 @@ func BenchmarkBatchSize(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.BatchSize = bs
 			benchVisitCount(b, experiments.Mitos, opts)
-		})
-	}
-}
-
-// BenchmarkCopyPropagationAblation compares Visit Count with and without
-// the optional copy-propagation pass (extension beyond the paper: fewer
-// dataflow operators, at the cost of losing the paper's one-node-per-
-// assignment correspondence).
-func BenchmarkCopyPropagationAblation(b *testing.B) {
-	for _, propagate := range []bool{false, true} {
-		name := "keepCopies"
-		if propagate {
-			name = "propagated"
-		}
-		b.Run(name, func(b *testing.B) {
-			cl := benchCluster(b, 4)
-			st := benchStore(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g, err := benchSpec.CompileMitos()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if propagate {
-					ir.PropagateCopies(g)
-				}
-				if _, err := core.Execute(g, st, cl, core.DefaultOptions()); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

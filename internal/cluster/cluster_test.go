@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -63,9 +64,15 @@ func TestLaunchCostGrowsWithMachines(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		start := time.Now()
-		cl.LaunchJob()
-		return time.Since(start)
+		// The fastest of a few launches: a busy machine only adds time,
+		// and one descheduled sleep can outlast all 16 dispatches.
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			cl.LaunchJob()
+			best = min(best, time.Since(start))
+		}
+		return best
 	}
 	small, large := cost(2), cost(16)
 	// Serial dispatch: 16 machines cost several times 2 machines. Allow

@@ -3,15 +3,12 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
-	"github.com/mitos-project/mitos/internal/testprog"
 )
 
 // stepLoopSrc is the Fig. 7 step-overhead microbenchmark shape (the same
@@ -140,84 +137,6 @@ func TestBuildChainsIdempotent(t *testing.T) {
 	if n1 != n2 || p.String() != s1 {
 		t.Errorf("BuildChains not idempotent: %d vs %d edges", n1, n2)
 	}
-}
-
-// TestFuzzChainingDifferential is the chaining on/off differential: the
-// same random program, machine count, and optimization flags must produce
-// identical outputs with and without operator chaining — and chaining must
-// actually engage (chained edges in every plan). 40+ seeds; the CI race
-// job runs it under -race, where the in-stack delivery path would surface
-// any cross-goroutine access to chained vertex state.
-func TestFuzzChainingDifferential(t *testing.T) {
-	trials := 48
-	if testing.Short() {
-		trials = 40
-	}
-	var sawChains atomic.Bool
-	for seed := int64(0); seed < int64(trials); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			probe := store.NewMemStore()
-			src, err := testprog.GenProgram(probe, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := lang.Parse(src)
-			if err != nil {
-				t.Fatalf("generated program does not parse: %v\n%s", err, src)
-			}
-			g, err := ir.CompileToSSA(prog)
-			if err != nil {
-				t.Fatalf("compile: %v\n%s", err, src)
-			}
-
-			machines := 1 + int(seed%4)
-			base := Options{
-				Pipelining: seed%2 == 0,
-				Hoisting:   seed%3 != 0,
-				Combiners:  seed%4 >= 2,
-			}
-			run := func(chaining bool) (*store.MemStore, *Result) {
-				cl, err := cluster.New(cluster.FastConfig(machines))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cl.Close()
-				st := store.NewMemStore()
-				if _, err := testprog.GenProgram(st, seed); err != nil {
-					t.Fatal(err)
-				}
-				opts := base
-				opts.Chaining = chaining
-				res, err := Execute(g, st, cl, opts)
-				if err != nil {
-					t.Fatalf("Execute (m=%d, chaining=%t, %+v): %v\n%s", machines, chaining, base, err, src)
-				}
-				return st, res
-			}
-			offStore, offRes := run(false)
-			onStore, onRes := run(true)
-			if offRes.ChainedEdges != 0 || offRes.Job.ElementsChained != 0 {
-				t.Errorf("chaining off but %d edges / %d elements chained", offRes.ChainedEdges, offRes.Job.ElementsChained)
-			}
-			if onRes.ChainedEdges > 0 {
-				sawChains.Store(true)
-			}
-			if onRes.Steps != offRes.Steps {
-				t.Errorf("steps differ: %d chained vs %d unchained", onRes.Steps, offRes.Steps)
-			}
-			diffStores(t, offStore, onStore)
-			if t.Failed() {
-				t.Logf("program:\n%s", src)
-			}
-		})
-	}
-	t.Cleanup(func() {
-		if !sawChains.Load() && !t.Failed() {
-			t.Error("no trial produced a chained plan — the differential tested nothing")
-		}
-	})
 }
 
 // TestExecuteChainingCounters runs the step loop end to end with chaining

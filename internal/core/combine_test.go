@@ -7,9 +7,7 @@ import (
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
-	"github.com/mitos-project/mitos/internal/testprog"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -171,67 +169,5 @@ counts.writeFile("counts")
 	}
 	if on.Job.BytesSent == 0 {
 		t.Error("remote bytes with combiners = 0; expected a real multi-machine shuffle")
-	}
-}
-
-// TestFuzzCombineDifferential is the combiner on/off differential: every
-// generated program must produce identical result bags with and without
-// the plan rewrite, and both must match the sequential AST interpreter.
-func TestFuzzCombineDifferential(t *testing.T) {
-	trials := 40
-	if testing.Short() {
-		trials = 10
-	}
-	for seed := int64(0); seed < int64(trials); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			refStore := store.NewMemStore()
-			src, err := testprog.GenProgram(refStore, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := lang.Parse(src)
-			if err != nil {
-				t.Fatalf("generated program does not parse: %v\n%s", err, src)
-			}
-			if err := ir.RunAST(prog, refStore); err != nil {
-				t.Fatalf("AST interpreter: %v\n%s", err, src)
-			}
-			g, err := ir.CompileToSSA(prog)
-			if err != nil {
-				t.Fatalf("compile: %v\n%s", err, src)
-			}
-			machines := 2 + int(seed%3)
-			stores := make(map[bool]*store.MemStore)
-			for _, combine := range []bool{false, true} {
-				opts := Options{
-					Pipelining: seed%2 == 0,
-					Hoisting:   seed%3 != 0,
-					Combiners:  combine,
-				}
-				cl, err := cluster.New(cluster.FastConfig(machines))
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := store.NewMemStore()
-				if _, err := testprog.GenProgram(st, seed); err != nil {
-					cl.Close()
-					t.Fatal(err)
-				}
-				if _, err := Execute(g, st, cl, opts); err != nil {
-					cl.Close()
-					t.Fatalf("Execute (m=%d, combine=%t): %v\n%s", machines, combine, err, src)
-				}
-				cl.Close()
-				stores[combine] = st
-			}
-			diffStores(t, refStore, stores[false])
-			diffStores(t, refStore, stores[true])
-			diffStores(t, stores[false], stores[true])
-			if t.Failed() {
-				t.Logf("program:\n%s", src)
-			}
-		})
 	}
 }

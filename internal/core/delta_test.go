@@ -1,16 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
-	"github.com/mitos-project/mitos/internal/testprog"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -316,94 +312,4 @@ newBag(total).writeFile("total")
 	if len(out) != 1 || out[0].AsInt() != 8 {
 		t.Errorf("total = %v, want [8] (4 reads x 2 keys)", out)
 	}
-}
-
-// TestFuzzDeltaDifferential is the delta on/off differential: the same
-// random delta-iteration program, machine count, and optimization flags
-// must produce identical outputs with incremental maintenance and with
-// full per-step re-derivation — and both must match the sequential AST
-// interpreter. 40+ seeds; the CI race job runs it under -race, where the
-// journaled snapshot path would surface cross-goroutine state access.
-func TestFuzzDeltaDifferential(t *testing.T) {
-	trials := 48
-	if testing.Short() {
-		trials = 40
-	}
-	var sawDeltas atomic.Int64
-	for seed := int64(0); seed < int64(trials); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			probe := store.NewMemStore()
-			src, err := testprog.GenDeltaProgram(probe, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := lang.Parse(src)
-			if err != nil {
-				t.Fatalf("generated program does not parse: %v\n%s", err, src)
-			}
-			if _, err := lang.Check(prog); err != nil {
-				t.Fatalf("generated program does not check: %v\n%s", err, src)
-			}
-			g, err := ir.CompileToSSA(prog)
-			if err != nil {
-				t.Fatalf("compile: %v\n%s", err, src)
-			}
-
-			truth := store.NewMemStore()
-			if _, err := testprog.GenDeltaProgram(truth, seed); err != nil {
-				t.Fatal(err)
-			}
-			if err := ir.RunAST(prog, truth); err != nil {
-				t.Fatalf("AST interpreter: %v\n%s", err, src)
-			}
-
-			machines := 1 + int(seed%4)
-			base := Options{
-				Pipelining: seed%2 == 0,
-				Hoisting:   seed%3 != 0,
-				Combiners:  seed%4 >= 2,
-				Chaining:   seed%5 > 0,
-			}
-			run := func(delta bool) (*store.MemStore, *Result) {
-				cl, err := cluster.New(cluster.FastConfig(machines))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cl.Close()
-				st := store.NewMemStore()
-				if _, err := testprog.GenDeltaProgram(st, seed); err != nil {
-					t.Fatal(err)
-				}
-				opts := base
-				opts.Delta = delta
-				res, err := Execute(g, st, cl, opts)
-				if err != nil {
-					t.Fatalf("Execute (m=%d, delta=%t, %+v): %v\n%s", machines, delta, base, err, src)
-				}
-				return st, res
-			}
-			offStore, offRes := run(false)
-			onStore, onRes := run(true)
-			if onRes.DeltaIn == 0 {
-				t.Errorf("no delta elements flowed — the differential tested nothing\n%s", src)
-			}
-			sawDeltas.Add(onRes.DeltaIn)
-			if offRes.DeltaIn != onRes.DeltaIn || offRes.DeltaChanged != onRes.DeltaChanged {
-				t.Errorf("delta flow differs off/on: in %d/%d changed %d/%d",
-					offRes.DeltaIn, onRes.DeltaIn, offRes.DeltaChanged, onRes.DeltaChanged)
-			}
-			diffStores(t, truth, onStore)
-			diffStores(t, truth, offStore)
-			if t.Failed() {
-				t.Logf("program:\n%s", src)
-			}
-		})
-	}
-	t.Cleanup(func() {
-		if sawDeltas.Load() == 0 && !t.Failed() {
-			t.Error("no trial exercised a delta iteration")
-		}
-	})
 }

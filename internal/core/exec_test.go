@@ -208,34 +208,6 @@ b.writeFile("out")`)
 	}
 }
 
-// TestExecuteWithCopyPropagation runs the corpus through the distributed
-// runtime after the optional copy-propagation pass (an extension beyond
-// the paper) and checks outputs against ground truth.
-func TestExecuteWithCopyPropagation(t *testing.T) {
-	for _, c := range testprog.Cases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
-			g := compile(t, c.Src)
-			ir.PropagateCopies(g)
-			want := groundTruth(t, c)
-			cl, err := cluster.New(cluster.FastConfig(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			st := store.NewMemStore()
-			if err := c.Setup(st); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Execute(g, st, cl, DefaultOptions()); err != nil {
-				t.Fatalf("Execute after copy propagation: %v", err)
-			}
-			diffStores(t, want, st)
-		})
-	}
-}
-
 // TestExecuteEffectFreeProgram: dead-code elimination can leave a program
 // with no instructions at all; the coordinator must still terminate.
 func TestExecuteEffectFreeProgram(t *testing.T) {

@@ -3,14 +3,11 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
-	"github.com/mitos-project/mitos/internal/testprog"
 )
 
 // TestSegmentFrom checks the jump-chain resolution templates are built
@@ -95,6 +92,57 @@ func TestExecuteTemplateCounters(t *testing.T) {
 	}
 }
 
+// TestSimCtrlMessageLaw pins the sim's control-message count exactly, as
+// TestTCPTemplatesCounters pins the TCP one. A 50-step loop visits P = 103
+// positions in S = 52 segments. The coordinator releases F = S frames when
+// templated and F = P frames in the other three modes. Job.Broadcast hands
+// each frame to every chain driver, and the sim's control plane models one
+// message per machine. The loop's six operators are singletons, so the job
+// has D = 6 drivers without chaining and D = 2 with it (the condition and
+// one chain of the rest), whatever the machine count M:
+//
+//	Job.CtrlMessages = D·F    cluster CtrlMessages = M·F
+func TestSimCtrlMessageLaw(t *testing.T) {
+	g := compile(t, stepLoopSrc(50))
+	for _, machines := range []int{2, 4, 8} {
+		for _, mode := range []struct{ pipelining, templates, chaining bool }{
+			{true, true, true}, {true, false, true}, {false, true, true}, {false, false, true},
+			{true, true, false}, {false, false, false},
+		} {
+			name := fmt.Sprintf("M%d/pipelining=%t,templates=%t,chaining=%t", machines, mode.pipelining, mode.templates, mode.chaining)
+			t.Run(name, func(t *testing.T) {
+				cl, err := cluster.New(cluster.FastConfig(machines))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := DefaultOptions()
+				opts.Pipelining, opts.Templates, opts.Chaining = mode.pipelining, mode.templates, mode.chaining
+				res, err := Execute(g, store.NewMemStore(), cl, opts)
+				cl.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames, drivers := int64(103), int64(6)
+				if opts.Templated() {
+					frames = 52
+				}
+				if opts.Chaining {
+					drivers = 2
+				}
+				if res.Steps != 103 {
+					t.Fatalf("steps = %d, want 103", res.Steps)
+				}
+				if res.Job.CtrlMessages != drivers*frames {
+					t.Errorf("Job.CtrlMessages = %d, want %d·%d", res.Job.CtrlMessages, drivers, frames)
+				}
+				if got := cl.Stats().CtrlMessages; got != int64(machines)*frames {
+					t.Errorf("cluster CtrlMessages = %d, want %d·%d", got, machines, frames)
+				}
+			})
+		}
+	}
+}
+
 // TestTemplatesDivergentConditions drives a loop whose branch decision
 // flips halfway: the first iterations take the then-arm, the rest the
 // else-arm. Each arm's segment gets its own template keyed by its head
@@ -141,83 +189,4 @@ newBag(total).writeFile("out")
 		t.Error("no instantiations — the loop never replayed a cached segment")
 	}
 	diffStores(t, offStore, onStore)
-}
-
-// TestFuzzTemplatesDifferential is the templates on/off differential over
-// the random-program corpus: same seed, same options, templates flipped —
-// outputs must be bag-identical and the path length unchanged, across
-// machine counts and the pipelining/hoisting/combiners/chaining space.
-// (Non-pipelined trials cover that the flag is inert there.)
-func TestFuzzTemplatesDifferential(t *testing.T) {
-	trials := 48
-	if testing.Short() {
-		trials = 40
-	}
-	var sawTemplates atomic.Bool
-	for seed := int64(0); seed < int64(trials); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			probe := store.NewMemStore()
-			src, err := testprog.GenProgram(probe, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := lang.Parse(src)
-			if err != nil {
-				t.Fatalf("generated program does not parse: %v\n%s", err, src)
-			}
-			g, err := ir.CompileToSSA(prog)
-			if err != nil {
-				t.Fatalf("compile: %v\n%s", err, src)
-			}
-
-			machines := 1 + int(seed%4)
-			base := Options{
-				Pipelining: seed%2 == 0,
-				Hoisting:   seed%3 != 0,
-				Combiners:  seed%4 >= 2,
-				Chaining:   seed%5 < 3,
-			}
-			run := func(templates bool) (*store.MemStore, *Result) {
-				cl, err := cluster.New(cluster.FastConfig(machines))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cl.Close()
-				st := store.NewMemStore()
-				if _, err := testprog.GenProgram(st, seed); err != nil {
-					t.Fatal(err)
-				}
-				opts := base
-				opts.Templates = templates
-				res, err := Execute(g, st, cl, opts)
-				if err != nil {
-					t.Fatalf("Execute (m=%d, templates=%t, %+v): %v\n%s", machines, templates, base, err, src)
-				}
-				return st, res
-			}
-			offStore, offRes := run(false)
-			onStore, onRes := run(true)
-			if offRes.TemplateInstalls != 0 || offRes.TemplateInstantiations != 0 {
-				t.Errorf("templates off but %d installs / %d instantiations",
-					offRes.TemplateInstalls, offRes.TemplateInstantiations)
-			}
-			if onRes.TemplateInstalls > 0 {
-				sawTemplates.Store(true)
-			}
-			if onRes.Steps != offRes.Steps {
-				t.Errorf("steps differ: %d templated vs %d untemplated", onRes.Steps, offRes.Steps)
-			}
-			diffStores(t, offStore, onStore)
-			if t.Failed() {
-				t.Logf("program:\n%s", src)
-			}
-		})
-	}
-	t.Cleanup(func() {
-		if !sawTemplates.Load() && !t.Failed() {
-			t.Error("no trial installed a template — the differential tested nothing")
-		}
-	})
 }

@@ -11,10 +11,11 @@ import (
 
 // Random program generation for fuzz-style differential testing: generated
 // programs are well-typed, deterministic, and always terminate, but
-// exercise arbitrary combinations of nested loops, branches, and bag
-// operations. Every bag variable holds (string, int) pairs throughout, so
-// key-based operations stay applicable; shape-changing operations (join,
-// cross) are emitted together with a map that restores the pair shape.
+// exercise arbitrary combinations of nested loops, branches, delta
+// iterations and bag operations. Every bag variable holds (string, int)
+// pairs throughout, so key-based operations stay applicable; shape-changing
+// operations (join, cross) are emitted together with a map that restores
+// the pair shape.
 
 // GenProgram returns the source of a random program and seeds its input
 // datasets into st. Generation is deterministic in seed.
@@ -89,9 +90,14 @@ func (g *progGen) freshScalar() string {
 func (g *progGen) anyBag() string    { return g.bags[g.r.Intn(len(g.bags))] }
 func (g *progGen) anyScalar() string { return g.scalars[g.r.Intn(len(g.scalars))] }
 
-// genStmts emits n statements at the current nesting depth.
+// genStmts emits n statements at the current nesting depth. At the top
+// level a delta loop precedes a statement one time in three; that draw is
+// its own, so the other kinds keep their shares at every depth.
 func (g *progGen) genStmts(n, depth int) {
 	for i := 0; i < n; i++ {
+		if depth == 0 && g.r.Intn(3) == 0 {
+			g.genDeltaLoop()
+		}
 		switch k := g.r.Intn(10); {
 		case k < 4:
 			g.genBagAssign(depth)
@@ -251,4 +257,69 @@ func (g *progGen) genIf(depth int) {
 		g.indent--
 	}
 	g.emit("}")
+}
+
+// genDeltaLoop emits a top-level loop around a deltaMerge. The merge is
+// drawn from {min, max, +}, the commutative and associative functions
+// deltaMerge shares with reduceByKey. The solution set starts empty or from
+// a pre-existing bag (the seed-ingest path), and the body re-derives the next
+// workset from the changed pairs the deltaMerge emits. Some loops read the
+// solution set inside the body, the case that needs the store's snapshot
+// journal when pipelining overlaps steps.
+func (g *progGen) genDeltaLoop() {
+	merge := [...]string{"min(a, b)", "max(a, b)", "a + b"}[g.r.Intn(3)]
+	seedExpr := "empty()"
+	if g.r.Intn(2) == 0 {
+		seedExpr = fmt.Sprintf("%s.reduceByKey((a, b) => %s)", g.anyBag(), merge)
+	}
+	src := g.anyBag() // chosen before d and w exist: never self-referential
+	d := g.freshBag()
+	g.emit("%s = %s", d, src)
+	w := g.freshBag()
+
+	// A loop that runs to workset convergence clamps every value into a
+	// short monotone walk toward a bound the filter cuts off, so it reaches
+	// the merge's fixpoint within 30 steps whatever the values the program
+	// computed before it. A loop that runs to a counter bound can use any
+	// transform, including growth under the + merge.
+	converge := g.r.Intn(2) == 0 && merge != "a + b"
+	step := 1 + g.r.Intn(3)
+	transform := fmt.Sprintf("%s = %s.map(t => (t.0, t.1 + %d))", d, w, step)
+	if converge && merge == "min(a, b)" {
+		transform = fmt.Sprintf("%s = %s.map(t => (t.0, min(t.1, 30) - %d)).filter(t => t.1 > 0)", d, w, step)
+	} else if converge {
+		transform = fmt.Sprintf("%s = %s.map(t => (t.0, max(t.1, 40) + %d)).filter(t => t.1 < 70)", d, w, step)
+	}
+
+	g.loops++
+	counter := fmt.Sprintf("i%d", g.loops)
+	if !converge {
+		g.emit("%s = 0", counter)
+	}
+	readInLoop := g.r.Intn(2) == 0
+	var acc string
+	if readInLoop {
+		// An in-loop solution read, accumulated into an observable bag so
+		// every step's snapshot affects the program output.
+		acc = g.freshBag()
+		g.emit("%s = empty()", acc)
+	}
+	g.emit("do {")
+	g.indent++
+	g.emit("%s = %s.deltaMerge(%s, (a, b) => %s)", w, seedExpr, d, merge)
+	if readInLoop {
+		s := g.freshBag()
+		g.emit("%s = %s.solution()", s, w)
+		g.emit("%s = %s.union(%s).distinct()", acc, acc, s)
+	}
+	g.emit(transform)
+	cond := fmt.Sprintf("only(%s.count()) > 0", w)
+	if !converge {
+		g.emit("%s = %s + 1", counter, counter)
+		cond = fmt.Sprintf("%s < %d", counter, 2+g.r.Intn(3))
+	}
+	g.indent--
+	g.emit("} while (%s)", cond)
+	sol := g.freshBag()
+	g.emit("%s = %s.solution()", sol, w)
 }

@@ -58,21 +58,25 @@ func (m *Map[T]) at(e uint32) *entry[T] {
 	return &m.chunks[k][e]
 }
 
+// probe returns key's entry, or nil and the empty slot its probe ended on.
+func (m *Map[T]) probe(h uint64, key Value) (*entry[T], uint64) {
+	mask := uint64(len(m.index) - 1)
+	i := (h * hashMix) >> m.shift
+	for ; m.index[i] != 0; i = (i + 1) & mask {
+		if ent := m.at(m.index[i] - 1); ent.hash == h && ent.key.Equal(key) {
+			return ent, i
+		}
+	}
+	return nil, i
+}
+
 // find returns the entry stored under key, whose hash is h, or nil.
 func (m *Map[T]) find(h uint64, key Value) *entry[T] {
 	if m.n == 0 {
 		return nil
 	}
-	mask := uint64(len(m.index) - 1)
-	for i := (h * hashMix) >> m.shift; ; i = (i + 1) & mask {
-		e := m.index[i]
-		if e == 0 {
-			return nil
-		}
-		if ent := m.at(e - 1); ent.hash == h && ent.key.Equal(key) {
-			return ent
-		}
-	}
+	ent, _ := m.probe(h, key)
+	return ent
 }
 
 // upsert returns the entry stored under key, whose hash is h, inserting one
@@ -81,11 +85,9 @@ func (m *Map[T]) find(h uint64, key Value) *entry[T] {
 func (m *Map[T]) upsert(h uint64, key Value) (*entry[T], bool) {
 	var i uint64
 	if len(m.index) > 0 {
-		mask := uint64(len(m.index) - 1)
-		for i = (h * hashMix) >> m.shift; m.index[i] != 0; i = (i + 1) & mask {
-			if ent := m.at(m.index[i] - 1); ent.hash == h && ent.key.Equal(key) {
-				return ent, true
-			}
+		var ent *entry[T]
+		if ent, i = m.probe(h, key); ent != nil {
+			return ent, true
 		}
 	}
 	if m.n == len(m.index)/2 {
