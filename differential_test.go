@@ -24,7 +24,7 @@ import (
 var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "templates", "delta"}
 
 // exercises names what the harness must see happen at least once.
-var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp"}
+var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch"}
 
 // setting is one row of the differential table: a generated program, the
 // switches that are off, the machine count and the backend. On TCP the
@@ -85,7 +85,9 @@ type tcpCluster struct {
 // program has a deltaMerge. Across a seed's runs the changed delta pairs
 // agree, and so do the delta elements in within a delta class. A failure is
 // shrunk to the smallest setting that still fails and logged as one repro
-// line.
+// line. Once every seed has run, the harness fails if no run did one of the
+// exercises; fusing a stage and running one on scratch are read from the
+// plans of the sim runs.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -175,7 +177,9 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 			return o
 		}
 		defer cl.Close()
-		o.res, o.err = core.Execute(g, o.st, cl, opts)
+		if o.plan, o.err = core.Compile(g, s.machines, opts); o.err == nil {
+			o.res, o.err = core.ExecutePlan(o.plan, o.st, cl, opts)
+		}
 		return o
 	}
 	hasDelta := strings.Contains(src, "deltaMerge")
@@ -261,7 +265,8 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 			if _, seen := deltaIn[s.deltaClass()]; !seen {
 				deltaIn[s.deltaClass()] = res.DeltaIn
 			}
-			for j, ok := range [len(exercises)]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp} {
+			fused, scratch := stagesOf(outs[i].plan)
+			for j, ok := range [len(exercises)]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch} {
 				if ok {
 					saw[j].Store(true)
 				}
@@ -273,11 +278,27 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 	}
 }
 
-// outcome is what one run left behind: its result, its store, or its error.
+// outcome is what one run left behind: its result, its store, or its error,
+// and on the sim the plan it ran.
 type outcome struct {
-	res *core.Result
-	st  *store.MemStore
-	err error
+	res  *core.Result
+	st   *store.MemStore
+	plan *core.Plan
+	err  error
+}
+
+// stagesOf reports whether plan (nil for a TCP run) fused a stage into an
+// operator, and whether one of those stages runs on the scratch tuple.
+func stagesOf(plan *core.Plan) (fused, scratch bool) {
+	if plan == nil {
+		return false, false
+	}
+	for _, op := range plan.Ops {
+		for _, st := range op.Stages {
+			fused, scratch = true, scratch || st.Scratch
+		}
+	}
+	return fused, scratch
 }
 
 // shrink reduces a failing setting: it turns each off switch back on, then

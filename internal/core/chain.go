@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/mitos-project/mitos/internal/dataflow"
+	"github.com/mitos-project/mitos/internal/ir"
 )
 
 // Operator chaining: a plan-rewrite stage that runs after BuildPlan and
@@ -35,6 +38,13 @@ import (
 // chain driver's shared mailbox — the boundary is at the non-forward
 // input, not at the operator.
 //
+// Member fusion goes one step further for the commonest member: a map or a
+// filter becomes a stage of the operator that feeds it (fuseStages), run in
+// that operator's emit path, so an element crosses it by a UDF call and not
+// by a deliver → OnBatch → consume → emit hop, and a join's, cross's or
+// group output's tuple that the first stages only project is never built
+// (Stage.Scratch).
+//
 // Chaining is transparent to the bag protocol: hosts still see per-edge
 // FIFO event order (synchronous calls deliver in emission order), still
 // report their own completions and decisions, and still receive every
@@ -43,10 +53,11 @@ import (
 // already running the output bag it feeds), so bag identifiers, loop
 // pipelining, hoisting, and combiner flush semantics are unchanged.
 
-// BuildChains marks fusable forward edges as chained, groups the operators
-// into chains, and returns the number of chained edges. It must run after
-// BuildPlan and InsertCombiners; calling it again recomputes the same
-// result.
+// BuildChains marks fusable forward edges as chained, fuses chained map and
+// filter members into their producers (fuseStages), groups the operators
+// into chains, and returns the number of chained edges, fused stages
+// included. It must run after BuildPlan and InsertCombiners; calling it
+// again recomputes the same result.
 func (p *Plan) BuildChains() int {
 	for _, op := range p.Ops {
 		for i := range op.Inputs {
@@ -57,14 +68,19 @@ func (p *Plan) BuildChains() int {
 				!in.Producer.IsCondition && !op.IsCondition
 		}
 	}
+	p.fuseStages()
 	p.buildChainGroups()
 	return p.ChainedEdges()
 }
 
-// ChainedEdges counts the plan edges BuildChains fused.
+// ChainedEdges counts the plan edges BuildChains fused: the chained edges
+// between operators and the edge into every fused stage. Fusing a member
+// into its producer trades one for the other, so the count is the chained
+// edges of the plan before fusion.
 func (p *Plan) ChainedEdges() int {
 	n := 0
 	for _, op := range p.Ops {
+		n += len(op.Stages)
 		for _, in := range op.Inputs {
 			if in.Chained {
 				n++
@@ -125,4 +141,89 @@ func (p *Plan) buildChainGroups() {
 		}
 	}
 	p.Chains = chains
+}
+
+// fuseStages absorbs every chained map or filter C into the operator P that
+// feeds it, as P's next stage, when
+//
+//   - P and C are in the same block, so each of P's output bags maps to
+//     exactly one of C's, at the same path position: the fused operator's
+//     bag identifiers are C's;
+//   - C's edge is P's only consumer, so nothing reads P's unfused output;
+//   - C's UDF is a script lambda, not a native Go function.
+//
+// C's consumers then read from P, C leaves the plan and its instances leave
+// InstancesPerBlock, and IDs are renumbered, staying dense and topological.
+// Each stage keeps its own instruction and compiled UDF — nothing is
+// substituted — so a stage's error names its own variable, as the unfused
+// operator's did. Last, it marks the stages that run on the host's scratch
+// tuple (Stage.Scratch).
+func (p *Plan) fuseStages() {
+	for _, c := range p.Ops {
+		if !p.fusable(c) {
+			continue
+		}
+		prod := c.Inputs[0].Producer
+		prod.Stages = append(prod.Stages, Stage{Instr: c.Instr})
+		p.ByVar[c.Instr.Var] = prod
+		p.InstancesPerBlock[c.Block] -= c.Par
+		for _, op := range p.Ops { // a phi before c may read it over a back edge
+			for i := range op.Inputs {
+				if op.Inputs[i].Producer == c {
+					op.Inputs[i].Producer = prod
+				}
+			}
+		}
+		c.ID = -1 // absorbed
+	}
+	p.Ops = slices.DeleteFunc(p.Ops, func(op *PlanOp) bool { return op.ID < 0 })
+	for i, op := range p.Ops {
+		op.ID = i
+		if !emitsTuples(op) {
+			continue
+		}
+		for j := range op.Stages {
+			st := &op.Stages[j]
+			if st.Instr.F.Reads().Whole {
+				break
+			}
+			st.Scratch = true
+			if st.Instr.Kind == ir.OpMap {
+				break // its output is a projection, not the tuple
+			}
+		}
+	}
+}
+
+// fusable reports whether c can become a stage of its producer. Absorbed
+// operators (ID -1) no longer read anything.
+func (p *Plan) fusable(c *PlanOp) bool {
+	if c.Synth != SynthNone || (c.Instr.Kind != ir.OpMap && c.Instr.Kind != ir.OpFilter) ||
+		!c.Inputs[0].Chained || c.Instr.F.Native() {
+		return false
+	}
+	prod := c.Inputs[0].Producer
+	if prod.Block != c.Block {
+		return false
+	}
+	readers := 0
+	for _, op := range p.Ops {
+		for _, in := range op.Inputs {
+			if op.ID >= 0 && in.Producer == prod {
+				readers++
+			}
+		}
+	}
+	return readers == 1
+}
+
+// emitsTuples reports whether op's output elements are tuples the host
+// builds itself — a join's (key, left, right), a cross's (left, right), a
+// reduceByKey's (key, value) — which a scratch stage may read in place.
+func emitsTuples(op *PlanOp) bool {
+	switch op.Instr.Kind {
+	case ir.OpJoin, ir.OpCross, ir.OpReduceByKey:
+		return op.Synth == SynthNone
+	}
+	return false
 }

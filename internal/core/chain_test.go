@@ -8,7 +8,9 @@ import (
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
+	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/val"
 )
 
 // stepLoopSrc is the Fig. 7 step-overhead microbenchmark shape (the same
@@ -189,4 +191,86 @@ func TestDotRendersChains(t *testing.T) {
 	if !strings.Contains(dot, "chain 1") || !strings.Contains(dot, "chained") {
 		t.Errorf("dot output missing chain annotations:\n%s", dot)
 	}
+}
+
+// TestFuseStagesRules checks when BuildChains fuses a map or filter into its
+// producer: only over a chained edge, inside one block, from a producer with
+// no other consumer, and for a script lambda. A fused member leaves the
+// plan, its variable resolves to its producer, and IDs stay dense.
+func TestFuseStagesRules(t *testing.T) {
+	native := lang.NewBuilder()
+	native.Assign("a", lang.ReadFile(lang.StrLit("a")))
+	native.Assign("m", lang.MapBag(lang.Var("a"), lang.Native("id", 1, func(x []val.Value) val.Value { return x[0] })))
+	native.WriteFile(lang.Var("m"), lang.StrLit("o"))
+	for _, c := range []struct {
+		name   string
+		g      *ir.Graph
+		stages int // stages fused over the whole plan
+	}{
+		{"map and filter", compile(t, `a = readFile("a")
+m = a.map(x => x * 2).filter(x => x > 3)
+m.writeFile("o")`), 2},
+		{"second consumer", compile(t, `a = readFile("a")
+m = a.map(x => x * 2)
+a.writeFile("p")
+m.writeFile("o")`), 0},
+		{"other block", compile(t, `a = readFile("a")
+i = 0
+do {
+  m = a.map(x => x * 2)
+  i = i + 1
+} while (i < 2)
+m.writeFile("o")`), 0},
+		{"native", compileProgram(t, native.Program()), 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := BuildPlan(c.g, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.InsertCombiners()
+			ops, edges := len(p.Ops), p.BuildChains()
+			stages := 0
+			for i, op := range p.Ops {
+				if op.ID != i {
+					t.Errorf("op %s has ID %d at index %d", op.Instr.Var, op.ID, i)
+				}
+				stages += len(op.Stages)
+				for _, st := range op.Stages {
+					if p.ByVar[st.Instr.Var] != op {
+						t.Errorf("ByVar[%s] is not the operator it was fused into", st.Instr.Var)
+					}
+				}
+			}
+			if stages != c.stages || len(p.Ops) != ops-stages {
+				t.Errorf("%d stages fused, %d of %d operators left, want %d stages\n%s", stages, len(p.Ops), ops, c.stages, p)
+			}
+			if again := p.BuildChains(); again != edges {
+				t.Errorf("BuildChains again: %d edges, first %d", again, edges)
+			}
+			total := 0
+			for _, op := range p.Ops {
+				total += op.Par
+			}
+			sum := 0
+			for _, n := range p.InstancesPerBlock {
+				sum += n
+			}
+			if sum != total {
+				t.Errorf("InstancesPerBlock sums to %d, the plan has %d instances", sum, total)
+			}
+		})
+	}
+}
+
+func compileProgram(t *testing.T, prog *lang.Program) *ir.Graph {
+	t.Helper()
+	if _, err := lang.Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ir.CompileToSSA(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

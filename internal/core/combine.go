@@ -164,7 +164,7 @@ func (h *host) consumePartial(run *outputRun, x val.Value) error {
 		return h.foldInto(run.hash, x)
 	case SynthLocalDistinct:
 		// Later duplicates die here instead of crossing the shuffle.
-		h.emitIfNew(run, x)
+		return h.emitIfNew(run, x)
 	case SynthPartialSum:
 		return h.addSum(run, x)
 	case SynthPartialReduce:
@@ -177,25 +177,27 @@ func (h *host) consumePartial(run *outputRun, x val.Value) error {
 // traffic. The gathered aggregates emit at most one partial, and none for
 // an instance that saw no elements, so the finalizer's result for an
 // all-empty bag (0, 0, or no element) is identical to the uncombined run's.
-func (h *host) finishPartial(run *outputRun) {
+func (h *host) finishPartial(run *outputRun) error {
+	var err error
 	switch h.op.Synth {
 	case SynthCombineByKey:
-		h.emitGroups(run)
+		err = h.emitGroups(run)
 	case SynthPartialSum:
 		if run.count > 0 {
-			h.emitSum(run)
+			err = h.emitSum(run)
 		}
 	case SynthPartialCount:
 		if run.count > 0 {
-			h.emit(run, val.Int(run.count))
+			err = h.emit(run, val.Int(run.count))
 		}
 	case SynthPartialReduce:
 		if run.accSet {
-			h.emit(run, run.acc)
+			err = h.emit(run, run.acc)
 		}
 	}
 	h.rt.combineIn.Add(run.count)
 	h.combineIn.Add(run.count)
 	h.rt.combineOut.Add(run.nEmitted)
 	h.combineOut.Add(run.nEmitted)
+	return err
 }

@@ -378,7 +378,9 @@ func (h *host) finishDeltaMerge(run *outputRun) error {
 	h.solutionElements.Max(step.Elements)
 	h.solutionBytes.Max(step.Bytes)
 	for _, y := range changed {
-		h.emit(run, y)
+		if err := h.emit(run, y); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -397,7 +399,9 @@ func (h *host) finishSolution(run *outputRun) error {
 		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}
 	for _, e := range ents {
-		h.emit(run, e)
+		if err := h.emit(run, e); err != nil {
+			return err
+		}
 	}
 	return nil
 }

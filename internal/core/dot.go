@@ -16,6 +16,8 @@ import (
 // chains are rendered as groups: members share a purple border and a
 // "chain N" label, and the fused edges between them are bold purple —
 // chains may span blocks, so the block clusters stay the primary grouping.
+// An operator's fused stages are listed in its label, one "+ var kind" line
+// each, "(scratch)" marking the ones that read the scratch tuple.
 func (p *Plan) Dot() string { return p.dot(nil) }
 
 // DotLive renders the same digraph with each operator annotated with its
@@ -46,6 +48,12 @@ func (p *Plan) dot(snap *obs.Snapshot) string {
 			if op.Chain != 0 {
 				label += fmt.Sprintf("\\nchain %d", op.Chain)
 			}
+			for _, st := range op.Stages {
+				label += fmt.Sprintf("\\n+ %s %s", st.Instr.Var, st.Instr.Kind)
+				if st.Scratch {
+					label += " (scratch)"
+				}
+			}
 			if snap != nil {
 				name := op.Instr.Var
 				label += fmt.Sprintf("\\nin=%d out=%d bags=%d",
@@ -75,10 +83,11 @@ func (p *Plan) dot(snap *obs.Snapshot) string {
 	}
 	// Mark loop-invariant join-build edges (where hoisting applies).
 	loops := ir.AnalyzeLoops(p.IR)
-	hoistable := make(map[[2]string]bool)
+	hoistable := make(map[[2]*PlanOp]bool)
 	for _, e := range ir.FindInvariantEdges(p.IR, loops) {
 		if e.HoistableJoinBuild {
-			hoistable[[2]string{e.Producer.Var, e.Consumer.Var}] = true
+			// ByVar resolves a fused stage's variable to its operator.
+			hoistable[[2]*PlanOp{p.ByVar[e.Producer.Var], p.ByVar[e.Consumer.Var]}] = true
 		}
 	}
 	for _, op := range p.Ops {
@@ -94,7 +103,7 @@ func (p *Plan) dot(snap *obs.Snapshot) string {
 			if in.Chained {
 				attrs = append(attrs, "color=purple", "penwidth=2") // fused hop
 			}
-			if hoistable[[2]string{in.Producer.Instr.Var, op.Instr.Var}] {
+			if hoistable[[2]*PlanOp{in.Producer, op}] {
 				attrs = append(attrs, "color=darkgreen", "penwidth=2") // hoisted build side
 			}
 			fmt.Fprintf(&b, "  n%d -> n%d [%s];\n", in.Producer.ID, op.ID, strings.Join(attrs, ", "))

@@ -1,0 +1,264 @@
+package core_test
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"github.com/mitos-project/mitos/internal/bag"
+	"github.com/mitos-project/mitos/internal/cluster"
+	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/ir"
+	"github.com/mitos-project/mitos/internal/lang"
+	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/testprog"
+	"github.com/mitos-project/mitos/internal/val"
+	"github.com/mitos-project/mitos/internal/workload"
+)
+
+// visitCountBulkPlan is Plan.String of the visitcount_bulk benchmark
+// script at parallelism 4 with every option on. The join carries three
+// stages: the filter and the projecting map read the scratch tuple, the
+// pair-building map gets a carved one.
+const visitCountBulkPlan = `op0 b0 par1 yesterdayCounts.1 = empty() chain1
+op1 b0 par1 $t2.1 = singleton("pageTypes")
+op2 b0 par4 pageTypes.1 = readFile($t2.1) [in0<-op1 broadcast]
+op3 b0 par1 day.1 = singleton(1) chain2
+op4 b1 par1 yesterdayCounts.2 = phi(yesterdayCounts.1, yesterdayCounts.3) chain1 [in0<-op0 forward chained] [in1<-op15 gather]
+op5 b1 par1 day.2 = phi(day.1, day.3) chain2 [in0<-op3 forward chained] [in1<-op16 forward]
+op6 b1 par1 $t5.1 = combine(day.2) [p0 => "pageVisitLog" + p0] chain2 [in0<-op5 forward chained]
+op7 b1 par4 rawVisits.1 = readFile($t5.1) [in0<-op6 broadcast]
+    stage $t8.1 = map(rawVisits.1) [x => (x, 1)]
+op8 b1 par4 tagged.1 = join(pageTypes.1, $t8.1) chain3 [in0<-op2 shuffleKey] [in1<-op7 shuffleKey]
+    stage $t9.1 = filter(tagged.1) [t => t.1 == "article"] on scratch
+    stage visits.1 = map($t9.1) [t => t.0] on scratch
+    stage $t11.1 = map(visits.1) [x => (x, 1)]
+op9 b1 par4 counts.1 = reduceByKey($t11.1) [(a, b) => a + b] chain4 [in0<-op18 shuffleKey combined]
+op10 b1 par1 cond $t13.1 = combine(day.2) [p0 => p0 != 1] [in0<-op5 forward]
+op11 b3 par4 $t14.1 = join(counts.1, yesterdayCounts.2) chain5 [in0<-op9 shuffleKey] [in1<-op4 shuffleKey]
+    stage diffs.1 = map($t14.1) [t => abs(t.1 - t.2)] on scratch
+op12 b3 par1 $t16.1 = sum(diffs.1) chain2 [in0<-op19 gather combined]
+op13 b3 par1 $t17.1 = combine(day.2) [p0 => "diff" + p0] chain2 [in0<-op5 forward chained]
+op14 b3 par1 $w18.1 = writeFile($t16.1, $t17.1) chain2 [in0<-op12 forward chained] [in1<-op13 forward chained]
+op15 b4 par4 yesterdayCounts.3 = copy(counts.1) chain4 [in0<-op9 forward chained]
+op16 b4 par1 day.3 = combine(day.2) [p0 => p0 + 1] chain2 [in0<-op5 forward chained]
+op17 b4 par1 cond $t20.1 = combine(day.3) [p0 => p0 <= 6] [in0<-op16 forward]
+op18 b1 par4 combineByKey counts.1.combine = reduceByKey($t11.1) [(a, b) => a + b] chain3 [in0<-op8 forward chained]
+op19 b3 par4 partialSum $t16.1.combine = sum(diffs.1) chain5 [in0<-op11 forward chained]
+`
+
+// TestFusedPlanGolden pins the fused plan of visitcount_bulk, as Plan.String
+// prints it, and checks that the dot rendering lists the same stages.
+func TestFusedPlanGolden(t *testing.T) {
+	spec := workload.VisitCountSpec{Days: 6, VisitsPerDay: 25000, Pages: 2500, WithDiff: true, WithPageTypes: true}
+	g, err := spec.CompileMitos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Compile(g, 4, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.String(); got != visitCountBulkPlan {
+		t.Errorf("plan:\n%s\nwant:\n%s", got, visitCountBulkPlan)
+	}
+	dot := p.Dot()
+	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map"`} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("dot output lacks %q:\n%s", want, dot)
+		}
+	}
+}
+
+// wholeParamScript embeds or keeps a join's, a cross's and a group output's
+// tuple whole after scratch stages and projects it in between, so a stage
+// wrongly marked as running on scratch hands a consumer the scratch tuple,
+// which the poison hook then overwrites.
+const wholeParamScript = `a = readFile("a")
+b = readFile("b")
+j = a.join(b).map(t => (t, 1))
+j.writeFile("j")
+k = b.join(a).filter(t => t.1 > 3).map(t => (t.0, t))
+k.writeFile("k")
+f = a.join(a).filter(t => t.2 < 40)
+f.writeFile("f")
+c = a.cross(newBag(2)).filter(t => t.1 > 0).map(t => cond(t.0.1 > 10, t, (t.0, 0)))
+c.writeFile("c")
+r = b.reduceByKey((x, y) => x + y).map(t => (t, t.1))
+r.writeFile("r")
+`
+
+func wholeParamInputs(st store.Store) error {
+	var a, b []val.Value
+	for i := 0; i < 40; i++ {
+		a = append(a, val.Pair(val.Int(int64(i%7)), val.Int(int64(i))))
+		b = append(b, val.Pair(val.Int(int64(i%5)), val.Int(int64(3*i%11))))
+	}
+	if err := st.WriteDataset("a", a); err != nil {
+		return err
+	}
+	return st.WriteDataset("b", b)
+}
+
+// TestScratchPoison runs programs whose joins, crosses and group outputs
+// feed fused stages with a hook that overwrites the scratch tuple with a
+// sentinel every time an element leaves it: a stage that kept the tuple —
+// a read set that called a whole use a projection — would hand its
+// consumer the sentinel. Every run must write the bags of the sequential AST
+// interpreter. The programs are the three TestStreamedShare data shapes,
+// wholeParamScript and 60 generated programs, on the sim.
+func TestScratchPoison(t *testing.T) {
+	var poisoned atomic.Int64
+	sentinel := val.Str("scratch poisoned")
+	core.SetScratchHook(func(s []val.Value) {
+		poisoned.Add(1)
+		for i := range s {
+			s[i] = sentinel
+		}
+	})
+	t.Cleanup(func() { core.SetScratchHook(nil) })
+
+	spec := func(s workload.VisitCountSpec) (string, func(store.Store) error) {
+		return s.Script(), s.Generate
+	}
+	bulkSrc, bulkGen := spec(workload.VisitCountSpec{Days: 3, VisitsPerDay: 2500, Pages: 250, WithDiff: true, WithPageTypes: true, Seed: 1})
+	tcpSrc, tcpGen := spec(workload.VisitCountSpec{Days: 6, VisitsPerDay: 400, Pages: 100, WithDiff: true, Seed: 1})
+	conn := workload.ConnectedSpec{PairChains: 300, LongChains: 4, LongLen: 16}
+	for _, c := range []struct {
+		name string
+		src  string
+		gen  func(store.Store) error
+	}{
+		{"visitcount_bulk", bulkSrc, bulkGen},
+		{"connected_delta", workload.ConnectedScript, conn.Generate},
+		{"visitcount_tcp", tcpSrc, tcpGen},
+		{"whole_param", wholeParamScript, wholeParamInputs},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := poisoned.Load()
+			runAgainstAST(t, c.src, c.gen, 4)
+			if poisoned.Load() == before {
+				t.Error("no element left the scratch tuple: the shape ran nothing on scratch")
+			}
+		})
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			src, err := testprog.GenProgram(store.NewMemStore(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := func(st store.Store) error { _, err := testprog.GenProgram(st, seed); return err }
+			runAgainstAST(t, src, gen, 1+int(seed%4))
+		})
+	}
+}
+
+// runAgainstAST runs src with all options on over inputs from gen, on the
+// sim at the given machine count, and fails unless every dataset it writes
+// is the bag the sequential AST interpreter writes.
+func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machines int) {
+	t.Helper()
+	prog, err := lang.Parse(src)
+	if err == nil {
+		_, err = lang.Check(prog)
+	}
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	truth, got := store.NewMemStore(), store.NewMemStore()
+	if err := gen(truth); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.RunAST(prog, truth); err != nil {
+		t.Fatalf("AST interpreter: %v", err)
+	}
+	g, err := ir.CompileToSSA(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.FastConfig(machines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := core.Execute(g, got, cl, core.DefaultOptions()); err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	for _, name := range truth.Names() {
+		want, _ := truth.ReadDataset(name)
+		have, err := got.ReadDataset(name)
+		if err != nil || !bag.Equal(want, have) {
+			t.Errorf("dataset %q is %v, want %v\n%s", name, bag.Sorted(have), bag.Sorted(want), src)
+		}
+	}
+}
+
+// TestFusedStageErrorNamesStage: an error raised inside a fused stage names
+// the stage's own SSA variable, and the operator's error reads the same
+// with chaining on, where the map is a stage of the join, and off, where it
+// is an operator of its own. The engine prefixes the physical vertex that
+// failed (dataflow: name[instance]:), which is the join once fused; the
+// comparison starts after it.
+func TestFusedStageErrorNamesStage(t *testing.T) {
+	const src = `a = readFile("a")
+b = readFile("b")
+q = a.join(b).map(t => t.1 / (t.2 - t.2))
+q.writeFile("q")
+`
+	g := compileSrc(t, src)
+	run := func(chaining bool) (string, *core.Plan) {
+		st := store.NewMemStore()
+		if err := wholeParamInputs(st); err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Chaining = chaining
+		plan, err := core.Compile(g, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(cluster.FastConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		_, err = core.ExecutePlan(plan, st, cl, opts)
+		if err == nil {
+			t.Fatalf("chaining=%t: division by zero did not fail the run", chaining)
+		}
+		msg := err.Error()
+		return msg[strings.LastIndex(msg, "core: "):], plan
+	}
+	on, plan := run(true)
+	off, _ := run(false)
+	if op := plan.ByVar["q.1"]; op.Instr.Kind != ir.OpJoin || len(op.Stages) != 1 || op.Stages[0].Instr.Var != "q.1" {
+		t.Fatalf("the map is not the join's stage:\n%s", plan)
+	}
+	if !strings.HasPrefix(on, "core: q.1: ") || !strings.Contains(on, "division by zero") {
+		t.Errorf("fused stage error %q does not name q.1", on)
+	}
+	if on != off {
+		t.Errorf("error with chaining on %q, off %q", on, off)
+	}
+}
+
+func compileSrc(t *testing.T, src string) *ir.Graph {
+	t.Helper()
+	prog, err := lang.Parse(src)
+	if err == nil {
+		_, err = lang.Check(prog)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ir.CompileToSSA(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}

@@ -56,6 +56,10 @@ type host struct {
 	frame lang.Frame
 	args  [2]val.Value
 	slab  val.Slab
+	// scratch is the tuple a join, cross or group output is built in when
+	// the operator's first stages only project it (Stage.Scratch); it is
+	// read and written by runStages alone.
+	scratch [3]val.Value
 
 	// Loop-invariant hoisting: position of the input bag the cached join
 	// build state was built from (-1 when none), and the cached hash table.
@@ -92,6 +96,12 @@ type host struct {
 	deltaTouched     *obs.Counter
 	solutionElements *obs.Gauge
 	solutionBytes    *obs.Gauge
+	// Fused stages count their elements_in and elements_out under their own
+	// variables, and headOut adds each element a stage drops to the
+	// operator's own elements_out, which the engine counts after the last
+	// stage: every SSA variable reports the counts it reported unfused.
+	stageIO []stageCounters
+	headOut *obs.Counter
 
 	// Live progress for Job.Introspect, maintained unconditionally (one
 	// atomic store per bag, not per element) and read concurrently by the
@@ -99,6 +109,8 @@ type host struct {
 	curPos   atomic.Int64
 	bagsDone atomic.Int64
 }
+
+type stageCounters struct{ in, out *obs.Counter }
 
 // scheduled is an output bag the path has determined and the host has not
 // started: its position and the block the path arrived from, which is all a
@@ -217,6 +229,16 @@ func (h *host) Open(ctx *dataflow.Context) error {
 			h.deltaTouched = reg.Counter(h.machine, name, "delta_touched")
 			h.solutionElements = reg.Gauge(h.machine, name, "solution_elements")
 			h.solutionBytes = reg.Gauge(h.machine, name, "solution_bytes")
+		}
+		if len(h.op.Stages) > 0 {
+			h.headOut = reg.Counter(h.machine, name, "elements_out")
+			h.stageIO = make([]stageCounters, len(h.op.Stages))
+			for i, st := range h.op.Stages {
+				h.stageIO[i] = stageCounters{
+					in:  reg.Counter(h.machine, st.Instr.Var, "elements_in"),
+					out: reg.Counter(h.machine, st.Instr.Var, "elements_out"),
+				}
+			}
 		}
 	}
 	// Synthetic combiners clone their consumer's Instr (including its
@@ -726,8 +748,85 @@ func (h *host) apply(args []val.Value) (val.Value, error) {
 	return h.op.Instr.F.Apply(&h.frame)
 }
 
-// emit sends one element of the current output bag downstream.
-func (h *host) emit(run *outputRun, v val.Value) {
+// emit sends v, one element of the current output bag, through the
+// operator's fused stages and downstream.
+func (h *host) emit(run *outputRun, v val.Value) error {
+	if len(h.op.Stages) == 0 {
+		h.send(run, v)
+		return nil
+	}
+	return h.runStages(run, v, nil)
+}
+
+// emitTuple emits the tuple of fields: a join's, cross's or group output's
+// element. When the first stage runs on scratch the tuple is built in the
+// host's scratch tuple; otherwise it is carved from the slab.
+func (h *host) emitTuple(run *outputRun, fields ...val.Value) error {
+	if len(h.op.Stages) == 0 || !h.op.Stages[0].Scratch {
+		return h.emit(run, h.slab.Tuple(fields...))
+	}
+	return h.runStages(run, val.Value{}, fields)
+}
+
+// scratchHook, when a test sets it, sees the scratch tuple after every
+// stage evaluation that leaves the element off it, and may overwrite it.
+var scratchHook func(scratch []val.Value)
+
+// runStages is the stage-evaluation function: it runs the operator's fused
+// stages on one element, in order, and sends what the last one passes on.
+// Given fields, the element is that tuple, filled into the scratch tuple
+// for the leading stages marked Scratch — they only project it, so none can
+// keep it — and copied into the slab only at the first stage that could,
+// or on its way out: an element a scratch filter drops is never carved.
+func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error {
+	onScratch := fields != nil
+	if onScratch {
+		v = val.Tuple(h.scratch[:copy(h.scratch[:], fields)]...)
+	}
+	for i, st := range h.op.Stages {
+		if onScratch && !st.Scratch {
+			v, onScratch = h.slab.Tuple(v.Fields()...), false
+		}
+		if h.stageIO != nil {
+			h.stageIO[i].in.Inc()
+		}
+		h.args[0] = v
+		h.frame.Args = h.args[:1]
+		y, err := st.Instr.F.Apply(&h.frame)
+		if err != nil {
+			return fmt.Errorf("core: %s: %w", st.Instr.Var, err)
+		}
+		keep := true
+		if st.Instr.Kind == ir.OpMap {
+			v, onScratch = y, false
+		} else if y.Kind() != val.KindBool {
+			return fmt.Errorf("core: %s: filter predicate returned %s, want bool", st.Instr.Var, y.Kind())
+		} else {
+			keep = y.AsBool()
+		}
+		if !onScratch && scratchHook != nil {
+			scratchHook(h.scratch[:])
+		}
+		if !keep {
+			h.headOut.Inc()
+			return nil
+		}
+		if h.stageIO != nil {
+			h.stageIO[i].out.Inc()
+		}
+	}
+	if onScratch {
+		v = h.slab.Tuple(v.Fields()...)
+		if scratchHook != nil {
+			scratchHook(h.scratch[:])
+		}
+	}
+	h.send(run, v)
+	return nil
+}
+
+// send hands one element of the current output bag to the consumers.
+func (h *host) send(run *outputRun, v val.Value) {
 	run.emitted = v
 	run.nEmitted++
 	h.ctx.Emit(dataflow.Element{Tag: dataflow.Tag(run.pos), Val: v})

@@ -135,13 +135,13 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 	}
 	switch h.op.Instr.Kind {
 	case ir.OpCopy, ir.OpPhi, ir.OpUnion:
-		h.emit(run, x)
+		return h.emit(run, x)
 	case ir.OpMap:
 		y, err := h.call(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
-		h.emit(run, y)
+		return h.emit(run, y)
 	case ir.OpFlatMap:
 		y, err := h.call(x)
 		if err != nil {
@@ -151,7 +151,9 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			return fmt.Errorf("core: %s: flatMap function returned %s, want tuple", h.op.Instr.Var, y.Kind())
 		}
 		for _, f := range y.Fields() {
-			h.emit(run, f)
+			if err := h.emit(run, f); err != nil {
+				return err
+			}
 		}
 	case ir.OpFilter:
 		keep, err := h.call(x)
@@ -162,7 +164,7 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			return fmt.Errorf("core: %s: filter predicate returned %s, want bool", h.op.Instr.Var, keep.Kind())
 		}
 		if keep.AsBool() {
-			h.emit(run, x)
+			return h.emit(run, x)
 		}
 	case ir.OpJoin:
 		// Slot 0 builds the hash table, slot 1 streams probes against it.
@@ -185,12 +187,16 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			})
 		} else if matches, ok := run.build.Get(k); ok {
 			for _, lv := range matches {
-				h.emit(run, h.slab.Tuple(k, lv, v))
+				if err := h.emitTuple(run, k, lv, v); err != nil {
+					return err
+				}
 			}
 		}
 	case ir.OpCross:
 		for _, r := range h.bagFor(run, 1).elems {
-			h.emit(run, h.slab.Tuple(x, r))
+			if err := h.emitTuple(run, x, r); err != nil {
+				return err
+			}
 		}
 	case ir.OpReduceByKey:
 		return h.foldInto(run.hash, x)
@@ -215,7 +221,7 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			run.count++
 		}
 	case ir.OpDistinct:
-		h.emitIfNew(run, x)
+		return h.emitIfNew(run, x)
 	case ir.OpCombine, ir.OpReadFile, ir.OpWriteFile:
 		// A singleton input, captured into run.args[i].
 		if run.args[i].IsValid() {
@@ -280,27 +286,28 @@ func (h *host) addSum(run *outputRun, x val.Value) error {
 	return nil
 }
 
-func (h *host) emitSum(run *outputRun) {
+func (h *host) emitSum(run *outputRun) error {
 	if run.sumIsF {
-		h.emit(run, val.Float(run.sumFloat+float64(run.sumInt)))
-	} else {
-		h.emit(run, val.Int(run.sumInt))
+		return h.emit(run, val.Float(run.sumFloat+float64(run.sumInt)))
 	}
+	return h.emit(run, val.Int(run.sumInt))
 }
 
 // emitIfNew streams first occurrences, so distinct stays pipelined.
-func (h *host) emitIfNew(run *outputRun, x val.Value) {
+func (h *host) emitIfNew(run *outputRun, x val.Value) error {
 	if !run.distinct.Update(x, func(struct{}, bool) struct{} { return struct{}{} }) {
-		h.emit(run, x)
+		return h.emit(run, x)
 	}
+	return nil
 }
 
 // emitGroups emits a fold table as (key, value) pairs.
-func (h *host) emitGroups(run *outputRun) {
+func (h *host) emitGroups(run *outputRun) (err error) {
 	run.hash.Range(func(k, v val.Value) bool {
-		h.emit(run, h.slab.Tuple(k, v))
-		return true
+		err = h.emitTuple(run, k, v)
+		return err == nil
 	})
+	return err
 }
 
 // endSlot runs once when slot i's bag is complete and fully consumed.
@@ -327,32 +334,31 @@ func (h *host) endSlot(run *outputRun, i int, use slotUse) error {
 // kinds that emit on completion do so here.
 func (h *host) finishKind(run *outputRun) error {
 	if h.op.Synth != SynthNone {
-		h.finishPartial(run)
-		return nil
+		return h.finishPartial(run)
 	}
 	switch h.op.Instr.Kind {
 	case ir.OpSingleton:
-		h.emit(run, h.op.Instr.Lit)
+		return h.emit(run, h.op.Instr.Lit)
 	case ir.OpReduceByKey:
-		h.emitGroups(run)
+		return h.emitGroups(run)
 	case ir.OpDeltaMerge:
 		return h.finishDeltaMerge(run)
 	case ir.OpSolution:
 		return h.finishSolution(run)
 	case ir.OpReduce:
 		if run.accSet {
-			h.emit(run, run.acc)
+			return h.emit(run, run.acc)
 		}
 	case ir.OpSum:
-		h.emitSum(run)
+		return h.emitSum(run)
 	case ir.OpCount:
-		h.emit(run, val.Int(run.count))
+		return h.emit(run, val.Int(run.count))
 	case ir.OpCombine:
 		y, err := h.apply(run.args)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
-		h.emit(run, y)
+		return h.emit(run, y)
 	case ir.OpReadFile:
 		return h.finishReadFile(run)
 	case ir.OpWriteFile:
@@ -375,7 +381,9 @@ func (h *host) finishReadFile(run *outputRun) error {
 		}
 		for _, b := range blocks {
 			for _, e := range b {
-				h.emit(run, e)
+				if err := h.emit(run, e); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -386,7 +394,9 @@ func (h *host) finishReadFile(run *outputRun) error {
 	}
 	// This instance reads its stride partition of the dataset.
 	for i := h.inst; i < len(elems); i += h.op.Par {
-		h.emit(run, elems[i])
+		if err := h.emit(run, elems[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -45,12 +45,28 @@ type PlanOp struct {
 	// Chain is the 1-based index into Plan.Chains of the operator's chain
 	// group, 0 when unchained (or before BuildChains runs).
 	Chain int
+	// Stages are the map and filter operators BuildChains fused into this
+	// one, in order: the host runs them on every element the operator
+	// emits, and what the last one passes on is the operator's output.
+	Stages []Stage
 	// StateJournal, on deltaMerge operators, marks that some solution
 	// operator reads the state from inside a loop that also contains the
 	// deltaMerge: with pipelining the merge may run ahead of the read, so
 	// the state store must keep per-step undo records to reconstruct the
 	// step the reader targets. Off for the common read-after-loop case.
 	StateJournal bool
+}
+
+// Stage is one map or filter operator fused into the operator that feeds it.
+type Stage struct {
+	Instr *ir.Instr
+	// Scratch marks a stage that reads its element from the host's scratch
+	// tuple instead of a tuple carved for it: the operator emits tuples (a
+	// join, cross or group output), every stage before this one is a
+	// scratch filter, and this stage's lambda reads its parameter only
+	// under a field projection (lang.ReadSet), so nothing it returns can
+	// hold the tuple itself.
+	Scratch bool
 }
 
 // PlanInput describes one logical input slot.
@@ -346,7 +362,8 @@ func (p *Plan) CondOpOfBlock(b ir.BlockID) *PlanOp {
 	return p.ByVar[blk.Term.Cond]
 }
 
-// String renders the plan for debugging and the mitos-dot tool.
+// String renders the plan for debugging and the mitos-dot tool: one line
+// per operator, then one indented line per fused stage.
 func (p *Plan) String() string {
 	s := ""
 	for _, op := range p.Ops {
@@ -370,6 +387,12 @@ func (p *Plan) String() string {
 				s += " chained"
 			}
 			s += "]"
+		}
+		for _, st := range op.Stages {
+			s += "\n    stage " + st.Instr.String()
+			if st.Scratch {
+				s += " on scratch"
+			}
 		}
 		s += "\n"
 	}

@@ -334,12 +334,15 @@ func TestCombinersShrinkReduceByKeyShuffles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := core.BuildPlan(g, machines)
+		ob := obs.New()
+		opts := core.DefaultOptions()
+		opts.Combiners = combine
+		opts.Obs = ob
+		// The plan the run executes: with chaining, a producer may be the
+		// operator its map was fused into.
+		plan, err := core.Compile(g, machines, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if combine {
-			plan.InsertCombiners()
 		}
 		producers := make(map[string]bool)
 		for _, op := range plan.Ops {
@@ -351,10 +354,6 @@ func TestCombinersShrinkReduceByKeyShuffles(t *testing.T) {
 			t.Fatal("no reduceByKey shuffle edges in the Visit Count plan")
 		}
 
-		ob := obs.New()
-		opts := core.DefaultOptions()
-		opts.Combiners = combine
-		opts.Obs = ob
 		cl, err := cluster.New(cluster.FastConfig(machines))
 		if err != nil {
 			t.Fatal(err)
