@@ -24,7 +24,7 @@ import (
 var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "templates", "delta"}
 
 // exercises names what the harness must see happen at least once.
-var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch"}
+var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output"}
 
 // setting is one row of the differential table: a generated program, the
 // switches that are off, the machine count and the backend. On TCP the
@@ -86,8 +86,8 @@ type tcpCluster struct {
 // agree, and so do the delta elements in within a delta class. A failure is
 // shrunk to the smallest setting that still fails and logged as one repro
 // line. Once every seed has run, the harness fails if no run did one of the
-// exercises; fusing a stage and running one on scratch are read from the
-// plans of the sim runs.
+// exercises; fusing a stage, running one on scratch and lending an output are
+// read from the plans of the sim runs.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -265,8 +265,8 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 			if _, seen := deltaIn[s.deltaClass()]; !seen {
 				deltaIn[s.deltaClass()] = res.DeltaIn
 			}
-			fused, scratch := stagesOf(outs[i].plan)
-			for j, ok := range [len(exercises)]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch} {
+			fused, scratch, lent := stagesOf(outs[i].plan)
+			for j, ok := range [len(exercises)]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch, lent} {
 				if ok {
 					saw[j].Store(true)
 				}
@@ -288,17 +288,19 @@ type outcome struct {
 }
 
 // stagesOf reports whether plan (nil for a TCP run) fused a stage into an
-// operator, and whether one of those stages runs on the scratch tuple.
-func stagesOf(plan *core.Plan) (fused, scratch bool) {
+// operator, whether one of those stages runs on the scratch tuple, and
+// whether an operator lends its output.
+func stagesOf(plan *core.Plan) (fused, scratch, lent bool) {
 	if plan == nil {
-		return false, false
+		return false, false, false
 	}
 	for _, op := range plan.Ops {
+		lent = lent || op.Lends
 		for _, st := range op.Stages {
 			fused, scratch = true, scratch || st.Scratch
 		}
 	}
-	return fused, scratch
+	return fused, scratch, lent
 }
 
 // shrink reduces a failing setting: it turns each off switch back on, then

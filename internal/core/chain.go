@@ -43,7 +43,9 @@ import (
 // that operator's emit path, so an element crosses it by a UDF call and not
 // by a deliver → OnBatch → consume → emit hop, and a join's, cross's or
 // group output's tuple that the first stages only project is never built
-// (Stage.Scratch).
+// (Stage.Scratch). The tuple literal a map builds for a keyed reader on a
+// chained edge — the x => (x, 1) in front of a combiner — is not carved at
+// all: the host lends it (PlanOp.Lends).
 //
 // Chaining is transparent to the bag protocol: hosts still see per-edge
 // FIFO event order (synchronous calls deliver in emission order), still
@@ -157,7 +159,8 @@ func (p *Plan) buildChainGroups() {
 // Each stage keeps its own instruction and compiled UDF — nothing is
 // substituted — so a stage's error names its own variable, as the unfused
 // operator's did. Last, it marks the stages that run on the host's scratch
-// tuple (Stage.Scratch).
+// tuple (Stage.Scratch) and the operators that lend their output
+// (PlanOp.Lends).
 func (p *Plan) fuseStages() {
 	for _, c := range p.Ops {
 		if !p.fusable(c) {
@@ -193,6 +196,56 @@ func (p *Plan) fuseStages() {
 			}
 		}
 	}
+	for _, op := range p.Ops {
+		op.Lends = p.lends(op)
+	}
+}
+
+// lendWidth is the widest tuple literal a host lends (host.lent).
+const lendWidth = 3
+
+// lends reports whether op's output elements can be lent (PlanOp.Lends):
+// its last map builds a tuple literal, and it has readers, each on a chained
+// edge — an element on it is a synchronous call that returns before the next
+// one is built — and each reading in place.
+func (p *Plan) lends(op *PlanOp) bool {
+	last := op.Instr
+	if n := len(op.Stages); n > 0 {
+		last = op.Stages[n-1].Instr
+	} else if op.Synth != SynthNone {
+		return false
+	}
+	if last.Kind != ir.OpMap || last.F == nil {
+		return false
+	}
+	if w := last.F.TupleWidth(); w == 0 || w > lendWidth {
+		return false
+	}
+	readers := 0
+	for _, c := range p.Ops {
+		for _, in := range c.Inputs {
+			if in.Producer != op {
+				continue
+			}
+			if !in.Chained || !readsInPlace(c) {
+				return false
+			}
+			readers++
+		}
+	}
+	return readers > 0
+}
+
+// readsInPlace reports whether op uses each element only through pairParts
+// and keeps just the key and the value, never the pair. Of the readers a
+// compiled plan can chain to a map, only the key combiner does: it folds
+// them into its table. Every other chained reader may keep or forward the
+// element itself — the local distinct combiner keys a table by it, writeFile
+// stores it, union, copy and phi pass it on, a partial reduce holds it as
+// its accumulator — so its producer carves. reduceByKey, deltaMerge and join
+// would read in place too, but they always read over a shuffle.
+func readsInPlace(op *PlanOp) bool {
+	return op.Synth == SynthCombineByKey
 }
 
 // fusable reports whether c can become a stage of its producer. Absorbed

@@ -17,7 +17,8 @@ import (
 // "chain N" label, and the fused edges between them are bold purple —
 // chains may span blocks, so the block clusters stay the primary grouping.
 // An operator's fused stages are listed in its label, one "+ var kind" line
-// each, "(scratch)" marking the ones that read the scratch tuple.
+// each, "(scratch)" marking the ones that read the scratch tuple and
+// "(lends)" the map, stage or operator, that lends its output.
 func (p *Plan) Dot() string { return p.dot(nil) }
 
 // DotLive renders the same digraph with each operator annotated with its
@@ -45,13 +46,19 @@ func (p *Plan) dot(snap *obs.Snapshot) string {
 				kind = op.Synth.String()
 			}
 			label := fmt.Sprintf("%s\\n%s par=%d", op.Instr.Var, kind, op.Par)
+			if op.Lends && len(op.Stages) == 0 {
+				label += " (lends)"
+			}
 			if op.Chain != 0 {
 				label += fmt.Sprintf("\\nchain %d", op.Chain)
 			}
-			for _, st := range op.Stages {
+			for i, st := range op.Stages {
 				label += fmt.Sprintf("\\n+ %s %s", st.Instr.Var, st.Instr.Kind)
 				if st.Scratch {
 					label += " (scratch)"
+				}
+				if op.Lends && i == len(op.Stages)-1 {
+					label += " (lends)"
 				}
 			}
 			if snap != nil {

@@ -19,8 +19,9 @@ import (
 
 // visitCountBulkPlan is Plan.String of the visitcount_bulk benchmark
 // script at parallelism 4 with every option on. The join carries three
-// stages: the filter and the projecting map read the scratch tuple, the
-// pair-building map gets a carved one.
+// stages: the filter and the projecting map read the scratch tuple, and the
+// pair-building map lends its pair to the chained combiner. The readFile's
+// (x, 1) crosses the join's shuffle, so it is carved.
 const visitCountBulkPlan = `op0 b0 par1 yesterdayCounts.1 = empty() chain1
 op1 b0 par1 $t2.1 = singleton("pageTypes")
 op2 b0 par4 pageTypes.1 = readFile($t2.1) [in0<-op1 broadcast]
@@ -33,7 +34,7 @@ op7 b1 par4 rawVisits.1 = readFile($t5.1) [in0<-op6 broadcast]
 op8 b1 par4 tagged.1 = join(pageTypes.1, $t8.1) chain3 [in0<-op2 shuffleKey] [in1<-op7 shuffleKey]
     stage $t9.1 = filter(tagged.1) [t => t.1 == "article"] on scratch
     stage visits.1 = map($t9.1) [t => t.0] on scratch
-    stage $t11.1 = map(visits.1) [x => (x, 1)]
+    stage $t11.1 = map(visits.1) [x => (x, 1)] lends
 op9 b1 par4 counts.1 = reduceByKey($t11.1) [(a, b) => a + b] chain4 [in0<-op18 shuffleKey combined]
 op10 b1 par1 cond $t13.1 = combine(day.2) [p0 => p0 != 1] [in0<-op5 forward]
 op11 b3 par4 $t14.1 = join(counts.1, yesterdayCounts.2) chain5 [in0<-op9 shuffleKey] [in1<-op4 shuffleKey]
@@ -64,7 +65,7 @@ func TestFusedPlanGolden(t *testing.T) {
 		t.Errorf("plan:\n%s\nwant:\n%s", got, visitCountBulkPlan)
 	}
 	dot := p.Dot()
-	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map"`} {
+	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map (lends)"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map"`} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("dot output lacks %q:\n%s", want, dot)
 		}
@@ -101,18 +102,72 @@ func wholeParamInputs(st store.Store) error {
 	return st.WriteDataset("b", b)
 }
 
+// lendScript feeds tuple-literal maps to two groups of readers. Readers
+// that read in place, so the map lends: the key combiners of sSum (a map of
+// its own, on a read shared with other maps) and eSum (a stage of its
+// readFile). Readers that keep or pass on the element, so the map must
+// carve: the local distinct combiner (dPairs), a chained writeFile (w), a phi
+// on the loop's entry edge (p.1) and, over its back edge, the phi with the
+// loop body fused in (p.3), and a map with a folding and a non-folding
+// reader (two). A wrong lend hands the keeping reader a tuple the poison
+// hook then overwrites.
+const lendScript = `s = readFile("s")
+e = readFile("e")
+sPairs = s.map(x => (x % 5, x))
+sSum = sPairs.reduceByKey((x, y) => x + y)
+sSum.writeFile("sSum")
+ePairs = e.map(x => (x % 4, 1))
+eSum = ePairs.reduceByKey((x, y) => x + y)
+eSum.writeFile("eSum")
+dPairs = s.map(x => (x % 4, 1))
+d = dPairs.distinct()
+d.writeFile("d")
+w = newBag(7).map(x => (x, x + 1))
+w.writeFile("w")
+two = s.map(x => (x % 3, x))
+twoSum = two.reduceByKey((x, y) => x + y)
+twoSum.writeFile("twoSum")
+two.writeFile("two")
+p = s.map(x => (x, 0))
+i = 0
+do {
+  p = p.map(t => (t.0, t.1 + 1))
+  i = i + 1
+} while (i < 3)
+p.writeFile("p")
+`
+
+func lendInputs(st store.Store) error {
+	var s, e []val.Value
+	for i := 0; i < 60; i++ {
+		s = append(s, val.Int(int64(i)))
+		e = append(e, val.Int(int64(7*i%13)))
+	}
+	if err := st.WriteDataset("s", s); err != nil {
+		return err
+	}
+	return st.WriteDataset("e", e)
+}
+
 // TestScratchPoison runs programs whose joins, crosses and group outputs
-// feed fused stages with a hook that overwrites the scratch tuple with a
-// sentinel every time an element leaves it: a stage that kept the tuple —
-// a read set that called a whole use a projection — would hand its
-// consumer the sentinel. Every run must write the bags of the sequential AST
-// interpreter. The programs are the three TestStreamedShare data shapes,
-// wholeParamScript and 60 generated programs, on the sim.
+// feed fused stages, and whose tuple-literal maps feed readers that may or
+// may not read in place, with a hook that overwrites the scratch tuple with
+// a sentinel every time an element leaves it and the lent tuple every time
+// an element has been handed over: a stage that kept the scratch tuple — a
+// read set that called a whole use a projection — or a reader that kept a
+// lent pair would hand its consumer the sentinel. Every run must write the
+// bags of the sequential AST interpreter. The programs are the three
+// TestStreamedShare data shapes, wholeParamScript, lendScript and 60
+// generated programs, on the sim.
 func TestScratchPoison(t *testing.T) {
-	var poisoned atomic.Int64
+	var onScratch, lent atomic.Int64
 	sentinel := val.Str("scratch poisoned")
-	core.SetScratchHook(func(s []val.Value) {
-		poisoned.Add(1)
+	core.SetScratchHook(func(s []val.Value, isLent bool) {
+		if isLent {
+			lent.Add(1)
+		} else {
+			onScratch.Add(1)
+		}
 		for i := range s {
 			s[i] = sentinel
 		}
@@ -126,20 +181,46 @@ func TestScratchPoison(t *testing.T) {
 	tcpSrc, tcpGen := spec(workload.VisitCountSpec{Days: 6, VisitsPerDay: 400, Pages: 100, WithDiff: true, Seed: 1})
 	conn := workload.ConnectedSpec{PairChains: 300, LongChains: 4, LongLen: 16}
 	for _, c := range []struct {
-		name string
-		src  string
-		gen  func(store.Store) error
+		name    string
+		src     string
+		gen     func(store.Store) error
+		scratch bool
+		lent    []string // variables whose maps lend; nil: none may
+		carved  []string // variables whose maps must not
 	}{
-		{"visitcount_bulk", bulkSrc, bulkGen},
-		{"connected_delta", workload.ConnectedScript, conn.Generate},
-		{"visitcount_tcp", tcpSrc, tcpGen},
-		{"whole_param", wholeParamScript, wholeParamInputs},
+		{"visitcount_bulk", bulkSrc, bulkGen, true, []string{"$t11.1"}, []string{"$t8.1"}},
+		{"connected_delta", workload.ConnectedScript, conn.Generate, true, nil, nil},
+		{"visitcount_tcp", tcpSrc, tcpGen, true, []string{"$t5.1"}, nil},
+		{"whole_param", wholeParamScript, wholeParamInputs, true, nil, nil},
+		{"lend", lendScript, lendInputs, false, []string{"sPairs.1", "ePairs.1"}, []string{"dPairs.1", "w.1", "two.1", "p.1", "p.3"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			before := poisoned.Load()
-			runAgainstAST(t, c.src, c.gen, 4)
-			if poisoned.Load() == before {
+			scratchBefore, lentBefore := onScratch.Load(), lent.Load()
+			plan := runAgainstAST(t, c.src, c.gen, 4)
+			if c.scratch && onScratch.Load() == scratchBefore {
 				t.Error("no element left the scratch tuple: the shape ran nothing on scratch")
+			}
+			if got := lent.Load() > lentBefore; got != (c.lent != nil) {
+				t.Errorf("elements lent: %t, want %t\n%s", got, c.lent != nil, plan)
+			}
+			lenders := 0
+			for _, op := range plan.Ops {
+				if op.Lends {
+					lenders++
+				}
+			}
+			if lenders != len(c.lent) {
+				t.Errorf("%d operators lend, want %d\n%s", lenders, len(c.lent), plan)
+			}
+			for _, v := range c.lent {
+				if op := plan.ByVar[v]; op == nil || !op.Lends {
+					t.Errorf("the map of %s does not lend\n%s", v, plan)
+				}
+			}
+			for _, v := range c.carved {
+				if op := plan.ByVar[v]; op == nil || op.Lends {
+					t.Errorf("the map of %s lends\n%s", v, plan)
+				}
 			}
 		})
 	}
@@ -157,8 +238,9 @@ func TestScratchPoison(t *testing.T) {
 
 // runAgainstAST runs src with all options on over inputs from gen, on the
 // sim at the given machine count, and fails unless every dataset it writes
-// is the bag the sequential AST interpreter writes.
-func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machines int) {
+// is the bag the sequential AST interpreter writes. It returns the plan that
+// ran.
+func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machines int) *core.Plan {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err == nil {
@@ -186,7 +268,11 @@ func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machin
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := core.Execute(g, got, cl, core.DefaultOptions()); err != nil {
+	plan, err := core.Compile(g, machines, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.ExecutePlan(plan, got, cl, core.DefaultOptions()); err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
 	for _, name := range truth.Names() {
@@ -196,6 +282,7 @@ func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machin
 			t.Errorf("dataset %q is %v, want %v\n%s", name, bag.Sorted(have), bag.Sorted(want), src)
 		}
 	}
+	return plan
 }
 
 // TestFusedStageErrorNamesStage: an error raised inside a fused stage names

@@ -60,6 +60,13 @@ type host struct {
 	// the operator's first stages only project it (Stage.Scratch); it is
 	// read and written by runStages alone.
 	scratch [3]val.Value
+	// lent is the tuple the operator's last map fills its output into when
+	// the operator lends (PlanOp.Lends): each element is one synchronous
+	// handoff to chained readers that keep only its fields, so the next
+	// element may overwrite it. Separate from scratch, which that map may be
+	// reading. Only runStages and consume's map path set it as the frame's
+	// Out.
+	lent [lendWidth]val.Value
 
 	// Loop-invariant hoisting: position of the input bag the cached join
 	// build state was built from (-1 when none), and the cached hash table.
@@ -145,6 +152,9 @@ type inputBuf struct {
 	// its bags are created and completed by their end-of-bags and never
 	// hold an element.
 	discard bool
+	// lent marks a slot whose producer lends its elements (PlanOp.Lends):
+	// one that is buffered instead of consumed live is copied first.
+	lent bool
 }
 
 type inBag struct {
@@ -192,6 +202,7 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 		buf := &h.inbufs[i]
 		buf.singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
 		buf.discard = op.Instr.Kind == ir.OpSolution && op.Synth == SynthNone
+		buf.lent = in.Producer.Lends
 		buf.occ = slices.IndexFunc(h.occ, func(q occQueue) bool { return q.block == in.Producer.Block })
 		if buf.occ < 0 {
 			buf.occ = len(h.occ)
@@ -312,7 +323,9 @@ var batchHook func(op *PlanOp, input, streamed, buffered int)
 // consuming on this slot straight to the operator logic and drops those of a
 // discard slot; everything else — a bag that arrives before its output
 // started, the probe side during a join build, a re-readable bag — is
-// buffered into its bag and pumped.
+// buffered into its bag and pumped. A lent element is buffered as a copy
+// carved from this host's slab: its producer overwrites it as soon as this
+// call returns.
 func (h *host) OnBatch(input, from int, batch []Element) error {
 	buf := &h.inbufs[input]
 	live, run := -1, h.cur
@@ -340,6 +353,9 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 		}
 		if b == nil || b.pos != pos {
 			b = h.bagAt(input, pos)
+		}
+		if buf.lent {
+			e.Val = h.slab.Tuple(e.Val.Fields()...)
 		}
 		b.elems = append(b.elems, e.Val)
 		buffered++
@@ -769,8 +785,9 @@ func (h *host) emitTuple(run *outputRun, fields ...val.Value) error {
 }
 
 // scratchHook, when a test sets it, sees the scratch tuple after every
-// stage evaluation that leaves the element off it, and may overwrite it.
-var scratchHook func(scratch []val.Value)
+// stage evaluation that leaves the element off it, and the lent tuple after
+// every element that leaves it (lent), and may overwrite either.
+var scratchHook func(tuple []val.Value, lent bool)
 
 // runStages is the stage-evaluation function: it runs the operator's fused
 // stages on one element, in order, and sends what the last one passes on.
@@ -778,11 +795,14 @@ var scratchHook func(scratch []val.Value)
 // for the leading stages marked Scratch — they only project it, so none can
 // keep it — and copied into the slab only at the first stage that could,
 // or on its way out: an element a scratch filter drops is never carved.
+// When the operator lends, the last stage, a map, builds its tuple in the
+// lent tuple, which is free again once send returns.
 func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error {
 	onScratch := fields != nil
 	if onScratch {
 		v = val.Tuple(h.scratch[:copy(h.scratch[:], fields)]...)
 	}
+	last := len(h.op.Stages) - 1
 	for i, st := range h.op.Stages {
 		if onScratch && !st.Scratch {
 			v, onScratch = h.slab.Tuple(v.Fields()...), false
@@ -792,7 +812,11 @@ func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error 
 		}
 		h.args[0] = v
 		h.frame.Args = h.args[:1]
+		if i == last && h.op.Lends {
+			h.frame.Out = h.lent[:]
+		}
 		y, err := st.Instr.F.Apply(&h.frame)
+		h.frame.Out = nil
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", st.Instr.Var, err)
 		}
@@ -805,7 +829,7 @@ func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error 
 			keep = y.AsBool()
 		}
 		if !onScratch && scratchHook != nil {
-			scratchHook(h.scratch[:])
+			scratchHook(h.scratch[:], false)
 		}
 		if !keep {
 			h.headOut.Inc()
@@ -818,10 +842,13 @@ func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error 
 	if onScratch {
 		v = h.slab.Tuple(v.Fields()...)
 		if scratchHook != nil {
-			scratchHook(h.scratch[:])
+			scratchHook(h.scratch[:], false)
 		}
 	}
 	h.send(run, v)
+	if h.op.Lends && scratchHook != nil {
+		scratchHook(h.lent[:], true)
+	}
 	return nil
 }
 

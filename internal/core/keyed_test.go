@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
@@ -130,5 +132,118 @@ func TestSolutionApplyAllocs(t *testing.T) {
 	}
 	if got, want := s.idx.Len(), 10000+100*step; got != want {
 		t.Errorf("solution set holds %d keys, want %d", got, want)
+	}
+}
+
+// lentCombine hand-feeds the shape of every Visit Count day: a copy with the
+// map x => (x, 1) fused in as its stage, whose pairs go to its chained key
+// combiner, lent when lends is set. Both hosts are running the output bag at
+// position 2 of loopPlan's b1 when it returns; the test feeds the copy.
+func lentCombine(tb testing.TB, lends bool) (m, c *host) {
+	tb.Helper()
+	mop := &PlanOp{Instr: &ir.Instr{Var: "m", Kind: ir.OpCopy}, Block: 1, Par: 1, Lends: lends,
+		Stages: []Stage{{Instr: &ir.Instr{Var: "pairs", Kind: ir.OpMap, F: mustUDF(tb, pairUDF)}}},
+		Inputs: []PlanInput{{Producer: &PlanOp{Instr: &ir.Instr{Var: "in0"}, Block: 1}, Part: dataflow.PartForward}}}
+	cop := &PlanOp{ID: 1, Instr: &ir.Instr{Var: "c", Kind: ir.OpReduceByKey, F: mustUDF(tb, addUDF)}, Block: 1, Par: 1,
+		Synth: SynthCombineByKey, Inputs: []PlanInput{{Producer: mop, Part: dataflow.PartForward, Chained: true}}}
+	rt := &runtime{plan: loopPlan(), store: store.NewMemStore(), opts: DefaultOptions(), emit: func(CoordEvent) {}}
+	var g dataflow.Graph
+	in := g.AddOp("in0", 1, func(int) dataflow.Vertex { return &collector{} })
+	mid := g.AddOp("m", 1, func(int) dataflow.Vertex { m = newHost(rt, mop, 0); return m })
+	cid := g.AddOp("c", 1, func(int) dataflow.Vertex { c = newHost(rt, cop, 0); return c })
+	g.Connect(in, mid, 0, dataflow.PartForward)
+	g.ConnectChained(mid, cid, 0)
+	startHandFed(tb, &g)
+	for _, h := range []*host{c, m} {
+		visit(tb, h, 0)
+		visit(tb, h, 1)
+	}
+	return m, c
+}
+
+// pageBatch is one 1024-element batch of bag 2 over 16 page names.
+func pageBatch() []Element {
+	batch := make([]Element, 1024)
+	for i := range batch {
+		batch[i] = Element{Tag: 2, Val: val.Str(fmt.Sprintf("page%02d", i%16))}
+	}
+	return batch
+}
+
+// TestLentPairAllocFree: a fused x => (x, 1) lending to its chained key
+// combiner allocates nothing per element once the fold table holds every key
+// — the pair lives in the host's lent tuple and the combiner keeps its fields
+// — and folds what a carved pair folds. Carved, the same batch costs a slab
+// chunk per 127 pairs, which is what tells the two apart.
+func TestLentPairAllocFree(t *testing.T) {
+	batch := pageBatch()
+	const runs = 20
+	for _, lends := range []bool{true, false} {
+		m, c := lentCombine(t, lends)
+		n := testing.AllocsPerRun(runs, func() {
+			if err := m.OnBatch(0, 0, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lends && n != 0 {
+			t.Errorf("lent: %v allocs per %d-pair batch, want 0", n, len(batch))
+		}
+		if !lends && n < 4 {
+			t.Errorf("carved: %v allocs per %d-pair batch, want a slab chunk per 127 pairs", n, len(batch))
+		}
+		if got := m.lent[1].IsValid(); got != lends {
+			t.Errorf("lends=%t: the lent tuple was filled: %t", lends, got)
+		}
+		// AllocsPerRun makes one warm-up call besides the counted ones.
+		if v, ok := c.cur.hash.Get(val.Str("page00")); !ok || v.AsInt() != (runs+1)*64 || c.cur.hash.Len() != 16 {
+			t.Errorf("lends=%t: page00 folded to %v over %d keys, want %d over 16", lends, v, c.cur.hash.Len(), (runs+1)*64)
+		}
+	}
+}
+
+// TestLentElementBufferedAsCopy: a lent pair that reaches its chained
+// combiner before the combiner's output bag has started is buffered as a
+// copy, since its producer overwrites the lent tuple as soon as the call
+// returns. Here the producer runs one loop step ahead of the combiner, so
+// every pair of the batch is buffered; the lent tuple is then poisoned, bag
+// 2 ends, and the combiner must still fold the batch's 16 keys into bag 3.
+func TestLentElementBufferedAsCopy(t *testing.T) {
+	m, c := lentCombine(t, true)
+	visit(t, m, 1)
+	batch := pageBatch()
+	for i := range batch {
+		batch[i].Tag = 3
+	}
+	if err := m.OnBatch(0, 0, batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.lent {
+		m.lent[i] = val.Str("lent tuple poisoned")
+	}
+	eob(t, m, 0, 2)
+	visit(t, c, 1)
+	if c.cur == nil || c.cur.pos != 3 {
+		t.Fatalf("combiner is not running bag 3: %+v", c.cur)
+	}
+	if v, ok := c.cur.hash.Get(val.Str("page00")); !ok || v.AsInt() != 64 || c.cur.hash.Len() != 16 {
+		t.Errorf("page00 folded to %v over %d keys, want 64 over 16", v, c.cur.hash.Len())
+	}
+}
+
+// BenchmarkHostLentCombine is one (x, 1) pair from a copy with the map fused
+// in into its chained key combiner, lent and carved.
+func BenchmarkHostLentCombine(b *testing.B) {
+	batch := pageBatch()
+	for _, lends := range []bool{true, false} {
+		b.Run(map[bool]string{true: "lent", false: "carved"}[lends], func(b *testing.B) {
+			m, _ := lentCombine(b, lends)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += len(batch) {
+				if err := m.OnBatch(0, 0, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -137,11 +137,23 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 	case ir.OpCopy, ir.OpPhi, ir.OpUnion:
 		return h.emit(run, x)
 	case ir.OpMap:
+		// A lending map with no stages builds its tuple in the lent tuple,
+		// free again once emit returns (runStages lends for one with stages).
+		lend := h.op.Lends && len(h.op.Stages) == 0
+		if lend {
+			h.frame.Out = h.lent[:]
+		}
 		y, err := h.call(x)
+		h.frame.Out = nil
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
-		return h.emit(run, y)
+		if err := h.emit(run, y); err != nil {
+			return err
+		}
+		if lend && scratchHook != nil {
+			scratchHook(h.lent[:], true)
+		}
 	case ir.OpFlatMap:
 		y, err := h.call(x)
 		if err != nil {

@@ -49,6 +49,13 @@ type PlanOp struct {
 	// one, in order: the host runs them on every element the operator
 	// emits, and what the last one passes on is the operator's output.
 	Stages []Stage
+	// Lends marks an operator whose output elements are lent: its last map —
+	// its last stage, or the operator itself when it is a map with none — has
+	// a tuple literal for a body, and every reader of its output reads its
+	// elements in place (readsInPlace) over a chained edge. The host fills
+	// that tuple into its lent tuple (host.lent) instead of carving it, and a
+	// reader copies an element into its own slab only to buffer it.
+	Lends bool
 	// StateJournal, on deltaMerge operators, marks that some solution
 	// operator reads the state from inside a loop that also contains the
 	// deltaMerge: with pipelining the merge may run ahead of the read, so
@@ -393,6 +400,9 @@ func (p *Plan) String() string {
 			if st.Scratch {
 				s += " on scratch"
 			}
+		}
+		if op.Lends {
+			s += " lends"
 		}
 		s += "\n"
 	}

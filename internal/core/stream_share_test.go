@@ -15,11 +15,13 @@ import (
 
 // streamTally counts, through core.SetBatchHook, the elements that reached
 // operator logic as they arrived (streamed) and those that waited in an
-// input-bag buffer (buffered), overall, on chained edges and per operator.
+// input-bag buffer (buffered), overall, on chained edges, on edges from a
+// lending producer — where a buffered element is one the consumer copied —
+// and per operator.
 type streamTally struct {
-	mu           sync.Mutex
-	all, chained shareCount
-	byOp         map[string]*shareCount
+	mu                 sync.Mutex
+	all, chained, lent shareCount
+	byOp               map[string]*shareCount
 }
 
 type shareCount struct{ streamed, buffered int }
@@ -33,7 +35,7 @@ func (c shareCount) frac() float64 {
 // exited.
 func (s *streamTally) install() func() {
 	s.byOp = map[string]*shareCount{}
-	core.SetBatchHook(func(op string, ch bool, streamed, buffered int) {
+	core.SetBatchHook(func(op string, ch, lent bool, streamed, buffered int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.all.streamed += streamed
@@ -41,6 +43,10 @@ func (s *streamTally) install() func() {
 		if ch {
 			s.chained.streamed += streamed
 			s.chained.buffered += buffered
+		}
+		if lent {
+			s.lent.streamed += streamed
+			s.lent.buffered += buffered
 		}
 		o := s.byOp[op]
 		if o == nil {
@@ -56,6 +62,7 @@ func (s *streamTally) install() func() {
 func (s *streamTally) log(t *testing.T) {
 	t.Logf("all edges: %d streamed, %d buffered (%.2f%% buffered)", s.all.streamed, s.all.buffered, 100*s.all.frac())
 	t.Logf("chained edges: %d streamed, %d buffered (%.2f%% buffered)", s.chained.streamed, s.chained.buffered, 100*s.chained.frac())
+	t.Logf("lent elements: %d read in place, %d copied (%.2f%% copied)", s.lent.streamed, s.lent.buffered, 100*s.lent.frac())
 	for op, o := range s.byOp {
 		if o.buffered > 0 {
 			t.Logf("  %-24s %8d streamed %8d buffered", op, o.streamed, o.buffered)
@@ -77,27 +84,34 @@ func (s *streamTally) log(t *testing.T) {
 // runs; the fifth happened to read 0.05 %). Consumer first, they are 21
 // elements, 0 and 237–437 (at most 0.08 %). DESIGN.md Sec. 16 quotes the
 // numbers.
+//
+// The same holds for lent elements (PlanOp.Lends): a consumer copies one only
+// when it buffers it, so a lending producer whose elements mostly got copied
+// would lend in name only. Both Visit Count shapes lend their (x, 1) pair to
+// the chained combiner and must read at least 99.5 % of it in place;
+// connected_delta's pair map feeds a phi and lends nothing.
 func TestStreamedShare(t *testing.T) {
 	short := testing.Short()
 	for _, c := range []struct {
-		name string
-		run  func(t *testing.T)
+		name  string
+		lends bool
+		run   func(t *testing.T)
 	}{
-		{"visitcount_bulk", func(t *testing.T) {
+		{"visitcount_bulk", true, func(t *testing.T) {
 			spec := workload.VisitCountSpec{Days: 6, VisitsPerDay: 25000, Pages: 2500, WithDiff: true, WithPageTypes: true, Seed: 1}
 			if short {
 				spec.VisitsPerDay, spec.Pages = 2500, 250
 			}
 			runVisitCountSim(t, spec)
 		}},
-		{"connected_delta", func(t *testing.T) {
+		{"connected_delta", false, func(t *testing.T) {
 			spec := workload.ConnectedSpec{PairChains: 15000, LongChains: 8, LongLen: 64}
 			if short {
 				spec.PairChains, spec.LongLen = 1500, 16
 			}
 			runConnectedSim(t, spec)
 		}},
-		{"visitcount_tcp", func(t *testing.T) {
+		{"visitcount_tcp", true, func(t *testing.T) {
 			// The benchmark's workload runs on two loopback TCP workers,
 			// without the pageTypes join.
 			// -short keeps the daily visits: the few bags a loaded machine
@@ -122,6 +136,12 @@ func TestStreamedShare(t *testing.T) {
 			}
 			if f := s.chained.frac(); f > 0.005 {
 				t.Errorf("%.2f%% of the elements on chained edges were buffered, want at most 0.5%%", 100*f)
+			}
+			if got := s.lent.streamed+s.lent.buffered > 0; got != c.lends {
+				t.Errorf("lent elements seen: %t, want %t", got, c.lends)
+			}
+			if f := s.lent.frac(); f > 0.005 {
+				t.Errorf("%.2f%% of the lent elements were copied into a buffer, want at most 0.5%%", 100*f)
 			}
 		})
 	}

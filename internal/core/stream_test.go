@@ -365,11 +365,19 @@ func handFedHostIn(tb testing.TB, block ir.BlockID, kind ir.OpKind, f *lang.UDF,
 		sink.bags = map[int][]val.Value{}
 		g.ConnectChained(hostOp, g.AddOp("sink", 1, func(int) dataflow.Vertex { return sink }), 0)
 	}
+	startHandFed(tb, &g)
+	return h
+}
+
+// startHandFed starts a one-machine job over g, whose hosts the test then
+// drives through their Vertex methods, and stops it when the test ends.
+func startHandFed(tb testing.TB, g *dataflow.Graph) {
+	tb.Helper()
 	cl, err := cluster.New(cluster.FastConfig(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	job, err := dataflow.NewJob(&g, cl, 0)
+	job, err := dataflow.NewJob(g, cl, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -383,7 +391,6 @@ func handFedHostIn(tb testing.TB, block ir.BlockID, kind ir.OpKind, f *lang.UDF,
 		}
 		cl.Close()
 	})
-	return h
 }
 
 // visit extends the host's path by one block.

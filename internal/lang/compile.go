@@ -12,9 +12,15 @@ import (
 // allocation). A caller on a hot path owns one Frame and one Slab and reuses
 // them call after call (core's operator host), so a call allocates nothing and
 // a tuple-building body one chunk per ~128 calls.
+//
+// Out, when set, is a tuple the caller lends: a body that is a tuple literal
+// fills its fields into Out instead of carving them, and the result aliases
+// Out, so it is valid only until the caller fills Out again. Nested tuples,
+// and a literal wider than Out, still carve.
 type Frame struct {
 	Args []val.Value
 	Slab *val.Slab
+	Out  []val.Value
 }
 
 // compiledFn evaluates a compiled expression in a call's frame.
@@ -63,25 +69,7 @@ func compileExpr(e Expr, params []string) (compiledFn, error) {
 	case *Call:
 		return compileCall(e, params)
 	case *TupleExpr:
-		fields := make([]compiledFn, len(e.Elems))
-		for i, el := range e.Elems {
-			f, err := compileExpr(el, params)
-			if err != nil {
-				return nil, err
-			}
-			fields[i] = f
-		}
-		return func(fr *Frame) (val.Value, error) {
-			out := fr.Slab.Make(len(fields))
-			for i, f := range fields {
-				v, err := f(fr)
-				if err != nil {
-					return val.Value{}, err
-				}
-				out[i] = v
-			}
-			return val.Tuple(out...), nil
-		}, nil
+		return compileTuple(e, params, false)
 	case *Field:
 		x, err := compileExpr(e.X, params)
 		if err != nil {
@@ -104,6 +92,37 @@ func compileExpr(e Expr, params []string) (compiledFn, error) {
 	default:
 		return nil, errf(e.ExprPos(), "cannot compile %T in a UDF body", e)
 	}
+}
+
+// compileTuple compiles a tuple constructor. The body's root constructor
+// (root) fills a lent Frame.Out wide enough to hold it; every other one
+// carves its fields from the slab.
+func compileTuple(e *TupleExpr, params []string, root bool) (compiledFn, error) {
+	fields := make([]compiledFn, len(e.Elems))
+	for i, el := range e.Elems {
+		f, err := compileExpr(el, params)
+		if err != nil {
+			return nil, err
+		}
+		fields[i] = f
+	}
+	n := len(fields)
+	return func(fr *Frame) (val.Value, error) {
+		var out []val.Value
+		if root && len(fr.Out) >= n {
+			out = fr.Out[:n:n]
+		} else {
+			out = fr.Slab.Make(n)
+		}
+		for i, f := range fields {
+			v, err := f(fr)
+			if err != nil {
+				return val.Value{}, err
+			}
+			out[i] = v
+		}
+		return val.Tuple(out...), nil
+	}, nil
 }
 
 func compileBinary(e *Binary, params []string) (compiledFn, error) {
@@ -352,12 +371,31 @@ func (u *UDF) ensureCompiled() error {
 	if u.compiled != nil || u.native != nil {
 		return nil
 	}
-	f, err := compileExpr(u.lambda.Body, u.lambda.Params)
+	var f compiledFn
+	var err error
+	if t, ok := u.lambda.Body.(*TupleExpr); ok {
+		f, err = compileTuple(t, u.lambda.Params, true)
+	} else {
+		f, err = compileExpr(u.lambda.Body, u.lambda.Params)
+	}
 	if err != nil {
 		return err
 	}
 	u.compiled = f
 	return nil
+}
+
+// TupleWidth is the number of fields of the tuple literal the UDF's body is,
+// and 0 when the body is anything else or the UDF is native: a UDF of width n
+// fills a lent Frame.Out of at least n Values instead of carving its result.
+func (u *UDF) TupleWidth() int {
+	if u.lambda == nil {
+		return 0
+	}
+	if t, ok := u.lambda.Body.(*TupleExpr); ok {
+		return len(t.Elems)
+	}
+	return 0
 }
 
 // udfLabel builds a short display label for a lambda.
