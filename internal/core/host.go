@@ -56,6 +56,13 @@ type host struct {
 	frame lang.Frame
 	args  [2]val.Value
 	slab  val.Slab
+	// readEmit is the callback finishReadFile hands a store's read, made once
+	// per host so that a read allocates none: it emits each element into
+	// readRun and keeps emit's error, which is the run's and not the read's,
+	// in readErr.
+	readEmit func(val.Value) error
+	readRun  *outputRun
+	readErr  error
 	// scratch is the tuple a join, cross or group output is built in when
 	// the operator's first stages only project it (Stage.Scratch); it is
 	// read and written by runStages alone.

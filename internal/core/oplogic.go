@@ -384,31 +384,32 @@ func (h *host) finishReadFile(run *outputRun) error {
 	if name.Kind() != val.KindString {
 		return fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
 	}
-	// Prefer a true partitioned read (internal/dfs); fall back to striding
-	// over the full dataset.
-	if pr, ok := h.rt.store.(store.PartitionedReader); ok {
-		blocks, err := pr.ReadPartitionBlocks(name.AsStr(), h.inst, h.op.Par)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+	// This instance reads its partition: in place from a partitioned reader
+	// (internal/store, internal/dfs, a TCP worker's shipped input), else as
+	// the stride over the whole dataset. An emit error is returned as is; a
+	// read error names the operator.
+	if h.readEmit == nil {
+		h.readEmit = func(e val.Value) error {
+			h.readErr = h.emit(h.readRun, e)
+			return h.readErr
 		}
-		for _, b := range blocks {
-			for _, e := range b {
-				if err := h.emit(run, e); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
 	}
-	elems, err := h.rt.store.ReadDataset(name.AsStr())
+	h.readRun, h.readErr = run, nil
+	var err error
+	if pr, ok := h.rt.store.(store.PartitionedReader); ok {
+		err = pr.ReadPartition(name.AsStr(), h.inst, h.op.Par, &h.slab, h.readEmit)
+	} else {
+		var elems []val.Value
+		if elems, err = h.rt.store.ReadDataset(name.AsStr()); err == nil {
+			err = store.ReadStride(elems, h.inst, h.op.Par, h.readEmit)
+		}
+	}
+	h.readRun = nil
+	if h.readErr != nil {
+		return h.readErr
+	}
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
-	}
-	// This instance reads its stride partition of the dataset.
-	for i := h.inst; i < len(elems); i += h.op.Par {
-		if err := h.emit(run, elems[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -152,21 +152,39 @@ func (s *Store) ReadDataset(name string) ([]val.Value, error) {
 }
 
 // ReadDatasetPartition returns partition part of parts as one slice of the
-// caller's own: ReadPartitionBlocks, concatenated. The engine reads the blocks;
-// the repository benchmark's dfs.read_ms is this call's only user.
+// caller's own: the blocks ReadPartition walks, concatenated. The engine reads
+// through ReadPartition; the repository benchmark's dfs.read_ms is this call's
+// only user.
 func (s *Store) ReadDatasetPartition(name string, part, parts int) ([]val.Value, error) {
-	mine, err := s.ReadPartitionBlocks(name, part, parts)
+	mine, err := s.partitionBlocks(name, part, parts)
 	if err != nil {
 		return nil, err
 	}
 	return slices.Concat(mine...), nil
 }
 
-// ReadPartitionBlocks implements store.PartitionedReader: partition part of
-// parts is the blocks whose index is congruent to part. Every element belongs
-// to exactly one partition; only the requested blocks are counted, and none
-// is copied.
-func (s *Store) ReadPartitionBlocks(name string, part, parts int) ([][]val.Value, error) {
+// ReadPartition implements store.PartitionedReader: it hands fn the elements
+// of partition part of parts in place, block by block. The slab is unused —
+// the store keeps values, not encodings.
+func (s *Store) ReadPartition(name string, part, parts int, _ *val.Slab, fn func(val.Value) error) error {
+	mine, err := s.partitionBlocks(name, part, parts)
+	if err != nil {
+		return err
+	}
+	for _, b := range mine {
+		for _, e := range b {
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// partitionBlocks opens a dataset for partition part of parts: the blocks
+// whose index is congruent to part. Every element belongs to exactly one
+// partition; only the requested blocks are counted, and none is copied.
+func (s *Store) partitionBlocks(name string, part, parts int) ([][]val.Value, error) {
 	if parts < 1 || part < 0 || part >= parts {
 		return nil, fmt.Errorf("dfs: partition %d of %d", part, parts)
 	}

@@ -108,18 +108,18 @@ func TestStatsAccounting(t *testing.T) {
 	if st2.BlocksRead != 4 {
 		t.Errorf("BlocksRead = %d, want 4", st2.BlocksRead)
 	}
-	// The uncopied read of the same partition is the same blocks at the
-	// same price: one open, one block, the same bytes.
-	blocks, err := s.ReadPartitionBlocks("d", 0, 3)
-	if err != nil {
+	// The in-place read of the same partition is the same blocks at the same
+	// price: one open, one block, the same bytes.
+	var got []val.Value
+	if err := s.ReadPartition("d", 0, 3, nil, func(v val.Value) error { got = append(got, v); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(blocks) != 1 || !bag.Equal(blocks[0], intSlice(10)) {
-		t.Errorf("ReadPartitionBlocks = %v, want the first block", blocks)
+	if !bag.Equal(got, intSlice(10)) {
+		t.Errorf("ReadPartition = %v, want the first block", got)
 	}
 	st3 := s.Stats()
 	if st3.Opens-st2.Opens != 1 || st3.BlocksRead-st2.BlocksRead != 1 || st3.BytesRead-st2.BytesRead != st2.BytesRead-st.BytesRead {
-		t.Errorf("ReadPartitionBlocks moved the counters %+v -> %+v, ReadDatasetPartition %+v -> %+v", st2, st3, st, st2)
+		t.Errorf("ReadPartition moved the counters %+v -> %+v, ReadDatasetPartition %+v -> %+v", st2, st3, st, st2)
 	}
 }
 

@@ -850,55 +850,123 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 	}
 	names := st.Names()
 	sort.Strings(names)
-	datasets := make([]Dataset, 0, len(names))
+	pr, ok := st.(store.PartitionedReader)
+	if !ok {
+		var err error
+		if pr, err = readWhole(st, names); err != nil {
+			return nil, err
+		}
+	}
+	specs, err := encodeSpecs(specFromOptions(source, opts, nil), pr, names, c.cfg.Workers, opts.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return &preparedJob{plan: plan, opts: opts, specs: specs}, nil
+}
+
+// readWhole is the shipment's fallback for a store that is no
+// store.PartitionedReader: it reads each named dataset whole, once, into a
+// MemStore that is one.
+func readWhole(st store.Store, names []string) (*store.MemStore, error) {
+	mem := store.NewMemStore()
 	for _, name := range names {
 		elems, err := st.ReadDataset(name)
 		if err != nil {
 			return nil, fmt.Errorf("netcluster: reading input dataset %q: %w", name, err)
 		}
-		datasets = append(datasets, Dataset{Name: name, Elems: elems})
+		mem.WriteDataset(name, elems)
 	}
-	specs := encodeSpecs(specFromOptions(source, opts, nil), datasets, c.cfg.Workers, opts.Parallelism)
-	return &preparedJob{plan: plan, opts: opts, specs: specs}, nil
+	return mem, nil
 }
 
 // encodeSpecs encodes spec once per worker, each carrying the worker's share
-// of inputs: stride partition i of every dataset goes to the worker hosting
-// readFile instance i, machine i%workers (the dataflow placement rule), so
-// the specs together hold one copy of the input. Each buffer is sized from
-// the elements' encoded sizes before it is written.
-func encodeSpecs(spec JobSpec, inputs []Dataset, workers, parts int) [][]byte {
+// of the named datasets: stride partition i of every dataset — elements i,
+// i+parts, i+2*parts, ... — goes to the worker hosting readFile instance i,
+// machine i%workers (the dataflow placement rule), so the specs together hold
+// one copy of the input. The partitions are element strides whatever blocks
+// the store keeps. Each dataset is streamed twice as partition 0 of 1, in
+// place: the first pass counts and sizes every stride partition, so each
+// spec is allocated once at its final size with room left for every
+// partition it hosts, and the second encodes each element into its
+// partition's room.
+func encodeSpecs(spec JobSpec, st store.PartitionedReader, names []string, workers, parts int) ([][]byte, error) {
 	var hdr enc
 	appendJobHeader(&hdr, spec)
-	size := make([]int, workers)
-	for _, ds := range inputs {
-		for i, v := range ds.Elems {
-			size[i%parts%workers] += val.EncodedSize(v)
+	// Per part p of dataset k, at k*parts+p: its element count, their encoded
+	// size, and, once laid out, where its next element goes in its spec and
+	// where its room there ends.
+	count := make([]int, len(names)*parts)
+	encoded := make([]int, len(names)*parts)
+	at := make([]int, len(names)*parts)
+	end := make([]int, len(names)*parts)
+	var row, p, n int // the dataset's first index, the next element's part, elements seen
+	sizeElem := func(v val.Value) error {
+		count[row+p]++
+		encoded[row+p] += val.EncodedSize(v)
+		if p++; p == parts {
+			p = 0
 		}
-		for p := range parts {
-			size[p%workers] += len(ds.Name) + 4*binary.MaxVarintLen64
+		return nil
+	}
+	for k, name := range names {
+		row, p = k*parts, 0
+		if err := st.ReadPartition(name, 0, 1, nil, sizeElem); err != nil {
+			return nil, fmt.Errorf("netcluster: reading input dataset %q: %w", name, err)
 		}
 	}
 	specs := make([][]byte, workers)
 	for w := range specs {
-		e := enc{b: make([]byte, 0, len(hdr.b)+binary.MaxVarintLen64+size[w])}
-		e.b = append(e.b, hdr.b...)
-		hosted := 0
-		for p := w; p < parts; p += workers {
+		size, hosted := len(hdr.b)+binary.MaxVarintLen64, 0
+		for q := w; q < parts; q += workers {
 			hosted++
+			for k, name := range names {
+				size += len(name) + 4*binary.MaxVarintLen64 + encoded[k*parts+q]
+			}
 		}
-		e.u64(uint64(len(inputs) * hosted))
-		for _, ds := range inputs {
-			for p := w; p < parts; p += workers {
-				appendDatasetHead(&e, ds.Name, p, parts, (len(ds.Elems)-p+parts-1)/parts)
-				for i := p; i < len(ds.Elems); i += parts {
-					e.b = val.AppendBinary(e.b, ds.Elems[i])
-				}
+		e := enc{b: make([]byte, 0, size)}
+		e.b = append(e.b, hdr.b...)
+		e.u64(uint64(len(names) * hosted))
+		for k, name := range names {
+			for q := w; q < parts; q += workers {
+				j := k*parts + q
+				appendDatasetHead(&e, name, q, parts, count[j])
+				at[j] = len(e.b)
+				e.b = e.b[:at[j]+encoded[j]]
+				end[j] = len(e.b)
 			}
 		}
 		specs[w] = e.b
 	}
-	return specs
+	host := make([][]byte, parts) // the spec that carries part p
+	for q := range host {
+		host[q] = specs[q%workers]
+	}
+	encodeElem := func(v val.Value) error {
+		at[row+p] = len(val.AppendBinary(host[p][:at[row+p]], v))
+		n++
+		if p++; p == parts {
+			p = 0
+		}
+		return nil
+	}
+	for k, name := range names {
+		row, p, n = k*parts, 0, 0
+		err := st.ReadPartition(name, 0, 1, nil, encodeElem)
+		// A dataset rewritten between the passes may have overrun a room;
+		// the spec is then discarded, never shipped.
+		changed := false
+		for j := row; j < row+parts; j++ {
+			n -= count[j]
+			changed = changed || at[j] != end[j]
+		}
+		if err == nil && (changed || n != 0) {
+			err = errors.New("it changed while being shipped")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("netcluster: reading input dataset %q: %w", name, err)
+		}
+	}
+	return specs, nil
 }
 
 // ensureSession returns a live session, re-admitting workers into a fresh

@@ -18,27 +18,32 @@ import (
 // runSim executes source on the simulated in-process cluster.
 func runSim(t *testing.T, source string, st store.Store, machines int, opts core.Options) *core.Result {
 	t.Helper()
-	prog, err := lang.Parse(source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lang.Check(prog); err != nil {
-		t.Fatal(err)
-	}
-	ssa, err := ir.CompileToSSA(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.FastConfig(machines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	res, err := core.Execute(ssa, st, cl, opts)
+	res, err := execSim(source, st, machines, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// execSim is runSim for a run that may fail.
+func execSim(source string, st store.Store, machines int, opts core.Options) (*core.Result, error) {
+	prog, err := lang.Parse(source)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := lang.Check(prog); err != nil {
+		return nil, err
+	}
+	ssa, err := ir.CompileToSSA(prog)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := cluster.New(cluster.FastConfig(machines))
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	return core.Execute(ssa, st, cl, opts)
 }
 
 // bagKeys returns the dataset as a sorted multiset of codec encodings —

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/dfs"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 	"github.com/mitos-project/mitos/internal/workload"
@@ -73,15 +79,16 @@ func TestInputShipmentByPartition(t *testing.T) {
 						t.Fatalf("worker %d: got %q part %d of %d, want %q part %d of %d",
 							w, ds.Name, ds.Part, ds.Parts, in.Name, p, workers)
 					}
+					elems := decodeShipped(t, ds)
 					n := 0
 					for i := p; i < len(in.Elems); i += workers {
-						if n >= len(ds.Elems) || !ds.Elems[n].Equal(in.Elems[i]) {
+						if n >= len(elems) || !elems[n].Equal(in.Elems[i]) {
 							t.Fatalf("worker %d: %q part %d differs from the stride at element %d", w, in.Name, p, n)
 						}
 						n++
 					}
-					if n != len(ds.Elems) {
-						t.Fatalf("worker %d: %q part %d has %d elements, the stride %d", w, in.Name, p, len(ds.Elems), n)
+					if n != len(elems) {
+						t.Fatalf("worker %d: %q part %d has %d elements, the stride %d", w, in.Name, p, len(elems), n)
 					}
 				}
 			}
@@ -89,11 +96,153 @@ func TestInputShipmentByPartition(t *testing.T) {
 	}
 }
 
-// TestWorkerStoreContract pins the worker store: shipped partitions are read
-// in place and only under the job's partitioning, a shipped input is never
-// readable whole, and only what the job wrote is reported back.
+// TestPrepareSpecsIndependentOfStore pins that a spec's partitions are
+// element strides whatever keeps the input: a dfs store, whose own partitions
+// are blocks, and a store that only reads datasets whole must both ship the
+// MemStore's bytes.
+func TestPrepareSpecsIndependentOfStore(t *testing.T) {
+	spec := workload.VisitCountSpec{Days: 3, VisitsPerDay: 200, Pages: 20, WithDiff: true, Seed: 2}
+	mem := store.NewMemStore()
+	if err := spec.Generate(mem); err != nil {
+		t.Fatal(err)
+	}
+	blocks := dfs.New(dfs.Config{BlockSize: 64})
+	if err := spec.Generate(blocks); err != nil {
+		t.Fatal(err)
+	}
+	whole := struct{ NamedStore }{mem} // hides MemStore.ReadPartition
+	if _, ok := any(whole).(store.PartitionedReader); ok {
+		t.Fatal("the wrapped store still reads by partition")
+	}
+	for _, workers := range []int{2, 3} {
+		c := &Coordinator{cfg: CoordConfig{Workers: workers}}
+		want, err := c.prepare(spec.Script(), mem, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, st := range map[string]NamedStore{"dfs": blocks, "whole": whole} {
+			got, err := c.prepare(spec.Script(), st, core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := range want.specs {
+				if !bytes.Equal(got.specs[w], want.specs[w]) {
+					t.Errorf("%s store, %d workers: worker %d's spec differs from the MemStore's", name, workers, w)
+				}
+			}
+		}
+	}
+}
+
+// growingStore appends an element to every dataset after each read of it,
+// as a writer racing the shipment would.
+type growingStore struct{ *store.MemStore }
+
+func (g growingStore) ReadPartition(name string, part, parts int, slab *val.Slab, fn func(val.Value) error) error {
+	err := g.MemStore.ReadPartition(name, part, parts, slab, fn)
+	elems, _ := g.ReadDataset(name)
+	g.WriteDataset(name, append(elems, val.Str("late")))
+	return err
+}
+
+// TestPrepareRejectsInputChangedWhileShipping: a dataset that changes between
+// the sizing and the encoding pass fails prepare instead of shipping a spec
+// whose counts disagree with its elements.
+func TestPrepareRejectsInputChangedWhileShipping(t *testing.T) {
+	st := growingStore{store.NewMemStore()}
+	st.WriteDataset("in", []val.Value{val.Str("a"), val.Str("b"), val.Str("c")})
+	c := &Coordinator{cfg: CoordConfig{Workers: 2}}
+	_, err := c.prepare(`readFile("in").writeFile("out")`, st, core.DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), `"in"`) || !strings.Contains(err.Error(), "changed") {
+		t.Errorf("an input that grew between the passes: %v", err)
+	}
+}
+
+// decodeShipped decodes a shipped partition as DecodeJobSpec left it.
+func decodeShipped(t *testing.T, ds Dataset) []val.Value {
+	t.Helper()
+	if ds.Elems != nil {
+		t.Fatalf("dataset %q part %d arrived decoded", ds.Name, ds.Part)
+	}
+	var out []val.Value
+	for b := ds.Encoded; len(b) > 0; {
+		v, n, err := val.Decode(b, nil)
+		if err != nil {
+			t.Fatalf("dataset %q part %d element %d: %v", ds.Name, ds.Part, len(out), err)
+		}
+		out, b = append(out, v), b[n:]
+	}
+	return out
+}
+
+// readAll collects one partition read of a worker store.
+func readAll(st *trackingStore, name string, part, parts int) ([]val.Value, error) {
+	var slab val.Slab
+	var out []val.Value
+	err := st.ReadPartition(name, part, parts, &slab, func(v val.Value) error {
+		out = append(out, v)
+		return nil
+	})
+	return out, err
+}
+
+// prepareSlack bounds what Coordinator.prepare allocates besides the specs
+// it returns: compiling and planning the script, the partition counts, and
+// each buffer's sizing margin. A copy of the visitcount input, 24 B per
+// element, is 5.76 MB.
+const prepareSlack = 256 << 10
+
+// TestPrepareCopiesNoInput pins the coordinator's side of the shipment on the
+// visitcount_tcp input shape: prepare reads every input out of the store
+// partition by partition and encodes it straight into the specs, so the bytes
+// it allocates are the specs' plus a fixed slack, and no decoded copy of the
+// input exists on the way.
+func TestPrepareCopiesNoInput(t *testing.T) {
+	spec := workload.VisitCountSpec{Days: 60, VisitsPerDay: 4000, Pages: 400, WithDiff: true, Seed: 1}
+	st := store.NewMemStore()
+	if err := spec.Generate(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			c := &Coordinator{cfg: CoordConfig{Workers: workers}}
+			var allocs []uint64
+			specs := 0
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				job, err := c.prepare(spec.Script(), st, core.DefaultOptions())
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs = append(allocs, after.TotalAlloc-before.TotalAlloc)
+				specs = 0
+				for _, b := range job.specs {
+					specs += len(b)
+				}
+			}
+			slices.Sort(allocs)
+			median := allocs[len(allocs)/2]
+			t.Logf("prepare allocates %d bytes (median of 5) for %d bytes of specs", median, specs)
+			if median > uint64(specs+prepareSlack) {
+				t.Errorf("prepare allocated %d bytes for %d bytes of specs: more than %d of slack", median, specs, prepareSlack)
+			}
+		})
+	}
+}
+
+// TestWorkerStoreContract pins the worker store: a shipped partition decodes,
+// on every read, to exactly its stride and is readable only under the job's
+// partitioning, a shipped input is never readable whole, and only what the
+// job wrote is reported back.
 func TestWorkerStoreContract(t *testing.T) {
-	shipped := []Dataset{{Name: "in", Part: 1, Parts: 2, Elems: []val.Value{val.Int(1), val.Int(3)}}}
+	stride := []val.Value{val.Int(1), val.Pair(val.Str("three"), val.Int(3))}
+	spec, err := DecodeJobSpec(AppendJobSpec(nil, JobSpec{Source: "x", Datasets: []Dataset{{Name: "in", Part: 1, Parts: 2, Elems: stride}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := spec.Datasets
 	if _, err := newTrackingStore(3, shipped); err == nil {
 		t.Error("a partition shipped as one of 2 was accepted by a job reading 3")
 	}
@@ -101,14 +250,16 @@ func TestWorkerStoreContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := st.ReadPartitionBlocks("in", 1, 2)
-	if err != nil || len(blocks) != 1 || len(blocks[0]) != 2 || &blocks[0][0] != &shipped[0].Elems[0] {
-		t.Errorf("shipped partition not returned in place: %v, %v", blocks, err)
+	for read := range 2 {
+		got, err := readAll(st, "in", 1, 2)
+		if err != nil || len(got) != len(stride) || !got[0].Equal(stride[0]) || !got[1].Equal(stride[1]) {
+			t.Errorf("read %d of the shipped partition: %v, %v, want the stride %v", read, got, err, stride)
+		}
 	}
-	if _, err := st.ReadPartitionBlocks("in", 0, 2); err == nil {
+	if _, err := readAll(st, "in", 0, 2); err == nil {
 		t.Error("a partition not shipped to this worker was read")
 	}
-	if _, err := st.ReadPartitionBlocks("in", 1, 3); err == nil {
+	if _, err := readAll(st, "in", 1, 3); err == nil {
 		t.Error("a read under a mismatched partition count succeeded")
 	}
 	if _, err := st.ReadDataset("in"); !errors.Is(err, ErrPartitionedInput) {
@@ -118,7 +269,7 @@ func TestWorkerStoreContract(t *testing.T) {
 	if _, err := st.ReadDataset("nope"); !errors.As(err, &nf) {
 		t.Errorf("ReadDataset of a missing dataset: %v, want NotFoundError", err)
 	}
-	if _, err := st.ReadPartitionBlocks("nope", 0, 2); !errors.As(err, &nf) {
+	if _, err := readAll(st, "nope", 0, 2); !errors.As(err, &nf) {
 		t.Errorf("partition read of a missing dataset: %v, want NotFoundError", err)
 	}
 
@@ -129,9 +280,9 @@ func TestWorkerStoreContract(t *testing.T) {
 	if err := st.WriteDataset("out", out); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err = st.ReadPartitionBlocks("out", 0, 2) // a written dataset strides over the local copy
-	if err != nil || len(blocks) != 1 || len(blocks[0]) != 2 || blocks[0][1].AsInt() != 12 {
-		t.Errorf("partition 0 of 2 of a written dataset: %v, %v", blocks, err)
+	got, err := readAll(st, "out", 0, 2) // a written dataset strides over the local copy
+	if err != nil || len(got) != 2 || got[0].AsInt() != 10 || got[1].AsInt() != 12 {
+		t.Errorf("partition 0 of 2 of a written dataset: %v, %v", got, err)
 	}
 	if got, err := st.ReadDataset("out"); err != nil || len(got) != 3 {
 		t.Errorf("ReadDataset of a written dataset: %v, %v", got, err)
@@ -139,6 +290,31 @@ func TestWorkerStoreContract(t *testing.T) {
 	w := st.written()
 	if len(w) != 1 || w[0].Name != "out" || len(w[0].Elems) != 3 {
 		t.Errorf("written = %+v, want the last write of out and no input", w)
+	}
+}
+
+// TestWireRejectsCorruptElement truncates a string in the second shipped
+// dataset: DecodeJobSpec, which keeps the elements encoded, still validates
+// every one and names the dataset and the element.
+func TestWireRejectsCorruptElement(t *testing.T) {
+	spec := JobSpec{Source: "x", Datasets: []Dataset{
+		{Name: "first", Elems: []val.Value{val.Str("a"), val.Str("b")}},
+		{Name: "second", Elems: []val.Value{val.Str("c"), val.Str("dd"), val.Int(7)}},
+	}}
+	b := AppendJobSpec(nil, spec)
+	if _, err := DecodeJobSpec(b); err != nil {
+		t.Fatal(err)
+	}
+	// The second dataset's element 1 ends 3 bytes before the spec: the
+	// string "dd" and the int that follows it. Claim 5 bytes for "dd".
+	at := len(b) - 2 - 2
+	if b[at-1] != 2 {
+		t.Fatalf("spec layout changed: byte %d is %d, want the length of \"dd\"", at-1, b[at-1])
+	}
+	b[at-1] = 5
+	_, err := DecodeJobSpec(b)
+	if err == nil || !strings.Contains(err.Error(), `dataset "second" element 1`) {
+		t.Errorf("truncated string in the 2nd dataset: %v, want an error naming dataset \"second\" element 1", err)
 	}
 }
 
@@ -153,5 +329,100 @@ func TestTCPMatchesSimParallelism(t *testing.T) {
 			opts.Parallelism = par
 			diffTCPvsSim(t, spec.Script(), spec.Generate, 2, opts, 0)
 		})
+	}
+}
+
+// TestShippedFrameLifetime pins who owns a MsgJob buffer: its job reads the
+// shipped inputs out of it until torn down, and the buffer poisoned the moment
+// the job gives it back must never be read again. On one two-worker session
+// it runs back-to-back jobs with different inputs (the second MsgJob lands in
+// the first job's buffer), a job that reads one shipped dataset in every loop
+// step (each read decodes the partition again), and a job whose UDF fails
+// mid-run (torn down, not finished) followed by a clean job on the
+// re-established session. Every run must match the simulator bag for bag.
+func TestShippedFrameLifetime(t *testing.T) {
+	var released atomic.Int64
+	frameHook = func(frame []byte) {
+		for i := range frame {
+			frame[i] = 0xff
+		}
+		released.Add(1)
+	}
+	t.Cleanup(func() { frameHook = nil })
+	c, cleanup, err := StartLocal(2, CoordConfig{Retries: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	ints := func(name string, n int) func(store.Store) error {
+		return func(st store.Store) error {
+			elems := make([]val.Value, n)
+			for i := range elems {
+				elems[i] = val.Int(int64(i))
+			}
+			return st.WriteDataset(name, elems)
+		}
+	}
+	// run executes source on the simulator and on the session with inputs
+	// from seed, and compares the outcomes.
+	run := func(name, source string, seed func(store.Store) error) error {
+		simStore, tcpStore := store.NewMemStore(), store.NewMemStore()
+		if err := seed(simStore); err != nil {
+			t.Fatal(err)
+		}
+		if err := seed(tcpStore); err != nil {
+			t.Fatal(err)
+		}
+		_, simErr := execSim(source, simStore, 2, core.DefaultOptions())
+		_, tcpErr := c.Run(source, tcpStore, core.DefaultOptions())
+		if (simErr == nil) != (tcpErr == nil) {
+			t.Fatalf("%s: sim error %v, tcp error %v", name, simErr, tcpErr)
+		}
+		if simErr == nil {
+			diffStores(t, simStore, tcpStore)
+		}
+		return tcpErr
+	}
+
+	a := workload.VisitCountSpec{Days: 4, VisitsPerDay: 300, Pages: 30, WithDiff: true, Seed: 3}
+	b := workload.VisitCountSpec{Days: 6, VisitsPerDay: 200, Pages: 50, WithDiff: true, Seed: 8}
+	for _, s := range []workload.VisitCountSpec{a, b} {
+		if err := run("visitcount", s.Script(), s.Generate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const reread = `total = newBag(0)
+i = 1
+while (i <= 4) {
+  data = readFile("in")
+  scaled = data.cross(newBag(i)).map(t => t.0 * t.1)
+  total = total.union(scaled.sum()).sum()
+  i = i + 1
+}
+total.writeFile("out")
+`
+	if err := run("reread", reread, ints("in", 500)); err != nil {
+		t.Fatal(err)
+	}
+	const fails = `total = newBag(0)
+i = 1
+while (i <= 4) {
+  data = readFile("in")
+  scaled = data.cross(newBag(i)).map(t => t.0 / (t.1 - 3))
+  total = total.union(scaled.sum()).sum()
+  i = i + 1
+}
+total.writeFile("out")
+`
+	if err := run("fails", fails, ints("in", 500)); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("a job dividing by zero in its third step: %v", err)
+	}
+	if err := run("after failure", reread, ints("in", 300)); err != nil {
+		t.Fatal(err)
+	}
+	// Two workers give back the buffers of 4 finished jobs, and those of the
+	// failed job's torn-down attempts.
+	if n := released.Load(); n < 2*4 {
+		t.Errorf("%d MsgJob buffers given back, want at least %d", n, 2*4)
 	}
 }

@@ -388,15 +388,21 @@ func DecodeAssign(b []byte) (Assign, error) {
 }
 
 // Dataset is one named dataset, or one stride partition of it, shipped
-// inside a JobSpec or Result. Elems holds elements Part, Part+Parts,
+// inside a JobSpec or Result. Its elements are elements Part, Part+Parts,
 // Part+2*Parts, ... of the dataset, in that order — what readFile instance
 // Part of Parts reads. A zero Parts means the whole dataset and is encoded as
 // part 0 of 1; a decoded Dataset always has 0 <= Part < Parts.
+//
+// Elems holds the elements as values: what is encoded, and what DecodeResult
+// returns. DecodeJobSpec leaves Elems nil and sets Encoded instead: the
+// elements as they arrived, validated but not decoded, aliasing the spec's
+// buffer — a worker decodes them on each read.
 type Dataset struct {
-	Name  string
-	Part  int
-	Parts int
-	Elems []val.Value
+	Name    string
+	Part    int
+	Parts   int
+	Elems   []val.Value
+	Encoded []byte
 }
 
 // maxParts bounds a decoded partition count, so every part fits an int.
@@ -420,9 +426,11 @@ func appendDatasets(e *enc, ds []Dataset) {
 	}
 }
 
-// decodeDatasets decodes the datasets of one message. Their tuples and
-// strings are carved from one slab, which the message's datasets share.
-func decodeDatasets(d *dec) []Dataset {
+// decodeDatasets decodes the datasets of one message. Decoded, their tuples
+// and strings are carved from one slab, which the message's datasets share.
+// Kept encoded (keep), each element is only validated by val.Skip and the
+// dataset keeps its byte range: a corrupt element fails here either way.
+func decodeDatasets(d *dec, keep bool) []Dataset {
 	n := d.u64()
 	if n > uint64(len(d.b)) {
 		d.fail("dataset count")
@@ -444,15 +452,27 @@ func decodeDatasets(d *dec) []Dataset {
 		if d.err != nil {
 			break
 		}
-		set.Elems = make([]val.Value, cnt)
-		for k := range set.Elems {
-			v, used, err := val.Decode(d.b, &slab)
+		if !keep {
+			set.Elems = make([]val.Value, cnt)
+		}
+		start := d.b
+		for k := range int(cnt) {
+			var used int
+			var err error
+			if keep {
+				used, err = val.Skip(d.b)
+			} else {
+				set.Elems[k], used, err = val.Decode(d.b, &slab)
+			}
 			if err != nil {
 				d.err = fmt.Errorf("netcluster: dataset %q element %d: %w", set.Name, k, err)
 				break
 			}
 			d.b = d.b[used:]
-			set.Elems[k] = v
+		}
+		if keep {
+			n := len(start) - len(d.b)
+			set.Encoded = start[:n:n]
 		}
 		ds = append(ds, set)
 	}
@@ -548,7 +568,9 @@ func appendJobHeader(e *enc, s JobSpec) {
 	e.boolean(s.LiveView)
 }
 
-// DecodeJobSpec decodes a JobSpec.
+// DecodeJobSpec decodes a JobSpec. Its datasets stay encoded (Dataset.Encoded,
+// aliasing b), so b must outlive every read of them; every element is
+// validated here, and a corrupt one fails the decode.
 func DecodeJobSpec(b []byte) (JobSpec, error) {
 	d := dec{b: b}
 	s := JobSpec{
@@ -565,7 +587,7 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 		Lineage:     d.boolean(),
 		LiveView:    d.boolean(),
 	}
-	s.Datasets = decodeDatasets(&d)
+	s.Datasets = decodeDatasets(&d, true)
 	return s, d.fin()
 }
 
@@ -722,7 +744,7 @@ func DecodeResult(b []byte) (ResultMsg, error) {
 	for _, n := range r.counters() {
 		*n = d.i64()
 	}
-	r.Datasets = decodeDatasets(&d)
+	r.Datasets = decodeDatasets(&d, false)
 	n := d.u64()
 	if n > uint64(len(d.b)) { // each peer stat takes at least one byte
 		d.fail("peer count")

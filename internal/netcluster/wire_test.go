@@ -40,10 +40,11 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("JobSpec: %v", err)
 	}
 	if gotSpec.Source != spec.Source || gotSpec.Parallelism != 4 || !gotSpec.Pipelining || gotSpec.Hoisting ||
-		!gotSpec.Templates || !gotSpec.Delta ||
-		len(gotSpec.Datasets) != 1 || len(gotSpec.Datasets[0].Elems) != 3 ||
-		gotSpec.Datasets[0].Elems[2].Field(1).AsFloat() != 4.5 {
-		t.Errorf("JobSpec: got %+v", gotSpec)
+		!gotSpec.Templates || !gotSpec.Delta || len(gotSpec.Datasets) != 1 {
+		t.Fatalf("JobSpec: got %+v", gotSpec)
+	}
+	if elems := decodeShipped(t, gotSpec.Datasets[0]); len(elems) != 3 || elems[2].Field(1).AsFloat() != 4.5 {
+		t.Errorf("JobSpec dataset: got %v", elems)
 	}
 	multi := JobSpec{Source: "s", Parallelism: 5, Datasets: []Dataset{
 		{Name: "a", Part: 1, Parts: 5, Elems: []val.Value{val.Int(1), val.Int(6)}},
@@ -56,12 +57,13 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 	for i, want := range multi.Datasets {
 		got := gotMulti.Datasets[i]
-		if got.Name != want.Name || got.Part != want.Part || got.Parts != want.Parts || len(got.Elems) != len(want.Elems) {
-			t.Errorf("multi-part JobSpec dataset %d: got %+v, want %+v", i, got, want)
+		elems := decodeShipped(t, got)
+		if got.Name != want.Name || got.Part != want.Part || got.Parts != want.Parts || len(elems) != len(want.Elems) {
+			t.Fatalf("multi-part JobSpec dataset %d: got %+v, want %+v", i, got, want)
 		}
 		for k := range want.Elems {
-			if !got.Elems[k].Equal(want.Elems[k]) {
-				t.Errorf("multi-part JobSpec dataset %d element %d: got %v, want %v", i, k, got.Elems[k], want.Elems[k])
+			if !elems[k].Equal(want.Elems[k]) {
+				t.Errorf("multi-part JobSpec dataset %d element %d: got %v, want %v", i, k, elems[k], want.Elems[k])
 			}
 		}
 	}
@@ -190,9 +192,10 @@ func (m *meteredReader) Read(p []byte) (int, error) { return m.r.Read(p) }
 
 // FuzzFrameRoundTrip feeds arbitrary bytes to every decoder: none may
 // panic, and any input a decoder accepts must re-encode to an equivalent
-// message (checked by decoding again and comparing). ReadMsg additionally
-// must never allocate more than one chunk beyond what the input actually
-// contains.
+// message (checked by decoding again and comparing). A JobSpec it accepts
+// keeps its datasets encoded, and every element of them must decode. ReadMsg
+// additionally must never allocate more than one chunk beyond what the input
+// actually contains.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Role: RolePeer, ID: 1}), byte(0))
 	f.Add(AppendAssign(nil, Assign{ID: 1, Workers: 3, Peers: []string{"x:1", "y:2", "z:3"}, HeartbeatMillis: 100}), byte(1))
@@ -234,6 +237,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 						t.Fatalf("JobSpec dataset %d: part %d of %d decoded, %d of %d re-decoded",
 							i, ds.Part, ds.Parts, s2.Datasets[i].Part, s2.Datasets[i].Parts)
 					}
+					decodeShipped(t, ds)
 				}
 			}
 		case 3:

@@ -134,6 +134,10 @@ type workerJobRun struct {
 	st    *trackingStore
 	done  chan struct{} // closed once Job.Wait returned
 	fwdWG sync.WaitGroup
+	// frame is the buffer the job's MsgJob arrived in. st reads the shipped
+	// inputs out of it, so the job owns it until torn down, and only then
+	// hands it back (release).
+	frame []byte
 
 	// Telemetry: the per-job observer whose registry/tracer/lineage the
 	// worker snapshots and ships to the coordinator on the heartbeat
@@ -241,6 +245,21 @@ func (rj *workerJobRun) noteCompletion(ev core.CoordEvent) (count int, ready boo
 	return 0, false
 }
 
+// frameHook, when a test sets it, sees each MsgJob buffer as its job gives it
+// back, and may overwrite it.
+var frameHook func(frame []byte)
+
+// release gives the job's MsgJob buffer back once the job is torn down: no
+// host runs, so nothing reads the shipped inputs any more.
+func (rj *workerJobRun) release() []byte {
+	if frameHook != nil {
+		frameHook(rj.frame)
+	}
+	frame := rj.frame
+	rj.frame = nil
+	return frame
+}
+
 // fail records the first session error and signals teardown. It never
 // blocks and never tears down synchronously — readLoops call it, and
 // teardown waits for readLoops.
@@ -272,6 +291,7 @@ func (s *workerSession) teardown() {
 	if rj != nil {
 		<-rj.done
 		rj.fwdWG.Wait()
+		rj.release()
 	}
 }
 
@@ -286,7 +306,11 @@ func (s *workerSession) send(typ byte, body []byte) error {
 
 func (s *workerSession) controlLoop() error {
 	br := bufio.NewReader(s.conn)
-	var buf []byte
+	// buf is the read buffer. A MsgJob's buffer goes to its job, which reads
+	// its shipped inputs out of it, and comes back as the read buffer once
+	// finishJob has torn the job down; the loop reads into spare meanwhile.
+	// In steady state neither is reallocated.
+	var buf, spare []byte
 	for {
 		typ, body, nbuf, err := ReadMsg(br, buf)
 		buf = nbuf
@@ -308,13 +332,14 @@ func (s *workerSession) controlLoop() error {
 			if err != nil {
 				return s.exitErr(err)
 			}
-			if err := s.startJob(spec); err != nil {
+			if err := s.startJob(spec, buf); err != nil {
 				// A local plan/compile failure: report it so the coordinator
 				// fails the job with the cause, then tear down.
 				s.send(MsgError, AppendError(nil, ErrorMsg{Msg: err.Error()}))
 				s.fail(err)
 				return s.exitErr(err)
 			}
+			buf, spare = spare, nil
 		case MsgPathSeg:
 			m, err := DecodePathSeg(body)
 			if err != nil {
@@ -347,11 +372,13 @@ func (s *workerSession) controlLoop() error {
 				return s.exitErr(err)
 			}
 		case MsgFinish:
-			if err := s.finishJob(); err != nil {
+			frame, err := s.finishJob()
+			if err != nil {
 				s.send(MsgError, AppendError(nil, ErrorMsg{Msg: err.Error()}))
 				s.fail(err)
 				return s.exitErr(err)
 			}
+			buf, spare = frame, buf
 		default:
 			err := fmt.Errorf("netcluster: worker %d: unexpected control message %#x", s.id, typ)
 			s.fail(err)
@@ -430,8 +457,8 @@ func (s *workerSession) heartbeat(interval time.Duration) {
 }
 
 // startJob compiles the shipped source, builds this machine's partition,
-// and starts it.
-func (s *workerSession) startJob(spec JobSpec) error {
+// and starts it. frame is the buffer spec was decoded from; the job owns it.
+func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 	if s.mesh == nil {
 		return fmt.Errorf("netcluster: job before assignment")
 	}
@@ -472,7 +499,7 @@ func (s *workerSession) startJob(spec JobSpec) error {
 		wj.Job.EnableIntrospection()
 	}
 	rj := &workerJobRun{
-		wj: wj, st: st, done: make(chan struct{}),
+		wj: wj, st: st, done: make(chan struct{}), frame: frame,
 		obs:        o,
 		telC:       make(chan struct{}, 1),
 		telDropped: o.Reg().Counter(s.id, "netcluster", "telemetry_dropped"),
@@ -670,15 +697,16 @@ func (s *workerSession) sendEvent(ev core.CoordEvent) {
 
 // finishJob quiesces the data plane (flush-token exchange guarantees every
 // in-flight frame is in a mailbox before the job stops), stops and drains
-// the partition, and reports the result.
-func (s *workerSession) finishJob() error {
+// the partition, and reports the result. It returns the job's MsgJob buffer,
+// released.
+func (s *workerSession) finishJob() ([]byte, error) {
 	rj := s.running()
 	if rj == nil {
-		return fmt.Errorf("netcluster: worker %d: finish with no job running", s.id)
+		return nil, fmt.Errorf("netcluster: worker %d: finish with no job running", s.id)
 	}
 	s.mesh.sendFlush()
 	if err := s.mesh.awaitFlush(s.cfg.QuiesceTimeout); err != nil {
-		return err
+		return nil, err
 	}
 	rj.wj.Job.Stop(nil)
 	err := rj.wj.Job.Wait()
@@ -688,8 +716,9 @@ func (s *workerSession) finishJob() error {
 	s.job = nil
 	s.jobMu.Unlock()
 	s.mesh.clearJob()
+	frame := rj.release()
 	if err != nil {
-		return fmt.Errorf("netcluster: worker %d: %w", s.id, err)
+		return frame, fmt.Errorf("netcluster: worker %d: %w", s.id, err)
 	}
 	// Final telemetry flush: the shipping goroutine has exited (fwdWG), so
 	// this Final frame is the last MsgStats — and the control connection is
@@ -697,7 +726,7 @@ func (s *workerSession) finishJob() error {
 	// before the MsgResult below lets Run return.
 	s.shipTelemetry(rj, true)
 	res := ResultMsg{Result: *rj.wj.Result(), Datasets: rj.st.written(), Peers: s.mesh.stats()}
-	return s.send(MsgResult, AppendResult(nil, res))
+	return frame, s.send(MsgResult, AppendResult(nil, res))
 }
 
 // ErrPartitionedInput is returned by a worker store's ReadDataset of a
@@ -706,12 +735,13 @@ func (s *workerSession) finishJob() error {
 var ErrPartitionedInput = errors.New("netcluster: a worker holds only its read partitions of a shipped input")
 
 // trackingStore is a worker's dataset store. It keeps the input partitions as
-// shipped and serves them to readFile in place (store.PartitionedReader), and
-// it records every dataset the job writes, so the worker can report exactly
-// the outputs (and not echo the inputs back).
+// shipped — encoded, in the job's MsgJob buffer — and decodes one on each
+// readFile of it (store.PartitionedReader), and it records every dataset the
+// job writes, so the worker can report exactly the outputs (and not echo the
+// inputs back).
 type trackingStore struct {
 	parts  int
-	inputs map[string]map[int][]val.Value // shipped partitions by name, part
+	inputs map[string]map[int][]byte // shipped partitions, encoded, by name, part
 	// outputs holds the datasets the job wrote, names in order of first write.
 	mu      sync.Mutex
 	outputs map[string][]val.Value
@@ -721,45 +751,51 @@ type trackingStore struct {
 // newTrackingStore keeps the shipped partitions of a job run with
 // parallelism parts.
 func newTrackingStore(parts int, shipped []Dataset) (*trackingStore, error) {
-	t := &trackingStore{parts: parts, inputs: make(map[string]map[int][]val.Value), outputs: make(map[string][]val.Value)}
+	t := &trackingStore{parts: parts, inputs: make(map[string]map[int][]byte), outputs: make(map[string][]val.Value)}
 	for _, ds := range shipped {
 		if ds.Parts != parts {
 			return nil, fmt.Errorf("dataset %q shipped as part %d of %d, the job reads %d parts", ds.Name, ds.Part, ds.Parts, parts)
 		}
 		if t.inputs[ds.Name] == nil {
-			t.inputs[ds.Name] = make(map[int][]val.Value)
+			t.inputs[ds.Name] = make(map[int][]byte)
 		}
-		t.inputs[ds.Name][ds.Part] = ds.Elems
+		t.inputs[ds.Name][ds.Part] = ds.Encoded
 	}
 	return t, nil
 }
 
-// ReadPartitionBlocks implements store.PartitionedReader. A shipped input's
-// partition is returned as shipped, not copied; a dataset this job wrote is
-// strided over, as a reader without a PartitionedReader would.
-func (t *trackingStore) ReadPartitionBlocks(name string, part, parts int) ([][]val.Value, error) {
+// ReadPartition implements store.PartitionedReader. A shipped input's
+// partition is decoded from its shipped bytes into slab, the reading host's,
+// one element at a time; a dataset this job wrote is strided over in place.
+func (t *trackingStore) ReadPartition(name string, part, parts int, slab *val.Slab, fn func(val.Value) error) error {
 	t.mu.Lock()
 	elems, written := t.outputs[name]
 	t.mu.Unlock()
 	if written {
-		mine := make([]val.Value, 0, (len(elems)-part+parts-1)/parts)
-		for i := part; i < len(elems); i += parts {
-			mine = append(mine, elems[i])
-		}
-		return [][]val.Value{mine}, nil
+		return store.ReadStride(elems, part, parts, fn)
 	}
 	in, ok := t.inputs[name]
 	if !ok {
-		return nil, &store.NotFoundError{Name: name}
+		return &store.NotFoundError{Name: name}
 	}
 	if parts != t.parts {
-		return nil, fmt.Errorf("netcluster: dataset %q read as %d parts, shipped as %d", name, parts, t.parts)
+		return fmt.Errorf("netcluster: dataset %q read as %d parts, shipped as %d", name, parts, t.parts)
 	}
-	p, ok := in[part]
+	b, ok := in[part]
 	if !ok {
-		return nil, fmt.Errorf("netcluster: part %d of dataset %q was not shipped to this worker", part, name)
+		return fmt.Errorf("netcluster: part %d of dataset %q was not shipped to this worker", part, name)
 	}
-	return [][]val.Value{p}, nil
+	for len(b) > 0 {
+		v, n, err := val.Decode(b, slab)
+		if err != nil { // DecodeJobSpec validated every element
+			return fmt.Errorf("netcluster: dataset %q part %d: %w", name, part, err)
+		}
+		b = b[n:]
+		if err := fn(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadDataset implements store.Store for the datasets the job wrote.

@@ -23,15 +23,31 @@ type Store interface {
 }
 
 // PartitionedReader is the optional fast path for partitioned reads: a
-// reader instance fetches only its own partition instead of the whole
-// dataset, as the blocks the store keeps it in. Partitions must be disjoint
-// and cover the dataset. The blocks stay the store's — a reader emits their
-// elements and must not modify the slices — so a partition is not copied just
-// to be ranged over. The distributed runtime uses it when the store provides
-// it (internal/dfs does); otherwise it falls back to striding over
-// ReadDataset.
+// reader instance reads only its own partition instead of the whole dataset.
+// Partitions must be disjoint and cover the dataset. ReadPartition hands
+// partition part of parts to fn one element at a time, stopping at fn's
+// first error and returning it; no copy of the partition is made. A store
+// that decodes what it keeps carves the elements' tuples and strings from
+// slab, the reading instance's; a store of values ignores it. The
+// distributed runtime uses the reader when the store provides it; otherwise
+// it strides over ReadDataset.
 type PartitionedReader interface {
-	ReadPartitionBlocks(name string, part, parts int) ([][]val.Value, error)
+	ReadPartition(name string, part, parts int, slab *val.Slab, fn func(val.Value) error) error
+}
+
+// ReadStride hands fn the stride partition part of parts of elems —
+// elements part, part+parts, part+2*parts, ... — stopping at fn's first
+// error. It is the partition of a dataset a store keeps as one slice.
+func ReadStride(elems []val.Value, part, parts int, fn func(val.Value) error) error {
+	if parts < 1 || part < 0 || part >= parts {
+		return fmt.Errorf("store: partition %d of %d", part, parts)
+	}
+	for i := part; i < len(elems); i += parts {
+		if err := fn(elems[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NotFoundError reports a read of a missing dataset.
@@ -44,7 +60,7 @@ func (e *NotFoundError) Error() string {
 	return fmt.Sprintf("store: dataset %q not found", e.Name)
 }
 
-// MemStore is an in-memory Store.
+// MemStore is an in-memory Store and PartitionedReader.
 type MemStore struct {
 	mu   sync.RWMutex
 	data map[string][]val.Value
@@ -66,6 +82,19 @@ func (s *MemStore) ReadDataset(name string) ([]val.Value, error) {
 	out := make([]val.Value, len(elems))
 	copy(out, elems)
 	return out, nil
+}
+
+// ReadPartition implements PartitionedReader by striding over the stored
+// slice in place. WriteDataset replaces a dataset's slice and never mutates
+// one, so the slice read here stays as it was when the read began.
+func (s *MemStore) ReadPartition(name string, part, parts int, _ *val.Slab, fn func(val.Value) error) error {
+	s.mu.RLock()
+	elems, ok := s.data[name]
+	s.mu.RUnlock()
+	if !ok {
+		return &NotFoundError{Name: name}
+	}
+	return ReadStride(elems, part, parts, fn)
 }
 
 // WriteDataset implements Store.

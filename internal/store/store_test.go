@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/val"
@@ -83,5 +84,44 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		<-done
+	}
+}
+
+// TestMemStoreReadPartition pins the in-place stride read: partition part of
+// parts is elements part, part+parts, ..., the partitions cover the dataset,
+// a rewrite does not disturb a read that began before it, and a bad
+// partition or a missing dataset fails.
+func TestMemStoreReadPartition(t *testing.T) {
+	s := NewMemStore()
+	in := []val.Value{val.Int(0), val.Int(1), val.Int(2), val.Int(3), val.Int(4)}
+	s.WriteDataset("d", in)
+	var got []int64
+	for p := range 2 {
+		err := s.ReadPartition("d", p, 2, nil, func(v val.Value) error {
+			if len(got) == 0 {
+				s.WriteDataset("d", nil) // replaces the slice; this read keeps its own
+			}
+			got = append(got, v.AsInt())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WriteDataset("d", in)
+	}
+	if want := []int64{0, 2, 4, 1, 3}; !slices.Equal(got, want) {
+		t.Errorf("partitions 0, 1 of 2 read %v, want %v", got, want)
+	}
+	stop := errors.New("stop")
+	n := 0
+	if err := s.ReadPartition("d", 0, 1, nil, func(val.Value) error { n++; return stop }); err != stop || n != 1 {
+		t.Errorf("fn's error: read %d elements, returned %v", n, err)
+	}
+	if err := s.ReadPartition("d", 2, 2, nil, func(val.Value) error { return nil }); err == nil {
+		t.Error("partition 2 of 2 was read")
+	}
+	var nf *NotFoundError
+	if err := s.ReadPartition("missing", 0, 1, nil, func(val.Value) error { return nil }); !errors.As(err, &nf) {
+		t.Errorf("missing dataset: %v", err)
 	}
 }

@@ -116,6 +116,31 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkSkip is the validating walk a worker makes over a shipped input
+// partition instead of decoding it: the decode cases above, not built.
+func BenchmarkSkip(b *testing.B) {
+	cases := []struct {
+		name string
+		v    Value
+	}{
+		{"int", Int(123456789)},
+		{"pair", Pair(Str("page17"), Int(42))},
+		{"nested", Pair(Pair(Str("k3"), Int(9)), Pair(Int(-1), Str("value")))},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			buf := AppendBinary(nil, c.v)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Skip(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCodecRoundtripBatch(b *testing.B) {
 	// A full 128-element batch, the engine's default transfer unit.
 	elems := make([]Value, 128)

@@ -59,7 +59,21 @@ func DecodeBinary(buf []byte) (Value, int, error) { return Decode(buf, nil) }
 // input. The value keeps no reference to buf: its strings and tuples are
 // carved from s, so a link that decodes frame after frame into one Slab
 // allocates a chunk per ~128 pairs instead of twice per pair.
-func Decode(buf []byte, s *Slab) (Value, int, error) {
+func Decode(buf []byte, s *Slab) (Value, int, error) { return decode(buf, s, true) }
+
+// Skip validates the value at the front of buf and returns its length without
+// building it: it runs Decode's grammar and checks, so it accepts exactly the
+// inputs Decode accepts and consumes as many bytes, and it allocates nothing
+// but an error. A receiver that keeps a message encoded and decodes it later
+// rejects a corrupt one up front.
+func Skip(buf []byte) (int, error) {
+	_, n, err := decode(buf, nil, false)
+	return n, err
+}
+
+// decode is Decode when build is set and Skip otherwise: one grammar, and in
+// skip mode no string or tuple is made.
+func decode(buf []byte, s *Slab, build bool) (Value, int, error) {
 	if len(buf) == 0 {
 		return Value{}, 0, fmt.Errorf("val: decode: empty buffer")
 	}
@@ -89,6 +103,9 @@ func Decode(buf []byte, s *Slab) (Value, int, error) {
 		if uint64(len(buf)-n) < l {
 			return Value{}, 0, fmt.Errorf("val: decode: truncated string")
 		}
+		if !build {
+			return Value{}, n + int(l), nil
+		}
 		return Str(s.text(buf[n : n+int(l)])), n + int(l), nil
 	case KindBool:
 		if len(buf) < n+1 {
@@ -104,14 +121,22 @@ func Decode(buf []byte, s *Slab) (Value, int, error) {
 		if l > uint64(len(buf)) {
 			return Value{}, 0, fmt.Errorf("val: decode: tuple length %d exceeds buffer", l)
 		}
-		fields := s.Make(int(l))
-		for i := range fields {
-			f, used, err := Decode(buf[n:], s)
+		var fields []Value
+		if build {
+			fields = s.Make(int(l))
+		}
+		for i := range int(l) {
+			f, used, err := decode(buf[n:], s, build)
 			if err != nil {
 				return Value{}, 0, fmt.Errorf("val: decode: tuple field %d: %w", i, err)
 			}
-			fields[i] = f
+			if build {
+				fields[i] = f
+			}
 			n += used
+		}
+		if !build {
+			return Value{}, n, nil
 		}
 		return Tuple(fields...), n, nil
 	default:

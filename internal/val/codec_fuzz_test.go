@@ -12,6 +12,8 @@ import (
 //   - decoding into a Slab accepts and rejects exactly the same inputs, yields
 //     an Equal value from the same number of bytes, and that value survives
 //     the input buffer being overwritten (it keeps no reference to it),
+//   - Skip accepts exactly the inputs Decode accepts and returns the same
+//     length,
 //   - re-encoding the value and decoding again yields an Equal value that
 //     consumes the whole re-encoding (value-level round trip; byte-level
 //     equality with the input is NOT required, since varints and bools
@@ -50,6 +52,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		vs, ns, errs := Decode(frame, &slab)
 		if (err == nil) != (errs == nil) || ns != n1 {
 			t.Fatalf("DecodeBinary: %d bytes, err %v; Decode into a slab: %d bytes, err %v", n1, err, ns, errs)
+		}
+		if nk, errk := Skip(data); (err == nil) != (errk == nil) || nk != n1 {
+			t.Fatalf("DecodeBinary: %d bytes, err %v; Skip: %d bytes, err %v", n1, err, nk, errk)
 		}
 		if err != nil {
 			return // malformed input is allowed to fail; it must not panic
