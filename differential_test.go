@@ -24,7 +24,10 @@ import (
 var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "templates", "delta"}
 
 // exercises names what the harness must see happen at least once.
-var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output"}
+var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output", "reused a keyed table"}
+
+// reusedTable is the exercise core's table hook reports, from any run.
+const reusedTable = len(exercises) - 1
 
 // setting is one row of the differential table: a generated program, the
 // switches that are off, the machine count and the backend. On TCP the
@@ -87,7 +90,8 @@ type tcpCluster struct {
 // shrunk to the smallest setting that still fails and logged as one repro
 // line. Once every seed has run, the harness fails if no run did one of the
 // exercises; fusing a stage, running one on scratch and lending an output are
-// read from the plans of the sim runs.
+// read from the plans of the sim runs, and a host filling a keyed table an
+// earlier bag left cleared from core's table hook.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -97,6 +101,11 @@ func TestDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = 50
 	}
+	var saw [len(exercises)]atomic.Bool
+	// Set before any worker goroutine starts, removed after all have exited
+	// (cleanups run last-registered first).
+	core.SetTableHook(func(string) { saw[reusedTable].Store(true) })
+	t.Cleanup(func() { core.SetTableHook(nil) })
 	var tcp [2]tcpCluster
 	for i := range tcp {
 		c, cleanup, err := netcluster.StartLocal(2+i, netcluster.CoordConfig{})
@@ -106,7 +115,6 @@ func TestDifferential(t *testing.T) {
 		t.Cleanup(cleanup)
 		tcp[i].Coordinator = c
 	}
-	var saw [len(exercises)]atomic.Bool
 	var ran atomic.Int32
 	t.Cleanup(func() {
 		for i, what := range exercises {
@@ -266,7 +274,7 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 				deltaIn[s.deltaClass()] = res.DeltaIn
 			}
 			fused, scratch, lent := stagesOf(outs[i].plan)
-			for j, ok := range [len(exercises)]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch, lent} {
+			for j, ok := range [reusedTable]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch, lent} {
 				if ok {
 					saw[j].Store(true)
 				}

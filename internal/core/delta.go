@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -160,7 +161,9 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge fun
 		})
 		s.idx = fresh
 	}
-	changed := s.changed[:0]
+	// Every candidate may change, so the scratch is sized for all of them
+	// at once rather than doubled through a large step.
+	changed := slices.Grow(s.changed[:0], cand.Len())
 	var udfErr error
 	cand.Range(func(k, v val.Value) bool {
 		touched++
@@ -349,12 +352,12 @@ func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, 
 	return in, changed, touched, elements, bytes, steps
 }
 
-// beginDeltaMerge prepares one step's run: candidate fold table, and — on
-// this instance's first step only — the seed fold table. Later steps skip
-// the seed slot entirely (its selected bag stays buffered; retire recycles it
-// as the input position advances).
+// beginDeltaMerge prepares one step's run: the candidate fold table, kept
+// from step to step, and — on this instance's first step only — the seed
+// fold table. Later steps skip the seed slot entirely (its selected bag stays
+// buffered; retire recycles it as the input position advances).
 func (h *host) beginDeltaMerge(run *outputRun) {
-	run.hash = val.NewMap[val.Value](0)
+	run.hash = keyedTable(h.op, run.hash)
 	if h.state.isSeeded() {
 		run.slotDone[0] = true
 		h.seedStale = true

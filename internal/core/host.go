@@ -179,6 +179,8 @@ type outputRun struct {
 	cursor   []int // per slot: elements of a re-readable bag consumed so far
 	slotDone []bool
 
+	// The keyed tables outlive the bag: releaseRun clears them for the
+	// host's next output bag (keyedTable).
 	hash     *val.Map[val.Value]   // reduceByKey groups / deltaMerge candidate fold
 	seedHash *val.Map[val.Value]   // deltaMerge seed fold (first step only)
 	build    *val.Map[[]val.Value] // join build table
@@ -325,6 +327,15 @@ func (h *host) step(b ir.BlockID) {
 // batchHook, when a test sets it, sees how many elements of each batch on
 // an input slot were streamed and how many were buffered.
 var batchHook func(op *PlanOp, input, streamed, buffered int)
+
+// tableHook, when a test sets it, sees every output bag that fills a keyed
+// table an earlier bag of the same host left cleared, by operator variable.
+// It may be called from many hosts at once.
+var tableHook func(op string)
+
+// SetTableHook installs fn as tableHook, for tests outside this package; nil
+// removes it. Not safe while a job runs.
+func SetTableHook(fn func(op string)) { tableHook = fn }
 
 // OnBatch hands elements of the single-use bag the current output is
 // consuming on this slot straight to the operator logic and drops those of a
@@ -699,19 +710,34 @@ func (h *host) finishOutput() error {
 	return nil
 }
 
-// releaseRun recycles a finished run's slice capacity for the next output
-// bag on this host. Everything else is zeroed: values and tables must not
-// leak between bags (h.cachedBuild keeps its own reference to a reused
-// join build table, so nilling run.build here is safe).
+// releaseRun recycles a finished run's slice capacity and keyed tables for
+// the next output bag on this host. The tables are cleared, so no key or
+// value leaks between bags, and everything else is zeroed. A join build
+// table that h.cachedBuild holds for hoisting is the cache's, not the run's:
+// beginKind clears it once a new build bag supersedes it. The deltaMerge
+// seed table serves the first step only and is dropped.
 func (h *host) releaseRun(run *outputRun) {
-	for i := range run.args {
-		run.args[i] = val.Value{}
+	clear(run.args)
+	if run.hash != nil {
+		run.hash.Clear()
+	}
+	if run.distinct != nil {
+		run.distinct.Clear()
+	}
+	build := run.build
+	if build == h.cachedBuild {
+		build = nil
+	} else if build != nil {
+		build.Clear()
 	}
 	*run = outputRun{
 		inPos:    run.inPos[:0],
 		cursor:   run.cursor[:0],
 		slotDone: run.slotDone[:0],
 		args:     run.args[:0],
+		hash:     run.hash,
+		distinct: run.distinct,
+		build:    build,
 	}
 	h.freeRun = run
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mitos-project/mitos/internal/bag"
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
+	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -92,7 +94,8 @@ func BenchmarkHostJoinBuild(b *testing.B) {
 // TestSolutionApplyAllocs: merging a 1000-candidate step into a seeded
 // 10 000-key solution set costs the changed pairs' slab chunks (127 pairs
 // each) and a constant — no allocation per key probed, inserted or changed,
-// and no changed slice regrown from nothing every step.
+// and no changed slice regrown from nothing every step. A step that finds no
+// changed scratch, as the first one does, sizes it in one allocation.
 func TestSolutionApplyAllocs(t *testing.T) {
 	s := &solutionStore{idx: val.NewMap[val.Value](0), created: time.Now()}
 	seed := val.NewMap[val.Value](0)
@@ -108,7 +111,7 @@ func TestSolutionApplyAllocs(t *testing.T) {
 	var slab val.Slab
 	// Every step lowers 900 stored keys and inserts 100 new ones.
 	const steps = 20
-	cands := make([]*val.Map[val.Value], steps+2)
+	cands := make([]*val.Map[val.Value], 2*steps+3)
 	for r := range cands {
 		cands[r] = val.NewMap[val.Value](0)
 		for i := 0; i < 900; i++ {
@@ -126,7 +129,13 @@ func TestSolutionApplyAllocs(t *testing.T) {
 		}
 		step++
 	}
-	apply() // seeds, and sizes the scratch
+	apply() // seeds
+	if n := testing.AllocsPerRun(steps, func() {
+		s.changed = nil
+		apply()
+	}); n > 1+8+1 {
+		t.Errorf("a 1000-candidate step without a changed scratch: %v allocs, want <= 10 (the scratch, 8 slab chunks and the step record)", n)
+	}
 	if n := testing.AllocsPerRun(steps, apply); n > 8+4 {
 		t.Errorf("a 1000-candidate step: %v allocs, want <= 12 (8 slab chunks and a constant)", n)
 	}
@@ -243,6 +252,192 @@ func BenchmarkHostLentCombine(b *testing.B) {
 				if err := m.OnBatch(0, 0, batch); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// slabChunkValues is how many Values one slab chunk holds.
+const slabChunkValues = 255
+
+// TestKeyedTablesReusedAcrossBags hand-feeds three loop steps into each
+// keyed host — a key combiner, reduceByKey, distinct, a join with hoisting on
+// and a build bag that changes every step, one with hoisting off, and a
+// deltaMerge — each step over keys no other step uses (a join's probe side
+// also carries the earlier steps' keys, which must miss). Every output bag
+// must hold exactly its own step's keys. Steps 2 and 3 must start on the
+// table step 1 filled, emptied, and allocate no table storage: step 3 costs
+// at most the slab chunks its carved Values fill, and for the deltaMerge its
+// step record, where a table built afresh for 64 keys is 8 allocations.
+func TestKeyedTablesReusedAcrossBags(t *testing.T) {
+	const keys = 64
+	// ks returns the keys of steps from..to, each as a tuple with the fields
+	// v when v is given.
+	ks := func(from, to int, v ...val.Value) []val.Value {
+		var out []val.Value
+		for s := from; s <= to; s++ {
+			for i := 0; i < keys; i++ {
+				k := val.Int(int64(s*1000 + i))
+				if len(v) == 0 {
+					out = append(out, k)
+				} else {
+					out = append(out, val.Tuple(append([]val.Value{k}, v...)...))
+				}
+			}
+		}
+		return out
+	}
+	twice := func(vs []val.Value) []val.Value { return append(vs, vs...) }
+	hashTable := func(r *outputRun) interface{ Len() int } { return r.hash }
+	type keyedCase struct {
+		name      string
+		kind      ir.OpKind
+		synth     SynthKind
+		f         lang.Expr
+		producers []ir.BlockID
+		hoisting  bool
+		in        func(s int) [][]val.Value // step s's bag per slot; nil: none at its position
+		out       func(s int) []val.Value
+		table     func(r *outputRun) interface{ Len() int }
+		carved    int // Values a step carves from the host's slab
+	}
+	one, two := val.Int(1), val.Int(2)
+	join := func(name string, hoisting bool) keyedCase {
+		return keyedCase{
+			name: name, kind: ir.OpJoin, producers: []ir.BlockID{1, 1}, hoisting: hoisting,
+			in: func(s int) [][]val.Value {
+				return [][]val.Value{ks(s, s, val.Int(int64(s))), ks(1, s, val.Int(-1))}
+			},
+			out:    func(s int) []val.Value { return ks(s, s, val.Int(int64(s)), val.Int(-1)) },
+			table:  func(r *outputRun) interface{ Len() int } { return r.build },
+			carved: keys + 3*keys, // a one-value group per key, a triple per match
+		}
+	}
+	cases := []keyedCase{
+		{
+			name: "combiner", kind: ir.OpReduceByKey, synth: SynthCombineByKey, f: addUDF, producers: []ir.BlockID{1},
+			in:    func(s int) [][]val.Value { return [][]val.Value{twice(ks(s, s, one))} },
+			out:   func(s int) []val.Value { return ks(s, s, two) },
+			table: hashTable, carved: 2 * keys,
+		},
+		{
+			name: "reduceByKey", kind: ir.OpReduceByKey, f: addUDF, producers: []ir.BlockID{1},
+			in:    func(s int) [][]val.Value { return [][]val.Value{twice(ks(s, s, one))} },
+			out:   func(s int) []val.Value { return ks(s, s, two) },
+			table: hashTable, carved: 2 * keys,
+		},
+		{
+			name: "distinct", kind: ir.OpDistinct, producers: []ir.BlockID{1},
+			in:    func(s int) [][]val.Value { return [][]val.Value{twice(ks(s, s))} },
+			out:   func(s int) []val.Value { return ks(s, s) },
+			table: func(r *outputRun) interface{ Len() int } { return r.distinct },
+		},
+		join("join/hoisting", true),
+		join("join/no-hoisting", false),
+		{
+			// The seed (bag 1, before the loop) holds every step's keys at 0;
+			// a step adds 1 to its own, which changes exactly those.
+			name: "deltaMerge", kind: ir.OpDeltaMerge, f: addUDF, producers: []ir.BlockID{0, 1},
+			in:    func(s int) [][]val.Value { return [][]val.Value{nil, ks(s, s, one)} },
+			out:   func(s int) []val.Value { return ks(s, s, one) },
+			table: hashTable, carved: 2 * keys,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sink := &collector{}
+			var f *lang.UDF
+			if c.f != nil {
+				f = mustUDF(t, c.f)
+			}
+			h := handFedHost(t, c.kind, f, store.NewMemStore(), c.producers, sink)
+			h.op.Synth, h.rt.opts.Hoisting = c.synth, c.hoisting
+			reused := 0
+			tableHook = func(string) { reused++ }
+			t.Cleanup(func() { tableHook = nil })
+			// Everything a step hands the host is built before it runs, and
+			// the sink has room for every bag, so a step's allocations are
+			// the host's own.
+			visit(t, h, 0)
+			if c.kind == ir.OpDeltaMerge {
+				feed(t, h, 0, 1, ks(1, 3, val.Int(0))...)
+				eob(t, h, 0, 1)
+			}
+			sink.eobs = make([]int, 0, 4)
+			type step struct {
+				seg     any
+				batches [][]Element
+			}
+			steps := make([]step, 4)
+			for s := 1; s <= 3; s++ {
+				pos := s + 1
+				sink.bags[pos] = make([]val.Value, 0, 2*keys)
+				steps[s].seg = PathSegment{Pos: pos, Blocks: []ir.BlockID{1}}
+				for _, vals := range c.in(s) {
+					var batch []Element
+					if vals != nil {
+						batch = make([]Element, len(vals))
+						for i, v := range vals {
+							batch[i] = Element{Tag: dataflow.Tag(pos), Val: v}
+						}
+					}
+					steps[s].batches = append(steps[s].batches, batch)
+				}
+			}
+			var first interface{ Len() int }
+			run := func(s int) {
+				if err := h.OnControl(steps[s].seg); err != nil {
+					t.Fatal(err)
+				}
+				if h.cur == nil || h.cur.pos != s+1 {
+					t.Fatalf("step %d: the host is not running bag %d", s, s+1)
+				}
+				tbl := c.table(h.cur)
+				if s == 1 {
+					first = tbl
+				} else if tbl != first {
+					t.Errorf("step %d fills a table of its own, not step 1's", s)
+				}
+				if n := tbl.Len(); n != 0 {
+					t.Errorf("step %d starts on a table holding %d keys", s, n)
+				}
+				for slot, batch := range steps[s].batches {
+					if batch == nil {
+						continue
+					}
+					if err := h.OnBatch(slot, 0, batch); err != nil {
+						t.Fatal(err)
+					}
+					if err := h.OnEOB(slot, 0, dataflow.Tag(s+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if h.cur != nil {
+					t.Fatalf("step %d: bag %d did not finish", s, s+1)
+				}
+			}
+			run(1)
+			// Step 2 is AllocsPerRun's warm-up call, which also settles the
+			// host's input-bag bookkeeping; step 3 is counted.
+			next := 2
+			n := testing.AllocsPerRun(1, func() {
+				run(next)
+				next++
+			})
+			bound := (c.carved + slabChunkValues - 1) / slabChunkValues
+			if c.kind == ir.OpDeltaMerge {
+				bound++ // the step record
+			}
+			if n > float64(bound) {
+				t.Errorf("step 3: %v allocs, want <= %d (%d carved Values)", n, bound, c.carved)
+			}
+			for s := 1; s <= 3; s++ {
+				if got, want := sink.bags[s+1], c.out(s); !bag.Equal(got, want) {
+					t.Errorf("step %d output = %v, want %v", s, bag.Sorted(got), bag.Sorted(want))
+				}
+			}
+			if reused != 2 {
+				t.Errorf("%d bags filled a table an earlier bag left, want 2", reused)
 			}
 		})
 	}

@@ -8,44 +8,65 @@ import (
 	"github.com/mitos-project/mitos/internal/val"
 )
 
-// beginKind prepares kind-specific state for a new output bag. For joins it
-// implements loop-invariant hoisting: when enabled and the selected build
-// input bag is the same as for the previous output, the cached hash table
-// is reused instead of being rebuilt (paper Sec. 5.3).
+// beginKind prepares kind-specific state for a new output bag. A keyed
+// kind fills the table its previous bag left cleared in the run (keyedTable).
+// For joins it implements loop-invariant hoisting: when enabled and the
+// selected build input bag is the same as for the previous output, the
+// cached hash table is reused instead of being rebuilt (paper Sec. 5.3); a
+// stale one is cleared and rebuilt in place.
 func (h *host) beginKind(run *outputRun) error {
 	switch h.op.Synth {
 	case SynthCombineByKey:
-		run.hash = val.NewMap[val.Value](0)
+		run.hash = keyedTable(h.op, run.hash)
 		return nil
 	case SynthLocalDistinct:
-		run.distinct = val.NewMap[struct{}](0)
+		run.distinct = keyedTable(h.op, run.distinct)
 		return nil
 	case SynthPartialSum, SynthPartialCount, SynthPartialReduce:
 		return nil
 	}
 	switch h.op.Instr.Kind {
 	case ir.OpJoin:
-		if h.rt.opts.Hoisting && h.cachedBuild != nil && h.cachedBuildPos == run.inPos[0] {
-			run.build = h.cachedBuild
-			run.slotDone[0] = true
-			h.joinReuses.Inc()
-			if h.trc != nil {
-				h.trc.Instant("hoist", "build_reuse", h.machine, h.lane,
-					map[string]any{"pos": run.pos, "build_pos": run.inPos[0]})
+		if h.rt.opts.Hoisting && h.cachedBuild != nil {
+			if h.cachedBuildPos == run.inPos[0] {
+				run.build = h.cachedBuild
+				run.slotDone[0] = true
+				h.joinReuses.Inc()
+				if h.trc != nil {
+					h.trc.Instant("hoist", "build_reuse", h.machine, h.lane,
+						map[string]any{"pos": run.pos, "build_pos": run.inPos[0]})
+				}
+				return nil
 			}
-		} else {
-			run.build = val.NewMap[[]val.Value](0)
+			h.cachedBuild.Clear()
+			run.build, h.cachedBuild = h.cachedBuild, nil
 		}
+		run.build = keyedTable(h.op, run.build)
 	case ir.OpReduceByKey:
-		run.hash = val.NewMap[val.Value](0)
+		run.hash = keyedTable(h.op, run.hash)
 	case ir.OpDeltaMerge:
 		h.beginDeltaMerge(run)
 	case ir.OpDistinct:
-		run.distinct = val.NewMap[struct{}](0)
+		run.distinct = keyedTable(h.op, run.distinct)
 	case ir.OpCombine, ir.OpReadFile, ir.OpWriteFile:
 		run.args = sizedVals(run.args, len(h.op.Inputs))
 	}
 	return nil
+}
+
+// keyedTable returns the empty table a keyed kind fills for its next output
+// bag: m, the one an earlier bag of the host left cleared (releaseRun), or a
+// new one on the host's first bag. A host runs one output bag at a time, so
+// two bags never share a table, and a table's capacity is the largest bag
+// the host has folded.
+func keyedTable[T any](op *PlanOp, m *val.Map[T]) *val.Map[T] {
+	if m == nil {
+		return val.NewMap[T](0)
+	}
+	if tableHook != nil {
+		tableHook(op.Instr.Var)
+	}
+	return m
 }
 
 // slotUse is how the current output bag takes one input slot right now.

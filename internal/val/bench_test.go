@@ -55,8 +55,8 @@ func BenchmarkMapUpdate(b *testing.B) {
 }
 
 // BenchmarkMapBuild is the growth path: one op inserts 8192 distinct keys
-// into a fresh table, as every step of a delta iteration and every join
-// build does, where BenchmarkMapUpdate never leaves 64 warm entries.
+// into a fresh table, as a host's first bag does, where BenchmarkMapUpdate
+// never leaves 64 warm entries.
 func BenchmarkMapBuild(b *testing.B) {
 	keys := make([]Value, 8192)
 	for i := range keys {
@@ -69,6 +69,37 @@ func BenchmarkMapBuild(b *testing.B) {
 		for _, k := range keys {
 			m.Put(k, k)
 		}
+	}
+}
+
+// BenchmarkMapClear is the table a host keeps from bag to bag, grown to
+// 8192 keys (a 16 384-slot index). sparse: one key put and cleared, which
+// must cost a probe, not the index; dense: clearing all 8192 keys and
+// putting 8192 others, what BenchmarkMapBuild does on a fresh table.
+func BenchmarkMapClear(b *testing.B) {
+	keys := make([]Value, 16384)
+	for i := range keys {
+		keys[i] = Int(int64(i) * 7919)
+	}
+	for _, c := range []struct {
+		name string
+		keys int
+	}{{"sparse", 1}, {"dense", 8192}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := NewMap[Value](0)
+			for _, k := range keys[:8192] {
+				m.Put(k, k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Clear()
+				from := i % 2 * 8192 // a different key set each op
+				for _, k := range keys[from : from+c.keys] {
+					m.Put(k, k)
+				}
+			}
+		})
 	}
 }
 

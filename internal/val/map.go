@@ -11,7 +11,8 @@ import "math/bits"
 // "Keyed state"), so a table costs O(log n) allocations instead of one per
 // key. Range visits keys in first-insertion order: that order is part of
 // the contract, and what keeps operator output deterministic. There is no
-// delete. A Map holds at most 2^31 keys.
+// delete; Clear empties the whole map and keeps its storage for the next
+// fill. A Map holds at most 2^31 keys.
 type Map[T any] struct {
 	// index is open-addressed with linear probing: a slot holds an entry
 	// number plus one, 0 for empty. Its length is a power of two, twice
@@ -160,6 +161,47 @@ func (m *Map[T]) Update(key Value, f func(old T, present bool) T) bool {
 
 // Len returns the number of keys in the map.
 func (m *Map[T]) Len() int { return m.n }
+
+// sparseClear is how many index slots per key make Clear find each key's
+// slot from its stored hash instead of zeroing the whole index: a probe
+// costs about as much as zeroing this many slots.
+const sparseClear = 32
+
+// Clear empties the map and keeps its storage, so refilling it up to the key
+// count it held allocates nothing. Every used entry is zeroed, so no key or
+// value stays reachable from the map; Range then restarts in first-insertion
+// order. The cost is O(keys), not O(capacity): when the keys are few for the
+// index, each one's slot is found from its stored hash and zeroed alone.
+func (m *Map[T]) Clear() {
+	if m.n == 0 {
+		return
+	}
+	sparse := m.n*sparseClear < len(m.index)
+	if !sparse {
+		clear(m.index)
+	}
+	mask := uint64(len(m.index) - 1)
+	e, left := uint32(0), m.n
+	for _, chunk := range m.chunks {
+		if left == 0 {
+			break
+		}
+		chunk = chunk[:min(len(chunk), left)]
+		left -= len(chunk)
+		for j := 0; sparse && j < len(chunk); j++ {
+			// Slots earlier on the probe sequence may be zeroed already, so
+			// the search looks for this entry's number, not for a gap.
+			e++
+			i := (chunk[j].hash * hashMix) >> m.shift
+			for m.index[i] != e {
+				i = (i + 1) & mask
+			}
+			m.index[i] = 0
+		}
+		clear(chunk)
+	}
+	m.n = 0
+}
 
 // Range calls f for every key/value pair, in the order the keys were first
 // inserted, until f returns false. f must not insert into the map.

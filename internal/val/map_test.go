@@ -3,6 +3,7 @@ package val
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -120,62 +121,118 @@ func modelKey(r *rand.Rand, ids int) (Value, string) {
 func TestMapMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for name, m := range map[string]*Map[int]{"zero": {}, "unhinted": NewMap[int](0), "hinted": NewMap[int](100)} {
-		ref := map[string]int{}
-		var order []string
-		for op := 0; op < 6000; op++ {
-			k, s := modelKey(r, 400)
-			old, had := ref[s]
-			switch r.Intn(3) {
-			case 0:
-				m.Put(k, op)
-				ref[s] = op
-			case 1:
-				present := m.Update(k, func(v int, present bool) int {
-					if present != had || v != old {
-						t.Errorf("%s: Update(%s) saw %d,%t, want %d,%t", name, s, v, present, old, had)
-					}
-					return v + op
-				})
-				if present != had {
-					t.Errorf("%s: Update(%s) = %t, want %t", name, s, present, had)
-				}
-				ref[s] = old + op
-			default:
-				if v, ok := m.Get(k); ok != had || v != old {
-					t.Fatalf("%s: Get(%s) = %d,%t, want %d,%t", name, s, v, ok, old, had)
-				}
-				continue
-			}
-			if !had {
-				order = append(order, s)
-			}
-			if m.Len() != len(ref) {
-				t.Fatalf("%s: Len = %d, want %d", name, m.Len(), len(ref))
-			}
+		if keys := matchModel(t, name, m, r, 6000, nil); keys < 1000 {
+			t.Fatalf("%s: only %d keys inserted; the stream does not exercise growth", name, keys)
 		}
-		if len(order) < 1000 {
-			t.Fatalf("%s: only %d keys inserted; the stream does not exercise growth", name, len(order))
-		}
-		i := 0
-		m.Range(func(k Value, v int) bool {
-			if v != ref[order[i]] {
-				t.Fatalf("%s: Range entry %d = %s: %d, want %s: %d (first-insertion order)", name, i, k, v, order[i], ref[order[i]])
+	}
+}
+
+// TestMapClearMatchesModel is TestMapMatchesModel with Clear interleaved:
+// after each one the model is empty too, and Len, Get, Update and Range must
+// agree with it from the first op on. Runs of ops between clears are drawn
+// long (the table grows) or short (a few keys in a large index), so both of
+// Clear's ways of emptying the index run.
+func TestMapClearMatchesModel(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for name, m := range map[string]*Map[int]{"zero": {}, "hinted": NewMap[int](100)} {
+		var sparse, dense int
+		next := 0
+		matchModel(t, name, m, r, 20000, func(op int) bool {
+			if op < next {
+				return false
 			}
-			i++
+			if r.Intn(2) == 0 {
+				next = op + 1 + r.Intn(40)
+			} else {
+				next = op + 1 + r.Intn(3000)
+			}
+			if m.n*sparseClear < len(m.index) {
+				sparse++
+			} else {
+				dense++
+			}
 			return true
 		})
-		if i != len(order) {
-			t.Errorf("%s: Range visited %d keys, want %d", name, i, len(order))
+		if sparse < 3 || dense < 3 {
+			t.Errorf("%s: %d sparse and %d dense clears, want a few of each", name, sparse, dense)
 		}
-		for stop := 1; stop <= len(order); stop *= 3 {
-			seen := 0
-			m.Range(func(Value, int) bool {
-				seen++
-				return seen < stop
-			})
-			if seen != stop {
-				t.Errorf("%s: Range stopped after %d keys, want %d", name, seen, stop)
+	}
+}
+
+// matchModel runs ops random operations on m against a reference map and
+// returns the keys inserted since the last clear. Before each op, clearNow
+// (if set) may call for a Clear; Range order is checked before every Clear
+// and at the end.
+func matchModel(t *testing.T, name string, m *Map[int], r *rand.Rand, ops int, clearNow func(op int) bool) int {
+	t.Helper()
+	ref := map[string]int{}
+	var order []string
+	for op := 0; op < ops; op++ {
+		if clearNow != nil && clearNow(op) {
+			checkRange(t, name, m, ref, order)
+			m.Clear()
+			ref, order = map[string]int{}, order[:0]
+			if m.Len() != 0 || slices.ContainsFunc(m.index, func(slot uint32) bool { return slot != 0 }) {
+				t.Fatalf("%s: Len = %d after Clear, or an index slot still set", name, m.Len())
 			}
+		}
+		k, s := modelKey(r, 400)
+		old, had := ref[s]
+		switch r.Intn(3) {
+		case 0:
+			m.Put(k, op)
+			ref[s] = op
+		case 1:
+			present := m.Update(k, func(v int, present bool) int {
+				if present != had || v != old {
+					t.Errorf("%s: Update(%s) saw %d,%t, want %d,%t", name, s, v, present, old, had)
+				}
+				return v + op
+			})
+			if present != had {
+				t.Errorf("%s: Update(%s) = %t, want %t", name, s, present, had)
+			}
+			ref[s] = old + op
+		default:
+			if v, ok := m.Get(k); ok != had || v != old {
+				t.Fatalf("%s: Get(%s) = %d,%t, want %d,%t", name, s, v, ok, old, had)
+			}
+			continue
+		}
+		if !had {
+			order = append(order, s)
+		}
+		if m.Len() != len(ref) {
+			t.Fatalf("%s: Len = %d, want %d", name, m.Len(), len(ref))
+		}
+	}
+	checkRange(t, name, m, ref, order)
+	return len(order)
+}
+
+// checkRange checks that Range visits ref's keys in first-insertion order
+// and stops when told to.
+func checkRange(t *testing.T, name string, m *Map[int], ref map[string]int, order []string) {
+	t.Helper()
+	i := 0
+	m.Range(func(k Value, v int) bool {
+		if i >= len(order) || v != ref[order[i]] {
+			t.Fatalf("%s: Range entry %d = %s: %d, want the %d keys of %v in first-insertion order", name, i, k, v, len(order), order)
+		}
+		i++
+		return true
+	})
+	if i != len(order) {
+		t.Errorf("%s: Range visited %d keys, want %d", name, i, len(order))
+	}
+	for stop := 1; stop <= len(order); stop *= 3 {
+		seen := 0
+		m.Range(func(Value, int) bool {
+			seen++
+			return seen < stop
+		})
+		if seen != stop {
+			t.Errorf("%s: Range stopped after %d keys, want %d", name, seen, stop)
 		}
 	}
 }
@@ -282,5 +339,34 @@ func TestMapAllocsPerGrowth(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("reading an empty table: %v allocs, want 0", n)
+	}
+}
+
+// TestMapClearAllocs: a cleared table refilled up to the key count it held
+// allocates nothing, whether Clear zeroed the whole index or only the used
+// slots (a few keys in a large table).
+func TestMapClearAllocs(t *testing.T) {
+	keys := make([]Value, 20000)
+	for i := range keys {
+		keys[i] = Int(int64(i))
+	}
+	var m Map[int64]
+	for _, k := range keys[:10000] {
+		m.Put(k, 1)
+	}
+	fill := 0
+	for _, n := range []int{10000, 3} {
+		if a := testing.AllocsPerRun(10, func() {
+			m.Clear()
+			fill++
+			for _, k := range keys[fill : fill+n] { // a different key set each fill
+				m.Put(k, int64(fill))
+			}
+			if m.Len() != n {
+				t.Fatalf("Len = %d, want %d", m.Len(), n)
+			}
+		}); a != 0 {
+			t.Errorf("Clear and refill %d keys: %v allocs, want 0", n, a)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestSlabChunksAreNotReused: a tuple and a decoded string kept across 10 000
@@ -69,6 +70,24 @@ func TestSlabPinningBound(t *testing.T) {
 			t.Errorf("with no survivor left, %d bytes stay live", held)
 		}
 	}
+	// A cleared table keeps its own storage and nothing it held: the
+	// carved keys' chunks are free after a collection.
+	base := live()
+	var s Slab
+	var m Map[struct{}]
+	for i := 0; i < carved; i++ {
+		m.Put(s.Tuple(Int(int64(i)), Int(1)), struct{}{})
+	}
+	m.Clear()
+	s = Slab{}
+	table := int64(len(m.index)) * 4
+	for _, c := range m.chunks {
+		table += int64(len(c)) * int64(unsafe.Sizeof(c[0]))
+	}
+	if held := live() - base; held > table+slack {
+		t.Errorf("a cleared table of %d slab-carved keys holds %d bytes live, want <= %d (its own storage)", carved, held, table+slack)
+	}
+	runtime.KeepAlive(&m)
 }
 
 // TestSlabAllocations: carving is one allocation per chunk, a nil slab one
