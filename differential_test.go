@@ -12,6 +12,7 @@ import (
 	"github.com/mitos-project/mitos/internal/bag"
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/netcluster"
@@ -24,10 +25,15 @@ import (
 var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "templates", "delta"}
 
 // exercises names what the harness must see happen at least once.
-var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output", "reused a keyed table"}
+var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch"}
 
-// reusedTable is the exercise core's table hook reports, from any run.
-const reusedTable = len(exercises) - 1
+// The exercises hooks report, from any run: core's table hook, and
+// dataflow's lent hook for a remote and for a local target.
+const (
+	reusedTable = len(exercises) - 3 + iota
+	lentRemote
+	lentLocal
+)
 
 // setting is one row of the differential table: a generated program, the
 // switches that are off, the machine count and the backend. On TCP the
@@ -90,8 +96,10 @@ type tcpCluster struct {
 // shrunk to the smallest setting that still fails and logged as one repro
 // line. Once every seed has run, the harness fails if no run did one of the
 // exercises; fusing a stage, running one on scratch and lending an output are
-// read from the plans of the sim runs, and a host filling a keyed table an
-// earlier bag left cleared from core's table hook.
+// read from the plans of the sim runs, a host filling a keyed table an
+// earlier bag left cleared from core's table hook, and a lent element
+// encoded into a remote frame or copied into a local batch from dataflow's
+// lent hook.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -106,6 +114,14 @@ func TestDifferential(t *testing.T) {
 	// (cleanups run last-registered first).
 	core.SetTableHook(func(string) { saw[reusedTable].Store(true) })
 	t.Cleanup(func() { core.SetTableHook(nil) })
+	dataflow.SetLentHook(func(remote bool) {
+		if remote {
+			saw[lentRemote].Store(true)
+		} else {
+			saw[lentLocal].Store(true)
+		}
+	})
+	t.Cleanup(func() { dataflow.SetLentHook(nil) })
 	var tcp [2]tcpCluster
 	for i := range tcp {
 		c, cleanup, err := netcluster.StartLocal(2+i, netcluster.CoordConfig{})

@@ -44,8 +44,9 @@ import (
 // by a deliver → OnBatch → consume → emit hop, and a join's, cross's or
 // group output's tuple that the first stages only project is never built
 // (Stage.Scratch). The tuple literal a map builds for a keyed reader on a
-// chained edge — the x => (x, 1) in front of a combiner — is not carved at
-// all: the host lends it (PlanOp.Lends).
+// chained edge or for a shuffle — the x => (x, 1) in front of a combiner or a
+// join — and a combiner's (key, agg) are not carved at all: the host lends
+// them (PlanOp.Lends).
 //
 // Chaining is transparent to the bag protocol: hosts still see per-edge
 // FIFO event order (synchronous calls deliver in emission order), still
@@ -204,21 +205,15 @@ func (p *Plan) fuseStages() {
 // lendWidth is the widest tuple literal a host lends (host.lent).
 const lendWidth = 3
 
-// lends reports whether op's output elements can be lent (PlanOp.Lends):
-// its last map builds a tuple literal, and it has readers, each on a chained
-// edge — an element on it is a synchronous call that returns before the next
-// one is built — and each reading in place.
+// lends reports whether op's output elements can be lent (PlanOp.Lends): it
+// builds each one in a tuple of its own — its last map's tuple literal, or,
+// with no stages, a key combiner's or a reduceByKey's group output — and it
+// has readers, each of which either reads in place over a chained edge — an
+// element on it is a synchronous call that returns before the next one is
+// built — or is behind a batching edge, which encodes the element into a
+// remote frame or copies it into a local batch before Emit returns.
 func (p *Plan) lends(op *PlanOp) bool {
-	last := op.Instr
-	if n := len(op.Stages); n > 0 {
-		last = op.Stages[n-1].Instr
-	} else if op.Synth != SynthNone {
-		return false
-	}
-	if last.Kind != ir.OpMap || last.F == nil {
-		return false
-	}
-	if w := last.F.TupleWidth(); w == 0 || w > lendWidth {
+	if !buildsOwnTuple(op) {
 		return false
 	}
 	readers := 0
@@ -227,7 +222,7 @@ func (p *Plan) lends(op *PlanOp) bool {
 			if in.Producer != op {
 				continue
 			}
-			if !in.Chained || !readsInPlace(c) {
+			if in.Chained && !readsInPlace(c) {
 				return false
 			}
 			readers++
@@ -236,14 +231,36 @@ func (p *Plan) lends(op *PlanOp) bool {
 	return readers > 0
 }
 
+// buildsOwnTuple reports whether every element op emits is a tuple op
+// builds for it alone, which it can therefore fill into the lent tuple: the
+// tuple literal of its last map — its last stage, or op itself when it is a
+// map with none — of at most lendWidth fields, or the (key, agg) pair of a
+// key combiner or reduceByKey with no stages.
+func buildsOwnTuple(op *PlanOp) bool {
+	last := op.Instr
+	if n := len(op.Stages); n > 0 {
+		last = op.Stages[n-1].Instr
+	} else if op.Synth == SynthCombineByKey || op.Synth == SynthNone && op.Instr.Kind == ir.OpReduceByKey {
+		return true
+	} else if op.Synth != SynthNone {
+		return false
+	}
+	if last.Kind != ir.OpMap || last.F == nil {
+		return false
+	}
+	w := last.F.TupleWidth()
+	return w > 0 && w <= lendWidth
+}
+
 // readsInPlace reports whether op uses each element only through pairParts
 // and keeps just the key and the value, never the pair. Of the readers a
-// compiled plan can chain to a map, only the key combiner does: it folds
-// them into its table. Every other chained reader may keep or forward the
-// element itself — the local distinct combiner keys a table by it, writeFile
-// stores it, union, copy and phi pass it on, a partial reduce holds it as
-// its accumulator — so its producer carves. reduceByKey, deltaMerge and join
-// would read in place too, but they always read over a shuffle.
+// compiled plan can chain to a lending operator, only the key combiner does:
+// it folds them into its table. Every other chained reader may keep or
+// forward the element itself — the local distinct combiner keys a table by
+// it, writeFile stores it, union, copy and phi pass it on, a partial reduce
+// holds it as its accumulator — so its producer carves. reduceByKey,
+// deltaMerge and join would read in place too, but they always read over a
+// shuffle, which takes a lent element anyway.
 func readsInPlace(op *PlanOp) bool {
 	return op.Synth == SynthCombineByKey
 }

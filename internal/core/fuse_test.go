@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,7 +22,9 @@ import (
 // script at parallelism 4 with every option on. The join carries three
 // stages: the filter and the projecting map read the scratch tuple, and the
 // pair-building map lends its pair to the chained combiner. The readFile's
-// (x, 1) crosses the join's shuffle, so it is carved.
+// (x, 1) and the combiner's (key, count) cross a shuffle, which encodes or
+// copies them as they are emitted, so they lend too. counts.1's groups are
+// carved: the chained copy forwards them.
 const visitCountBulkPlan = `op0 b0 par1 yesterdayCounts.1 = empty() chain1
 op1 b0 par1 $t2.1 = singleton("pageTypes")
 op2 b0 par4 pageTypes.1 = readFile($t2.1) [in0<-op1 broadcast]
@@ -30,7 +33,7 @@ op4 b1 par1 yesterdayCounts.2 = phi(yesterdayCounts.1, yesterdayCounts.3) chain1
 op5 b1 par1 day.2 = phi(day.1, day.3) chain2 [in0<-op3 forward chained] [in1<-op16 forward]
 op6 b1 par1 $t5.1 = combine(day.2) [p0 => "pageVisitLog" + p0] chain2 [in0<-op5 forward chained]
 op7 b1 par4 rawVisits.1 = readFile($t5.1) [in0<-op6 broadcast]
-    stage $t8.1 = map(rawVisits.1) [x => (x, 1)]
+    stage $t8.1 = map(rawVisits.1) [x => (x, 1)] lends
 op8 b1 par4 tagged.1 = join(pageTypes.1, $t8.1) chain3 [in0<-op2 shuffleKey] [in1<-op7 shuffleKey]
     stage $t9.1 = filter(tagged.1) [t => t.1 == "article"] on scratch
     stage visits.1 = map($t9.1) [t => t.0] on scratch
@@ -45,7 +48,7 @@ op14 b3 par1 $w18.1 = writeFile($t16.1, $t17.1) chain2 [in0<-op12 forward chaine
 op15 b4 par4 yesterdayCounts.3 = copy(counts.1) chain4 [in0<-op9 forward chained]
 op16 b4 par1 day.3 = combine(day.2) [p0 => p0 + 1] chain2 [in0<-op5 forward chained]
 op17 b4 par1 cond $t20.1 = combine(day.3) [p0 => p0 <= 6] [in0<-op16 forward]
-op18 b1 par4 combineByKey counts.1.combine = reduceByKey($t11.1) [(a, b) => a + b] chain3 [in0<-op8 forward chained]
+op18 b1 par4 combineByKey counts.1.combine = reduceByKey($t11.1) [(a, b) => a + b] chain3 [in0<-op8 forward chained] lends
 op19 b3 par4 partialSum $t16.1.combine = sum(diffs.1) chain5 [in0<-op11 forward chained]
 `
 
@@ -65,7 +68,7 @@ func TestFusedPlanGolden(t *testing.T) {
 		t.Errorf("plan:\n%s\nwant:\n%s", got, visitCountBulkPlan)
 	}
 	dot := p.Dot()
-	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map (lends)"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map"`} {
+	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map (lends)"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map (lends)"`, `combineByKey par=4 (lends)`, `counts.1\\nreduceByKey par=4\\nchain`} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("dot output lacks %q:\n%s", want, dot)
 		}
@@ -102,15 +105,18 @@ func wholeParamInputs(st store.Store) error {
 	return st.WriteDataset("b", b)
 }
 
-// lendScript feeds tuple-literal maps to two groups of readers. Readers
-// that read in place, so the map lends: the key combiners of sSum (a map of
-// its own, on a read shared with other maps) and eSum (a stage of its
-// readFile). Readers that keep or pass on the element, so the map must
-// carve: the local distinct combiner (dPairs), a chained writeFile (w), a phi
-// on the loop's entry edge (p.1) and, over its back edge, the phi with the
-// loop body fused in (p.3), and a map with a folding and a non-folding
-// reader (two). A wrong lend hands the keeping reader a tuple the poison
-// hook then overwrites.
+// lendScript feeds tuple-literal maps and group outputs to two groups of
+// readers. Readers that read in place or sit behind a batching edge, so the
+// producer lends: the key combiners of sSum (a map of its own, on a read
+// shared with other maps) and eSum (a stage of its readFile), a map with a
+// folding reader and a gathered one (two), the loop body fused into the phi,
+// read over the back edge and by the gathered writeFile (p.3), and every
+// group output, shuffled to its reduceByKey or gathered to its writeFile.
+// Readers that keep or pass on the element over a chained edge, so the map
+// must carve: the local distinct combiner (dPairs), a chained writeFile (w),
+// a map with a folding and a distinct reader (mixed), and a phi on the
+// loop's entry edge (p.1). A wrong lend hands the keeping reader a tuple the
+// poison hook then overwrites.
 const lendScript = `s = readFile("s")
 e = readFile("e")
 sPairs = s.map(x => (x % 5, x))
@@ -128,6 +134,11 @@ two = s.map(x => (x % 3, x))
 twoSum = two.reduceByKey((x, y) => x + y)
 twoSum.writeFile("twoSum")
 two.writeFile("two")
+mixed = s.map(x => (x % 2, x))
+mixedSum = mixed.reduceByKey((x, y) => x + y)
+mixedSum.writeFile("mixedSum")
+mixedD = mixed.distinct()
+mixedD.writeFile("mixedD")
 p = s.map(x => (x, 0))
 i = 0
 do {
@@ -185,14 +196,19 @@ func TestScratchPoison(t *testing.T) {
 		src     string
 		gen     func(store.Store) error
 		scratch bool
-		lent    []string // variables whose maps lend; nil: none may
-		carved  []string // variables whose maps must not
+		// lent is every operator that lends, by the variable of the tuple
+		// it lends: its last map's, or its own for a group output (nil:
+		// none may); carved names variables whose operators must not.
+		lent   []string
+		carved []string
 	}{
-		{"visitcount_bulk", bulkSrc, bulkGen, true, []string{"$t11.1"}, []string{"$t8.1"}},
-		{"connected_delta", workload.ConnectedScript, conn.Generate, true, nil, nil},
-		{"visitcount_tcp", tcpSrc, tcpGen, true, []string{"$t5.1"}, nil},
-		{"whole_param", wholeParamScript, wholeParamInputs, true, nil, nil},
-		{"lend", lendScript, lendInputs, false, []string{"sPairs.1", "ePairs.1"}, []string{"dPairs.1", "w.1", "two.1", "p.1", "p.3"}},
+		{"visitcount_bulk", bulkSrc, bulkGen, true, []string{"$t8.1", "$t11.1", "counts.1.combine"}, []string{"counts.1"}},
+		{"connected_delta", workload.ConnectedScript, conn.Generate, true, []string{"d.3", "w.1.combine"}, []string{"d.1"}},
+		{"visitcount_tcp", tcpSrc, tcpGen, true, []string{"$t5.1", "counts.1.combine"}, []string{"counts.1"}},
+		{"whole_param", wholeParamScript, wholeParamInputs, true, []string{"j.1", "k.1", "r.1", "$t24.1.combine"}, nil},
+		{"lend", lendScript, lendInputs, false,
+			[]string{"sPairs.1", "sSum.1", "sSum.1.combine", "ePairs.1", "eSum.1", "eSum.1.combine", "two.1", "twoSum.1", "twoSum.1.combine", "mixedSum.1", "mixedSum.1.combine", "p.3"},
+			[]string{"dPairs.1", "w.1", "mixed.1", "p.1"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			scratchBefore, lentBefore := onScratch.Load(), lent.Load()
@@ -203,19 +219,21 @@ func TestScratchPoison(t *testing.T) {
 			if got := lent.Load() > lentBefore; got != (c.lent != nil) {
 				t.Errorf("elements lent: %t, want %t\n%s", got, c.lent != nil, plan)
 			}
-			lenders := 0
+			var lenders []string
 			for _, op := range plan.Ops {
 				if op.Lends {
-					lenders++
+					v := op.Instr.Var
+					if n := len(op.Stages); n > 0 {
+						v = op.Stages[n-1].Instr.Var
+					}
+					lenders = append(lenders, v)
 				}
 			}
-			if lenders != len(c.lent) {
-				t.Errorf("%d operators lend, want %d\n%s", lenders, len(c.lent), plan)
-			}
-			for _, v := range c.lent {
-				if op := plan.ByVar[v]; op == nil || !op.Lends {
-					t.Errorf("the map of %s does not lend\n%s", v, plan)
-				}
+			want := slices.Clone(c.lent)
+			slices.Sort(lenders)
+			slices.Sort(want)
+			if !slices.Equal(lenders, want) {
+				t.Errorf("operators lending %v, want %v\n%s", lenders, want, plan)
 			}
 			for _, v := range c.carved {
 				if op := plan.ByVar[v]; op == nil || op.Lends {

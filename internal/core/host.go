@@ -67,12 +67,13 @@ type host struct {
 	// the operator's first stages only project it (Stage.Scratch); it is
 	// read and written by runStages alone.
 	scratch [3]val.Value
-	// lent is the tuple the operator's last map fills its output into when
-	// the operator lends (PlanOp.Lends): each element is one synchronous
-	// handoff to chained readers that keep only its fields, so the next
-	// element may overwrite it. Separate from scratch, which that map may be
-	// reading. Only runStages and consume's map path set it as the frame's
-	// Out.
+	// lent is the tuple the operator's last map, or its group output, fills
+	// its output into when the operator lends (PlanOp.Lends): each element is
+	// one Context.EmitLent, after which no reader holds the tuple — a chained
+	// one kept only its fields, a batching edge encoded or copied it — so the
+	// next element may overwrite it. Separate from scratch, which that map may
+	// be reading. Only runStages and consume's map path set it as the frame's
+	// Out, and only emitTuple fills it itself.
 	lent [lendWidth]val.Value
 
 	// Loop-invariant hoisting: position of the input bag the cached join
@@ -113,9 +114,12 @@ type host struct {
 	// Fused stages count their elements_in and elements_out under their own
 	// variables, and headOut adds each element a stage drops to the
 	// operator's own elements_out, which the engine counts after the last
-	// stage: every SSA variable reports the counts it reported unfused.
-	stageIO []stageCounters
-	headOut *obs.Counter
+	// stage: every SSA variable reports the counts it reported unfused. They
+	// count into plain fields, added to the counters once per output bag
+	// (foldStageCounts), as the engine's own element counters are.
+	stageIO  []stageCounters
+	headOut  *obs.Counter
+	headDrop int64
 
 	// Live progress for Job.Introspect, maintained unconditionally (one
 	// atomic store per bag, not per element) and read concurrently by the
@@ -124,7 +128,10 @@ type host struct {
 	bagsDone atomic.Int64
 }
 
-type stageCounters struct{ in, out *obs.Counter }
+type stageCounters struct {
+	in, out   *obs.Counter
+	nIn, nOut int64 // since the last foldStageCounts
+}
 
 // scheduled is an output bag the path has determined and the host has not
 // started: its position and the block the path arrived from, which is all a
@@ -159,8 +166,10 @@ type inputBuf struct {
 	// its bags are created and completed by their end-of-bags and never
 	// hold an element.
 	discard bool
-	// lent marks a slot whose producer lends its elements (PlanOp.Lends):
-	// one that is buffered instead of consumed live is copied first.
+	// lent marks a chained slot whose producer lends its elements
+	// (PlanOp.Lends): one that is buffered instead of consumed live is copied
+	// first. An element that arrives over a batching edge is already a copy
+	// or freshly decoded.
 	lent bool
 }
 
@@ -211,7 +220,7 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 		buf := &h.inbufs[i]
 		buf.singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
 		buf.discard = op.Instr.Kind == ir.OpSolution && op.Synth == SynthNone
-		buf.lent = in.Producer.Lends
+		buf.lent = in.Producer.Lends && in.Chained
 		buf.occ = slices.IndexFunc(h.occ, func(q occQueue) bool { return q.block == in.Producer.Block })
 		if buf.occ < 0 {
 			buf.occ = len(h.occ)
@@ -276,7 +285,25 @@ func (h *host) Open(ctx *dataflow.Context) error {
 }
 
 // Close implements dataflow.Vertex.
-func (h *host) Close() error { return nil }
+func (h *host) Close() error {
+	h.foldStageCounts()
+	return nil
+}
+
+// foldStageCounts adds the stage counts since the last call to the fused
+// stages' counters and the operator's elements_out. It runs when an output
+// bag finishes and when the host closes, so the counters are exact once the
+// job is done and a live reading lags by at most one bag.
+func (h *host) foldStageCounts() {
+	for i := range h.stageIO {
+		c := &h.stageIO[i]
+		c.in.Add(c.nIn)
+		c.out.Add(c.nOut)
+		c.nIn, c.nOut = 0, 0
+	}
+	h.headOut.Add(h.headDrop)
+	h.headDrop = 0
+}
 
 // WantsControlWake implements dataflow.ControlWaker: a path extension can
 // only make this host runnable if its own block is among the new
@@ -675,6 +702,7 @@ func (h *host) finishOutput() error {
 	run := h.cur
 	h.cur = nil
 	h.ctx.EmitEOB(dataflow.Tag(run.pos))
+	h.foldStageCounts()
 	h.bagsOut.Inc()
 	h.bagsDone.Add(1)
 	if h.lin != nil {
@@ -809,9 +837,17 @@ func (h *host) emit(run *outputRun, v val.Value) error {
 
 // emitTuple emits the tuple of fields: a join's, cross's or group output's
 // element. When the first stage runs on scratch the tuple is built in the
-// host's scratch tuple; otherwise it is carved from the slab.
+// host's scratch tuple; when the operator has no stages and lends — a group
+// output — in its lent tuple; otherwise it is carved from the slab.
 func (h *host) emitTuple(run *outputRun, fields ...val.Value) error {
-	if len(h.op.Stages) == 0 || !h.op.Stages[0].Scratch {
+	switch {
+	case len(h.op.Stages) == 0 && h.op.Lends:
+		h.send(run, val.Tuple(h.lent[:copy(h.lent[:], fields)]...))
+		if scratchHook != nil {
+			scratchHook(h.lent[:len(fields)], true)
+		}
+		return nil
+	case len(h.op.Stages) == 0 || !h.op.Stages[0].Scratch:
 		return h.emit(run, h.slab.Tuple(fields...))
 	}
 	return h.runStages(run, val.Value{}, fields)
@@ -841,7 +877,7 @@ func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error 
 			v, onScratch = h.slab.Tuple(v.Fields()...), false
 		}
 		if h.stageIO != nil {
-			h.stageIO[i].in.Inc()
+			h.stageIO[i].nIn++
 		}
 		h.args[0] = v
 		h.frame.Args = h.args[:1]
@@ -865,11 +901,11 @@ func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error 
 			scratchHook(h.scratch[:], false)
 		}
 		if !keep {
-			h.headOut.Inc()
+			h.headDrop++
 			return nil
 		}
 		if h.stageIO != nil {
-			h.stageIO[i].out.Inc()
+			h.stageIO[i].nOut++
 		}
 	}
 	if onScratch {
@@ -885,9 +921,16 @@ func (h *host) runStages(run *outputRun, v val.Value, fields []val.Value) error 
 	return nil
 }
 
-// send hands one element of the current output bag to the consumers.
+// send hands one element of the current output bag to the consumers, lent
+// when the operator lends: v is then the host's lent tuple, which the next
+// element overwrites.
 func (h *host) send(run *outputRun, v val.Value) {
 	run.emitted = v
 	run.nEmitted++
-	h.ctx.Emit(dataflow.Element{Tag: dataflow.Tag(run.pos), Val: v})
+	e := dataflow.Element{Tag: dataflow.Tag(run.pos), Val: v}
+	if h.op.Lends {
+		h.ctx.EmitLent(e, &h.slab)
+		return
+	}
+	h.ctx.Emit(e)
 }

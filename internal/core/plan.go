@@ -49,12 +49,15 @@ type PlanOp struct {
 	// one, in order: the host runs them on every element the operator
 	// emits, and what the last one passes on is the operator's output.
 	Stages []Stage
-	// Lends marks an operator whose output elements are lent: its last map —
-	// its last stage, or the operator itself when it is a map with none — has
-	// a tuple literal for a body, and every reader of its output reads its
-	// elements in place (readsInPlace) over a chained edge. The host fills
-	// that tuple into its lent tuple (host.lent) instead of carving it, and a
-	// reader copies an element into its own slab only to buffer it.
+	// Lends marks an operator whose output elements are lent (Plan.lends):
+	// its last map — its last stage, or the operator itself when it is a map
+	// with none — has a tuple literal for a body, or it is a key combiner or
+	// reduceByKey with no stages, and every reader of its output either reads
+	// its elements in place (readsInPlace) over a chained edge or is behind a
+	// batching edge. The host fills the tuple into its lent tuple (host.lent)
+	// instead of carving it; a chained reader copies an element into its own
+	// slab only to buffer it, and a batching edge encodes it or copies it
+	// from the host's slab (dataflow.Context.EmitLent).
 	Lends bool
 	// StateJournal, on deltaMerge operators, marks that some solution
 	// operator reads the state from inside a loop that also contains the

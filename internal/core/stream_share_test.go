@@ -17,7 +17,8 @@ import (
 // operator logic as they arrived (streamed) and those that waited in an
 // input-bag buffer (buffered), overall, on chained edges, on edges from a
 // lending producer — where a buffered element is one the consumer copied —
-// and per operator.
+// and per operator. Only a chained edge can buffer a lent element: one that
+// arrives over a batching edge was encoded or copied as it was emitted.
 type streamTally struct {
 	mu                 sync.Mutex
 	all, chained, lent shareCount
@@ -85,11 +86,13 @@ func (s *streamTally) log(t *testing.T) {
 // elements, 0 and 237–437 (at most 0.08 %). DESIGN.md Sec. 16 quotes the
 // numbers.
 //
-// The same holds for lent elements (PlanOp.Lends): a consumer copies one only
-// when it buffers it, so a lending producer whose elements mostly got copied
-// would lend in name only. Both Visit Count shapes lend their (x, 1) pair to
-// the chained combiner and must read at least 99.5 % of it in place;
-// connected_delta's pair map feeds a phi and lends nothing.
+// The same holds for lent elements (PlanOp.Lends) on chained edges: a
+// consumer copies one only when it buffers it, so a lending producer whose
+// elements mostly got copied would lend in name only. Both Visit Count shapes
+// lend their (x, 1) pair to the chained combiner and must read at least
+// 99.5 % of it in place; connected_delta lends only over batching edges (its
+// combiner's pairs to deltaMerge, its loop body's pairs to the phi's back
+// edge), so no chained slot sees a lent element.
 func TestStreamedShare(t *testing.T) {
 	short := testing.Short()
 	for _, c := range []struct {

@@ -58,7 +58,7 @@ func TestRecycledBatchIsZero(t *testing.T) {
 
 	// Three good elements, then a truncated fourth: DeliverData must hand
 	// back the buffer at the length decodeBatch reached, not at zero.
-	payload := encodeBatch(nil, []Element{elem, elem, elem, elem})
+	payload := frameOf([]Element{elem, elem, elem, elem})
 	if err := j.DeliverData(RemoteHeader{}, payload[:len(payload)-1], 4, nil, nil); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
@@ -84,7 +84,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	}
 	var slab val.Slab
 	dst := make([]Element, 0, DefaultBatchSize)
-	full := encodeBatch(nil, stringPairs(DefaultBatchSize))
+	full := frameOf(stringPairs(DefaultBatchSize))
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := decodeBatch(dst, full, DefaultBatchSize, &slab); err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		t.Errorf("decoding %d string pairs: %.2f allocs, want <= 3", DefaultBatchSize, allocs)
 	}
 
-	one := encodeBatch(nil, stringPairs(1))
+	one := frameOf(stringPairs(1))
 	const frames = 10000
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -114,7 +114,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 func BenchmarkDecodeBatch(b *testing.B) {
 	var slab val.Slab
 	dst := make([]Element, 0, DefaultBatchSize)
-	buf := encodeBatch(nil, stringPairs(DefaultBatchSize))
+	buf := frameOf(stringPairs(DefaultBatchSize))
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()

@@ -59,13 +59,14 @@ type Job struct {
 	// launches it, a clean Stop quiesces it, Wait closes it.
 	tr *loopback
 
-	// The batch free list recycles batch buffers: remote batches are
-	// serialized at flush, so their element slices return immediately and
-	// the emit path stays allocation-free in steady state. (Local batches
-	// move to the receiver and come back via recycleBatch.) A plain
-	// mutex-guarded stack, not a sync.Pool: pooling a slice by value
-	// boxes a fresh header on every Put, which made the pool itself the
-	// allocation it was supposed to remove.
+	// The batch free list recycles batch buffers: a local batch moves to
+	// the receiver and comes back through recycleBatch, and a decoded remote
+	// frame is drawn from it, so the emit path stays allocation-free in
+	// steady state. (A remote target never holds a batch: its frame is
+	// encoded as each element is emitted.) A plain mutex-guarded stack, not
+	// a sync.Pool: pooling a slice by value boxes a fresh header on every
+	// Put, which made the pool itself the allocation it was supposed to
+	// remove.
 	batchMu     sync.Mutex
 	freeBatches [][]Element
 
@@ -234,7 +235,7 @@ func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, e
 					input:   e.Input,
 					direct:  e.Chained,
 					targets: toInsts,
-					bufs:    make([][]Element, len(toInsts)),
+					bufs:    make([]pending, len(toInsts)),
 				})
 			}
 			// Record producer count per input slot for the consumer side.
@@ -385,7 +386,7 @@ func (j *Job) Broadcast(ev any) {
 }
 
 // DeliverData injects one remote data frame into the job: the
-// payload (an encodeBatch encoding of count elements) is decoded into a
+// payload (count elements, each an appendElement encoding) is decoded into a
 // pooled batch and enqueued on the target's mailbox. The elements' tuples and
 // strings are carved from slab, which belongs to the calling goroutine — a
 // link delivers from one goroutine and keeps one slab for its lifetime; nil
@@ -577,11 +578,12 @@ type instance struct {
 	outs      []*outEdge
 	producers []int // per input slot: number of producer instances feeding this instance
 
-	// sent and chained count this instance's emitted elements since the last
-	// foldCounts. Plain fields: only the chain driver's goroutine runs the
-	// instance, and one shared atomic add per element was a cache line every
-	// machine's goroutines fought over.
-	sent, chained int64
+	// sent, chained and received count this instance's emitted, chained and
+	// received elements since the last foldCounts. Plain fields: only the
+	// chain driver's goroutine runs the instance, and one atomic add per
+	// element — into the job's totals or into an observer counter — was a
+	// cache line every machine's goroutines fought over.
+	sent, chained, received int64
 
 	// Observability handles; nil (and therefore no-ops) unless Job.Observe
 	// was called.
@@ -600,14 +602,22 @@ type instance struct {
 	mboxDropped  *obs.Counter
 }
 
-// foldCounts moves the per-instance element counts into the job's totals.
-// It runs at every end-of-bag and when the event loop exits, so Stats is
-// exact once the job is done and a live reading lags by at most one bag.
+// foldCounts moves the per-instance element counts into the job's totals
+// and the observer's elements_out, elements_chained and elements_in. It runs
+// at every end-of-bag and when the event loop exits, so Stats and the
+// counters are exact once the job is done and a live reading lags by at
+// most one bag.
 func (in *instance) foldCounts() {
 	if in.sent != 0 {
 		in.job.elementsSent.Add(in.sent)
 		in.job.elementsChained.Add(in.chained)
+		in.elemsOut.Add(in.sent)
+		in.elemsChained.Add(in.chained)
 		in.sent, in.chained = 0, 0
+	}
+	if in.received != 0 {
+		in.elemsIn.Add(in.received)
+		in.received = 0
 	}
 }
 
@@ -622,7 +632,7 @@ type outEdge struct {
 	input   int
 	direct  bool // chained edge: deliver by direct call, bypassing batching
 	targets []*instance
-	bufs    [][]Element
+	bufs    []pending // per target; unused on a direct edge
 	// scratch is the reused one-element batch of a direct edge. The Vertex
 	// contract (OnBatch must not retain the slice) makes reuse safe, and it
 	// must never enter the batch pool — at batch size 1 a pooled scratch
@@ -632,6 +642,18 @@ type outEdge struct {
 	// therefore unmaintained, one pointer check per element) unless
 	// Job.EnableIntrospection was called.
 	depth *atomic.Int64
+}
+
+// pending is what an edge holds for one target between flushes. A target on
+// this machine gets a batch of elements, which moves to its mailbox at flush.
+// A target on another machine gets a frame, encoded as each element is
+// emitted (appendElement), so it never holds an element: a producer may
+// reuse the tuple it emitted the moment Emit returns.
+type pending struct {
+	batch   []Element // local target
+	payload []byte    // remote target: the encoded elements, from the val scratch pool
+	count   int       // remote target: the elements in payload
+	tag     Tag       // remote target: the first element's tag
 }
 
 // loop is the event loop of a chain driver (every unchained instance is a
@@ -652,7 +674,7 @@ func (in *instance) loop() {
 		}
 		switch env.kind {
 		case envData:
-			dst.elemsIn.Add(int64(len(env.batch)))
+			dst.received += int64(len(env.batch))
 			dst.batchesIn.Inc()
 			err = dst.vertex.OnBatch(env.input, env.from, env.batch)
 			// OnBatch must not retain the slice (Vertex contract), so the
@@ -732,35 +754,53 @@ func (c *Context) NumProducers(input int) int {
 func (c *Context) NumInputs() int { return len(c.inst.producers) }
 
 // Emit routes one element along every outgoing edge according to each
-// edge's partitioning. Elements are buffered into batches; EmitEOB (or
-// Flush) pushes buffered batches out.
-func (c *Context) Emit(e Element) {
+// edge's partitioning. Elements are buffered into batches — encoded into
+// frames for targets on other machines; EmitEOB (or Flush) pushes what is
+// buffered out.
+func (c *Context) Emit(e Element) { c.emit(e, nil) }
+
+// EmitLent is Emit for an element whose top-level tuple the caller reuses
+// once EmitLent returns. A chained edge delivers it as it is — its reader
+// reads it in place — a remote frame keeps only its encoding, and a local
+// batch keeps a copy carved from slab, which must belong to the calling
+// goroutine: the copy's fields are the lent tuple's, which nobody reuses.
+func (c *Context) EmitLent(e Element, slab *val.Slab) { c.emit(e, slab) }
+
+func (c *Context) emit(e Element, lent *val.Slab) {
 	in := c.inst
 	in.sent++
-	in.elemsOut.Inc()
 	for _, oe := range in.outs {
 		switch oe.part {
 		case PartForward:
 			if oe.direct {
 				c.deliver(oe, e)
 			} else {
-				c.buffer(oe, in.idx, e)
+				c.buffer(oe, in.idx, e, lent)
 			}
 		case PartShuffleKey:
 			t := int(e.Val.Key().Hash() % uint64(len(oe.targets)))
-			c.buffer(oe, t, e)
+			c.buffer(oe, t, e, lent)
 		case PartShuffleVal:
 			t := int(e.Val.Hash() % uint64(len(oe.targets)))
-			c.buffer(oe, t, e)
+			c.buffer(oe, t, e, lent)
 		case PartGather:
-			c.buffer(oe, 0, e)
+			c.buffer(oe, 0, e, lent)
 		case PartBroadcast:
 			for t := range oe.targets {
-				c.buffer(oe, t, e)
+				c.buffer(oe, t, e, lent)
 			}
 		}
 	}
 }
+
+// lentHook, when a test sets it, sees every lent element a batching edge
+// takes: remote when it is encoded into a frame, else copied into a local
+// batch. It may be called from many goroutines at once.
+var lentHook func(remote bool)
+
+// SetLentHook installs fn as lentHook, for tests outside this package; nil
+// removes it. Not safe while a job runs.
+func SetLentHook(fn func(remote bool)) { lentHook = fn }
 
 // deliver is the chained-edge fast path: it hands one element to the
 // consumer member's vertex synchronously — no mailbox, no batch copy, no
@@ -772,8 +812,7 @@ func (c *Context) deliver(oe *outEdge, e Element) {
 	in := c.inst
 	tgt := oe.targets[in.idx]
 	in.chained++
-	in.elemsChained.Inc()
-	tgt.elemsIn.Inc()
+	tgt.received++
 	oe.scratch[0] = e
 	err := tgt.vertex.OnBatch(oe.input, in.idx, oe.scratch[:1])
 	oe.scratch[0] = Element{} // release the value reference
@@ -782,64 +821,87 @@ func (c *Context) deliver(oe *outEdge, e Element) {
 	}
 }
 
-func (c *Context) buffer(oe *outEdge, target int, e Element) {
-	if oe.bufs[target] == nil {
-		// Local batches move to the receiver at flush; remote batches are
-		// serialized at flush and their buffer recycled. Either way the
-		// next batch starts from the pool, at full batch capacity, so the
-		// hot path never grows a slice.
-		oe.bufs[target] = c.inst.job.getBatch()
+// buffer adds e to target's pending batch or frame, and flushes it once it
+// holds a batch's worth. A remote target's frame takes e's encoding; a local
+// target's batch takes e itself, or, when lent is set, a copy carved from
+// lent.
+func (c *Context) buffer(oe *outEdge, target int, e Element, lent *val.Slab) {
+	in := c.inst
+	p := &oe.bufs[target]
+	n, remote := 0, oe.targets[target].machine != in.machine
+	if remote {
+		if p.count == 0 {
+			p.payload, p.tag = val.GetScratch(), e.Tag
+		}
+		p.payload = appendElement(p.payload, e)
+		p.count++
+		n = p.count
+	} else {
+		if p.batch == nil {
+			// Local batches move to the receiver at flush, so the next one
+			// starts from the pool, at full batch capacity, and the hot path
+			// never grows a slice.
+			p.batch = in.job.getBatch()
+		}
+		if lent != nil {
+			e.Val = lent.Tuple(e.Val.Fields()...)
+		}
+		p.batch = append(p.batch, e)
+		n = len(p.batch)
 	}
-	oe.bufs[target] = append(oe.bufs[target], e)
+	if lent != nil && lentHook != nil {
+		lentHook(remote)
+	}
 	if oe.depth != nil {
 		oe.depth.Add(1)
 	}
-	if len(oe.bufs[target]) >= c.inst.job.batchSize {
+	if n >= in.job.batchSize {
 		c.flush(oe, target)
 	}
 }
 
+// flush ships target's pending batch to its mailbox, or its frame — and the
+// payload's ownership — to the Remote. The network cost is paid
+// asynchronously by the link's sender goroutine, so the emit path returns as
+// soon as the frame is handed over.
 func (c *Context) flush(oe *outEdge, target int) {
-	buf := oe.bufs[target]
-	if len(buf) == 0 {
+	p := &oe.bufs[target]
+	n := max(len(p.batch), p.count)
+	if n == 0 {
 		return
 	}
-	oe.bufs[target] = nil
 	in := c.inst
 	tgt := oe.targets[target]
 	in.job.batchesSent.Add(1)
 	in.batchesOut.Inc()
 	if oe.depth != nil {
-		oe.depth.Add(-int64(len(buf)))
+		oe.depth.Add(-int64(n))
 	}
-	if tgt.machine != in.machine {
-		// Remote: serialize through the val codec and hand the frame (and
-		// the payload's ownership) to the Remote — the network cost is paid
-		// asynchronously by the link's sender goroutine, so the emit path
-		// returns as soon as the batch is encoded.
-		payload := encodeBatch(val.GetScratch(), buf)
-		nbytes := int64(len(payload))
-		in.job.remoteBatches.Add(1)
-		in.job.bytesSent.Add(nbytes)
-		in.remoteOut.Inc()
-		in.bytesOut.Add(nbytes)
-		if in.lin != nil {
-			// Hosts emit one bag at a time and flush at end-of-bag, so a
-			// batch carries a single bag tag: charge its encoded size to
-			// that bag's lineage record.
-			in.lin.BagBytes(in.op.Name, int(buf[0].Tag), nbytes)
-		}
-		if in.trc != nil {
-			in.trc.Instant("net", "shuffle_batch", in.machine, in.lane,
-				map[string]any{"to": tgt.machine, "op": tgt.op.Name, "elements": len(buf), "bytes": nbytes})
-		}
-		in.job.remote.SendData(tgt.machine,
-			RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: in.idx},
-			payload, len(buf))
-		in.job.recycleBatch(buf)
+	if p.batch != nil {
+		tgt.driver.mbox.put(envelope{kind: envData, input: oe.input, from: in.idx, batch: p.batch, dest: tgt})
+		p.batch = nil
 		return
 	}
-	tgt.driver.mbox.put(envelope{kind: envData, input: oe.input, from: in.idx, batch: buf, dest: tgt})
+	payload, tag := p.payload, p.tag
+	*p = pending{}
+	nbytes := int64(len(payload))
+	in.job.remoteBatches.Add(1)
+	in.job.bytesSent.Add(nbytes)
+	in.remoteOut.Inc()
+	in.bytesOut.Add(nbytes)
+	if in.lin != nil {
+		// Hosts emit one bag at a time and flush at end-of-bag, so a frame
+		// carries a single bag tag: charge its encoded size to that bag's
+		// lineage record.
+		in.lin.BagBytes(in.op.Name, int(tag), nbytes)
+	}
+	if in.trc != nil {
+		in.trc.Instant("net", "shuffle_batch", in.machine, in.lane,
+			map[string]any{"to": tgt.machine, "op": tgt.op.Name, "elements": n, "bytes": nbytes})
+	}
+	in.job.remote.SendData(tgt.machine,
+		RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: in.idx},
+		payload, n)
 }
 
 // Flush pushes out all buffered batches on all edges.

@@ -13,7 +13,7 @@ import (
 // instances placed on different simulated machines of one whole job, in
 // process. Each (sender machine, receiver machine) pair owns an unbounded
 // egress queue drained by a dedicated sender goroutine, so the producer's
-// emit path only serializes the batch and enqueues a frame — the network
+// emit path only serializes elements and enqueues a frame — the network
 // cost (NetDelay + encodedBytes/Bandwidth) is paid by the sender goroutine,
 // overlapping with the producer's computation, which is the overlap the
 // paper claims for Mitos data transfers. Frames enter the job through the
@@ -26,10 +26,11 @@ import (
 // event-loop goroutine, and each egress queue is drained FIFO by one
 // goroutine — so per-(producer, consumer, input) order is preserved.
 //
-// Remote batches are really serialized: flush encodes elements through the
-// val codec into pooled scratch, and DeliverData decodes them on the far
-// side. The encoded length is what the cost model charges and what the
-// bytes_sent/bytes_received counters report — measured, not estimated.
+// Remote batches are really serialized: the emit path encodes each element
+// through the val codec into its target's pooled frame, and DeliverData
+// decodes them on the far side. The encoded length is what the cost model
+// charges and what the bytes_sent/bytes_received counters report —
+// measured, not estimated.
 type loopback struct {
 	job   *Job
 	cl    *cluster.Cluster
@@ -165,14 +166,12 @@ func (t *loopback) close() {
 	t.wg.Wait()
 }
 
-// encodeBatch appends the wire encoding of batch to dst: per element a
-// varint bag tag followed by the val binary encoding.
-func encodeBatch(dst []byte, batch []Element) []byte {
-	for _, e := range batch {
-		dst = binary.AppendVarint(dst, int64(e.Tag))
-		dst = val.AppendBinary(dst, e.Val)
-	}
-	return dst
+// appendElement appends the wire encoding of one element to dst: a varint
+// bag tag followed by the val binary encoding. A frame is its elements'
+// encodings back to back.
+func appendElement(dst []byte, e Element) []byte {
+	dst = binary.AppendVarint(dst, int64(e.Tag))
+	return val.AppendBinary(dst, e.Val)
 }
 
 // decodeBatch appends exactly count elements decoded from buf to dst,

@@ -213,13 +213,13 @@ func TestTransportByteAccounting(t *testing.T) {
 	}
 
 	// Two independent oracles for the per-copy wire size: the codec's own
-	// EncodedSize sum, and the batch encoder itself.
+	// EncodedSize sum, and the frame encoding itself.
 	perCopy := 0
 	for _, e := range els {
 		perCopy += len(binary.AppendVarint(nil, int64(e.Tag))) + val.EncodedSize(e.Val)
 	}
-	if enc := len(encodeBatch(nil, els)); enc != perCopy {
-		t.Fatalf("encodeBatch size %d != EncodedSize sum %d", enc, perCopy)
+	if enc := len(frameOf(els)); enc != perCopy {
+		t.Fatalf("frame size %d != EncodedSize sum %d", enc, perCopy)
 	}
 	want := int64(perCopy * (machines - 1))
 	st := job.Stats()
@@ -376,7 +376,7 @@ func TestEncodeDecodeBatch(t *testing.T) {
 		{Tag: 5, Val: val.Str("abc")},
 		{Tag: 1 << 20, Val: val.Pair(val.Int(-9), val.Str(""))},
 	}
-	buf := encodeBatch(nil, batch)
+	buf := frameOf(batch)
 	var slab val.Slab
 	got, err := decodeBatch(nil, buf, len(batch), &slab)
 	if err != nil {
