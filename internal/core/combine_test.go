@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/dataflow"
-	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -33,10 +33,7 @@ newBag(s + c).writeFile("sc")
 		t.Fatal(err)
 	}
 	opsBefore := len(plan.Ops)
-	instancesBefore := make(map[ir.BlockID]int)
-	for b, n := range plan.InstancesPerBlock {
-		instancesBefore[b] = n
-	}
+	instancesBefore := slices.Clone(plan.InstancesPerBlock)
 	n := plan.InsertCombiners()
 	if n != 5 {
 		t.Fatalf("InsertCombiners inserted %d combiners, want 5 (reduceByKey, distinct, sum, count, reduce)\n%s", n, plan)
@@ -62,7 +59,7 @@ newBag(s + c).writeFile("sc")
 	for b, before := range instancesBefore {
 		got, want := plan.InstancesPerBlock[b], before
 		for _, op := range plan.Ops {
-			if op.Synth != SynthNone && op.Block == b {
+			if op.Synth != SynthNone && int(op.Block) == b {
 				want += op.Par
 			}
 		}

@@ -86,20 +86,23 @@ type Coordinator struct {
 
 	// path, pending and decidedBy are windows over the determined path:
 	// index i holds position base+i+1, and base, released and doneUpTo are
-	// absolute. A position is pinned until it is both released (its frame
-	// slices path) and complete (pending counts its outstanding completions);
+	// absolute. A position is pinned until it is both released (release reads
+	// its block) and complete (pending counts its outstanding completions);
 	// the last position is pinned by the decision that will extend it
 	// (onDecision reads its block). Everything before that is retired, so the
 	// coordinator's memory does not grow with the number of steps.
 	base      int
-	path      []ir.BlockID // determined positions after base; released frames alias its array
+	path      []ir.BlockID // determined positions after base
 	pathFinal bool         // exit block appended
 	released  int          // positions broadcast so far
 
 	pending  []int // completions still outstanding per position (parallel to path)
 	doneUpTo int   // all positions <= doneUpTo are complete
 
-	tmpl           SegmentCache // nil when templates are off
+	// seen marks the blocks whose template is installed: the first extension
+	// a block heads installs it, every later one instantiates it. nil when
+	// templates are off.
+	seen           []bool
 	installs       int
 	instantiations int
 
@@ -128,7 +131,7 @@ type Coordinator struct {
 func NewCoordinator(plan *Plan, opts Options, machines int, cp ControlPlane) *Coordinator {
 	c := &Coordinator{plan: plan, pipelining: opts.Pipelining, cp: cp}
 	if opts.Templated() {
-		c.tmpl = make(SegmentCache)
+		c.seen = make([]bool, len(plan.IR.Blocks))
 	}
 	if opts.Obs != nil {
 		reg := opts.Obs.Reg()
@@ -204,15 +207,18 @@ func (c *Coordinator) Result() *Result {
 
 // extend grows the path by the jump-chain segment starting at block b —
 // b and every position after it that needs no further runtime decision —
-// and releases what the mode permits. With templates on, the segment (the
-// control-plane decision) resolves from the cache on every visit of b but
-// the first.
+// and releases what the mode permits. The path grows by the whole segment
+// in every mode; only the frames release cuts differ. With templates on,
+// every visit of b but the first instantiates the template the first
+// installed.
 func (c *Coordinator) extend(b ir.BlockID) {
-	blocks, hit := c.tmpl.Segment(c.plan.IR, b)
+	blocks := c.plan.Segment(b, true)
 	switch {
-	case hit:
+	case c.seen == nil:
+	case c.seen[b]:
 		c.instantiations++
-	case c.tmpl != nil:
+	default:
+		c.seen[b] = true
 		c.installs++
 	}
 	for _, blk := range blocks {
@@ -281,21 +287,20 @@ func (c *Coordinator) advanceDone() {
 
 // windowSlack is how many retirable positions the coordinator lets
 // accumulate before it moves its windows: the move costs a copy of what is
-// kept plus one array, so it is taken once per windowSlack positions.
+// kept, so it is taken once per windowSlack positions.
 const windowSlack = 1024
 
-// retire drops the positions nothing pins any more (see Coordinator.base).
-// Released frames alias path's array and a receiver may hold one for as long
-// as its mailbox takes to drain, so the kept suffix moves to a fresh array,
-// never down in place; pending and decidedBy are the coordinator's own and
-// do move in place.
+// retire drops the positions nothing pins any more (see Coordinator.base),
+// moving what is kept down in place. No frame aliases the windows — a frame
+// names its head block, and receivers resolve the rest from the plan — so
+// they are the coordinator's own.
 func (c *Coordinator) retire() {
 	n := min(c.doneUpTo, c.released, c.determined()-1) - c.base
 	kept := len(c.path) - n
 	if n < windowSlack || n < kept {
 		return
 	}
-	c.path = append(make([]ir.BlockID, 0, 2*kept+windowSlack+16), c.path[n:]...)
+	c.path = c.path[:copy(c.path, c.path[n:])]
 	c.pending = c.pending[:copy(c.pending, c.pending[n:])]
 	if c.lin != nil {
 		c.decidedBy = c.decidedBy[:copy(c.decidedBy, c.decidedBy[n:])]
@@ -309,13 +314,13 @@ func (c *Coordinator) retire() {
 // by construction, so that is exactly the segment just instantiated), and
 // a single block otherwise — the per-position update is the one-block
 // segment. With pipelining off, position p+1 is held back until positions
-// <= p are complete, and pays a superstep barrier. Frames alias the path's
-// array: positions are written once, by append, and retire never moves them
-// within it, so a released sub-slice never changes.
+// <= p are complete, and pays a superstep barrier. A frame is the position
+// of its first block and that block; the control plane's receivers resolve
+// the rest from the plan (Plan.Segment).
 func (c *Coordinator) release() {
 	for c.released < c.determined() {
 		end := c.determined()
-		if c.tmpl == nil {
+		if c.seen == nil {
 			end = c.released + 1
 		}
 		var barrier time.Duration
@@ -327,20 +332,18 @@ func (c *Coordinator) release() {
 			c.cp.Barrier()
 			barrier = time.Since(t0)
 		}
-		seg := PathSegment{
-			Pos:    c.released + 1,
-			Blocks: c.path[c.released-c.base : end-c.base : end-c.base],
-		}
+		blocks := c.path[c.released-c.base : end-c.base]
+		seg := PathSegment{Pos: c.released + 1, Head: blocks[0]}
 		c.cp.Broadcast(seg)
 		for _, n := range c.bcast {
 			n.Inc()
 		}
 		if c.trc != nil {
 			c.trc.Instant("cfm", "broadcast", c.driverPID, 0,
-				map[string]any{"pos": seg.Pos, "blocks": len(seg.Blocks), "final": c.pathFinal && end == c.determined()})
+				map[string]any{"pos": seg.Pos, "blocks": len(blocks), "final": c.pathFinal && end == c.determined()})
 		}
 		if c.lin != nil {
-			for i, b := range seg.Blocks {
+			for i, b := range blocks {
 				pos := seg.Pos + i
 				c.lin.Broadcast(pos, int(b), c.pathFinal && pos == c.determined(), c.decidedBy[pos-1-c.base], barrier)
 			}

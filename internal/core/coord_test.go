@@ -13,17 +13,24 @@ import (
 // recordingPlane is a ControlPlane that executes nothing: it records the
 // frames, barriers and stops the coordinator issues, so a test can drive a
 // Coordinator with synthetic events and check the control protocol alone.
+// Each frame is recorded with the blocks a receiver resolves it to.
 type recordingPlane struct {
-	frames   []PathSegment
-	barriers int
-	stops    []error
+	plan      *Plan
+	templated bool
+	frames    []PathSegment
+	blocks    [][]ir.BlockID // parallel to frames
+	barriers  int
+	stops     []error
 	// onBarrier, when set, runs inside every Barrier call — the moment the
 	// coordinator claims all fenced work has drained.
 	onBarrier func()
 }
 
-func (r *recordingPlane) Broadcast(seg PathSegment) { r.frames = append(r.frames, seg) }
-func (r *recordingPlane) Stop(err error)            { r.stops = append(r.stops, err) }
+func (r *recordingPlane) Broadcast(seg PathSegment) {
+	r.frames = append(r.frames, seg)
+	r.blocks = append(r.blocks, r.plan.Segment(seg.Head, r.templated))
+}
+func (r *recordingPlane) Stop(err error) { r.stops = append(r.stops, err) }
 func (r *recordingPlane) Barrier() {
 	r.barriers++
 	if r.onBarrier != nil {
@@ -40,7 +47,7 @@ func (r *recordingPlane) released(t *testing.T) []ir.BlockID {
 		if f.Pos != len(path)+1 {
 			t.Fatalf("frame %d starts at position %d, want %d", i, f.Pos, len(path)+1)
 		}
-		path = append(path, f.Blocks...)
+		path = append(path, r.blocks[i]...)
 	}
 	return path
 }
@@ -112,7 +119,7 @@ func TestCoordinatorModeMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &recordingPlane{}
+			rec := &recordingPlane{plan: plan, templated: opts.Templated()}
 			sent := make(map[int]int) // completions reported so far, per position
 			rec.onBarrier = func() {
 				// A barrier fences everything released before it: all of
@@ -130,13 +137,13 @@ func TestCoordinatorModeMatrix(t *testing.T) {
 			if got := rec.released(t); !slices.Equal(got, oracle) {
 				t.Fatalf("released path %v\nwant (ir.Interp) %v", got, oracle)
 			}
-			if last := rec.frames[len(rec.frames)-1]; g.Blocks[last.Blocks[len(last.Blocks)-1]].Term.Kind != ir.TermExit {
+			if last := rec.blocks[len(rec.blocks)-1]; g.Blocks[last[len(last)-1]].Term.Kind != ir.TermExit {
 				t.Error("last frame does not end in the exit block")
 			}
 			templated := mode.pipelining && mode.templates
 			multi := 0
-			for _, f := range rec.frames {
-				if len(f.Blocks) > 1 {
+			for _, blocks := range rec.blocks {
+				if len(blocks) > 1 {
 					multi++
 				}
 			}
@@ -195,7 +202,7 @@ func TestCoordinatorStopsOnceOnProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingPlane{}
+	rec := &recordingPlane{plan: plan, templated: opts.Templated()}
 	co := NewCoordinator(plan, opts, 3, rec)
 	co.Seed()
 	frames := len(rec.frames)

@@ -318,9 +318,12 @@ func buildDataflowGraph(rt *runtime, plan *Plan) *dataflow.Graph {
 // managers relay the decision (paper: TCP connections independent of the
 // dataflow edges) — and lands directly in the job's mailboxes, where
 // Job.Broadcast fans it out to the instances.
+// Broadcast runs under the coordinator's lock, which is what lets it carve
+// every frame from one FrameSlab.
 type simControlPlane struct {
-	cl  *cluster.Cluster
-	job *dataflow.Job
+	cl     *cluster.Cluster
+	job    *dataflow.Job
+	frames FrameSlab
 }
 
 func (s *simControlPlane) Broadcast(seg PathSegment) {
@@ -328,7 +331,7 @@ func (s *simControlPlane) Broadcast(seg PathSegment) {
 	for m := 0; m < s.cl.Machines(); m++ {
 		s.cl.CtrlSleepBytes(n)
 	}
-	s.job.Broadcast(seg)
+	s.job.Broadcast(s.frames.New(seg))
 }
 
 func (s *simControlPlane) Barrier() { s.cl.Barrier() }

@@ -112,7 +112,7 @@ func newLoopStepper(tb testing.TB, kind string) *loopStepper {
 func (s *loopStepper) step(tb testing.TB) {
 	h := s.h
 	pos := h.pathLen + 1
-	if err := h.OnControl(PathSegment{Pos: pos, Blocks: loopBody}); err != nil {
+	if err := h.OnControl(&PathSegment{Pos: pos, Head: loopBody}); err != nil {
 		tb.Fatal(err)
 	}
 	slot, sel := 0, pos
@@ -134,7 +134,7 @@ func (s *loopStepper) step(tb testing.TB) {
 	}
 }
 
-var loopBody = []ir.BlockID{1}
+const loopBody ir.BlockID = 1
 
 // TestHostStepAllocsFlat: one loop step through a host — control, a batch,
 // an end-of-bag — allocates nothing once its queues and its two input-bag
@@ -291,11 +291,16 @@ type windowPlane struct {
 	todo      []ir.BlockID
 	barriers  int
 	stops     []error
-	// Every 997th frame is kept with a copy of what it was released with.
-	kept, keptCopy []PathSegment
-	frames         int
-	maxPath        int
-	maxPending     int
+	templated bool
+	// Every frame is carved from slab, as simControlPlane carves it for
+	// Job.Broadcast; every 997th is kept, with a copy of what it was released
+	// with.
+	slab       FrameSlab
+	kept       []*PathSegment
+	keptCopy   []PathSegment
+	frames     int
+	maxPath    int
+	maxPending int
 }
 
 func (w *windowPlane) Barrier()       { w.barriers++ }
@@ -305,11 +310,12 @@ func (w *windowPlane) Broadcast(seg PathSegment) {
 	if seg.Pos != w.next+len(w.todo) {
 		w.t.Fatalf("frame at %d, want %d", seg.Pos, w.next+len(w.todo))
 	}
+	f := w.slab.New(seg)
 	if w.frames++; w.frames%997 == 1 {
-		w.kept = append(w.kept, seg)
-		w.keptCopy = append(w.keptCopy, PathSegment{Pos: seg.Pos, Blocks: slices.Clone(seg.Blocks)})
+		w.kept = append(w.kept, f)
+		w.keptCopy = append(w.keptCopy, seg)
 	}
-	w.todo = append(w.todo, seg.Blocks...)
+	w.todo = append(w.todo, w.plan.Segment(f.Head, w.templated)...)
 }
 
 // drain answers every released position, in path order. OnEvent re-enters
@@ -338,7 +344,7 @@ func newWindowPlane(t *testing.T, opts Options, loopFor, silentAt int) *windowPl
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &windowPlane{t: t, plan: plan, loopFor: loopFor, silentAt: silentAt, next: 1}
+	w := &windowPlane{t: t, plan: plan, loopFor: loopFor, silentAt: silentAt, next: 1, templated: opts.Templated()}
 	w.co = NewCoordinator(plan, opts, 3, w)
 	w.co.Seed()
 	return w
@@ -346,8 +352,10 @@ func newWindowPlane(t *testing.T, opts Options, loopFor, silentAt int) *windowPl
 
 // TestCoordinatorWindow: the coordinator's path, completion counts and
 // deciders are windows over what is neither released nor complete yet, so a
-// long loop does not grow them; frames released before a window moved still
-// read their blocks; and counts and errors name absolute positions.
+// long loop does not grow them; every frame carved from a FrameSlab still
+// reads the (pos, head) it was released with at the end of the loop, which a
+// slab that reused a chunk would fail; and counts and errors name absolute
+// positions.
 func TestCoordinatorWindow(t *testing.T) {
 	const decisions = 100000
 	for _, mode := range []struct{ pipelining, templates bool }{{true, true}, {true, false}, {false, true}} {
@@ -371,8 +379,8 @@ func TestCoordinatorWindow(t *testing.T) {
 				t.Fatalf("only %d frames kept", len(w.kept))
 			}
 			for i, f := range w.kept {
-				if !slices.Equal(f.Blocks, w.keptCopy[i].Blocks) {
-					t.Fatalf("frame at %d reads %v, was released with %v", f.Pos, f.Blocks, w.keptCopy[i].Blocks)
+				if *f != w.keptCopy[i] {
+					t.Fatalf("frame %d reads %+v, was released as %+v", 997*i+1, *f, w.keptCopy[i])
 				}
 			}
 			if !mode.pipelining && w.barriers != w.next-2 {

@@ -312,31 +312,32 @@ func (h *host) foldStageCounts() {
 // lazily at the next wake; bag selection is unaffected because it only
 // ever consults path positions at or before the bag being produced.
 func (h *host) WantsControlWake(ev any) bool {
-	seg, ok := ev.(PathSegment)
+	seg, ok := ev.(*PathSegment)
 	if !ok {
 		return true
 	}
-	for _, b := range seg.Blocks {
-		if b == h.op.Block {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(h.segment(seg), h.op.Block)
 }
 
 // OnControl ingests execution-path extensions.
 func (h *host) OnControl(ev any) error {
-	seg, ok := ev.(PathSegment)
+	seg, ok := ev.(*PathSegment)
 	if !ok {
 		return nil
 	}
 	if seg.Pos != h.pathLen+1 {
 		return fmt.Errorf("core: path segment at %d out of order (have %d)", seg.Pos, h.pathLen)
 	}
-	for _, b := range seg.Blocks {
+	for _, b := range h.segment(seg) {
 		h.step(b)
 	}
 	return h.progress()
+}
+
+// segment resolves the blocks a path frame covers from the plan, the way
+// its sender cut it.
+func (h *host) segment(seg *PathSegment) []ir.BlockID {
+	return h.rt.plan.Segment(seg.Head, h.rt.opts.Templated())
 }
 
 // step extends the path by block b. An own-block position is scheduled

@@ -155,7 +155,7 @@ func lentCombine(tb testing.TB, lends bool) (m, c *host) {
 		Inputs: []PlanInput{{Producer: &PlanOp{Instr: &ir.Instr{Var: "in0"}, Block: 1}, Part: dataflow.PartForward}}}
 	cop := &PlanOp{ID: 1, Instr: &ir.Instr{Var: "c", Kind: ir.OpReduceByKey, F: mustUDF(tb, addUDF)}, Block: 1, Par: 1,
 		Synth: SynthCombineByKey, Inputs: []PlanInput{{Producer: mop, Part: dataflow.PartForward, Chained: true}}}
-	rt := &runtime{plan: loopPlan(), store: store.NewMemStore(), opts: DefaultOptions(), emit: func(CoordEvent) {}}
+	rt := handFedRuntime(store.NewMemStore())
 	var g dataflow.Graph
 	in := g.AddOp("in0", 1, func(int) dataflow.Vertex { return &collector{} })
 	mid := g.AddOp("m", 1, func(int) dataflow.Vertex { m = newHost(rt, mop, 0); return m })
@@ -372,7 +372,7 @@ func TestKeyedTablesReusedAcrossBags(t *testing.T) {
 			for s := 1; s <= 3; s++ {
 				pos := s + 1
 				sink.bags[pos] = make([]val.Value, 0, 2*keys)
-				steps[s].seg = PathSegment{Pos: pos, Blocks: []ir.BlockID{1}}
+				steps[s].seg = &PathSegment{Pos: pos, Head: 1}
 				for _, vals := range c.in(s) {
 					var batch []Element
 					if vals != nil {

@@ -20,13 +20,17 @@ type Plan struct {
 	Ops []*PlanOp
 	// ByVar maps an SSA variable to the operator defining it.
 	ByVar map[string]*PlanOp
-	// InstancesPerBlock is the number of physical operator instances that
-	// must complete each visit of a block — the control-flow coordinator's
-	// per-position completion target.
-	InstancesPerBlock map[ir.BlockID]int
+	// InstancesPerBlock, indexed by block, is the number of physical operator
+	// instances that must complete each visit of a block — the control-flow
+	// coordinator's per-position completion target.
+	InstancesPerBlock []int
 	// Chains lists the operator-chaining groups (BuildChains), each in
 	// ascending (topological) ID order. Empty until BuildChains runs.
 	Chains [][]*PlanOp
+
+	// segments, indexed by block, is the jump-chain segment each block heads
+	// (Segment), resolved by BuildPlan and read-only from then on.
+	segments [][]ir.BlockID
 }
 
 // PlanOp is one planned operator.
@@ -101,7 +105,9 @@ type PlanInput struct {
 // BuildPlan plans the dataflow job for an SSA graph. parallelism is the
 // degree of parallelism of data-parallel operators (readers, joins,
 // aggregations' pre-stages); singleton-producing operators always run with
-// one instance.
+// one instance. It resolves every block's path segment (Segment) up front, so
+// an IR whose jumps form a cycle that no branch leaves fails here, reached or
+// not.
 func BuildPlan(g *ir.Graph, parallelism int) (*Plan, error) {
 	if !g.InSSA {
 		return nil, fmt.Errorf("core: plan requires an SSA graph")
@@ -109,7 +115,10 @@ func BuildPlan(g *ir.Graph, parallelism int) (*Plan, error) {
 	if parallelism < 1 {
 		return nil, fmt.Errorf("core: parallelism %d", parallelism)
 	}
-	p := &Plan{IR: g, ByVar: make(map[string]*PlanOp), InstancesPerBlock: make(map[ir.BlockID]int)}
+	p := &Plan{IR: g, ByVar: make(map[string]*PlanOp), InstancesPerBlock: make([]int, len(g.Blocks))}
+	if err := p.resolveSegments(); err != nil {
+		return nil, err
+	}
 	// Create one op per instruction.
 	for _, b := range g.Blocks {
 		condVar := ""
@@ -231,16 +240,14 @@ func (p *Plan) singleUse(op *PlanOp, slot int) bool {
 // control event; the per-machine targets sum to InstancesPerBlock. Call
 // after plan rewrites (InsertCombiners, BuildChains) so synthetic
 // operators are counted.
-func (p *Plan) InstancesPerBlockOn(machines, self int) map[ir.BlockID]int {
-	out := make(map[ir.BlockID]int, len(p.InstancesPerBlock))
+func (p *Plan) InstancesPerBlockOn(machines, self int) []int {
+	out := make([]int, len(p.InstancesPerBlock))
 	for _, op := range p.Ops {
 		n := op.Par / machines
 		if op.Par%machines > self {
 			n++
 		}
-		if n > 0 {
-			out[op.Block] += n
-		}
+		out[op.Block] += n
 	}
 	return out
 }

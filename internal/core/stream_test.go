@@ -321,11 +321,28 @@ func (c *collector) Close() error        { return nil }
 // b0 (entry) -> b1 (a one-block loop) -> b2 (exit).
 func loopPlan() *Plan {
 	g := &ir.Graph{InSSA: true}
-	for b, succs := range [][]ir.BlockID{{1}, {1, 2}, nil} {
-		g.Blocks = append(g.Blocks, &ir.Block{ID: ir.BlockID(b), Term: ir.Terminator{Succs: succs}})
+	for b, term := range []ir.Terminator{
+		{Kind: ir.TermJump, Succs: []ir.BlockID{1}},
+		{Kind: ir.TermBranch, Succs: []ir.BlockID{1, 2}},
+		{Kind: ir.TermExit},
+	} {
+		g.Blocks = append(g.Blocks, &ir.Block{ID: ir.BlockID(b), Term: term})
 	}
 	g.ComputePreds()
-	return &Plan{IR: g}
+	p := &Plan{IR: g}
+	if err := p.resolveSegments(); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// handFedRuntime is the runtime of hand-fed hosts: loopPlan, every option on
+// but templates, so that each path frame a test sends covers its head block
+// alone (visit).
+func handFedRuntime(st store.Store) *runtime {
+	opts := DefaultOptions()
+	opts.Templates = false
+	return &runtime{plan: loopPlan(), store: st, opts: opts, emit: func(CoordEvent) {}}
 }
 
 // handFedHost builds a host for an operator of the given kind in block b1
@@ -350,7 +367,7 @@ func handFedHostIn(tb testing.TB, block ir.BlockID, kind ir.OpKind, f *lang.UDF,
 			Part:      dataflow.PartForward,
 		})
 	}
-	rt := &runtime{plan: loopPlan(), store: st, opts: DefaultOptions(), emit: func(CoordEvent) {}}
+	rt := handFedRuntime(st)
 	var g dataflow.Graph
 	var h *host
 	hostOp := g.AddOp("x", 1, func(int) dataflow.Vertex {
@@ -396,7 +413,7 @@ func startHandFed(tb testing.TB, g *dataflow.Graph) {
 // visit extends the host's path by one block.
 func visit(tb testing.TB, h *host, b ir.BlockID) {
 	tb.Helper()
-	if err := h.OnControl(PathSegment{Pos: h.pathLen + 1, Blocks: []ir.BlockID{b}}); err != nil {
+	if err := h.OnControl(&PathSegment{Pos: h.pathLen + 1, Head: b}); err != nil {
 		tb.Fatal(err)
 	}
 }

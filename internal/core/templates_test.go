@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/ir"
@@ -12,15 +13,19 @@ import (
 
 // TestSegmentFrom checks the jump-chain resolution templates are built
 // from: every segment starts at the requested block, crosses only
-// unconditional jumps, and stops at the first branch or the exit. The walk
-// must be deterministic — coordinator and workers resolve segments
-// independently from the same shipped IR — and a SegmentCache hands out the
-// one resolution it made.
+// unconditional jumps, and stops at the first branch or the exit. The
+// resolution is made once, when the plan is built — coordinator and workers
+// resolve segments independently from the same shipped IR — so Plan.Segment
+// hands out the same slice on every call, and its first block alone when
+// untemplated.
 func TestSegmentFrom(t *testing.T) {
 	g := compile(t, stepLoopSrc(5))
-	cache := make(SegmentCache)
+	plan, err := BuildPlan(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range g.Blocks {
-		blocks := SegmentFrom(g, b.ID)
+		blocks := plan.Segment(b.ID, true)
 		if len(blocks) == 0 || blocks[0] != b.ID {
 			t.Fatalf("segment from b%d starts %v", b.ID, blocks)
 		}
@@ -32,16 +37,61 @@ func TestSegmentFrom(t *testing.T) {
 		if last := g.Blocks[blocks[len(blocks)-1]].Term.Kind; last == ir.TermJump {
 			t.Errorf("segment from b%d ends on a jump", b.ID)
 		}
-		if again := SegmentFrom(g, b.ID); !slices.Equal(again, blocks) {
+		if again := plan.Segment(b.ID, true); len(again) != len(blocks) || &again[0] != &blocks[0] {
+			t.Errorf("second lookup of b%d did not return the same segment", b.ID)
+		}
+		if one := plan.Segment(b.ID, false); len(one) != 1 || cap(one) != 1 || &one[0] != &blocks[0] {
+			t.Errorf("untemplated lookup of b%d: %v (cap %d), want the segment's head alone", b.ID, one, cap(one))
+		}
+	}
+	rebuilt, err := BuildPlan(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range g.Blocks {
+		if !slices.Equal(rebuilt.Segment(b.ID, true), plan.Segment(b.ID, true)) {
 			t.Errorf("segment from b%d not deterministic", b.ID)
 		}
-		first, hit := cache.Segment(g, b.ID)
-		if hit || !slices.Equal(first, blocks) {
-			t.Errorf("first cache lookup of b%d: %v, hit %v", b.ID, first, hit)
-		}
-		if again, hit := cache.Segment(g, b.ID); !hit || &again[0] != &first[0] {
-			t.Errorf("second cache lookup of b%d did not return the cached segment", b.ID)
-		}
+	}
+}
+
+// TestBuildPlanJumpCycle: a cycle of unconditional jumps has no decision to
+// leave it by, so resolving a segment in it would never end. BuildPlan
+// resolves every block's segment, reached or not, and names the cycle
+// instead.
+func TestBuildPlanJumpCycle(t *testing.T) {
+	jump := func(to ir.BlockID) ir.Terminator {
+		return ir.Terminator{Kind: ir.TermJump, Succs: []ir.BlockID{to}}
+	}
+	for _, c := range []struct {
+		name  string
+		terms []ir.Terminator
+		want  string
+	}{
+		{"reached", []ir.Terminator{jump(1), jump(2), jump(1)}, "core: blocks b1, b2 form a cycle with no branch"},
+		{"unreached", []ir.Terminator{{Kind: ir.TermExit}, jump(2), jump(3), jump(1)}, "core: blocks b1, b2, b3 form a cycle with no branch"},
+		{"self", []ir.Terminator{jump(0)}, "core: blocks b0 form a cycle with no branch"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := &ir.Graph{InSSA: true}
+			for b, term := range c.terms {
+				g.Blocks = append(g.Blocks, &ir.Block{ID: ir.BlockID(b), Term: term})
+			}
+			g.ComputePreds()
+			done := make(chan error, 1)
+			go func() {
+				_, err := BuildPlan(g, 2)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || err.Error() != c.want {
+					t.Errorf("BuildPlan: err = %v, want %q", err, c.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("BuildPlan did not return within 10s")
+			}
+		})
 	}
 }
 

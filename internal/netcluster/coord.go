@@ -760,7 +760,7 @@ func (cp *tcpControlPlane) bcastCtrl(typ byte, body []byte) {
 // either mode: every worker resolves the rest of the segment from its own
 // plan (workerJobRun.applyLocked).
 func (cp *tcpControlPlane) Broadcast(seg core.PathSegment) {
-	cp.buf = AppendPathSeg(cp.buf[:0], PathSegMsg{Pos: seg.Pos, Head: int(seg.Blocks[0])})
+	cp.buf = AppendPathSeg(cp.buf[:0], PathSegMsg{Pos: seg.Pos, Head: int(seg.Head)})
 	cp.bcastCtrl(MsgPathSeg, cp.buf)
 }
 

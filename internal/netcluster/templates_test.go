@@ -178,17 +178,16 @@ newBag(total).writeFile("out")
 // BenchmarkCtrlFrameEncode measures the path frame of one loop step at both
 // ends: the coordinator's encode into a reused buffer, as tcpControlPlane
 // does, then the worker's decode and its expansion of the head block into the
-// segment through its cache — a hit on every step but a block's first. None
-// of it may allocate.
+// segment its plan resolved when it was built. None of it may allocate.
 func BenchmarkCtrlFrameEncode(b *testing.B) {
 	plan, err := compileSource(workload.StepLoopScript(10), 2, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := plan.IR
-	segs := make(core.SegmentCache)
+	first := make([][]ir.BlockID, len(g.Blocks))
 	for _, blk := range g.Blocks {
-		segs.Segment(g, blk.ID)
+		first[blk.ID] = plan.Segment(blk.ID, true)
 	}
 	var buf []byte
 	b.ReportAllocs()
@@ -199,8 +198,8 @@ func BenchmarkCtrlFrameEncode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if blocks, hit := segs.Segment(g, ir.BlockID(m.Head)); !hit || blocks[0] != ir.BlockID(m.Head) {
-			b.Fatalf("head b%d expanded to %v (cache hit %v)", m.Head, blocks, hit)
+		if blocks := plan.Segment(ir.BlockID(m.Head), true); blocks[0] != ir.BlockID(m.Head) || &blocks[0] != &first[m.Head][0] {
+			b.Fatalf("head b%d expanded to %v, not the segment the plan resolved", m.Head, blocks)
 		}
 	}
 }
@@ -245,7 +244,7 @@ func TestWorkerPathProtocolErrors(t *testing.T) {
 			name: "diverged",
 			frames: func(t *testing.T, s *session, plan *core.Plan) []PathSegMsg {
 				entry := plan.IR.Entry()
-				chain := core.SegmentFrom(plan.IR, entry)
+				chain := plan.Segment(entry, true)
 				cond := plan.IR.Blocks[chain[len(chain)-1]]
 				s.broadcast(MsgPathSeg, AppendPathSeg(nil, PathSegMsg{Pos: 1, Head: int(entry)}))
 				for {

@@ -593,7 +593,7 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 
 // PathSegMsg extends a worker's execution path at position Pos by the
 // segment headed by block Head: the whole jump-chain template under templated
-// execution, which the worker resolves from its own plan (core.SegmentCache),
+// execution, which the worker resolves from its own plan (core.Plan.Segment),
 // and the one block Head otherwise. Position patching is the only
 // per-instantiation parameter, exactly the execution-templates model.
 type PathSegMsg struct {

@@ -153,25 +153,26 @@ type workerJobRun struct {
 	// The worker's view of the execution path is its frontier: the number of
 	// positions it has broadcast to the local partition. Every path frame
 	// names only its head block, which the worker expands from its own plan
-	// through segs — the whole template when templated, the one block
+	// (core.Plan.Segment) — the whole template when templated, the one block
 	// otherwise. All of it lives on the run: a retry or re-admission builds a
 	// fresh workerJobRun.
 	plan      *core.Plan
 	templated bool
 
 	// mu serializes path mutation between the control loop (coordinator
-	// frames) and the event forwarder (local speculation).
+	// frames) and the event forwarder (local speculation). The frames the
+	// worker broadcasts to its partition are carved from frames under it.
 	mu       sync.Mutex
 	frontier int
-	segs     core.SegmentCache
+	frames   core.FrameSlab
 	// Templated execution only. echoes lists the segments this worker
 	// speculated past its own decisions, oldest first, until the
-	// coordinator's frame for each arrives. localExp is the per-block count of
-	// operator instances this machine hosts; positions reaching it fold into
-	// a single Count-carrying completion event instead of one frame per
-	// instance.
+	// coordinator's frame for each arrives. localExp, indexed by block, is the
+	// count of operator instances this machine hosts; positions reaching it
+	// fold into a single Count-carrying completion event instead of one frame
+	// per instance.
 	echoes      []PathSegMsg
-	localExp    map[ir.BlockID]int
+	localExp    []int
 	pendingDone map[int]int
 }
 
@@ -194,12 +195,8 @@ func (rj *workerJobRun) applyLocked(pos int, head ir.BlockID) error {
 	if head < 0 || int(head) >= len(rj.plan.IR.Blocks) {
 		return fmt.Errorf("netcluster: path segment at %d names unknown block b%d", pos, head)
 	}
-	blocks, _ := rj.segs.Segment(rj.plan.IR, head)
-	if !rj.templated {
-		blocks = blocks[:1:1]
-	}
-	rj.frontier += len(blocks)
-	rj.wj.Job.Broadcast(core.PathSegment{Pos: pos, Blocks: blocks})
+	rj.frontier += len(rj.plan.Segment(head, rj.templated))
+	rj.wj.Job.Broadcast(rj.frames.New(core.PathSegment{Pos: pos, Head: head}))
 	return nil
 }
 
@@ -506,7 +503,6 @@ func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 		telFrames:  o.Reg().Counter(s.id, "netcluster", "telemetry_frames"),
 		plan:       plan,
 		templated:  opts.Templated(),
-		segs:       make(core.SegmentCache),
 	}
 	if rj.templated {
 		rj.localExp = plan.InstancesPerBlockOn(s.n, s.id)
