@@ -341,11 +341,12 @@ func (s *simControlPlane) Stop(err error) { s.job.Stop(err) }
 // WorkerJob is one machine's share of a plan, hosted by a worker process of
 // the TCP cluster backend: the partitioned dataflow job plus the stream of
 // control-plane events (decisions, completions) the local operator hosts
-// produce. The worker forwards Events to the coordinator and injects the
-// coordinator's PathSegments via Job.Broadcast.
+// produce. The worker forwards Events to the coordinator, closes them once
+// Job.Wait returns, and injects the coordinator's PathSegments via
+// Job.Broadcast.
 type WorkerJob struct {
 	Job    *dataflow.Job
-	Events <-chan CoordEvent
+	Events *dataflow.Queue[CoordEvent]
 
 	rt *runtime
 }
@@ -363,11 +364,11 @@ func NewWorkerJob(plan *Plan, st store.Store, machines, self int, opts Options, 
 		opts:  opts,
 		obs:   opts.Obs,
 	}
-	// The forwarder draining this channel writes every event to a socket;
-	// the buffer lets the hosts run on through a burst of completions (one
-	// per hosted instance per position) instead of pacing them to it.
-	events := make(chan CoordEvent, 4096)
-	rt.emit = func(ev CoordEvent) { events <- ev }
+	// The forwarder draining this queue writes every event to a socket; a
+	// host never waits for it, even through a burst of completions (one per
+	// hosted instance per position).
+	events := dataflow.NewQueue[CoordEvent]()
+	rt.emit = func(ev CoordEvent) { events.Put(ev) }
 	job, err := dataflow.NewPartitionedJob(buildDataflowGraph(rt, plan), machines, self, opts.BatchSize, remote)
 	if err != nil {
 		return nil, err

@@ -89,8 +89,8 @@ func (j *Job) Introspect() *Introspection {
 			// Chain members have no mailbox of their own; their external
 			// traffic shows up on the chain driver's depths.
 			if in.mbox != nil {
-				st.MailboxDepth = in.mbox.depth()
-				st.MailboxHWM = in.mbox.highWater()
+				st.MailboxDepth = in.mbox.Depth()
+				st.MailboxHWM = in.mbox.HighWater()
 			}
 			if p, ok := in.vertex.(Progresser); ok && p != nil {
 				st.CurBag, st.BagsDone = p.BagProgress()

@@ -56,7 +56,8 @@ type Job struct {
 
 	insts [][]*instance // [op][instance]
 	// tr is the remote of a whole job, which the job also owns: Start
-	// launches it, a clean Stop quiesces it, Wait closes it.
+	// launches it, a clean Stop drains it by closing it, Wait closes it
+	// after a failure.
 	tr *loopback
 
 	// The batch free list recycles batch buffers: a local batch moves to
@@ -126,8 +127,9 @@ type JobStats struct {
 	BytesSent     int64
 	BytesReceived int64
 	// MailboxDropped counts envelopes delivered to already-closed
-	// mailboxes (finalized by Wait). Zero on a clean run; nonzero values
-	// expose shutdown races that used to be silent.
+	// mailboxes, and frames the loopback refused after it closed (finalized
+	// by Wait). Zero on a clean run; nonzero values expose shutdown races
+	// that used to be silent.
 	MailboxDropped int64
 	// CtrlMessages counts control envelopes enqueued (broadcast fan-out
 	// plus targeted sends); CtrlBytes sums their encoded control-frame
@@ -217,7 +219,7 @@ func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, e
 			if !j.local(in) {
 				continue
 			}
-			in.mbox = newMailbox()
+			in.mbox = NewQueue[envelope]()
 			if in.members == nil {
 				in.members = []*instance{in}
 			}
@@ -381,7 +383,11 @@ func (j *Job) Broadcast(ev any) {
 				break
 			}
 		}
-		in.mbox.enqueue(envelope{kind: envControl, ctrl: ev}, wake)
+		if wake {
+			in.mbox.Put(envelope{kind: envControl, ctrl: ev})
+		} else {
+			in.mbox.PutQuiet(envelope{kind: envControl, ctrl: ev})
+		}
 	}
 }
 
@@ -408,7 +414,9 @@ func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, slab *val.S
 	n := int64(len(payload))
 	j.bytesReceived.Add(n)
 	tgt.bytesIn.Add(n)
-	tgt.driver.mbox.put(envelope{kind: envData, input: h.Input, from: h.From, batch: batch, dest: tgt, ack: ack})
+	if !tgt.driver.mbox.Put(envelope{kind: envData, input: h.Input, from: h.From, batch: batch, dest: tgt, ack: ack}) && ack != nil {
+		ack()
+	}
 	return nil
 }
 
@@ -419,7 +427,9 @@ func (j *Job) DeliverEOB(h RemoteHeader, tag Tag, ack func()) error {
 	if err != nil {
 		return j.reject(err, ack)
 	}
-	tgt.driver.mbox.put(envelope{kind: envEOB, input: h.Input, from: h.From, tag: tag, dest: tgt, ack: ack})
+	if !tgt.driver.mbox.Put(envelope{kind: envEOB, input: h.Input, from: h.From, tag: tag, dest: tgt, ack: ack}) && ack != nil {
+		ack()
+	}
 	return nil
 }
 
@@ -454,25 +464,26 @@ func (j *Job) Stop(err error) {
 	j.stop(err, err == nil)
 }
 
-func (j *Job) stop(err error, quiesce bool) {
+func (j *Job) stop(err error, drain bool) {
 	if !j.stopped.CompareAndSwap(false, true) {
 		return
 	}
 	if err != nil {
 		j.err.CompareAndSwap(nil, &err)
 	}
-	// On a clean stop, let in-flight remote envelopes land before the
-	// mailboxes close: they carry data/EOBs consumers may still buffer
-	// (e.g. trailing EOBs broadcast past a consumer's last output), and
-	// dropping them would misreport a clean run in mailbox_dropped. On
-	// failure, close immediately — drops are then counted, not silent.
-	if quiesce && j.tr != nil {
-		j.tr.quiesce()
+	// On a clean stop, close the loopback first: its sender goroutines
+	// deliver every frame still crossing the simulated network before the
+	// mailboxes close, since those frames carry data/EOBs consumers may
+	// still buffer (e.g. trailing EOBs broadcast past a consumer's last
+	// output). On failure, close the mailboxes at once — drops are then
+	// counted, not silent.
+	if drain && j.tr != nil {
+		j.tr.close()
 	}
 	for _, insts := range j.insts {
 		for _, in := range insts {
 			if in.mbox != nil {
-				in.mbox.close()
+				in.mbox.Close()
 			}
 		}
 	}
@@ -493,13 +504,14 @@ func (j *Job) Wait() error {
 	j.finishOnce.Do(func() {
 		if j.tr != nil {
 			j.tr.close()
+			j.mailboxDropped.Add(j.tr.refused())
 		}
 		for _, insts := range j.insts {
 			for _, in := range insts {
 				if in.mbox == nil {
 					continue // chain member: drops land on the driver's mailbox
 				}
-				if d := in.mbox.droppedCount(); d > 0 {
+				if d := in.mbox.Dropped(); d > 0 {
 					j.mailboxDropped.Add(d)
 					in.mboxDropped.Add(d)
 				}
@@ -554,6 +566,34 @@ func (j *Job) recycleBatch(b []Element) {
 	j.batchMu.Unlock()
 }
 
+type envKind uint8
+
+const (
+	envData envKind = iota
+	envEOB
+	envControl
+)
+
+// envelope is one entry of an instance's mailbox.
+type envelope struct {
+	kind  envKind
+	input int
+	from  int
+	batch []Element
+	tag   Tag
+	ctrl  any
+	// dest is the member instance a data or EOB envelope is addressed to:
+	// chained instances share the chain driver's mailbox, so the driver
+	// dispatches on dest. Control envelopes carry none; they go to every
+	// member of the chain (Job.Broadcast).
+	dest *instance
+	// ack, when non-nil, runs once the envelope has been processed by the
+	// receiving vertex — or at once if the mailbox refuses it, so a remote
+	// sender's flow-control credit is never stranded by shutdown
+	// (DeliverData, DeliverEOB).
+	ack func()
+}
+
 // instance is one physical operator instance. Chained instances with equal
 // index form one chained physical vertex: the head — the driver — owns the
 // mailbox and the event-loop goroutine; the other members execute inside
@@ -564,8 +604,8 @@ type instance struct {
 	op      *Op
 	idx     int
 	machine int
-	lane    int      // job-unique trace thread ID
-	mbox    *mailbox // nil for chain members that are not the driver
+	lane    int              // job-unique trace thread ID
+	mbox    *Queue[envelope] // nil for chain members that are not the driver
 	vertex  Vertex
 	ctx     *Context
 
@@ -663,7 +703,7 @@ type pending struct {
 func (in *instance) loop() {
 	defer in.job.wg.Done()
 	for {
-		env, ok := in.mbox.take()
+		env, ok := in.mbox.Take()
 		if !ok {
 			break
 		}
@@ -710,7 +750,7 @@ func (in *instance) loop() {
 			break
 		}
 	}
-	in.mboxHWM.Max(int64(in.mbox.highWater()))
+	in.mboxHWM.Max(int64(in.mbox.HighWater()))
 	for _, m := range in.members {
 		if err := m.vertex.Close(); err != nil {
 			in.job.fail(fmt.Errorf("dataflow: close %s[%d]: %w", m.op.Name, m.idx, err))
@@ -878,7 +918,7 @@ func (c *Context) flush(oe *outEdge, target int) {
 		oe.depth.Add(-int64(n))
 	}
 	if p.batch != nil {
-		tgt.driver.mbox.put(envelope{kind: envData, input: oe.input, from: in.idx, batch: p.batch, dest: tgt})
+		tgt.driver.mbox.Put(envelope{kind: envData, input: oe.input, from: in.idx, batch: p.batch, dest: tgt})
 		p.batch = nil
 		return
 	}
@@ -956,5 +996,5 @@ func (c *Context) sendEOB(oe *outEdge, target int, tag Tag) {
 			RemoteHeader{Op: tgt.op.ID, Inst: tgt.idx, Input: oe.input, From: c.inst.idx}, tag)
 		return
 	}
-	tgt.driver.mbox.put(envelope{kind: envEOB, input: oe.input, from: c.inst.idx, tag: tag, dest: tgt})
+	tgt.driver.mbox.Put(envelope{kind: envEOB, input: oe.input, from: c.inst.idx, tag: tag, dest: tgt})
 }

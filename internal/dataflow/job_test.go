@@ -350,63 +350,6 @@ func (v *pingpong) OnBatch(input, from int, batch []Element) error {
 	return nil
 }
 
-func TestMailboxOrderAndClose(t *testing.T) {
-	m := newMailbox()
-	for i := 0; i < 100; i++ {
-		m.put(envelope{kind: envControl, ctrl: i})
-	}
-	m.close()
-	for i := 0; i < 100; i++ {
-		e, ok := m.take()
-		if !ok {
-			t.Fatalf("mailbox drained early at %d", i)
-		}
-		if e.ctrl != i {
-			t.Fatalf("out of order: got %v at %d", e.ctrl, i)
-		}
-	}
-	if _, ok := m.take(); ok {
-		t.Error("take after drain returned ok")
-	}
-	// Puts after close are dropped.
-	m.put(envelope{kind: envControl, ctrl: "late"})
-	if _, ok := m.take(); ok {
-		t.Error("late put delivered")
-	}
-}
-
-func TestMailboxConcurrent(t *testing.T) {
-	m := newMailbox()
-	const producers, each = 8, 1000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				m.put(envelope{kind: envData, from: p})
-			}
-		}(p)
-	}
-	go func() {
-		wg.Wait()
-		m.close()
-	}()
-	counts := make([]int, producers)
-	for {
-		e, ok := m.take()
-		if !ok {
-			break
-		}
-		counts[e.from]++
-	}
-	for p, c := range counts {
-		if c != each {
-			t.Errorf("producer %d: %d envelopes, want %d", p, c, each)
-		}
-	}
-}
-
 func TestClusterOverheads(t *testing.T) {
 	cfg := cluster.DefaultConfig(4)
 	cl, err := cluster.New(cfg)

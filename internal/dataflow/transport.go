@@ -36,14 +36,6 @@ type loopback struct {
 	cl    *cluster.Cluster
 	pairs [][]*Queue[loopFrame] // [senderMachine][receiverMachine]; nil on the diagonal
 	wg    sync.WaitGroup
-
-	// pending counts frames enqueued but not yet delivered (or dropped).
-	// Stop's clean path waits for zero before closing mailboxes, so
-	// envelopes still crossing the simulated network are never spuriously
-	// dropped on a successful run.
-	mu      sync.Mutex
-	idle    *sync.Cond
-	pending int
 }
 
 // loopFrame is one remote frame in flight: a serialized batch, or the
@@ -58,7 +50,6 @@ type loopFrame struct {
 
 func newLoopback(cl *cluster.Cluster) *loopback {
 	t := &loopback{cl: cl, pairs: make([][]*Queue[loopFrame], cl.Machines())}
-	t.idle = sync.NewCond(&t.mu)
 	for s := range t.pairs {
 		t.pairs[s] = make([]*Queue[loopFrame], len(t.pairs))
 		for r := range t.pairs[s] {
@@ -97,37 +88,12 @@ func (t *loopback) SendEOB(dest int, h RemoteHeader, tag Tag) {
 
 // send enqueues a frame on the egress queue from the producer's machine
 // (instance index mod machines, the job's placement) to dest and returns
-// immediately. Frames enqueued after close are accounted as delivered
-// drops (their payload returns to the pool).
+// immediately. A frame sent after close is refused: its payload returns to
+// the pool and the queue counts it (refused).
 func (t *loopback) send(dest int, f loopFrame) {
-	t.mu.Lock()
-	t.pending++
-	t.mu.Unlock()
-	if !t.pairs[f.h.From%len(t.pairs)][dest].Put(f) {
-		if f.payload != nil {
-			val.PutScratch(f.payload)
-		}
-		t.done()
+	if !t.pairs[f.h.From%len(t.pairs)][dest].Put(f) && f.payload != nil {
+		val.PutScratch(f.payload)
 	}
-}
-
-// done retires one pending frame and wakes quiesce at zero.
-func (t *loopback) done() {
-	t.mu.Lock()
-	t.pending--
-	if t.pending == 0 {
-		t.idle.Broadcast()
-	}
-	t.mu.Unlock()
-}
-
-// quiesce blocks until every enqueued frame has been delivered.
-func (t *loopback) quiesce() {
-	t.mu.Lock()
-	for t.pending > 0 {
-		t.idle.Wait()
-	}
-	t.mu.Unlock()
 }
 
 // run is one sender goroutine: it drains its egress queue, paying the
@@ -149,12 +115,11 @@ func (t *loopback) run(eg *Queue[loopFrame]) {
 			_ = t.job.DeliverData(f.h, f.payload, f.count, &slab, nil)
 			val.PutScratch(f.payload)
 		}
-		t.done()
 	}
 }
 
-// close stops all egress queues (already-enqueued frames are still
-// delivered) and blocks until every sender goroutine has exited.
+// close stops all egress queues and blocks until every sender goroutine
+// has delivered its backlog and exited. Closing twice is harmless.
 func (t *loopback) close() {
 	for _, row := range t.pairs {
 		for _, eg := range row {
@@ -164,6 +129,19 @@ func (t *loopback) close() {
 		}
 	}
 	t.wg.Wait()
+}
+
+// refused returns the number of frames sent after close.
+func (t *loopback) refused() int64 {
+	var n int64
+	for _, row := range t.pairs {
+		for _, eg := range row {
+			if eg != nil {
+				n += eg.Dropped()
+			}
+		}
+	}
+	return n
 }
 
 // appendElement appends the wire encoding of one element to dst: a varint

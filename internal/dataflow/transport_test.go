@@ -2,8 +2,10 @@ package dataflow
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,7 +114,7 @@ func (v *orderSink) OnEOB(input, from int, tag Tag) error {
 // cross-machine transport with a tiny batch size and checks that
 // per-(producer, consumer, input) FIFO order of data and EOB envelopes
 // survives. Run under -race it also exercises the egress queues and the
-// quiesce/close handshake.
+// close-and-drain stop.
 func TestTransportOrderingStress(t *testing.T) {
 	cl, err := cluster.New(cluster.FastConfig(3))
 	if err != nil {
@@ -399,21 +401,179 @@ func TestEncodeDecodeBatch(t *testing.T) {
 	}
 }
 
-// TestMailboxDroppedCount checks the drop counter that turns silent
-// post-close deliveries into an observable signal.
-func TestMailboxDroppedCount(t *testing.T) {
-	m := newMailbox()
-	m.put(envelope{kind: envControl, ctrl: "ok"})
-	m.close()
-	if d := m.droppedCount(); d != 0 {
-		t.Errorf("dropped = %d before any late put", d)
+// heldSource emits n elements and an EOB on "go", once hold (if non-nil) is
+// closed, then reports on emitted.
+type heldSource struct {
+	baseVertex
+	n       int
+	hold    <-chan struct{}
+	emitted chan<- int
+}
+
+func (v *heldSource) OnControl(ev any) error {
+	if ev != "go" {
+		return nil
 	}
-	m.put(envelope{kind: envControl, ctrl: "late"})
-	m.put(envelope{kind: envData})
-	if d := m.droppedCount(); d != 2 {
-		t.Errorf("dropped = %d, want 2", d)
+	if v.hold != nil {
+		<-v.hold
 	}
-	if e, ok := m.take(); !ok || e.ctrl != "ok" {
-		t.Errorf("pre-close envelope lost: %v %v", e, ok)
+	for i := 0; i < v.n; i++ {
+		v.ctx.Emit(Element{Tag: 1, Val: val.Pair(val.Int(int64(i)), val.Int(1))})
+	}
+	v.ctx.EmitEOB(1)
+	v.emitted <- v.ctx.Instance()
+	return nil
+}
+
+// tallySink counts the elements and EOBs it is handed.
+type tallySink struct {
+	baseVertex
+	elems, eobs *atomic.Int64
+}
+
+func (v *tallySink) OnBatch(input, from int, batch []Element) error {
+	v.elems.Add(int64(len(batch)))
+	return nil
+}
+
+func (v *tallySink) OnEOB(input, from int, tag Tag) error {
+	v.eobs.Add(1)
+	return nil
+}
+
+// TestCleanStopDrainsLoopback stops a job while its frames are still
+// crossing the simulated network: every source has emitted everything, but
+// each machine pair's sender goroutine still sleeps NetDelay per frame. A
+// clean Stop closes the loopback, whose senders deliver the backlog, and
+// only then closes the mailboxes — so every element and EOB arrives and
+// nothing is dropped.
+func TestCleanStopDrainsLoopback(t *testing.T) {
+	const machines, perSource = 2, 64
+	cfg := cluster.FastConfig(machines)
+	cfg.NetDelay = 2 * time.Millisecond
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var elems, eobs atomic.Int64
+	emitted := make(chan int, machines)
+	var g Graph
+	src := g.AddOp("src", machines, func(int) Vertex { return &heldSource{n: perSource, emitted: emitted} })
+	snk := g.AddOp("sink", machines, func(int) Vertex { return &tallySink{elems: &elems, eobs: &eobs} })
+	g.Connect(src, snk, 0, PartShuffleKey)
+	job, err := NewJob(&g, cl, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Start(); err != nil {
+		t.Fatal(err)
+	}
+	job.Broadcast("go")
+	for i := 0; i < machines; i++ {
+		<-emitted
+	}
+	inFlight := 0
+	for _, row := range job.tr.pairs {
+		for _, eg := range row {
+			if eg != nil {
+				inFlight += eg.Depth()
+			}
+		}
+	}
+	if inFlight == 0 {
+		t.Fatal("no frame left in the loopback at Stop: the test no longer exercises the drain")
+	}
+	job.Stop(nil)
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := elems.Load(), int64(machines*perSource); got != want {
+		t.Errorf("sinks received %d elements, want %d (%d frames were in flight at Stop)", got, want, inFlight)
+	}
+	if got, want := eobs.Load(), int64(machines*machines); got != want {
+		t.Errorf("sinks received %d EOBs, want %d", got, want)
+	}
+	st := job.Stats()
+	if st.MailboxDropped != 0 {
+		t.Errorf("MailboxDropped = %d after a clean stop, want 0", st.MailboxDropped)
+	}
+	if st.BytesSent == 0 || st.BytesSent != st.BytesReceived {
+		t.Errorf("BytesSent = %d, BytesReceived = %d after a clean stop", st.BytesSent, st.BytesReceived)
+	}
+}
+
+// TestStoppedJobCountsLateFrames: a source that emits only after the job
+// stopped has every envelope counted in MailboxDropped — after a clean stop
+// the local one is refused by its mailbox and the remote one by the closed
+// loopback, after a failed stop the loopback is still open and its sender
+// delivers the remote one into the closed mailbox.
+func TestStoppedJobCountsLateFrames(t *testing.T) {
+	for _, stopErr := range []error{nil, errors.New("failed")} {
+		cl, err := cluster.New(cluster.FastConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold := make(chan struct{})
+		emitted := make(chan int, 1)
+		var elems, eobs atomic.Int64
+		var g Graph
+		src := g.AddOp("src", 1, func(int) Vertex { return &heldSource{n: 1, hold: hold, emitted: emitted} })
+		snk := g.AddOp("sink", 2, func(int) Vertex { return &tallySink{elems: &elems, eobs: &eobs} })
+		g.Connect(src, snk, 0, PartBroadcast)
+		job, err := NewJob(&g, cl, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Start(); err != nil {
+			t.Fatal(err)
+		}
+		job.Broadcast("go")
+		job.Stop(stopErr)
+		close(hold)
+		<-emitted
+		if err := job.Wait(); !errors.Is(err, stopErr) {
+			t.Fatalf("stop(%v): Wait = %v", stopErr, err)
+		}
+		// One data envelope and one EOB to each of the two sinks, all late.
+		if got := job.Stats().MailboxDropped; got != 4 {
+			t.Errorf("stop(%v): MailboxDropped = %d, want 4", stopErr, got)
+		}
+		if n := elems.Load() + eobs.Load(); n != 0 {
+			t.Errorf("stop(%v): %d late envelopes reached a vertex", stopErr, n)
+		}
+		cl.Close()
+	}
+}
+
+// TestDeliverAfterStopRunsAck: a remote frame that reaches a stopped
+// partition is counted as dropped and its ack runs at once, so the TCP
+// sender's flow-control credit is not stranded.
+func TestDeliverAfterStopRunsAck(t *testing.T) {
+	var g Graph
+	g.AddOp("sink", 1, func(int) Vertex { return &baseVertex{} })
+	job, err := NewPartitionedJob(&g, 1, 0, 8, nopRemote{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Start(); err != nil {
+		t.Fatal(err)
+	}
+	job.Stop(errors.New("session closed"))
+	acks := 0
+	ack := func() { acks++ }
+	if err := job.DeliverData(RemoteHeader{}, frameOf([]Element{{Tag: 1, Val: val.Int(1)}}), 1, nil, ack); err != nil {
+		t.Fatal(err)
+	}
+	if err := job.DeliverEOB(RemoteHeader{}, 1, ack); err != nil {
+		t.Fatal(err)
+	}
+	job.Wait()
+	if acks != 2 {
+		t.Errorf("%d of 2 refused frames acked", acks)
+	}
+	if got := job.Stats().MailboxDropped; got != 2 {
+		t.Errorf("MailboxDropped = %d, want 2", got)
 	}
 }

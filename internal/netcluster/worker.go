@@ -520,24 +520,16 @@ func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 		return fmt.Errorf("netcluster: worker %d: starting partition: %w", s.id, err)
 	}
 	// Forward host events (decisions, completions) to the coordinator
-	// until the job is done, then drain what is left.
+	// until the watcher below closes the queue, then what is left.
 	rj.fwdWG.Add(1)
 	go func() {
 		defer rj.fwdWG.Done()
 		for {
-			select {
-			case ev := <-wj.Events:
-				s.forwardEvent(rj, ev)
-			case <-rj.done:
-				for {
-					select {
-					case ev := <-wj.Events:
-						s.forwardEvent(rj, ev)
-					default:
-						return
-					}
-				}
+			ev, ok := wj.Events.Take()
+			if !ok {
+				return
 			}
+			s.forwardEvent(rj, ev)
 		}
 	}()
 	// Ship telemetry on the heartbeat's kicks until the job is done; the
@@ -560,6 +552,7 @@ func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 	// blocked reading.
 	go func() {
 		err := wj.Job.Wait()
+		wj.Events.Close() // no host emits once Wait returns
 		close(rj.done)
 		if err != nil {
 			s.send(MsgError, AppendError(nil, ErrorMsg{Msg: err.Error()}))
