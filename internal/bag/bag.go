@@ -3,8 +3,10 @@
 // order carries no meaning.
 //
 // These functions are the executable specification of the operations: the
-// reference interpreters (internal/ir) call them directly, and the streaming
-// distributed operators (internal/core) are differentially tested against them.
+// reference interpreters (internal/ir) call them directly, the Spark and
+// Flink baselines (internal/baseline) call them once per partition, and the
+// streaming distributed operators (internal/core) are differentially tested
+// against them.
 package bag
 
 import (
@@ -14,11 +16,44 @@ import (
 	"github.com/mitos-project/mitos/internal/val"
 )
 
+// caller applies one UDF call after call in one frame, the way core's
+// operator host does: UDF.Call heap-allocates its variadic slice and a frame
+// for every element, and gives a tuple-building body nowhere to carve from.
+// A bag function makes one caller per call; what its slab carves is the
+// function's output, and belongs to the collector.
+type caller struct {
+	f     *lang.UDF
+	frame lang.Frame
+	args  [2]val.Value
+	slab  val.Slab
+}
+
+func newCaller(f *lang.UDF) *caller {
+	c := &caller{f: f}
+	c.frame.Slab = &c.slab
+	return c
+}
+
+// call and call2 store their arguments one by one: a copy into the array
+// would be a bulk write barrier per call while the collector runs.
+func (c *caller) call(x val.Value) (val.Value, error) {
+	c.args[0] = x
+	c.frame.Args = c.args[:1]
+	return c.f.Apply(&c.frame)
+}
+
+func (c *caller) call2(a, b val.Value) (val.Value, error) {
+	c.args[0], c.args[1] = a, b
+	c.frame.Args = c.args[:2]
+	return c.f.Apply(&c.frame)
+}
+
 // Map applies f to every element.
 func Map(in []val.Value, f *lang.UDF) ([]val.Value, error) {
+	c := newCaller(f)
 	out := make([]val.Value, 0, len(in))
 	for _, x := range in {
-		y, err := f.Call(x)
+		y, err := c.call(x)
 		if err != nil {
 			return nil, err
 		}
@@ -30,9 +65,10 @@ func Map(in []val.Value, f *lang.UDF) ([]val.Value, error) {
 // FlatMap applies f to every element; f must return a tuple, whose fields
 // are emitted as individual output elements.
 func FlatMap(in []val.Value, f *lang.UDF) ([]val.Value, error) {
+	c := newCaller(f)
 	var out []val.Value
 	for _, x := range in {
-		y, err := f.Call(x)
+		y, err := c.call(x)
 		if err != nil {
 			return nil, err
 		}
@@ -46,9 +82,10 @@ func FlatMap(in []val.Value, f *lang.UDF) ([]val.Value, error) {
 
 // Filter keeps elements for which p returns true.
 func Filter(in []val.Value, p *lang.UDF) ([]val.Value, error) {
+	c := newCaller(p)
 	var out []val.Value
 	for _, x := range in {
-		keep, err := p.Call(x)
+		keep, err := c.call(x)
 		if err != nil {
 			return nil, err
 		}
@@ -103,32 +140,38 @@ func Join(left, right []val.Value) ([]val.Value, error) {
 // f must be associative and commutative for distributed execution to agree
 // with this specification.
 func ReduceByKey(in []val.Value, f *lang.UDF) ([]val.Value, error) {
+	c := newCaller(f)
 	groups := val.NewMap[val.Value](0)
-	if err := foldByKey(groups, in, f, "reduceByKey"); err != nil {
+	if err := foldByKey(groups, in, c, "reduceByKey"); err != nil {
 		return nil, err
 	}
 	return pairs(groups), nil
 }
 
 // foldByKey folds each (key, value) pair of in into groups: a key's first
-// value is stored, every later one folded into the stored value with f.
-func foldByKey(groups *val.Map[val.Value], in []val.Value, f *lang.UDF, op string) error {
+// value is stored, every later one folded into the stored value with c.
+func foldByKey(groups *val.Map[val.Value], in []val.Value, c *caller, op string) error {
 	for _, x := range in {
 		k, v, err := pairParts(x, op)
 		if err != nil {
 			return err
 		}
-		if old, ok := groups.Get(k); ok {
-			if v, err = f.Call(old, v); err != nil {
-				return err
+		groups.Update(k, func(old val.Value, present bool) val.Value {
+			if present {
+				v, err = c.call2(old, v)
 			}
+			return v
+		})
+		if err != nil {
+			return err
 		}
-		groups.Put(k, v)
 	}
 	return nil
 }
 
 // pairs returns a table as (key, value) pairs, in first-insert key order.
+// They are allocated one by one, not carved: a baseline partition holds a
+// few keys, and a slab chunk per call would pin 6 KB for them.
 func pairs(m *val.Map[val.Value]) []val.Value {
 	out := make([]val.Value, 0, m.Len())
 	m.Range(func(k, v val.Value) bool {
@@ -144,10 +187,11 @@ func Reduce(in []val.Value, f *lang.UDF) ([]val.Value, error) {
 	if len(in) == 0 {
 		return nil, nil
 	}
+	c := newCaller(f)
 	acc := in[0]
 	for _, x := range in[1:] {
 		var err error
-		acc, err = f.Call(acc, x)
+		acc, err = c.call2(acc, x)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +270,7 @@ func Combine(inputs [][]val.Value, f *lang.UDF) ([]val.Value, error) {
 		}
 		args[i] = in[0]
 	}
-	y, err := f.Call(args...)
+	y, err := f.Apply(&lang.Frame{Args: args})
 	if err != nil {
 		return nil, err
 	}

@@ -216,3 +216,46 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUDFCallAllocs pins that a bag function applies its UDF in one reused
+// frame and carves the tuples it builds from one slab: calling UDF.Call per
+// element allocates twice for a scalar body and three times for a tuple
+// body, which core's hosts never pay.
+func TestUDFCallAllocs(t *testing.T) {
+	const n = 1000
+	xs := make([]val.Value, n)
+	sums := make([]val.Value, n)   // (key, x) over 16 keys
+	counts := make([]val.Value, n) // (key, (x, 1)) over 16 keys
+	for i := range xs {
+		x, k := val.Int(int64(i)), val.Int(int64(i%16))
+		xs[i] = x
+		sums[i] = val.Pair(k, x)
+		counts[i] = val.Pair(k, val.Pair(x, val.Int(1)))
+	}
+	mapXs := func(f *lang.UDF) ([]val.Value, error) { return Map(xs, f) }
+	filterXs := func(f *lang.UDF) ([]val.Value, error) { return Filter(xs, f) }
+	for _, c := range []struct {
+		name string
+		f    *lang.UDF
+		run  func(f *lang.UDF) ([]val.Value, error)
+	}{
+		{"map scalar", udf(t, 1, "map(x => x + 1)"), mapXs},
+		{"map tuple", udf(t, 1, "map(x => (x, 1))"), mapXs},
+		{"filter scalar", udf(t, 1, "filter(x => x % 2 == 0)"), filterXs},
+		{"filter tuple", udf(t, 1, "filter(x => fst((x, 1)) == x)"), filterXs},
+		{"reduceByKey scalar", udf(t, 2, "reduceByKey((a, b) => a + b)"),
+			func(f *lang.UDF) ([]val.Value, error) { return ReduceByKey(sums, f) }},
+		{"reduceByKey tuple", udf(t, 2, "reduceByKey((a, b) => (a.0 + b.0, a.1 + b.1))"),
+			func(f *lang.UDF) ([]val.Value, error) { return ReduceByKey(counts, f) }},
+	} {
+		if _, err := c.run(c.f); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		per := testing.AllocsPerRun(20, func() { c.run(c.f) }) / n
+		if per > 0.05 {
+			t.Errorf("%s: %.3f allocations per element, want at most 0.05", c.name, per)
+		} else {
+			t.Logf("%s: %.3f allocations per element", c.name, per)
+		}
+	}
+}

@@ -27,7 +27,7 @@ func (s *DeltaState) Seeded() bool { return s.seeded }
 // first time the deltaMerge instruction executes; seed elements are never
 // emitted.
 func (s *DeltaState) Seed(seed []val.Value, f *lang.UDF) error {
-	if err := foldByKey(s.idx, seed, f, "deltaMerge"); err != nil {
+	if err := foldByKey(s.idx, seed, newCaller(f), "deltaMerge"); err != nil {
 		return err
 	}
 	s.seeded = true
@@ -40,8 +40,9 @@ func (s *DeltaState) Seed(seed []val.Value, f *lang.UDF) error {
 // new or changed. With a commutative and associative f the emitted multiset
 // is independent of element order and of how the delta is partitioned.
 func (s *DeltaState) Apply(delta []val.Value, f *lang.UDF) ([]val.Value, error) {
+	c := newCaller(f)
 	cand := val.NewMap[val.Value](0)
-	if err := foldByKey(cand, delta, f, "deltaMerge"); err != nil {
+	if err := foldByKey(cand, delta, c, "deltaMerge"); err != nil {
 		return nil, err
 	}
 	changed := make([]val.Value, 0, cand.Len())
@@ -54,7 +55,7 @@ func (s *DeltaState) Apply(delta []val.Value, f *lang.UDF) ([]val.Value, error) 
 			return true
 		}
 		var merged val.Value
-		if merged, err = f.Call(old, v); err != nil {
+		if merged, err = c.call2(old, v); err != nil {
 			return false
 		}
 		if !merged.Equal(old) {

@@ -39,6 +39,11 @@
 // Transformations are lazy, evaluated per partition in parallel goroutines
 // when an action runs; shuffles repartition by key hash, each source
 // partition paying the network cost of its own cross-machine transfers.
+// The operators are internal/bag's, applying the Mitos script's own lambdas
+// (lang.UDF): a partition's Map, Filter or ReduceByKey is one call into
+// bag, the executable specification the reference interpreters run too.
+// The only per-element loops here are shuffle routing, the join's build
+// and probe, and the actions.
 package baseline
 
 import (
@@ -47,7 +52,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/mitos-project/mitos/internal/bag"
 	"github.com/mitos-project/mitos/internal/cluster"
+	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/simtime"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
@@ -211,8 +218,9 @@ func parallel(n int, f func(i int) error) error {
 	return nil
 }
 
-// perPartition runs f over every partition of d, in parallel.
-func (d *Dataset) perPartition(f func(part []val.Value) ([]val.Value, error)) *Dataset {
+// perPartition applies the bag operator op, with the UDF f, to every
+// partition of d, in parallel.
+func (d *Dataset) perPartition(op func([]val.Value, *lang.UDF) ([]val.Value, error), f *lang.UDF) *Dataset {
 	return d.s.newDataset(d.stages, func() ([][]val.Value, error) {
 		in, err := d.materialize()
 		if err != nil {
@@ -220,7 +228,7 @@ func (d *Dataset) perPartition(f func(part []val.Value) ([]val.Value, error)) *D
 		}
 		out := make([][]val.Value, len(in))
 		err = parallel(len(in), func(i int) (err error) {
-			out[i], err = f(in[i])
+			out[i], err = op(in[i], f)
 			return err
 		})
 		if err != nil {
@@ -231,59 +239,22 @@ func (d *Dataset) perPartition(f func(part []val.Value) ([]val.Value, error)) *D
 }
 
 // Map applies f to every element.
-func (d *Dataset) Map(f func(val.Value) (val.Value, error)) *Dataset {
-	return d.perPartition(func(part []val.Value) ([]val.Value, error) {
-		out := make([]val.Value, 0, len(part))
-		for _, x := range part {
-			y, err := f(x)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, y)
-		}
-		return out, nil
-	})
-}
-
-// FlatMap applies f and concatenates the results.
-func (d *Dataset) FlatMap(f func(val.Value) ([]val.Value, error)) *Dataset {
-	return d.perPartition(func(part []val.Value) ([]val.Value, error) {
-		var out []val.Value
-		for _, x := range part {
-			ys, err := f(x)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ys...)
-		}
-		return out, nil
-	})
+func (d *Dataset) Map(f *lang.UDF) *Dataset {
+	return d.perPartition(bag.Map, f)
 }
 
 // Filter keeps elements for which p returns true.
-func (d *Dataset) Filter(p func(val.Value) (bool, error)) *Dataset {
-	return d.perPartition(func(part []val.Value) ([]val.Value, error) {
-		var out []val.Value
-		for _, x := range part {
-			keep, err := p(x)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				out = append(out, x)
-			}
-		}
-		return out, nil
-	})
+func (d *Dataset) Filter(p *lang.UDF) *Dataset {
+	return d.perPartition(bag.Filter, p)
 }
 
-// shuffle repartitions by keyOf's hash, opening a new stage. Every source
-// partition routes its elements on its own goroutine and pays the network
-// cost of its own cross-machine transfers there, so the modelled latencies
-// of different sources overlap as they do on a cluster. The routed batches
-// are concatenated in source order, which makes partition contents
-// run-to-run deterministic.
-func (d *Dataset) shuffle(keyOf func(val.Value) uint64) *Dataset {
+// shuffleByKey repartitions by the hash of each element's key, opening a
+// new stage. Every source partition routes its elements on its own
+// goroutine and pays the network cost of its own cross-machine transfers
+// there, so the modelled latencies of different sources overlap as they do
+// on a cluster. The routed batches are concatenated in source order, which
+// makes partition contents run-to-run deterministic.
+func (d *Dataset) shuffleByKey() *Dataset {
 	s := d.s
 	return s.newDataset(d.stages+1, func() ([][]val.Value, error) {
 		in, err := d.materialize()
@@ -295,7 +266,7 @@ func (d *Dataset) shuffle(keyOf func(val.Value) uint64) *Dataset {
 		_ = parallel(len(in), func(src int) error {
 			local := make([][]val.Value, s.par)
 			for _, x := range in[src] {
-				dst := int(keyOf(x) % uint64(s.par))
+				dst := int(x.Key().Hash() % uint64(s.par))
 				local[dst] = append(local[dst], x)
 			}
 			for dst, moved := range local {
@@ -325,36 +296,9 @@ func (d *Dataset) shuffle(keyOf func(val.Value) uint64) *Dataset {
 	})
 }
 
-func (d *Dataset) shuffleByKey() *Dataset {
-	return d.shuffle(func(x val.Value) uint64 { return x.Key().Hash() })
-}
-
 // ReduceByKey groups (key, value) pairs and folds each group with f.
-func (d *Dataset) ReduceByKey(f func(a, b val.Value) (val.Value, error)) *Dataset {
-	return d.shuffleByKey().perPartition(func(part []val.Value) ([]val.Value, error) {
-		groups := val.NewMap[val.Value](0)
-		for _, x := range part {
-			k, v, err := pairParts(x)
-			if err != nil {
-				return nil, err
-			}
-			groups.Update(k, func(old val.Value, present bool) val.Value {
-				if present {
-					v, err = f(old, v)
-				}
-				return v
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		out := make([]val.Value, 0, groups.Len())
-		groups.Range(func(k, v val.Value) bool {
-			out = append(out, val.Pair(k, v))
-			return true
-		})
-		return out, nil
-	})
+func (d *Dataset) ReduceByKey(f *lang.UDF) *Dataset {
+	return d.shuffleByKey().perPartition(bag.ReduceByKey, f)
 }
 
 // Join inner-joins two datasets of (key, value) pairs into (key, left,
@@ -442,41 +386,6 @@ func (d *Dataset) tables(hoist bool) (joinTables, error) {
 	return t, nil
 }
 
-// Union concatenates two datasets.
-func (d *Dataset) Union(other *Dataset) *Dataset {
-	s := d.s
-	return s.newDataset(max(d.stages, other.stages), func() ([][]val.Value, error) {
-		a, err := d.materialize()
-		if err != nil {
-			return nil, err
-		}
-		b, err := other.materialize()
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]val.Value, s.par)
-		for i := range out {
-			out[i] = append(append([]val.Value{}, a[i]...), b[i]...)
-		}
-		return out, nil
-	})
-}
-
-// Distinct removes duplicates.
-func (d *Dataset) Distinct() *Dataset {
-	shuffled := d.shuffle(func(x val.Value) uint64 { return x.Hash() })
-	return shuffled.perPartition(func(part []val.Value) ([]val.Value, error) {
-		seen := val.NewMap[struct{}](0)
-		var out []val.Value
-		for _, x := range part {
-			if !seen.Update(x, func(struct{}, bool) struct{} { return struct{}{} }) {
-				out = append(out, x)
-			}
-		}
-		return out, nil
-	})
-}
-
 // Iterate is the native iteration of the Flink policy: a single dataflow
 // job executes steps supersteps, feeding body's output back as its next
 // input. Each superstep ends with a cluster barrier plus the per-step
@@ -550,30 +459,15 @@ func (d *Dataset) Count() (int64, error) {
 
 // Sum is an action summing numeric elements (Int unless any Float).
 func (d *Dataset) Sum() (val.Value, error) {
-	parts, err := d.action()
+	elems, err := d.Collect()
 	if err != nil {
 		return val.Value{}, err
 	}
-	var i int64
-	var f float64
-	isF := false
-	for _, p := range parts {
-		for _, x := range p {
-			switch x.Kind() {
-			case val.KindInt:
-				i += x.AsInt()
-			case val.KindFloat:
-				isF = true
-				f += x.AsFloat()
-			default:
-				return val.Value{}, fmt.Errorf("baseline: sum of %s element", x.Kind())
-			}
-		}
+	sum, err := bag.Sum(elems)
+	if err != nil {
+		return val.Value{}, err
 	}
-	if isF {
-		return val.Float(f + float64(i)), nil
-	}
-	return val.Int(i), nil
+	return sum[0], nil
 }
 
 // WriteFile is an action writing the dataset to the store. In strict mode

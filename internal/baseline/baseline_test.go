@@ -7,6 +7,7 @@ import (
 
 	"github.com/mitos-project/mitos/internal/bag"
 	"github.com/mitos-project/mitos/internal/cluster"
+	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -31,6 +32,20 @@ func bothPolicies(t *testing.T, f func(t *testing.T, open constructor)) {
 	t.Run("flink", func(t *testing.T) { f(t, Flink) })
 }
 
+// udf compiles a lambda from its script text.
+func udf(t *testing.T, src string) *lang.UDF {
+	t.Helper()
+	prog, err := lang.Parse("f = b.map(" + src + ")")
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	f, err := lang.MakeUDF(prog.Stmts[0].(*lang.AssignStmt).RHS.(*lang.Method).Args[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func ints(ns ...int64) []val.Value {
 	out := make([]val.Value, len(ns))
 	for i, n := range ns {
@@ -43,23 +58,20 @@ func TestPipeline(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, open constructor) {
 		sess, st, _ := newTestSession(t, open, 3)
 		st.WriteDataset("in", ints(1, 2, 3, 4, 5))
-		ds := sess.ReadFile("in").
-			Map(func(x val.Value) (val.Value, error) { return val.Int(x.AsInt() * x.AsInt()), nil }).
-			Filter(func(x val.Value) (bool, error) { return x.AsInt()%2 == 0, nil }).
-			FlatMap(func(x val.Value) ([]val.Value, error) { return []val.Value{x, x}, nil })
+		ds := sess.ReadFile("in").Map(udf(t, "x => x * x")).Filter(udf(t, "x => x % 2 == 0"))
 		got, err := ds.Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bag.Equal(got, ints(4, 4, 16, 16)) {
+		if !bag.Equal(got, ints(4, 16)) {
 			t.Errorf("pipeline = %v", bag.Sorted(got))
 		}
 		n, err := ds.Count()
-		if err != nil || n != 4 {
+		if err != nil || n != 2 {
 			t.Errorf("count = %d, %v", n, err)
 		}
 		sum, err := ds.Sum()
-		if err != nil || sum.AsInt() != 40 {
+		if err != nil || sum.AsInt() != 20 {
 			t.Errorf("sum = %v, %v", sum, err)
 		}
 	})
@@ -73,9 +85,7 @@ func TestKeyOps(t *testing.T) {
 			val.Pair(val.Str("y"), val.Int(5)),
 			val.Pair(val.Str("x"), val.Int(2)),
 		}
-		rbk := sess.FromSlice(pairs).ReduceByKey(func(a, b val.Value) (val.Value, error) {
-			return val.Int(a.AsInt() + b.AsInt()), nil
-		})
+		rbk := sess.FromSlice(pairs).ReduceByKey(udf(t, "(a, b) => a + b"))
 		got, err := rbk.Collect()
 		if err != nil {
 			t.Fatal(err)
@@ -100,22 +110,10 @@ func TestKeyOps(t *testing.T) {
 	})
 }
 
-func TestDistinctUnionSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, open constructor) {
 		sess, _, _ := newTestSession(t, open, 2)
 		a := sess.FromSlice(ints(1, 1, 2))
-		b := sess.FromSlice(ints(2, 3))
-		union, err := a.Union(b).Collect()
-		if err != nil || !bag.Equal(union, ints(1, 1, 2, 2, 3)) {
-			t.Errorf("union = %v, %v", bag.Sorted(union), err)
-		}
-		got, err := a.Union(b).Distinct().Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bag.Equal(got, ints(1, 2, 3)) {
-			t.Errorf("distinct union = %v", bag.Sorted(got))
-		}
 		sum, err := a.Sum()
 		if err != nil || sum.AsInt() != 4 {
 			t.Errorf("sum = %v, %v", sum, err)
@@ -145,11 +143,17 @@ func TestErrorPropagation(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, open constructor) {
 		sess, st, _ := newTestSession(t, open, 2)
 		st.WriteDataset("in", ints(1))
-		_, err := sess.ReadFile("in").Map(func(val.Value) (val.Value, error) {
-			return val.Value{}, &store.NotFoundError{Name: "boom"}
-		}).Collect()
-		if err == nil || !strings.Contains(err.Error(), "boom") {
+		_, err := sess.ReadFile("in").Map(udf(t, "x => x / 0")).Collect()
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
 			t.Errorf("map error = %v", err)
+		}
+		_, err = sess.ReadFile("in").Filter(udf(t, "x => x")).Collect()
+		if err == nil || !strings.Contains(err.Error(), "want bool") {
+			t.Errorf("filter non-bool error = %v", err)
+		}
+		_, err = sess.ReadFile("in").ReduceByKey(udf(t, "(a, b) => a")).Collect()
+		if err == nil || !strings.Contains(err.Error(), "pairs") {
+			t.Errorf("reduceByKey non-pairs error = %v", err)
 		}
 		if _, err := sess.ReadFile("missing").Collect(); err == nil {
 			t.Error("missing dataset read succeeded")
@@ -224,8 +228,7 @@ func TestSparkActionsLaunchJobs(t *testing.T) {
 func TestFlinkLaunchesOncePerSession(t *testing.T) {
 	sess, st, cl := newTestSession(t, Flink, 3)
 	st.WriteDataset("in", ints(1, 2, 3))
-	rbk := sess.ReadFile("in").Map(func(x val.Value) (val.Value, error) { return val.Pair(x, x), nil }).
-		ReduceByKey(func(a, b val.Value) (val.Value, error) { return a, nil })
+	rbk := sess.ReadFile("in").Map(udf(t, "x => (x, x)")).ReduceByKey(udf(t, "(a, b) => a"))
 	for i := 0; i < 4; i++ {
 		if _, err := rbk.Count(); err != nil {
 			t.Fatal(err)
@@ -243,7 +246,7 @@ func TestSparkStageCounting(t *testing.T) {
 	if base.stages != 1 {
 		t.Errorf("source stages = %d", base.stages)
 	}
-	rbk := base.ReduceByKey(func(a, b val.Value) (val.Value, error) { return a, nil })
+	rbk := base.ReduceByKey(udf(t, "(a, b) => a"))
 	if rbk.stages != 2 {
 		t.Errorf("reduceByKey stages = %d, want 2", rbk.stages)
 	}
@@ -279,10 +282,14 @@ func TestDatasetLifetime(t *testing.T) {
 			sess, st, _ := newTestSession(t, c.open, 2)
 			st.WriteDataset("in", ints(1, 2, 3))
 			var evals atomic.Int64
-			ds := sess.ReadFile("in").Map(func(x val.Value) (val.Value, error) {
+			counted, err := lang.MakeUDF(lang.Native("counted", 1, func(args []val.Value) val.Value {
 				evals.Add(1)
-				return x, nil
-			})
+				return args[0]
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := sess.ReadFile("in").Map(counted)
 			if c.cache {
 				ds.Cache()
 			}
@@ -345,7 +352,7 @@ func TestJoinStateLifetime(t *testing.T) {
 func TestIterateFixedSteps(t *testing.T) {
 	sess, _, cl := newTestSession(t, Flink, 2)
 	out, err := sess.Iterate(sess.FromSlice(ints(0)), 10, func(step int, in *Dataset) (*Dataset, error) {
-		return in.Map(func(x val.Value) (val.Value, error) { return val.Int(x.AsInt() + 1), nil }), nil
+		return in.Map(udf(t, "x => x + 1")), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,15 +421,14 @@ func TestStrictModeRejectsIOInIteration(t *testing.T) {
 
 func TestErrorsPropagateFromBody(t *testing.T) {
 	sess, _, _ := newTestSession(t, Flink, 1)
+	id, failing := udf(t, "x => x"), udf(t, "x => x / 0")
 	_, err := sess.Iterate(sess.FromSlice(ints(1)), 3, func(step int, in *Dataset) (*Dataset, error) {
-		return in.Map(func(x val.Value) (val.Value, error) {
-			if step == 2 {
-				return val.Value{}, &store.NotFoundError{Name: "boom"}
-			}
-			return x, nil
-		}), nil
+		if step == 2 {
+			return in.Map(failing), nil
+		}
+		return in.Map(id), nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("body error = %v", err)
 	}
 }

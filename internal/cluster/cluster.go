@@ -5,9 +5,14 @@
 // step (cost growing linearly with the machine count), Flink's native
 // iterations pay a per-superstep barrier, and Mitos pays only asynchronous
 // control-flow broadcasts that overlap with computation. This package makes
-// those costs real: every machine runs a scheduler goroutine, and task
-// dispatch, barriers, and control messages are actual messages processed
-// with configurable delays — measured by the benchmarks, not computed.
+// those costs real, as slept delays measured by the benchmarks, not
+// computed. Every machine runs a scheduler goroutine, which serves only job
+// launches, stage waves and barriers: those requests queue machine by
+// machine. A control message is charged inline, on its sender's goroutine
+// (CtrlSleepBytes), so it overlaps with data processing. Data crosses
+// machines through the dataflow loopback (internal/dataflow/transport.go),
+// whose per-link sender goroutines charge each frame through NetSleepBytes;
+// the baselines charge their shuffle batches the same way, inline.
 //
 // Delays default to roughly 1/10 of the JVM-cluster magnitudes reported in
 // the paper so that benchmark runs stay fast; EXPERIMENTS.md documents the

@@ -370,15 +370,6 @@ func partForPars(prod, cons int) dataflow.Partitioning {
 	return dataflow.PartShuffleVal
 }
 
-// CondOpOfBlock returns the condition operator of a branching block.
-func (p *Plan) CondOpOfBlock(b ir.BlockID) *PlanOp {
-	blk := p.IR.Blocks[b]
-	if blk.Term.Kind != ir.TermBranch {
-		return nil
-	}
-	return p.ByVar[blk.Term.Cond]
-}
-
 // String renders the plan for debugging and the mitos-dot tool: one line
 // per operator, then one indented line per fused stage.
 func (p *Plan) String() string {

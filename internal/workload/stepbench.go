@@ -20,14 +20,18 @@ import (
 // six systems. The benchmark harness divides the measured duration by the
 // step count.
 
+// stepIncrement is the microbenchmark loop's step, in the text
+// StepLoopScript writes; the baselines run it as the lambda x => x + 1.
+const stepIncrement = "x + 1"
+
 // StepLoopScript is the Mitos microbenchmark program.
 func StepLoopScript(steps int) string {
 	return fmt.Sprintf(`x = 0
 while (x < %d) {
-  x = x + 1
+  x = %s
 }
 newBag(x).writeFile("out")
-`, steps)
+`, steps, stepIncrement)
 }
 
 // StepMitos runs the microbenchmark loop on the Mitos runtime and returns
@@ -47,13 +51,15 @@ func StepMitos(cl *cluster.Cluster, st store.Store, steps int, opts core.Options
 	return core.Execute(g, st, cl, opts)
 }
 
-func increment(x val.Value) (val.Value, error) { return val.Int(x.AsInt() + 1), nil }
+// increment compiles the loop's step as a lambda, once per run.
+func increment() *lang.UDF { return mustLambda("x => " + stepIncrement) }
 
 // stepJobs launches one tiny job per iteration step, each on a session of
 // its own.
 func stepJobs(cl *cluster.Cluster, st store.Store, steps int, open func(*cluster.Cluster, store.Store) *baseline.Session) error {
+	inc := increment()
 	for i := 0; i < steps; i++ {
-		n, err := open(cl, st).FromSlice([]val.Value{val.Int(int64(i))}).Map(increment).Count()
+		n, err := open(cl, st).FromSlice([]val.Value{val.Int(int64(i))}).Map(inc).Count()
 		if err != nil {
 			return err
 		}
@@ -79,11 +85,12 @@ func StepFlinkSeparateJobs(cl *cluster.Cluster, st store.Store, steps int) error
 // StepFlinkNative runs the loop as one native iteration, each superstep
 // charged penaltyPerOp per operator of the body.
 func StepFlinkNative(cl *cluster.Cluster, st store.Store, steps int, penaltyPerOp time.Duration) error {
+	inc := increment()
 	sess := baseline.Flink(cl, st)
 	sess.PenaltyPerOp = penaltyPerOp
 	initial := sess.FromSlice([]val.Value{val.Int(0)})
 	out, err := sess.Iterate(initial, steps, func(step int, in *baseline.Dataset) (*baseline.Dataset, error) {
-		return in.Map(increment), nil
+		return in.Map(inc), nil
 	})
 	if err != nil {
 		return err

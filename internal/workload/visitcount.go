@@ -75,6 +75,16 @@ func (s VisitCountSpec) Generate(st store.Store) error {
 
 func pageID(i int) string { return fmt.Sprintf("page%d", i) }
 
+// The Visit Count lambdas, in the text Script writes. The baselines compile
+// the same text (dayBody), so all three systems run the same UDFs.
+const (
+	withOne   = "x => (x, 1)"
+	isArticle = `t => t.1 == "article"`
+	pageOf    = "t => t.0"
+	addCounts = "(a, b) => a + b"
+	absDiff   = "t => abs(t.1 - t.2)"
+)
+
 // Script returns the Mitos program for the spec — the imperative source of
 // the paper's Sec. 2 example.
 func (s VisitCountSpec) Script() string {
@@ -87,16 +97,16 @@ func (s VisitCountSpec) Script() string {
 		// The static pageTypes dataset is the hash-join build side, so
 		// loop-invariant hoisting builds its table once (paper Sec. 5.3).
 		src += `  rawVisits = readFile("pageVisitLog" + day)
-  tagged = pageTypes.join(rawVisits.map(x => (x, 1)))
-  visits = tagged.filter(t => t.1 == "article").map(t => t.0)
+  tagged = pageTypes.join(rawVisits.map(` + withOne + `))
+  visits = tagged.filter(` + isArticle + `).map(` + pageOf + `)
 `
 	} else {
 		src += `  visits = readFile("pageVisitLog" + day)` + "\n"
 	}
-	src += "  counts = visits.map(x => (x, 1)).reduceByKey((a, b) => a + b)\n"
+	src += "  counts = visits.map(" + withOne + ").reduceByKey(" + addCounts + ")\n"
 	if s.WithDiff {
 		src += `  if (day != 1) {
-    diffs = counts.join(yesterdayCounts).map(t => abs(t.1 - t.2))
+    diffs = counts.join(yesterdayCounts).map(` + absDiff + `)
     diffs.sum().writeFile("diff" + day)
   }
 `
@@ -130,31 +140,51 @@ func RunMitos(s VisitCountSpec, st store.Store, cl *cluster.Cluster, opts core.O
 	return core.Execute(g, st, cl, opts)
 }
 
+// mustLambda compiles a lambda from its script text, one of this package's
+// constants: a text that does not compile is a bug, not a run's error. The
+// parser reads programs, so the lambda is parsed as a map's argument.
+func mustLambda(src string) *lang.UDF {
+	prog, err := lang.Parse("f = b.map(" + src + ")")
+	if err != nil {
+		panic(err)
+	}
+	f, err := lang.MakeUDF(prog.Stmts[0].(*lang.AssignStmt).RHS.(*lang.Method).Args[0])
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // The baselines run one day body under three orchestrations. It is written
 // once, in two halves, because the orchestrations differ in what happens
 // between them (Spark caches the counts) and in where yesterday's counts
 // come from.
+
+// dayBody is the spec with its script's lambdas, compiled once per run from
+// the text Script writes.
+type dayBody struct {
+	VisitCountSpec
+	withOne, isArticle, pageOf, addCounts, absDiff *lang.UDF
+}
+
+func (s VisitCountSpec) dayBody() *dayBody {
+	return &dayBody{s, mustLambda(withOne), mustLambda(isArticle), mustLambda(pageOf),
+		mustLambda(addCounts), mustLambda(absDiff)}
+}
 
 // dayCounts is the first half of the day body, up to the per-page counts:
 //
 //	visits → [static join → filter article → project] → (x, 1) → ReduceByKey
 //
 // pageTypes is the loop-invariant build side (nil unless WithPageTypes).
-func (s VisitCountSpec) dayCounts(sess *baseline.Session, pageTypes *baseline.Dataset, day int) *baseline.Dataset {
-	one := func(x val.Value) (val.Value, error) { return val.Pair(x, val.Int(1)), nil }
+func (b *dayBody) dayCounts(sess *baseline.Session, pageTypes *baseline.Dataset, day int) *baseline.Dataset {
 	visits := sess.ReadFile(fmt.Sprintf("pageVisitLog%d", day))
-	if s.WithPageTypes {
+	if b.WithPageTypes {
 		// (page, type, 1) triples. Whether the build side's hash table is
 		// built once or every day is the session's policy (Fig. 8).
-		visits = visits.Map(one).JoinStatic(pageTypes).
-			Filter(func(t val.Value) (bool, error) {
-				return t.Field(1).Equal(val.Str("article")), nil
-			}).
-			Map(func(t val.Value) (val.Value, error) { return t.Field(0), nil })
+		visits = visits.Map(b.withOne).JoinStatic(pageTypes).Filter(b.isArticle).Map(b.pageOf)
 	}
-	return visits.Map(one).ReduceByKey(func(a, b val.Value) (val.Value, error) {
-		return val.Int(a.AsInt() + b.AsInt()), nil
-	})
+	return visits.Map(b.withOne).ReduceByKey(b.addCounts)
 }
 
 // emitDay is the second half: the day's output, each variant one action.
@@ -162,20 +192,14 @@ func (s VisitCountSpec) dayCounts(sess *baseline.Session, pageTypes *baseline.Da
 //	[join yesterday → |diff| → Sum → diff<day>] | counts<day>
 //
 // The diff variant has nothing to emit on day 1, whatever yesterday is.
-func (s VisitCountSpec) emitDay(st store.Store, counts, yesterday *baseline.Dataset, day int) error {
-	if !s.WithDiff {
+func (b *dayBody) emitDay(st store.Store, counts, yesterday *baseline.Dataset, day int) error {
+	if !b.WithDiff {
 		return counts.WriteFile(fmt.Sprintf("counts%d", day))
 	}
 	if day == 1 {
 		return nil
 	}
-	sum, err := counts.Join(yesterday).Map(func(t val.Value) (val.Value, error) {
-		d := t.Field(1).AsInt() - t.Field(2).AsInt()
-		if d < 0 {
-			d = -d
-		}
-		return val.Int(d), nil
-	}).Sum()
+	sum, err := counts.Join(yesterday).Map(b.absDiff).Sum()
 	if err != nil {
 		return err
 	}
@@ -188,6 +212,7 @@ func (s VisitCountSpec) emitDay(st store.Store, counts, yesterday *baseline.Data
 // loop, as the paper's Spark implementation does — but the join hash table
 // is still rebuilt every step.
 func RunSpark(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
+	body := s.dayBody()
 	sess := baseline.Spark(cl, st)
 	var pageTypes *baseline.Dataset
 	if s.WithPageTypes {
@@ -199,8 +224,8 @@ func RunSpark(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
 	}
 	var yesterday *baseline.Dataset
 	for day := 1; day <= s.Days; day++ {
-		counts := s.dayCounts(sess, pageTypes, day).Cache()
-		if err := s.emitDay(st, counts, yesterday, day); err != nil {
+		counts := body.dayCounts(sess, pageTypes, day).Cache()
+		if err := body.emitDay(st, counts, yesterday, day); err != nil {
 			return err
 		}
 		if s.WithDiff && day == 1 {
@@ -220,6 +245,7 @@ func RunSpark(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
 // reads use the lenient step-indexed source (Flink's real API cannot
 // express them — paper Sec. 2).
 func RunFlinkNative(s VisitCountSpec, st store.Store, cl *cluster.Cluster, penaltyPerOp time.Duration) error {
+	body := s.dayBody()
 	sess := baseline.Flink(cl, st)
 	sess.PenaltyPerOp = penaltyPerOp
 	var pageTypes *baseline.Dataset
@@ -227,8 +253,8 @@ func RunFlinkNative(s VisitCountSpec, st store.Store, cl *cluster.Cluster, penal
 		pageTypes = sess.ReadFile("pageTypes")
 	}
 	_, err := sess.Iterate(sess.FromSlice(nil), s.Days, func(day int, yesterday *baseline.Dataset) (*baseline.Dataset, error) {
-		counts := s.dayCounts(sess, pageTypes, day)
-		return counts, s.emitDay(st, counts, yesterday, day)
+		counts := body.dayCounts(sess, pageTypes, day)
+		return counts, body.emitDay(st, counts, yesterday, day)
 	})
 	return err
 }
@@ -238,6 +264,7 @@ func RunFlinkNative(s VisitCountSpec, st store.Store, cl *cluster.Cluster, penal
 // Flink-style API. No operator state survives between days, and
 // yesterday's counts travel through the driver.
 func RunFlinkSeparateJobs(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
+	body := s.dayBody()
 	var yesterdayCounts []val.Value
 	for day := 1; day <= s.Days; day++ {
 		sess := baseline.Flink(cl, st)
@@ -245,8 +272,8 @@ func RunFlinkSeparateJobs(s VisitCountSpec, st store.Store, cl *cluster.Cluster)
 		if s.WithPageTypes {
 			pageTypes = sess.ReadFile("pageTypes")
 		}
-		counts := s.dayCounts(sess, pageTypes, day)
-		if err := s.emitDay(st, counts, sess.FromSlice(yesterdayCounts), day); err != nil {
+		counts := body.dayCounts(sess, pageTypes, day)
+		if err := body.emitDay(st, counts, sess.FromSlice(yesterdayCounts), day); err != nil {
 			return err
 		}
 		if s.WithDiff {

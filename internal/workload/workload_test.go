@@ -424,3 +424,128 @@ func TestBenchmarkInputsPinned(t *testing.T) {
 		t.Errorf("scripts + generated datasets digest = %s, want %s", got, want)
 	}
 }
+
+// TestScriptGolden pins the programs the frozen benchmark generates, as
+// text: the Visit Count script in its four variants and the step loop. The
+// baselines compile their lambdas from the same constants, so a change to
+// one of them must show here.
+func TestScriptGolden(t *testing.T) {
+	const plain = `yesterdayCounts = empty()
+day = 1
+do {
+  visits = readFile("pageVisitLog" + day)
+  counts = visits.map(x => (x, 1)).reduceByKey((a, b) => a + b)
+  counts.writeFile("counts" + day)
+  yesterdayCounts = counts
+  day = day + 1
+} while (day <= 3)
+`
+	const withTypes = `yesterdayCounts = empty()
+pageTypes = readFile("pageTypes")
+day = 1
+do {
+  rawVisits = readFile("pageVisitLog" + day)
+  tagged = pageTypes.join(rawVisits.map(x => (x, 1)))
+  visits = tagged.filter(t => t.1 == "article").map(t => t.0)
+  counts = visits.map(x => (x, 1)).reduceByKey((a, b) => a + b)
+  counts.writeFile("counts" + day)
+  yesterdayCounts = counts
+  day = day + 1
+} while (day <= 3)
+`
+	const withDiff = `yesterdayCounts = empty()
+day = 1
+do {
+  visits = readFile("pageVisitLog" + day)
+  counts = visits.map(x => (x, 1)).reduceByKey((a, b) => a + b)
+  if (day != 1) {
+    diffs = counts.join(yesterdayCounts).map(t => abs(t.1 - t.2))
+    diffs.sum().writeFile("diff" + day)
+  }
+  yesterdayCounts = counts
+  day = day + 1
+} while (day <= 3)
+`
+	const withBoth = `yesterdayCounts = empty()
+pageTypes = readFile("pageTypes")
+day = 1
+do {
+  rawVisits = readFile("pageVisitLog" + day)
+  tagged = pageTypes.join(rawVisits.map(x => (x, 1)))
+  visits = tagged.filter(t => t.1 == "article").map(t => t.0)
+  counts = visits.map(x => (x, 1)).reduceByKey((a, b) => a + b)
+  if (day != 1) {
+    diffs = counts.join(yesterdayCounts).map(t => abs(t.1 - t.2))
+    diffs.sum().writeFile("diff" + day)
+  }
+  yesterdayCounts = counts
+  day = day + 1
+} while (day <= 3)
+`
+	const step = `x = 0
+while (x < 7) {
+  x = x + 1
+}
+newBag(x).writeFile("out")
+`
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"plain", VisitCountSpec{Days: 3}.Script(), plain},
+		{"pageTypes", VisitCountSpec{Days: 3, WithPageTypes: true}.Script(), withTypes},
+		{"diff", VisitCountSpec{Days: 3, WithDiff: true}.Script(), withDiff},
+		{"diff+pageTypes", VisitCountSpec{Days: 3, WithDiff: true, WithPageTypes: true}.Script(), withBoth},
+		{"step loop", StepLoopScript(7), step},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s script:\n%s\nwant:\n%s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestBaselineLambdasAreTheScripts checks that every UDF a Visit Count
+// baseline runs is a lambda of the spec's own compiled program, and that
+// the step loops' increment is the script's loop step as a lambda.
+func TestBaselineLambdasAreTheScripts(t *testing.T) {
+	for _, d := range []bool{false, true} {
+		for _, p := range []bool{false, true} {
+			spec := VisitCountSpec{Days: 3, WithDiff: d, WithPageTypes: p}
+			g, err := spec.CompileMitos()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inSSA := make(map[string]bool)
+			for _, blk := range g.Blocks {
+				for _, in := range blk.Instrs {
+					if in.F != nil {
+						inSSA[in.F.String()] = true
+					}
+				}
+			}
+			// The lambdas dayCounts and emitDay run in this variant.
+			body := spec.dayBody()
+			runs := []*lang.UDF{body.withOne, body.addCounts}
+			if p {
+				runs = append(runs, body.isArticle, body.pageOf)
+			}
+			if d {
+				runs = append(runs, body.absDiff)
+			}
+			for _, f := range runs {
+				if !inSSA[f.String()] {
+					t.Errorf("diff=%v pageTypes=%v: baseline UDF %s is no lambda of the script's SSA %v", d, p, f, inSSA)
+				}
+			}
+		}
+	}
+	inc := increment()
+	for x := int64(-1); x <= 1; x++ {
+		got, err := inc.Call(val.Int(x))
+		if err != nil || !got.Equal(val.Int(x+1)) {
+			t.Errorf("increment(%d) = %v, %v", x, got, err)
+		}
+	}
+	if inc.String() != "x => "+stepIncrement {
+		t.Errorf("increment = %s, want x => %s", inc, stepIncrement)
+	}
+}
