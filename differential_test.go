@@ -25,7 +25,8 @@ import (
 var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "templates", "delta"}
 
 // exercises names what the harness must see happen at least once.
-var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch"}
+var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output",
+	"chained a condition on the sim", "chained a condition on tcp", "kept a condition unchained on the sim", "kept a condition unchained on tcp", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch"}
 
 // The exercises hooks report, from any run: core's table hook, and
 // dataflow's lent hook for a remote and for a local target.
@@ -95,11 +96,12 @@ type tcpCluster struct {
 // agree, and so do the delta elements in within a delta class. A failure is
 // shrunk to the smallest setting that still fails and logged as one repro
 // line. Once every seed has run, the harness fails if no run did one of the
-// exercises; fusing a stage, running one on scratch and lending an output are
-// read from the plans of the sim runs, a host filling a keyed table an
-// earlier bag left cleared from core's table hook, and a lent element
-// encoded into a remote frame or copied into a local batch from dataflow's
-// lent hook.
+// exercises; fusing a stage, running one on scratch, lending an output and
+// chaining a condition or keeping one unchained with chaining on are read
+// from the plans (a TCP run's is its sim twin's), a host filling a keyed
+// table an earlier bag left cleared from core's table hook, and a lent
+// element encoded into a remote frame or copied into a local batch from
+// dataflow's lent hook.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -273,6 +275,9 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 		}
 	}
 	<-tcpDone
+	// The TCP workers compile the plan the sim run of the same setting ran:
+	// same program, options and parallelism.
+	outs[1].plan = outs[0].plan
 	// Each row reports as its own subtest; the first failing row ends the
 	// seed, since the rows after it compare against its counters.
 	for i, s := range rows {
@@ -290,7 +295,9 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 				deltaIn[s.deltaClass()] = res.DeltaIn
 			}
 			fused, scratch, lent := stagesOf(outs[i].plan)
-			for j, ok := range [reusedTable]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch, lent} {
+			chainedCond, unchainedCond := conditionsOf(outs[i].plan, s.options())
+			for j, ok := range [reusedTable]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch, lent,
+				chainedCond && !s.tcp, chainedCond && s.tcp, unchainedCond && !s.tcp, unchainedCond && s.tcp} {
 				if ok {
 					saw[j].Store(true)
 				}
@@ -303,7 +310,7 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 }
 
 // outcome is what one run left behind: its result, its store, or its error,
-// and on the sim the plan it ran.
+// and the plan it ran.
 type outcome struct {
 	res  *core.Result
 	st   *store.MemStore
@@ -311,8 +318,8 @@ type outcome struct {
 	err  error
 }
 
-// stagesOf reports whether plan (nil for a TCP run) fused a stage into an
-// operator, whether one of those stages runs on the scratch tuple, and
+// stagesOf reports whether plan (nil if it failed to compile) fused a stage
+// into an operator, whether one of those stages runs on the scratch tuple, and
 // whether an operator lends its output.
 func stagesOf(plan *core.Plan) (fused, scratch, lent bool) {
 	if plan == nil {
@@ -325,6 +332,21 @@ func stagesOf(plan *core.Plan) (fused, scratch, lent bool) {
 		}
 	}
 	return fused, scratch, lent
+}
+
+// conditionsOf reports whether plan (nil if it failed to compile), built
+// with chaining on, has a condition in a chain and one that BuildChains
+// left unchained.
+func conditionsOf(plan *core.Plan, opts core.Options) (chained, unchained bool) {
+	if plan == nil || !opts.Chaining {
+		return false, false
+	}
+	for _, op := range plan.Ops {
+		if op.IsCondition {
+			chained, unchained = chained || op.Chain != 0, unchained || op.Chain == 0
+		}
+	}
+	return chained, unchained
 }
 
 // shrink reduces a failing setting: it turns each off switch back on, then

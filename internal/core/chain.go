@@ -28,10 +28,22 @@ import (
 //     this admits every acyclic forward edge while excluding loop back
 //     edges (the phi input fed from the loop body), which would otherwise
 //     close a synchronous call cycle;
-//   - neither endpoint is a condition operator: the coordinator consumes
-//     condition decisions to extend the execution path, and keeping the
-//     condition on its own mailbox keeps decision emission an independent,
-//     individually-schedulable event.
+//   - an edge out of a condition operator never chains, and an edge into
+//     one chains only when the chain it joins is closed: chaining all of
+//     the condition's forward inputs forms a chain from which no edge
+//     leaves for an operator outside it (chainConditions).
+//
+// A closed condition chain — the step loop's counter, connected
+// components' count — makes its decision on the chain driver's goroutine,
+// and on the simulated cluster the coordinator's path extension and
+// broadcast run there too, so a loop whose control plane is the whole chain
+// runs each step without a goroutine hop: the 20 000-iteration step loop
+// parks a goroutine 12 times in all, where it parked once per step with the
+// condition on its own mailbox (TestStepLoopWakeUps). The closure test keeps
+// the hop where the chain feeds other work: Visit Count's day counter also
+// names the file readFile reads, and deciding in-stack there lets the
+// control plane run ahead of the data plane — early-arrival buffers grew,
+// and the bulk workload allocated a third more per job.
 //
 // A multi-input operator can still be a chain member through its forward
 // input; its other inputs simply stay external and arrive through the
@@ -65,15 +77,68 @@ func (p *Plan) BuildChains() int {
 	for _, op := range p.Ops {
 		for i := range op.Inputs {
 			in := &op.Inputs[i]
-			in.Chained = in.Part == dataflow.PartForward &&
-				in.Producer.Par == op.Par &&
-				in.Producer.ID < op.ID &&
-				!in.Producer.IsCondition && !op.IsCondition
+			in.Chained = forwardEdge(in, op) && !in.Producer.IsCondition && !op.IsCondition
 		}
 	}
+	p.chainConditions()
 	p.fuseStages()
 	p.buildChainGroups()
 	return p.ChainedEdges()
+}
+
+// forwardEdge reports whether in, an input of op, can chain apart from the
+// condition rule: a forward edge at equal parallelism from a lower ID.
+func forwardEdge(in *PlanInput, op *PlanOp) bool {
+	return in.Part == dataflow.PartForward && in.Producer.Par == op.Par && in.Producer.ID < op.ID
+}
+
+// chainConditions chains every condition operator's forward inputs whose
+// chain would be closed: the condition plus the chains of those inputs'
+// producers, with no edge from a member to an operator outside it. An
+// edge back into the chain — the loop's phi — keeps it closed. A condition
+// has no chained edge before its own turn, since no edge out of one
+// chains; once chained, it is part of its chain for the conditions after
+// it.
+func (p *Plan) chainConditions() {
+	chains := p.chainForest()
+	joined := make([]bool, len(p.Ops)) // by forest root: a chain the condition joins
+	member := make([]bool, len(p.Ops))
+	for _, c := range p.Ops {
+		if !c.IsCondition {
+			continue
+		}
+		clear(joined)
+		for i := range c.Inputs {
+			if forwardEdge(&c.Inputs[i], c) {
+				joined[chains.find(c.Inputs[i].Producer.ID)] = true
+			}
+		}
+		for _, op := range p.Ops {
+			member[op.ID] = op == c || joined[chains.find(op.ID)]
+		}
+		if !slices.Contains(joined, true) || !p.closed(member) {
+			continue
+		}
+		for i := range c.Inputs {
+			if in := &c.Inputs[i]; forwardEdge(in, c) {
+				in.Chained = true
+				chains.union(in.Producer.ID, c.ID)
+			}
+		}
+	}
+}
+
+// closed reports whether no edge leads from an operator in member to one
+// outside it.
+func (p *Plan) closed(member []bool) bool {
+	for _, op := range p.Ops {
+		for _, in := range op.Inputs {
+			if member[in.Producer.ID] && !member[op.ID] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ChainedEdges counts the plan edges BuildChains fused: the chained edges
@@ -93,57 +158,62 @@ func (p *Plan) ChainedEdges() int {
 	return n
 }
 
-// buildChainGroups recomputes Plan.Chains and PlanOp.Chain from the
-// Chained edge marks: chains are the connected components of the chained
-// subgraph, members in ascending (topological) ID order, numbered from 1
-// in order of their first member. Operators outside any chain have
-// Chain 0.
-func (p *Plan) buildChainGroups() {
-	parent := make([]int, len(p.Ops))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
+// forest is a union-find forest over plan operator IDs.
+type forest []int
+
+// chainForest returns the forest whose trees are the connected components
+// of the plan's chained edges.
+func (p *Plan) chainForest() forest {
+	f := make(forest, len(p.Ops))
+	for i := range f {
+		f[i] = i
 	}
 	for _, op := range p.Ops {
 		for _, in := range op.Inputs {
 			if in.Chained {
-				parent[find(in.Producer.ID)] = find(op.ID)
+				f.union(in.Producer.ID, op.ID)
 			}
 		}
 	}
-	p.Chains = nil
-	chainOf := make(map[int]int) // component root -> chain index in p.Chains
+	return f
+}
+
+func (f forest) find(x int) int {
+	for f[x] != x {
+		f[x] = f[f[x]]
+		x = f[x]
+	}
+	return x
+}
+
+func (f forest) union(x, y int) { f[f.find(x)] = f.find(y) }
+
+// buildChainGroups recomputes Plan.Chains and PlanOp.Chain from the
+// Chained edge marks: chains are the connected components of the chained
+// subgraph with at least two members, members in ascending (topological)
+// ID order, numbered from 1 in order of their first member. Operators
+// outside any chain have Chain 0.
+func (p *Plan) buildChainGroups() {
+	chains := p.chainForest()
+	size := make([]int, len(p.Ops)) // by forest root
 	for _, op := range p.Ops {
-		op.Chain = 0
+		size[chains.find(op.ID)]++
 	}
+	number := make([]int, len(p.Ops)) // by forest root: its chain's number, once seen
+	p.Chains = nil
 	for _, op := range p.Ops { // ascending ID: members end up in topo order
-		r := find(op.ID)
-		ci, ok := chainOf[r]
-		if !ok {
-			chainOf[r] = len(p.Chains)
-			p.Chains = append(p.Chains, nil)
-			ci = chainOf[r]
-		}
-		p.Chains[ci] = append(p.Chains[ci], op)
-	}
-	// Drop singleton components and renumber.
-	chains := p.Chains[:0]
-	for _, members := range p.Chains {
-		if len(members) < 2 {
+		r := chains.find(op.ID)
+		op.Chain = 0
+		if size[r] < 2 {
 			continue
 		}
-		chains = append(chains, members)
-		for _, op := range members {
-			op.Chain = len(chains)
+		if number[r] == 0 {
+			p.Chains = append(p.Chains, make([]*PlanOp, 0, size[r]))
+			number[r] = len(p.Chains)
 		}
+		op.Chain = number[r]
+		p.Chains[op.Chain-1] = append(p.Chains[op.Chain-1], op)
 	}
-	p.Chains = chains
 }
 
 // fuseStages absorbs every chained map or filter C into the operator P that

@@ -148,8 +148,8 @@ func TestExecuteTemplateCounters(t *testing.T) {
 // templated and F = P frames in the other three modes. Job.Broadcast hands
 // each frame to every chain driver, and the sim's control plane models one
 // message per machine. The loop's six operators are singletons, so the job
-// has D = 6 drivers without chaining and D = 2 with it (the condition and
-// one chain of the rest), whatever the machine count M:
+// has D = 6 drivers without chaining and D = 1 with it (one chain, the
+// condition included), whatever the machine count M:
 //
 //	Job.CtrlMessages = D·F    cluster CtrlMessages = M·F
 func TestSimCtrlMessageLaw(t *testing.T) {
@@ -177,7 +177,7 @@ func TestSimCtrlMessageLaw(t *testing.T) {
 					frames = 52
 				}
 				if opts.Chaining {
-					drivers = 2
+					drivers = 1
 				}
 				if res.Steps != 103 {
 					t.Fatalf("steps = %d, want 103", res.Steps)

@@ -86,6 +86,52 @@ func TestChainedPipeline(t *testing.T) {
 	}
 }
 
+// TestChainedFanOutCounts feeds one source to two chained sinks: each
+// element crosses two chained edges but is emitted once, so it counts as
+// chained once and ElementsChained never exceeds ElementsSent.
+func TestChainedFanOutCounts(t *testing.T) {
+	cl, err := cluster.New(cluster.FastConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var g Graph
+	const par, perSource = 2, 50
+	src := g.AddOp("src", par, func(int) Vertex { return &sourceVertex{n: perSource} })
+	var mu sync.Mutex
+	done := make(chan int, 2*par)
+	for _, name := range []string{"a", "b"} {
+		got := make(map[int64]int64)
+		snk := g.AddOp(name, par, func(int) Vertex {
+			return &countSink{mu: &mu, got: got, seen: make(map[int64]bool), doneCh: done}
+		})
+		g.ConnectChained(src, snk, 0)
+	}
+	job, err := NewJob(&g, cl, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Start(); err != nil {
+		t.Fatal(err)
+	}
+	job.Broadcast("go")
+	for range 2 * par {
+		<-done
+	}
+	job.Stop(nil)
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	st := job.Stats()
+	if st.ElementsChained > st.ElementsSent {
+		t.Errorf("ElementsChained = %d > ElementsSent = %d", st.ElementsChained, st.ElementsSent)
+	}
+	if want := int64(par * perSource); st.ElementsSent != want || st.ElementsChained != want {
+		t.Errorf("ElementsSent, ElementsChained = %d, %d, want %d each", st.ElementsSent, st.ElementsChained, want)
+	}
+}
+
 // chainRecorder logs its callbacks into a shared ordered trace. All chain
 // members run on one driver goroutine, but the mutex also covers the
 // test's final read.

@@ -115,9 +115,10 @@ type ControlWaker interface {
 // JobStats reports transfer counters for the experiment harness.
 type JobStats struct {
 	ElementsSent int64
-	// ElementsChained counts elements that crossed a chained edge by
-	// direct call instead of a mailbox batch (see chain.go). These are
-	// included in ElementsSent but never in BatchesSent.
+	// ElementsChained counts emitted elements that crossed a chained edge
+	// by direct call instead of a mailbox batch (see chain.go), once each
+	// however many chained edges they took. These are included in
+	// ElementsSent but never in BatchesSent.
 	ElementsChained int64
 	BatchesSent     int64
 	RemoteBatches   int64
@@ -239,6 +240,7 @@ func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, e
 					targets: toInsts,
 					bufs:    make([]pending, len(toInsts)),
 				})
+				fi.chainsOut = fi.chainsOut || e.Chained
 			}
 			// Record producer count per input slot for the consumer side.
 			for _, ti := range toInsts {
@@ -617,13 +619,16 @@ type instance struct {
 
 	outs      []*outEdge
 	producers []int // per input slot: number of producer instances feeding this instance
+	// chainsOut marks an instance with a chained out-edge: a forward edge
+	// delivers every element, so each one it emits is chained.
+	chainsOut bool
 
-	// sent, chained and received count this instance's emitted, chained and
-	// received elements since the last foldCounts. Plain fields: only the
-	// chain driver's goroutine runs the instance, and one atomic add per
-	// element — into the job's totals or into an observer counter — was a
-	// cache line every machine's goroutines fought over.
-	sent, chained, received int64
+	// sent and received count this instance's emitted and received elements
+	// since the last foldCounts. Plain fields: only the chain driver's
+	// goroutine runs the instance, and one atomic add per element — into the
+	// job's totals or into an observer counter — was a cache line every
+	// machine's goroutines fought over.
+	sent, received int64
 
 	// Observability handles; nil (and therefore no-ops) unless Job.Observe
 	// was called.
@@ -650,10 +655,12 @@ type instance struct {
 func (in *instance) foldCounts() {
 	if in.sent != 0 {
 		in.job.elementsSent.Add(in.sent)
-		in.job.elementsChained.Add(in.chained)
 		in.elemsOut.Add(in.sent)
-		in.elemsChained.Add(in.chained)
-		in.sent, in.chained = 0, 0
+		if in.chainsOut {
+			in.job.elementsChained.Add(in.sent)
+			in.elemsChained.Add(in.sent)
+		}
+		in.sent = 0
 	}
 	if in.received != 0 {
 		in.elemsIn.Add(in.received)
@@ -851,7 +858,6 @@ func SetLentHook(fn func(remote bool)) { lentHook = fn }
 func (c *Context) deliver(oe *outEdge, e Element) {
 	in := c.inst
 	tgt := oe.targets[in.idx]
-	in.chained++
 	tgt.received++
 	oe.scratch[0] = e
 	err := tgt.vertex.OnBatch(oe.input, in.idx, oe.scratch[:1])

@@ -65,12 +65,24 @@ func (q *Queue[T]) put(v T, wake bool) bool {
 // its live tail down over.
 const queueCompactAt = 1024
 
+// waitHook, when a test sets it, runs every time a Take blocks: each call
+// is one goroutine parked on an empty queue, and later woken. It may be
+// called from many goroutines at once.
+var waitHook func()
+
+// SetWaitHook installs fn as waitHook, for tests outside this package; nil
+// removes it. Not safe while a job runs.
+func SetWaitHook(fn func()) { waitHook = fn }
+
 // Take dequeues the next value, blocking while the queue is open and empty.
 // After Close it drains the backlog, then reports false.
 func (q *Queue[T]) Take() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.q) && !q.closed {
+		if waitHook != nil {
+			waitHook()
+		}
 		q.cond.Wait()
 	}
 	var zero T
