@@ -14,7 +14,8 @@
 // then ships the job to them and drives the control flow over sockets.
 // With -retries N the coordinator survives worker loss: it re-admits
 // redialing or replacement workers and re-executes the job up to N times
-// (delay -retry-backoff, doubling per attempt) before giving up.
+// (delay -retry-backoff, doubling per attempt) before giving up. -seq runs
+// the sequential reference interpreter whatever -cluster says.
 //
 // With -http, a live introspection server runs on ADDR for the whole
 // process lifetime: /metrics (Prometheus), /jobs/{id} (live dataflow
@@ -31,6 +32,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -41,22 +44,37 @@ import (
 	"github.com/mitos-project/mitos"
 )
 
+// options are mitos-run's flags.
+type options struct {
+	cluster, listen, dataDir, outDir, traceFile, httpAddr string
+	machines, workers, retries, parallelism               int
+	retryBackoff                                          time.Duration
+	noPipe, noHoist, seq, metrics                         bool
+}
+
+// defineFlags registers mitos-run's flags on fs and returns where they land.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.cluster, "cluster", "sim", "execution backend: sim (in-process simulated cluster) or tcp (real multi-process workers)")
+	fs.IntVar(&o.machines, "machines", 4, "simulated cluster size (sim backend)")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7070", "coordinator listen address (tcp backend)")
+	fs.IntVar(&o.workers, "workers", 3, "worker processes to wait for (tcp backend)")
+	fs.IntVar(&o.retries, "retries", 0, "re-execute the job up to N times after worker loss (tcp backend)")
+	fs.DurationVar(&o.retryBackoff, "retry-backoff", 500*time.Millisecond, "initial delay between re-execution attempts, doubling per retry (tcp backend)")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "operator parallelism (default: one per machine)")
+	fs.BoolVar(&o.noPipe, "no-pipelining", false, "disable loop pipelining")
+	fs.BoolVar(&o.noHoist, "no-hoisting", false, "disable loop-invariant hoisting")
+	fs.BoolVar(&o.seq, "seq", false, "run with the sequential reference interpreter")
+	fs.StringVar(&o.dataDir, "data", "", "directory of input datasets (*.txt)")
+	fs.StringVar(&o.outDir, "out", "", "directory to write result datasets to")
+	fs.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON timeline to this file")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the engine metrics snapshot after the run")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live introspection (/metrics, /jobs, /lineage, /criticalpath) on this address until interrupted")
+	return o
+}
+
 func main() {
-	clusterKind := flag.String("cluster", "sim", "execution backend: sim (in-process simulated cluster) or tcp (real multi-process workers)")
-	machines := flag.Int("machines", 4, "simulated cluster size (sim backend)")
-	listen := flag.String("listen", "127.0.0.1:7070", "coordinator listen address (tcp backend)")
-	workers := flag.Int("workers", 3, "worker processes to wait for (tcp backend)")
-	retries := flag.Int("retries", 0, "re-execute the job up to N times after worker loss (tcp backend)")
-	retryBackoff := flag.Duration("retry-backoff", 500*time.Millisecond, "initial delay between re-execution attempts, doubling per retry (tcp backend)")
-	parallelism := flag.Int("parallelism", 0, "operator parallelism (default: one per machine)")
-	noPipe := flag.Bool("no-pipelining", false, "disable loop pipelining")
-	noHoist := flag.Bool("no-hoisting", false, "disable loop-invariant hoisting")
-	seq := flag.Bool("seq", false, "run with the sequential reference interpreter")
-	dataDir := flag.String("data", "", "directory of input datasets (*.txt)")
-	outDir := flag.String("out", "", "directory to write result datasets to")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file")
-	metrics := flag.Bool("metrics", false, "print the engine metrics snapshot after the run")
-	httpAddr := flag.String("http", "", "serve live introspection (/metrics, /jobs, /lineage, /criticalpath) on this address until interrupted")
+	o := defineFlags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mitos-run [flags] script.mitos")
 		flag.PrintDefaults()
@@ -66,21 +84,135 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *clusterKind != "sim" && *clusterKind != "tcp" {
-		fmt.Fprintf(os.Stderr, "mitos-run: -cluster must be sim or tcp, got %q\n", *clusterKind)
+	if o.cluster != "sim" && o.cluster != "tcp" {
+		fmt.Fprintf(os.Stderr, "mitos-run: -cluster must be sim or tcp, got %q\n", o.cluster)
 		os.Exit(2)
 	}
-
-	var err error
-	if *clusterKind == "tcp" {
-		err = runTCP(flag.Arg(0), *listen, *workers, *retries, *retryBackoff, *parallelism, *noPipe, *noHoist, *dataDir, *outDir, *traceFile, *metrics, *httpAddr)
-	} else {
-		err = run(flag.Arg(0), *machines, *parallelism, *noPipe, *noHoist, *seq, *dataDir, *outDir, *traceFile, *metrics, *httpAddr)
-	}
-	if err != nil {
+	if err := run(flag.Arg(0), *o); err != nil {
 		fmt.Fprintf(os.Stderr, "mitos-run: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// run executes the script on the backend o selects; the backends differ
+// only in the call that runs the job. With -cluster=tcp and -http the
+// introspection server federates the telemetry every worker ships.
+func run(scriptPath string, o options) error {
+	src, err := os.ReadFile(scriptPath)
+	if err != nil {
+		return err
+	}
+	prog, err := mitos.Compile(string(src))
+	if err != nil {
+		return err
+	}
+	// The coordinator's listener is bound before -data loads, so workers
+	// started alongside this process wait in its backlog instead of
+	// failing to dial.
+	var ln net.Listener
+	if o.cluster == "tcp" && !o.seq {
+		if ln, err = net.Listen("tcp", o.listen); err != nil {
+			return err
+		}
+		defer ln.Close()
+	}
+	st := mitos.NewDFS(mitos.DFSConfig{})
+	if o.dataDir != "" {
+		if err := loadDataDir(st, o.dataDir); err != nil {
+			return err
+		}
+	}
+
+	if o.seq && (o.traceFile != "" || o.metrics || o.httpAddr != "") {
+		fmt.Fprintln(os.Stderr, "mitos-run: note: -trace, -metrics and -http observe the distributed engine; ignored with -seq")
+		o.traceFile, o.metrics, o.httpAddr = "", false, ""
+	}
+	var observer *mitos.Observer
+	if o.traceFile != "" {
+		observer = mitos.NewTracingObserver()
+	} else if o.metrics || o.httpAddr != "" {
+		observer = mitos.NewObserver()
+	}
+	var srv *mitos.IntrospectionServer
+	if o.httpAddr != "" {
+		observer.EnableLineage()
+		srv, err = mitos.ServeIntrospection(o.httpAddr, observer)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Printf("introspection server listening on http://%s\n", srv.Addr())
+	}
+	cfg := mitos.Config{
+		Machines:          o.machines,
+		Parallelism:       o.parallelism,
+		DisablePipelining: o.noPipe,
+		DisableHoisting:   o.noHoist,
+		Observer:          observer,
+		HTTP:              srv,
+	}
+
+	var res *mitos.Result
+	switch {
+	case o.seq:
+		err = prog.RunSequential(st)
+	case o.cluster == "tcp":
+		fmt.Printf("coordinator listening on %s, waiting for %d workers (mitos-worker -coord ADDR)\n", ln.Addr(), o.workers)
+		var coord *mitos.TCPCoordinator
+		if coord, err = mitos.ListenTCP(mitos.TCPCoordConfig{Listener: ln, Workers: o.workers, Retries: o.retries, RetryBackoff: o.retryBackoff}); err != nil {
+			return err
+		}
+		defer coord.Close()
+		fmt.Printf("%d workers registered and meshed\n", o.workers)
+		res, err = prog.RunTCP(coord, st, cfg)
+	default:
+		res, err = prog.Run(st, cfg)
+	}
+	if err != nil {
+		return err
+	}
+
+	// The summary. Only a TCP result carries attempts, and with them the
+	// wire-level counters and each failed attempt's error.
+	if res == nil {
+		fmt.Println("sequential run complete")
+	} else {
+		fmt.Printf("run complete: %d basic-block visits, %v, %d elements transferred", res.Steps, res.Duration.Round(0), res.ElementsSent)
+		if res.Attempts > 0 {
+			fmt.Printf(", %d bytes on the wire, %d credit stalls", res.SocketBytes, res.CreditStalls)
+		}
+		fmt.Println()
+		if res.Attempts > 1 {
+			fmt.Printf("recovered from worker loss: %d attempts\n", res.Attempts)
+			for i, e := range res.AttemptErrors {
+				fmt.Printf("  attempt %d failed: %s\n", i+1, e)
+			}
+		}
+		if res.CriticalPath != nil {
+			fmt.Print(res.CriticalPath.String())
+		}
+	}
+	if o.traceFile != "" {
+		if err := create(o.traceFile, func(w io.Writer) error { return mitos.WriteTrace(observer, w) }); err != nil {
+			return err
+		}
+		fmt.Printf("wrote trace to %s (open in chrome://tracing or Perfetto)\n", o.traceFile)
+	}
+	if o.metrics {
+		fmt.Print(res.Report.String())
+	}
+	if o.outDir != "" {
+		if err := writeOutDir(st, o.outDir); err != nil {
+			return err
+		}
+	}
+	if srv != nil {
+		fmt.Printf("serving introspection on http://%s until interrupted (Ctrl-C)\n", srv.Addr())
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
+	}
+	return nil
 }
 
 // loadDataDir reads every *.txt file in dir into st.
@@ -121,15 +253,7 @@ func writeOutDir(st mitos.NamedStore, dir string) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(dir, name+".txt"))
-		if err != nil {
-			return err
-		}
-		err = mitos.WriteTextDataset(f, elems)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := create(filepath.Join(dir, name+".txt"), func(w io.Writer) error { return mitos.WriteTextDataset(w, elems) }); err != nil {
 			return err
 		}
 	}
@@ -137,194 +261,16 @@ func writeOutDir(st mitos.NamedStore, dir string) error {
 	return nil
 }
 
-// runTCP executes the script as the coordinator of a real TCP cluster.
-// With httpAddr the introspection server federates telemetry shipped by
-// every worker process: cluster-wide /metrics, merged /trace, per-worker
-// /jobs status, and a cross-process /criticalpath.
-func runTCP(scriptPath, listen string, workers int, retries int, retryBackoff time.Duration, parallelism int, noPipe, noHoist bool, dataDir, outDir, traceFile string, metrics bool, httpAddr string) error {
-	src, err := os.ReadFile(scriptPath)
+// create writes path through write, reporting the first error of the two
+// and of closing the file.
+func create(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	prog, err := mitos.Compile(string(src))
-	if err != nil {
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	st := mitos.NewMemStore()
-	if dataDir != "" {
-		if err := loadDataDir(st, dataDir); err != nil {
-			return err
-		}
-	}
-
-	var observer *mitos.Observer
-	if traceFile != "" {
-		observer = mitos.NewTracingObserver()
-	} else if metrics || httpAddr != "" {
-		observer = mitos.NewObserver()
-	}
-	var srv *mitos.IntrospectionServer
-	if httpAddr != "" {
-		observer.EnableLineage()
-		srv, err = mitos.ServeIntrospection(httpAddr, observer)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("introspection server listening on http://%s\n", srv.Addr())
-	}
-
-	fmt.Printf("coordinator listening on %s, waiting for %d workers (mitos-worker -coord ADDR)\n", listen, workers)
-	coord, err := mitos.ListenTCP(mitos.TCPCoordConfig{
-		Listen: listen, Workers: workers,
-		Retries: retries, RetryBackoff: retryBackoff,
-	})
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	fmt.Printf("%d workers registered and meshed\n", workers)
-
-	res, err := prog.RunTCP(coord, st, mitos.Config{
-		Parallelism:       parallelism,
-		DisablePipelining: noPipe,
-		DisableHoisting:   noHoist,
-		Observer:          observer,
-		HTTP:              srv,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("run complete: %d basic-block visits, %v, %d elements transferred, %d bytes on the wire, %d credit stalls\n",
-		res.Steps, res.Duration.Round(0), res.ElementsSent, res.SocketBytes, res.CreditStalls)
-	if res.Attempts > 1 {
-		fmt.Printf("recovered from worker loss: %d attempts\n", res.Attempts)
-		for i, e := range res.AttemptErrors {
-			fmt.Printf("  attempt %d failed: %s\n", i+1, e)
-		}
-	}
-	if res.CriticalPath != nil {
-		fmt.Print(res.CriticalPath.String())
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		err = mitos.WriteTrace(observer, f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote merged cluster trace to %s (one process lane per worker; open in chrome://tracing or Perfetto)\n", traceFile)
-	}
-	if metrics {
-		fmt.Print(res.Report.String())
-	}
-	if outDir != "" {
-		if err := writeOutDir(st, outDir); err != nil {
-			return err
-		}
-	}
-	if srv != nil {
-		fmt.Printf("serving introspection on http://%s until interrupted (Ctrl-C)\n", srv.Addr())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-	}
-	return nil
-}
-
-func run(scriptPath string, machines, parallelism int, noPipe, noHoist, seq bool, dataDir, outDir, traceFile string, metrics bool, httpAddr string) error {
-	src, err := os.ReadFile(scriptPath)
-	if err != nil {
-		return err
-	}
-	prog, err := mitos.Compile(string(src))
-	if err != nil {
-		return err
-	}
-
-	st := mitos.NewDFS(mitos.DFSConfig{})
-	if dataDir != "" {
-		if err := loadDataDir(st, dataDir); err != nil {
-			return err
-		}
-	}
-
-	var srv *mitos.IntrospectionServer
-	if seq {
-		if traceFile != "" || metrics || httpAddr != "" {
-			fmt.Fprintln(os.Stderr, "mitos-run: note: -trace, -metrics and -http observe the distributed engine; ignored with -seq")
-		}
-		if err := prog.RunSequential(st); err != nil {
-			return err
-		}
-		fmt.Println("sequential run complete")
-	} else {
-		var observer *mitos.Observer
-		if traceFile != "" {
-			observer = mitos.NewTracingObserver()
-		} else if metrics || httpAddr != "" {
-			observer = mitos.NewObserver()
-		}
-		if httpAddr != "" {
-			observer.EnableLineage()
-			srv, err = mitos.ServeIntrospection(httpAddr, observer)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Printf("introspection server listening on http://%s\n", srv.Addr())
-		}
-		res, err := prog.Run(st, mitos.Config{
-			Machines:          machines,
-			Parallelism:       parallelism,
-			DisablePipelining: noPipe,
-			DisableHoisting:   noHoist,
-			Observer:          observer,
-			HTTP:              srv,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("run complete: %d basic-block visits, %v, %d elements transferred\n",
-			res.Steps, res.Duration.Round(0), res.ElementsSent)
-		if res.CriticalPath != nil {
-			fmt.Print(res.CriticalPath.String())
-		}
-		if traceFile != "" {
-			f, err := os.Create(traceFile)
-			if err != nil {
-				return err
-			}
-			err = mitos.WriteTrace(observer, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote trace to %s (open in chrome://tracing or Perfetto)\n", traceFile)
-		}
-		if metrics {
-			fmt.Print(res.Report.String())
-		}
-	}
-
-	if outDir != "" {
-		if err := writeOutDir(st, outDir); err != nil {
-			return err
-		}
-	}
-
-	if srv != nil {
-		fmt.Printf("serving introspection on http://%s until interrupted (Ctrl-C)\n", srv.Addr())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-	}
-	return nil
+	return err
 }

@@ -354,14 +354,11 @@ func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, 
 
 // beginDeltaMerge prepares one step's run: the candidate fold table, kept
 // from step to step, and — on this instance's first step only — the seed
-// fold table. Later steps skip the seed slot entirely (its selected bag stays
-// buffered; retire recycles it as the input position advances).
+// fold table. Later steps take the seed slot as a whole bag (slotUse): they
+// wait for its end-of-bags and never read its elements.
 func (h *host) beginDeltaMerge(run *outputRun) {
 	run.hash = keyedTable(h.op, run.hash)
-	if h.state.isSeeded() {
-		run.slotDone[0] = true
-		h.seedStale = true
-	} else {
+	if !h.state.isSeeded() {
 		run.seedHash = val.NewMap[val.Value](0)
 	}
 }

@@ -167,11 +167,12 @@ func BenchmarkHostLoopStep(b *testing.B) {
 
 // TestDeltaSlotsUnderTheFrontier replays the two input slots of the
 // connected-components iteration (ccSrc) that do not follow the common
-// pattern. The deltaMerge's seed slot is skipped undrained once the state is
-// seeded (seedStale, the one carve-out from the strict low-water check): its
-// first bag must survive until the first step has read it, and its later
-// bags, arriving behind the low-water mark, are dropped without an error —
-// on that slot only. The solution() after the loop selects the last step.
+// pattern. Once the deltaMerge's state is seeded, a step takes its seed slot
+// as a whole bag: it waits for the seed bag's end-of-bags and never reads its
+// elements, so the first seed bag survives until the first step has read it,
+// the low-water mark passes only complete seed bags, and a seed element
+// below the mark is the same protocol error as on any other slot. The
+// solution() after the loop selects the last step.
 func TestDeltaSlotsUnderTheFrontier(t *testing.T) {
 	minUDF := mustUDF(t, lang.Fn2("a", "b", lang.CallFn("min", lang.Var("a"), lang.Var("b"))))
 	sink := &collector{}
@@ -182,8 +183,8 @@ func TestDeltaSlotsUnderTheFrontier(t *testing.T) {
 	feed(t, h, 0, 2, pair(1, 10), pair(2, 20))
 	eob(t, h, 0, 2)
 	visit(t, h, 1) // the path runs a step ahead of the first merge
-	if h.cur == nil || h.cur.pos != 2 || h.seedStale {
-		t.Fatalf("first step is not the live output")
+	if h.cur == nil || h.cur.pos != 2 || h.slotUse(h.cur, 0) != slotStreams {
+		t.Fatalf("first step is not the live output streaming its seed")
 	}
 	// Only changes are emitted: (2, 30) changes nothing if the seed was read.
 	feed(t, h, 1, 2, pair(2, 30), pair(3, 7))
@@ -191,8 +192,8 @@ func TestDeltaSlotsUnderTheFrontier(t *testing.T) {
 	if want := []val.Value{pair(3, 7)}; !bag.Equal(sink.bags[2], want) {
 		t.Fatalf("first step emitted %v, want %v: the seed bag did not survive to its reader", sink.bags[2], want)
 	}
-	if h.cur == nil || h.cur.pos != 3 || !h.seedStale {
-		t.Fatalf("second step did not start with the seed slot skipped")
+	if h.cur == nil || h.cur.pos != 3 || h.slotUse(h.cur, 0) != slotWhole {
+		t.Fatalf("second step did not start with the seed slot taken whole")
 	}
 	for pos := 3; pos <= 5; pos++ {
 		if pos > 3 {
@@ -200,22 +201,33 @@ func TestDeltaSlotsUnderTheFrontier(t *testing.T) {
 		}
 		feed(t, h, 1, pos, pair(1, 10-pos))
 		eob(t, h, 1, pos)
+		if h.cur == nil || h.cur.pos != pos {
+			t.Fatalf("step %d finished before its seed bag's end-of-bags", pos)
+		}
+		if low := h.inbufs[0].lowWater; low != pos-1 {
+			t.Fatalf("step %d: seed slot lowWater = %d, want %d: the mark passed an incomplete bag", pos, low, pos-1)
+		}
+		// A seed element of a seeded step is never read: (9, 9) would be
+		// a change.
+		feed(t, h, 0, pos, pair(9, 9))
+		eob(t, h, 0, pos)
 	}
-	// The seed producer's bags for the skipped steps trail in late.
 	if low := h.inbufs[0].lowWater; low != 5 {
 		t.Fatalf("seed slot lowWater = %d, want 5", low)
 	}
 	for pos := 3; pos <= 5; pos++ {
-		feed(t, h, 0, pos, pair(9, 9))
-		eob(t, h, 0, pos)
-	}
-	if got := sink.bags[5]; !bag.Equal(got, []val.Value{pair(1, 5)}) {
-		t.Errorf("step 5 emitted %v, want [(1, 5)]", got)
+		if got, want := sink.bags[pos], []val.Value{pair(1, 10-pos)}; !bag.Equal(got, want) {
+			t.Errorf("step %d emitted %v, want %v", pos, got, want)
+		}
 	}
 	if h.held > 2 {
 		t.Errorf("%d bags buffered after 4 steps", h.held)
 	}
-	// The carve-out is the seed slot's alone.
+	// No slot forgives a late arrival, the seed slot included.
+	late := []Element{{Tag: 4, Val: pair(9, 9)}}
+	if err := h.OnBatch(0, 0, late); err == nil || !strings.Contains(err.Error(), "element for GCed bag at 4") {
+		t.Errorf("late element on the seed slot: err = %v, want the GCed-bag error", err)
+	}
 	if err := h.OnEOB(1, 0, 3); err == nil || !strings.Contains(err.Error(), "EOB for GCed bag at 3") {
 		t.Errorf("late end-of-bag on the delta slot: err = %v, want the GCed-bag error", err)
 	}

@@ -86,11 +86,6 @@ type host struct {
 	// for undo-journal GC.
 	state      *solutionStore
 	readerSlot int
-	// seedStale is set once a deltaMerge's state is seeded: steps from then
-	// on skip the seed slot without draining it, so its producer's bags can
-	// arrive after the low-water GC has already passed them — expected
-	// garbage on this one slot, a protocol violation anywhere else.
-	seedStale bool
 
 	// Observability handles; nil (no-op) unless the run has an observer.
 	trc        *obs.Tracer
@@ -389,9 +384,6 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 			continue
 		}
 		if pos < buf.lowWater {
-			if h.seedStale && input == 0 {
-				continue
-			}
 			return fmt.Errorf("core: %s input %d: element for GCed bag at %d (lowWater %d)", h.op.Instr.Var, input, pos, buf.lowWater)
 		}
 		if buf.discard {
@@ -423,9 +415,6 @@ func (h *host) OnEOB(input, from int, tag dataflow.Tag) error {
 	buf := &h.inbufs[input]
 	pos := int(tag)
 	if pos < buf.lowWater {
-		if h.seedStale && input == 0 {
-			return h.progress()
-		}
 		return fmt.Errorf("core: %s input %d: EOB for GCed bag at %d", h.op.Instr.Var, input, pos)
 	}
 	b := h.bagAt(input, pos)

@@ -98,6 +98,13 @@ func (h *host) slotUse(run *outputRun, i int) slotUse {
 		if i == 0 {
 			return slotWhole // the data; slot 1 is the file name
 		}
+	case ir.OpDeltaMerge:
+		// Once the state is seeded (no seed table), a step only waits for
+		// its seed bag to complete, so the low-water mark passes no bag
+		// still in flight. A combiner clones the kind but has no seed.
+		if i == 0 && run.seedHash == nil && h.op.Synth == SynthNone {
+			return slotWhole
+		}
 	}
 	return slotStreams
 }

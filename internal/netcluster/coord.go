@@ -596,7 +596,14 @@ func (s *session) readWorker(w *workerConn) {
 		w.lastBeat.Store(time.Now().UnixNano())
 		switch typ {
 		case MsgReady:
-			s.readyc <- w.id
+			// readyc holds one Ready per worker; a worker sending more is
+			// broken, and blocking here would wedge shutdown.
+			select {
+			case s.readyc <- w.id:
+			default:
+				s.fail(fmt.Errorf("netcluster: worker %d (%s): surplus ready", w.id, w.addr))
+				return
+			}
 		case MsgHeartbeat:
 		case MsgEvent:
 			ev, err := DecodeEvent(body)
@@ -678,10 +685,7 @@ func (s *session) readWorker(w *workerConn) {
 // before the first telemetry frames arrive).
 func (s *session) monitor() {
 	defer s.wg.Done()
-	tick := s.cfg.HeartbeatTimeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
+	tick := max(s.cfg.HeartbeatTimeout/4, time.Millisecond)
 	s.sendPings()
 	t := time.NewTicker(tick)
 	defer t.Stop()

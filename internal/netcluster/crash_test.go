@@ -341,6 +341,82 @@ func TestHeartbeatTimeout(t *testing.T) {
 	t.Fatal("silent worker never triggered the heartbeat timeout")
 }
 
+// TestSurplusReadyFailsSession: a fake worker registers, sends its Ready,
+// and once the session is up sends Workers+1 more. The coordinator holds
+// only one Ready per worker, so the surplus must fail the session naming
+// the worker instead of parking its reader, and Close must return.
+func TestSurplusReadyFailsSession(t *testing.T) {
+	const workers = 1
+	ln := listenLoopback(t)
+	up := make(chan struct{})
+	fakeDone := make(chan error, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			fakeDone <- err
+			return
+		}
+		defer conn.Close()
+		if err := WriteMsg(conn, MsgHello, AppendHello(nil, Hello{Role: RoleWorker})); err != nil {
+			fakeDone <- err
+			return
+		}
+		if err := WriteMsg(conn, MsgRegister, AppendRegister(nil, Register{DataAddr: "127.0.0.1:1"})); err != nil {
+			fakeDone <- err
+			return
+		}
+		typ, _, _, err := ReadMsg(conn, nil)
+		if err != nil || typ != MsgAssign {
+			fakeDone <- fmt.Errorf("expected assign, got %#x err %v", typ, err)
+			return
+		}
+		for i := 0; i < workers+2; i++ {
+			if i == 1 {
+				<-up
+			}
+			if err := WriteMsg(conn, MsgReady, []byte{0}); err != nil {
+				fakeDone <- err
+				return
+			}
+		}
+		fakeDone <- nil
+		var rbuf []byte
+		for {
+			_, _, nbuf, err := ReadMsg(conn, rbuf)
+			if err != nil {
+				return
+			}
+			rbuf = nbuf
+		}
+	}()
+
+	c, err := Listen(CoordConfig{Listener: ln, Workers: workers})
+	close(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fakeDone; err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "worker 0") || !strings.Contains(err.Error(), "surplus ready") {
+		t.Errorf("session error = %v, want worker 0's surplus ready", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a worker that sent a surplus Ready")
+	}
+}
+
 // TestWorkerCrashBeforeJob: the session is up, a worker dies while idle,
 // and the next Run must fail fast instead of hanging.
 func TestWorkerCrashBeforeJob(t *testing.T) {

@@ -37,15 +37,15 @@ type WorkerConfig struct {
 	// old machine ID (and partition placement) back. ServeLoop fills in a
 	// process-stable default when empty.
 	Name string
-	// QuiesceTimeout bounds the end-of-job flush-token exchange
-	// (default 30s).
-	QuiesceTimeout time.Duration
 	// TraceBuffer bounds the in-memory trace-event buffer between
 	// telemetry shipments (default 16384 events). Overflowing events are
 	// dropped and counted, never allowed to grow the worker's memory or
 	// stall its data plane.
 	TraceBuffer int
 }
+
+// quiesceTimeout bounds the end-of-job flush-token exchange.
+const quiesceTimeout = 30 * time.Second
 
 // defaultTraceBuffer bounds a worker's trace buffer between telemetry
 // shipments. At the default 250ms heartbeat cadence this absorbs ~65k
@@ -63,9 +63,6 @@ const traceChunk = 4096
 func Serve(cfg WorkerConfig, stop <-chan struct{}) error {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.QuiesceTimeout <= 0 {
-		cfg.QuiesceTimeout = 30 * time.Second
 	}
 	conn, err := net.DialTimeout("tcp", cfg.Coord, handshakeTimeout)
 	if err != nil {
@@ -694,7 +691,7 @@ func (s *workerSession) finishJob() ([]byte, error) {
 		return nil, fmt.Errorf("netcluster: worker %d: finish with no job running", s.id)
 	}
 	s.mesh.sendFlush()
-	if err := s.mesh.awaitFlush(s.cfg.QuiesceTimeout); err != nil {
+	if err := s.mesh.awaitFlush(quiesceTimeout); err != nil {
 		return nil, err
 	}
 	rj.wj.Job.Stop(nil)
