@@ -6,9 +6,10 @@
 // iterations pay a per-superstep barrier, and Mitos pays only asynchronous
 // control-flow broadcasts that overlap with computation. This package makes
 // those costs real, as slept delays measured by the benchmarks, not
-// computed. Every machine runs a scheduler goroutine, which serves only job
-// launches, stage waves and barriers: those requests queue machine by
-// machine. A control message is charged inline, on its sender's goroutine
+// computed. Every machine is a lock: a job launch, stage wave or barrier
+// sleeps its per-machine cost on the caller's goroutine while holding that
+// machine's lock, so concurrent requests queue machine by machine. A
+// control message is charged inline, on its sender's goroutine
 // (CtrlSleepBytes), so it overlaps with data processing. Data crosses
 // machines through the dataflow loopback (internal/dataflow/transport.go),
 // whose per-link sender goroutines charge each frame through NetSleepBytes;
@@ -77,18 +78,20 @@ func FastConfig(machines int) Config {
 	return Config{Machines: machines}
 }
 
-type schedReq struct {
-	delay time.Duration
-	done  chan struct{}
+// machine is one simulated machine: the lock its scheduling requests queue
+// on, and how many are queued or being served.
+type machine struct {
+	mu    sync.Mutex
+	depth atomic.Int64
+	gauge *obs.Gauge // schedq_depth; nil (no-op) until SetObserver
 }
 
-// Cluster is a running simulated cluster. Create with New, release with
-// Close.
+// Cluster is a simulated cluster. Create with New; after Close it charges
+// no scheduler delay.
 type Cluster struct {
-	cfg    Config
-	scheds []chan schedReq
-	schedq []atomic.Int64 // per-machine queued-request depth
-	wg     sync.WaitGroup
+	cfg      Config
+	machines []machine
+	closed   atomic.Bool
 
 	jobsLaunched    atomic.Int64
 	tasksDispatched atomic.Int64
@@ -98,10 +101,7 @@ type Cluster struct {
 	netBatches      atomic.Int64
 	netBytes        atomic.Int64
 
-	// Observability handles; nil (no-op) until SetObserver. The per-machine
-	// scheduler-queue gauges are read by scheduler goroutines, which only
-	// touch them after receiving a request sent after SetObserver — the
-	// channel transfer orders the writes.
+	// Observability handles; nil (no-op) until SetObserver.
 	trc          *obs.Tracer
 	obsLaunches  *obs.Counter
 	obsTasks     *obs.Counter
@@ -110,13 +110,6 @@ type Cluster struct {
 	obsCtrlBytes *obs.Counter
 	launchHist   *obs.Histogram
 	barrierHist  *obs.Histogram
-	obsSchedQ    []*obs.Gauge
-
-	// mu guards closed. dispatch holds the read side across its channel
-	// send so that Close (write side) cannot close a scheduler channel
-	// between the closed-check and the send.
-	mu     sync.RWMutex
-	closed bool
 }
 
 // Stats counts coordination events, exposed for tests and the benchmark
@@ -135,48 +128,18 @@ type Stats struct {
 	NetBytes   int64
 }
 
-// New starts the per-machine scheduler goroutines.
+// New returns a cluster of cfg.Machines idle machines. It starts no
+// goroutine.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Machines <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one machine, got %d", cfg.Machines)
 	}
-	c := &Cluster{
-		cfg:       cfg,
-		scheds:    make([]chan schedReq, cfg.Machines),
-		schedq:    make([]atomic.Int64, cfg.Machines),
-		obsSchedQ: make([]*obs.Gauge, cfg.Machines),
-	}
-	for i := range c.scheds {
-		ch := make(chan schedReq, 64)
-		c.scheds[i] = ch
-		c.wg.Add(1)
-		go func(m int) {
-			defer c.wg.Done()
-			for req := range ch {
-				simtime.Sleep(req.delay)
-				c.obsSchedQ[m].Set(c.schedq[m].Add(-1))
-				close(req.done)
-			}
-		}(i)
-	}
-	return c, nil
+	return &Cluster{cfg: cfg, machines: make([]machine, cfg.Machines)}, nil
 }
 
-// Close stops the scheduler goroutines. The cluster must not be used
-// afterwards.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
-	for _, ch := range c.scheds {
-		close(ch)
-	}
-	c.wg.Wait()
-}
+// Close retires the cluster: coordination afterwards charges no scheduler
+// delay. Idempotent.
+func (c *Cluster) Close() { c.closed.Store(true) }
 
 // SetObserver attaches an observer to the cluster's coordination paths
 // (job launches, barriers, control messages). Call before running jobs; a
@@ -191,8 +154,8 @@ func (c *Cluster) SetObserver(o *obs.Observer) {
 	c.obsCtrlBytes = reg.Counter(obs.MachineDriver, "cluster", "ctrl_bytes")
 	c.launchHist = reg.Histogram(obs.MachineDriver, "cluster", "job_launch")
 	c.barrierHist = reg.Histogram(obs.MachineDriver, "cluster", "barrier")
-	for m := range c.obsSchedQ {
-		c.obsSchedQ[m] = reg.Gauge(m, "cluster", "schedq_depth")
+	for m := range c.machines {
+		c.machines[m].gauge = reg.Gauge(m, "cluster", "schedq_depth")
 	}
 	c.trc.NameProcess(c.DriverPID(), "driver")
 }
@@ -203,9 +166,6 @@ func (c *Cluster) DriverPID() int { return c.cfg.Machines }
 
 // Machines returns the number of simulated machines.
 func (c *Cluster) Machines() int { return c.cfg.Machines }
-
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the coordination counters.
 func (c *Cluster) Stats() Stats {
@@ -225,20 +185,19 @@ func (c *Cluster) Place(instance int) int {
 	return instance % c.cfg.Machines
 }
 
-// dispatch sends one request to machine m and waits for completion. A
-// dispatch racing Close is a no-op: the closed flag is checked (and the
-// send performed) under the read lock Close excludes.
-func (c *Cluster) dispatch(m int, delay time.Duration) {
-	done := make(chan struct{})
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
+// dispatch charges machine m one request of cost d: it queues on m's lock
+// and sleeps d holding it, on the caller's goroutine. After Close it is a
+// no-op.
+func (c *Cluster) dispatch(m int, d time.Duration) {
+	if c.closed.Load() {
 		return
 	}
-	c.obsSchedQ[m].Set(c.schedq[m].Add(1))
-	c.scheds[m] <- schedReq{delay: delay, done: done}
-	c.mu.RUnlock()
-	<-done
+	mc := &c.machines[m]
+	mc.gauge.Set(mc.depth.Add(1))
+	mc.mu.Lock()
+	simtime.Sleep(d)
+	mc.gauge.Set(mc.depth.Add(-1))
+	mc.mu.Unlock()
 }
 
 // LaunchJob models driver-side job submission: the driver plans the job
@@ -322,12 +281,6 @@ func nowIf(h *obs.Histogram) time.Time {
 	return time.Now()
 }
 
-// NetSleep models the latency of one cross-machine data batch whose size
-// is unknown (or irrelevant): it charges NetDelay only.
-func (c *Cluster) NetSleep() {
-	c.NetSleepBytes(0)
-}
-
 // NetSleepBytes models the cost of one cross-machine data batch of n
 // encoded bytes: NetDelay plus the bandwidth term n/Bandwidth. The
 // dataflow transport's sender goroutines call it off the emit hot path;
@@ -340,9 +293,4 @@ func (c *Cluster) NetSleepBytes(n int) {
 	c.netBatches.Add(1)
 	c.netBytes.Add(int64(n))
 	simtime.Sleep(d)
-}
-
-// Remote reports whether two instances are placed on different machines.
-func (c *Cluster) Remote(instA, instB int) bool {
-	return c.Place(instA) != c.Place(instB)
 }

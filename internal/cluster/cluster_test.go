@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,6 @@ func TestCountersAndPlacement(t *testing.T) {
 	cl.Barrier()
 	cl.Barrier()
 	cl.CtrlSleep()
-	cl.NetSleep()
 	st := cl.Stats()
 	if st.JobsLaunched != 1 {
 		t.Errorf("jobs = %d", st.JobsLaunched)
@@ -49,9 +49,6 @@ func TestCountersAndPlacement(t *testing.T) {
 	}
 	if cl.Machines() != 4 || cl.Place(6) != 2 {
 		t.Error("placement broken")
-	}
-	if !cl.Remote(0, 1) || cl.Remote(1, 5) {
-		t.Error("Remote broken")
 	}
 }
 
@@ -82,21 +79,49 @@ func TestLaunchCostGrowsWithMachines(t *testing.T) {
 	}
 }
 
-func TestConfigAccessor(t *testing.T) {
-	cfg := DefaultConfig(5)
+// TestNewStartsNoGoroutine pins that a simulated machine is a lock, not a
+// scheduler goroutine: New+Close starts no goroutine and allocates only the
+// cluster and its machines.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cl, err := New(DefaultConfig(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines of earlier tests may still be exiting, so only a rise counts.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("New started %d goroutines", n-before)
+	}
+	cl.Close()
+	allocs := testing.AllocsPerRun(100, func() {
+		cl, _ := New(DefaultConfig(9))
+		cl.Close()
+	})
+	if allocs > 3 {
+		t.Errorf("New+Close allocates %v objects, want <= 3", allocs)
+	}
+}
+
+// TestCloseAfterwardChargesNothing: coordination after Close charges no
+// scheduler delay, whatever the configured costs.
+func TestCloseAfterwardChargesNothing(t *testing.T) {
+	cfg := FastConfig(4)
+	cfg.SchedDelay, cfg.BarrierDelay = time.Second, time.Second
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if cl.Config().Machines != 5 || cl.Config().SchedDelay != cfg.SchedDelay {
-		t.Error("Config roundtrip broken")
+	cl.Close()
+	start := time.Now()
+	cl.ScheduleStage()
+	cl.Barrier()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("coordination after Close took %v", d)
 	}
 }
 
-// TestCloseRace checks that coordination calls racing Close are no-ops
-// rather than "send on closed channel" panics: the closed flag is checked
-// under the lock that Close holds while closing the scheduler channels.
+// TestCloseRace checks that coordination calls racing Close neither panic
+// nor race: each either charges its delays or, once Close is seen, none.
 func TestCloseRace(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cl, err := New(FastConfig(3))
@@ -148,7 +173,7 @@ func TestNetSleepBytes(t *testing.T) {
 	if elapsed < wantMin {
 		t.Errorf("NetSleepBytes(%d) took %v, want >= bandwidth term %v", n, elapsed, wantMin)
 	}
-	cl.NetSleep() // latency-only path still counts a batch
+	cl.NetSleepBytes(0) // latency-only path still counts a batch
 	st := cl.Stats()
 	if st.NetBatches != 2 {
 		t.Errorf("NetBatches = %d, want 2", st.NetBatches)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -412,10 +411,9 @@ func (h *host) finishReadFile(run *outputRun) error {
 	if name.Kind() != val.KindString {
 		return fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
 	}
-	// This instance reads its partition: in place from a partitioned reader
-	// (internal/store, internal/dfs, a TCP worker's shipped input), else as
-	// the stride over the whole dataset. An emit error is returned as is; a
-	// read error names the operator.
+	// This instance reads its partition in place from the store
+	// (internal/store, internal/dfs, a TCP worker's shipped input). An emit
+	// error is returned as is; a read error names the operator.
 	if h.readEmit == nil {
 		h.readEmit = func(e val.Value) error {
 			h.readErr = h.emit(h.readRun, e)
@@ -423,15 +421,7 @@ func (h *host) finishReadFile(run *outputRun) error {
 		}
 	}
 	h.readRun, h.readErr = run, nil
-	var err error
-	if pr, ok := h.rt.store.(store.PartitionedReader); ok {
-		err = pr.ReadPartition(name.AsStr(), h.inst, h.op.Par, &h.slab, h.readEmit)
-	} else {
-		var elems []val.Value
-		if elems, err = h.rt.store.ReadDataset(name.AsStr()); err == nil {
-			err = store.ReadStride(elems, h.inst, h.op.Par, h.readEmit)
-		}
-	}
+	err := h.rt.store.ReadPartition(name.AsStr(), h.inst, h.op.Par, &h.slab, h.readEmit)
 	h.readRun = nil
 	if h.readErr != nil {
 		return h.readErr

@@ -521,6 +521,9 @@ func TestHostRereadAndStream(t *testing.T) {
 type keepStore struct{ sets map[string][]val.Value }
 
 func (s *keepStore) ReadDataset(name string) ([]val.Value, error) { return s.sets[name], nil }
+func (s *keepStore) ReadPartition(name string, part, parts int, _ *val.Slab, fn func(val.Value) error) error {
+	return store.ReadStride(s.sets[name], part, parts, fn)
+}
 func (s *keepStore) WriteDataset(name string, elems []val.Value) error {
 	s.sets[name] = elems
 	return nil

@@ -364,7 +364,7 @@ func TestClusterOverheads(t *testing.T) {
 	if st.JobsLaunched != 1 || st.TasksDispatched != 4 || st.Barriers != 1 || st.CtrlMessages != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if cl.Place(5) != 1 || !cl.Remote(0, 1) || cl.Remote(0, 4) {
+	if cl.Place(5) != 1 || cl.Place(4) != 0 {
 		t.Error("placement helpers broken")
 	}
 	if _, err := cluster.New(cluster.Config{}); err == nil {

@@ -28,8 +28,8 @@ type Config struct {
 	OpenDelay time.Duration
 }
 
-// Store is a block-based dataset store. It implements store.Store and
-// store.PartitionedReader. Safe for concurrent use.
+// Store is a block-based dataset store. It implements store.Store. Safe for
+// concurrent use.
 type Store struct {
 	cfg Config
 
@@ -163,7 +163,7 @@ func (s *Store) ReadDatasetPartition(name string, part, parts int) ([]val.Value,
 	return slices.Concat(mine...), nil
 }
 
-// ReadPartition implements store.PartitionedReader: it hands fn the elements
+// ReadPartition implements store.Store: it hands fn the elements
 // of partition part of parts in place, block by block. The slab is unused —
 // the store keeps values, not encodings.
 func (s *Store) ReadPartition(name string, part, parts int, _ *val.Slab, fn func(val.Value) error) error {

@@ -64,6 +64,9 @@ func measureTCP(o Options, source string, seed func(store.Store) error, workers 
 	// (per-worker queue depths and link counters shipped over the wire),
 	// so mitos-bench -http shows the TCP cells live too.
 	var cell Cell
+	// The socket, credit and control counters of a Result are the session's
+	// totals; a rep's share is the difference from the previous rep's.
+	var prev netcluster.Result
 	for i := 0; i < o.reps(); i++ {
 		res, err := runTCPOnce(c, source, seed, opts)
 		if err != nil {
@@ -74,15 +77,16 @@ func measureTCP(o Options, source string, seed func(store.Store) error, workers 
 			"steps":                   int64(res.Steps),
 			"remote_batches":          res.Job.RemoteBatches,
 			"payload_bytes":           res.Job.BytesSent,
-			"socket_bytes":            res.SocketBytes,
-			"credit_stalls":           res.CreditStalls,
-			"credit_stall_usec":       res.CreditStallTime.Microseconds(),
+			"socket_bytes":            res.SocketBytes - prev.SocketBytes,
+			"credit_stalls":           res.CreditStalls - prev.CreditStalls,
+			"credit_stall_usec":       (res.CreditStallTime - prev.CreditStallTime).Microseconds(),
 			"attempts":                int64(res.Attempts),
-			"ctrl_messages":           res.CtrlMessages,
-			"ctrl_bytes":              res.CtrlBytes,
+			"ctrl_messages":           res.CtrlMessages - prev.CtrlMessages,
+			"ctrl_bytes":              res.CtrlBytes - prev.CtrlBytes,
 			"template_installs":       int64(res.TemplateInstalls),
 			"template_instantiations": int64(res.TemplateInstantiations),
 		}
+		prev = *res
 	}
 	var total float64
 	for _, r := range cell.Reps {

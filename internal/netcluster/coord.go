@@ -240,6 +240,9 @@ type session struct {
 	// excluding setup (Assign/Job) and liveness (Heartbeat/Ready) messages.
 	ctrlMsgs  atomic.Int64
 	ctrlBytes atomic.Int64
+
+	// The session's counters as of its previous job's report (see report).
+	reported Result
 }
 
 // countCtrl records control frames of body size n sent to (or received
@@ -854,33 +857,11 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 	}
 	names := st.Names()
 	sort.Strings(names)
-	pr, ok := st.(store.PartitionedReader)
-	if !ok {
-		var err error
-		if pr, err = readWhole(st, names); err != nil {
-			return nil, err
-		}
-	}
-	specs, err := encodeSpecs(specFromOptions(source, opts, nil), pr, names, c.cfg.Workers, opts.Parallelism)
+	specs, err := encodeSpecs(specFromOptions(source, opts, nil), st, names, c.cfg.Workers, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	return &preparedJob{plan: plan, opts: opts, specs: specs}, nil
-}
-
-// readWhole is the shipment's fallback for a store that is no
-// store.PartitionedReader: it reads each named dataset whole, once, into a
-// MemStore that is one.
-func readWhole(st store.Store, names []string) (*store.MemStore, error) {
-	mem := store.NewMemStore()
-	for _, name := range names {
-		elems, err := st.ReadDataset(name)
-		if err != nil {
-			return nil, fmt.Errorf("netcluster: reading input dataset %q: %w", name, err)
-		}
-		mem.WriteDataset(name, elems)
-	}
-	return mem, nil
 }
 
 // encodeSpecs encodes spec once per worker, each carrying the worker's share
@@ -893,7 +874,7 @@ func readWhole(st store.Store, names []string) (*store.MemStore, error) {
 // spec is allocated once at its final size with room left for every
 // partition it hosts, and the second encodes each element into its
 // partition's room.
-func encodeSpecs(spec JobSpec, st store.PartitionedReader, names []string, workers, parts int) ([][]byte, error) {
+func encodeSpecs(spec JobSpec, st store.Store, names []string, workers, parts int) ([][]byte, error) {
 	var hdr enc
 	appendJobHeader(&hdr, spec)
 	// Per part p of dataset k, at k*parts+p: its element count, their encoded
@@ -1137,20 +1118,30 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 			}
 		}
 	}
-	if job.opts.Obs != nil {
-		reg := job.opts.Obs.Reg()
-		reg.Counter(obs.MachineDriver, "netcluster", "ctrl_messages").Add(out.CtrlMessages)
-		reg.Counter(obs.MachineDriver, "netcluster", "ctrl_bytes").Add(out.CtrlBytes)
-		for id, links := range out.PeerLinks {
-			for _, p := range links {
-				reg.Counter(id, "netcluster", "socket_bytes_out").Add(p.BytesOut)
-				reg.Counter(id, "netcluster", "socket_bytes_in").Add(p.BytesIn)
-				reg.Counter(id, "netcluster", "credit_stalls").Add(p.CreditStalls)
-				reg.Counter(id, "netcluster", "credit_stall_nanos").Add(p.StallNanos)
+	s.report(job.opts.Obs.Reg(), out)
+	return out, nil
+}
+
+// report adds a job's share of the session's counters to reg (nil records
+// nothing): out's totals, which accumulate over the session's jobs, less
+// those of the previous report, which report then replaces with out's.
+func (s *session) report(reg *obs.Registry, out *Result) {
+	prev := &s.reported
+	reg.Counter(obs.MachineDriver, "netcluster", "ctrl_messages").Add(out.CtrlMessages - prev.CtrlMessages)
+	reg.Counter(obs.MachineDriver, "netcluster", "ctrl_bytes").Add(out.CtrlBytes - prev.CtrlBytes)
+	for id, links := range out.PeerLinks {
+		for j, p := range links {
+			var q PeerStat // a peer link's counters start at zero
+			if id < len(prev.PeerLinks) && j < len(prev.PeerLinks[id]) {
+				q = prev.PeerLinks[id][j]
 			}
+			reg.Counter(id, "netcluster", "socket_bytes_out").Add(p.BytesOut - q.BytesOut)
+			reg.Counter(id, "netcluster", "socket_bytes_in").Add(p.BytesIn - q.BytesIn)
+			reg.Counter(id, "netcluster", "credit_stalls").Add(p.CreditStalls - q.CreditStalls)
+			reg.Counter(id, "netcluster", "credit_stall_nanos").Add(p.StallNanos - q.StallNanos)
 		}
 	}
-	return out, nil
+	s.reported = Result{CtrlMessages: out.CtrlMessages, CtrlBytes: out.CtrlBytes, PeerLinks: out.PeerLinks}
 }
 
 // FederatedSnapshot returns the cluster-wide merged metrics snapshot: the

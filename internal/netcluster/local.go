@@ -51,12 +51,25 @@ func (w *localWorker) Kill() {
 	}
 }
 
-func (w *localWorker) arm() chan struct{} {
-	k := make(chan struct{})
+// serve is one attempt of the worker's redial loop: it arms the kill
+// switch, then serves with a stop that closes on the loop's stop or on
+// Kill, so either unwinds Serve like a dying process.
+func (w *localWorker) serve(cfg WorkerConfig, stop <-chan struct{}) error {
+	kill := make(chan struct{})
 	w.mu.Lock()
-	w.kill = k
+	w.kill = kill
 	w.mu.Unlock()
-	return k
+	attemptStop, served := make(chan struct{}), make(chan struct{})
+	go func() {
+		select {
+		case <-stop:
+		case <-kill:
+		case <-served:
+		}
+		close(attemptStop)
+	}()
+	defer close(served)
+	return Serve(cfg, attemptStop)
 }
 
 // startLocalWorkers builds the in-process cluster and hands back the
@@ -84,53 +97,7 @@ func startLocalWorkers(n int, cfg CoordConfig) (*Coordinator, []*localWorker, fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			delay := localRedial.Base
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// One attempt's stop fires on the shared stop or on this
-				// worker's kill switch; either way Serve unwinds like a
-				// dying process (connections close mid-stream).
-				kill := w.arm()
-				attemptStop := make(chan struct{})
-				var once sync.Once
-				abort := func() { once.Do(func() { close(attemptStop) }) }
-				go func() {
-					select {
-					case <-stop:
-						abort()
-					case <-kill:
-						abort()
-					case <-attemptStop:
-					}
-				}()
-				began := time.Now()
-				err := Serve(WorkerConfig{Coord: addr, Name: w.name}, attemptStop)
-				abort()
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err == nil || time.Since(began) > localRedial.Max {
-					delay = localRedial.Base
-				}
-				t := time.NewTimer(jitter(delay))
-				select {
-				case <-t.C:
-				case <-stop:
-					t.Stop()
-					return
-				}
-				if err != nil {
-					if delay *= 2; delay > localRedial.Max {
-						delay = localRedial.Max
-					}
-				}
-			}
+			serveLoop(WorkerConfig{Coord: addr, Name: w.name}, localRedial, stop, w.serve)
 		}()
 	}
 	c, err := Listen(cfg)

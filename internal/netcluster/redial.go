@@ -77,12 +77,13 @@ func jitter(d time.Duration) time.Duration {
 // generated once, so redials within one loop always present the same
 // name and regain the same machine ID.
 func ServeLoop(cfg WorkerConfig, rd RedialConfig, stop <-chan struct{}) error {
-	return serveLoop(cfg, rd, stop, nil)
+	return serveLoop(cfg, rd, stop, Serve)
 }
 
-// serveLoop is ServeLoop with a per-attempt notification hook for tests
-// that count dial attempts over a window.
-func serveLoop(cfg WorkerConfig, rd RedialConfig, stop <-chan struct{}, onAttempt func(err error)) error {
+// serveLoop is ServeLoop with the attempt made pluggable: serve runs one
+// session until it ends or its stop closes. An in-process worker serves
+// with a stop that a kill switch can also close.
+func serveLoop(cfg WorkerConfig, rd RedialConfig, stop <-chan struct{}, serve func(WorkerConfig, <-chan struct{}) error) error {
 	rd.defaults()
 	if cfg.Name == "" {
 		cfg.Name = defaultWorkerName()
@@ -95,10 +96,7 @@ func serveLoop(cfg WorkerConfig, rd RedialConfig, stop <-chan struct{}, onAttemp
 		default:
 		}
 		began := time.Now()
-		err := Serve(cfg, stop)
-		if onAttempt != nil {
-			onAttempt(err)
-		}
+		err := serve(cfg, stop)
 		select {
 		case <-stop:
 			return nil

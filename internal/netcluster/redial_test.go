@@ -31,7 +31,10 @@ func TestRedialBackoffBoundsDialRate(t *testing.T) {
 		serveLoop(WorkerConfig{Coord: addr}, RedialConfig{
 			Base: 20 * time.Millisecond,
 			Max:  150 * time.Millisecond,
-		}, stop, func(error) { attempts.Add(1) })
+		}, stop, func(cfg WorkerConfig, stop <-chan struct{}) error {
+			attempts.Add(1)
+			return Serve(cfg, stop)
+		})
 	}()
 
 	const window = 1200 * time.Millisecond

@@ -98,8 +98,7 @@ func TestInputShipmentByPartition(t *testing.T) {
 
 // TestPrepareSpecsIndependentOfStore pins that a spec's partitions are
 // element strides whatever keeps the input: a dfs store, whose own partitions
-// are blocks, and a store that only reads datasets whole must both ship the
-// MemStore's bytes.
+// are blocks, must ship the MemStore's bytes.
 func TestPrepareSpecsIndependentOfStore(t *testing.T) {
 	spec := workload.VisitCountSpec{Days: 3, VisitsPerDay: 200, Pages: 20, WithDiff: true, Seed: 2}
 	mem := store.NewMemStore()
@@ -110,25 +109,19 @@ func TestPrepareSpecsIndependentOfStore(t *testing.T) {
 	if err := spec.Generate(blocks); err != nil {
 		t.Fatal(err)
 	}
-	whole := struct{ NamedStore }{mem} // hides MemStore.ReadPartition
-	if _, ok := any(whole).(store.PartitionedReader); ok {
-		t.Fatal("the wrapped store still reads by partition")
-	}
 	for _, workers := range []int{2, 3} {
 		c := &Coordinator{cfg: CoordConfig{Workers: workers}}
 		want, err := c.prepare(spec.Script(), mem, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, st := range map[string]NamedStore{"dfs": blocks, "whole": whole} {
-			got, err := c.prepare(spec.Script(), st, core.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for w := range want.specs {
-				if !bytes.Equal(got.specs[w], want.specs[w]) {
-					t.Errorf("%s store, %d workers: worker %d's spec differs from the MemStore's", name, workers, w)
-				}
+		got, err := c.prepare(spec.Script(), blocks, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range want.specs {
+			if !bytes.Equal(got.specs[w], want.specs[w]) {
+				t.Errorf("dfs store, %d workers: worker %d's spec differs from the MemStore's", workers, w)
 			}
 		}
 	}

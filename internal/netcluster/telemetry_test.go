@@ -156,6 +156,42 @@ func TestTCPTelemetryFederationOracle(t *testing.T) {
 	}
 }
 
+// TestSessionCountersReportedPerJob: the session's control and link counters
+// accumulate over its jobs, but a registry shared by two jobs on one session
+// must count each job once, so after both it reads the second result's
+// session totals.
+func TestSessionCountersReportedPerJob(t *testing.T) {
+	c, cleanup, err := StartLocal(2, CoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	o := obs.New()
+	opts := core.DefaultOptions()
+	opts.Obs = o
+	spec := workload.VisitCountSpec{Days: 3, VisitsPerDay: 200, Pages: 50, Seed: 5}
+	var res *Result
+	for range 2 {
+		st := store.NewMemStore()
+		if err := spec.Generate(st); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = c.Run(spec.Script(), st, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := o.Reg().Snapshot()
+	if got := snap.Counter(obs.MachineDriver, "netcluster", "ctrl_messages"); got != res.CtrlMessages {
+		t.Errorf("registry ctrl_messages = %d after two jobs, session total %d", got, res.CtrlMessages)
+	}
+	if got := snap.Counter(obs.MachineDriver, "netcluster", "ctrl_bytes"); got != res.CtrlBytes {
+		t.Errorf("registry ctrl_bytes = %d after two jobs, session total %d", got, res.CtrlBytes)
+	}
+	if got := snap.Total("socket_bytes_out"); got != res.SocketBytes || got == 0 {
+		t.Errorf("registry socket_bytes_out = %d after two jobs, session total %d", got, res.SocketBytes)
+	}
+}
+
 // scrape fetches one path from the introspection handler.
 func scrape(t *testing.T, h http.Handler, path string) (int, string) {
 	t.Helper()

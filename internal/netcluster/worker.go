@@ -722,7 +722,7 @@ var ErrPartitionedInput = errors.New("netcluster: a worker holds only its read p
 
 // trackingStore is a worker's dataset store. It keeps the input partitions as
 // shipped — encoded, in the job's MsgJob buffer — and decodes one on each
-// readFile of it (store.PartitionedReader), and it records every dataset the
+// readFile of it (ReadPartition), and it records every dataset the
 // job writes, so the worker can report exactly the outputs (and not echo the
 // inputs back).
 type trackingStore struct {
@@ -750,7 +750,7 @@ func newTrackingStore(parts int, shipped []Dataset) (*trackingStore, error) {
 	return t, nil
 }
 
-// ReadPartition implements store.PartitionedReader. A shipped input's
+// ReadPartition implements store.Store. A shipped input's
 // partition is decoded from its shipped bytes into slab, the reading host's,
 // one element at a time; a dataset this job wrote is strided over in place.
 func (t *trackingStore) ReadPartition(name string, part, parts int, slab *val.Slab, fn func(val.Value) error) error {

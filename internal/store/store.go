@@ -18,21 +18,17 @@ import (
 type Store interface {
 	// ReadDataset returns all elements of the named dataset.
 	ReadDataset(name string) ([]val.Value, error)
+	// ReadPartition is a partitioned read: a reader instance reads only its
+	// own partition instead of the whole dataset. Partitions must be
+	// disjoint and cover the dataset. ReadPartition hands partition part of
+	// parts to fn one element at a time, stopping at fn's first error and
+	// returning it; no copy of the partition is made. A store that decodes
+	// what it keeps carves the elements' tuples and strings from slab, the
+	// reading instance's; a store of values ignores it. A store that keeps a
+	// dataset as one slice reads it with ReadStride.
+	ReadPartition(name string, part, parts int, slab *val.Slab, fn func(val.Value) error) error
 	// WriteDataset replaces the named dataset with elems.
 	WriteDataset(name string, elems []val.Value) error
-}
-
-// PartitionedReader is the optional fast path for partitioned reads: a
-// reader instance reads only its own partition instead of the whole dataset.
-// Partitions must be disjoint and cover the dataset. ReadPartition hands
-// partition part of parts to fn one element at a time, stopping at fn's
-// first error and returning it; no copy of the partition is made. A store
-// that decodes what it keeps carves the elements' tuples and strings from
-// slab, the reading instance's; a store of values ignores it. The
-// distributed runtime uses the reader when the store provides it; otherwise
-// it strides over ReadDataset.
-type PartitionedReader interface {
-	ReadPartition(name string, part, parts int, slab *val.Slab, fn func(val.Value) error) error
 }
 
 // ReadStride hands fn the stride partition part of parts of elems —
@@ -60,7 +56,7 @@ func (e *NotFoundError) Error() string {
 	return fmt.Sprintf("store: dataset %q not found", e.Name)
 }
 
-// MemStore is an in-memory Store and PartitionedReader.
+// MemStore is an in-memory Store.
 type MemStore struct {
 	mu   sync.RWMutex
 	data map[string][]val.Value
@@ -84,7 +80,7 @@ func (s *MemStore) ReadDataset(name string) ([]val.Value, error) {
 	return out, nil
 }
 
-// ReadPartition implements PartitionedReader by striding over the stored
+// ReadPartition implements Store by striding over the stored
 // slice in place. WriteDataset replaces a dataset's slice and never mutates
 // one, so the slice read here stays as it was when the read began.
 func (s *MemStore) ReadPartition(name string, part, parts int, _ *val.Slab, fn func(val.Value) error) error {

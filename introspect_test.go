@@ -114,26 +114,6 @@ func TestCriticalPathAttribution(t *testing.T) {
 	}
 }
 
-// TestHTTPAddrEphemeral: Config.HTTPAddr with no observer creates an
-// internal lineage observer, serves for the duration of Run, and still
-// fills Result.CriticalPath.
-func TestHTTPAddrEphemeral(t *testing.T) {
-	p, err := Compile(introScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run(introStore(t), Config{Machines: 2, HTTPAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CriticalPath == nil || res.CriticalPath.Wall <= 0 {
-		t.Fatalf("CriticalPath = %+v, want analysis from the internal observer", res.CriticalPath)
-	}
-	if res.Report != nil {
-		t.Error("Report should stay nil when Config.Observer is nil")
-	}
-}
-
 // TestLiveIntrospectionServer runs a job registered with a caller-owned
 // server, scrapes /jobs/{id} and /metrics while the run is in flight
 // (exercising the handler/engine concurrency under -race), and checks

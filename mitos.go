@@ -107,16 +107,6 @@ type Config struct {
 	// created with NewLineageObserver) during Run. The metrics snapshot is
 	// returned in Result.Report.
 	Observer *Observer
-	// HTTPAddr, when non-empty, serves a live introspection server
-	// (/metrics, /jobs, /lineage, /criticalpath, /debug/pprof) on this
-	// address for the duration of Run or RunTCP, closed when the run
-	// returns. Under RunTCP the server federates telemetry shipped by
-	// every worker: cluster-wide /metrics with machine-labeled series, a
-	// merged /trace, and cross-process /criticalpath. If Observer is nil a
-	// lineage-enabled one is created internally so the lineage endpoints
-	// have data. Ignored when HTTP is set. To keep the server up after the
-	// run, use ServeIntrospection plus HTTP instead.
-	HTTPAddr string
 	// HTTP registers the execution with a caller-owned introspection
 	// server (ServeIntrospection), which outlives the run and can
 	// accumulate several executions under /jobs. When Observer is nil the
@@ -207,8 +197,7 @@ type Result struct {
 	// CriticalPath is the lineage-derived critical-path analysis of the
 	// run: wall-clock time attributed to compute, shuffle, barrier, and
 	// pipeline stall, per-step spans and pipelining overlap. Nil unless
-	// the run's observer tracked lineage (NewLineageObserver, or
-	// HTTPAddr's internal observer).
+	// the run's observer tracked lineage (NewLineageObserver).
 	CriticalPath *CriticalPath
 }
 
@@ -259,22 +248,11 @@ func (p *Program) Dot(parallelism int) (string, error) {
 	return plan.Dot(), nil
 }
 
-// options resolves the execution options cfg selects. When HTTPAddr asks
-// for a per-run introspection server it is started here; the returned
-// function closes it (and is a no-op otherwise).
-func (cfg Config) options() (opts core.Options, done func(), err error) {
-	o, srv, done := cfg.Observer, cfg.HTTP, func() {}
+// options resolves the execution options cfg selects.
+func (cfg Config) options() core.Options {
+	o, srv := cfg.Observer, cfg.HTTP
 	if srv != nil && o == nil {
 		o = srv.Observer()
-	}
-	if srv == nil && cfg.HTTPAddr != "" {
-		if o == nil {
-			o = NewLineageObserver()
-		}
-		if srv, err = ServeIntrospection(cfg.HTTPAddr, o); err != nil {
-			return opts, nil, err
-		}
-		done = func() { srv.Close() }
 	}
 	return core.Options{
 		Parallelism: cfg.Parallelism,
@@ -287,7 +265,7 @@ func (cfg Config) options() (opts core.Options, done func(), err error) {
 		BatchSize:   cfg.BatchSize,
 		Obs:         o,
 		HTTP:        srv,
-	}, done, nil
+	}
 }
 
 // result flattens the engine's result into the public one and attaches
@@ -338,11 +316,7 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer cl.Close()
-	opts, done, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
+	opts := cfg.options()
 	res, err := core.Execute(p.ssa, st, cl, opts)
 	if err != nil {
 		return nil, err
@@ -410,17 +384,13 @@ func StartLocalTCP(n int, cfg TCPCoordConfig) (*TCPCoordinator, func(), error) {
 // each worker is shipped the partitions of st's datasets that its readFile
 // instances read, and outputs are merged back into st. Config fields that concern the simulated cluster (Machines, Cluster)
 // are ignored; parallelism defaults to one operator instance per worker.
-// HTTPAddr/HTTP serve the cluster-wide federated view: /metrics merges
+// Config.HTTP serves the cluster-wide federated view: /metrics merges
 // every worker's shipped registry (machine-labeled series), /jobs/{id}
 // shows per-worker queue depths and link counters, and — when the
 // observer traces or tracks lineage — /trace and /criticalpath span all
 // worker processes, re-based onto the coordinator's clock.
 func (p *Program) RunTCP(c *TCPCoordinator, st NamedStore, cfg Config) (*Result, error) {
-	opts, done, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
+	opts := cfg.options()
 	res, err := c.Run(p.Source(), st, opts)
 	if err != nil {
 		return nil, err

@@ -51,7 +51,7 @@ func NewLineageObserver() *Observer { return obs.New().EnableLineage() }
 // high-water marks, transport backlogs, and per-instance bag progress),
 // /jobs/{id}/dot, /lineage, /lineage/{bagid}, /criticalpath, and
 // /debug/pprof. Start one with ServeIntrospection and attach it to runs
-// via Config.HTTP (or let Config.HTTPAddr manage one per run).
+// via Config.HTTP.
 type IntrospectionServer = httpserve.Server
 
 // ServeIntrospection starts a live introspection server listening on addr
