@@ -19,35 +19,57 @@ import (
 // on the tcp column the wall-clock is real, not modeled. The workers run
 // in-process over loopback, so the delta isolates protocol cost;
 // cmd/mitos-worker runs the same backend across real process boundaries.
+//
+// Every cell is a slope: the loop runs at two step counts and the cell is
+// (D(long) − D(short)) / (long − short), rep by rep, so what a job pays
+// once (shipping the program and inputs, compiling it on every worker,
+// merging results) cancels instead of hiding inside the per-step figure.
 func TCPCluster(o Options) (*Table, error) {
-	steps := 100
+	short, long := 100, 1000
 	workers := []int{1, 2, 4}
 	if o.Quick {
-		steps = 25
+		short, long = 25, 100
 		workers = []int{1, 3}
 	}
 	t := &Table{
 		Key:     "tcpcluster",
-		Title:   "TCP cluster: per-step overhead (seconds per step), simulated delays vs real loopback sockets",
+		Title:   "TCP cluster: per-step overhead (seconds per step, slope between two loop lengths), simulated delays vs real loopback sockets",
 		XAxis:   "workers",
 		Columns: []string{"sim", "tcp"},
 	}
-	source := workload.StepLoopScript(steps)
 	for _, w := range workers {
-		sim, _, err := measure(o, w, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
-			return workload.StepMitos(cl, st, steps, o.mitosOpts())
-		})
-		if err != nil {
-			return nil, err
-		}
-		tcp, err := measureTCP(o, source, nil, w, o.mitosOpts())
-		if err != nil {
-			return nil, err
+		var sim, tcp [2]Cell
+		for i, steps := range []int{short, long} {
+			var err error
+			if sim[i], _, err = measure(o, w, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+				return workload.StepMitos(cl, st, steps, o.mitosOpts())
+			}); err != nil {
+				return nil, err
+			}
+			if tcp[i], err = measureTCP(o, workload.StepLoopScript(steps), nil, w, o.mitosOpts()); err != nil {
+				return nil, err
+			}
 		}
 		t.XLabels = append(t.XLabels, fmt.Sprint(w))
-		t.Cells = append(t.Cells, []Cell{sim.Scaled(1 / float64(steps)), tcp.Scaled(1 / float64(steps))})
+		t.Cells = append(t.Cells, []Cell{slope(sim[0], sim[1], long-short), slope(tcp[0], tcp[1], long-short)})
 	}
 	return t, nil
+}
+
+// slope returns the per-step cost between two cells of one system whose
+// runs differ only by dn loop steps: rep i is (long.Reps[i] −
+// short.Reps[i]) / dn. The counters are the longer run's.
+func slope(short, long Cell, dn int) Cell {
+	out := long
+	out.Reps = make([]float64, len(long.Reps))
+	var total float64
+	for i := range out.Reps {
+		out.Reps[i] = (long.Reps[i] - short.Reps[i]) / float64(dn)
+		total += out.Reps[i]
+	}
+	out.Seconds = total / float64(len(out.Reps))
+	out.Median = median(out.Reps)
+	return out
 }
 
 // measureTCP runs one cell on the TCP backend: a fresh in-process loopback

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/core"
@@ -32,5 +33,23 @@ func TestTCPCellCountersPerRep(t *testing.T) {
 	}
 	if a, b := one.Counters["socket_bytes"], two.Counters["socket_bytes"]; 4*b < 3*a || 4*b > 5*a {
 		t.Errorf("socket_bytes: %d at one rep, %d at two", a, b)
+	}
+}
+
+// TestSlopeCancelsFixedCost: a cost paid once per job drops out of a
+// tcpcluster cell; only what each step adds is left.
+func TestSlopeCancelsFixedCost(t *testing.T) {
+	const fixed, perStep = 5e-3, 40e-6
+	run := func(steps int, jitter float64) float64 { return fixed + jitter + float64(steps)*perStep }
+	short := Cell{Reps: []float64{run(100, 0), run(100, 1e-4)}}
+	long := Cell{Reps: []float64{run(400, 0), run(400, 1e-4)}, Counters: map[string]int64{"steps": 803}}
+	got := slope(short, long, 300)
+	for i, r := range got.Reps {
+		if math.Abs(r-perStep) > 1e-12 {
+			t.Errorf("rep %d: %g s/step, want %g", i, r, perStep)
+		}
+	}
+	if math.Abs(got.Median-perStep) > 1e-12 || math.Abs(got.Seconds-perStep) > 1e-12 || got.Counters["steps"] != 803 {
+		t.Errorf("cell %+v", got)
 	}
 }

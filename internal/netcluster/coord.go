@@ -259,7 +259,8 @@ type workerConn struct {
 	conn net.Conn
 	addr string // data-plane address the worker registered
 
-	wmu sync.Mutex
+	wmu  sync.Mutex
+	wbuf []byte // framing scratch, reused under wmu
 
 	lastBeat atomic.Int64 // unix nanos of the last message received
 
@@ -547,7 +548,8 @@ func (c *Coordinator) Close() {
 
 func (s *session) sendTo(w *workerConn, typ byte, body []byte) error {
 	w.wmu.Lock()
-	err := WriteMsg(w.conn, typ, body)
+	var err error
+	w.wbuf, err = WriteMsg(w.conn, w.wbuf, typ, body)
 	w.wmu.Unlock()
 	return err
 }
@@ -585,6 +587,7 @@ func (s *session) readWorker(w *workerConn) {
 	defer s.wg.Done()
 	br := bufio.NewReader(w.conn)
 	var buf []byte
+	keys := make(map[string]obs.Key) // the worker's telemetry series keys
 	for {
 		typ, body, nbuf, err := ReadMsg(br, buf)
 		buf = nbuf
@@ -654,7 +657,7 @@ func (s *session) readWorker(w *workerConn) {
 			// Telemetry frames are not charged to the control-traffic
 			// counters: they measure observability overhead, not the
 			// per-step control plane the paper's figures are about.
-			m, err := DecodeStats(body)
+			m, err := DecodeStats(body, keys)
 			if err != nil {
 				s.fail(fmt.Errorf("netcluster: worker %d: corrupt stats: %w", w.id, err))
 				return

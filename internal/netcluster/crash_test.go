@@ -285,11 +285,11 @@ func TestHeartbeatTimeout(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if err := WriteMsg(conn, MsgHello, AppendHello(nil, Hello{Role: RoleWorker})); err != nil {
+		if _, err := WriteMsg(conn, nil, MsgHello, AppendHello(nil, Hello{Role: RoleWorker})); err != nil {
 			fakeDone <- err
 			return
 		}
-		if err := WriteMsg(conn, MsgRegister, AppendRegister(nil, Register{DataAddr: "127.0.0.1:1"})); err != nil {
+		if _, err := WriteMsg(conn, nil, MsgRegister, AppendRegister(nil, Register{DataAddr: "127.0.0.1:1"})); err != nil {
 			fakeDone <- err
 			return
 		}
@@ -299,7 +299,7 @@ func TestHeartbeatTimeout(t *testing.T) {
 			fakeDone <- fmt.Errorf("expected assign, got %#x err %v", typ, err)
 			return
 		}
-		if err := WriteMsg(conn, MsgReady, []byte{0}); err != nil {
+		if _, err := WriteMsg(conn, nil, MsgReady, []byte{0}); err != nil {
 			fakeDone <- err
 			return
 		}
@@ -357,11 +357,11 @@ func TestSurplusReadyFailsSession(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if err := WriteMsg(conn, MsgHello, AppendHello(nil, Hello{Role: RoleWorker})); err != nil {
+		if _, err := WriteMsg(conn, nil, MsgHello, AppendHello(nil, Hello{Role: RoleWorker})); err != nil {
 			fakeDone <- err
 			return
 		}
-		if err := WriteMsg(conn, MsgRegister, AppendRegister(nil, Register{DataAddr: "127.0.0.1:1"})); err != nil {
+		if _, err := WriteMsg(conn, nil, MsgRegister, AppendRegister(nil, Register{DataAddr: "127.0.0.1:1"})); err != nil {
 			fakeDone <- err
 			return
 		}
@@ -374,7 +374,7 @@ func TestSurplusReadyFailsSession(t *testing.T) {
 			if i == 1 {
 				<-up
 			}
-			if err := WriteMsg(conn, MsgReady, []byte{0}); err != nil {
+			if _, err := WriteMsg(conn, nil, MsgReady, []byte{0}); err != nil {
 				fakeDone <- err
 				return
 			}

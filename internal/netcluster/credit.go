@@ -20,9 +20,11 @@ import (
 // read loops hand frames to the egress queue without blocking, so they
 // keep draining mailboxes and returning credits no matter how congested
 // the link is — which is exactly what keeps the grants flowing that
-// unblock the sender. Credit grants themselves travel on a separate
-// ungated lane (mesh.sendGrants), so a return can never queue behind a
-// frame that is itself waiting for credit.
+// unblock the sender. The sender flushes its buffered frames before it
+// blocks (tryAcquire first), so the frames whose processing returns its
+// credit are on the wire, not in its buffer. Credit grants themselves
+// travel on a separate ungated lane (mesh.sendGrants), so a return can
+// never queue behind a frame that is itself waiting for credit.
 
 // chanKey identifies one flow-controlled channel on a peer link.
 type chanKey struct {
@@ -50,51 +52,60 @@ func newCredits(window int) *credits {
 	return c
 }
 
+// tryAcquire takes one credit for k if the window has one, without
+// waiting. It reports false when the window is exhausted or the table is
+// closed; the sender then flushes what it has buffered before it blocks
+// in acquire.
+func (c *credits) tryAcquire(k chanKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.availLocked(k) == 0 {
+		return false
+	}
+	c.takeLocked(k)
+	return true
+}
+
 // acquire takes one credit for k, blocking while the window is exhausted.
 // It reports false once the table is closed (session teardown): the frame
 // must then be dropped, not sent.
 func (c *credits) acquire(k chanKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a, ok := c.avail[k]
-	if !ok {
-		a = c.window
-	}
-	stalled := false
-	var t0 time.Time
-	for a == 0 && !c.closed {
-		if !stalled {
-			stalled = true
-			t0 = time.Now()
-			c.stalls.Add(1)
+	if c.availLocked(k) == 0 && !c.closed {
+		c.stalls.Add(1)
+		t0 := time.Now()
+		for c.availLocked(k) == 0 && !c.closed {
+			c.cond.Wait()
 		}
-		c.cond.Wait()
-		if a, ok = c.avail[k]; !ok {
-			a = c.window
-		}
-	}
-	if stalled {
 		c.stallNanos.Add(time.Since(t0).Nanoseconds())
 	}
 	if c.closed {
 		return false
 	}
-	c.avail[k] = a - 1
-	c.inFlight++
-	if c.inFlight > c.maxInFlight {
-		c.maxInFlight = c.inFlight
-	}
+	c.takeLocked(k)
 	return true
+}
+
+// availLocked returns k's available credits. Caller holds c.mu.
+func (c *credits) availLocked(k chanKey) int {
+	if a, ok := c.avail[k]; ok {
+		return a
+	}
+	return c.window
+}
+
+// takeLocked consumes one of k's credits. Caller holds c.mu.
+func (c *credits) takeLocked(k chanKey) {
+	c.avail[k] = c.availLocked(k) - 1
+	c.inFlight++
+	c.maxInFlight = max(c.maxInFlight, c.inFlight)
 }
 
 // grant returns n credits for k (the receiver processed n frames).
 func (c *credits) grant(k chanKey, n int) {
 	c.mu.Lock()
-	a, ok := c.avail[k]
-	if !ok {
-		a = c.window
-	}
-	c.avail[k] = a + n
+	c.avail[k] = c.availLocked(k) + n
 	c.inFlight -= n
 	c.cond.Broadcast()
 	c.mu.Unlock()

@@ -23,7 +23,10 @@ import (
 // an egress queue of data/EOB/flush frames, acquiring one flow-control
 // credit per gated frame — it is the only goroutine that ever blocks in
 // credits.acquire — and the grant sender drains a separate priority
-// queue of outbound credit returns.
+// queue of outbound credit returns. Both write into one buffered writer
+// and flush it when their own queue runs dry, so a backlog leaves in one
+// write syscall, not one per frame; the frame sender also flushes before
+// it blocks for credit (see sendFrames).
 //
 // That split is what makes the flow control deadlock-free. The dataflow
 // event loops only ever enqueue (never touch a socket or a credit), so a
@@ -86,7 +89,7 @@ type peer struct {
 
 	wmu  sync.Mutex
 	bw   *bufio.Writer
-	hbuf []byte // header encode scratch, reused under wmu
+	hbuf []byte // prefix and frame header encode scratch, reused under wmu
 
 	bytesOut  atomic.Int64
 	bytesIn   atomic.Int64
@@ -109,23 +112,14 @@ func newMesh(self int, addrs []string, window int, ln net.Listener, fail func(er
 	if window <= 0 {
 		window = DefaultCreditWindow
 	}
-	m := &mesh{
-		self:     self,
-		n:        n,
-		window:   window,
-		peers:    make([]*peer, n),
-		fail:     fail,
-		jobReady: make(chan struct{}),
-		tokens:   make(chan int, 4*n+4),
-		done:     make(chan struct{}),
-	}
+	m := unlinkedMesh(self, n, window, fail)
 	for id := 0; id < self; id++ {
 		conn, err := net.DialTimeout("tcp", addrs[id], handshakeTimeout)
 		if err != nil {
 			m.close()
 			return nil, fmt.Errorf("netcluster: worker %d dialing peer %d (%s): %w", self, id, addrs[id], err)
 		}
-		if err := WriteMsg(conn, MsgHello, AppendHello(nil, Hello{Role: RolePeer, ID: self})); err != nil {
+		if _, err := WriteMsg(conn, nil, MsgHello, AppendHello(nil, Hello{Role: RolePeer, ID: self})); err != nil {
 			conn.Close()
 			m.close()
 			return nil, fmt.Errorf("netcluster: worker %d hello to peer %d: %w", self, id, err)
@@ -149,6 +143,26 @@ func newMesh(self int, addrs []string, window int, ln net.Listener, fail func(er
 		}
 		m.peers[id] = newPeer(id, conn, window)
 	}
+	m.start()
+	return m, nil
+}
+
+// unlinkedMesh returns worker self's mesh of n with no peer linked yet.
+func unlinkedMesh(self, n, window int, fail func(error)) *mesh {
+	return &mesh{
+		self:     self,
+		n:        n,
+		window:   window,
+		peers:    make([]*peer, n),
+		fail:     fail,
+		jobReady: make(chan struct{}),
+		tokens:   make(chan int, 4*n+4),
+		done:     make(chan struct{}),
+	}
+}
+
+// start runs every linked peer's reader and its two writers.
+func (m *mesh) start() {
 	for _, p := range m.peers {
 		if p == nil {
 			continue
@@ -158,7 +172,6 @@ func newMesh(self int, addrs []string, window int, ln net.Listener, fail func(er
 		go m.sendFrames(p)
 		go m.sendGrants(p)
 	}
-	return m, nil
 }
 
 func newPeer(id int, conn net.Conn, window int) *peer {
@@ -178,9 +191,12 @@ func newPeer(id int, conn net.Conn, window int) *peer {
 // sendFrames is the peer link's frame sender: it drains the egress queue,
 // pays one credit per data/EOB frame (flush tokens ride free — they must
 // stay FIFO behind the data they seal but carry no receiver memory), and
-// writes to the socket. It is the only goroutine that blocks in acquire;
-// a closed credit table fails every acquire, so teardown drains the
-// backlog straight to the scratch pool.
+// writes to the socket, flushing when the queue runs dry. It is the only
+// goroutine that blocks in acquire, and it flushes before it does: a frame
+// waiting for credit must not strand the frames ahead of it in the buffer,
+// since their processing may be what returns the credit. A closed credit
+// table fails every acquire, so teardown drains the backlog straight to
+// the scratch pool.
 func (m *mesh) sendFrames(p *peer) {
 	defer m.wg.Done()
 	for {
@@ -190,14 +206,17 @@ func (m *mesh) sendFrames(p *peer) {
 		}
 		if f.typ == MsgData || f.typ == MsgEOB {
 			k := chanKey{op: f.hdr.Op, inst: f.hdr.Inst, input: f.hdr.Input, from: f.hdr.From}
-			if !p.credits.acquire(k) {
-				if f.payload != nil {
-					val.PutScratch(f.payload) // tearing down; the job is failing anyway
+			if !p.credits.tryAcquire(k) {
+				m.flush(p)
+				if !p.credits.acquire(k) {
+					if f.payload != nil {
+						val.PutScratch(f.payload) // tearing down; the job is failing anyway
+					}
+					continue
 				}
-				continue
 			}
 		}
-		m.write(p, f.typ, f.hdr, f.payload)
+		m.write(p, f.typ, f.hdr, f.payload, p.frames.Depth() == 0)
 		if f.payload != nil {
 			val.PutScratch(f.payload)
 		}
@@ -206,7 +225,7 @@ func (m *mesh) sendFrames(p *peer) {
 
 // sendGrants writes outbound credit returns on their own lane, so a grant
 // can never wait behind a gated frame that is itself waiting for the
-// opposite direction's grant.
+// opposite direction's grant. It flushes when its lane runs dry.
 func (m *mesh) sendGrants(p *peer) {
 	defer m.wg.Done()
 	for {
@@ -214,7 +233,7 @@ func (m *mesh) sendGrants(p *peer) {
 		if !ok {
 			return
 		}
-		m.write(p, f.typ, f.hdr, nil)
+		m.write(p, f.typ, f.hdr, nil, p.grants.Depth() == 0)
 	}
 }
 
@@ -337,24 +356,47 @@ func (m *mesh) awaitFlush(timeout time.Duration) error {
 	return nil
 }
 
-// write frames and writes one message on p, under the peer's write lock.
-func (m *mesh) write(p *peer, typ byte, hdr FrameHeader, payload []byte) {
+// write frames one message into p's buffered writer, under the peer's
+// write lock, and flushes the buffer to the socket if flush is set. The
+// prefix and the frame header are encoded into p.hbuf; the payload is
+// copied from where it lies.
+func (m *mesh) write(p *peer, typ byte, hdr FrameHeader, payload []byte, flush bool) {
 	p.wmu.Lock()
-	p.hbuf = AppendFrameHeader(p.hbuf[:0], hdr)
-	err := WriteMsg(p.bw, typ, p.hbuf, payload)
+	p.hbuf = AppendFrameHeader(append(p.hbuf[:0], 0, 0, 0, 0, 0), hdr)
+	putPrefix(p.hbuf, typ, len(p.hbuf)-prefixLen+len(payload))
+	_, err := p.bw.Write(p.hbuf)
 	if err == nil {
+		_, err = p.bw.Write(payload)
+	}
+	if err == nil && flush {
 		err = p.bw.Flush()
 	}
-	nbytes := int64(5 + len(p.hbuf) + len(payload))
+	nbytes := int64(len(p.hbuf) + len(payload))
 	p.wmu.Unlock()
 	if err != nil {
-		if !m.closed.Load() {
-			m.fail(fmt.Errorf("netcluster: worker %d: write to peer %d: %w", m.self, p.id, err))
-		}
+		m.writeFailed(p, err)
 		return
 	}
 	p.framesOut.Add(1)
 	p.bytesOut.Add(nbytes)
+}
+
+// flush writes out whatever p's buffered writer holds.
+func (m *mesh) flush(p *peer) {
+	p.wmu.Lock()
+	err := p.bw.Flush()
+	p.wmu.Unlock()
+	if err != nil {
+		m.writeFailed(p, err)
+	}
+}
+
+// writeFailed fails the session over a write error on p, unless the mesh
+// is already closing.
+func (m *mesh) writeFailed(p *peer, err error) {
+	if !m.closed.Load() {
+		m.fail(fmt.Errorf("netcluster: worker %d: write to peer %d: %w", m.self, p.id, err))
+	}
 }
 
 // readLoop drains one peer connection for the life of the session.
@@ -363,6 +405,9 @@ func (m *mesh) readLoop(p *peer) {
 	br := bufio.NewReader(p.conn)
 	var buf []byte
 	var slab val.Slab // this link's decode slab
+	// One credit-returning ack per channel, built on the channel's first
+	// frame: the per-frame path allocates nothing.
+	acks := make(map[chanKey]func())
 	for {
 		typ, body, nbuf, err := ReadMsg(br, buf)
 		buf = nbuf
@@ -391,7 +436,11 @@ func (m *mesh) readLoop(p *peer) {
 			}
 			rh := dataflow.RemoteHeader{Op: dataflow.OpID(hdr.Op), Inst: hdr.Inst, Input: hdr.Input, From: hdr.From}
 			k := chanKey{op: hdr.Op, inst: hdr.Inst, input: hdr.Input, from: hdr.From}
-			ack := func() { m.sendCredit(p, k) }
+			ack := acks[k]
+			if ack == nil {
+				ack = func() { m.sendCredit(p, k) }
+				acks[k] = ack
+			}
 			if typ == MsgData {
 				err = j.DeliverData(rh, payload, hdr.Arg, &slab, ack)
 			} else {

@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +36,7 @@ func TestTelemetryWireRoundTrip(t *testing.T) {
 		LinT0Wall:   time.Now().UnixNano(),
 		LineageJSON: []byte(`{"bags":[]}`),
 	}
-	out, err := DecodeStats(AppendStats(nil, in))
+	out, err := DecodeStats(AppendStats(nil, in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +71,53 @@ func TestTelemetryWireRoundTrip(t *testing.T) {
 		t.Fatalf("pong round trip: %+v, %v", pong, err)
 	}
 
-	if _, err := DecodeStats([]byte{0xff}); err == nil {
+	if _, err := DecodeStats([]byte{0xff}, nil); err == nil {
 		t.Fatal("truncated stats frame decoded")
+	}
+}
+
+// TestStatsKeysInterned: the coordinator decodes every MsgStats of a
+// worker against one key table, so a snapshot whose series keys it has
+// seen before costs only its sample slices, not two strings per key.
+func TestStatsKeysInterned(t *testing.T) {
+	r := obs.NewRegistry()
+	const series = 50
+	for i := range series {
+		r.Counter(1, fmt.Sprintf("map_%d", i), "elements_out").Add(int64(i))
+	}
+	r.Gauge(1, "netcluster", "egress_backlog").Set(3)
+	r.Histogram(1, "map_0", "emit").Observe(time.Millisecond)
+	frame := AppendStats(nil, StatsMsg{Snap: *r.Snapshot()})
+
+	keys := make(map[string]obs.Key)
+	first, err := DecodeStats(frame, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != series+2 {
+		t.Fatalf("key table holds %d keys, want %d", len(keys), series+2)
+	}
+	var again StatsMsg
+	allocs := testing.AllocsPerRun(20, func() {
+		if again, err = DecodeStats(frame, keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The counter and gauge slices and the histogram list: three, whatever
+	// the number of series.
+	if allocs > 3 {
+		t.Errorf("a repeated snapshot of %d series decoded with %v allocations, want at most 3", series+2, allocs)
+	}
+	for i := range series {
+		if got := again.Snap.Counter(1, fmt.Sprintf("map_%d", i), "elements_out"); got != int64(i) {
+			t.Fatalf("interned counter map_%d = %d", i, got)
+		}
+	}
+	if again.Snap.Gauge(1, "netcluster", "egress_backlog") != 3 || again.Snap.HistTotal("emit") != first.Snap.HistTotal("emit") {
+		t.Fatalf("interned decode differs: %+v", again.Snap)
+	}
+	if plain := testing.AllocsPerRun(20, func() { DecodeStats(frame, nil) }); plain < 2*series {
+		t.Errorf("decoding without a key table allocated %v times; the comparison above measures nothing", plain)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"github.com/mitos-project/mitos/internal/core"
@@ -94,40 +95,57 @@ const (
 	RolePeer   byte = 2 // data connection between workers
 )
 
-// WriteMsg frames and writes one message: the length prefix, the type
-// byte, then the body parts in order. Multi-part bodies let the data path
-// write a header and a batch payload without concatenating them first.
-func WriteMsg(w io.Writer, typ byte, parts ...[]byte) error {
-	n := 1
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n > MaxMsg {
-		return fmt.Errorf("netcluster: message of %d bytes exceeds MaxMsg", n)
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
+// prefixLen is what framing adds ahead of a body: the 4-byte length and
+// the type byte.
+const prefixLen = 5
+
+// keepScratch bounds the write scratch a connection keeps between
+// messages. A body that does not fit behind the prefix in it is written
+// from where it lies, gathered with the prefix into the same Write, so
+// one large message (a MsgJob's shipped inputs) is neither copied nor
+// left pinned on the connection. It is not a limit on message size.
+const keepScratch = 4096
+
+// putPrefix writes the framing of a typ message with a body of bodyLen
+// bytes into b[:prefixLen].
+func putPrefix(b []byte, typ byte, bodyLen int) {
+	binary.BigEndian.PutUint32(b, uint32(bodyLen+1))
+	b[4] = typ
 }
 
-// ReadMsg reads one framed message, reusing buf for the body when it is
-// large enough. It returns the type, the body (aliasing the returned
-// buffer, valid until the next call), and the buffer to pass back in.
+// WriteMsg frames body as one message of type typ and writes it to w in one
+// Write: a small body is copied behind the prefix in scratch, a large one
+// is gathered with it (net.Buffers: one writev on a TCP connection). It
+// returns the scratch to pass back in; with a reused scratch a small
+// message allocates nothing.
+func WriteMsg(w io.Writer, scratch []byte, typ byte, body []byte) ([]byte, error) {
+	if len(body)+1 > MaxMsg {
+		return scratch, fmt.Errorf("netcluster: message of %d bytes exceeds MaxMsg", len(body)+1)
+	}
+	msg := append(scratch[:0], 0, 0, 0, 0, 0)
+	putPrefix(msg, typ, len(body))
+	if prefixLen+len(body) > keepScratch {
+		bufs := net.Buffers{msg, body}
+		_, err := bufs.WriteTo(w)
+		return msg, err
+	}
+	msg = append(msg, body...)
+	_, err := w.Write(msg)
+	return msg, err
+}
+
+// ReadMsg reads one framed message, reusing buf for the prefix and the
+// body when it is large enough. It returns the type, the body (aliasing
+// the returned buffer, valid until the next call), and the buffer to pass
+// back in.
 func ReadMsg(r io.Reader, buf []byte) (typ byte, body, newBuf []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < prefixLen {
+		buf = make([]byte, 0, 512)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n == 0 {
 		return 0, nil, buf, errors.New("netcluster: empty frame")
 	}
@@ -802,8 +820,25 @@ func appendKey(e *enc, k obs.Key) {
 	e.str(k.Name)
 }
 
-func decodeKey(d *dec) obs.Key {
-	return obs.Key{Machine: d.num(), Op: d.str(), Name: d.str()}
+// decodeKey decodes one series key. keys, when non-nil, maps a key's
+// encoding to the key decoded from it before, so a key a worker's
+// snapshots repeat costs its two strings once per session, not once per
+// MsgStats.
+func decodeKey(d *dec, keys map[string]obs.Key) obs.Key {
+	rest := d.b
+	machine, op, name := d.num(), d.blobRef(), d.blobRef()
+	if d.err != nil {
+		return obs.Key{}
+	}
+	encoded := rest[:len(rest)-len(d.b)]
+	if k, ok := keys[string(encoded)]; ok {
+		return k
+	}
+	k := obs.Key{Machine: machine, Op: string(op), Name: string(name)}
+	if keys != nil {
+		keys[string(encoded)] = k
+	}
+	return k
 }
 
 func appendSamples(e *enc, ss []obs.Sample) {
@@ -814,7 +849,7 @@ func appendSamples(e *enc, ss []obs.Sample) {
 	}
 }
 
-func decodeSamples(d *dec) []obs.Sample {
+func decodeSamples(d *dec, keys map[string]obs.Key) []obs.Sample {
 	n := d.u64()
 	if n > uint64(len(d.b)) { // each sample takes at least one byte
 		d.fail("sample count")
@@ -822,7 +857,7 @@ func decodeSamples(d *dec) []obs.Sample {
 	}
 	ss := make([]obs.Sample, 0, min(int(n), 1024))
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		ss = append(ss, obs.Sample{Key: decodeKey(d), Value: d.i64()})
+		ss = append(ss, obs.Sample{Key: decodeKey(d, keys), Value: d.i64()})
 	}
 	return ss
 }
@@ -860,19 +895,21 @@ func AppendStats(dst []byte, m StatsMsg) []byte {
 	return e.b
 }
 
-// DecodeStats decodes a StatsMsg.
-func DecodeStats(b []byte) (StatsMsg, error) {
+// DecodeStats decodes a StatsMsg. keys, when non-nil, interns series keys
+// across calls (see decodeKey); the coordinator keeps one per worker
+// connection.
+func DecodeStats(b []byte, keys map[string]obs.Key) (StatsMsg, error) {
 	d := dec{b: b}
 	var m StatsMsg
 	m.Final = d.boolean()
-	m.Snap.Counters = decodeSamples(&d)
-	m.Snap.Gauges = decodeSamples(&d)
+	m.Snap.Counters = decodeSamples(&d, keys)
+	m.Snap.Gauges = decodeSamples(&d, keys)
 	n := d.u64()
 	if n > uint64(len(d.b)) { // each histogram takes at least one byte
 		d.fail("histogram count")
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		h := obs.HistSample{Key: decodeKey(&d)}
+		h := obs.HistSample{Key: decodeKey(&d, keys)}
 		h.Count = d.i64()
 		h.Sum = time.Duration(d.i64())
 		h.Max = time.Duration(d.i64())
@@ -979,8 +1016,8 @@ type FrameHeader struct {
 }
 
 // AppendFrameHeader appends the encoding of h to dst. For MsgData the
-// batch payload follows as a separate WriteMsg part, unframed — it extends
-// to the end of the message.
+// batch payload follows it unframed — it extends to the end of the
+// message.
 func AppendFrameHeader(dst []byte, h FrameHeader) []byte {
 	e := enc{b: dst}
 	e.num(h.Op)

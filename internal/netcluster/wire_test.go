@@ -141,7 +141,7 @@ func TestWireRejectsPartOutOfRange(t *testing.T) {
 
 func TestReadMsgFraming(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMsg(&buf, MsgHeartbeat, []byte{1, 2, 3}); err != nil {
+	if _, err := WriteMsg(&buf, nil, MsgHeartbeat, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, _, err := ReadMsg(&buf, nil)
@@ -151,7 +151,7 @@ func TestReadMsgFraming(t *testing.T) {
 
 	// Truncated mid-body: error, not hang or panic.
 	var tr bytes.Buffer
-	WriteMsg(&tr, MsgData, make([]byte, 1000))
+	WriteMsg(&tr, nil, MsgData, make([]byte, 1000))
 	short := tr.Bytes()[:500]
 	if _, _, _, err := ReadMsg(bytes.NewReader(short), nil); err == nil {
 		t.Error("truncated frame accepted")

@@ -108,7 +108,7 @@ type workerSession struct {
 	ln   net.Listener
 
 	wmu  sync.Mutex
-	wbuf []byte
+	wbuf []byte // framing scratch, reused under wmu
 
 	id   int
 	n    int
@@ -131,6 +131,7 @@ type workerJobRun struct {
 	st    *trackingStore
 	done  chan struct{} // closed once Job.Wait returned
 	fwdWG sync.WaitGroup
+	evbuf []byte // event encode scratch of the forwarder goroutine
 	// frame is the buffer the job's MsgJob arrived in. st reads the shipped
 	// inputs out of it, so the job owns it until torn down, and only then
 	// hands it back (release).
@@ -293,7 +294,8 @@ func (s *workerSession) teardown() {
 // (control loop, heartbeats, event forwarder, job watcher).
 func (s *workerSession) send(typ byte, body []byte) error {
 	s.wmu.Lock()
-	err := WriteMsg(s.conn, typ, body)
+	var err error
+	s.wbuf, err = WriteMsg(s.conn, s.wbuf, typ, body)
 	s.wmu.Unlock()
 	return err
 }
@@ -659,24 +661,27 @@ func (s *workerSession) refreshLiveGauges(rj *workerJobRun) {
 // are folded into one aggregated frame per position per worker.
 func (s *workerSession) forwardEvent(rj *workerJobRun, ev core.CoordEvent) {
 	if !rj.templated {
-		s.sendEvent(ev)
+		s.sendEvent(rj, ev)
 		return
 	}
 	switch ev.Kind {
 	case core.EvDecision:
 		rj.speculate(ev)
-		s.sendEvent(ev)
+		s.sendEvent(rj, ev)
 	case core.EvCompletion:
 		if count, ready := rj.noteCompletion(ev); ready {
-			s.sendEvent(core.CoordEvent{Kind: core.EvCompletion, Pos: ev.Pos, Count: count})
+			s.sendEvent(rj, core.CoordEvent{Kind: core.EvCompletion, Pos: ev.Pos, Count: count})
 		}
 	default:
-		s.sendEvent(ev)
+		s.sendEvent(rj, ev)
 	}
 }
 
-func (s *workerSession) sendEvent(ev core.CoordEvent) {
-	if err := s.send(MsgEvent, AppendEvent(nil, EventMsg{Kind: byte(ev.Kind), Pos: ev.Pos, Branch: ev.Branch, Count: ev.Count})); err != nil {
+// sendEvent encodes ev into the run's event scratch, which only the
+// forwarder goroutine touches.
+func (s *workerSession) sendEvent(rj *workerJobRun, ev core.CoordEvent) {
+	rj.evbuf = AppendEvent(rj.evbuf[:0], EventMsg{Kind: byte(ev.Kind), Pos: ev.Pos, Branch: ev.Branch, Count: ev.Count})
+	if err := s.send(MsgEvent, rj.evbuf); err != nil {
 		s.fail(fmt.Errorf("netcluster: worker %d: reporting event: %w", s.id, err))
 	}
 }

@@ -9,19 +9,31 @@ import (
 
 // scratchPool recycles encode buffers across AppendBinary call sites so
 // that hot paths (the dataflow transport serializes every remote batch)
-// stay allocation-free once buffers have grown to their working size.
-var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+// stay allocation-free once buffers have grown to their working size. A
+// pooled buffer travels boxed (a *[]byte: a slice does not fit in an
+// interface without an allocation), and boxPool recycles the emptied
+// boxes, so a Get/Put cycle allocates nothing either.
+var (
+	scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+	boxPool     = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetScratch returns a zero-length encode buffer from the pool, retaining
 // whatever capacity a previous user grew it to. Return it with PutScratch.
 func GetScratch() []byte {
-	return (*scratchPool.Get().(*[]byte))[:0]
+	box := scratchPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // PutScratch returns an encode buffer to the pool. The caller must not use
 // b afterwards.
 func PutScratch(b []byte) {
-	scratchPool.Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b
+	scratchPool.Put(box)
 }
 
 // AppendBinary appends the compact binary encoding of v to dst and returns

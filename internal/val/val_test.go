@@ -3,6 +3,7 @@ package val
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -346,4 +347,35 @@ func BenchmarkCodecRoundtrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestScratchCycleAllocFree: a GetScratch/PutScratch cycle — one per remote
+// batch on either transport — allocates nothing once the pool is warm: the
+// boxes that carry buffers through the pool are recycled too.
+func TestScratchCycleAllocFree(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		b := GetScratch()
+		b = AppendBinary(b, Int(7))
+		PutScratch(b)
+	})
+	if allocs != 0 {
+		t.Errorf("GetScratch/PutScratch cycle allocated %v times, want 0", allocs)
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race detector,
+// whose sync.Pool drops a share of Puts at random: an allocation count
+// there measures the detector, not the code.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
