@@ -199,27 +199,76 @@ func (rt *runtime) result(job *dataflow.Job) *Result {
 	return r
 }
 
-// Compile plans the dataflow job for an SSA graph under opts: BuildPlan at
-// opts.Parallelism (0 selects one instance per machine), then the plan
-// rewrites opts enables, in their required order. Every backend compiles
-// through here — the simulated run, the TCP coordinator and each TCP worker
-// — which is what keeps the plans they derive from one shipped source
-// identical, operator IDs and placement included.
-func Compile(g *ir.Graph, machines int, opts Options) (*Plan, error) {
-	par := opts.Parallelism
+// PlanKey is all Compile reads of its options: the parallelism, resolved
+// against the machine count, and the plan rewrites. The other options shape
+// the execution, not the plan.
+type PlanKey struct {
+	Parallelism int
+	Combiners   bool
+	Chaining    bool
+}
+
+// PlanKey returns the key Compile plans under for a cluster of machines.
+func (o Options) PlanKey(machines int) PlanKey {
+	par := o.Parallelism
 	if par == 0 {
 		par = machines
 	}
-	plan, err := BuildPlan(g, par)
+	return PlanKey{Parallelism: par, Combiners: o.Combiners, Chaining: o.Chaining}
+}
+
+// Compile plans the dataflow job for an SSA graph under opts: BuildPlan at
+// opts.Parallelism (0 selects one instance per machine), then the plan
+// rewrites opts enables, in their required order; it reads opts only through
+// PlanKey. Every backend compiles through here — the simulated run, the TCP
+// coordinator and each TCP worker — which is what keeps the plans they derive
+// from one shipped source identical, operator IDs and placement included.
+func Compile(g *ir.Graph, machines int, opts Options) (*Plan, error) {
+	k := opts.PlanKey(machines)
+	plan, err := BuildPlan(g, k.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Combiners {
+	if k.Combiners {
 		plan.InsertCombiners()
 	}
-	if opts.Chaining {
+	if k.Chaining {
 		plan.BuildChains()
 	}
+	return plan, nil
+}
+
+// PlanMemo keeps the last plan compiled from a program source, so a caller
+// running one program job after job plans it once. A plan is read-only once
+// Compile returns it, so concurrent jobs may share it.
+type PlanMemo struct {
+	mu     sync.Mutex
+	source string
+	key    PlanKey
+	plan   *Plan
+}
+
+// Compile returns the kept plan when source and opts.PlanKey(machines) match
+// the kept one's; otherwise it plans the graph frontEnd derives from source
+// and keeps that plan. Racing misses each plan; errors are not kept.
+func (m *PlanMemo) Compile(source string, machines int, opts Options, frontEnd func(string) (*ir.Graph, error)) (*Plan, error) {
+	key := opts.PlanKey(machines)
+	m.mu.Lock()
+	plan, hit := m.plan, m.plan != nil && m.key == key && m.source == source
+	m.mu.Unlock()
+	if hit {
+		return plan, nil
+	}
+	g, err := frontEnd(source)
+	if err == nil {
+		plan, err = Compile(g, machines, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	m.source, m.key, m.plan = source, key, plan
+	m.mu.Unlock()
 	return plan, nil
 }
 

@@ -73,6 +73,21 @@ func (j *Job) EnableIntrospection() {
 	}
 }
 
+// MailboxDepth sums the mailbox depths of every instance the job hosts: the
+// total of Introspect's per-instance MailboxDepth, sampled without building
+// the rest. Same concurrency rule as Introspect.
+func (j *Job) MailboxDepth() int {
+	depth := 0
+	for _, insts := range j.insts {
+		for _, in := range insts {
+			if in.mbox != nil {
+				depth += in.mbox.Depth()
+			}
+		}
+	}
+	return depth
+}
+
 // Introspect samples the job's live state. Safe to call concurrently with
 // the run from any goroutine, provided the caller observed Start (the
 // introspection server registers jobs after Start, which provides that

@@ -196,7 +196,8 @@ type Coordinator struct {
 	sess *session
 	// ids is the stable name→machine-ID table: it survives sessions, so a
 	// worker that redials after a failure gets its old partition back.
-	ids map[string]int
+	ids   map[string]int
+	plans core.PlanMemo // the last job's plan, for the next job of its script
 
 	// tel federates worker telemetry (metrics, traces, lineage, clock
 	// offsets). It outlives sessions so re-admitted workers keep feeding
@@ -822,11 +823,17 @@ type preparedJob struct {
 // partitions the coordinator ships.
 var ErrReadPartitioning = errors.New("netcluster: readFile parallelism differs from the job's")
 
-// compileSource turns shipped program source into the job's plan. The
-// coordinator and every worker run exactly this on the same source with
-// the same options, which is what makes their plans — operator IDs,
-// placement, template segments — identical without serializing any of it.
-func compileSource(source string, machines int, opts core.Options) (*core.Plan, error) {
+// compileHook, when a test sets it, is called each time frontEnd runs.
+var compileHook func()
+
+// frontEnd turns shipped program source into SSA for a PlanMemo to plan. The
+// coordinator and every worker plan the same source with the same options,
+// which makes their plans — operator IDs, placement, template segments —
+// identical without serializing any of it.
+func frontEnd(source string) (*ir.Graph, error) {
+	if compileHook != nil {
+		compileHook()
+	}
 	prog, err := lang.Parse(source)
 	if err != nil {
 		return nil, err
@@ -834,22 +841,18 @@ func compileSource(source string, machines int, opts core.Options) (*core.Plan, 
 	if _, err := lang.Check(prog); err != nil {
 		return nil, err
 	}
-	ssa, err := ir.CompileToSSA(prog)
-	if err != nil {
-		return nil, err
-	}
-	return core.Compile(ssa, machines, opts)
+	return ir.CompileToSSA(prog)
 }
 
-// prepare compiles and plans the job locally and encodes the shipment.
-// The coordinator needs the plan for the control-flow manager (block
-// structure, instances per block); the workers rebuild the identical plan
-// from the same source.
+// prepare plans the job locally, reusing the last job's plan when the
+// script and plan options repeat, and encodes the shipment. The coordinator
+// needs the plan for the control-flow manager (block structure, instances
+// per block); the workers rebuild the identical plan from the same source.
 func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (*preparedJob, error) {
 	if opts.Parallelism == 0 {
 		opts.Parallelism = c.cfg.Workers // the spec ships the resolved value
 	}
-	plan, err := compileSource(source, c.cfg.Workers, opts)
+	plan, err := c.plans.Compile(source, c.cfg.Workers, opts, frontEnd)
 	if err != nil {
 		return nil, err
 	}

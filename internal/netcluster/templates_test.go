@@ -180,7 +180,7 @@ newBag(total).writeFile("out")
 // does, then the worker's decode and its expansion of the head block into the
 // segment its plan resolved when it was built. None of it may allocate.
 func BenchmarkCtrlFrameEncode(b *testing.B) {
-	plan, err := compileSource(workload.StepLoopScript(10), 2, core.DefaultOptions())
+	plan, err := new(core.PlanMemo).Compile(workload.StepLoopScript(10), 2, core.DefaultOptions(), frontEnd)
 	if err != nil {
 		b.Fatal(err)
 	}

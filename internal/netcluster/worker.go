@@ -20,10 +20,11 @@ import (
 
 // The worker side of the backend: dial the coordinator, register a
 // data-plane listener, receive a machine ID and the peer table, mesh up,
-// then serve jobs — for each one, recompile the shipped program source
-// into the identical plan the coordinator built (compileSource is
-// deterministic), host this machine's partition, forward host events to
-// the coordinator, and report stats plus written datasets at the end.
+// then serve jobs — for each one, plan the shipped program source into the
+// identical plan the coordinator built (frontEnd and core.Compile are
+// deterministic; the session keeps the last plan, so a repeated script is
+// compiled once), host this machine's partition, forward host events to the
+// coordinator, and report stats plus written datasets at the end.
 
 // WorkerConfig configures one worker process.
 type WorkerConfig struct {
@@ -85,18 +86,20 @@ func Serve(cfg WorkerConfig, stop <-chan struct{}) error {
 		return err
 	}
 	// stop (in-process workers) and failure both unblock the control read
-	// by closing the connection.
+	// by closing the connection, and a mesh set-up waiting for peers by
+	// closing the data listener.
 	stopDone := make(chan struct{})
 	defer close(stopDone)
 	go func() {
 		select {
 		case <-stop:
 			s.stopped.Store(true)
-			s.conn.Close()
 		case <-s.failed:
-			s.conn.Close()
 		case <-stopDone:
+			return
 		}
+		s.conn.Close()
+		s.ln.Close()
 	}()
 	return s.controlLoop()
 }
@@ -121,6 +124,7 @@ type workerSession struct {
 
 	jobMu sync.Mutex
 	job   *workerJobRun
+	plans core.PlanMemo // the last job's plan, for the next job of its script
 
 	hbStop chan struct{}
 }
@@ -452,7 +456,7 @@ func (s *workerSession) heartbeat(interval time.Duration) {
 	}
 }
 
-// startJob compiles the shipped source, builds this machine's partition,
+// startJob plans the shipped source, builds this machine's partition,
 // and starts it. frame is the buffer spec was decoded from; the job owns it.
 func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 	if s.mesh == nil {
@@ -462,7 +466,7 @@ func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 		return fmt.Errorf("netcluster: worker %d: job while one is already running", s.id)
 	}
 	opts := spec.options()
-	plan, err := compileSource(spec.Source, s.n, opts)
+	plan, err := s.plans.Compile(spec.Source, s.n, opts, frontEnd)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
 	}
@@ -631,14 +635,7 @@ func (s *workerSession) shipTelemetry(rj *workerJobRun, final bool) {
 func (s *workerSession) refreshLiveGauges(rj *workerJobRun) {
 	reg := rj.obs.Reg()
 	reg.Gauge(s.id, "netcluster", "egress_backlog").Set(int64(s.mesh.egressBacklog()))
-	intro := rj.wj.Job.Introspect()
-	depth := 0
-	for _, op := range intro.Ops {
-		for _, in := range op.Instances {
-			depth += in.MailboxDepth
-		}
-	}
-	reg.Gauge(s.id, "netcluster", "mailbox_depth").Set(int64(depth))
+	reg.Gauge(s.id, "netcluster", "mailbox_depth").Set(int64(rj.wj.Job.MailboxDepth()))
 	var bytesOut, bytesIn, stalls, stallNanos int64
 	for _, p := range s.mesh.stats() {
 		bytesOut += p.BytesOut

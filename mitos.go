@@ -201,10 +201,12 @@ type Result struct {
 	CriticalPath *CriticalPath
 }
 
-// Program is a compiled Mitos program.
+// Program is a compiled Mitos program; runs under unchanged plan options share one plan.
 type Program struct {
-	ast *lang.Program
-	ssa *ir.Graph
+	ast   *lang.Program
+	ssa   *ir.Graph
+	src   string // canonical source, formatted once
+	plans core.PlanMemo
 }
 
 // Compile parses, checks, lowers, and SSA-converts a Mitos script.
@@ -225,11 +227,11 @@ func CompileAST(ast *lang.Program) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{ast: ast, ssa: g}, nil
+	return &Program{ast: ast, ssa: g, src: lang.Format(ast)}, nil
 }
 
 // Source returns the program's canonical script source.
-func (p *Program) Source() string { return lang.Format(p.ast) }
+func (p *Program) Source() string { return p.src }
 
 // SSA returns the program's SSA form as text (one basic block per
 // paragraph, as in the paper's Fig. 3a).
@@ -241,11 +243,16 @@ func (p *Program) Dot(parallelism int) (string, error) {
 	if parallelism <= 0 {
 		parallelism = 4
 	}
-	plan, err := core.Compile(p.ssa, parallelism, core.DefaultOptions())
+	plan, err := p.plan(parallelism, core.DefaultOptions())
 	if err != nil {
 		return "", err
 	}
 	return plan.Dot(), nil
+}
+
+// plan returns the program's plan for a cluster of machines under opts.
+func (p *Program) plan(machines int, opts core.Options) (*core.Plan, error) {
+	return p.plans.Compile(p.src, machines, opts, func(string) (*ir.Graph, error) { return p.ssa, nil })
 }
 
 // options resolves the execution options cfg selects.
@@ -317,7 +324,11 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 	}
 	defer cl.Close()
 	opts := cfg.options()
-	res, err := core.Execute(p.ssa, st, cl, opts)
+	plan, err := p.plan(cl.Machines(), opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.ExecutePlan(plan, st, cl, opts)
 	if err != nil {
 		return nil, err
 	}
