@@ -177,7 +177,7 @@ func run(scriptPath string, o options) error {
 	if res == nil {
 		fmt.Println("sequential run complete")
 	} else {
-		fmt.Printf("run complete: %d basic-block visits, %v, %d elements transferred", res.Steps, res.Duration.Round(0), res.ElementsSent)
+		fmt.Printf("run complete: %d basic-block visits, %v, %d elements transferred", res.Steps, res.Duration.Round(0), res.Job.ElementsSent)
 		if res.Attempts > 0 {
 			fmt.Printf(", %d bytes on the wire, %d credit stalls", res.SocketBytes, res.CreditStalls)
 		}

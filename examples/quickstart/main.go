@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Distributed run: %d basic-block visits, %v, %d elements transferred\n",
-		res.Steps, res.Duration.Round(0), res.ElementsSent)
+		res.Steps, res.Duration.Round(0), res.Job.ElementsSent)
 	fmt.Println("Top pages:")
 	for _, e := range top {
 		fmt.Printf("  %s\n", e)

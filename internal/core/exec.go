@@ -115,35 +115,54 @@ type Result struct {
 	Job dataflow.JobStats
 }
 
+// Counters lists r's int64 counters, every host and engine counter a share
+// of the execution carries, in one fixed order. It is core's one list of
+// them: Merge folds a share through it, and netcluster ships a worker's
+// share as these counters in this order, so a counter appended here ships
+// too (and changes the wire, whose version must then move).
+func (r *Result) Counters() [18]*int64 {
+	return [...]*int64{
+		&r.Job.ElementsSent,
+		&r.Job.ElementsChained,
+		&r.Job.BatchesSent,
+		&r.Job.RemoteBatches,
+		&r.Job.BytesSent,
+		&r.Job.BytesReceived,
+		&r.Job.MailboxDropped,
+		&r.Job.CtrlMessages,
+		&r.Job.CtrlBytes,
+		&r.JoinBuilds,
+		&r.MaxBufferedBags,
+		&r.CombineIn,
+		&r.CombineOut,
+		&r.DeltaIn,
+		&r.DeltaChanged,
+		&r.DeltaTouched,
+		&r.DeltaElements,
+		&r.DeltaBytes,
+	}
+}
+
 // Merge folds another share of the same execution into r: the
 // coordinator's share into the hosts', or one worker's into the cluster's.
 // Counters sum; MaxBufferedBags, a per-instance high-water mark, takes the
-// maximum. Duration and DeltaSteps stay r's own — the caller measures the
+// maximum. The four ints summed first are the coordinator's, which no
+// worker ships. Duration and DeltaSteps stay r's own — the caller measures the
 // one, and the per-step series is only meaningful from a single runtime (a
 // cluster of workers ships totals).
 func (r *Result) Merge(o *Result) {
 	r.Steps += o.Steps
-	r.JoinBuilds += o.JoinBuilds
-	r.MaxBufferedBags = max(r.MaxBufferedBags, o.MaxBufferedBags)
-	r.CombineIn += o.CombineIn
-	r.CombineOut += o.CombineOut
 	r.ChainedEdges += o.ChainedEdges
 	r.TemplateInstalls += o.TemplateInstalls
 	r.TemplateInstantiations += o.TemplateInstantiations
-	r.DeltaIn += o.DeltaIn
-	r.DeltaChanged += o.DeltaChanged
-	r.DeltaTouched += o.DeltaTouched
-	r.DeltaElements += o.DeltaElements
-	r.DeltaBytes += o.DeltaBytes
-	r.Job.ElementsSent += o.Job.ElementsSent
-	r.Job.ElementsChained += o.Job.ElementsChained
-	r.Job.BatchesSent += o.Job.BatchesSent
-	r.Job.RemoteBatches += o.Job.RemoteBatches
-	r.Job.BytesSent += o.Job.BytesSent
-	r.Job.BytesReceived += o.Job.BytesReceived
-	r.Job.MailboxDropped += o.Job.MailboxDropped
-	r.Job.CtrlMessages += o.Job.CtrlMessages
-	r.Job.CtrlBytes += o.Job.CtrlBytes
+	src := o.Counters()
+	for i, n := range r.Counters() {
+		if n == &r.MaxBufferedBags {
+			*n = max(*n, *src[i])
+		} else {
+			*n += *src[i]
+		}
+	}
 }
 
 // runtime is the state shared by all operator hosts and the coordinator of

@@ -89,7 +89,8 @@ func sequential(t *testing.T, source string, seed func(store.Store) error) *stor
 
 // TestWorkerStopInMeshAccept: a worker whose coordinator assigned it a peer
 // that never dials waits in the mesh's peer Accept. Closing its stop must
-// end Serve at once, not after the handshake timeout.
+// end Serve at once, not after the handshake timeout, and with nil: the
+// Accept the stop broke is not a session failure.
 func TestWorkerStopInMeshAccept(t *testing.T) {
 	ln := listenLoopback(t)
 	defer ln.Close()
@@ -125,9 +126,12 @@ func TestWorkerStopInMeshAccept(t *testing.T) {
 	stopped := time.Now()
 	close(stop)
 	select {
-	case <-served:
+	case err := <-served:
 		if d := time.Since(stopped); d > time.Second {
 			t.Errorf("Serve returned %v after stop, want under 1s", d)
+		}
+		if err != nil {
+			t.Errorf("Serve returned %v after stop, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve still waiting for its peer 5s after stop")

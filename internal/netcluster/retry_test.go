@@ -240,34 +240,19 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // TestRetryDisabledFailsFast: with Retries = 0 (the default) the first
 // worker loss fails the job with the bare cause — the pre-retry contract.
 func TestRetryDisabledFailsFast(t *testing.T) {
-	c, workers, cleanup, err := startLocalWorkers(2, CoordConfig{
-		RetryBackoff: 50 * time.Millisecond, SetupTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
 	spec := workload.VisitCountSpec{Days: 20, VisitsPerDay: 4000, Pages: 300, WithDiff: true, Seed: 15}
-	st := store.NewMemStore()
-	if err := spec.Generate(st); err != nil {
-		t.Fatal(err)
-	}
 	opts := core.DefaultOptions()
 	opts.BatchSize = 4
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Run(spec.Script(), st, opts)
-		done <- err
-	}()
-	time.Sleep(30 * time.Millisecond)
-	workers[0].Kill()
-	select {
-	case err = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("job hung after kill with retries disabled")
-	}
-	if err == nil {
-		t.Skip("kill landed after completion; nothing to assert")
+	// The kill races a job of a few tens of milliseconds. A kill that lands
+	// after completion leaves a dead session that a Retries=0 coordinator
+	// will not rebuild, so each round runs on a fresh cluster, killing
+	// sooner each time, until one lands mid-job.
+	var err error
+	for round := 0; err == nil; round++ {
+		if round == 10 {
+			t.Fatal("kill never landed mid-job in 10 rounds")
+		}
+		err = killDuringRun(t, spec, opts, time.Duration(10-round)*time.Millisecond)
 	}
 	var re *RetryError
 	if errors.As(err, &re) {
@@ -276,4 +261,34 @@ func TestRetryDisabledFailsFast(t *testing.T) {
 	if !strings.Contains(err.Error(), "worker") {
 		t.Errorf("failure does not name the worker: %v", err)
 	}
+}
+
+// killDuringRun starts spec on a fresh two-worker cluster with retries
+// disabled, kills worker 0 after delay, and returns the job's error.
+func killDuringRun(t *testing.T, spec workload.VisitCountSpec, opts core.Options, delay time.Duration) error {
+	t.Helper()
+	c, workers, cleanup, err := startLocalWorkers(2, CoordConfig{
+		RetryBackoff: 50 * time.Millisecond, SetupTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	st := store.NewMemStore()
+	if err := spec.Generate(st); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(spec.Script(), st, opts)
+		done <- err
+	}()
+	time.Sleep(delay)
+	workers[0].Kill()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job hung after kill with retries disabled")
+	}
+	return err
 }

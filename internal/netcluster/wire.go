@@ -499,21 +499,12 @@ func decodeDatasets(d *dec, keep bool) []Dataset {
 
 // JobSpec ships one job to one worker: the program source (every worker
 // rebuilds the identical plan deterministically — cheaper and
-// version-safer than serializing the plan itself), the options that shape
-// the plan, and the input partitions the worker's readFile instances read.
+// version-safer than serializing the plan itself), the execution options,
+// and the input partitions the worker's readFile instances read. Options
+// travels without its Obs and HTTP, which are each endpoint's own.
 type JobSpec struct {
-	Source      string
-	Parallelism int
-	BatchSize   int
-	Pipelining  bool
-	Hoisting    bool
-	Combiners   bool
-	Chaining    bool
-	Templates   bool
-	// Delta selects incremental solution-set maintenance for deltaMerge
-	// state (false = the -delta=off ablation: every step re-derives the
-	// full index before merging).
-	Delta bool
+	Source string
+	core.Options
 	// Trace, Lineage, and LiveView tell the workers which telemetry to
 	// collect for this job: trace spans (shipped as MsgTrace frames), bag
 	// lineage (shipped with the final MsgStats), and the per-edge queue
@@ -530,36 +521,16 @@ type JobSpec struct {
 // tracer, lineage when it has a tracker, live queue sampling when an
 // introspection server is attached.
 func specFromOptions(source string, opts core.Options, datasets []Dataset) JobSpec {
-	return JobSpec{
-		Source:      source,
-		Parallelism: opts.Parallelism,
-		BatchSize:   opts.BatchSize,
-		Pipelining:  opts.Pipelining,
-		Hoisting:    opts.Hoisting,
-		Combiners:   opts.Combiners,
-		Chaining:    opts.Chaining,
-		Templates:   opts.Templates,
-		Delta:       opts.Delta,
-		Trace:       opts.Obs.Trc() != nil,
-		Lineage:     opts.Obs.Lin() != nil,
-		LiveView:    opts.HTTP != nil,
-		Datasets:    datasets,
+	s := JobSpec{
+		Source:   source,
+		Options:  opts,
+		Trace:    opts.Obs.Trc() != nil,
+		Lineage:  opts.Obs.Lin() != nil,
+		LiveView: opts.HTTP != nil,
+		Datasets: datasets,
 	}
-}
-
-// options is the inverse of specFromOptions on the worker: the execution
-// options the spec carries. Obs is the worker's to attach.
-func (s JobSpec) options() core.Options {
-	return core.Options{
-		Parallelism: s.Parallelism,
-		BatchSize:   s.BatchSize,
-		Pipelining:  s.Pipelining,
-		Hoisting:    s.Hoisting,
-		Combiners:   s.Combiners,
-		Chaining:    s.Chaining,
-		Templates:   s.Templates,
-		Delta:       s.Delta,
-	}
+	s.Obs, s.HTTP = nil, nil
+	return s
 }
 
 // AppendJobSpec appends the encoding of s to dst.
@@ -591,20 +562,19 @@ func appendJobHeader(e *enc, s JobSpec) {
 // validated here, and a corrupt one fails the decode.
 func DecodeJobSpec(b []byte) (JobSpec, error) {
 	d := dec{b: b}
-	s := JobSpec{
-		Source:      d.str(),
-		Parallelism: d.num(),
-		BatchSize:   d.num(),
-		Pipelining:  d.boolean(),
-		Hoisting:    d.boolean(),
-		Combiners:   d.boolean(),
-		Chaining:    d.boolean(),
-		Templates:   d.boolean(),
-		Delta:       d.boolean(),
-		Trace:       d.boolean(),
-		Lineage:     d.boolean(),
-		LiveView:    d.boolean(),
-	}
+	var s JobSpec
+	s.Source = d.str()
+	s.Parallelism = d.num()
+	s.BatchSize = d.num()
+	s.Pipelining = d.boolean()
+	s.Hoisting = d.boolean()
+	s.Combiners = d.boolean()
+	s.Chaining = d.boolean()
+	s.Templates = d.boolean()
+	s.Delta = d.boolean()
+	s.Trace = d.boolean()
+	s.Lineage = d.boolean()
+	s.LiveView = d.boolean()
 	s.Datasets = decodeDatasets(&d, true)
 	return s, d.fin()
 }
@@ -702,43 +672,18 @@ type PeerStat struct {
 }
 
 // ResultMsg is a worker's end-of-job report: its share of the execution's
-// Result (engine stats and host counters; the wire carries the ones counters
-// lists), the datasets it wrote, and per-peer link counters.
+// Result (the wire carries core.Result.Counters, in that order), the
+// datasets it wrote, and per-peer link counters.
 type ResultMsg struct {
 	core.Result
 	Datasets []Dataset
 	Peers    []PeerStat
 }
 
-// counters lists the message's numbers in wire order — one list for the
-// encoder and the decoder, so the two cannot disagree.
-func (r *ResultMsg) counters() [18]*int64 {
-	return [...]*int64{
-		&r.Job.ElementsSent,
-		&r.Job.ElementsChained,
-		&r.Job.BatchesSent,
-		&r.Job.RemoteBatches,
-		&r.Job.BytesSent,
-		&r.Job.BytesReceived,
-		&r.Job.MailboxDropped,
-		&r.Job.CtrlMessages,
-		&r.Job.CtrlBytes,
-		&r.JoinBuilds,
-		&r.MaxBufferedBags,
-		&r.CombineIn,
-		&r.CombineOut,
-		&r.DeltaIn,
-		&r.DeltaChanged,
-		&r.DeltaTouched,
-		&r.DeltaElements,
-		&r.DeltaBytes,
-	}
-}
-
 // AppendResult appends the encoding of r to dst.
 func AppendResult(dst []byte, r ResultMsg) []byte {
 	e := enc{b: dst}
-	for _, n := range r.counters() {
+	for _, n := range r.Counters() {
 		e.i64(*n)
 	}
 	appendDatasets(&e, r.Datasets)
@@ -759,7 +704,7 @@ func AppendResult(dst []byte, r ResultMsg) []byte {
 func DecodeResult(b []byte) (ResultMsg, error) {
 	d := dec{b: b}
 	var r ResultMsg
-	for _, n := range r.counters() {
+	for _, n := range r.Counters() {
 		*n = d.i64()
 	}
 	r.Datasets = decodeDatasets(&d, false)

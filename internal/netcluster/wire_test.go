@@ -3,10 +3,13 @@ package netcluster
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -31,8 +34,8 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Errorf("Assign: got %+v, err %v", got, err)
 	}
 	spec := JobSpec{
-		Source: "x = readDataset(a);", Parallelism: 4, BatchSize: 128,
-		Pipelining: true, Combiners: true, Templates: true, Delta: true,
+		Source:   "x = readDataset(a);",
+		Options:  core.Options{Parallelism: 4, BatchSize: 128, Pipelining: true, Combiners: true, Templates: true, Delta: true},
 		Datasets: []Dataset{{Name: "a", Elems: []val.Value{val.Int(1), val.Str("two"), val.Pair(val.Int(3), val.Float(4.5))}}},
 	}
 	gotSpec, err := DecodeJobSpec(AppendJobSpec(nil, spec))
@@ -46,7 +49,7 @@ func TestWireRoundTrips(t *testing.T) {
 	if elems := decodeShipped(t, gotSpec.Datasets[0]); len(elems) != 3 || elems[2].Field(1).AsFloat() != 4.5 {
 		t.Errorf("JobSpec dataset: got %v", elems)
 	}
-	multi := JobSpec{Source: "s", Parallelism: 5, Datasets: []Dataset{
+	multi := JobSpec{Source: "s", Options: core.Options{Parallelism: 5}, Datasets: []Dataset{
 		{Name: "a", Part: 1, Parts: 5, Elems: []val.Value{val.Int(1), val.Int(6)}},
 		{Name: "a", Part: 4, Parts: 5},
 		{Name: "b", Part: 1, Parts: 5, Elems: []val.Value{val.Str("x")}},
@@ -98,6 +101,81 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 }
 
+// TestWireGoldenBytes pins the encodings of a ResultMsg and of two JobSpec
+// headers to the bytes wire version 7 has always carried, every field set
+// by name: a change to how the messages or their counters and options are
+// declared must not change what travels without a new Version.
+func TestWireGoldenBytes(t *testing.T) {
+	r := ResultMsg{
+		Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9), val.Str("x")}}},
+		Peers:    []PeerStat{{Peer: 1, BytesOut: 100, BytesIn: 90, FramesOut: 3, FramesIn: 4, CreditStalls: 5, StallNanos: 12345}},
+	}
+	r.Job.ElementsSent, r.Job.ElementsChained, r.Job.BatchesSent = 1, 2, 3
+	r.Job.RemoteBatches, r.Job.BytesSent, r.Job.BytesReceived = 4, 5, 6
+	r.Job.MailboxDropped, r.Job.CtrlMessages, r.Job.CtrlBytes = 7, 8, 9
+	r.JoinBuilds, r.MaxBufferedBags, r.CombineIn, r.CombineOut = 10, 11, 12, 13
+	r.DeltaIn, r.DeltaChanged, r.DeltaTouched, r.DeltaElements, r.DeltaBytes = 14, 15, 16, 17, -18
+	// The coordinator's own counters do not travel.
+	r.Steps, r.ChainedEdges, r.TemplateInstalls, r.TemplateInstantiations = 99, 98, 97, 96
+	header := func(s JobSpec) []byte {
+		var e enc
+		appendJobHeader(&e, s)
+		return e.b
+	}
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"ResultMsg", AppendResult(nil, r),
+			"020406080a0c0e10121416181a1c1e20222301036f757400010201120301780102c801b40106080af2c001"},
+		{"JobSpec header", header(JobSpec{Source: "x = 1", Trace: true, LiveView: true, Options: core.Options{
+			Parallelism: 3, BatchSize: 128, Pipelining: true, Combiners: true, Templates: true, Delta: true}}),
+			"0578203d2031068002010001000101010001"},
+		{"JobSpec header, other switches", header(JobSpec{Source: "y", Lineage: true, Options: core.Options{Hoisting: true, Chaining: true}}),
+			"01790000000100010000000100"},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s encodes as\n%s, want\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestJobSpecShipsOptions sets each field of core.Options in turn and ships
+// it: every non-pointer field must survive AppendJobSpec and DecodeJobSpec,
+// or the workers would run — and plan — under other options than the
+// coordinator (the TCP twin of core's TestPlanKeyCoversCompile). The
+// pointer fields are each endpoint's own and must not ship.
+func TestJobSpecShipsOptions(t *testing.T) {
+	typ := reflect.TypeOf(core.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var opts core.Options
+		f := reflect.ValueOf(&opts).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("Options.%s is a %s: teach the wire and this test to ship it", typ.Field(i).Name, f.Kind())
+		}
+		sent := specFromOptions("x", opts, nil)
+		got, err := DecodeJobSpec(AppendJobSpec(nil, sent))
+		if err != nil {
+			t.Fatalf("Options.%s: %v", typ.Field(i).Name, err)
+		}
+		want := opts
+		if f.Kind() == reflect.Pointer {
+			want = core.Options{}
+		}
+		if sent.Options != want || got.Options != want {
+			t.Errorf("Options.%s: shipped %+v, decoded %+v, want %+v", typ.Field(i).Name, sent.Options, got.Options, want)
+		}
+	}
+}
+
 func TestWireHelloRejectsMismatch(t *testing.T) {
 	b := AppendHello(nil, Hello{Role: RoleWorker})
 	b[0] ^= 0x40 // corrupt the magic varint's low bits
@@ -118,7 +196,7 @@ func TestWireHelloRejectsMismatch(t *testing.T) {
 // bypassing the encoder's normalization of a zero Parts.
 func specWithPart(part, parts uint64) []byte {
 	e := enc{}
-	appendJobHeader(&e, JobSpec{Source: "s", Parallelism: 2})
+	appendJobHeader(&e, JobSpec{Source: "s", Options: core.Options{Parallelism: 2}})
 	e.u64(1)
 	e.str("d")
 	e.u64(part)
@@ -199,8 +277,8 @@ func (m *meteredReader) Read(p []byte) (int, error) { return m.r.Read(p) }
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Role: RolePeer, ID: 1}), byte(0))
 	f.Add(AppendAssign(nil, Assign{ID: 1, Workers: 3, Peers: []string{"x:1", "y:2", "z:3"}, HeartbeatMillis: 100}), byte(1))
-	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Parallelism: 2, Datasets: []Dataset{{Name: "d", Elems: []val.Value{val.Int(5)}}}}), byte(2))
-	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Parallelism: 3, Datasets: []Dataset{{Name: "d", Part: 2, Parts: 3, Elems: []val.Value{val.Int(5)}}}}), byte(2))
+	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Options: core.Options{Parallelism: 2}, Datasets: []Dataset{{Name: "d", Elems: []val.Value{val.Int(5)}}}}), byte(2))
+	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Options: core.Options{Parallelism: 3}, Datasets: []Dataset{{Name: "d", Part: 2, Parts: 3, Elems: []val.Value{val.Int(5)}}}}), byte(2))
 	f.Add(specWithPart(2, 2), byte(2))
 	f.Add(specWithPart(0, 0), byte(2))
 	f.Add(AppendResult(nil, ResultMsg{Peers: []PeerStat{{Peer: 1}}}), byte(3))

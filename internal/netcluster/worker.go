@@ -387,17 +387,18 @@ func (s *workerSession) controlLoop() error {
 	}
 }
 
-// exitErr classifies the control loop's exit: a session failure wins, a
-// stop or a clean coordinator close with no job running is nil, anything
-// else (coordinator died mid-job) is an error.
+// exitErr classifies the control loop's exit: a stop wins (closing the
+// connection and listener fails whatever was waiting on them), then a
+// session failure; a clean coordinator close with no job running is nil,
+// anything else (coordinator died mid-job) is an error.
 func (s *workerSession) exitErr(readErr error) error {
+	if s.stopped.Load() {
+		return nil
+	}
 	select {
 	case <-s.failed:
 		return s.failErr
 	default:
-	}
-	if s.stopped.Load() {
-		return nil
 	}
 	if s.running() == nil && (errors.Is(readErr, io.EOF) || errors.Is(readErr, net.ErrClosed)) {
 		return nil // coordinator closed the session between jobs
@@ -465,7 +466,7 @@ func (s *workerSession) startJob(spec JobSpec, frame []byte) error {
 	if s.running() != nil {
 		return fmt.Errorf("netcluster: worker %d: job while one is already running", s.id)
 	}
-	opts := spec.options()
+	opts := spec.Options
 	plan, err := s.plans.Compile(spec.Source, s.n, opts, frontEnd)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)

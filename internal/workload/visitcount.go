@@ -258,30 +258,3 @@ func RunFlinkNative(s VisitCountSpec, st store.Store, cl *cluster.Cluster, penal
 	})
 	return err
 }
-
-// RunFlinkSeparateJobs executes Visit Count without native iterations: a
-// fresh Flink session (= a fresh job launch) per day, like Spark but on the
-// Flink-style API. No operator state survives between days, and
-// yesterday's counts travel through the driver.
-func RunFlinkSeparateJobs(s VisitCountSpec, st store.Store, cl *cluster.Cluster) error {
-	body := s.dayBody()
-	var yesterdayCounts []val.Value
-	for day := 1; day <= s.Days; day++ {
-		sess := baseline.Flink(cl, st)
-		var pageTypes *baseline.Dataset
-		if s.WithPageTypes {
-			pageTypes = sess.ReadFile("pageTypes")
-		}
-		counts := body.dayCounts(sess, pageTypes, day)
-		if err := body.emitDay(st, counts, sess.FromSlice(yesterdayCounts), day); err != nil {
-			return err
-		}
-		if s.WithDiff {
-			var err error
-			if yesterdayCounts, err = counts.Collect(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

@@ -88,9 +88,6 @@ func TestAllSystemsAgree(t *testing.T) {
 			{"flink-native", func(st *store.MemStore, cl *cluster.Cluster) error {
 				return RunFlinkNative(spec, st, cl, 0)
 			}},
-			{"flink-separate", func(st *store.MemStore, cl *cluster.Cluster) error {
-				return RunFlinkSeparateJobs(spec, st, cl)
-			}},
 		}
 		for _, r := range runners {
 			t.Run(fmt.Sprintf("spec%d/%s", si, r.name), func(t *testing.T) {

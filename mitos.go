@@ -28,7 +28,6 @@ package mitos
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
@@ -120,77 +119,27 @@ func DefaultClusterConfig(machines int) ClusterConfig {
 	return cluster.DefaultConfig(machines)
 }
 
-// Result reports what an execution did.
+// Result reports what an execution did. Its counters are the engine's own,
+// declared once in the embedded engine result and promoted: Steps,
+// Duration, the host counters (JoinBuilds, MaxBufferedBags, CombineIn and
+// CombineOut, ChainedEdges, the template counters, the Delta* totals and,
+// for Run only, the per-step DeltaSteps series), and under Job the dataflow
+// transfer counters (Job.ElementsSent, Job.BytesSent, ...), whose
+// Job.CtrlMessages and Job.CtrlBytes count the control envelopes through the
+// dataflow on either backend.
+//
+// The rest is set only by RunTCP: Attempts and AttemptErrors (the executions
+// the job took, and why each failed one failed), SocketBytes and the
+// CreditStall counters (the data-plane sockets), CtrlMessages and CtrlBytes
+// (the control frames on the coordinator links; 0 for Run), PeerLinks, and
+// WorkerStats (each worker's final metrics snapshot, indexed by machine ID;
+// summed with Report they reproduce the federated /metrics view). The
+// socket, credit and coordinator-link counters live as long as the worker
+// session: over sequential RunTCP calls on one TCPCoordinator they
+// accumulate, and one job's share is the difference between consecutive
+// results (a retry starts a fresh session and fresh counters).
 type Result struct {
-	// Steps is the execution path length (basic-block visits).
-	Steps int
-	// Duration is the wall-clock job time.
-	Duration time.Duration
-	// ElementsSent and RemoteBatches are engine transfer counters.
-	ElementsSent  int64
-	RemoteBatches int64
-	// BytesSent and BytesReceived measure cross-machine traffic as the
-	// encoded size of every remote batch serialized through the value
-	// codec (they agree after a clean run).
-	BytesSent     int64
-	BytesReceived int64
-	// CombineIn and CombineOut count elements entering and leaving map-side
-	// combiners; their ratio is the local aggregation factor. Zero when
-	// DisableCombiners is set.
-	CombineIn  int64
-	CombineOut int64
-	// ChainedEdges counts dataflow edges fused by operator chaining and
-	// ElementsChained the elements that crossed them by direct call instead
-	// of a mailbox batch. Zero when DisableChaining is set.
-	ChainedEdges    int
-	ElementsChained int64
-	// CtrlMessages and CtrlBytes count control-plane traffic: for Run,
-	// control envelopes through the in-process dataflow (broadcast fan-out
-	// plus targeted sends) and their encoded sizes; for RunTCP, real control
-	// frames on the coordinator links — counted per worker session, not per
-	// job, so over sequential RunTCP calls on one TCPCoordinator they
-	// accumulate and one job's share is the difference between consecutive
-	// results (a retry starts a fresh session and fresh counters).
-	CtrlMessages int64
-	CtrlBytes    int64
-	// TemplateInstalls and TemplateInstantiations report the execution
-	// template cache: segments resolved and broadcast in full versus replays
-	// of a cached schedule. Zero when DisableTemplates (or
-	// DisablePipelining) is set.
-	TemplateInstalls       int
-	TemplateInstantiations int
-	// Delta-iteration counters, nonzero only for programs using deltaMerge:
-	// DeltaIn counts delta elements entering solution stores, DeltaChanged
-	// the changed pairs re-emitted as the next workset, DeltaTouched the
-	// index entries written (equal to DeltaChanged's candidates plus full
-	// rebuilds when DisableDelta is set), and DeltaElements/DeltaBytes the
-	// solution-set size held at the end of the run.
-	DeltaIn       int64
-	DeltaChanged  int64
-	DeltaTouched  int64
-	DeltaElements int64
-	DeltaBytes    int64
-	// DeltaSteps is the per-step delta series (elements in, changed,
-	// touched, inter-step interval) merged across instances and ordered by
-	// bag position. Set only by Run; the TCP backend ships totals, not the
-	// per-step series.
-	DeltaSteps []DeltaStep
-	// SocketBytes and CreditStalls are set only by RunTCP: data-plane socket
-	// traffic across all peer links, and the number of emits that blocked on
-	// an exhausted flow-control window. Per worker session, accumulating
-	// over sequential jobs, as the RunTCP CtrlMessages above.
-	SocketBytes  int64
-	CreditStalls int64
-	// Attempts and AttemptErrors are set only by RunTCP: how many times the
-	// job executed (1 unless worker loss forced re-execution under
-	// TCPCoordConfig.Retries) and the error that ended each failed attempt.
-	Attempts      int
-	AttemptErrors []string
-	// WorkerReports is set only by RunTCP: each worker's final shipped
-	// metrics snapshot, indexed by machine ID (an entry is nil if that
-	// worker never delivered telemetry). Summing them — plus the
-	// coordinator-side Report — reproduces the federated /metrics view.
-	WorkerReports []*RunReport
+	netcluster.Result
 	// Report is the metrics snapshot taken at the end of the run; nil
 	// unless Config.Observer was set.
 	Report *RunReport
@@ -275,31 +224,10 @@ func (cfg Config) options() core.Options {
 	}
 }
 
-// result flattens the engine's result into the public one and attaches
-// what the run's observer o collected.
-func (cfg Config) result(res *core.Result, o *Observer) *Result {
-	out := &Result{
-		Steps:                  res.Steps,
-		Duration:               res.Duration,
-		ElementsSent:           res.Job.ElementsSent,
-		RemoteBatches:          res.Job.RemoteBatches,
-		BytesSent:              res.Job.BytesSent,
-		BytesReceived:          res.Job.BytesReceived,
-		CombineIn:              res.CombineIn,
-		CombineOut:             res.CombineOut,
-		ChainedEdges:           res.ChainedEdges,
-		ElementsChained:        res.Job.ElementsChained,
-		CtrlMessages:           res.Job.CtrlMessages,
-		CtrlBytes:              res.Job.CtrlBytes,
-		TemplateInstalls:       res.TemplateInstalls,
-		TemplateInstantiations: res.TemplateInstantiations,
-		DeltaIn:                res.DeltaIn,
-		DeltaChanged:           res.DeltaChanged,
-		DeltaTouched:           res.DeltaTouched,
-		DeltaElements:          res.DeltaElements,
-		DeltaBytes:             res.DeltaBytes,
-		DeltaSteps:             res.DeltaSteps,
-	}
+// result wraps the engine's result into the public one and attaches what
+// the run's observer o collected.
+func (cfg Config) result(res *netcluster.Result, o *Observer) *Result {
+	out := &Result{Result: *res}
 	if cfg.Observer != nil {
 		out.Report = cfg.Observer.Snapshot()
 	}
@@ -332,7 +260,7 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cfg.result(res, opts.Obs), nil
+	return cfg.result(&netcluster.Result{Result: *res}, opts.Obs), nil
 }
 
 // RunSequential executes the program with the sequential reference
@@ -406,12 +334,7 @@ func (p *Program) RunTCP(c *TCPCoordinator, st NamedStore, cfg Config) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	out := cfg.result(&res.Result, opts.Obs)
-	out.CtrlMessages, out.CtrlBytes = res.CtrlMessages, res.CtrlBytes
-	out.SocketBytes, out.CreditStalls = res.SocketBytes, res.CreditStalls
-	out.Attempts, out.AttemptErrors = res.Attempts, res.AttemptErrors
-	out.WorkerReports = res.WorkerStats
-	return out, nil
+	return cfg.result(res, opts.Obs), nil
 }
 
 // Validate re-checks the compiled program's structural invariants.

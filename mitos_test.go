@@ -42,7 +42,7 @@ func TestCompileAndRun(t *testing.T) {
 	if res.Steps < 4 {
 		t.Errorf("Steps = %d", res.Steps)
 	}
-	if res.ElementsSent == 0 {
+	if res.Job.ElementsSent == 0 {
 		t.Error("no elements transferred")
 	}
 }
@@ -109,17 +109,17 @@ func TestDisableChaining(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		on, _ := run(tcp, false)
 		off, outOff := run(tcp, true)
-		if on.ChainedEdges == 0 || on.ElementsChained == 0 {
+		if on.ChainedEdges == 0 || on.Job.ElementsChained == 0 {
 			t.Errorf("tcp=%v: default run fused nothing: %d edges, %d elements",
-				tcp, on.ChainedEdges, on.ElementsChained)
+				tcp, on.ChainedEdges, on.Job.ElementsChained)
 		}
-		if on.ChainedEdges != chained.ChainedEdges || on.ElementsChained != chained.ElementsChained {
+		if on.ChainedEdges != chained.ChainedEdges || on.Job.ElementsChained != chained.Job.ElementsChained {
 			t.Errorf("tcp=%v: %d edges, %d elements chained; Run reports %d, %d",
-				tcp, on.ChainedEdges, on.ElementsChained, chained.ChainedEdges, chained.ElementsChained)
+				tcp, on.ChainedEdges, on.Job.ElementsChained, chained.ChainedEdges, chained.Job.ElementsChained)
 		}
-		if off.ChainedEdges != 0 || off.ElementsChained != 0 {
+		if off.ChainedEdges != 0 || off.Job.ElementsChained != 0 {
 			t.Errorf("tcp=%v: DisableChaining run fused: %d edges, %d elements",
-				tcp, off.ChainedEdges, off.ElementsChained)
+				tcp, off.ChainedEdges, off.Job.ElementsChained)
 		}
 		if len(outOn) != 1 || len(outOff) != 1 || !outOn[0].Equal(outOff[0]) {
 			t.Errorf("tcp=%v: chained %v vs unchained %v", tcp, outOn, outOff)

@@ -50,10 +50,10 @@ func TestObserverDifferentialCounts(t *testing.T) {
 	if got := snap.Total("mailbox_dropped"); got != 0 {
 		t.Errorf("mailbox_dropped = %d on clean completion, want 0", got)
 	}
-	if res.BytesSent != res.BytesReceived {
-		t.Errorf("BytesSent = %d != BytesReceived = %d on clean completion", res.BytesSent, res.BytesReceived)
+	if res.Job.BytesSent != res.Job.BytesReceived {
+		t.Errorf("BytesSent = %d != BytesReceived = %d on clean completion", res.Job.BytesSent, res.Job.BytesReceived)
 	}
-	if res.BytesSent == 0 {
+	if res.Job.BytesSent == 0 {
 		t.Error("no remote bytes recorded on a 3-machine run")
 	}
 
