@@ -170,7 +170,7 @@ type inputBuf struct {
 
 type inBag struct {
 	pos      int
-	elems    []val.Value
+	elems    bagBuf
 	eobs     int
 	complete bool
 }
@@ -395,7 +395,7 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 		if buf.lent {
 			e.Val = h.slab.Tuple(e.Val.Fields()...)
 		}
-		b.elems = append(b.elems, e.Val)
+		b.elems.add(e.Val)
 		buffered++
 	}
 	if batchHook != nil {
@@ -647,21 +647,6 @@ func (h *host) retire(i int) {
 	h.held -= n
 }
 
-// bagKeepCap bounds the element capacity an input-bag buffer may retain;
-// larger backing arrays (transient wide bags) go back to the collector.
-const bagKeepCap = 1024
-
-// dropElems empties the bag's buffer. Values are cleared so the retained
-// capacity does not pin them.
-func (b *inBag) dropElems() {
-	if cap(b.elems) > bagKeepCap {
-		b.elems = nil
-		return
-	}
-	clear(b.elems)
-	b.elems = b.elems[:0]
-}
-
 // takeBag returns a recycled input-bag buffer (see recycleBag) or a fresh
 // one.
 func (h *host) takeBag() *inBag {
@@ -675,10 +660,10 @@ func (h *host) takeBag() *inBag {
 
 // recycleBag resets a retired bag buffer and keeps it for reuse.
 // Safe because a retired position can never be selected again (input
-// positions are monotone across outputs) and an element slice only leaves
-// a pump by being detached from its bag (writeFile).
+// positions are monotone across outputs) and no element slice leaves a
+// pump: writeFile stores a copy.
 func (h *host) recycleBag(b *inBag) {
-	b.dropElems()
+	b.elems.reset()
 	b.eobs = 0
 	b.complete = false
 	h.freeBags = append(h.freeBags, b)

@@ -124,16 +124,20 @@ func (h *host) pump() (bool, error) {
 			continue
 		}
 		b := h.bagFor(run, i)
-		if use == slotStreams {
-			for _, x := range b.elems[run.cursor[i]:] {
-				if err := h.consume(run, i, x); err != nil {
-					return false, err
+		if use == slotStreams && run.cursor[i] < b.elems.len() {
+			for c := run.cursor[i]; c < b.elems.len(); {
+				s := b.elems.span(c)
+				for _, x := range s {
+					if err := h.consume(run, i, x); err != nil {
+						return false, err
+					}
 				}
+				c += len(s)
 			}
 			if h.inbufs[i].singleUse {
-				b.dropElems()
+				b.elems.reset()
 			} else {
-				run.cursor[i] = len(b.elems)
+				run.cursor[i] = b.elems.len()
 			}
 		}
 		if !b.complete {
@@ -232,10 +236,15 @@ func (h *host) consume(run *outputRun, i int, x val.Value) error {
 			}
 		}
 	case ir.OpCross:
-		for _, r := range h.bagFor(run, 1).elems {
-			if err := h.emitTuple(run, x, r); err != nil {
-				return err
+		right := &h.bagFor(run, 1).elems
+		for c := 0; c < right.len(); {
+			s := right.span(c)
+			for _, r := range s {
+				if err := h.emitTuple(run, x, r); err != nil {
+					return err
+				}
 			}
+			c += len(s)
 		}
 	case ir.OpReduceByKey:
 		return h.foldInto(run.hash, x)
@@ -437,16 +446,10 @@ func (h *host) finishWriteFile(run *outputRun) error {
 	if name.Kind() != val.KindString {
 		return fmt.Errorf("core: %s: file name is %s, want string", h.op.Instr.Var, name.Kind())
 	}
-	// The store keeps the slice it is given. A single-use bag has no other
-	// reader, so its slice is handed over and detached — recycling the bag
-	// must not clear a stored dataset; a re-readable bag is copied.
-	data := h.bagFor(run, 0)
-	out := data.elems
-	if h.inbufs[0].singleUse {
-		data.elems = nil
-	} else {
-		out = append([]val.Value(nil), out...)
-	}
+	// A store takes one slice, and may keep it: the TCP worker's does
+	// (MemStore and dfs copy). The bag's chunks are reset when it is
+	// recycled, so they are copied into a slice of the store's own.
+	out := h.bagFor(run, 0).elems.flatten()
 	if err := h.rt.store.WriteDataset(name.AsStr(), out); err != nil {
 		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}

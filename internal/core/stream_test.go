@@ -442,7 +442,7 @@ func eob(tb testing.TB, h *host, slot, pos int) {
 func bufferedAt(h *host, slot, pos int) int {
 	for _, b := range h.inbufs[slot].bags {
 		if b.pos == pos {
-			return len(b.elems)
+			return b.elems.len()
 		}
 	}
 	return 0
@@ -495,11 +495,11 @@ func TestHostRereadAndStream(t *testing.T) {
 		eob(t, h, 1, pos)
 		// The next output is live now and has drained what arrived early.
 		for _, b := range h.inbufs[1].bags {
-			if len(b.elems) != 0 {
-				t.Errorf("after step %d: single-use bag %d still holds %d elements", pos, b.pos, len(b.elems))
+			if n := b.elems.len(); n != 0 {
+				t.Errorf("after step %d: single-use bag %d still holds %d elements", pos, b.pos, n)
 			}
 		}
-		if got := h.inbufs[0].bags[0].elems; !bag.Equal(got, invariant) {
+		if got := h.inbufs[0].bags[0].elems.flatten(); !bag.Equal(got, invariant) {
 			t.Errorf("after step %d: re-readable bag = %v, want %v", pos, got, invariant)
 		}
 	}
@@ -529,39 +529,41 @@ func (s *keepStore) WriteDataset(name string, elems []val.Value) error {
 	return nil
 }
 
-// TestWriteFileNeverClearsStoredDataset: writeFile hands a single-use bag's
-// slice to the store instead of copying it, so the bag must let go of it —
-// recycling the bag clears its buffer, and a stored dataset must survive
-// that. A re-readable bag is copied and must stay readable itself.
+// TestWriteFileNeverClearsStoredDataset: a store may keep the slice
+// writeFile hands it, and recycling the bag clears its buffer, so the
+// stored dataset must not share the bag's chunks. A single-use and a
+// re-readable bag, in one chunk or spanning several, are stored in order.
 func TestWriteFileNeverClearsStoredDataset(t *testing.T) {
-	for _, dataBlock := range []ir.BlockID{1, 0} {
-		st := &keepStore{sets: map[string][]val.Value{}}
-		h := handFedHost(t, ir.OpWriteFile, nil, st, []ir.BlockID{dataBlock, 1}, nil)
-		if got, want := h.inbufs[0].singleUse, dataBlock == 1; got != want {
-			t.Fatalf("data from b%d: singleUse = %v, want %v", dataBlock, got, want)
-		}
-		visit(t, h, 0)
-		want := ints(7, 8, 9)
-		if dataBlock == 0 {
-			feed(t, h, 0, 1, want...)
-			eob(t, h, 0, 1)
-		}
-		for pos := 2; pos <= 4; pos++ {
-			visit(t, h, 1)
-			if dataBlock == 1 {
-				feed(t, h, 0, pos, want...)
-				eob(t, h, 0, pos)
+	for _, n := range []int{3, 3*bagChunk0 + 5} {
+		for _, dataBlock := range []ir.BlockID{1, 0} {
+			st := &keepStore{sets: map[string][]val.Value{}}
+			h := handFedHost(t, ir.OpWriteFile, nil, st, []ir.BlockID{dataBlock, 1}, nil)
+			if got, want := h.inbufs[0].singleUse, dataBlock == 1; got != want {
+				t.Fatalf("data from b%d: singleUse = %v, want %v", dataBlock, got, want)
 			}
-			feed(t, h, 1, pos, val.Str(fmt.Sprint("out", pos)))
-			eob(t, h, 1, pos)
-		}
-		// Steps 3 and 4 retired (and recycled) the bags of steps 2 and 3.
-		if dataBlock == 1 && len(h.freeBags) == 0 {
-			t.Error("no input bag was recycled; the test does not exercise the hazard")
-		}
-		for pos := 2; pos <= 4; pos++ {
-			if got := st.sets[fmt.Sprint("out", pos)]; !bag.Equal(got, want) {
-				t.Errorf("data from b%d: stored out%d = %v, want %v", dataBlock, pos, got, want)
+			visit(t, h, 0)
+			want := ints(seq(n)...)
+			if dataBlock == 0 {
+				feed(t, h, 0, 1, want...)
+				eob(t, h, 0, 1)
+			}
+			for pos := 2; pos <= 4; pos++ {
+				visit(t, h, 1)
+				if dataBlock == 1 {
+					feed(t, h, 0, pos, want...)
+					eob(t, h, 0, pos)
+				}
+				feed(t, h, 1, pos, val.Str(fmt.Sprint("out", pos)))
+				eob(t, h, 1, pos)
+			}
+			// Steps 3 and 4 retired (and recycled) the bags of steps 2 and 3.
+			if dataBlock == 1 && len(h.freeBags) == 0 {
+				t.Error("no input bag was recycled; the test does not exercise the hazard")
+			}
+			for pos := 2; pos <= 4; pos++ {
+				if got := st.sets[fmt.Sprint("out", pos)]; !equalInOrder(got, want) {
+					t.Errorf("%d elements from b%d: stored out%d = %v, want %v", n, dataBlock, pos, got, want)
+				}
 			}
 		}
 	}

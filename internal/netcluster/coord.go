@@ -198,6 +198,11 @@ type Coordinator struct {
 	// worker that redials after a failure gets its old partition back.
 	ids   map[string]int
 	plans core.PlanMemo // the last job's plan, for the next job of its script
+	// specs holds the last job's encoded specs, for the next job to encode
+	// into (encodeSpecs). Only Run touches it, one job at a time. An idle
+	// coordinator keeps them, one encoded copy of the last job's input,
+	// until a later job replaces them.
+	specs [][]byte
 
 	// tel federates worker telemetry (metrics, traces, lineage, clock
 	// offsets). It outlives sessions so re-admitted workers keep feeding
@@ -863,10 +868,11 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 	}
 	names := st.Names()
 	sort.Strings(names)
-	specs, err := encodeSpecs(specFromOptions(source, opts, nil), st, names, c.cfg.Workers, opts.Parallelism)
+	specs, err := encodeSpecs(specFromOptions(source, opts, nil), st, names, c.cfg.Workers, opts.Parallelism, c.specs)
 	if err != nil {
 		return nil, err
 	}
+	c.specs = specs
 	return &preparedJob{plan: plan, opts: opts, specs: specs}, nil
 }
 
@@ -879,8 +885,11 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 // place: the first pass counts and sizes every stride partition, so each
 // spec is allocated once at its final size with room left for every
 // partition it hosts, and the second encodes each element into its
-// partition's room.
-func encodeSpecs(spec JobSpec, st store.Store, names []string, workers, parts int) ([][]byte, error) {
+// partition's room. A spec is encoded into reuse[w], the previous job's spec
+// for the same worker, when that is large enough and at most twice the size
+// needed; the returned specs are then reuse's buffers, valid until the next
+// call that is passed them.
+func encodeSpecs(spec JobSpec, st store.Store, names []string, workers, parts int, reuse [][]byte) ([][]byte, error) {
 	var hdr enc
 	appendJobHeader(&hdr, spec)
 	// Per part p of dataset k, at k*parts+p: its element count, their encoded
@@ -905,7 +914,10 @@ func encodeSpecs(spec JobSpec, st store.Store, names []string, workers, parts in
 			return nil, fmt.Errorf("netcluster: reading input dataset %q: %w", name, err)
 		}
 	}
-	specs := make([][]byte, workers)
+	specs := reuse
+	if len(specs) != workers {
+		specs = make([][]byte, workers)
+	}
 	for w := range specs {
 		size, hosted := len(hdr.b)+binary.MaxVarintLen64, 0
 		for q := w; q < parts; q += workers {
@@ -914,7 +926,10 @@ func encodeSpecs(spec JobSpec, st store.Store, names []string, workers, parts in
 				size += len(name) + 4*binary.MaxVarintLen64 + encoded[k*parts+q]
 			}
 		}
-		e := enc{b: make([]byte, 0, size)}
+		e := enc{b: specs[w][:0]}
+		if cap(e.b) < size || cap(e.b) > 2*size {
+			e.b = make([]byte, 0, size)
+		}
 		e.b = append(e.b, hdr.b...)
 		e.u64(uint64(len(names) * hosted))
 		for k, name := range names {

@@ -224,19 +224,25 @@ func TestTCPSingleWorker(t *testing.T) {
 }
 
 // TestTCPSequentialJobs reuses one session for several jobs: the peer
-// readers must park between jobs and re-attach to the next one.
+// readers must park between jobs and re-attach to the next one, and a job
+// whose specs are encoded into the last job's buffers — other inputs, some
+// smaller — must still match the simulated backend.
 func TestTCPSequentialJobs(t *testing.T) {
 	c, cleanup, err := StartLocal(2, CoordConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cleanup()
-	for i := 0; i < 3; i++ {
-		spec := workload.VisitCountSpec{Days: 4, VisitsPerDay: 50, Pages: 20, WithDiff: true, Seed: int64(i + 1)}
-		st := store.NewMemStore()
+	for i, visits := range []int{60, 50, 40, 60} {
+		spec := workload.VisitCountSpec{Days: 4, VisitsPerDay: visits, Pages: 20, WithDiff: true, Seed: int64(i + 1)}
+		simStore, st := store.NewMemStore(), store.NewMemStore()
+		if err := spec.Generate(simStore); err != nil {
+			t.Fatal(err)
+		}
 		if err := spec.Generate(st); err != nil {
 			t.Fatal(err)
 		}
+		runSim(t, spec.Script(), simStore, 2, core.DefaultOptions())
 		res, err := c.Run(spec.Script(), st, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
@@ -244,6 +250,7 @@ func TestTCPSequentialJobs(t *testing.T) {
 		if res.Steps == 0 {
 			t.Fatalf("job %d: no steps", i)
 		}
+		diffStores(t, simStore, st)
 	}
 }
 

@@ -111,18 +111,89 @@ func TestPrepareSpecsIndependentOfStore(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3} {
 		c := &Coordinator{cfg: CoordConfig{Workers: workers}}
-		want, err := c.prepare(spec.Script(), mem, core.DefaultOptions())
+		job, err := c.prepare(spec.Script(), mem, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := cloneSpecs(job.specs) // the next prepare encodes into them
 		got, err := c.prepare(spec.Script(), blocks, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for w := range want.specs {
-			if !bytes.Equal(got.specs[w], want.specs[w]) {
+		for w := range want {
+			if !bytes.Equal(got.specs[w], want[w]) {
 				t.Errorf("dfs store, %d workers: worker %d's spec differs from the MemStore's", workers, w)
 			}
+		}
+	}
+}
+
+func cloneSpecs(specs [][]byte) [][]byte {
+	out := make([][]byte, len(specs))
+	for w, b := range specs {
+		out[w] = bytes.Clone(b)
+	}
+	return out
+}
+
+// TestPrepareReusesSpecBuffers: a job's specs are encoded into the previous
+// job's buffers when they are large enough and at most twice the size needed,
+// into fresh ones otherwise, and either way are byte for byte what a fresh
+// coordinator encodes. A job encoded into reused buffers allocates no spec
+// bytes: the least of three prepares of it, since TotalAlloc also counts
+// what other goroutines allocate meanwhile.
+func TestPrepareReusesSpecBuffers(t *testing.T) {
+	jobs := []struct {
+		visits int
+		reuse  bool
+	}{{3000, false}, {3000, true}, {2000, true}, {3000, true}, {1000, false}, {900, true}, {6000, false}}
+	const workers = 2
+	c := &Coordinator{cfg: CoordConfig{Workers: workers}}
+	var last []*byte // the first byte of each buffer of the last job
+	for i, j := range jobs {
+		spec := workload.VisitCountSpec{Days: 3, VisitsPerDay: j.visits, Pages: 20, WithDiff: true, Seed: 1}
+		st := store.NewMemStore()
+		if err := spec.Generate(st); err != nil {
+			t.Fatal(err)
+		}
+		prepare := func() (*preparedJob, uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			job, err := c.prepare(spec.Script(), st, core.DefaultOptions())
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return job, after.TotalAlloc - before.TotalAlloc
+		}
+		job, allocated := prepare()
+		fresh, err := (&Coordinator{cfg: CoordConfig{Workers: workers}}).prepare(spec.Script(), st, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := 0
+		for w := range job.specs {
+			if !bytes.Equal(job.specs[w], fresh.specs[w]) {
+				t.Errorf("job %d: worker %d's spec differs from a fresh coordinator's", i, w)
+			}
+			reused := last != nil && &job.specs[w][:1][0] == last[w]
+			if reused != j.reuse {
+				t.Errorf("job %d (%d visits a day): worker %d's buffer reused = %v, want %v", i, j.visits, w, reused, j.reuse)
+			}
+			size += len(job.specs[w])
+		}
+		if j.reuse {
+			for range 2 {
+				_, again := prepare() // the same job, into the same buffers
+				allocated = min(allocated, again)
+			}
+			if allocated > uint64(size)/4 {
+				t.Errorf("job %d: prepare allocated %d bytes for %d bytes of specs encoded into reused buffers", i, allocated, size)
+			}
+		}
+		last = last[:0]
+		for _, b := range job.specs {
+			last = append(last, &b[:1][0])
 		}
 	}
 }
@@ -283,6 +354,40 @@ func TestWorkerStoreContract(t *testing.T) {
 	w := st.written()
 	if len(w) != 1 || w[0].Name != "out" || len(w[0].Elems) != 3 {
 		t.Errorf("written = %+v, want the last write of out and no input", w)
+	}
+}
+
+// TestWorkerStoreAllocsFlat: a worker store keys its shipped partitions by
+// (name, part) in one map sized from the shipment, so what building it
+// allocates does not grow with the number of datasets — a map per dataset
+// was 60 more allocations for 60 days of input.
+func TestWorkerStoreAllocsFlat(t *testing.T) {
+	shipment := func(days int) []Dataset {
+		var out []Dataset
+		for d := range days {
+			for part := range 2 {
+				out = append(out, Dataset{Name: fmt.Sprintf("visits_%d", d), Part: part, Parts: 2, Encoded: []byte{byte(d)}})
+			}
+		}
+		return out
+	}
+	allocs := func(days int) float64 {
+		shipped := shipment(days)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := newTrackingStore(2, shipped); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, sixty := allocs(1), allocs(60); sixty > one+2 {
+		t.Errorf("a worker store of 60 shipped datasets allocates %v times, of one %v", sixty, one)
+	}
+	st, err := newTrackingStore(2, shipment(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := st.inputs[shippedPart{"visits_59", 1}]; !ok || len(b) != 1 || b[0] != 59 {
+		t.Errorf("part 1 of visits_59 = %v, %v; want its shipped bytes", b, ok)
 	}
 }
 

@@ -730,27 +730,41 @@ var ErrPartitionedInput = errors.New("netcluster: a worker holds only its read p
 // inputs back).
 type trackingStore struct {
 	parts  int
-	inputs map[string]map[int][]byte // shipped partitions, encoded, by name, part
+	inputs map[shippedPart][]byte // shipped partitions, encoded
 	// outputs holds the datasets the job wrote, names in order of first write.
 	mu      sync.Mutex
 	outputs map[string][]val.Value
 	names   []string
 }
 
+// shippedPart names one shipped partition of an input dataset.
+type shippedPart struct {
+	name string
+	part int
+}
+
 // newTrackingStore keeps the shipped partitions of a job run with
 // parallelism parts.
 func newTrackingStore(parts int, shipped []Dataset) (*trackingStore, error) {
-	t := &trackingStore{parts: parts, inputs: make(map[string]map[int][]byte), outputs: make(map[string][]val.Value)}
+	t := &trackingStore{parts: parts, inputs: make(map[shippedPart][]byte, len(shipped)), outputs: make(map[string][]val.Value)}
 	for _, ds := range shipped {
 		if ds.Parts != parts {
 			return nil, fmt.Errorf("dataset %q shipped as part %d of %d, the job reads %d parts", ds.Name, ds.Part, ds.Parts, parts)
 		}
-		if t.inputs[ds.Name] == nil {
-			t.inputs[ds.Name] = make(map[int][]byte)
-		}
-		t.inputs[ds.Name][ds.Part] = ds.Encoded
+		t.inputs[shippedPart{ds.Name, ds.Part}] = ds.Encoded
 	}
 	return t, nil
+}
+
+// shipped reports whether any partition of the named input was shipped to
+// this worker.
+func (t *trackingStore) shipped(name string) bool {
+	for part := range t.parts {
+		if _, ok := t.inputs[shippedPart{name, part}]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadPartition implements store.Store. A shipped input's
@@ -763,15 +777,13 @@ func (t *trackingStore) ReadPartition(name string, part, parts int, slab *val.Sl
 	if written {
 		return store.ReadStride(elems, part, parts, fn)
 	}
-	in, ok := t.inputs[name]
-	if !ok {
+	b, ok := t.inputs[shippedPart{name, part}]
+	switch {
+	case !ok && !t.shipped(name):
 		return &store.NotFoundError{Name: name}
-	}
-	if parts != t.parts {
+	case parts != t.parts:
 		return fmt.Errorf("netcluster: dataset %q read as %d parts, shipped as %d", name, parts, t.parts)
-	}
-	b, ok := in[part]
-	if !ok {
+	case !ok:
 		return fmt.Errorf("netcluster: part %d of dataset %q was not shipped to this worker", part, name)
 	}
 	for len(b) > 0 {
@@ -795,7 +807,7 @@ func (t *trackingStore) ReadDataset(name string) ([]val.Value, error) {
 	if written {
 		return append([]val.Value(nil), elems...), nil
 	}
-	if _, ok := t.inputs[name]; ok {
+	if t.shipped(name) {
 		return nil, fmt.Errorf("%w: %q", ErrPartitionedInput, name)
 	}
 	return nil, &store.NotFoundError{Name: name}
