@@ -26,7 +26,7 @@ var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "t
 
 // exercises names what the harness must see happen at least once.
 var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output",
-	"chained a condition on the sim", "chained a condition on tcp", "kept a condition unchained on the sim", "kept a condition unchained on tcp", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch"}
+	"chained a condition on the sim", "chained a condition on tcp", "kept a condition unchained on the sim", "kept a condition unchained on tcp", "read a keyed input over a forward edge", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch"}
 
 // The exercises hooks report, from any run: core's table hook, and
 // dataflow's lent hook for a remote and for a local target.
@@ -96,9 +96,9 @@ type tcpCluster struct {
 // agree, and so do the delta elements in within a delta class. A failure is
 // shrunk to the smallest setting that still fails and logged as one repro
 // line. Once every seed has run, the harness fails if no run did one of the
-// exercises; fusing a stage, running one on scratch, lending an output and
-// chaining a condition or keeping one unchained with chaining on are read
-// from the plans (a TCP run's is its sim twin's), a host filling a keyed
+// exercises; fusing a stage, running one on scratch, lending an output,
+// chaining a condition or keeping one unchained with chaining on, and reading
+// a keyed input over a forward edge are read from the plans (a TCP run's is its sim twin's), a host filling a keyed
 // table an earlier bag left cleared from core's table hook, and a lent
 // element encoded into a remote frame or copied into a local batch from
 // dataflow's lent hook.
@@ -297,7 +297,7 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 			fused, scratch, lent := stagesOf(outs[i].plan)
 			chainedCond, unchainedCond := conditionsOf(outs[i].plan, s.options())
 			for j, ok := range [reusedTable]bool{res.ChainedEdges > 0, res.TemplateInstalls > 0, res.CombineIn > 0, res.DeltaIn > 0, s.tcp, fused, scratch, lent,
-				chainedCond && !s.tcp, chainedCond && s.tcp, unchainedCond && !s.tcp, unchainedCond && s.tcp} {
+				chainedCond && !s.tcp, chainedCond && s.tcp, unchainedCond && !s.tcp, unchainedCond && s.tcp, keyedForwardOf(outs[i].plan)} {
 				if ok {
 					saw[j].Store(true)
 				}
@@ -347,6 +347,26 @@ func conditionsOf(plan *core.Plan, opts core.Options) (chained, unchained bool) 
 		}
 	}
 	return chained, unchained
+}
+
+// keyedForwardOf reports whether plan (nil if it failed to compile) reads a
+// join's, reduceByKey's or deltaMerge's input over a forward edge: the
+// producer's output already sits by key, and the key shuffle was dropped.
+func keyedForwardOf(plan *core.Plan) bool {
+	if plan == nil {
+		return false
+	}
+	for _, op := range plan.Ops {
+		switch op.Instr.Kind {
+		case ir.OpJoin, ir.OpReduceByKey, ir.OpDeltaMerge:
+			for _, in := range op.Inputs {
+				if op.Synth == core.SynthNone && in.Part == dataflow.PartForward {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // shrink reduces a failing setting: it turns each off switch back on, then

@@ -28,6 +28,9 @@ import (
 //     this admits every acyclic forward edge while excluding loop back
 //     edges (the phi input fed from the loop body), which would otherwise
 //     close a synchronous call cycle;
+//   - a forward keyed edge (keyedForward) and an edge into a copy stay
+//     inside one block, and a forward keyed edge out of a join's probe side
+//     (forwardEdge);
 //   - an edge out of a condition operator never chains, and an edge into
 //     one chains only when the chain it joins is closed: chaining all of
 //     the condition's forward inputs forms a chain from which no edge
@@ -77,7 +80,7 @@ func (p *Plan) BuildChains() int {
 	for _, op := range p.Ops {
 		for i := range op.Inputs {
 			in := &op.Inputs[i]
-			in.Chained = forwardEdge(in, op) && !in.Producer.IsCondition && !op.IsCondition
+			in.Chained = forwardEdge(op, i) && !in.Producer.IsCondition && !op.IsCondition
 		}
 	}
 	p.chainConditions()
@@ -86,10 +89,33 @@ func (p *Plan) BuildChains() int {
 	return p.ChainedEdges()
 }
 
-// forwardEdge reports whether in, an input of op, can chain apart from the
-// condition rule: a forward edge at equal parallelism from a lower ID.
-func forwardEdge(in *PlanInput, op *PlanOp) bool {
-	return in.Part == dataflow.PartForward && in.Producer.Par == op.Par && in.Producer.ID < op.ID
+// forwardEdge reports whether op's input slot can chain apart from the
+// condition rule: a forward edge at equal parallelism from a lower ID. Two
+// more kinds of edge would hand their elements, in-stack, to a host that
+// cannot consume them yet by design, which buffers them (copying each lent
+// one), so they stay mailbox hops:
+//
+//   - a forward keyed edge into a join's probe side, which waits for the
+//     join's build side;
+//   - a forward keyed edge or an edge into a copy from another block, whose
+//     consumer's output bag waits for the path to pass the branch between
+//     the blocks. A keyed operator that reads its input in place finishes
+//     its bag as soon as its own instance's input ends, ahead of that
+//     branch more often than one behind a shuffle, and a copy is how such a
+//     bag is handed to the next iteration.
+func forwardEdge(op *PlanOp, slot int) bool {
+	in := &op.Inputs[slot]
+	if in.Part != dataflow.PartForward || in.Producer.Par != op.Par || in.Producer.ID >= op.ID {
+		return false
+	}
+	keyed := keyedForward(in, op)
+	switch {
+	case keyed && op.Instr.Kind == ir.OpJoin && slot == 1:
+		return false
+	case keyed || op.Instr.Kind == ir.OpCopy:
+		return in.Producer.Block == op.Block
+	}
+	return true
 }
 
 // chainConditions chains every condition operator's forward inputs whose
@@ -109,7 +135,7 @@ func (p *Plan) chainConditions() {
 		}
 		clear(joined)
 		for i := range c.Inputs {
-			if forwardEdge(&c.Inputs[i], c) {
+			if forwardEdge(c, i) {
 				joined[chains.find(c.Inputs[i].Producer.ID)] = true
 			}
 		}
@@ -120,7 +146,7 @@ func (p *Plan) chainConditions() {
 			continue
 		}
 		for i := range c.Inputs {
-			if in := &c.Inputs[i]; forwardEdge(in, c) {
+			if in := &c.Inputs[i]; forwardEdge(c, i) {
 				in.Chained = true
 				chains.union(in.Producer.ID, c.ID)
 			}
@@ -323,16 +349,16 @@ func buildsOwnTuple(op *PlanOp) bool {
 }
 
 // readsInPlace reports whether op uses each element only through pairParts
-// and keeps just the key and the value, never the pair. Of the readers a
-// compiled plan can chain to a lending operator, only the key combiner does:
-// it folds them into its table. Every other chained reader may keep or
-// forward the element itself — the local distinct combiner keys a table by
-// it, writeFile stores it, union, copy and phi pass it on, a partial reduce
-// holds it as its accumulator — so its producer carves. reduceByKey,
-// deltaMerge and join would read in place too, but they always read over a
-// shuffle, which takes a lent element anyway.
+// and keeps just the key and the value, never the pair: the key combiner
+// and reduceByKey fold them into a table, deltaMerge into its candidate or
+// seed table, and join into its build table or the tuples it emits. Every
+// other chained reader may keep or forward the element itself — the local
+// distinct combiner keys a table by it, writeFile stores it, union, copy and
+// phi pass it on, a partial reduce holds it as its accumulator — so its
+// producer carves. A keyed operator is chained to its producer only over a
+// forward keyed edge inside one block (forwardEdge).
 func readsInPlace(op *PlanOp) bool {
-	return op.Synth == SynthCombineByKey
+	return keyedKind(op.Instr.Kind)
 }
 
 // fusable reports whether c can become a stage of its producer. Absorbed

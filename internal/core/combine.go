@@ -115,10 +115,11 @@ func (p *Plan) InsertCombiners() int {
 				continue
 			}
 		default:
-			// Key/value shuffles: with one producer and one consumer
-			// instance the edge is instance-local, and the combiner would
-			// duplicate the finalizer's hashing for no byte savings.
-			if in.Producer.Par == 1 && op.Par == 1 {
+			// Key/value shuffles: a forward keyed edge shuffles nothing, and
+			// with one producer and one consumer instance the edge is
+			// instance-local; either way the combiner would duplicate the
+			// finalizer's hashing for no byte savings.
+			if in.Part == dataflow.PartForward || in.Producer.Par == 1 && op.Par == 1 {
 				continue
 			}
 		}

@@ -18,7 +18,8 @@ import (
 // chains may span blocks, so the block clusters stay the primary grouping.
 // An operator's fused stages are listed in its label, one "+ var kind" line
 // each, "(scratch)" marking the ones that read the scratch tuple and
-// "(lends)" the map, stage or operator, that lends its output.
+// "(lends)" the map, stage or operator, that lends its output. An edge
+// whose key shuffle the planner dropped is labeled forward(keyed).
 func (p *Plan) Dot() string { return p.dot(nil) }
 
 // DotLive renders the same digraph with each operator annotated with its
@@ -99,7 +100,7 @@ func (p *Plan) dot(snap *obs.Snapshot) string {
 	}
 	for _, op := range p.Ops {
 		for slot, in := range op.Inputs {
-			lbl := fmt.Sprintf("%d:%s", slot, in.Part)
+			lbl := fmt.Sprintf("%d:%s", slot, partName(&in, op))
 			if in.Chained {
 				lbl += " chained"
 			}

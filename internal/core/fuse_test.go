@@ -21,35 +21,40 @@ import (
 // visitCountBulkPlan is Plan.String of the visitcount_bulk benchmark
 // script at parallelism 4 with every option on. The join carries three
 // stages: the filter and the projecting map read the scratch tuple, and the
-// pair-building map lends its pair to the chained combiner. The readFile's
-// (x, 1) and the combiner's (key, count) cross a shuffle, which encodes or
-// copies them as they are emitted, so they lend too. counts.1's groups are
-// carved: the chained copy forwards them.
-const visitCountBulkPlan = `op0 b0 par1 yesterdayCounts.1 = empty() chain1
+// pair-building map lends its pair to the chained reduceByKey. The join's
+// output sits by key, t => t.0 moves it to by value and x => (x, 1) back to
+// by key, so counts.1 reads it over a forward keyed edge with no combiner in
+// front. The second join reads counts.1 and the loop-carried
+// yesterdayCounts.2 (at the loop body's parallelism, not the empty entry's)
+// in place too, but from another block, so neither edge chains, and neither
+// does the copy that hands counts.1 to the next day. The readFile's (x, 1)
+// crosses a shuffle, which encodes or copies it as it is emitted, so it
+// lends too, and so does counts.1, whose readers all sit behind batching
+// edges.
+const visitCountBulkPlan = `op0 b0 par1 yesterdayCounts.1 = empty()
 op1 b0 par1 $t2.1 = singleton("pageTypes")
 op2 b0 par4 pageTypes.1 = readFile($t2.1) [in0<-op1 broadcast]
-op3 b0 par1 day.1 = singleton(1) chain2
-op4 b1 par1 yesterdayCounts.2 = phi(yesterdayCounts.1, yesterdayCounts.3) chain1 [in0<-op0 forward chained] [in1<-op15 gather]
-op5 b1 par1 day.2 = phi(day.1, day.3) chain2 [in0<-op3 forward chained] [in1<-op16 forward]
-op6 b1 par1 $t5.1 = combine(day.2) [p0 => "pageVisitLog" + p0] chain2 [in0<-op5 forward chained]
+op3 b0 par1 day.1 = singleton(1) chain1
+op4 b1 par4 yesterdayCounts.2 = phi(yesterdayCounts.1, yesterdayCounts.3) [in0<-op0 shuffleVal] [in1<-op15 forward]
+op5 b1 par1 day.2 = phi(day.1, day.3) chain1 [in0<-op3 forward chained] [in1<-op16 forward]
+op6 b1 par1 $t5.1 = combine(day.2) [p0 => "pageVisitLog" + p0] chain1 [in0<-op5 forward chained]
 op7 b1 par4 rawVisits.1 = readFile($t5.1) [in0<-op6 broadcast]
     stage $t8.1 = map(rawVisits.1) [x => (x, 1)] lends
-op8 b1 par4 tagged.1 = join(pageTypes.1, $t8.1) chain3 [in0<-op2 shuffleKey] [in1<-op7 shuffleKey]
+op8 b1 par4 tagged.1 = join(pageTypes.1, $t8.1) chain2 [in0<-op2 shuffleKey] [in1<-op7 shuffleKey]
     stage $t9.1 = filter(tagged.1) [t => t.1 == "article"] on scratch
     stage visits.1 = map($t9.1) [t => t.0] on scratch
     stage $t11.1 = map(visits.1) [x => (x, 1)] lends
-op9 b1 par4 counts.1 = reduceByKey($t11.1) [(a, b) => a + b] chain4 [in0<-op18 shuffleKey combined]
+op9 b1 par4 counts.1 = reduceByKey($t11.1) [(a, b) => a + b] chain2 [in0<-op8 forward(keyed) chained] lends
 op10 b1 par1 cond $t13.1 = combine(day.2) [p0 => p0 != 1] [in0<-op5 forward]
-op11 b3 par4 $t14.1 = join(counts.1, yesterdayCounts.2) chain5 [in0<-op9 shuffleKey] [in1<-op4 shuffleKey]
+op11 b3 par4 $t14.1 = join(counts.1, yesterdayCounts.2) chain3 [in0<-op9 forward(keyed)] [in1<-op4 forward(keyed)]
     stage diffs.1 = map($t14.1) [t => abs(t.1 - t.2)] on scratch
-op12 b3 par1 $t16.1 = sum(diffs.1) chain2 [in0<-op19 gather combined]
-op13 b3 par1 $t17.1 = combine(day.2) [p0 => "diff" + p0] chain2 [in0<-op5 forward chained]
-op14 b3 par1 $w18.1 = writeFile($t16.1, $t17.1) chain2 [in0<-op12 forward chained] [in1<-op13 forward chained]
-op15 b4 par4 yesterdayCounts.3 = copy(counts.1) chain4 [in0<-op9 forward chained]
-op16 b4 par1 day.3 = combine(day.2) [p0 => p0 + 1] chain2 [in0<-op5 forward chained]
+op12 b3 par1 $t16.1 = sum(diffs.1) chain1 [in0<-op18 gather combined]
+op13 b3 par1 $t17.1 = combine(day.2) [p0 => "diff" + p0] chain1 [in0<-op5 forward chained]
+op14 b3 par1 $w18.1 = writeFile($t16.1, $t17.1) chain1 [in0<-op12 forward chained] [in1<-op13 forward chained]
+op15 b4 par4 yesterdayCounts.3 = copy(counts.1) [in0<-op9 forward]
+op16 b4 par1 day.3 = combine(day.2) [p0 => p0 + 1] chain1 [in0<-op5 forward chained]
 op17 b4 par1 cond $t20.1 = combine(day.3) [p0 => p0 <= 6] [in0<-op16 forward]
-op18 b1 par4 combineByKey counts.1.combine = reduceByKey($t11.1) [(a, b) => a + b] chain3 [in0<-op8 forward chained] lends
-op19 b3 par4 partialSum $t16.1.combine = sum(diffs.1) chain5 [in0<-op11 forward chained]
+op18 b3 par4 partialSum $t16.1.combine = sum(diffs.1) chain3 [in0<-op11 forward chained]
 `
 
 // TestFusedPlanGolden pins the fused plan of visitcount_bulk, as Plan.String
@@ -68,7 +73,7 @@ func TestFusedPlanGolden(t *testing.T) {
 		t.Errorf("plan:\n%s\nwant:\n%s", got, visitCountBulkPlan)
 	}
 	dot := p.Dot()
-	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map (lends)"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map (lends)"`, `combineByKey par=4 (lends)`, `counts.1\\nreduceByKey par=4\\nchain`} {
+	for _, want := range []string{`+ $t9.1 filter (scratch)`, `+ visits.1 map (scratch)`, `+ $t11.1 map (lends)"`, `+ diffs.1 map (scratch)`, `+ $t8.1 map (lends)"`, `counts.1\\nreduceByKey par=4 (lends)\\nchain`, `n8 -> n9 [label="0:forward(keyed) chained"`, `n4 -> n11 [label="1:forward(keyed)", style=dashed]`} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("dot output lacks %q:\n%s", want, dot)
 		}
@@ -202,9 +207,9 @@ func TestScratchPoison(t *testing.T) {
 		lent   []string
 		carved []string
 	}{
-		{"visitcount_bulk", bulkSrc, bulkGen, true, []string{"$t8.1", "$t11.1", "counts.1.combine"}, []string{"counts.1"}},
+		{"visitcount_bulk", bulkSrc, bulkGen, true, []string{"$t8.1", "$t11.1", "counts.1"}, nil},
 		{"connected_delta", workload.ConnectedScript, conn.Generate, true, []string{"d.3", "w.1.combine"}, []string{"d.1"}},
-		{"visitcount_tcp", tcpSrc, tcpGen, true, []string{"$t5.1", "counts.1.combine"}, []string{"counts.1"}},
+		{"visitcount_tcp", tcpSrc, tcpGen, true, []string{"$t5.1", "counts.1", "counts.1.combine"}, nil},
 		{"whole_param", wholeParamScript, wholeParamInputs, true, []string{"j.1", "k.1", "r.1", "$t24.1.combine"}, nil},
 		{"lend", lendScript, lendInputs, false,
 			[]string{"sPairs.1", "sSum.1", "sSum.1.combine", "ePairs.1", "eSum.1", "eSum.1.combine", "two.1", "twoSum.1", "twoSum.1.combine", "mixedSum.1", "mixedSum.1.combine", "p.3"},

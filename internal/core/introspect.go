@@ -90,7 +90,7 @@ func (v *jobView) Status() *httpserve.JobStatus {
 			os.Inputs = append(os.Inputs, httpserve.EdgeStatus{
 				From:       in.Producer.Instr.Var,
 				Slot:       slot,
-				Part:       in.Part.String(),
+				Part:       partName(&in, pop),
 				Combined:   in.Combined,
 				Chained:    in.Chained,
 				QueueDepth: depths[edgeKey{pop.Instr.Var, slot}],

@@ -10,6 +10,7 @@ import (
 
 	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
+	"github.com/mitos-project/mitos/internal/lang"
 )
 
 // Plan is the physical plan of one Mitos job: one dataflow operator per SSA
@@ -156,7 +157,7 @@ func BuildPlan(g *ir.Graph, parallelism int) (*Plan, error) {
 	if err := p.inferParallelism(parallelism); err != nil {
 		return nil, err
 	}
-	p.choosePartitionings()
+	p.choosePartitionings(p.placements())
 	for _, op := range p.Ops {
 		p.InstancesPerBlock[op.Block] += op.Par
 	}
@@ -255,9 +256,14 @@ func (p *Plan) InstancesPerBlockOn(machines, self int) []int {
 // inferParallelism fixes the instance count of every operator.
 // Singleton-producing operators run with one instance; sources and
 // key-based operators run with full parallelism; element-wise operators
-// inherit their input's parallelism (computed as a fixpoint because copy
-// and phi chains can cycle through loops).
+// inherit their input's parallelism, and a phi or union the largest of its
+// inputs'. Copy and phi chains cycle through loops, so the propagated counts
+// are a fixpoint: each starts unknown (0) and only grows, and every operator
+// is revisited until none changes — a loop-carried bag whose entry input is
+// empty() (one instance) takes its loop body's parallelism, however late the
+// pass reaches the body.
 func (p *Plan) inferParallelism(n int) error {
+	var prop []*PlanOp
 	for _, op := range p.Ops {
 		switch op.Instr.Kind {
 		case ir.OpSingleton, ir.OpEmpty, ir.OpCombine, ir.OpSum, ir.OpCount,
@@ -266,33 +272,26 @@ func (p *Plan) inferParallelism(n int) error {
 		case ir.OpReadFile, ir.OpJoin, ir.OpReduceByKey, ir.OpDistinct,
 			ir.OpDeltaMerge:
 			op.Par = n
+		case ir.OpMap, ir.OpFlatMap, ir.OpFilter, ir.OpCopy, ir.OpCross,
+			ir.OpSolution, ir.OpPhi, ir.OpUnion:
+			// A solution operator dumps the partitioned state of its
+			// deltaMerge (its rewired input): same instances, same keys.
+			op.Par = 0
+			prop = append(prop, op)
 		default:
-			op.Par = 0 // propagated below: Map, FlatMap, Filter, Copy, Phi, Union, Cross
+			return fmt.Errorf("core: no parallelism rule for %s", op.Instr.Kind)
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, op := range p.Ops {
-			if op.Par != 0 {
-				continue
-			}
-			var par int
-			switch op.Instr.Kind {
-			case ir.OpMap, ir.OpFlatMap, ir.OpFilter, ir.OpCopy, ir.OpCross,
-				ir.OpSolution:
-				// A solution operator dumps the partitioned state of its
-				// deltaMerge (its rewired input): same instances, same keys.
-				par = op.Inputs[0].Producer.Par
-			case ir.OpPhi, ir.OpUnion:
+		for _, op := range prop {
+			par := op.Inputs[0].Producer.Par
+			if k := op.Instr.Kind; k == ir.OpPhi || k == ir.OpUnion {
 				for _, in := range op.Inputs {
-					if in.Producer.Par > par {
-						par = in.Producer.Par
-					}
+					par = max(par, in.Producer.Par)
 				}
-			default:
-				return fmt.Errorf("core: no parallelism rule for %s", op.Instr.Kind)
 			}
-			if par != 0 {
+			if par > op.Par {
 				op.Par = par
 				changed = true
 			}
@@ -300,7 +299,7 @@ func (p *Plan) inferParallelism(n int) error {
 	}
 	// A cycle of only propagating ops (phi of copies of itself) cannot
 	// occur in valid SSA reached from an entry definition, but guard anyway.
-	for _, op := range p.Ops {
+	for _, op := range prop {
 		if op.Par == 0 {
 			op.Par = 1
 		}
@@ -308,20 +307,154 @@ func (p *Plan) inferParallelism(n int) error {
 	return nil
 }
 
+// placement is where an operator's output elements sit among its Par
+// instances: the key-partitioning property (DESIGN.md Sec. 21). It is a
+// lattice with placeAny on top and placeNone at the bottom; placeByKey and
+// placeByValue meet in placeNone.
+type placement uint8
+
+// The placements.
+const (
+	// placeAny holds of a bag with no element — empty()'s — and of an
+	// operator the fixpoint has not lowered yet.
+	placeAny placement = iota
+	// placeByKey: element e sits on instance hash(Key(e)) % Par, where a
+	// key shuffle would put it.
+	placeByKey
+	// placeByValue: element e sits on instance hash(e) % Par, where a value
+	// shuffle would put it.
+	placeByValue
+	// placeNone: nothing is known.
+	placeNone
+)
+
+func (a placement) meet(b placement) placement {
+	switch {
+	case a == b || b == placeAny:
+		return a
+	case a == placeAny:
+		return b
+	}
+	return placeNone
+}
+
+// through is the placement of a map's output whose lambda has key flow f
+// and whose input has placement a.
+func (a placement) through(f lang.KeyFlow) placement {
+	switch {
+	case a == placeAny || a == placeNone || f == lang.FlowSame:
+		return a
+	case a == placeByKey && f == lang.FlowFirstToKey:
+		return placeByKey
+	case a == placeByValue && f == lang.FlowWholeToKey:
+		return placeByKey
+	case a == placeByKey && f == lang.FlowFirstToWhole:
+		return placeByValue
+	}
+	return placeNone
+}
+
+// placements labels every operator's output, indexed by ID, with the
+// greatest fixpoint of these rules, so that a loop-carried bag keeps the
+// placement its entry and its loop body agree on:
+//
+//   - join, reduceByKey, deltaMerge and solution emit by key, distinct by
+//     value: their inputs are shuffled (or already sit) that way;
+//   - empty() emits nothing, so any placement holds of it;
+//   - copy, filter, phi and union keep the meet of their inputs';
+//   - a map moves its input's placement by its lambda's key flow
+//     (lang.KeyFlow), and a native map's is none;
+//   - every other operator's is none, and so is any non-empty input at a
+//     parallelism other than its consumer's.
+//
+// Every label only falls from placeAny, each at most twice, so the loop
+// ends.
+func (p *Plan) placements() []placement {
+	pl := make([]placement, len(p.Ops))
+	for changed := true; changed; {
+		changed = false
+		for _, op := range p.Ops {
+			if a := p.place(op, pl); a != pl[op.ID] {
+				pl[op.ID] = a
+				changed = true
+			}
+		}
+	}
+	return pl
+}
+
+// place applies placements' rule for op to the current labels pl.
+func (p *Plan) place(op *PlanOp, pl []placement) placement {
+	input := func(in PlanInput) placement {
+		switch {
+		case in.Producer.Instr.Kind == ir.OpEmpty:
+			return placeAny
+		case in.Producer.Par != op.Par:
+			return placeNone
+		}
+		return pl[in.Producer.ID]
+	}
+	switch op.Instr.Kind {
+	case ir.OpJoin, ir.OpReduceByKey, ir.OpDeltaMerge, ir.OpSolution:
+		return placeByKey
+	case ir.OpDistinct:
+		return placeByValue
+	case ir.OpEmpty:
+		return placeAny
+	case ir.OpCopy, ir.OpFilter, ir.OpPhi, ir.OpUnion:
+		a := placeAny
+		for _, in := range op.Inputs {
+			a = a.meet(input(in))
+		}
+		return a
+	case ir.OpMap:
+		return input(op.Inputs[0]).through(op.Instr.F.KeyFlow())
+	}
+	return placeNone
+}
+
+// keyedKind reports whether an operator of kind k reads its input pairs by
+// key: join, reduceByKey and deltaMerge, and the key combiner, which takes
+// its consumer's kind.
+func keyedKind(k ir.OpKind) bool {
+	return k == ir.OpJoin || k == ir.OpReduceByKey || k == ir.OpDeltaMerge
+}
+
+// keyedForward reports whether in, an input of op, is a forward keyed edge:
+// op reads by key and its producer's output already sits by key at op's
+// parallelism, so choosePartitionings dropped the key shuffle.
+func keyedForward(in *PlanInput, op *PlanOp) bool {
+	return op.Synth == SynthNone && keyedKind(op.Instr.Kind) && in.Part == dataflow.PartForward
+}
+
+// partName is how Plan.String and Dot name the partitioning of in, an input
+// of op: a forward keyed edge is "forward(keyed)".
+func partName(in *PlanInput, op *PlanOp) string {
+	if keyedForward(in, op) {
+		return "forward(keyed)"
+	}
+	return in.Part.String()
+}
+
 // choosePartitionings picks each edge's partitioning from the consumer's
-// semantics and the producer/consumer parallelism.
-func (p *Plan) choosePartitionings() {
+// semantics, the producer/consumer parallelism and the producer's
+// placement pl.
+func (p *Plan) choosePartitionings(pl []placement) {
 	for _, op := range p.Ops {
 		for i := range op.Inputs {
 			in := &op.Inputs[i]
 			prodPar := in.Producer.Par
 			switch op.Instr.Kind {
-			case ir.OpJoin, ir.OpReduceByKey:
-				in.Part = dataflow.PartShuffleKey
-			case ir.OpDeltaMerge:
-				// Both the seed and every step's delta are hash-partitioned
-				// by key, so state updates are instance-local.
-				in.Part = dataflow.PartShuffleKey
+			case ir.OpJoin, ir.OpReduceByKey, ir.OpDeltaMerge:
+				// Both inputs of a join, and both the seed and every step's
+				// delta of a deltaMerge, are hash-partitioned by key, so
+				// matches and state updates are instance-local. An input
+				// that already sits by key at this parallelism stays put.
+				if pl[in.Producer.ID] == placeByKey && prodPar == op.Par {
+					in.Part = dataflow.PartForward
+				} else {
+					in.Part = dataflow.PartShuffleKey
+				}
 			case ir.OpDistinct:
 				in.Part = dataflow.PartShuffleVal
 			case ir.OpSum, ir.OpCount, ir.OpReduce:
@@ -387,7 +520,7 @@ func (p *Plan) String() string {
 			s += fmt.Sprintf(" chain%d", op.Chain)
 		}
 		for i, in := range op.Inputs {
-			s += fmt.Sprintf(" [in%d<-op%d %s", i, in.Producer.ID, in.Part)
+			s += fmt.Sprintf(" [in%d<-op%d %s", i, in.Producer.ID, partName(&in, op))
 			if in.Combined {
 				s += " combined"
 			}

@@ -89,10 +89,11 @@ func (s *streamTally) log(t *testing.T) {
 // The same holds for lent elements (PlanOp.Lends) on chained edges: a
 // consumer copies one only when it buffers it, so a lending producer whose
 // elements mostly got copied would lend in name only. Both Visit Count shapes
-// lend their (x, 1) pair to the chained combiner and must read at least
-// 99.5 % of it in place; connected_delta lends only over batching edges (its
-// combiner's pairs to deltaMerge, its loop body's pairs to the phi's back
-// edge), so no chained slot sees a lent element.
+// lend their (x, 1) pair to a chained reader — visitcount_tcp's combiner,
+// visitcount_bulk's reduceByKey over a forward keyed edge — and must read at
+// least 99.5 % of it in place; connected_delta lends only over batching
+// edges (its combiner's pairs to deltaMerge, its loop body's pairs to the
+// phi's back edge), so no chained slot sees a lent element.
 func TestStreamedShare(t *testing.T) {
 	short := testing.Short()
 	for _, c := range []struct {

@@ -48,15 +48,84 @@ func (u *UDF) Reads() Reads {
 // than a script lambda.
 func (u *UDF) Native() bool { return u.native != nil }
 
+// KeyFlow is where a map lambda puts its parameter's key in its result,
+// for the body shapes that keep a placement by key or by value knowable:
+// core's key-partitioning pass (Plan.placements) reads it to tell whether a
+// map's output still sits where a shuffle would have put it. Key(p) is p.0
+// for a tuple p, which p.0 and fst(p) succeed only on.
+type KeyFlow uint8
+
+// The key flows.
+const (
+	// FlowNone is every other body, and a native function.
+	FlowNone KeyFlow = iota
+	// FlowSame is p => p.
+	FlowSame
+	// FlowFirstToKey is p => (p.0, …): the result's key is p's key.
+	FlowFirstToKey
+	// FlowWholeToKey is p => (p, …): the result's key is p itself.
+	FlowWholeToKey
+	// FlowFirstToWhole is p => p.0: the result is p's key.
+	FlowFirstToWhole
+)
+
+// KeyFlowOf reports the key flow of fn, a *Lambda or *GoFunc. A projection
+// of the parameter's first field is written p.0 or fst(p).
+func KeyFlowOf(fn Expr) KeyFlow {
+	l, ok := fn.(*Lambda)
+	if !ok || len(l.Params) != 1 {
+		return FlowNone
+	}
+	p := l.Params[0]
+	if t, ok := l.Body.(*TupleExpr); ok {
+		switch {
+		case len(t.Elems) == 0:
+		case isIdent(t.Elems[0], p):
+			return FlowWholeToKey
+		case isFirst(t.Elems[0], p):
+			return FlowFirstToKey
+		}
+		return FlowNone
+	}
+	switch {
+	case isIdent(l.Body, p):
+		return FlowSame
+	case isFirst(l.Body, p):
+		return FlowFirstToWhole
+	}
+	return FlowNone
+}
+
+// KeyFlow is KeyFlowOf the UDF's lambda; a native function's is FlowNone.
+func (u *UDF) KeyFlow() KeyFlow {
+	if u.lambda == nil {
+		return FlowNone
+	}
+	return KeyFlowOf(u.lambda)
+}
+
+func isIdent(e Expr, name string) bool {
+	id, ok := e.(*Ident)
+	return ok && id.Name == name
+}
+
+// isFirst reports whether e is p.0 or fst(p) for the variable p.
+func isFirst(e Expr, p string) bool {
+	switch e := e.(type) {
+	case *Field:
+		return e.Index == 0 && isIdent(e.X, p)
+	case *Call:
+		return e.Fn == "fst" && len(e.Args) == 1 && isIdent(e.Args[0], p)
+	}
+	return false
+}
+
 type readWalk struct {
 	param string
 	r     Reads
 }
 
-func (w *readWalk) isParam(e Expr) bool {
-	id, ok := e.(*Ident)
-	return ok && id.Name == w.param
-}
+func (w *readWalk) isParam(e Expr) bool { return isIdent(e, w.param) }
 
 func (w *readWalk) walk(e Expr) {
 	switch e := e.(type) {

@@ -119,6 +119,40 @@ func progOf(l *lang.Lambda) *lang.Program {
 }
 
 // lambdaOf parses a one-statement program and returns its only lambda.
+// TestKeyFlow checks lang.KeyFlowOf on every shape it recognises, spelled
+// with p.0 and with fst(p), and on near misses that move the key: a deeper
+// or another field, the parameter in a later field, a computed key.
+func TestKeyFlow(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want lang.KeyFlow
+	}{
+		{"p => p", lang.FlowSame},
+		{"p => (p.0, 1)", lang.FlowFirstToKey},
+		{"p => (fst(p), p.1 + 1, p)", lang.FlowFirstToKey},
+		{"p => (p, 1)", lang.FlowWholeToKey},
+		{"p => (p, p.0)", lang.FlowWholeToKey},
+		{"p => p.0", lang.FlowFirstToWhole},
+		{"p => fst(p)", lang.FlowFirstToWhole},
+		{"p => (p.1, p.0)", lang.FlowNone},
+		{"p => (p.0.0, p.1)", lang.FlowNone},
+		{"p => (1, p)", lang.FlowNone},
+		{"p => (p.0 + 1, p.1)", lang.FlowNone},
+		{"p => snd(p)", lang.FlowNone},
+		{"p => p.0.0", lang.FlowNone},
+		{"p => (str(p), 1)", lang.FlowNone},
+		{"p => 7", lang.FlowNone},
+		{"(a, b) => a", lang.FlowNone},
+	} {
+		if got := lang.KeyFlowOf(lambdaOf(t, "x = readFile(\"in\").map("+c.src+")")); got != c.want {
+			t.Errorf("KeyFlowOf(%s) = %d, want %d", c.src, got, c.want)
+		}
+	}
+	if got := lang.KeyFlowOf(lang.Native("id", 1, func(a []val.Value) val.Value { return a[0] })); got != lang.FlowNone {
+		t.Errorf("KeyFlowOf(native) = %d, want FlowNone", got)
+	}
+}
+
 func lambdaOf(t *testing.T, src string) *lang.Lambda {
 	t.Helper()
 	prog, err := lang.Parse(src)

@@ -141,7 +141,11 @@ func (g *progGen) genBagAssign(depth int) {
 	src := g.anyBag()
 	src2 := g.anyBag()
 	scal := g.anyScalar()
-	kind := g.r.Intn(9)
+	kind := g.r.Intn(10)
+	if kind == 9 {
+		g.genKeyedChain(depth, src, src2)
+		return
+	}
 	target := g.bagTarget(depth)
 	switch kind {
 	case 0:
@@ -170,6 +174,36 @@ func (g *progGen) genBagAssign(depth int) {
 		g.emit("%s = %s.reduce((a, c) => (min(a.0, c.0), a.1 + c.1))", target, src)
 	default:
 		g.emit("%s = %s.map(t => (t.0, t.1 * 2)).reduceByKey((a, c) => max(a, c))", target, src)
+	}
+}
+
+// genKeyedChain emits a keyed operator whose output reaches another keyed
+// operator through one step that keeps it where a key shuffle would put it —
+// a copy, a filter, a key-preserving map, or a map to the key and back to a
+// pair — so the plan reads it over a forward keyed edge. The reader is a
+// reduceByKey or a join. A loop around the chain adds phis to it, and
+// genDeltaLoop's workset brings the same chains to deltaMerge.
+func (g *progGen) genKeyedChain(depth int, src, src2 string) {
+	from := g.bagTarget(depth)
+	g.emit("%s = %s.reduceByKey((a, c) => a + c)", from, src)
+	keep := ""
+	switch g.r.Intn(4) {
+	case 0:
+		cp := g.bagTarget(depth)
+		g.emit("%s = %s", cp, from)
+		from = cp
+	case 1:
+		keep = fmt.Sprintf(".filter(t => t.1 %% %d != 1)", 2+g.r.Intn(3))
+	case 2:
+		keep = fmt.Sprintf(".map(t => (t.0, t.1 %% %d))", 7+g.r.Intn(5))
+	default:
+		keep = ".map(t => t.0).map(k => (k, 1))"
+	}
+	target := g.bagTarget(depth)
+	if g.r.Intn(2) == 0 {
+		g.emit("%s = %s%s.reduceByKey((a, c) => max(a, c))", target, from, keep)
+	} else {
+		g.emit("%s = %s%s.join(%s.reduceByKey((a, c) => min(a, c))).map(t => (t.0, t.1 + t.2))", target, from, keep, src2)
 	}
 }
 
@@ -274,7 +308,13 @@ func (g *progGen) genDeltaLoop() {
 	}
 	src := g.anyBag() // chosen before d and w exist: never self-referential
 	d := g.freshBag()
-	g.emit("%s = %s", d, src)
+	if g.r.Intn(2) == 0 {
+		g.emit("%s = %s", d, src)
+	} else {
+		// A workset that starts by key stays by key around the loop: the
+		// body's map keeps the merge's output key.
+		g.emit("%s = %s.reduceByKey((a, b) => %s)", d, src, merge)
+	}
 	w := g.freshBag()
 
 	// A loop that runs to workset convergence clamps every value into a
