@@ -18,6 +18,7 @@ import (
 	"github.com/mitos-project/mitos/internal/netcluster"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/testprog"
+	"github.com/mitos-project/mitos/internal/val"
 )
 
 // switches names the six optimization switches in the bit order of a
@@ -26,15 +27,24 @@ var switches = [...]string{"pipelining", "hoisting", "combiners", "chaining", "t
 
 // exercises names what the harness must see happen at least once.
 var exercises = [...]string{"chained an edge", "installed a template", "combined", "flowed a delta", "ran on tcp", "fused a stage", "ran a stage on scratch", "lent an output",
-	"chained a condition on the sim", "chained a condition on tcp", "kept a condition unchained on the sim", "kept a condition unchained on tcp", "read a keyed input over a forward edge", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch"}
+	"chained a condition on the sim", "chained a condition on tcp", "kept a condition unchained on the sim", "kept a condition unchained on tcp", "read a keyed input over a forward edge", "reused a keyed table", "encoded a lent element into a remote frame", "copied a lent element into a local batch",
+	"had a keyed reader read a pair from a remote batch's arena", "had a keyed reader read a pair from a local batch's arena"}
 
-// The exercises hooks report, from any run: core's table hook, and
-// dataflow's lent hook for a remote and for a local target.
+// The exercises hooks report, from any run: core's table hook, dataflow's
+// lent hook for a remote and for a local target, and dataflow's arena hook
+// for a remote and for a local batch.
 const (
-	reusedTable = len(exercises) - 3 + iota
+	reusedTable = len(exercises) - 5 + iota
 	lentRemote
 	lentLocal
+	arenaRemote
+	arenaLocal
 )
+
+// arenaPoison is what every recycled batch-arena slot is overwritten with
+// while the harness runs: a keyed reader that kept a lent pair past its
+// batch would read it instead of the pair.
+var arenaPoison = val.Str("arena poisoned")
 
 // setting is one row of the differential table: a generated program, the
 // switches that are off, the machine count and the backend. On TCP the
@@ -99,9 +109,11 @@ type tcpCluster struct {
 // exercises; fusing a stage, running one on scratch, lending an output,
 // chaining a condition or keeping one unchained with chaining on, and reading
 // a keyed input over a forward edge are read from the plans (a TCP run's is its sim twin's), a host filling a keyed
-// table an earlier bag left cleared from core's table hook, and a lent
+// table an earlier bag left cleared from core's table hook, a lent
 // element encoded into a remote frame or copied into a local batch from
-// dataflow's lent hook.
+// dataflow's lent hook, and a keyed reader reading the pairs of a remote or
+// a local batch from its arena from dataflow's arena hook, which also
+// poisons every arena slot it sees recycled, for every row.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -124,6 +136,19 @@ func TestDifferential(t *testing.T) {
 		}
 	})
 	t.Cleanup(func() { dataflow.SetLentHook(nil) })
+	dataflow.SetArenaHook(func(_ string, remote, _ bool, slots []val.Value) {
+		if len(slots) > 0 {
+			if remote {
+				saw[arenaRemote].Store(true)
+			} else {
+				saw[arenaLocal].Store(true)
+			}
+		}
+		for i := range slots {
+			slots[i] = arenaPoison
+		}
+	})
+	t.Cleanup(func() { dataflow.SetArenaHook(nil) })
 	var tcp [2]tcpCluster
 	for i := range tcp {
 		c, cleanup, err := netcluster.StartLocal(2+i, netcluster.CoordConfig{})

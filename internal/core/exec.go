@@ -358,7 +358,10 @@ func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) 
 }
 
 // buildDataflowGraph translates the plan into a dataflow graph: one vertex
-// per SSA instruction, one edge per variable reference (paper Sec. 4.3).
+// per SSA instruction, one edge per variable reference (paper Sec. 4.3). A
+// batching edge into an operator that reads in place (readsInPlace) is in
+// place: its batches lend their pairs' tuples from an arena, which the host
+// retains when it buffers one (host.OnBatch).
 func buildDataflowGraph(rt *runtime, plan *Plan) *dataflow.Graph {
 	var g dataflow.Graph
 	dfOps := make([]*dataflow.Op, len(plan.Ops))
@@ -373,7 +376,7 @@ func buildDataflowGraph(rt *runtime, plan *Plan) *dataflow.Graph {
 			if in.Chained {
 				g.ConnectChained(dfOps[in.Producer.ID], dfOps[pop.ID], slot)
 			} else {
-				g.Connect(dfOps[in.Producer.ID], dfOps[pop.ID], slot, in.Part)
+				g.Connect(dfOps[in.Producer.ID], dfOps[pop.ID], slot, in.Part).InPlace = readsInPlace(pop)
 			}
 		}
 	}

@@ -10,8 +10,10 @@ import (
 	"github.com/mitos-project/mitos/internal/bag"
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/lang"
+	"github.com/mitos-project/mitos/internal/netcluster"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/testprog"
 	"github.com/mitos-project/mitos/internal/val"
@@ -169,12 +171,14 @@ func lendInputs(st store.Store) error {
 // feed fused stages, and whose tuple-literal maps feed readers that may or
 // may not read in place, with a hook that overwrites the scratch tuple with
 // a sentinel every time an element leaves it and the lent tuple every time
-// an element has been handed over: a stage that kept the scratch tuple — a
-// read set that called a whole use a projection — or a reader that kept a
-// lent pair would hand its consumer the sentinel. Every run must write the
-// bags of the sequential AST interpreter. The programs are the three
-// TestStreamedShare data shapes, wholeParamScript, lendScript and 60
-// generated programs, on the sim.
+// an element has been handed over, and a second one that overwrites every
+// batch-arena slot the engine recycles: a stage that kept the scratch tuple
+// — a read set that called a whole use a projection — a reader that kept a
+// lent pair, or a keyed reader that kept a pair of an arena it did not
+// retain would hand its consumer the sentinel. Every run must write the bags
+// of the sequential AST interpreter. The programs are the three
+// TestStreamedShare data shapes, wholeParamScript and lendScript, on the sim
+// and on two loopback TCP workers, and 60 generated programs on the sim.
 func TestScratchPoison(t *testing.T) {
 	var onScratch, lent atomic.Int64
 	sentinel := val.Str("scratch poisoned")
@@ -189,6 +193,21 @@ func TestScratchPoison(t *testing.T) {
 		}
 	})
 	t.Cleanup(func() { core.SetScratchHook(nil) })
+	var arenas [2]atomic.Int64 // recycled arenas that held a pair: sim, TCP
+	dataflow.SetArenaHook(func(_ string, _, _ bool, slots []val.Value) {
+		if len(slots) > 0 {
+			arenas[tcpPoisonRun.Load()].Add(1)
+		}
+		for i := range slots {
+			slots[i] = sentinel
+		}
+	})
+	t.Cleanup(func() { dataflow.SetArenaHook(nil) })
+	tcp, stop, err := netcluster.StartLocal(2, netcluster.CoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
 
 	spec := func(s workload.VisitCountSpec) (string, func(store.Store) error) {
 		return s.Script(), s.Generate
@@ -245,7 +264,18 @@ func TestScratchPoison(t *testing.T) {
 					t.Errorf("the map of %s lends\n%s", v, plan)
 				}
 			}
+			tcpPoisonRun.Store(1)
+			defer tcpPoisonRun.Store(0)
+			againstAST(t, c.src, c.gen, func(_ *ir.Graph, got *store.MemStore) error {
+				_, err := tcp.Run(c.src, got, core.DefaultOptions())
+				return err
+			})
 		})
+	}
+	for i, backend := range []string{"the sim", "tcp"} {
+		if arenas[i].Load() == 0 {
+			t.Errorf("no keyed reader on %s read a pair from a batch arena: the shapes poisoned none", backend)
+		}
 	}
 	for seed := int64(0); seed < 60; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -264,6 +294,30 @@ func TestScratchPoison(t *testing.T) {
 // is the bag the sequential AST interpreter writes. It returns the plan that
 // ran.
 func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machines int) *core.Plan {
+	t.Helper()
+	var plan *core.Plan
+	againstAST(t, src, gen, func(g *ir.Graph, got *store.MemStore) error {
+		cl, err := cluster.New(cluster.FastConfig(machines))
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		if plan, err = core.Compile(g, machines, core.DefaultOptions()); err != nil {
+			return err
+		}
+		_, err = core.ExecutePlan(plan, got, cl, core.DefaultOptions())
+		return err
+	})
+	return plan
+}
+
+// tcpPoisonRun is 1 while TestScratchPoison runs a shape on TCP workers,
+// for its arena hook to tell the backends apart.
+var tcpPoisonRun atomic.Int32
+
+// againstAST runs src over inputs from gen with run and fails unless every
+// dataset it writes is the bag the sequential AST interpreter writes.
+func againstAST(t *testing.T, src string, gen func(store.Store) error, run func(g *ir.Graph, got *store.MemStore) error) {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err == nil {
@@ -286,16 +340,7 @@ func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machin
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.FastConfig(machines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	plan, err := core.Compile(g, machines, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.ExecutePlan(plan, got, cl, core.DefaultOptions()); err != nil {
+	if err := run(g, got); err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
 	for _, name := range truth.Names() {
@@ -305,7 +350,6 @@ func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machin
 			t.Errorf("dataset %q is %v, want %v\n%s", name, bag.Sorted(have), bag.Sorted(want), src)
 		}
 	}
-	return plan
 }
 
 // TestFusedStageErrorNamesStage: an error raised inside a fused stage names

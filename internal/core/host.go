@@ -366,7 +366,9 @@ func SetTableHook(fn func(op string)) { tableHook = fn }
 // started, the probe side during a join build, a re-readable bag — is
 // buffered into its bag and pumped. A lent element is buffered as a copy
 // carved from this host's slab: its producer overwrites it as soon as this
-// call returns.
+// call returns. A batch one of whose elements is buffered is retained: on an
+// in-place input (dataflow.EdgeDecl.InPlace) the element's tuple lives in
+// the batch's arena. This is the only place a host retains a batch.
 func (h *host) OnBatch(input, from int, batch []Element) error {
 	buf := &h.inbufs[input]
 	live, run := -1, h.cur
@@ -394,6 +396,9 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 		}
 		if buf.lent {
 			e.Val = h.slab.Tuple(e.Val.Fields()...)
+		}
+		if buffered == 0 {
+			h.ctx.RetainBatch()
 		}
 		b.elems.add(e.Val)
 		buffered++

@@ -6,10 +6,12 @@ import (
 
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/dfs"
 	"github.com/mitos-project/mitos/internal/ir"
 	"github.com/mitos-project/mitos/internal/netcluster"
 	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/val"
 	"github.com/mitos-project/mitos/internal/workload"
 )
 
@@ -18,14 +20,20 @@ import (
 // input-bag buffer (buffered), overall, on chained edges, on edges from a
 // lending producer — where a buffered element is one the consumer copied —
 // and per operator. Only a chained edge can buffer a lent element: one that
-// arrives over a batching edge was encoded or copied as it was emitted.
+// arrives over a batching edge was encoded or copied as it was emitted. It
+// also counts, per operator, through dataflow.SetArenaHook, the batches on
+// in-place edges whose arenas were recycled and those the host retained
+// because it buffered one of their elements.
 type streamTally struct {
 	mu                 sync.Mutex
 	all, chained, lent shareCount
 	byOp               map[string]*shareCount
+	arenas             map[string]*arenaCount
 }
 
 type shareCount struct{ streamed, buffered int }
+
+type arenaCount struct{ recycled, retained int }
 
 func (c shareCount) frac() float64 {
 	return float64(c.buffered) / float64(max(c.streamed+c.buffered, 1))
@@ -36,6 +44,21 @@ func (c shareCount) frac() float64 {
 // exited.
 func (s *streamTally) install() func() {
 	s.byOp = map[string]*shareCount{}
+	s.arenas = map[string]*arenaCount{}
+	dataflow.SetArenaHook(func(op string, _, retained bool, _ []val.Value) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		a := s.arenas[op]
+		if a == nil {
+			a = &arenaCount{}
+			s.arenas[op] = a
+		}
+		if retained {
+			a.retained++
+		} else {
+			a.recycled++
+		}
+	})
 	core.SetBatchHook(func(op string, ch, lent bool, streamed, buffered int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -57,7 +80,10 @@ func (s *streamTally) install() func() {
 		o.streamed += streamed
 		o.buffered += buffered
 	})
-	return func() { core.SetBatchHook(nil) }
+	return func() {
+		core.SetBatchHook(nil)
+		dataflow.SetArenaHook(nil)
+	}
 }
 
 func (s *streamTally) log(t *testing.T) {
@@ -68,6 +94,9 @@ func (s *streamTally) log(t *testing.T) {
 		if o.buffered > 0 {
 			t.Logf("  %-24s %8d streamed %8d buffered", op, o.streamed, o.buffered)
 		}
+	}
+	for op, a := range s.arenas {
+		t.Logf("batch arenas of %-24s %6d recycled %6d retained", op, a.recycled, a.retained)
 	}
 }
 

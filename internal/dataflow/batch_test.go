@@ -18,7 +18,7 @@ func TestElementSize(t *testing.T) {
 }
 
 // assertPooledZero takes the next buffer from the job's pool and fails if any
-// slot of its whole capacity still holds a tag or a value: recycleBatch clears
+// slot of its whole capacity still holds a tag or a value: recycle clears
 // only the length it is handed, so this is the invariant it lives on.
 func assertPooledZero(t *testing.T, j *Job, after string) {
 	t.Helper()
@@ -31,7 +31,7 @@ func assertPooledZero(t *testing.T, j *Job, after string) {
 			t.Fatalf("after %s: pooled buffer slot %d of %d still holds (%d, %v)", after, i, cap(b), e.Tag, e.Val)
 		}
 	}
-	j.recycleBatch(b)
+	j.recycle(&envelope{batch: b}, false)
 }
 
 // TestRecycledBatchIsZero: whatever path a buffer came back on — a full batch,
@@ -50,10 +50,10 @@ func TestRecycledBatchIsZero(t *testing.T) {
 	for len(full) < cap(full) {
 		full = append(full, elem)
 	}
-	j.recycleBatch(full)
+	j.recycle(&envelope{batch: full}, false)
 	assertPooledZero(t, j, "a full batch")
 
-	j.recycleBatch(append(j.getBatch(), elem))
+	j.recycle(&envelope{batch: append(j.getBatch(), elem)}, false)
 	assertPooledZero(t, j, "a one-element batch")
 
 	// Three good elements, then a truncated fourth: DeliverData must hand
@@ -86,7 +86,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	dst := make([]Element, 0, DefaultBatchSize)
 	full := frameOf(stringPairs(DefaultBatchSize))
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := decodeBatch(dst, full, DefaultBatchSize, &slab); err != nil {
+		if _, err := decodeBatch(dst, full, DefaultBatchSize, &slab, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -99,7 +99,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < frames; i++ {
-		if _, err := decodeBatch(dst, one, 1, &slab); err != nil {
+		if _, err := decodeBatch(dst, one, 1, &slab, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeBatch(dst, buf, DefaultBatchSize, &slab); err != nil {
+		if _, err := decodeBatch(dst, buf, DefaultBatchSize, &slab, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

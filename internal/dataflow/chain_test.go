@@ -438,6 +438,15 @@ func TestGraphValidateChained(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+	t.Run("in place", func(t *testing.T) {
+		var g Graph
+		a := mkOp(&g, "a", 1)
+		b := mkOp(&g, "b", 1)
+		b.ins = append(b.ins, &EdgeDecl{From: a.ID, To: b.ID, Input: 0, Part: PartForward, Chained: true, InPlace: true})
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "marked in place") {
+			t.Errorf("err = %v", err)
+		}
+	})
 	t.Run("parallelism mismatch", func(t *testing.T) {
 		var g Graph
 		a := mkOp(&g, "a", 2)

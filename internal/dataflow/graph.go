@@ -81,7 +81,13 @@ type Vertex interface {
 	// OnBatch delivers data elements arriving on logical input slot input
 	// from physical producer instance from. The batch slice is recycled as
 	// soon as OnBatch returns: implementations may retain the Values inside
-	// but must not retain the slice itself.
+	// but must not retain the slice itself. On an in-place input
+	// (EdgeDecl.InPlace) the top-level tuples are lent too: they live in
+	// the batch's arena, which is recycled with the slice, so a vertex that
+	// keeps such a Value past the call, not just its fields, must call
+	// Context.RetainBatch first. A chained input's batch holds one element,
+	// whose tuple its producer may lend (Context.EmitLent) and rebuild once
+	// OnBatch returns.
 	OnBatch(input int, from int, batch []Element) error
 	// OnEOB signals that producer instance from will send no more elements
 	// of bag tag on input.
@@ -117,6 +123,14 @@ type EdgeDecl struct {
 	// Job). Only PartForward edges may be chained, and the chained subgraph
 	// must be acyclic (Validate enforces both).
 	Chained bool
+	// InPlace marks a batching edge whose consumer reads each element in
+	// place: during OnBatch it keeps at most the fields of an element's
+	// top-level tuple, never the tuple, unless it retains the batch
+	// (Context.RetainBatch). The engine then builds those tuples — decoded
+	// from a remote frame, or copied from a lent element into a local batch
+	// — in an arena it reuses with the batch buffer instead of carving each
+	// from a slab. A chained edge cannot be in place (Validate).
+	InPlace bool
 }
 
 // Graph is a logical dataflow graph under construction.
@@ -137,10 +151,12 @@ func (g *Graph) AddOp(name string, parallelism int, newVertex func(inst int) Ver
 }
 
 // Connect declares an edge from the output of from to input slot input of
-// to. Input slots of an operator must be connected exactly once each,
-// starting from 0.
-func (g *Graph) Connect(from, to *Op, input int, part Partitioning) {
-	to.ins = append(to.ins, &EdgeDecl{From: from.ID, To: to.ID, Input: input, Part: part})
+// to and returns it, for the caller to mark InPlace. Input slots of an
+// operator must be connected exactly once each, starting from 0.
+func (g *Graph) Connect(from, to *Op, input int, part Partitioning) *EdgeDecl {
+	e := &EdgeDecl{From: from.ID, To: to.ID, Input: input, Part: part}
+	to.ins = append(to.ins, e)
+	return e
 }
 
 // ConnectChained declares a forward edge fused by operator chaining: the
@@ -161,9 +177,10 @@ func (g *Graph) Op(id OpID) *Op { return g.ops[id] }
 
 // Validate checks the structural invariants: parallelism >= 1, vertex
 // factories present, input slots dense and unique, forward edges between
-// equal-parallelism ops, and chained edges forward-only and pointing from
-// lower to higher operator ID (which guarantees the chained subgraph is
-// acyclic and that ID order is a topological order of every chain).
+// equal-parallelism ops, and chained edges forward-only, never in place, and
+// pointing from lower to higher operator ID (which guarantees the chained
+// subgraph is acyclic and that ID order is a topological order of every
+// chain).
 func (g *Graph) Validate() error {
 	for _, op := range g.ops {
 		if op.Parallelism < 1 {
@@ -184,6 +201,10 @@ func (g *Graph) Validate() error {
 					from.Name, op.Name, from.Parallelism, op.Parallelism)
 			}
 			if e.Chained {
+				if e.InPlace {
+					return fmt.Errorf("dataflow: chained edge %s->%s marked in place (only a batching edge has an arena)",
+						from.Name, op.Name)
+				}
 				if e.Part != PartForward {
 					return fmt.Errorf("dataflow: chained edge %s->%s with %s partitioning (only forward edges chain)",
 						from.Name, op.Name, e.Part)

@@ -61,15 +61,18 @@ type Job struct {
 	tr *loopback
 
 	// The batch free list recycles batch buffers: a local batch moves to
-	// the receiver and comes back through recycleBatch, and a decoded remote
+	// the receiver and comes back through recycle, and a decoded remote
 	// frame is drawn from it, so the emit path stays allocation-free in
 	// steady state. (A remote target never holds a batch: its frame is
 	// encoded as each element is emitted.) A plain mutex-guarded stack, not
 	// a sync.Pool: pooling a slice by value boxes a fresh header on every
 	// Put, which made the pool itself the allocation it was supposed to
-	// remove.
+	// remove. A batch bound for an in-place input (EdgeDecl.InPlace) also
+	// draws an arena from freeArenas, which its element tuples are built
+	// in, and recycle returns the two together.
 	batchMu     sync.Mutex
 	freeBatches [][]Element
+	freeArenas  [][]val.Value
 
 	wg      sync.WaitGroup
 	stopped atomic.Bool
@@ -237,6 +240,7 @@ func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, e
 					part:    e.Part,
 					input:   e.Input,
 					direct:  e.Chained,
+					inPlace: e.InPlace,
 					targets: toInsts,
 					bufs:    make([]pending, len(toInsts)),
 				})
@@ -245,10 +249,12 @@ func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, e
 			// Record producer count per input slot for the consumer side.
 			for _, ti := range toInsts {
 				ti.ensureInputs(e.Input + 1)
+				slot := &ti.inputs[e.Input]
+				slot.inPlace = e.InPlace
 				if e.Part == PartForward {
-					ti.producers[e.Input] = 1
+					slot.producers = 1
 				} else {
-					ti.producers[e.Input] = len(fromInsts)
+					slot.producers = len(fromInsts)
 				}
 			}
 		}
@@ -395,28 +401,37 @@ func (j *Job) Broadcast(ev any) {
 
 // DeliverData injects one remote data frame into the job: the
 // payload (count elements, each an appendElement encoding) is decoded into a
-// pooled batch and enqueued on the target's mailbox. The elements' tuples and
-// strings are carved from slab, which belongs to the calling goroutine — a
-// link delivers from one goroutine and keeps one slab for its lifetime; nil
-// allocates each on its own. ack, if non-nil, runs
-// after the batch has been fully processed by the receiving vertex (or
-// immediately if the mailbox is already closed) — the TCP backend returns
-// a flow-control credit from it. A decode or addressing error fails the
-// job and is returned.
+// pooled batch and enqueued on the target's mailbox. The elements' strings,
+// nested tuples and, on any input that is not in place, top-level tuples are
+// carved from slab, which belongs to the calling goroutine — a link delivers
+// from one goroutine and keeps one slab for its lifetime; nil allocates each
+// on its own. On an in-place input (EdgeDecl.InPlace) the top-level tuples
+// are lent from the batch's arena instead, which the job reuses once the
+// vertex returns unless it retained the batch (Vertex.OnBatch). ack, if
+// non-nil, runs after the batch has been fully processed by the receiving
+// vertex (or immediately if the mailbox is already closed) — the TCP backend
+// returns a flow-control credit from it. A decode or addressing error fails
+// the job and is returned.
 func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, slab *val.Slab, ack func()) error {
 	tgt, err := j.remoteTarget(h)
 	if err != nil {
 		return j.reject(err, ack)
 	}
-	batch, err := decodeBatch(j.getBatch(), payload, count, slab)
+	env := envelope{kind: envData, input: h.Input, from: h.From, dest: tgt, ack: ack, remote: true}
+	var arena *[]val.Value
+	if tgt.inPlace(h.Input) {
+		env.arena = j.getArena()
+		arena = &env.arena
+	}
+	env.batch, err = decodeBatch(j.getBatch(), payload, count, slab, arena)
 	if err != nil {
-		j.recycleBatch(batch)
+		j.recycle(&env, false)
 		return j.reject(fmt.Errorf("dataflow: remote frame for %s[%d]: %w", tgt.op.Name, tgt.idx, err), ack)
 	}
 	n := int64(len(payload))
 	j.bytesReceived.Add(n)
 	tgt.bytesIn.Add(n)
-	if !tgt.driver.mbox.Put(envelope{kind: envData, input: h.Input, from: h.From, batch: batch, dest: tgt, ack: ack}) && ack != nil {
+	if !tgt.driver.mbox.Put(env) && ack != nil {
 		ack()
 	}
 	return nil
@@ -526,9 +541,14 @@ func (j *Job) Wait() error {
 	return nil
 }
 
-// batchKeepMax bounds the batch free list; anything past it goes back to
-// the collector.
+// batchKeepMax bounds the batch and arena free lists; anything past it goes
+// back to the collector.
 const batchKeepMax = 256
+
+// arenaWidth is the Values a batch arena holds per batch element: a pair
+// each, the element of every keyed reader. A wider tuple takes what is left
+// and, once the arena is full, is carved from the slab.
+const arenaWidth = 2
 
 // getBatch returns an empty batch buffer at full batch capacity, reusing a
 // recycled one when available.
@@ -545,25 +565,68 @@ func (j *Job) getBatch() []Element {
 	return make([]Element, 0, j.batchSize)
 }
 
-// recycleBatch clears a delivered batch and returns its buffer to the free
-// list. Undersized buffers (from historic or foreign allocations) are left
-// to the garbage collector so every pooled entry keeps full batch capacity.
+// getArena returns an empty batch arena, reusing a recycled one when
+// available.
+func (j *Job) getArena() []val.Value {
+	j.batchMu.Lock()
+	if n := len(j.freeArenas); n > 0 {
+		a := j.freeArenas[n-1]
+		j.freeArenas[n-1] = nil
+		j.freeArenas = j.freeArenas[:n-1]
+		j.batchMu.Unlock()
+		return a
+	}
+	j.batchMu.Unlock()
+	return make([]val.Value, 0, arenaWidth*j.batchSize)
+}
+
+// arenaHook, when a test sets it, sees every batch that had an arena once
+// its vertex returned: the operator it was addressed to, whether it came in
+// a remote frame, whether the vertex retained it, and, unless it did, the
+// arena's used slots, which the hook may overwrite — it then stands in for
+// the clear that releases their references. It may be called from many
+// goroutines at once.
+var arenaHook func(op string, remote, retained bool, slots []val.Value)
+
+// SetArenaHook installs fn as arenaHook, for tests outside this package; nil
+// removes it. Not safe while a job runs.
+func SetArenaHook(fn func(op string, remote, retained bool, slots []val.Value)) { arenaHook = fn }
+
+// recycle clears a delivered envelope's batch and returns its buffer to the
+// free list, and its arena with it unless the receiving vertex retained the
+// batch: a retained arena holds tuples the vertex keeps, and goes to the
+// collector with the last of them. This is the one place an arena's slots
+// are reused. Undersized buffers (from historic or foreign allocations) are
+// left to the garbage collector so every pooled entry keeps full capacity.
 //
-// Invariant: a pooled buffer is zero beyond its length — it is fresh from
-// make, written only by append, and cleared here over the length it is
-// returned with. So clearing b[:len(b)] releases every value reference, and a
-// one-element batch (every batch of a control-only loop) does not pay for
-// clearing 128. A caller must therefore pass the slice at the length it
-// appended to, never a shorter re-slice.
-func (j *Job) recycleBatch(b []Element) {
-	if cap(b) < j.batchSize {
+// Invariant: a pooled buffer or arena is zero beyond its length — it is
+// fresh from make, written only by append (or, an arena, by growing over the
+// fields it fills), and cleared here over the length it is returned with. So
+// clearing b[:len(b)] releases every value reference, and a one-element
+// batch (every batch of a control-only loop) does not pay for clearing 128.
+// A caller must therefore pass the slices at the length they were filled
+// to, never a shorter re-slice.
+func (j *Job) recycle(env *envelope, retained bool) {
+	b, a := env.batch, env.arena
+	if retained {
+		a = nil
+	}
+	if arenaHook != nil && env.arena != nil {
+		arenaHook(env.dest.op.Name, env.remote, retained, a)
+	} else {
+		clear(a)
+	}
+	keepB, keepA := cap(b) >= j.batchSize, cap(a) >= arenaWidth*j.batchSize
+	if !keepB && !keepA {
 		return
 	}
 	clear(b)
-	b = b[:0]
 	j.batchMu.Lock()
-	if len(j.freeBatches) < batchKeepMax {
-		j.freeBatches = append(j.freeBatches, b)
+	if keepB && len(j.freeBatches) < batchKeepMax {
+		j.freeBatches = append(j.freeBatches, b[:0])
+	}
+	if keepA && len(j.freeArenas) < batchKeepMax {
+		j.freeArenas = append(j.freeArenas, a[:0])
 	}
 	j.batchMu.Unlock()
 }
@@ -578,10 +641,15 @@ const (
 
 // envelope is one entry of an instance's mailbox.
 type envelope struct {
-	kind  envKind
-	input int
-	from  int
-	batch []Element
+	kind envKind
+	// remote marks a data envelope decoded from a remote frame.
+	remote bool
+	input  int
+	from   int
+	batch  []Element
+	// arena is where the batch's top-level tuples live when it is bound for
+	// an in-place input (EdgeDecl.InPlace); nil otherwise.
+	arena []val.Value
 	tag   Tag
 	ctrl  any
 	// dest is the member instance a data or EOB envelope is addressed to:
@@ -617,8 +685,11 @@ type instance struct {
 	// it (driver only, set in Start); nil means broadcasts always wake.
 	wakers []ControlWaker
 
-	outs      []*outEdge
-	producers []int // per input slot: number of producer instances feeding this instance
+	outs   []*outEdge
+	inputs []inputSlot
+	// retained is set by Context.RetainBatch while the instance's OnBatch
+	// runs on a mailbox batch: the vertex kept one of the batch's elements.
+	retained bool
 	// chainsOut marks an instance with a chained out-edge: a forward edge
 	// delivers every element, so each one it emits is chained.
 	chainsOut bool
@@ -668,9 +739,21 @@ func (in *instance) foldCounts() {
 	}
 }
 
+// inputSlot is what an instance knows of one of its input slots.
+type inputSlot struct {
+	producers int  // physical producer instances feeding the slot
+	inPlace   bool // the edge is in place (EdgeDecl.InPlace)
+}
+
+// inPlace reports whether input slot i is in place (EdgeDecl.InPlace); a
+// slot the instance does not have is not.
+func (in *instance) inPlace(i int) bool {
+	return i >= 0 && i < len(in.inputs) && in.inputs[i].inPlace
+}
+
 func (in *instance) ensureInputs(n int) {
-	for len(in.producers) < n {
-		in.producers = append(in.producers, 0)
+	for len(in.inputs) < n {
+		in.inputs = append(in.inputs, inputSlot{})
 	}
 }
 
@@ -678,6 +761,7 @@ type outEdge struct {
 	part    Partitioning
 	input   int
 	direct  bool // chained edge: deliver by direct call, bypassing batching
+	inPlace bool // EdgeDecl.InPlace: a local batch builds lent copies in its arena
 	targets []*instance
 	bufs    []pending // per target; unused on a direct edge
 	// scratch is the reused one-element batch of a direct edge. The Vertex
@@ -697,10 +781,11 @@ type outEdge struct {
 // emitted (appendElement), so it never holds an element: a producer may
 // reuse the tuple it emitted the moment Emit returns.
 type pending struct {
-	batch   []Element // local target
-	payload []byte    // remote target: the encoded elements, from the val scratch pool
-	count   int       // remote target: the elements in payload
-	tag     Tag       // remote target: the first element's tag
+	batch   []Element   // local target
+	arena   []val.Value // local target on an in-place edge: where lent copies are built
+	payload []byte      // remote target: the encoded elements, from the val scratch pool
+	count   int         // remote target: the elements in payload
+	tag     Tag         // remote target: the first element's tag
 }
 
 // loop is the event loop of a chain driver (every unchained instance is a
@@ -723,11 +808,13 @@ func (in *instance) loop() {
 		case envData:
 			dst.received += int64(len(env.batch))
 			dst.batchesIn.Inc()
+			dst.retained = false
 			err = dst.vertex.OnBatch(env.input, env.from, env.batch)
 			// OnBatch must not retain the slice (Vertex contract), so the
 			// buffer goes straight back to the pool: the emit path and the
-			// remote decode path both draw from it, closing the cycle.
-			in.job.recycleBatch(env.batch)
+			// remote decode path both draw from it, closing the cycle. Its
+			// arena follows unless the vertex retained the batch.
+			in.job.recycle(&env, dst.retained)
 		case envEOB:
 			err = dst.vertex.OnEOB(env.input, env.from, env.tag)
 		case envControl:
@@ -788,17 +875,24 @@ func (c *Context) Lane() int { return c.inst.lane }
 // Observer returns the job's observer (nil when observability is off).
 func (c *Context) Observer() *obs.Observer { return c.inst.job.obs }
 
+// RetainBatch marks the batch the current OnBatch call delivers as
+// retained: the vertex keeps one of its elements, so on an in-place input
+// the batch's arena, which holds the element's tuple, is left to the
+// collector instead of being reused (EdgeDecl.InPlace). The element slice
+// itself is recycled all the same. On any other input it changes nothing.
+func (c *Context) RetainBatch() { c.inst.retained = true }
+
 // NumProducers returns how many physical producer instances feed the given
 // input slot of this instance — the number of OnEOB calls to expect per bag.
 func (c *Context) NumProducers(input int) int {
-	if input < len(c.inst.producers) {
-		return c.inst.producers[input]
+	if input < len(c.inst.inputs) {
+		return c.inst.inputs[input].producers
 	}
 	return 0
 }
 
 // NumInputs returns the number of connected input slots.
-func (c *Context) NumInputs() int { return len(c.inst.producers) }
+func (c *Context) NumInputs() int { return len(c.inst.inputs) }
 
 // Emit routes one element along every outgoing edge according to each
 // edge's partitioning. Elements are buffered into batches — encoded into
@@ -869,8 +963,9 @@ func (c *Context) deliver(oe *outEdge, e Element) {
 
 // buffer adds e to target's pending batch or frame, and flushes it once it
 // holds a batch's worth. A remote target's frame takes e's encoding; a local
-// target's batch takes e itself, or, when lent is set, a copy carved from
-// lent.
+// target's batch takes e itself, or, when lent is set, a copy — built in the
+// batch's arena on an in-place edge while it has room, carved from lent
+// otherwise.
 func (c *Context) buffer(oe *outEdge, target int, e Element, lent *val.Slab) {
 	in := c.inst
 	p := &oe.bufs[target]
@@ -890,7 +985,16 @@ func (c *Context) buffer(oe *outEdge, target int, e Element, lent *val.Slab) {
 			p.batch = in.job.getBatch()
 		}
 		if lent != nil {
-			e.Val = lent.Tuple(e.Val.Fields()...)
+			f := e.Val.Fields()
+			if oe.inPlace && p.arena == nil {
+				p.arena = in.job.getArena()
+			}
+			if a := len(p.arena); oe.inPlace && len(f) <= cap(p.arena)-a {
+				p.arena = append(p.arena, f...)
+				e.Val = val.Tuple(p.arena[a:len(p.arena):len(p.arena)]...)
+			} else {
+				e.Val = lent.Tuple(f...)
+			}
 		}
 		p.batch = append(p.batch, e)
 		n = len(p.batch)
@@ -924,8 +1028,8 @@ func (c *Context) flush(oe *outEdge, target int) {
 		oe.depth.Add(-int64(n))
 	}
 	if p.batch != nil {
-		tgt.driver.mbox.Put(envelope{kind: envData, input: oe.input, from: in.idx, batch: p.batch, dest: tgt})
-		p.batch = nil
+		tgt.driver.mbox.Put(envelope{kind: envData, input: oe.input, from: in.idx, batch: p.batch, arena: p.arena, dest: tgt})
+		p.batch, p.arena = nil, nil
 		return
 	}
 	payload, tag := p.payload, p.tag

@@ -153,17 +153,19 @@ func appendElement(dst []byte, e Element) []byte {
 }
 
 // decodeBatch appends exactly count elements decoded from buf to dst,
-// rejecting trailing garbage. The elements' tuples and strings are carved
-// from slab and keep no reference to buf. On error it returns what it had
-// appended, for the caller to recycle.
-func decodeBatch(dst []Element, buf []byte, count int, slab *val.Slab) ([]Element, error) {
+// rejecting trailing garbage. The elements' strings and nested tuples are
+// carved from slab, and so are their top-level tuples unless arena, the room
+// left in the batch's arena, is non-nil: each is then built in it while it
+// has room (val.DecodeArena). Nothing keeps a reference to buf. On error it
+// returns what it had appended, for the caller to recycle.
+func decodeBatch(dst []Element, buf []byte, count int, slab *val.Slab, arena *[]val.Value) ([]Element, error) {
 	for i := 0; i < count; i++ {
 		tag, n := binary.Varint(buf)
 		if n <= 0 {
 			return dst, fmt.Errorf("bad tag varint for element %d", i)
 		}
 		buf = buf[n:]
-		v, used, err := val.Decode(buf, slab)
+		v, used, err := val.DecodeArena(buf, slab, arena)
 		if err != nil {
 			return dst, fmt.Errorf("element %d: %w", i, err)
 		}

@@ -380,7 +380,7 @@ func TestEncodeDecodeBatch(t *testing.T) {
 	}
 	buf := frameOf(batch)
 	var slab val.Slab
-	got, err := decodeBatch(nil, buf, len(batch), &slab)
+	got, err := decodeBatch(nil, buf, len(batch), &slab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +393,10 @@ func TestEncodeDecodeBatch(t *testing.T) {
 				i, got[i].Tag, got[i].Val, batch[i].Tag, batch[i].Val)
 		}
 	}
-	if _, err := decodeBatch(nil, append(buf, 0), len(batch), &slab); err == nil {
+	if _, err := decodeBatch(nil, append(buf, 0), len(batch), &slab, nil); err == nil {
 		t.Error("trailing garbage accepted")
 	}
-	if _, err := decodeBatch(nil, buf[:len(buf)-1], len(batch), &slab); err == nil {
+	if _, err := decodeBatch(nil, buf[:len(buf)-1], len(batch), &slab, nil); err == nil {
 		t.Error("truncated buffer accepted")
 	}
 }

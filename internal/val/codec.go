@@ -71,7 +71,18 @@ func DecodeBinary(buf []byte) (Value, int, error) { return Decode(buf, nil) }
 // input. The value keeps no reference to buf: its strings and tuples are
 // carved from s, so a link that decodes frame after frame into one Slab
 // allocates a chunk per ~128 pairs instead of twice per pair.
-func Decode(buf []byte, s *Slab) (Value, int, error) { return decode(buf, s, true) }
+func Decode(buf []byte, s *Slab) (Value, int, error) { return decode(buf, s, nil, true) }
+
+// DecodeArena is Decode for a value whose top-level tuple is lent from a
+// batch arena: when a tuple's fields fit in what is left of *arena's
+// capacity they are taken from there, *arena growing over them, and carved
+// from s otherwise. Nested tuples and strings are always carved from s. The
+// arena's owner decides when its slots are reused (dataflow's batch
+// recycle); whoever keeps the value past that must keep its fields, not the
+// tuple.
+func DecodeArena(buf []byte, s *Slab, arena *[]Value) (Value, int, error) {
+	return decode(buf, s, arena, true)
+}
 
 // Skip validates the value at the front of buf and returns its length without
 // building it: it runs Decode's grammar and checks, so it accepts exactly the
@@ -79,13 +90,13 @@ func Decode(buf []byte, s *Slab) (Value, int, error) { return decode(buf, s, tru
 // but an error. A receiver that keeps a message encoded and decodes it later
 // rejects a corrupt one up front.
 func Skip(buf []byte) (int, error) {
-	_, n, err := decode(buf, nil, false)
+	_, n, err := decode(buf, nil, nil, false)
 	return n, err
 }
 
-// decode is Decode when build is set and Skip otherwise: one grammar, and in
-// skip mode no string or tuple is made.
-func decode(buf []byte, s *Slab, build bool) (Value, int, error) {
+// decode is Decode (arena nil) or DecodeArena when build is set, and Skip
+// otherwise: one grammar, and in skip mode no string or tuple is made.
+func decode(buf []byte, s *Slab, arena *[]Value, build bool) (Value, int, error) {
 	if len(buf) == 0 {
 		return Value{}, 0, fmt.Errorf("val: decode: empty buffer")
 	}
@@ -134,11 +145,17 @@ func decode(buf []byte, s *Slab, build bool) (Value, int, error) {
 			return Value{}, 0, fmt.Errorf("val: decode: tuple length %d exceeds buffer", l)
 		}
 		var fields []Value
-		if build {
+		switch {
+		case !build:
+		case arena != nil && l <= uint64(cap(*arena)-len(*arena)):
+			a := len(*arena)
+			*arena = (*arena)[:a+int(l)]
+			fields = (*arena)[a : a+int(l) : a+int(l)]
+		default:
 			fields = s.Make(int(l))
 		}
 		for i := range int(l) {
-			f, used, err := decode(buf[n:], s, build)
+			f, used, err := decode(buf[n:], s, nil, build)
 			if err != nil {
 				return Value{}, 0, fmt.Errorf("val: decode: tuple field %d: %w", i, err)
 			}

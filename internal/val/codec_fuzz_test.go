@@ -14,6 +14,12 @@ import (
 //     the input buffer being overwritten (it keeps no reference to it),
 //   - Skip accepts exactly the inputs Decode accepts and returns the same
 //     length,
+//   - DecodeArena accepts and rejects exactly the same inputs too, yields an
+//     Equal value that survives the input being overwritten, and takes a
+//     top-level tuple's fields from its arena exactly when they fit in what
+//     is left of it (nothing else ever comes from the arena), so poisoning
+//     the arena once the value is checked leaves the slab-decoded value
+//     intact,
 //   - re-encoding the value and decoding again yields an Equal value that
 //     consumes the whole re-encoding (value-level round trip; byte-level
 //     equality with the input is NOT required, since varints and bools
@@ -46,6 +52,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{byte(KindTuple), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	var slab Slab // shared by every input, as a link's is by every frame
+	// One arena, part-filled and recycled between inputs as a batch's is.
+	var arenaBuf [5]Value
+	arena := arenaBuf[:1]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v1, n1, err := DecodeBinary(data)
 		frame := bytes.Clone(data) // the engine's buffer is not ours to overwrite
@@ -62,11 +71,42 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if n1 <= 0 || n1 > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n1, len(data))
 		}
+		lentFrame := bytes.Clone(data)
+		before := len(arena)
+		va, na, erra := DecodeArena(lentFrame, &slab, &arena)
+		if erra != nil || na != n1 {
+			t.Fatalf("DecodeBinary: %d bytes; DecodeArena: %d bytes, err %v", n1, na, erra)
+		}
+		want := 0
+		if v1.Kind() == KindTuple && v1.Len() <= cap(arena)-before {
+			want = v1.Len()
+		}
+		if grew := len(arena) - before; grew != want {
+			t.Fatalf("DecodeArena of %v took %d arena slots of %d free, want %d", v1, grew, cap(arena)-before, want)
+		}
 		for i := range frame {
 			frame[i] ^= 0xff
+			lentFrame[i] ^= 0xff
 		}
 		if !vs.Equal(v1) || vs.Hash() != v1.Hash() || vs.String() != v1.String() {
 			t.Fatalf("slab-decoded %v differs from %v once the input is overwritten", vs, v1)
+		}
+		if !va.Equal(v1) || va.Hash() != v1.Hash() || va.String() != v1.String() {
+			t.Fatalf("arena-decoded %v differs from %v once the input is overwritten", va, v1)
+		}
+		// Keep va's fields, not its tuple, as a keyed reader does, then
+		// recycle the arena poisoned, as a batch's is: no nested tuple or
+		// string may have come from it.
+		kept := va
+		if va.Kind() == KindTuple {
+			kept = Tuple(append([]Value(nil), va.Fields()...)...)
+		}
+		for i := range arena {
+			arena[i] = Str("arena poisoned")
+		}
+		arena = arena[:len(data)%3]
+		if !kept.Equal(v1) {
+			t.Fatalf("the fields of arena-decoded %v changed when the arena was recycled: %v", v1, kept)
 		}
 
 		enc := AppendBinary(nil, v1)
