@@ -113,7 +113,12 @@ type tcpCluster struct {
 // element encoded into a remote frame or copied into a local batch from
 // dataflow's lent hook, and a keyed reader reading the pairs of a remote or
 // a local batch from its arena from dataflow's arena hook, which also
-// poisons every arena slot it sees recycled, for every row.
+// poisons every arena slot it sees recycled, for every row, and fails the
+// harness if a recycled arena holds a live value past its used slots — an
+// arena that reached a free list without its clear. A seed's sim rows plan
+// through one PlanMemo, as one Program would, and the TCP rows of every seed
+// run on two sessions, so every job but the first draws its batches and
+// arenas from free lists earlier jobs recycled into.
 //
 // The 60 seeds (50 under -short) flip combiners and chaining 60 times (50),
 // delta on the 50 programs with a delta loop (41) and templates on the 32
@@ -136,6 +141,7 @@ func TestDifferential(t *testing.T) {
 		}
 	})
 	t.Cleanup(func() { dataflow.SetLentHook(nil) })
+	var stale atomic.Int64
 	dataflow.SetArenaHook(func(_ string, remote, _ bool, slots []val.Value) {
 		if len(slots) > 0 {
 			if remote {
@@ -147,8 +153,18 @@ func TestDifferential(t *testing.T) {
 		for i := range slots {
 			slots[i] = arenaPoison
 		}
+		for _, v := range slots[len(slots):cap(slots)] {
+			if v.Kind() != val.KindInvalid && !v.Equal(arenaPoison) {
+				stale.Add(1)
+			}
+		}
 	})
-	t.Cleanup(func() { dataflow.SetArenaHook(nil) })
+	t.Cleanup(func() {
+		dataflow.SetArenaHook(nil)
+		if n := stale.Load(); n > 0 {
+			t.Errorf("%d recycled arena slots past the used ones held a live value: an arena reached a free list without its clear", n)
+		}
+	})
 	var tcp [2]tcpCluster
 	for i := range tcp {
 		c, cleanup, err := netcluster.StartLocal(2+i, netcluster.CoordConfig{})
@@ -204,6 +220,7 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 		t.Fatalf("SSA interpreter: %v\n%s", err, src)
 	}
 
+	var memo core.PlanMemo
 	run := func(s setting) (o outcome) {
 		o.st = store.NewMemStore()
 		opts := s.options()
@@ -228,7 +245,7 @@ func differential(t *testing.T, seed int64, tcp *[2]tcpCluster, saw *[len(exerci
 			return o
 		}
 		defer cl.Close()
-		if o.plan, o.err = core.Compile(g, s.machines, opts); o.err == nil {
+		if o.plan, o.err = memo.Compile(src, s.machines, opts, func(string) (*ir.Graph, error) { return g, nil }); o.err == nil {
 			o.res, o.err = core.ExecutePlan(o.plan, o.st, cl, opts)
 		}
 		return o

@@ -260,11 +260,19 @@ func Compile(g *ir.Graph, machines int, opts Options) (*Plan, error) {
 // PlanMemo keeps the last plan compiled from a program source, so a caller
 // running one program job after job plans it once. A plan is read-only once
 // Compile returns it, so concurrent jobs may share it.
+//
+// The memo also keeps what a job of the program would otherwise allocate
+// again: the batch and arena free lists (dataflow.FreeLists), which every
+// plan it hands out shares, across plan changes too, and, per plan, the
+// output runs with their cleared keyed tables that its hosts released
+// (keptRuns). Jobs that run at once share both. What idles there is the
+// memo's for as long as it keeps it.
 type PlanMemo struct {
 	mu     sync.Mutex
 	source string
 	key    PlanKey
 	plan   *Plan
+	free   dataflow.FreeLists
 }
 
 // Compile returns the kept plan when source and opts.PlanKey(machines) match
@@ -285,6 +293,7 @@ func (m *PlanMemo) Compile(source string, machines int, opts Options, frontEnd f
 	if err != nil {
 		return nil, err
 	}
+	plan.free, plan.runs = &m.free, newKeptRuns(plan)
 	m.mu.Lock()
 	m.source, m.key, m.plan = source, key, plan
 	m.mu.Unlock()
@@ -325,6 +334,7 @@ func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) 
 	if err != nil {
 		return nil, err
 	}
+	job.UseFreeLists(plan.free)
 	job.Observe(opts.Obs)
 	if opts.HTTP != nil {
 		job.EnableIntrospection()
@@ -444,6 +454,7 @@ func NewWorkerJob(plan *Plan, st store.Store, machines, self int, opts Options, 
 	if err != nil {
 		return nil, err
 	}
+	job.UseFreeLists(plan.free)
 	job.Observe(opts.Obs)
 	return &WorkerJob{Job: job, Events: events, rt: rt}, nil
 }

@@ -176,9 +176,14 @@ func lendInputs(st store.Store) error {
 // — a read set that called a whole use a projection — a reader that kept a
 // lent pair, or a keyed reader that kept a pair of an arena it did not
 // retain would hand its consumer the sentinel. Every run must write the bags
-// of the sequential AST interpreter. The programs are the three
-// TestStreamedShare data shapes, wholeParamScript and lendScript, on the sim
-// and on two loopback TCP workers, and 60 generated programs on the sim.
+// of the sequential AST interpreter, and every recycled arena must hold
+// nothing but zero and the sentinel past its used slots: one that holds a
+// live value there reached a free list without its clear. The programs are
+// the three TestStreamedShare data shapes, wholeParamScript and lendScript,
+// each run twice back to back on the sim through one PlanMemo and twice on
+// one session of two loopback TCP workers, so a job draws the arenas the
+// jobs before it recycled, and 60 generated programs on the sim through the
+// same memo.
 func TestScratchPoison(t *testing.T) {
 	var onScratch, lent atomic.Int64
 	sentinel := val.Str("scratch poisoned")
@@ -194,6 +199,7 @@ func TestScratchPoison(t *testing.T) {
 	})
 	t.Cleanup(func() { core.SetScratchHook(nil) })
 	var arenas [2]atomic.Int64 // recycled arenas that held a pair: sim, TCP
+	var stale atomic.Int64
 	dataflow.SetArenaHook(func(_ string, _, _ bool, slots []val.Value) {
 		if len(slots) > 0 {
 			arenas[tcpPoisonRun.Load()].Add(1)
@@ -201,8 +207,17 @@ func TestScratchPoison(t *testing.T) {
 		for i := range slots {
 			slots[i] = sentinel
 		}
+		stale.Add(int64(livePastLength(slots, sentinel)))
 	})
-	t.Cleanup(func() { dataflow.SetArenaHook(nil) })
+	t.Cleanup(func() {
+		dataflow.SetArenaHook(nil)
+		if n := stale.Load(); n > 0 {
+			t.Errorf("%d recycled arena slots past the used ones held a live value: an arena reached a free list without its clear", n)
+		}
+	})
+	// Every sim run plans through memo, as one Program would, so its jobs
+	// share the memo's free lists.
+	var memo core.PlanMemo
 	tcp, stop, err := netcluster.StartLocal(2, netcluster.CoordConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +251,8 @@ func TestScratchPoison(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			scratchBefore, lentBefore := onScratch.Load(), lent.Load()
-			plan := runAgainstAST(t, c.src, c.gen, 4)
+			plan := runAgainstAST(t, &memo, c.src, c.gen, 4)
+			runAgainstAST(t, &memo, c.src, c.gen, 4)
 			if c.scratch && onScratch.Load() == scratchBefore {
 				t.Error("no element left the scratch tuple: the shape ran nothing on scratch")
 			}
@@ -266,10 +282,12 @@ func TestScratchPoison(t *testing.T) {
 			}
 			tcpPoisonRun.Store(1)
 			defer tcpPoisonRun.Store(0)
-			againstAST(t, c.src, c.gen, func(_ *ir.Graph, got *store.MemStore) error {
-				_, err := tcp.Run(c.src, got, core.DefaultOptions())
-				return err
-			})
+			for range 2 {
+				againstAST(t, c.src, c.gen, func(_ *ir.Graph, got *store.MemStore) error {
+					_, err := tcp.Run(c.src, got, core.DefaultOptions())
+					return err
+				})
+			}
 		})
 	}
 	for i, backend := range []string{"the sim", "tcp"} {
@@ -284,16 +302,16 @@ func TestScratchPoison(t *testing.T) {
 				t.Fatal(err)
 			}
 			gen := func(st store.Store) error { _, err := testprog.GenProgram(st, seed); return err }
-			runAgainstAST(t, src, gen, 1+int(seed%4))
+			runAgainstAST(t, &memo, src, gen, 1+int(seed%4))
 		})
 	}
 }
 
 // runAgainstAST runs src with all options on over inputs from gen, on the
-// sim at the given machine count, and fails unless every dataset it writes
-// is the bag the sequential AST interpreter writes. It returns the plan that
-// ran.
-func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machines int) *core.Plan {
+// sim at the given machine count with the plan memo hands out, and fails
+// unless every dataset it writes is the bag the sequential AST interpreter
+// writes. It returns the plan that ran.
+func runAgainstAST(t *testing.T, memo *core.PlanMemo, src string, gen func(store.Store) error, machines int) *core.Plan {
 	t.Helper()
 	var plan *core.Plan
 	againstAST(t, src, gen, func(g *ir.Graph, got *store.MemStore) error {
@@ -302,13 +320,28 @@ func runAgainstAST(t *testing.T, src string, gen func(store.Store) error, machin
 			return err
 		}
 		defer cl.Close()
-		if plan, err = core.Compile(g, machines, core.DefaultOptions()); err != nil {
+		plan, err = memo.Compile(src, machines, core.DefaultOptions(), func(string) (*ir.Graph, error) { return g, nil })
+		if err != nil {
 			return err
 		}
 		_, err = core.ExecutePlan(plan, got, cl, core.DefaultOptions())
 		return err
 	})
 	return plan
+}
+
+// livePastLength counts the slots of a recycled arena past its used ones
+// that hold neither the zero Value nor poison. The poison stands in for the
+// clear, so such a value is one an earlier batch left in an arena that
+// reached a free list uncleared and was then filled less far.
+func livePastLength(slots []val.Value, poison val.Value) int {
+	n := 0
+	for _, v := range slots[len(slots):cap(slots)] {
+		if v.Kind() != val.KindInvalid && !v.Equal(poison) {
+			n++
+		}
+	}
+	return n
 }
 
 // tcpPoisonRun is 1 while TestScratchPoison runs a shape on TCP workers,

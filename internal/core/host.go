@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -211,6 +212,9 @@ func newHost(rt *runtime, op *PlanOp, inst int) *host {
 		cachedBuildPos: -1,
 	}
 	h.frame.Slab = &h.slab
+	if rt.plan != nil {
+		h.freeRun = rt.plan.runs.take(op, inst)
+	}
 	for i, in := range op.Inputs {
 		buf := &h.inbufs[i]
 		buf.singleUse = rt.plan != nil && rt.plan.singleUse(op, i)
@@ -282,6 +286,7 @@ func (h *host) Open(ctx *dataflow.Context) error {
 // Close implements dataflow.Vertex.
 func (h *host) Close() error {
 	h.foldStageCounts()
+	h.keepRun()
 	return nil
 }
 
@@ -748,6 +753,63 @@ func (h *host) releaseRun(run *outputRun) {
 		build:    build,
 	}
 	h.freeRun = run
+}
+
+// keptRuns holds a plan's released output runs across jobs, one slot per
+// operator instance: a host starts from its slot's run (newHost) and puts
+// its own back when it closes (keepRun), so the next job of the plan refills
+// the keyed tables this one grew instead of growing its own. Of two jobs of
+// the plan running at once, the later to take a slot finds it empty and
+// starts afresh, and the later to close keeps its run.
+type keptRuns struct {
+	mu   sync.Mutex
+	runs [][]*outputRun // [op ID][instance]
+}
+
+// newKeptRuns returns an empty slot for every operator instance of p.
+func newKeptRuns(p *Plan) *keptRuns {
+	k := &keptRuns{runs: make([][]*outputRun, len(p.Ops))}
+	for _, op := range p.Ops {
+		k.runs[op.ID] = make([]*outputRun, op.Par)
+	}
+	return k
+}
+
+// take empties instance inst of op's slot and returns what it held; a nil
+// k holds nothing.
+func (k *keptRuns) take(op *PlanOp, inst int) *outputRun {
+	if k == nil {
+		return nil
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	r := k.runs[op.ID][inst]
+	k.runs[op.ID][inst] = nil
+	return r
+}
+
+// put fills instance inst of op's slot with r.
+func (k *keptRuns) put(op *PlanOp, inst int, r *outputRun) {
+	k.mu.Lock()
+	k.runs[op.ID][inst] = r
+	k.mu.Unlock()
+}
+
+// keepRun puts the host's released run, if any, in its slot of the plan's
+// kept runs. A hoisted join build holds this job's data, read from this
+// job's store, so it never crosses jobs: it goes along only cleared, as the
+// run's build table when the run has none.
+func (h *host) keepRun() {
+	run := h.freeRun
+	if h.rt.plan == nil || h.rt.plan.runs == nil || run == nil {
+		return
+	}
+	if h.cachedBuild != nil && run.build == nil {
+		h.cachedBuild.Clear()
+		run.build = h.cachedBuild
+	}
+	h.cachedBuild, h.freeRun = nil, nil
+	h.rt.plan.runs.put(h.op, h.inst, run)
 }
 
 // sizedInts returns s resized to n, zero-filled, reusing capacity.

@@ -32,6 +32,14 @@ type Plan struct {
 	// segments, indexed by block, is the jump-chain segment each block heads
 	// (Segment), resolved by BuildPlan and read-only from then on.
 	segments [][]ir.BlockID
+	// free is the batch and arena free lists of the PlanMemo that planned
+	// it, which every job of the plan draws from and recycles into; nil for
+	// a plan no memo keeps, whose jobs each have lists of their own.
+	free *dataflow.FreeLists
+	// runs keeps, per operator instance, the output run the host of its last
+	// job released, keyed tables cleared, for the next job's host of the
+	// instance (host.keepRun); nil when free is.
+	runs *keptRuns
 }
 
 // PlanOp is one planned operator.

@@ -405,9 +405,9 @@ func TestChainScratchNotPooled(t *testing.T) {
 	if len(scratches) == 0 {
 		t.Fatal("no direct edges found")
 	}
-	job.batchMu.Lock()
-	pooled := append([][]Element(nil), job.freeBatches...)
-	job.batchMu.Unlock()
+	job.free.mu.Lock()
+	pooled := append([][]Element(nil), job.free.freeBatches...)
+	job.free.mu.Unlock()
 	for _, b := range pooled {
 		if cap(b) > 0 && scratches[&b[:1][0]] {
 			t.Fatal("direct-delivery scratch buffer entered the batch free list")

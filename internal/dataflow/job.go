@@ -60,19 +60,11 @@ type Job struct {
 	// after a failure.
 	tr *loopback
 
-	// The batch free list recycles batch buffers: a local batch moves to
-	// the receiver and comes back through recycle, and a decoded remote
-	// frame is drawn from it, so the emit path stays allocation-free in
-	// steady state. (A remote target never holds a batch: its frame is
-	// encoded as each element is emitted.) A plain mutex-guarded stack, not
-	// a sync.Pool: pooling a slice by value boxes a fresh header on every
-	// Put, which made the pool itself the allocation it was supposed to
-	// remove. A batch bound for an in-place input (EdgeDecl.InPlace) also
-	// draws an arena from freeArenas, which its element tuples are built
-	// in, and recycle returns the two together.
-	batchMu     sync.Mutex
-	freeBatches [][]Element
-	freeArenas  [][]val.Value
+	// free holds the batch buffers and arenas the job draws and recycles:
+	// own unless UseFreeLists lent it a caller's lists, which outlive the
+	// job.
+	free *FreeLists
+	own  FreeLists
 
 	wg      sync.WaitGroup
 	stopped atomic.Bool
@@ -178,6 +170,7 @@ func newJob(g *Graph, machines, self int, batchSize int, remote Remote) (*Job, e
 		batchSize = DefaultBatchSize
 	}
 	j := &Job{graph: g, machines: machines, self: self, remote: remote, batchSize: batchSize}
+	j.free = &j.own
 	// Create instances. Each gets a job-unique lane, the trace thread ID.
 	j.insts = make([][]*instance, len(g.ops))
 	lane := 0
@@ -541,8 +534,45 @@ func (j *Job) Wait() error {
 	return nil
 }
 
-// batchKeepMax bounds the batch and arena free lists; anything past it goes
-// back to the collector.
+// FreeLists recycles batch buffers and their arenas: a local batch moves to
+// the receiver and comes back through Job.recycle, and a decoded remote frame
+// is drawn from it, so the emit path stays allocation-free in steady state.
+// (A remote target never holds a batch: its frame is encoded as each element
+// is emitted.) A batch bound for an in-place input (EdgeDecl.InPlace) also
+// draws an arena, which its element tuples are built in, and recycle returns
+// the two together.
+//
+// Every job has lists of its own. A caller that runs jobs one after another
+// keeps a FreeLists and lends it to each (Job.UseFreeLists), so a job starts
+// from the buffers the jobs before it recycled instead of allocating its
+// whole in-flight working set again; jobs that run at once share it under its
+// mutex. Its keeper owns what idles in it — at most batchKeepMax batches and
+// batchKeepMax arenas of DefaultBatchSize, about 2.6 MB — so a FreeLists
+// belongs to an object that outlives its jobs, never to a package variable.
+// The zero value is empty lists.
+//
+// A plain mutex-guarded stack, not a sync.Pool: pooling a slice by value
+// boxes a fresh header on every Put, which made the pool itself the
+// allocation it was supposed to remove, and a pool is process-global.
+type FreeLists struct {
+	mu          sync.Mutex
+	freeBatches [][]Element
+	freeArenas  [][]val.Value
+}
+
+// UseFreeLists makes the job draw its batch buffers and arenas from fl and
+// recycle them into it instead of into lists of its own. Call it before
+// Start and before any frame is delivered. A nil fl, or a job whose batch
+// size is not DefaultBatchSize — the size of every buffer a FreeLists keeps —
+// keeps its own lists.
+func (j *Job) UseFreeLists(fl *FreeLists) {
+	if fl != nil && j.batchSize == DefaultBatchSize {
+		j.free = fl
+	}
+}
+
+// batchKeepMax bounds each free list; anything past it goes back to the
+// collector.
 const batchKeepMax = 256
 
 // arenaWidth is the Values a batch arena holds per batch element: a pair
@@ -550,34 +580,55 @@ const batchKeepMax = 256
 // and, once the arena is full, is carved from the slab.
 const arenaWidth = 2
 
+// freeListHook, when a test sets it, sees every draw from a job's free
+// lists: whether UseFreeLists lent them, whether the draw was an arena or a
+// batch, and whether the list was empty, so that the draw allocated.
+var freeListHook func(lent, arena, miss bool)
+
+// SetFreeListHook installs fn as freeListHook, for tests outside this
+// package; nil removes it. Not safe while a job runs.
+func SetFreeListHook(fn func(lent, arena, miss bool)) { freeListHook = fn }
+
 // getBatch returns an empty batch buffer at full batch capacity, reusing a
 // recycled one when available.
 func (j *Job) getBatch() []Element {
-	j.batchMu.Lock()
-	if n := len(j.freeBatches); n > 0 {
-		b := j.freeBatches[n-1]
-		j.freeBatches[n-1] = nil
-		j.freeBatches = j.freeBatches[:n-1]
-		j.batchMu.Unlock()
-		return b
+	fl := j.free
+	var b []Element
+	fl.mu.Lock()
+	if n := len(fl.freeBatches); n > 0 {
+		b = fl.freeBatches[n-1]
+		fl.freeBatches[n-1] = nil
+		fl.freeBatches = fl.freeBatches[:n-1]
 	}
-	j.batchMu.Unlock()
-	return make([]Element, 0, j.batchSize)
+	fl.mu.Unlock()
+	if freeListHook != nil {
+		freeListHook(fl != &j.own, false, b == nil)
+	}
+	if b == nil {
+		b = make([]Element, 0, j.batchSize)
+	}
+	return b
 }
 
 // getArena returns an empty batch arena, reusing a recycled one when
 // available.
 func (j *Job) getArena() []val.Value {
-	j.batchMu.Lock()
-	if n := len(j.freeArenas); n > 0 {
-		a := j.freeArenas[n-1]
-		j.freeArenas[n-1] = nil
-		j.freeArenas = j.freeArenas[:n-1]
-		j.batchMu.Unlock()
-		return a
+	fl := j.free
+	var a []val.Value
+	fl.mu.Lock()
+	if n := len(fl.freeArenas); n > 0 {
+		a = fl.freeArenas[n-1]
+		fl.freeArenas[n-1] = nil
+		fl.freeArenas = fl.freeArenas[:n-1]
 	}
-	j.batchMu.Unlock()
-	return make([]val.Value, 0, arenaWidth*j.batchSize)
+	fl.mu.Unlock()
+	if freeListHook != nil {
+		freeListHook(fl != &j.own, true, a == nil)
+	}
+	if a == nil {
+		a = make([]val.Value, 0, arenaWidth*j.batchSize)
+	}
+	return a
 }
 
 // arenaHook, when a test sets it, sees every batch that had an arena once
@@ -593,11 +644,12 @@ var arenaHook func(op string, remote, retained bool, slots []val.Value)
 func SetArenaHook(fn func(op string, remote, retained bool, slots []val.Value)) { arenaHook = fn }
 
 // recycle clears a delivered envelope's batch and returns its buffer to the
-// free list, and its arena with it unless the receiving vertex retained the
-// batch: a retained arena holds tuples the vertex keeps, and goes to the
-// collector with the last of them. This is the one place an arena's slots
-// are reused. Undersized buffers (from historic or foreign allocations) are
-// left to the garbage collector so every pooled entry keeps full capacity.
+// job's free lists, which the jobs after it may draw from (UseFreeLists), and
+// its arena with it unless the receiving vertex retained the batch: a
+// retained arena holds tuples the vertex keeps, and goes to the collector
+// with the last of them. This is the one place an arena's slots are reused.
+// Undersized buffers (from historic or foreign allocations) are left to the
+// garbage collector so every pooled entry keeps full capacity.
 //
 // Invariant: a pooled buffer or arena is zero beyond its length — it is
 // fresh from make, written only by append (or, an arena, by growing over the
@@ -621,14 +673,15 @@ func (j *Job) recycle(env *envelope, retained bool) {
 		return
 	}
 	clear(b)
-	j.batchMu.Lock()
-	if keepB && len(j.freeBatches) < batchKeepMax {
-		j.freeBatches = append(j.freeBatches, b[:0])
+	fl := j.free
+	fl.mu.Lock()
+	if keepB && len(fl.freeBatches) < batchKeepMax {
+		fl.freeBatches = append(fl.freeBatches, b[:0])
 	}
-	if keepA && len(j.freeArenas) < batchKeepMax {
-		j.freeArenas = append(j.freeArenas, a[:0])
+	if keepA && len(fl.freeArenas) < batchKeepMax {
+		fl.freeArenas = append(fl.freeArenas, a[:0])
 	}
-	j.batchMu.Unlock()
+	fl.mu.Unlock()
 }
 
 type envKind uint8
