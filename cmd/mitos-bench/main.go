@@ -1,12 +1,13 @@
-// mitos-bench regenerates the paper's evaluation figures on the simulated
-// cluster and prints one table per figure.
+// mitos-bench regenerates the paper's evaluation figures and prints one
+// table per figure. With -json it also writes each figure's
+// BENCH_<fig>.json; `mitos-bench -json all` regenerates every committed one.
 //
-//	mitos-bench [flags] [fig1|fig5|fig6|fig7|fig8|fig9|ablation|combine|chain|critpath|tcpcluster|templates|delta|all]
+//	mitos-bench [flags] [fig1|fig5|fig6|fig7|fig8|fig9|ablation|combine|chain|critpath|templates|delta|all]
 //
-// The tcpcluster figure measures per-step overhead on the real TCP
-// backend (in-process workers over loopback sockets) against the
-// simulated cluster — the same comparison mitos-run's -cluster flag
-// switches between.
+// Every figure runs on the simulated cluster; Fig. 7's "Mitos (TCP)"
+// column and the templates figure's TCP rows run on the real TCP backend
+// (in-process workers over loopback sockets), the backend mitos-run's
+// -cluster flag selects.
 //
 // With -http, a live introspection server runs for the duration of the
 // sweep: every Mitos execution registers under /jobs, and /metrics serves
@@ -25,42 +26,16 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast run")
-	reps := flag.Int("reps", 1, "measurements averaged per cell (paper: 3)")
-	csv := flag.Bool("csv", false, "emit CSV instead of formatted tables")
+	reps := flag.Int("reps", 3, "measurements averaged per cell (paper: 3)")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<fig>.json per figure (medians, reps, engine counters)")
-	bandwidth := flag.Int("bandwidth", 0, "simulated cross-machine bandwidth in MiB/s (0: default 1 GiB/s)")
-	combine := flag.String("combine", "on", "map-side combiners in Mitos runs: on|off (ablation)")
-	chain := flag.String("chain", "on", "operator chaining in Mitos runs: on|off (ablation)")
-	templates := flag.String("templates", "on", "execution templates in Mitos runs: on|off (ablation)")
-	delta := flag.String("delta", "on", "incremental delta-iteration state in Mitos runs: on|off (ablation)")
 	httpAddr := flag.String("http", "", "serve live introspection (/metrics, /jobs) on this address for the duration of the sweep")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mitos-bench [flags] [fig1|fig5|fig6|fig7|fig8|fig9|ablation|combine|chain|critpath|tcpcluster|templates|delta|all]")
+		fmt.Fprintln(os.Stderr, "usage: mitos-bench [flags] [fig1|fig5|fig6|fig7|fig8|fig9|ablation|combine|chain|critpath|templates|delta|all]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	if *combine != "on" && *combine != "off" {
-		fmt.Fprintf(os.Stderr, "mitos-bench: -combine must be on or off, got %q\n", *combine)
-		os.Exit(2)
-	}
-	if *chain != "on" && *chain != "off" {
-		fmt.Fprintf(os.Stderr, "mitos-bench: -chain must be on or off, got %q\n", *chain)
-		os.Exit(2)
-	}
-	if *templates != "on" && *templates != "off" {
-		fmt.Fprintf(os.Stderr, "mitos-bench: -templates must be on or off, got %q\n", *templates)
-		os.Exit(2)
-	}
-	if *delta != "on" && *delta != "off" {
-		fmt.Fprintf(os.Stderr, "mitos-bench: -delta must be on or off, got %q\n", *delta)
-		os.Exit(2)
-	}
-	o := experiments.Options{
-		Quick: *quick, Reps: *reps, BandwidthMiBps: *bandwidth,
-		NoCombine: *combine == "off", NoChain: *chain == "off",
-		NoTemplates: *templates == "off", NoDelta: *delta == "off",
-	}
+	o := experiments.Options{Quick: *quick, Reps: *reps}
 	if *httpAddr != "" {
 		o.Obs = obs.New()
 		srv, err := httpserve.Serve(*httpAddr, o.Obs)
@@ -83,8 +58,7 @@ func main() {
 		"fig8": experiments.Fig8, "fig9": experiments.Fig9,
 		"ablation": experiments.AblationGrid, "combine": experiments.Combine,
 		"chain": experiments.Chain, "critpath": experiments.CritPath,
-		"tcpcluster": experiments.TCPCluster, "templates": experiments.Templates,
-		"delta": experiments.Delta,
+		"templates": experiments.Templates, "delta": experiments.Delta,
 	}
 	var tables []*experiments.Table
 	if which == "all" {
@@ -108,11 +82,7 @@ func main() {
 		tables = []*experiments.Table{t}
 	}
 	for _, t := range tables {
-		if *csv {
-			fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
-		} else {
-			fmt.Println(t.Format())
-		}
+		fmt.Println(t.Format())
 		if *jsonOut {
 			b, err := t.JSON(o)
 			if err != nil {

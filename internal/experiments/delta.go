@@ -11,7 +11,7 @@ import (
 
 // Delta is an extension beyond the paper (DESIGN.md Sec. 15): the
 // delta-iteration ablation on connected components. Both columns run the
-// identical deltaMerge program; -delta=off makes every solution store
+// identical deltaMerge program; with Delta off every solution store
 // re-derive its full label index on every loop step before merging the
 // step's delta, while the default maintains the index incrementally and
 // touches only the workset's keys. The graph (a sea of two-node components
@@ -37,11 +37,8 @@ func Delta(o Options) (*Table, error) {
 	var cols [][]Cell // [column][row]: "total" first, then one row per loop step
 	for _, delta := range []bool{false, true} {
 		opts := o.mitosOpts()
-		opts.Delta = delta && !o.NoDelta
-		cell, last, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
-			if err := spec.Generate(st); err != nil {
-				return nil, err
-			}
+		opts.Delta = delta
+		cell, last, err := measure(o, machines, spec.Generate, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
 			return workload.RunConnected(spec, st, cl, opts)
 		})
 		if err != nil {

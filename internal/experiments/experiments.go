@@ -1,9 +1,10 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Sec. 6) on the simulated cluster: Fig. 1 (Spark vs Flink motivation),
 // Fig. 5 (strong scaling), Fig. 6 (input-size sweep), Fig. 7 (per-step
-// overhead microbenchmark), Fig. 8 (loop-invariant hoisting), and Fig. 9
-// (loop pipelining ablation). cmd/mitos-bench prints the tables;
-// bench_test.go exposes each experiment as a testing.B benchmark.
+// overhead microbenchmark, with one more Mitos column on the real TCP
+// backend), Fig. 8 (loop-invariant hoisting), and Fig. 9 (loop pipelining
+// ablation). cmd/mitos-bench prints the tables; bench_test.go exposes each
+// experiment as a testing.B benchmark.
 //
 // Absolute numbers differ from the paper (the substrate is an in-process
 // simulator, not a 26-node JVM cluster); the reproduction targets the
@@ -14,6 +15,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -39,24 +41,6 @@ type Options struct {
 	Quick bool
 	// Reps is the number of measurements averaged per cell (paper: 3).
 	Reps int
-	// BandwidthMiBps overrides the simulated cross-machine bandwidth in
-	// MiB/s (0 keeps cluster.DefaultConfig's 1 GiB/s).
-	BandwidthMiBps int
-	// NoCombine disables the map-side combiner plan rewrite in every Mitos
-	// run (the -combine=off ablation).
-	NoCombine bool
-	// NoChain disables operator chaining in every Mitos run (the -chain=off
-	// ablation): every forward edge goes back through a mailbox batch.
-	NoChain bool
-	// NoTemplates disables execution templates in every Mitos run (the
-	// -templates=off ablation): the control plane goes back to one
-	// path-update broadcast per basic-block visit and one completion event
-	// per operator instance.
-	NoTemplates bool
-	// NoDelta disables incremental solution-set maintenance in every Mitos
-	// run (the -delta=off ablation): deltaMerge stores re-derive their full
-	// index on every loop step instead of touching only the delta's keys.
-	NoDelta bool
 	// Obs attaches a shared observer to every Mitos run, and HTTP
 	// registers each run with a live introspection server — mitos-bench
 	// -http wires both so /metrics and /jobs reflect the sweep as it runs.
@@ -72,17 +56,13 @@ type Options struct {
 	fastCluster bool
 }
 
-// clusterConfig returns the calibrated cluster configuration with the
-// options' bandwidth override applied.
+// clusterConfig returns the calibrated cluster configuration, or the
+// zero-delay one under fastCluster.
 func (o Options) clusterConfig(machines int) cluster.Config {
-	cfg := cluster.DefaultConfig(machines)
 	if o.fastCluster {
-		cfg = cluster.FastConfig(machines)
+		return cluster.FastConfig(machines)
 	}
-	if o.BandwidthMiBps > 0 {
-		cfg.Bandwidth = int64(o.BandwidthMiBps) << 20
-	}
-	return cfg
+	return cluster.DefaultConfig(machines)
 }
 
 func (o Options) reps() int {
@@ -101,9 +81,10 @@ type Cell struct {
 	Median float64
 	// Reps holds every individual measurement, in run order.
 	Reps []float64
-	// Counters are key engine coordination counters from the last rep
-	// (job launches, barriers, control messages, DFS blocks read), the
-	// mechanism-level evidence behind the timing.
+	// Counters are key engine coordination counters of one rep (job
+	// launches, barriers, control messages, DFS blocks read), the
+	// mechanism-level evidence behind the timing: the last rep's on the
+	// simulated cluster, the first rep's on TCP (see measureTCP).
 	Counters map[string]int64
 	Skipped  bool // measurement intentionally skipped (e.g. Spark at huge scale)
 }
@@ -176,29 +157,6 @@ func seconds(s float64) string {
 	return fmt.Sprintf("%.3fs", s)
 }
 
-// CSV renders the table as comma-separated values (seconds; empty cell =
-// skipped measurement), for plotting.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(t.XAxis)
-	for _, c := range t.Columns {
-		b.WriteByte(',')
-		b.WriteString(c)
-	}
-	b.WriteByte('\n')
-	for r, xl := range t.XLabels {
-		b.WriteString(xl)
-		for c := range t.Columns {
-			b.WriteByte(',')
-			if !t.Cells[r][c].Skipped {
-				fmt.Fprintf(&b, "%.6f", t.Cells[r][c].Seconds)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // benchCell is the per-measurement record of the JSON benchmark format.
 type benchCell struct {
 	System   string           `json:"system"`
@@ -261,53 +219,95 @@ func (t *Table) JSON(o Options) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// runFunc is one measured run of one system. The result is the engine's
-// own account of a Mitos run and nil for every other system.
+// runFunc is one measured run of one system, on a cluster and a store that
+// already holds its inputs. The result is the engine's own account of a
+// Mitos run and nil for every other system.
 type runFunc func(cl *cluster.Cluster, st store.Store) (*core.Result, error)
 
-// measure runs f reps times, each on a fresh cluster and store, and
-// returns a cell with the mean, the median, every individual measurement,
-// and the engine coordination counters of the last rep, whose result it
-// returns as well.
-func measure(o Options, machines int, f runFunc) (Cell, *core.Result, error) {
-	var cell Cell
-	var last *core.Result
-	for i := 0; i < o.reps(); i++ {
-		cl, err := cluster.New(o.clusterConfig(machines))
-		if err != nil {
-			return Cell{}, nil, err
-		}
-		st := dfs.New(dfs.Config{BlockSize: 2048, OpenDelay: 200 * time.Microsecond})
-		start := time.Now()
-		last, err = f(cl, st)
-		elapsed := time.Since(start)
-		clStats := cl.Stats()
-		dfsStats := st.Stats()
-		cl.Close()
-		if err != nil {
-			return Cell{}, nil, err
-		}
-		cell.Reps = append(cell.Reps, elapsed.Seconds())
-		cell.Counters = map[string]int64{
-			"jobs_launched":    clStats.JobsLaunched,
-			"tasks_dispatched": clStats.TasksDispatched,
-			"barriers":         clStats.Barriers,
-			"ctrl_messages":    clStats.CtrlMessages,
-			"ctrl_bytes":       clStats.CtrlBytes,
-			"net_batches":      clStats.NetBatches,
-			"net_bytes":        clStats.NetBytes,
-			"dfs_opens":        dfsStats.Opens,
-			"dfs_blocks_read":  dfsStats.BlocksRead,
-			"dfs_bytes_read":   dfsStats.BytesRead,
-		}
-	}
+// newCell returns the cell of the given measurements: their mean, their
+// median and the counters.
+func newCell(reps []float64, counters map[string]int64) Cell {
 	var total float64
-	for _, r := range cell.Reps {
+	for _, r := range reps {
 		total += r
 	}
-	cell.Seconds = total / float64(len(cell.Reps))
-	cell.Median = median(cell.Reps)
-	return cell, last, nil
+	return Cell{Seconds: total / float64(len(reps)), Median: median(reps), Reps: reps, Counters: counters}
+}
+
+// measure measures one run as a one-cell row and also returns its last
+// rep's result.
+func measure(o Options, machines int, seed func(store.Store) error, f runFunc) (Cell, *core.Result, error) {
+	row, last, err := measureRow(o, machines, seed, f)
+	if err != nil {
+		return Cell{}, nil, err
+	}
+	return row[0], last[0], nil
+}
+
+// measureRow measures one table row, a cell per run, and returns each
+// run's last result as well. Every rep of every run gets a fresh cluster
+// and a fresh store, which seed (if not nil) fills before the clock
+// starts. The reps go through the row forward on even reps and backward
+// on odd ones, so no run always follows the same neighbour.
+func measureRow(o Options, machines int, seed func(store.Store) error, runs ...runFunc) ([]Cell, []*core.Result, error) {
+	reps := make([][]float64, len(runs))
+	counters := make([]map[string]int64, len(runs))
+	last := make([]*core.Result, len(runs))
+	for i := 0; i < o.reps(); i++ {
+		for j := range runs {
+			c := j
+			if i%2 == 1 {
+				c = len(runs) - 1 - j
+			}
+			secs, ctr, res, err := measureOnce(o, machines, seed, runs[c])
+			if err != nil {
+				return nil, nil, err
+			}
+			reps[c] = append(reps[c], secs)
+			counters[c], last[c] = ctr, res
+		}
+	}
+	row := make([]Cell, len(runs))
+	for c := range runs {
+		row[c] = newCell(reps[c], counters[c])
+	}
+	return row, last, nil
+}
+
+// measureOnce times one run of f and returns the seconds it took, the
+// cluster's and the store's coordination counters, and f's result.
+func measureOnce(o Options, machines int, seed func(store.Store) error, f runFunc) (float64, map[string]int64, *core.Result, error) {
+	cl, err := cluster.New(o.clusterConfig(machines))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer cl.Close()
+	st := dfs.New(dfs.Config{BlockSize: 2048, OpenDelay: 200 * time.Microsecond})
+	if seed != nil {
+		if err := seed(st); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	start := time.Now()
+	res, err := f(cl, st)
+	elapsed := time.Since(start)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	clStats := cl.Stats()
+	dfsStats := st.Stats()
+	return elapsed.Seconds(), map[string]int64{
+		"jobs_launched":    clStats.JobsLaunched,
+		"tasks_dispatched": clStats.TasksDispatched,
+		"barriers":         clStats.Barriers,
+		"ctrl_messages":    clStats.CtrlMessages,
+		"ctrl_bytes":       clStats.CtrlBytes,
+		"net_batches":      clStats.NetBatches,
+		"net_bytes":        clStats.NetBytes,
+		"dfs_opens":        dfsStats.Opens,
+		"dfs_blocks_read":  dfsStats.BlocksRead,
+		"dfs_bytes_read":   dfsStats.BytesRead,
+	}, res, nil
 }
 
 // median returns the median of xs (mean of the middle two for even sizes).
@@ -324,14 +324,10 @@ func median(xs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// mitosOpts returns the optimized configuration, minus whatever the
-// options ablate.
+// mitosOpts returns the optimized configuration, wired to the options'
+// observer and introspection server.
 func (o Options) mitosOpts() core.Options {
 	opts := core.DefaultOptions()
-	opts.Combiners = !o.NoCombine
-	opts.Chaining = !o.NoChain
-	opts.Templates = !o.NoTemplates
-	opts.Delta = !o.NoDelta
 	opts.Obs = o.Obs
 	opts.HTTP = o.HTTP
 	return opts
@@ -361,31 +357,12 @@ func RunVisitCount(sys System, spec workload.VisitCountSpec, st store.Store, cl 
 	}
 }
 
-// visitCountRunner returns one measured Visit Count run: generate the
-// spec's inputs into the fresh store, then RunVisitCount. Generation is
-// therefore part of every cell's time (≈18 ms of the 155 ms Mitos cell of
-// Fig. 5); taking it out shifts every figure and belongs to the one-commit
-// regeneration of ROADMAP item 2(c).
+// visitCountRunner returns one measured Visit Count run over a store that
+// spec.Generate has filled.
 func visitCountRunner(sys System, spec workload.VisitCountSpec, opts core.Options) runFunc {
 	return func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
-		if err := spec.Generate(st); err != nil {
-			return nil, err
-		}
 		return RunVisitCount(sys, spec, st, cl, opts)
 	}
-}
-
-// measureRow measures one table row: a cell per run, in order.
-func measureRow(o Options, machines int, runs ...runFunc) ([]Cell, error) {
-	var row []Cell
-	for _, run := range runs {
-		cell, _, err := measure(o, machines, run)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, cell)
-	}
-	return row, nil
 }
 
 // Fig1 reproduces the motivation experiment: Visit Count (with day diffs)
@@ -397,7 +374,7 @@ func Fig1(o Options) (*Table, error) {
 		spec.Days, spec.VisitsPerDay = 8, 400
 	}
 	const machines = 24
-	row, err := measureRow(o, machines,
+	row, _, err := measureRow(o, machines, spec.Generate,
 		visitCountRunner(Spark, spec, core.Options{}),
 		visitCountRunner(Flink, spec, core.Options{}))
 	if err != nil {
@@ -451,17 +428,17 @@ func Fig5(o Options) (*Table, error) {
 // and Mitos. skipSpark marks the Spark cell skipped instead (Fig. 6 kills
 // Spark at the largest input).
 func visitCountRow(o Options, spec workload.VisitCountSpec, machines int, skipSpark bool) ([]Cell, error) {
-	row := []Cell{{Skipped: true}}
-	if !skipSpark {
-		var err error
-		if row, err = measureRow(o, machines, visitCountRunner(Spark, spec, core.Options{})); err != nil {
-			return nil, err
-		}
-	}
-	rest, err := measureRow(o, machines,
+	runs := []runFunc{
+		visitCountRunner(Spark, spec, core.Options{}),
 		visitCountRunner(Flink, spec, core.Options{}),
-		visitCountRunner(Mitos, spec, o.mitosOpts()))
-	return append(row, rest...), err
+		visitCountRunner(Mitos, spec, o.mitosOpts()),
+	}
+	if skipSpark {
+		row, _, err := measureRow(o, machines, spec.Generate, runs[1:]...)
+		return append([]Cell{{Skipped: true}}, row...), err
+	}
+	row, _, err := measureRow(o, machines, spec.Generate, runs...)
+	return row, err
 }
 
 // Fig6 reproduces the input-size sweep of Visit Count with the pageTypes
@@ -501,11 +478,21 @@ func Fig6(o Options) (*Table, error) {
 }
 
 // Fig7 reproduces the iteration-step-overhead microbenchmark (log-log in
-// the paper): a trivial loop on all six systems, reporting milliseconds
-// per step. The paper measures Spark and Flink-separate-jobs about two
-// orders of magnitude above the native-iteration systems, with job-launch
+// the paper): a trivial loop on all six systems, reporting seconds per
+// step. The paper measures Spark and Flink-separate-jobs about two orders
+// of magnitude above the native-iteration systems, with job-launch
 // overhead growing linearly in the machine count, and Mitos matching
 // Flink native, TensorFlow, and Naiad.
+//
+// Every column but one runs on the simulated cluster, whose modelled
+// delays (CtrlDelay, Barrier, NetDelay) set the per-step cost. The
+// "Mitos (TCP)" column runs the same step-loop program on the real TCP
+// backend, in-process workers over loopback sockets, so its per-step cost
+// is the engine's own. That cell is a slope: the loop runs at two lengths
+// and the cell is (D(long) − D(short)) / (long − short), rep by rep, so
+// what a TCP job pays once (shipping the program, compiling it on every
+// worker, merging results) cancels instead of hiding in the per-step
+// figure.
 func Fig7(o Options) (*Table, error) {
 	steps := 100
 	machines := []int{1, 3, 5, 7, 9, 13, 19, 25}
@@ -513,11 +500,14 @@ func Fig7(o Options) (*Table, error) {
 		steps = 25
 		machines = []int{1, 5, 9}
 	}
+	// The TCP slope keeps its lengths at quick scale: 900 steps of a few
+	// tens of µs stand clear of the jitter in a job's fixed cost, 75 do not.
+	const short, long = 100, 1000
 	t := &Table{
 		Key:     "fig7",
 		Title:   "Fig 7: Per-step overhead (seconds per step)",
 		XAxis:   "machines",
-		Columns: []string{"Spark", "FlinkSepJobs", "FlinkNative", "TensorFlow", "Naiad", "Mitos"},
+		Columns: []string{"Spark", "FlinkSepJobs", "FlinkNative", "TensorFlow", "Naiad", "Mitos (TCP)", "Mitos"},
 	}
 	runs := []runFunc{
 		func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
@@ -540,13 +530,21 @@ func Fig7(o Options) (*Table, error) {
 		},
 	}
 	for _, m := range machines {
-		row, err := measureRow(o, m, runs...)
+		row, _, err := measureRow(o, m, nil, runs...)
 		if err != nil {
 			return nil, err
 		}
 		for i := range row {
 			row[i] = row[i].Scaled(1 / float64(steps))
 		}
+		var tcp [2]Cell
+		for i, n := range []int{short, long} {
+			if tcp[i], err = measureTCP(o, workload.StepLoopScript(n), nil, m, o.mitosOpts()); err != nil {
+				return nil, err
+			}
+		}
+		// Mitos stays the last column, the one Format relates the others to.
+		row = slices.Insert(row, len(row)-1, slope(tcp[0], tcp[1], long-short))
 		t.XLabels = append(t.XLabels, fmt.Sprint(m))
 		t.Cells = append(t.Cells, row)
 	}
@@ -580,7 +578,7 @@ func Fig8(o Options) (*Table, error) {
 			Days: days, VisitsPerDay: visits, Pages: 500,
 			WithDiff: true, WithPageTypes: true, PageTypesSize: sz, Seed: 8,
 		}
-		row, err := measureRow(o, machines,
+		row, _, err := measureRow(o, machines, spec.Generate,
 			visitCountRunner(Spark, spec, core.Options{}),
 			visitCountRunner(Flink, spec, core.Options{}),
 			visitCountRunner(Mitos, spec, noHoist),
@@ -612,7 +610,7 @@ func Fig9(o Options) (*Table, error) {
 	noPipe := o.mitosOpts()
 	noPipe.Pipelining = false
 	for _, m := range machineSweep(o) {
-		row, err := measureRow(o, m,
+		row, _, err := measureRow(o, m, spec.Generate,
 			visitCountRunner(Mitos, spec, noPipe),
 			visitCountRunner(Mitos, spec, o.mitosOpts()))
 		if err != nil {
@@ -653,7 +651,7 @@ func AblationGrid(o Options) (*Table, error) {
 	} {
 		opts := o.mitosOpts()
 		opts.Pipelining, opts.Hoisting = cfg.pipe, cfg.hoist
-		row, err := measureRow(o, machines, visitCountRunner(Mitos, spec, opts))
+		row, _, err := measureRow(o, machines, spec.Generate, visitCountRunner(Mitos, spec, opts))
 		if err != nil {
 			return nil, err
 		}
@@ -696,7 +694,7 @@ func Combine(o Options) (*Table, error) {
 	} {
 		opts := o.mitosOpts()
 		opts.Combiners = cfg.on
-		s, last, err := measure(o, machines, visitCountRunner(Mitos, spec, opts))
+		s, last, err := measure(o, machines, spec.Generate, visitCountRunner(Mitos, spec, opts))
 		if err != nil {
 			return nil, err
 		}
@@ -745,6 +743,7 @@ func Chain(o Options) (*Table, error) {
 		label string
 		scale float64
 		fast  bool
+		seed  func(store.Store) error
 		run   func(opts core.Options) runFunc
 	}{
 		// Engine CPU only: zero-delay cluster, so the per-hop mailbox /
@@ -752,7 +751,7 @@ func Chain(o Options) (*Table, error) {
 		// under the simulated coordination delays.
 		{label: "step loop, engine only (s/step)", scale: 1 / float64(steps), fast: true, run: stepLoop},
 		{label: "step loop, calibrated (s/step)", scale: 1 / float64(steps), run: stepLoop},
-		{label: "visit count (s)", scale: 1, run: func(opts core.Options) runFunc { return visitCountRunner(Mitos, spec, opts) }},
+		{label: "visit count (s)", scale: 1, seed: spec.Generate, run: func(opts core.Options) runFunc { return visitCountRunner(Mitos, spec, opts) }},
 	}
 	for _, w := range workloads {
 		var row []Cell
@@ -761,7 +760,7 @@ func Chain(o Options) (*Table, error) {
 			opts.Chaining = chain
 			mo := o
 			mo.fastCluster = w.fast
-			s, last, err := measure(mo, machines, w.run(opts))
+			s, last, err := measure(mo, machines, w.seed, w.run(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -805,7 +804,7 @@ func CritPath(o Options) (*Table, error) {
 		opts := o.mitosOpts()
 		opts.Pipelining = pipelined
 		var cp *lineage.CriticalPath
-		cell, _, err := measure(o, machines, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+		cell, _, err := measure(o, machines, spec.Generate, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
 			// A fresh lineage tracker per rep: the analysis must see one
 			// run's bags, not an accumulation over reps.
 			obsv := obs.New().EnableLineage()
@@ -880,7 +879,7 @@ func CritPath(o Options) (*Table, error) {
 
 // All runs every experiment in figure order.
 func All(o Options) ([]*Table, error) {
-	funcs := []func(Options) (*Table, error){Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, AblationGrid, Combine, Chain, CritPath, TCPCluster, Templates, Delta}
+	funcs := []func(Options) (*Table, error){Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, AblationGrid, Combine, Chain, CritPath, Templates, Delta}
 	var out []*Table
 	for _, f := range funcs {
 		t, err := f(o)

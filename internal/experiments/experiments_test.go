@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/mitos-project/mitos/internal/cluster"
+	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/store"
 )
 
 func TestTableFormat(t *testing.T) {
@@ -45,26 +50,41 @@ func TestTableFormatSubMillisecond(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := &Table{
-		XAxis:   "m",
-		Columns: []string{"A", "B"},
-		XLabels: []string{"1"},
-		Cells:   [][]Cell{{{Seconds: 1.5}, {Skipped: true}}},
-	}
-	got := tbl.CSV()
-	want := "m,A,B\n1,1.500000,\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
 func TestOptionsReps(t *testing.T) {
 	if (Options{}).reps() != 1 {
 		t.Error("default reps != 1")
 	}
 	if (Options{Reps: 3}).reps() != 3 {
 		t.Error("explicit reps ignored")
+	}
+}
+
+// TestMeasureRowOrder: a row's reps run its columns forward on even reps
+// and backward on odd ones, each run on a store its seed filled first.
+func TestMeasureRowOrder(t *testing.T) {
+	var order []int
+	seeds := 0
+	seed := func(store.Store) error { seeds++; return nil }
+	run := func(c int) runFunc {
+		return func(*cluster.Cluster, store.Store) (*core.Result, error) {
+			if seeds != len(order)+1 {
+				t.Errorf("run %d of column %d after %d seeds", len(order), c, seeds)
+			}
+			order = append(order, c)
+			return nil, nil
+		}
+	}
+	row, _, err := measureRow(Options{Reps: 3}, 1, seed, run(0), run(1), run(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 2, 1, 0, 0, 1, 2}; !slices.Equal(order, want) {
+		t.Errorf("run order %v, want %v", order, want)
+	}
+	for c, cell := range row {
+		if len(cell.Reps) != 3 {
+			t.Errorf("column %d: %d reps, want 3", c, len(cell.Reps))
+		}
 	}
 }
 

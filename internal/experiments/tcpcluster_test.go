@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/mitos-project/mitos/internal/core"
@@ -37,7 +38,7 @@ func TestTCPCellCountersPerRep(t *testing.T) {
 }
 
 // TestSlopeCancelsFixedCost: a cost paid once per job drops out of a
-// tcpcluster cell; only what each step adds is left.
+// Fig. 7 TCP cell; only what each step adds is left.
 func TestSlopeCancelsFixedCost(t *testing.T) {
 	const fixed, perStep = 5e-3, 40e-6
 	run := func(steps int, jitter float64) float64 { return fixed + jitter + float64(steps)*perStep }
@@ -51,5 +52,42 @@ func TestSlopeCancelsFixedCost(t *testing.T) {
 	}
 	if math.Abs(got.Median-perStep) > 1e-12 || math.Abs(got.Seconds-perStep) > 1e-12 || got.Counters["steps"] != 803 {
 		t.Errorf("cell %+v", got)
+	}
+}
+
+// TestFig7TCPColumn: Fig. 7 carries a real-socket Mitos column just before
+// the simulated one, every cell a positive slope whose control messages per
+// step are a whole number, the same whether the cell ran one rep or two.
+func TestFig7TCPColumn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick Fig. 7 still takes seconds")
+	}
+	column := func(reps int) []Cell {
+		tbl, err := Fig7(Options{Quick: true, Reps: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := slices.Index(tbl.Columns, "Mitos (TCP)")
+		if c < 0 || c != len(tbl.Columns)-2 || tbl.Columns[c+1] != "Mitos" {
+			t.Fatalf("columns %q: want Mitos (TCP) just before Mitos, last", tbl.Columns)
+		}
+		var cells []Cell
+		for r, row := range tbl.Cells {
+			cell := row[c]
+			if cell.Seconds <= 0 || len(cell.Reps) != reps {
+				t.Errorf("%s machines, %d reps: cell %+v", tbl.XLabels[r], reps, cell)
+			}
+			if _, ok := cell.Counters["ctrl_messages_per_step"]; !ok {
+				t.Errorf("%s machines, %d reps: no whole ctrl_messages_per_step in %v", tbl.XLabels[r], reps, cell.Counters)
+			}
+			cells = append(cells, cell)
+		}
+		return cells
+	}
+	one, two := column(1), column(2)
+	for r := range one {
+		if a, b := one[r].Counters["ctrl_messages_per_step"], two[r].Counters["ctrl_messages_per_step"]; a <= 0 || a != b {
+			t.Errorf("row %d: ctrl_messages_per_step %d at one rep, %d at two", r, a, b)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func Templates(o Options) (*Table, error) {
 			cell: func(opts core.Options) (Cell, error) {
 				mo := o
 				mo.fastCluster = true
-				s, last, err := measure(mo, machines, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
+				s, last, err := measure(mo, machines, nil, func(cl *cluster.Cluster, st store.Store) (*core.Result, error) {
 					return workload.StepMitos(cl, st, engineSteps, opts)
 				})
 				if err != nil {
