@@ -368,7 +368,8 @@ func SetTableHook(fn func(op string)) { tableHook = fn }
 // OnBatch hands elements of the single-use bag the current output is
 // consuming on this slot straight to the operator logic and drops those of a
 // discard slot; everything else — a bag that arrives before its output
-// started, the probe side during a join build, a re-readable bag — is
+// started, a re-readable bag, and what a chained edge, which no gate stands
+// in front of, delivers early (Accepts leaves the rest in its link) — is
 // buffered into its bag and pumped. A lent element is buffered as a copy
 // carved from this host's slab: its producer overwrites it as soon as this
 // call returns. A batch one of whose elements is buffered is retained: on an
@@ -415,6 +416,23 @@ func (h *host) OnBatch(input, from int, batch []Element) error {
 		return nil // streamed elements change nothing progress looks at
 	}
 	return h.progress()
+}
+
+// Accepts implements dataflow.InputGate: it leaves in its link a batch that
+// OnBatch could only buffer now but that a later output bag will read live.
+// That is a batch on a single-use slot whose current output has selected a
+// bag — a batch of a later bag, or of the selected bag while the slot waits
+// (a join's probe during its build). Everything else is taken as before: a
+// bag the current output skips, a slot read whole, a re-readable or lent
+// slot, a host with no output open. Parked, the batch keeps its arena and is
+// recycled once it is consumed, where buffered it would have been retained.
+func (h *host) Accepts(input int, tag dataflow.Tag) bool {
+	buf, run := &h.inbufs[input], h.cur
+	if run == nil || !buf.singleUse || buf.lent || buf.discard || run.inPos[input] <= 0 {
+		return true
+	}
+	pos, sel := int(tag), run.inPos[input]
+	return pos < sel || pos == sel && h.slotUse(run, input) != slotWaits
 }
 
 // Element aliases the engine element type for brevity.

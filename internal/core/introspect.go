@@ -99,11 +99,12 @@ func (v *jobView) Status() *httpserve.JobStatus {
 		if i < len(intro.Ops) {
 			for _, inst := range intro.Ops[i].Instances {
 				os.Instances = append(os.Instances, httpserve.InstanceStatus{
-					Machine:      inst.Machine,
-					MailboxDepth: inst.MailboxDepth,
-					MailboxHWM:   inst.MailboxHWM,
-					CurBag:       inst.CurBag,
-					BagsDone:     inst.BagsDone,
+					Machine:       inst.Machine,
+					MailboxDepth:  inst.MailboxDepth,
+					MailboxHWM:    inst.MailboxHWM,
+					CurBag:        inst.CurBag,
+					BagsDone:      inst.BagsDone,
+					BatchesParked: inst.BatchesParked,
 				})
 			}
 		}

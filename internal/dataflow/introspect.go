@@ -24,6 +24,10 @@ type InstanceStatus struct {
 	MailboxHWM   int   `json:"mailbox_hwm"`
 	CurBag       int64 `json:"cur_bag"`
 	BagsDone     int64 `json:"bags_done"`
+	// BatchesParked counts the batches that waited in their link because
+	// the vertex could not use them yet (InputGate): the batches_parked
+	// counter, 0 unless the job has an observer.
+	BatchesParked int64 `json:"batches_parked"`
 }
 
 // EdgeDepth is the producer-side buffered element count of one logical
@@ -100,7 +104,7 @@ func (j *Job) Introspect() *Introspection {
 		}
 		op := OpIntro{Name: insts[0].op.Name, Parallelism: insts[0].op.Parallelism}
 		for _, in := range insts {
-			st := InstanceStatus{Machine: in.machine, CurBag: -1}
+			st := InstanceStatus{Machine: in.machine, CurBag: -1, BatchesParked: in.batchesParked.Value()}
 			// Chain members have no mailbox of their own; their external
 			// traffic shows up on the chain driver's depths.
 			if in.mbox != nil {

@@ -285,6 +285,7 @@ func (j *Job) Observe(o *obs.Observer) {
 			in.elemsOut = reg.Counter(in.machine, name, "elements_out")
 			in.elemsChained = reg.Counter(in.machine, name, "elements_chained")
 			in.batchesIn = reg.Counter(in.machine, name, "batches_in")
+			in.batchesParked = reg.Counter(in.machine, name, "batches_parked")
 			in.batchesOut = reg.Counter(in.machine, name, "batches_out")
 			in.remoteOut = reg.Counter(in.machine, name, "remote_batches_out")
 			in.bytesOut = reg.Counter(in.machine, name, "bytes_sent")
@@ -332,6 +333,7 @@ func (j *Job) Start() error {
 				return fmt.Errorf("dataflow: op %s instance %d: nil vertex", in.op.Name, in.idx)
 			}
 			in.ctx = &Context{inst: in}
+			in.gate, _ = in.vertex.(InputGate)
 			if err := in.vertex.Open(in.ctx); err != nil {
 				return fmt.Errorf("dataflow: open %s[%d]: %w", in.op.Name, in.idx, err)
 			}
@@ -402,9 +404,10 @@ func (j *Job) Broadcast(ev any) {
 // are lent from the batch's arena instead, which the job reuses once the
 // vertex returns unless it retained the batch (Vertex.OnBatch). ack, if
 // non-nil, runs after the batch has been fully processed by the receiving
-// vertex (or immediately if the mailbox is already closed) — the TCP backend
-// returns a flow-control credit from it. A decode or addressing error fails
-// the job and is returned.
+// vertex, or parked in its link because the vertex cannot use it yet
+// (InputGate), or immediately if the mailbox is already closed — the TCP
+// backend returns a flow-control credit from it. A decode or addressing
+// error fails the job and is returned.
 func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, slab *val.Slab, ack func()) error {
 	tgt, err := j.remoteTarget(h)
 	if err != nil {
@@ -711,9 +714,9 @@ type envelope struct {
 	// member of the chain (Job.Broadcast).
 	dest *instance
 	// ack, when non-nil, runs once the envelope has been processed by the
-	// receiving vertex — or at once if the mailbox refuses it, so a remote
-	// sender's flow-control credit is never stranded by shutdown
-	// (DeliverData, DeliverEOB).
+	// receiving vertex or parked in its link (park.go) — or at once if the
+	// mailbox refuses it, so a remote sender's flow-control credit is never
+	// stranded by shutdown (DeliverData, DeliverEOB).
 	ack func()
 }
 
@@ -737,6 +740,10 @@ type instance struct {
 	// wakers holds every member's ControlWaker when all members implement
 	// it (driver only, set in Start); nil means broadcasts always wake.
 	wakers []ControlWaker
+	// gate is the vertex's InputGate, if it has one (set in Start); lot is
+	// where the batches a member's gate refuses wait (driver only).
+	gate InputGate
+	lot  parkLot
 
 	outs   []*outEdge
 	inputs []inputSlot
@@ -756,19 +763,20 @@ type instance struct {
 
 	// Observability handles; nil (and therefore no-ops) unless Job.Observe
 	// was called.
-	trc          *obs.Tracer
-	lin          *lineage.Tracker
-	elemsIn      *obs.Counter
-	elemsOut     *obs.Counter
-	elemsChained *obs.Counter
-	batchesIn    *obs.Counter
-	batchesOut   *obs.Counter
-	remoteOut    *obs.Counter
-	bytesOut     *obs.Counter
-	bytesIn      *obs.Counter
-	ctrlIn       *obs.Counter
-	mboxHWM      *obs.Gauge
-	mboxDropped  *obs.Counter
+	trc           *obs.Tracer
+	lin           *lineage.Tracker
+	elemsIn       *obs.Counter
+	elemsOut      *obs.Counter
+	elemsChained  *obs.Counter
+	batchesIn     *obs.Counter
+	batchesParked *obs.Counter
+	batchesOut    *obs.Counter
+	remoteOut     *obs.Counter
+	bytesOut      *obs.Counter
+	bytesIn       *obs.Counter
+	ctrlIn        *obs.Counter
+	mboxHWM       *obs.Gauge
+	mboxDropped   *obs.Counter
 }
 
 // foldCounts moves the per-instance element counts into the job's totals
@@ -844,58 +852,37 @@ type pending struct {
 // loop is the event loop of a chain driver (every unchained instance is a
 // one-member chain driving itself). External envelopes carry the member
 // they are addressed to in dest; chained-edge traffic between members never
-// appears here — it flows in-stack through Context.Emit.
+// appears here — it flows in-stack through Context.Emit. A batch its member
+// refuses waits in its link (park.go), and whatever is parked when the
+// mailbox closes is delivered before Close on a clean stop, recycled on a
+// failure.
 func (in *instance) loop() {
 	defer in.job.wg.Done()
-	for {
+	var err error
+	for err == nil {
 		env, ok := in.mbox.Take()
 		if !ok {
 			break
 		}
-		var err error
-		dst := env.dest
-		if dst == nil {
-			dst = in
+		if env.dest == nil {
+			env.dest = in
 		}
-		switch env.kind {
-		case envData:
-			dst.received += int64(len(env.batch))
-			dst.batchesIn.Inc()
-			dst.retained = false
-			err = dst.vertex.OnBatch(env.input, env.from, env.batch)
-			// OnBatch must not retain the slice (Vertex contract), so the
-			// buffer goes straight back to the pool: the emit path and the
-			// remote decode path both draw from it, closing the cycle. Its
-			// arena follows unless the vertex retained the batch.
-			in.job.recycle(&env, dst.retained)
-		case envEOB:
-			err = dst.vertex.OnEOB(env.input, env.from, env.tag)
-		case envControl:
-			// Broadcast control: one envelope per chain, fanned out to the
-			// members consumer first. Member order is topological, so when a
-			// producer emits from its callback every chained consumer has
-			// already taken the event and can take the elements as they come
-			// instead of buffering them.
-			for k := len(in.members) - 1; k >= 0; k-- {
-				m := in.members[k]
-				dst = m
-				m.ctrlIn.Inc()
-				if err = m.vertex.OnControl(env.ctrl); err != nil {
-					break
-				}
-			}
+		// A data or end-of-bag envelope parks behind its link's parked
+		// envelopes or, refused by its member's gate, parks first.
+		if env.kind != envControl && (in.lot.parked(&env) || !env.accepts()) {
+			in.lot.park(&env)
+			continue
 		}
-		if env.ack != nil {
-			// Remote frames of a partitioned job are acknowledged only after
-			// the vertex fully processed them — the TCP backend returns a
-			// flow-control credit here, so the sender's window measures
-			// unprocessed frames, not merely undelivered ones.
-			env.ack()
+		if err = in.deliver(&env); err == nil && len(in.lot.busy) > 0 {
+			err = in.unpark(false)
 		}
-		if err != nil {
-			in.job.fail(fmt.Errorf("dataflow: %s[%d]: %w", dst.op.Name, dst.idx, err))
-			break
-		}
+	}
+	if err == nil && in.job.err.Load() == nil {
+		err = in.unpark(true)
+	}
+	in.dropParked()
+	if err != nil {
+		in.job.fail(err)
 	}
 	in.mboxHWM.Max(int64(in.mbox.HighWater()))
 	for _, m := range in.members {
@@ -904,6 +891,53 @@ func (in *instance) loop() {
 		}
 		m.foldCounts()
 	}
+}
+
+// deliver hands one envelope to its member's vertex — a control envelope to
+// every member — recycles a batch, and acknowledges a remote frame that did
+// not park.
+func (in *instance) deliver(env *envelope) error {
+	var err error
+	dst := env.dest
+	switch env.kind {
+	case envData:
+		dst.received += int64(len(env.batch))
+		dst.batchesIn.Inc()
+		dst.retained = false
+		err = dst.vertex.OnBatch(env.input, env.from, env.batch)
+		// OnBatch must not retain the slice (Vertex contract), so the
+		// buffer goes straight back to the pool: the emit path and the
+		// remote decode path both draw from it, closing the cycle. Its
+		// arena follows unless the vertex retained the batch.
+		in.job.recycle(env, dst.retained)
+	case envEOB:
+		err = dst.vertex.OnEOB(env.input, env.from, env.tag)
+	case envControl:
+		// Broadcast control: one envelope per chain, fanned out to the
+		// members consumer first. Member order is topological, so when a
+		// producer emits from its callback every chained consumer has
+		// already taken the event and can take the elements as they come
+		// instead of buffering them.
+		for k := len(in.members) - 1; k >= 0; k-- {
+			dst = in.members[k]
+			dst.ctrlIn.Inc()
+			if err = dst.vertex.OnControl(env.ctrl); err != nil {
+				break
+			}
+		}
+	}
+	if env.ack != nil {
+		// Remote frames of a partitioned job are acknowledged only once the
+		// vertex processed them, or parked them — the TCP backend returns a
+		// flow-control credit here, so the sender's window measures frames
+		// the receiver has not taken off the wire into a vertex or a link
+		// queue, not merely undelivered ones.
+		env.ack()
+	}
+	if err != nil {
+		return fmt.Errorf("dataflow: %s[%d]: %w", dst.op.Name, dst.idx, err)
+	}
+	return nil
 }
 
 // Context is the emission and introspection interface handed to a vertex.

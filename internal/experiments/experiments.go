@@ -488,11 +488,9 @@ func Fig6(o Options) (*Table, error) {
 // delays (CtrlDelay, Barrier, NetDelay) set the per-step cost. The
 // "Mitos (TCP)" column runs the same step-loop program on the real TCP
 // backend, in-process workers over loopback sockets, so its per-step cost
-// is the engine's own. That cell is a slope: the loop runs at two lengths
-// and the cell is (D(long) − D(short)) / (long − short), rep by rep, so
-// what a TCP job pays once (shipping the program, compiling it on every
-// worker, merging results) cancels instead of hiding in the per-step
-// figure.
+// is the engine's own. That cell is a slope between two loop lengths
+// (tcpStepSlope), so what a TCP job pays once cancels instead of hiding in
+// the per-step figure.
 func Fig7(o Options) (*Table, error) {
 	steps := 100
 	machines := []int{1, 3, 5, 7, 9, 13, 19, 25}
@@ -500,9 +498,6 @@ func Fig7(o Options) (*Table, error) {
 		steps = 25
 		machines = []int{1, 5, 9}
 	}
-	// The TCP slope keeps its lengths at quick scale: 900 steps of a few
-	// tens of µs stand clear of the jitter in a job's fixed cost, 75 do not.
-	const short, long = 100, 1000
 	t := &Table{
 		Key:     "fig7",
 		Title:   "Fig 7: Per-step overhead (seconds per step)",
@@ -537,14 +532,12 @@ func Fig7(o Options) (*Table, error) {
 		for i := range row {
 			row[i] = row[i].Scaled(1 / float64(steps))
 		}
-		var tcp [2]Cell
-		for i, n := range []int{short, long} {
-			if tcp[i], err = measureTCP(o, workload.StepLoopScript(n), nil, m, o.mitosOpts()); err != nil {
-				return nil, err
-			}
+		tcp, err := tcpStepSlope(o, m, o.mitosOpts())
+		if err != nil {
+			return nil, err
 		}
 		// Mitos stays the last column, the one Format relates the others to.
-		row = slices.Insert(row, len(row)-1, slope(tcp[0], tcp[1], long-short))
+		row = slices.Insert(row, len(row)-1, tcp)
 		t.XLabels = append(t.XLabels, fmt.Sprint(m))
 		t.Cells = append(t.Cells, row)
 	}

@@ -6,7 +6,27 @@ import (
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/netcluster"
 	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/workload"
 )
+
+// tcpStepSlope is the step loop's per-step cost on the real TCP backend,
+// workers in-process workers over loopback sockets: measureTCP at two loop
+// lengths and the slope between them, rep by rep, so that what a TCP job
+// pays once (shipping the program, compiling it on every worker, merging
+// results) cancels instead of hiding in the per-step figure. The lengths
+// stay at quick scale: 900 steps of a few tens of µs stand clear of the
+// jitter in a job's fixed cost, 75 do not.
+func tcpStepSlope(o Options, workers int, opts core.Options) (Cell, error) {
+	const short, long = 100, 1000
+	var c [2]Cell
+	for i, n := range []int{short, long} {
+		var err error
+		if c[i], err = measureTCP(o, workload.StepLoopScript(n), nil, workers, opts); err != nil {
+			return Cell{}, err
+		}
+	}
+	return slope(c[0], c[1], long-short), nil
+}
 
 // slope returns the per-step cost between two cells of one system whose
 // runs differ only by dn loop steps: rep i is (long.Reps[i] −

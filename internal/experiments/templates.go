@@ -15,24 +15,23 @@ import (
 // past their own condition decisions and fold per-instance completions
 // into one aggregated event per position. Row one is the Fig. 7 step loop
 // on a zero-delay cluster (engine CPU per step, the headline per-step
-// overhead number); row two is the same loop on the real TCP backend,
-// where the counters carry the wire-level evidence: ctrl_messages and
-// ctrl_bytes collapse, template_installs stays at the handful of distinct
-// blocks while template_instantiations tracks the iteration count. Row
-// three is the parallel-body Visit Count job on TCP, checking the
-// control-plane savings also hold under a real data plane.
+// overhead number); row two is the same loop on the real TCP backend, per
+// step as Fig. 7's TCP column takes it (tcpStepSlope), where the counters
+// carry the wire-level evidence: ctrl_messages and ctrl_bytes collapse,
+// template_installs stays at the handful of distinct blocks while
+// template_instantiations tracks the iteration count. Row three is the
+// parallel-body Visit Count job on TCP, checking the control-plane savings
+// also hold under a real data plane.
 func Templates(o Options) (*Table, error) {
 	// The engine-only row uses a longer loop than the TCP rows so the fixed
 	// job cost (parse, SSA compile, plan build, one dfs open) amortizes and
 	// the per-step figure isolates steady-state control-plane work.
 	engineSteps := 500
-	tcpSteps := 100
 	const machines = 8
 	tcpWorkers := 4
 	spec := workload.VisitCountSpec{Days: 15, VisitsPerDay: 2000, Pages: 200, WithDiff: true, Seed: 14}
 	if o.Quick {
 		engineSteps = 100
-		tcpSteps = 25
 		tcpWorkers = 2
 		spec.Days, spec.VisitsPerDay = 5, 400
 	}
@@ -70,9 +69,9 @@ func Templates(o Options) (*Table, error) {
 		},
 		{
 			label: "step loop, TCP (s/step)",
-			scale: 1 / float64(tcpSteps),
+			scale: 1,
 			cell: func(opts core.Options) (Cell, error) {
-				return measureTCP(o, workload.StepLoopScript(tcpSteps), nil, tcpWorkers, opts)
+				return tcpStepSlope(o, tcpWorkers, opts)
 			},
 		},
 		{

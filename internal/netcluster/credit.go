@@ -10,10 +10,14 @@ import (
 // network stack): each (consumer op, consumer instance, input slot,
 // producer instance) channel on a peer link starts with window credits.
 // Sending a data or EOB frame consumes one; the receiver returns it only
-// after the consuming vertex has fully processed the frame. A producer
-// whose window is exhausted blocks in acquire — so a slow consumer bounds
-// the sender's in-flight memory at window frames per channel instead of
-// growing an egress queue without bound.
+// after the consuming vertex has fully processed the frame, or the event
+// loop has parked it in its channel's queue because the vertex cannot use
+// it yet (dataflow.InputGate). A producer whose window is exhausted blocks
+// in acquire — so a slow consumer bounds the sender's in-flight memory at
+// window frames per channel instead of growing an egress queue without
+// bound. A parked frame's credit returns as it parks: the per-peer sender
+// must never wait on a channel whose frames wait for frames queued behind
+// it on the same peer.
 //
 // Liveness, documented in DESIGN.md: only the per-peer sender goroutine
 // (mesh.sendFrames) ever blocks in acquire. Dataflow event loops and peer

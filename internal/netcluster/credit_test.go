@@ -7,6 +7,7 @@ import (
 
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/store"
+	"github.com/mitos-project/mitos/internal/val"
 	"github.com/mitos-project/mitos/internal/workload"
 )
 
@@ -147,4 +148,57 @@ func TestTCPSmallWindowStalls(t *testing.T) {
 		t.Error("window=1 with batch=2 never stalled a sender")
 	}
 	t.Logf("stalls=%d stall_time=%v frames", res.CreditStalls, res.CreditStallTime)
+}
+
+// TestTCPParkedProbeReturnsCredit: a join whose probe side is read from the
+// store reaches its host ahead of everything its build waits for — the build
+// is a reduceByKey of the same input, complete only once the read is — and,
+// at window 1, over the same peer link. The host parks the probe frames until
+// its build is complete. A parked frame returns its credit as it parks; one
+// that kept it until it was processed would stall the peer's one sender on
+// the probe channel, ahead of the combiner frames the build needs, and the
+// job would never finish.
+func TestTCPParkedProbeReturnsCredit(t *testing.T) {
+	const script = `visits = readFile("visits")
+counts = visits.map(v => (v.0, 1)).reduceByKey((a, b) => a + b)
+counts.join(visits).writeFile("joined")
+`
+	seed := func(st store.Store) error {
+		vs := make([]val.Value, 2000)
+		for i := range vs {
+			vs[i] = val.Pair(val.Int(int64(i%37)), val.Int(int64(i)))
+		}
+		return st.WriteDataset("visits", vs)
+	}
+	opts := core.DefaultOptions()
+	opts.BatchSize = 2
+	simStore := store.NewMemStore()
+	if err := seed(simStore); err != nil {
+		t.Fatal(err)
+	}
+	runSim(t, script, simStore, 2, opts)
+
+	c, cleanup, err := StartLocal(2, CoordConfig{CreditWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	tcpStore := store.NewMemStore()
+	if err := seed(tcpStore); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(script, tcpStore, opts)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("window-1 join deadlocked: a parked probe frame kept its channel's credit, so the peer's sender stalled ahead of the frames the join's build waits for")
+	}
+	diffStores(t, simStore, tcpStore)
 }

@@ -118,6 +118,9 @@ type InstanceStatus struct {
 	MailboxHWM   int   `json:"mailbox_hwm"`
 	CurBag       int64 `json:"cur_bag"`
 	BagsDone     int64 `json:"bags_done"`
+	// BatchesParked counts the batches that waited in their link until
+	// the instance could use them (the batches_parked counter).
+	BatchesParked int64 `json:"batches_parked"`
 }
 
 // EgressStatus is one machine pair's transport backlog.

@@ -197,6 +197,9 @@ poll:
 	if code != http.StatusOK || !strings.Contains(body, `"state": "done"`) {
 		t.Fatalf("/jobs/1 after run: %d %s", code, body)
 	}
+	if !strings.Contains(body, `"batches_parked": `) {
+		t.Fatalf("/jobs/1 shows no instance's batches_parked: %.200s", body)
+	}
 	if code, body = get("/jobs"); code != http.StatusOK || !strings.Contains(body, `"id": 1`) {
 		t.Fatalf("/jobs: %d %s", code, body)
 	}

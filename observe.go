@@ -21,10 +21,12 @@ type Observer = obs.Observer
 // an aligned table.
 //
 // Useful metric names include per-operator "elements_in"/"elements_out",
-// "bags_out", "mailbox_hwm", per-machine "broadcasts" (control-flow
-// manager path extensions), per-condition-operator "decisions",
-// "join_builds"/"join_build_reuses" (hoisting), and driver-side
-// "barriers", "jobs_launched", and "ctrl_messages".
+// "bags_out", "mailbox_hwm", "batches_parked" (batches that waited in
+// their link until the operator could use them), per-machine
+// "broadcasts" (control-flow manager path extensions),
+// per-condition-operator "decisions", "join_builds"/"join_build_reuses"
+// (hoisting), and driver-side "barriers", "jobs_launched", and
+// "ctrl_messages".
 type RunReport = obs.Snapshot
 
 // NewObserver returns an observer that collects metrics only.
